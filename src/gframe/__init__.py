@@ -23,9 +23,7 @@ from .frames import (
     GFrameSystem,
     canonical_dual,
     check_frame,
-    controlled_gram,
     controlled_multiplier,
-    frame_operator,
     multiplier,
     operator_dual_check,
     optimal_scalar_bounds,

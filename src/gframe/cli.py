@@ -9,7 +9,7 @@ and the seed.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 
 import numpy as np
@@ -22,6 +22,7 @@ from .hilbert import positive_part_checks
 from .reports import PASS
 from .serialize import (
     dump_json,
+    load_json,
     load_system,
     operator_from_dict,
     operator_to_dict,
@@ -206,8 +207,9 @@ def _cmd_theorem(args) -> int:
     system = load_system(args.system) if args.system else None
     aux = None
     if args.aux:
-        with open(args.aux, "r", encoding="utf-8") as handle:
-            aux_doc = json.load(handle)
+        aux_doc = load_json(args.aux)
+        if not isinstance(aux_doc, dict):
+            raise InputError(f"{args.aux}: auxiliary operators must be a JSON object of operators")
         aux = {name: operator_from_dict(doc) for name, doc in aux_doc.items()}
     if args.theorem_id == "all":
         ids = sorted(THEOREM_IDS)
@@ -226,22 +228,26 @@ def _cmd_theorem(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    with open(args.descriptor, "r", encoding="utf-8") as handle:
-        try:
-            desc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"{args.descriptor}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-            ) from exc
+    desc = load_json(args.descriptor)
+    if not isinstance(desc, dict):
+        raise InputError(f"{args.descriptor}: a perturbation descriptor must be a JSON object")
     try:
         kind = desc["kind"]
-        sys_a = load_system(desc["systemA"])
-        sys_b = load_system(desc["systemB"])
+        paths = (desc["systemA"], desc["systemB"])
+        samples = int(desc.get("samples", args.samples))
+        seed = int(desc.get("seed", args.seed))
     except KeyError as exc:
         raise InputError(f"descriptor is missing {exc}") from exc
-    samples = int(desc.get("samples", args.samples))
-    seed = int(desc.get("seed", args.seed))
-    report = run_perturbation(kind, sys_a, sys_b, desc.get("params", {}),
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad perturbation descriptor: {exc}") from exc
+    if not all(isinstance(path, str) for path in paths):
+        raise InputError("descriptor systemA and systemB must be file paths")
+    _check_samples(samples)
+    params = desc.get("params", {})
+    if not isinstance(params, dict):
+        raise InputError("descriptor params must be a JSON object")
+    sys_a, sys_b = (load_system(path) for path in paths)
+    report = run_perturbation(kind, sys_a, sys_b, params,
                               samples=samples, seed=seed, tol=args.tol)
     _emit(_report("perturb", {"descriptor": args.descriptor, "tol": args.tol,
                               "seed": seed, "samples": samples},
@@ -277,14 +283,28 @@ _COMMANDS = {
 }
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
+
+
+def _check_options(args) -> None:
+    """Reject sample counts below one and tolerances that are not positive and finite."""
+    if hasattr(args, "samples"):
+        _check_samples(args.samples)
+    if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be positive and finite, got {args.tol}")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_options(args)
         return _COMMANDS[args.command](args)
     except GFrameError as exc:
         print(f"gframe: error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"gframe: error: {exc}", file=sys.stderr)
         return 2
 

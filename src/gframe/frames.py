@@ -16,14 +16,25 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraDescriptor, AlgebraElement
+from .algebra import (
+    DEFAULT_TOL,
+    AlgebraDescriptor,
+    AlgebraElement,
+    conjugate_by,
+    element_norms,
+    min_hermitian_eigenvalues,
+)
 from .errors import DomainError, InputError, UnsupportedConfigurationError
 from .hilbert import (
     AdjointableOperator,
     DirectSumSpace,
     DirectSumVector,
     ModuleVector,
+    as_channels,
+    pairing,
+    spectral_norms,
     vector_from_flat_row,
+    weighted_sum,
 )
 from .measure import MeasureSpace
 from .reports import TheoremReport
@@ -58,14 +69,7 @@ class ControlPair:
         fc, fcp = C.flat(), Cp.flat()
         scale = max(1.0, float(np.linalg.norm(fc, 2) * np.linalg.norm(fcp, 2)))
         commute_defect = float(np.linalg.norm(fc @ fcp - fcp @ fc, 2)) / scale
-        family_defect = 0.0
-        for op in family.values():
-            gram_block = (op.adjoint() @ op).flat()
-            gscale = max(1.0, float(np.linalg.norm(gram_block, 2)))
-            for ctrl_flat in (fc, fcp):
-                cscale = max(1.0, float(np.linalg.norm(ctrl_flat, 2)))
-                defect = float(np.linalg.norm(gram_block @ ctrl_flat - ctrl_flat @ gram_block, 2))
-                family_defect = max(family_defect, defect / (gscale * cscale))
+        family_defect = _family_commutation_defect(list(family.values()), C, Cp)
         return ControlPair(
             C=C,
             Cp=Cp,
@@ -74,6 +78,48 @@ class ControlPair:
             commute_defect=commute_defect,
             family_defect=family_defect,
         )
+
+
+# Complex entries per batched temporary (64 KiB).  Batching atoms bounds the
+# memory of the stacked family checks; larger temporaries measurably raised
+# the peak resident memory of whole CLI runs.
+_BATCH_ENTRIES = 1 << 12
+
+
+def _padded_channels(ops: list) -> np.ndarray:
+    """Channels of the members stacked along a leading atom axis.
+
+    Members are zero-padded to a common output rank; zero columns leave
+    every Lambda_w* Lambda_w unchanged.
+    """
+    first = ops[0].blocks
+    width = max(op.out_rank for op in ops)
+    padded = np.zeros((len(ops), first.shape[0], width) + first.shape[2:], dtype=np.complex128)
+    for idx, op in enumerate(ops):
+        padded[idx, :, :op.out_rank] = op.blocks
+    return as_channels(ops[0].descriptor, padded)
+
+
+def _family_commutation_defect(family: list, C: AdjointableOperator,
+                               Cp: AdjointableOperator) -> float:
+    """Worst relative commutator ||G_w X - X G_w|| of G_w = Lambda_w* Lambda_w with X = C, C'.
+
+    Each quantity is one batched 2-norm over a batch of atoms, channel by
+    channel; batches hold all atoms unless that would exceed _BATCH_ENTRIES.
+    """
+    controls = (C.channels(), Cp.channels())
+    cscales = [max(1.0, float(spectral_norms(ctrl).max())) for ctrl in controls]
+    widest = max(op.out_rank for op in family)
+    step = max(1, _BATCH_ENTRIES * C.in_rank // (controls[0].size * max(widest, C.in_rank)))
+    worst = 0.0
+    for start in range(0, len(family), step):
+        members = _padded_channels(family[start:start + step])
+        grams = members @ members.conj().swapaxes(-1, -2)
+        gscale = np.maximum(1.0, spectral_norms(grams).max(axis=-1))
+        for ctrl, cscale in zip(controls, cscales):
+            defects = spectral_norms(grams @ ctrl - ctrl @ grams).max(axis=-1)
+            worst = max(worst, float(np.max(defects / gscale)) / cscale)
+    return worst
 
 
 @dataclass(frozen=True)
@@ -112,12 +158,14 @@ class DualCertificate:
     dual_family: dict
     corresponding_k: Optional[AdjointableOperator]
     reconstruction_residual: float
+    operator_residual: float
     tolerance: float
     details: dict
 
     @property
     def passed(self) -> bool:
-        return self.reconstruction_residual <= self.tolerance
+        """The exact operator residual decides; a sampled residual above tolerance also fails."""
+        return max(self.operator_residual, self.reconstruction_residual) <= self.tolerance
 
 
 class GFrameSystem:
@@ -182,36 +230,33 @@ class GFrameSystem:
     # -- frame operator and Gram ----------------------------------------------
 
     @cached_property
-    def frame_operator(self) -> AdjointableOperator:
-        """Weighted sum of C' Lambda_w* Lambda_w C as one operator on A^n."""
-        total = None
-        C, Cp = self.controls.C, self.controls.Cp
-        for label, weight in self.measure.atoms:
-            op = self.family[label]
-            term = weight * (Cp @ op.adjoint() @ op @ C)
-            total = term if total is None else total + term
-        return total
+    def uncontrolled_operator(self) -> AdjointableOperator:
+        """Weighted sum of Lambda_w* Lambda_w: one product of the stacked flattenings."""
+        return weighted_sum(self.measure.weights, list(self.family.values()))
 
     @cached_property
-    def uncontrolled_operator(self) -> AdjointableOperator:
-        total = None
-        for label, weight in self.measure.atoms:
-            op = self.family[label]
-            term = weight * (op.adjoint() @ op)
-            total = term if total is None else total + term
-        return total
+    def frame_operator(self) -> AdjointableOperator:
+        """Weighted sum of C' Lambda_w* Lambda_w C as one operator on A^n."""
+        return self.controls.Cp @ self.uncontrolled_operator @ self.controls.C
+
+    @cached_property
+    def gram_operator(self) -> AdjointableOperator:
+        """K = C'* (weighted sum of Lambda_w* Lambda_w) C, so that gram(x) = <K x, x>.
+
+        The controls are self-adjoint only to within tol, so K keeps C'*
+        instead of reusing the frame operator.
+        """
+        return self.controls.Cp.adjoint() @ self.uncontrolled_operator @ self.controls.C
+
+    def gram_batch(self, coords: np.ndarray) -> np.ndarray:
+        """Twisted Gram values of a stack of vectors given as (s, n) + coordinate-shape data."""
+        return pairing(self.descriptor, coords, self.gram_operator)
 
     def gram(self, x: ModuleVector) -> AlgebraElement:
         """Twisted Gram element: weighted sum of <Lambda_w C x, Lambda_w C' x>."""
         if x.descriptor != self.descriptor or x.rank != self.module_rank:
             raise InputError("vector incompatible with the system")
-        Cx = self.controls.C(x)
-        Cpx = self.controls.Cp(x)
-        values = {}
-        for label in self.measure.labels:
-            op = self.family[label]
-            values[label] = op(Cx).inner(op(Cpx))
-        return self.measure.integrate(values)
+        return AlgebraElement(self.descriptor, self.gram_batch(x.coords[None])[0])
 
     # -- transforms ------------------------------------------------------------
 
@@ -245,21 +290,7 @@ class GFrameSystem:
 
     def synthesis(self, y: DirectSumVector) -> ModuleVector:
         """Weighted sum of (C C')^(1/2) Lambda_w* y_w; adjoint of analysis."""
-        root = self.mixed_control_root
-        total = ModuleVector.zero(self.descriptor, self.module_rank)
-        for label, weight in self.measure.atoms:
-            comp = y[label]
-            op = self.family[label]
-            total = total + weight * root(op.adjoint()(comp))
-        return total
-
-
-def controlled_gram(system: GFrameSystem, x: ModuleVector) -> AlgebraElement:
-    return system.gram(x)
-
-
-def frame_operator(system: GFrameSystem) -> AdjointableOperator:
-    return system.frame_operator
+        return self.synthesis_operator(self.direct_sum.stack(y.components))
 
 
 def optimal_scalar_bounds(system: GFrameSystem, tol: float = DEFAULT_TOL) -> FrameBounds:
@@ -285,17 +316,20 @@ def optimal_scalar_bounds(system: GFrameSystem, tol: float = DEFAULT_TOL) -> Fra
     return FrameBounds.from_scalars(a, b, system.descriptor, tol)
 
 
-def _sample_vectors(system: GFrameSystem, samples: int, seed: int, adversarial: bool = True):
-    """Seeded Gaussian vectors plus eigenvector witnesses of the frame operator."""
+def sample_coords(system: GFrameSystem, samples: int, seed: int, extra_ops: tuple = ()) -> np.ndarray:
+    """Seeded Gaussian vectors plus extreme-eigenvector witnesses, stacked as coordinates.
+
+    The witnesses come from the frame operator and from each extra operator.
+    """
     rng = np.random.default_rng(seed)
-    out = [rand_vector(system.descriptor, system.module_rank, rng) for _ in range(samples)]
-    if adversarial:
-        f = system.frame_operator.flat()
-        h = 0.5 * (f + f.conj().T)
-        _, vecs = np.linalg.eigh(h)
+    out = [rand_vector(system.descriptor, system.module_rank, rng).coords for _ in range(samples)]
+    for op in (system.frame_operator,) + tuple(extra_ops):
+        f = op.flat()
+        _, vecs = np.linalg.eigh(0.5 * (f + f.conj().T))
         for idx in (0, vecs.shape[1] - 1):
-            out.append(vector_from_flat_row(system.descriptor, system.module_rank, vecs[:, idx].conj()))
-    return out
+            out.append(vector_from_flat_row(system.descriptor, system.module_rank,
+                                            vecs[:, idx].conj()).coords)
+    return np.stack(out)
 
 
 def check_frame(system: GFrameSystem, bounds: FrameBounds, mode: str = "exact_scalar",
@@ -330,52 +364,46 @@ def check_frame(system: GFrameSystem, bounds: FrameBounds, mode: str = "exact_sc
     if bounds.lower is None or bounds.upper is None:
         raise InputError("sampled mode needs element bounds")
     report.add_hypothesis("element bounds present", True)
-    a_el, b_el = bounds.lower, bounds.upper
-    worst = 0.0
-    witness = None
-    for idx, x in enumerate(_sample_vectors(system, samples, seed)):
-        gram = system.gram(x)
-        xx = x.inner(x)
-        scale = max(1.0, gram.norm(), xx.norm())
-        low = gram - a_el * xx * a_el.adjoint()
-        up = b_el * xx * b_el.adjoint() - gram
-        for side, diff in (("lower", low), ("upper", up)):
-            herm = 0.5 * (diff + diff.adjoint())
-            lam = float(herm.eigenvalues_hermitian()[0])
-            violation = max(0.0, -lam) / scale
-            if violation > worst:
-                worst = violation
-                witness = (idx, side)
+    desc = system.descriptor
+    coords = sample_coords(system, samples, seed)
+    gram = system.gram_batch(coords)
+    xx = pairing(desc, coords)
+    scale = np.maximum(1.0, np.maximum(element_norms(desc, gram), element_norms(desc, xx)))
+    sides = (gram - conjugate_by(bounds.lower, xx), conjugate_by(bounds.upper, xx) - gram)
+    lam = np.stack([min_hermitian_eigenvalues(desc, diff) for diff in sides], axis=1)
+    violation = np.maximum(0.0, -lam) / scale[:, None]
+    worst = float(violation.max())
     report.add_conclusion("sampled sandwich", worst <= tol * 10, worst)
-    if witness is not None and worst > tol * 10:
-        report.info["witness"] = {"sample": witness[0], "side": witness[1]}
+    if worst > tol * 10:
+        sample, side = divmod(int(np.argmax(violation)), 2)
+        report.info["witness"] = {"sample": sample, "side": ("lower", "upper")[side]}
     return report
 
 
 def reconstruction_operator(system: GFrameSystem, dual: Mapping[str, AdjointableOperator],
                             k: Optional[AdjointableOperator] = None) -> AdjointableOperator:
     """Weighted sum of C' Lambda_w* Gamma_w [K] C as one operator."""
-    C, Cp = system.controls.C, system.controls.Cp
-    inner = None
-    for label, weight in system.measure.atoms:
-        lam = system.family[label]
-        gam = dual[label]
-        term = weight * (lam.adjoint() @ gam)
-        inner = term if inner is None else inner + term
+    labels = system.measure.labels
+    inner = weighted_sum(system.measure.weights, [dual[label] for label in labels],
+                         [system.family[label] for label in labels])
     chain = inner @ k if k is not None else inner
-    return Cp @ chain @ C
+    return system.controls.Cp @ chain @ system.controls.C
 
 
 def _reconstruction_residuals(system: GFrameSystem, op: AdjointableOperator,
                               samples: int, seed: int) -> tuple:
+    """Worst ||op(x) - x|| over seeded unit vectors, and the exact ||op - I||."""
+    identity = AdjointableOperator.identity(system.descriptor, system.module_rank)
+    defect = op - identity
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        x = rand_vector(system.descriptor, system.module_rank, rng, unit=True)
-        err = (op(x) - x).norm()
-        worst = max(worst, err)
-    identity = AdjointableOperator.identity(system.descriptor, system.module_rank)
-    return worst, (op - identity).norm()
+    if samples > 0:
+        coords = np.stack([rand_vector(system.descriptor, system.module_rank, rng, unit=True).coords
+                           for _ in range(samples)])
+        squares = element_norms(system.descriptor,
+                                pairing(system.descriptor, coords, defect.adjoint() @ defect))
+        worst = float(np.sqrt(squares.max()))
+    return worst, defect.norm()
 
 
 def canonical_dual(system: GFrameSystem, samples: int = 100, seed: int = 0,
@@ -395,6 +423,7 @@ def canonical_dual(system: GFrameSystem, samples: int = 100, seed: int = 0,
         dual_family=dual,
         corresponding_k=None,
         reconstruction_residual=sampled,
+        operator_residual=op_res,
         tolerance=tol,
         details={"operator_residual": op_res, "samples": samples, "seed": seed},
     )
@@ -418,6 +447,7 @@ def operator_dual_check(system: GFrameSystem, dual: Mapping[str, AdjointableOper
         dual_family=dict(dual),
         corresponding_k=k,
         reconstruction_residual=max(sampled, sampled_back),
+        operator_residual=max(op_res, op_res_back),
         tolerance=tol,
         details={
             "forward_residual": sampled,
@@ -448,13 +478,17 @@ def bessel_constant(family: Mapping[str, AdjointableOperator], measure: MeasureS
 def multiplier(gamma: Mapping[str, complex], lam: Mapping[str, AdjointableOperator],
                theta: Mapping[str, AdjointableOperator], measure: MeasureSpace) -> AdjointableOperator:
     """Weighted sum of gamma_w Lambda_w* Theta_w for a bounded scalar symbol."""
-    total = None
-    for label, weight in measure.atoms:
-        if label not in gamma or label not in lam or label not in theta:
+    coeffs = _symbol_weights(gamma, measure, lam, theta)
+    labels = measure.labels
+    return weighted_sum(coeffs, [theta[label] for label in labels], [lam[label] for label in labels])
+
+
+def _symbol_weights(gamma: Mapping[str, complex], measure: MeasureSpace, *families) -> list:
+    """Per-atom weight * gamma_w, after checking every family covers every atom."""
+    for label in measure.labels:
+        if any(label not in data for data in (gamma,) + families):
             raise InputError(f"multiplier data missing atom {label!r}")
-        term = (weight * complex(gamma[label])) * (lam[label].adjoint() @ theta[label])
-        total = term if total is None else total + term
-    return total
+    return [weight * complex(gamma[label]) for label, weight in measure.atoms]
 
 
 def multiplier_report(gamma: Mapping[str, complex], lam: Mapping[str, AdjointableOperator],
@@ -496,13 +530,10 @@ def controlled_multiplier(gamma: Mapping[str, complex], theta: Mapping[str, Adjo
                           lam: Mapping[str, AdjointableOperator], C: AdjointableOperator,
                           Cp: AdjointableOperator, measure: MeasureSpace) -> AdjointableOperator:
     """Weighted sum of gamma_w C theta_w* Lambda_w C'."""
-    total = None
-    for label, weight in measure.atoms:
-        if label not in gamma or label not in lam or label not in theta:
-            raise InputError(f"multiplier data missing atom {label!r}")
-        term = (weight * complex(gamma[label])) * (C @ theta[label].adjoint() @ lam[label] @ Cp)
-        total = term if total is None else total + term
-    return total
+    coeffs = _symbol_weights(gamma, measure, lam, theta)
+    labels = measure.labels
+    inner = weighted_sum(coeffs, [lam[label] for label in labels], [theta[label] for label in labels])
+    return C @ inner @ Cp
 
 
 def controlled_multiplier_report(gamma: Mapping[str, complex],

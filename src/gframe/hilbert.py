@@ -10,12 +10,18 @@ d x (n d) row of its coordinate blocks, an operator the (n d) x (m d) block
 matrix of its entries.  Under this convention flat(S after T) =
 flat(T) @ flat(S) and flat(T*) = flat(T)^H, so norms, spectra and positivity
 of operators are read off the flattened matrix.
+
+The diagonal algebra C^k is k independent copies of C, so its flattening is
+a permutation of k block-diagonal channels.  ``channels`` is the view the
+products use: one (n d) x (m d) channel (the flattening) for M_d, and k
+channels of shape n x m for C^k.  Compositions, weighted sums and pairings
+run as stacked matrix products over that view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -123,6 +129,38 @@ def _embed_diag(arr: np.ndarray) -> np.ndarray:
     """Embed (..., k) diagonal data as (..., k, k) diagonal matrices."""
     k = arr.shape[-1]
     return arr[..., :, None] * np.eye(k, dtype=np.complex128)
+
+
+def as_channels(descriptor: AlgebraDescriptor, blocks: np.ndarray) -> np.ndarray:
+    """(..., n, m) + coordinate shape -> (..., 1, n d, m d) for M_d, (..., k, n, m) for C^k."""
+    if descriptor.kind == MATRIX:
+        *lead, n, m, d, _ = blocks.shape
+        return blocks.swapaxes(-3, -2).reshape(*lead, 1, n * d, m * d)
+    return blocks.swapaxes(-1, -2).swapaxes(-2, -3)
+
+
+def _from_channels(descriptor: AlgebraDescriptor, chans: np.ndarray) -> np.ndarray:
+    """Inverse of ``as_channels``: (..., c, rows, cols) -> (..., n, m) + coordinate shape."""
+    if descriptor.kind == MATRIX:
+        d = descriptor.dim
+        *lead, _, rows, cols = chans.shape
+        return chans.reshape(*lead, rows // d, d, cols // d, d).swapaxes(-3, -2)
+    return chans.swapaxes(-3, -2).swapaxes(-2, -1)
+
+
+def _hermitian_transpose(chans: np.ndarray) -> np.ndarray:
+    return chans.conj().swapaxes(-1, -2)
+
+
+def spectral_norms(mats: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a (..., rows, cols) stack.
+
+    A single row or column has one singular value, its Euclidean length, so
+    that case skips the SVD.
+    """
+    if 1 in mats.shape[-2:]:
+        return np.linalg.norm(mats, axis=(-2, -1))
+    return np.linalg.norm(mats, 2, axis=(-2, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,6 +288,14 @@ class AdjointableOperator:
         n, m, d, _ = blocks.shape
         return blocks.transpose(0, 2, 1, 3).reshape(n * d, m * d)
 
+    def channels(self) -> np.ndarray:
+        """Per-channel matrices: (1, n d, m d), the flattening, for M_d; (k, n, m) for C^k."""
+        return as_channels(self.descriptor, self.blocks)
+
+    @staticmethod
+    def from_channels(descriptor: AlgebraDescriptor, chans: np.ndarray) -> "AdjointableOperator":
+        return AdjointableOperator(descriptor, _from_channels(descriptor, chans))
+
     @staticmethod
     def from_flat(descriptor: AlgebraDescriptor, in_rank: int, out_rank: int,
                   matrix: np.ndarray, tol: float = 1e-8) -> "AdjointableOperator":
@@ -329,11 +375,71 @@ def compose(s: AdjointableOperator, t: AdjointableOperator) -> AdjointableOperat
         raise InputError("algebra mismatch in composition")
     if t.out_rank != s.in_rank:
         raise InputError("rank mismatch in composition")
-    if s.descriptor.kind == MATRIX:
-        blocks = np.einsum("ijab,jkbc->ikac", t.blocks, s.blocks)
-    else:
-        blocks = np.einsum("ija,jka->ika", t.blocks, s.blocks)
-    return AdjointableOperator(s.descriptor, blocks)
+    return AdjointableOperator.from_channels(s.descriptor, t.channels() @ s.channels())
+
+
+def _stacked_channels(descriptor: AlgebraDescriptor, ops: Sequence[AdjointableOperator]) -> np.ndarray:
+    """Channels of the operators placed side by side, built with a single copy.
+
+    This is the channel view of the one operator A^n -> A^(m_1 + ... + m_W)
+    whose output coordinates are those of every operator in turn.
+    """
+    if descriptor.kind == MATRIX:
+        cols = np.concatenate([op.blocks.swapaxes(1, 2) for op in ops], axis=2)
+        n, d, m, _ = cols.shape
+        return cols.reshape(1, n * d, m * d)
+    return np.concatenate([op.blocks.transpose(2, 0, 1) for op in ops], axis=2)
+
+
+def weighted_sum(weights: Sequence, left: Sequence[AdjointableOperator],
+                 right: Optional[Sequence[AdjointableOperator]] = None) -> AdjointableOperator:
+    """Sum over atoms of c_w R_w* L_w, computed as one product of stacked flattenings.
+
+    flat(R_w* L_w) = flat(L_w) flat(R_w)^H, so the sum is X Y^H where X
+    stacks the columns of c_w flat(L_w) over all atoms and Y those of
+    flat(R_w): one GEMM per channel.  L_w and R_w map A^n -> A^{m_w}, and the
+    output ranks m_w may differ between atoms.  Without ``right`` the sum is
+    that of w L_w* L_w, formed as X X^H from sqrt(w)-scaled flattenings, so
+    the weights must be nonnegative.
+    """
+    if not left or len(weights) != len(left) or (right is not None and len(right) != len(left)):
+        raise InputError("weighted sum needs one weight and one operator per atom on each side")
+    descriptor = left[0].descriptor
+    ranks = [op.out_rank for op in left]
+    if right is not None and [op.out_rank for op in right] != ranks:
+        raise InputError("weighted sum pairs operators with different output ranks")
+    try:
+        x = _stacked_channels(descriptor, left)
+        y = x if right is None else _stacked_channels(descriptor, right)
+    except ValueError as exc:
+        raise InputError("weighted sum members must share the algebra and the input rank") from exc
+    if y.shape != x.shape:
+        raise InputError("weighted sum members must share the algebra and the input rank")
+    width = descriptor.dim if descriptor.kind == MATRIX else 1
+    coeffs = np.repeat(np.asarray(weights), [m * width for m in ranks])
+    x *= np.sqrt(coeffs) if right is None else coeffs
+    return AdjointableOperator.from_channels(descriptor, x @ _hermitian_transpose(y))
+
+
+def pairing(descriptor: AlgebraDescriptor, coords: np.ndarray,
+            t: Optional[AdjointableOperator] = None) -> np.ndarray:
+    """<T x, x> (or <x, x> when ``t`` is None) for a whole stack of vectors.
+
+    ``coords`` holds s vectors of A^n as an (s, n) + coordinate-shape array;
+    the result is the (s,) + element-shape array of the s algebra values,
+    each flat(x) flat(T) flat(x)^H, evaluated channel by channel.
+    """
+    shape = _coord_shape(descriptor)
+    coords = np.asarray(coords, dtype=np.complex128)
+    if coords.ndim != len(shape) + 2 or coords.shape[2:] != shape:
+        raise InputError(f"vector stack shape {coords.shape} invalid for {descriptor}")
+    if t is not None and (t.descriptor != descriptor or t.in_rank != coords.shape[1]
+                          or t.out_rank != t.in_rank):
+        raise InputError("pairing needs a square operator on the vectors' module")
+    rows = as_channels(descriptor, coords[:, None])
+    left = rows if t is None else rows @ t.channels()
+    values = _from_channels(descriptor, left @ _hermitian_transpose(rows))
+    return values.reshape(coords.shape[:1] + shape)
 
 
 def positive_part_checks(t: AdjointableOperator, tol: float = DEFAULT_TOL) -> dict:

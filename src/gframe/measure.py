@@ -28,8 +28,8 @@ class MeasureSpace:
         labels = [label for label, _ in atoms]
         if len(set(labels)) != len(labels):
             raise InputError("atom labels must be unique")
-        if any(weight <= 0 for _, weight in atoms):
-            raise InputError("atom weights must be positive")
+        if not all(0.0 < weight < math.inf for _, weight in atoms):
+            raise InputError("atom weights must be positive and finite")
         object.__setattr__(self, "atoms", atoms)
 
     @property

@@ -20,16 +20,6 @@ def rand_element(descriptor: AlgebraDescriptor, rng: np.random.Generator) -> Alg
     return AlgebraElement(descriptor, complex_gaussian(rng, _coord_shape(descriptor)))
 
 
-def rand_hermitian(descriptor: AlgebraDescriptor, rng: np.random.Generator) -> AlgebraElement:
-    a = rand_element(descriptor, rng)
-    return 0.5 * (a + a.adjoint())
-
-
-def rand_psd(descriptor: AlgebraDescriptor, rng: np.random.Generator) -> AlgebraElement:
-    a = rand_element(descriptor, rng)
-    return a * a.adjoint()
-
-
 def rand_vector(descriptor: AlgebraDescriptor, rank: int, rng: np.random.Generator,
                 unit: bool = False) -> ModuleVector:
     """Coordinates with independent standard complex Gaussian entries."""

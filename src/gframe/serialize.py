@@ -7,6 +7,7 @@ bit exact: floats serialize with Python's shortest round-trip repr.
 from __future__ import annotations
 
 import json
+import math
 from typing import Mapping
 
 import numpy as np
@@ -25,7 +26,10 @@ def _complex_out(z: complex) -> list:
 def _complex_in(value) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise InputError(f"complex value must be a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    re, im = float(value[0]), float(value[1])
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise InputError(f"complex value must be finite, got {value!r}")
+    return complex(re, im)
 
 
 def element_to_dict(a: AlgebraElement) -> dict:
@@ -40,7 +44,7 @@ def element_from_dict(doc: Mapping) -> AlgebraElement:
     try:
         desc = AlgebraDescriptor(doc["kind"], int(doc["dim"]))
         entries = [_complex_in(z) for z in doc["entries"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad algebra element document: {exc}") from exc
     if len(entries) != desc.entry_count:
         raise InputError(
@@ -94,10 +98,9 @@ def measure_to_dict(m: MeasureSpace) -> dict:
 
 def measure_from_dict(doc: Mapping) -> MeasureSpace:
     try:
-        atoms = tuple((atom["label"], atom["weight"]) for atom in doc["atoms"])
-    except (KeyError, TypeError) as exc:
+        return MeasureSpace(tuple((atom["label"], atom["weight"]) for atom in doc["atoms"]))
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad measure document: {exc}") from exc
-    return MeasureSpace(atoms)
 
 
 def system_to_dict(system: GFrameSystem) -> dict:
@@ -141,10 +144,15 @@ def save_system(system: GFrameSystem, path: str) -> None:
         handle.write(dump_json(system_to_dict(system)))
 
 
-def load_system(path: str) -> GFrameSystem:
+def load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    return system_from_dict(doc)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text") from exc
+
+
+def load_system(path: str) -> GFrameSystem:
+    return system_from_dict(load_json(path))

@@ -13,12 +13,11 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraElement
+from .algebra import DEFAULT_TOL, AlgebraElement, element_norms
 from .errors import DomainError, InputError
-from .frames import FrameBounds, GFrameSystem, check_frame, optimal_scalar_bounds
-from .hilbert import AdjointableOperator, ModuleVector, vector_from_flat_row
+from .frames import FrameBounds, GFrameSystem, check_frame, optimal_scalar_bounds, sample_coords
+from .hilbert import AdjointableOperator, ModuleVector, pairing
 from .reports import PASS, TheoremReport
-from .sampling import rand_vector
 
 EQUIVALENCE_M = "equivalence_M"
 SUM = "sum"
@@ -75,18 +74,9 @@ def family_distance(sys_a: GFrameSystem, sys_b: GFrameSystem, x: ModuleVector) -
     return _difference_system(sys_a, sys_b).gram(x)
 
 
-def _stability_samples(system: GFrameSystem, samples: int, seed: int,
-                       extra_ops: tuple = ()) -> list:
-    rng = np.random.default_rng(seed)
-    out = [rand_vector(system.descriptor, system.module_rank, rng) for _ in range(samples)]
-    for op in (system.frame_operator,) + tuple(extra_ops):
-        f = op.flat()
-        h = 0.5 * (f + f.conj().T)
-        _, vecs = np.linalg.eigh(h)
-        for idx in (0, vecs.shape[1] - 1):
-            out.append(vector_from_flat_row(system.descriptor, system.module_rank,
-                                            vecs[:, idx].conj()))
-    return out
+def _gram_norms(system: GFrameSystem, coords: np.ndarray) -> np.ndarray:
+    """||gram(x)|| for every vector of a coordinate stack, in one batched evaluation."""
+    return element_norms(system.descriptor, system.gram_batch(coords))
 
 
 def _certify_window(report: TheoremReport, system: GFrameSystem, lower: float, upper: float,
@@ -120,13 +110,12 @@ def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem, samples: int =
     e, f = bounds_b.scalar_lower, bounds_b.scalar_upper
     m_star = min((b / e + 1.0) ** 2, (f / a + 1.0) ** 2)
     diff = _difference_system(sys_a, sys_b)
-    worst_ratio = 0.0
-    for x in _stability_samples(sys_a, samples, seed, extra_ops=(sys_b.frame_operator,
-                                                                 diff.frame_operator)):
-        dist = diff.gram(x).norm()
-        floor = min(sys_a.gram(x).norm(), sys_b.gram(x).norm())
-        if floor > tol:
-            worst_ratio = max(worst_ratio, dist / floor)
+    coords = sample_coords(sys_a, samples, seed, extra_ops=(sys_b.frame_operator,
+                                                            diff.frame_operator))
+    dist = _gram_norms(diff, coords)
+    floor = np.minimum(_gram_norms(sys_a, coords), _gram_norms(sys_b, coords))
+    kept = floor > tol
+    worst_ratio = float(np.max(dist[kept] / floor[kept], initial=0.0))
     gap = worst_ratio - m_star
     report.add_conclusion("distance dominated by the two-sided constant",
                           gap <= tol * max(1.0, m_star), max(0.0, gap))
@@ -183,13 +172,12 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
     weighted_r = sys_t.with_family({label: float(beta_w[label]) * family_r[label]
                                     for label in sys_t.measure.labels})
     diff = _difference_system(weighted_t, weighted_r)
-    worst = 0.0
-    for x in _stability_samples(sys_t, samples, seed, extra_ops=(weighted_r.frame_operator,
-                                                                 diff.frame_operator)):
-        lhs = float(np.sqrt(diff.gram(x).norm()))
-        rhs = (params.lam * float(np.sqrt(weighted_t.gram(x).norm()))
-               + params.mu * float(np.sqrt(weighted_r.gram(x).norm())))
-        worst = max(worst, lhs - rhs)
+    coords = sample_coords(sys_t, samples, seed, extra_ops=(weighted_r.frame_operator,
+                                                            diff.frame_operator))
+    lhs = np.sqrt(_gram_norms(diff, coords))
+    rhs = (params.lam * np.sqrt(_gram_norms(weighted_t, coords))
+           + params.mu * np.sqrt(_gram_norms(weighted_r, coords)))
+    worst = float(np.max(lhs - rhs, initial=0.0))
     scale = max(1.0, bounds.scalar_upper)
     report.add_hypothesis("sampled weighted smallness", worst <= tol * 100 * scale, max(0.0, worst))
     if not report.hypotheses_pass:
@@ -230,16 +218,14 @@ def additive_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
     if rho >= 1.0:
         raise DomainError(f"perturbation size {rho:.6g} reaches 1; the window degenerates")
     diff = _difference_system(sys_t, sys_r)
-    worst = 0.0
-    for x in _stability_samples(sys_t, samples, seed, extra_ops=(sys_r.frame_operator,
-                                                                 diff.frame_operator)):
-        lhs = diff.gram(x).norm()
-        xx = x.inner(x).norm()
-        if kind == ADDITIVE:
-            rhs = alpha * sys_t.gram(x).norm() + beta * xx
-        else:
-            rhs = alpha * xx
-        worst = max(worst, lhs - rhs)
+    coords = sample_coords(sys_t, samples, seed, extra_ops=(sys_r.frame_operator,
+                                                            diff.frame_operator))
+    xx = element_norms(sys_t.descriptor, pairing(sys_t.descriptor, coords))
+    if kind == ADDITIVE:
+        rhs = alpha * _gram_norms(sys_t, coords) + beta * xx
+    else:
+        rhs = alpha * xx
+    worst = float(np.max(_gram_norms(diff, coords) - rhs, initial=0.0))
     scale = max(1.0, delta ** 2)
     report.add_hypothesis("sampled additive smallness", worst <= tol * 100 * scale,
                           max(0.0, worst))

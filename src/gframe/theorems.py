@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .algebra import DEFAULT_TOL, DIAGONAL, MATRIX, AlgebraDescriptor, AlgebraElement
-from .errors import InputError
+from .errors import GFrameError, InputError
 from .frames import (
     FrameBounds,
     GFrameSystem,
@@ -121,7 +121,7 @@ def _frame_hypotheses(report: TheoremReport, system: GFrameSystem, tol: float,
             return None
     try:
         bounds = optimal_scalar_bounds(system, tol)
-    except Exception:
+    except GFrameError:
         report.add_hypothesis("frame operator self-adjoint positive", False, 1.0)
         return None
     report.add_hypothesis("frame property (positive lower bound)", bounds.is_frame,

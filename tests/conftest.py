@@ -15,6 +15,18 @@ from gframe.hilbert import AdjointableOperator
 from gframe.measure import MeasureSpace
 
 
+# Seeded random systems for oracle parity: both algebra kinds, non-commuting
+# controls, and members whose output ranks differ (pad_outputs).
+ORACLE_SYSTEMS = (
+    dict(seed=21, rank=3, algebra="matrix", dim=2),
+    dict(seed=22, rank=2, algebra="diagonal", dim=3),
+    dict(seed=23, rank=2, algebra="matrix", dim=2, commuting=False),
+    dict(seed=24, rank=3, algebra="diagonal", dim=3, commuting=False),
+    dict(seed=25, rank=2, algebra="matrix", dim=2, pad_outputs=True),
+    dict(seed=26, rank=3, algebra="diagonal", dim=2, commuting=False, pad_outputs=True),
+)
+
+
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Triple-loop matrix product."""
     n, m = a.shape[0], b.shape[1]
@@ -52,6 +64,38 @@ def brute_force_multiplier_flat(gamma, lam, theta, measure) -> np.ndarray:
     total = None
     for label, weight in measure.atoms:
         term = weight * complex(gamma[label]) * (theta[label].flat() @ lam[label].flat().conj().T)
+        total = term if total is None else total + term
+    return total
+
+
+def brute_force_controlled_multiplier_flat(gamma, theta, lam, c, cp, measure) -> np.ndarray:
+    """flat of the weighted sum of gamma_w C theta_w* Lambda_w C', atom by atom."""
+    total = None
+    for label, weight in measure.atoms:
+        term = weight * complex(gamma[label]) * (
+            cp.flat() @ lam[label].flat() @ theta[label].flat().conj().T @ c.flat())
+        total = term if total is None else total + term
+    return total
+
+
+def brute_force_reconstruction_flat(system: GFrameSystem, dual, k=None) -> np.ndarray:
+    """flat of the weighted sum of C' Lambda_w* Gamma_w K C, atom by atom."""
+    fk = np.eye(system.controls.C.flat().shape[0]) if k is None else k.flat()
+    total = None
+    for label, weight in system.measure.atoms:
+        term = weight * (system.controls.C.flat() @ fk @ dual[label].flat()
+                         @ system.family[label].flat().conj().T @ system.controls.Cp.flat())
+        total = term if total is None else total + term
+    return total
+
+
+def brute_force_gram(system: GFrameSystem, x):
+    """Weighted sum of <Lambda_w C x, Lambda_w C' x>, one operator application at a time."""
+    cx, cpx = system.controls.C(x), system.controls.Cp(x)
+    total = None
+    for label, weight in system.measure.atoms:
+        op = system.family[label]
+        term = weight * op(cx).inner(op(cpx))
         total = term if total is None else total + term
     return total
 

@@ -135,3 +135,78 @@ def test_exit_code_one_on_failed_check(tmp_path, capsys):
     code, out, _ = _run(capsys, "bounds", path)
     assert code == 1
     assert json.loads(out)["results"]["verdict"] == "bessel_only"
+
+
+def _assert_input_error(code, err):
+    assert code == 2
+    assert err.startswith("gframe: error:")
+    assert "Traceback" not in err
+
+
+def _perturb_descriptor(tmp_path, **fields):
+    sys_a = random_system(11, commuting=True)
+    sys_a = sys_a.with_controls(sys_a.controls.C, sys_a.controls.C)
+    path = tmp_path / "a.json"
+    path.write_text(dump_json(system_to_dict(sys_a)), encoding="utf-8")
+    desc = tmp_path / "run.json"
+    doc = {"kind": "equivalence_M", "params": {}, "systemA": str(path), "systemB": str(path),
+           "samples": 10, "seed": 0}
+    doc.update(fields)
+    desc.write_text(json.dumps(doc), encoding="utf-8")
+    return str(desc)
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_dual_rejects_sample_counts_below_one(tmp_path, capsys, samples):
+    path = str(tmp_path / "sys.json")
+    _run(capsys, "random", "--seed", "4", "--out", path)
+    for command in ("dual", "reconstruct"):
+        code, out, err = _run(capsys, command, path, "--samples", samples)
+        _assert_input_error(code, err)
+        assert out == ""
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan"])
+def test_nonpositive_tolerance_exits_two(tmp_path, capsys, tol):
+    path = str(tmp_path / "sys.json")
+    _run(capsys, "random", "--seed", "4", "--out", path)
+    code, _, err = _run(capsys, "dual", path, f"--tol={tol}")
+    _assert_input_error(code, err)
+    code, _, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path), f"--tol={tol}")
+    _assert_input_error(code, err)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_perturb_descriptor_rejects_sample_counts_below_one(tmp_path, capsys, samples):
+    code, _, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path, samples=samples))
+    _assert_input_error(code, err)
+    assert "samples" in err
+
+
+def test_nan_entry_in_system_file_exits_two(tmp_path, capsys):
+    doc = system_to_dict(random_system(3, algebra="diagonal"))
+    label = next(iter(doc["family"]))
+    doc["family"][label]["blocks"][0][0]["entries"][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = _run(capsys, "validate", str(path))
+    _assert_input_error(code, err)
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("text", ["{", "[1, 2]"])
+def test_malformed_aux_file_exits_two(tmp_path, capsys, text):
+    aux = tmp_path / "aux.json"
+    aux.write_text(text, encoding="utf-8")
+    code, _, err = _run(capsys, "theorem", "--id", "T55", "--aux", str(aux))
+    _assert_input_error(code, err)
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"kind"',
+                                  '{"kind": "sum", "systemA": 3, "systemB": 3}',
+                                  '{"kind": "sum", "systemA": "a", "systemB": "b", "samples": "x"}'])
+def test_non_object_perturb_descriptor_exits_two(tmp_path, capsys, text):
+    desc = tmp_path / "run.json"
+    desc.write_text(text, encoding="utf-8")
+    code, _, err = _run(capsys, "perturb", str(desc))
+    _assert_input_error(code, err)

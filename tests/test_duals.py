@@ -3,17 +3,25 @@ import pytest
 
 from gframe.errors import DomainError
 from gframe.frames import (
+    DualCertificate,
     canonical_dual,
     controlled_multiplier,
     controlled_multiplier_report,
     multiplier,
     multiplier_report,
     operator_dual_check,
+    reconstruction_operator,
 )
 from gframe.generate import random_system, unit_interval_system
 from gframe.hilbert import AdjointableOperator
+from gframe.sampling import rand_invertible_operator, rand_operator
 
-from conftest import brute_force_multiplier_flat
+from conftest import (
+    ORACLE_SYSTEMS,
+    brute_force_controlled_multiplier_flat,
+    brute_force_multiplier_flat,
+    brute_force_reconstruction_flat,
+)
 
 
 def test_canonical_dual_identity_frame(identity_system, m2):
@@ -156,3 +164,37 @@ def test_controlled_multiplier_zero_symbol_and_bound():
     ones = {label: 1.0 for label in family}
     rep = controlled_multiplier_report(ones, family, family, c, cp, system.measure)
     assert rep["norm_within_bound"]
+
+
+@pytest.mark.parametrize("kwargs", ORACLE_SYSTEMS,
+                         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_weighted_sums_match_flatten_oracles(kwargs):
+    system = random_system(**kwargs)
+    desc, n, measure = system.descriptor, system.module_rank, system.measure
+    family = dict(system.family)
+    rng = np.random.default_rng(kwargs["seed"] + 100)
+    symbol = {label: complex(rng.standard_normal(), rng.standard_normal()) for label in family}
+    other = {label: rand_operator(desc, n, op.out_rank, rng) for label, op in family.items()}
+    k = rand_invertible_operator(desc, n, rng)
+    c, cp = system.controls.C, system.controls.Cp
+    pairs = (
+        (multiplier(symbol, family, other, measure),
+         brute_force_multiplier_flat(symbol, family, other, measure)),
+        (controlled_multiplier(symbol, other, family, c, cp, measure),
+         brute_force_controlled_multiplier_flat(symbol, other, family, c, cp, measure)),
+        (reconstruction_operator(system, other), brute_force_reconstruction_flat(system, other)),
+        (reconstruction_operator(system, other, k), brute_force_reconstruction_flat(system, other, k)),
+    )
+    for op, oracle in pairs:
+        scale = max(1.0, np.linalg.norm(oracle, 2))
+        assert np.linalg.norm(op.flat() - oracle, 2) <= 1e-12 * scale
+
+
+def test_dual_verdict_comes_from_the_operator_residual(identity_system):
+    cert = canonical_dual(identity_system, samples=0, seed=0)
+    assert cert.reconstruction_residual == 0.0
+    assert cert.operator_residual <= 1e-13
+    assert cert.passed
+    sampled_only = DualCertificate({}, None, reconstruction_residual=0.0, operator_residual=0.5,
+                                   tolerance=1e-8, details={})
+    assert not sampled_only.passed

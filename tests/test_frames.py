@@ -9,7 +9,7 @@ from gframe.hilbert import AdjointableOperator, DirectSumVector, ModuleVector
 from gframe.measure import MeasureSpace
 from gframe.sampling import rand_vector
 
-from conftest import brute_force_frame_operator_flat
+from conftest import ORACLE_SYSTEMS, brute_force_frame_operator_flat, brute_force_gram
 
 
 def test_gram_identity_frame(identity_system, m2):
@@ -119,6 +119,17 @@ def test_check_frame_sampled_reports_witness(identity_system, m2):
     assert report.info["witness"]["side"] == "lower"
 
 
+def test_check_frame_sampled_reports_upper_witness(identity_system, m2):
+    lower = AlgebraElement.scalar(m2, 0.5)
+    upper = AlgebraElement.scalar(m2, 0.9)
+    report = check_frame(identity_system, FrameBounds.from_elements(lower, upper),
+                         mode="sampled_general", samples=20, seed=0)
+    assert report.status == "fail"
+    assert report.info["witness"]["side"] == "upper"
+    # gram(x) = <x, x> here, so the worst violation is 1 - 0.81 of ||<x, x>|| / max(1, ||<x, x>||)
+    assert report.conclusions[0].residual <= 0.19 + 1e-12
+
+
 def test_gram_matches_frame_operator_pairing():
     for seed in (11, 12, 13):
         system = random_system(seed, commuting=True)
@@ -198,3 +209,50 @@ def test_system_validation(m2):
     one_rank = MeasureSpace((("w0", 1.0),))
     with pytest.raises(InputError):
         GFrameSystem(one_rank, {"w0": AdjointableOperator.identity(m2, 1)}, skew, skew)
+
+
+def _oracle_id(kwargs):
+    return "-".join(f"{k}={v}" for k, v in kwargs.items())
+
+
+@pytest.mark.parametrize("kwargs", ORACLE_SYSTEMS, ids=_oracle_id)
+def test_gram_and_batched_gram_match_per_atom_oracle(kwargs):
+    system = random_system(**kwargs)
+    if kwargs.get("pad_outputs"):
+        assert len({op.out_rank for op in system.family.values()}) > 1
+    rng = np.random.default_rng(kwargs["seed"])
+    xs = [rand_vector(system.descriptor, system.module_rank, rng) for _ in range(12)]
+    batch = system.gram_batch(np.stack([x.coords for x in xs]))
+    assert batch.shape == (len(xs),) + xs[0].inner(xs[0]).data.shape
+    for x, value in zip(xs, batch):
+        oracle = brute_force_gram(system, x)
+        scale = max(1.0, oracle.norm())
+        assert (system.gram(x) - oracle).norm() <= 1e-12 * scale
+        assert (AlgebraElement(system.descriptor, value) - oracle).norm() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kwargs", ORACLE_SYSTEMS, ids=_oracle_id)
+def test_frame_operator_matches_flatten_oracle_all_kinds(kwargs):
+    system = random_system(**kwargs)
+    oracle = brute_force_frame_operator_flat(system)
+    scale = max(1.0, np.linalg.norm(oracle, 2))
+    assert np.linalg.norm(system.frame_operator.flat() - oracle, 2) / scale <= 1e-13
+
+
+def test_family_defect_independent_of_batching(monkeypatch):
+    from gframe import frames
+
+    system = random_system(**ORACLE_SYSTEMS[-1])
+    ctr = system.controls
+    whole = frames.ControlPair.build(ctr.C, ctr.Cp, system.family).family_defect
+    monkeypatch.setattr(frames, "_BATCH_ENTRIES", 1)
+    one_by_one = frames.ControlPair.build(ctr.C, ctr.Cp, system.family).family_defect
+    assert whole > 1e-3
+    assert one_by_one == pytest.approx(whole, rel=1e-13)
+
+
+def test_gram_batch_rejects_wrong_shape(identity_system, m2):
+    with pytest.raises(InputError):
+        identity_system.gram_batch(np.zeros((3, 5, 2, 2)))
+    with pytest.raises(InputError):
+        identity_system.gram(rand_vector(m2, 3, np.random.default_rng(0)))

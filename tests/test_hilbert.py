@@ -8,8 +8,10 @@ from gframe.hilbert import (
     DirectSumSpace,
     ModuleVector,
     compose,
+    pairing,
     positive_part_checks,
     vector_from_flat_row,
+    weighted_sum,
 )
 from gframe.sampling import rand_operator, rand_vector
 
@@ -274,3 +276,60 @@ def test_direct_sum_operator_components(m2):
     image = space.unstack(stacked(x))
     for label in ops:
         assert (image[label] - ops[label](x)).norm() <= 1e-13
+
+
+@pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],
+                         ids=["matrix", "diagonal"])
+def test_weighted_sum_matches_per_atom_sum_with_mixed_output_ranks(desc):
+    rng = np.random.default_rng(31)
+    ranks = (1, 3, 2, 3)
+    left = [rand_operator(desc, 2, m, rng) for m in ranks]
+    right = [rand_operator(desc, 2, m, rng) for m in ranks]
+    coeffs = [0.5, 1.5 - 0.25j, 2.0j, 0.75]
+    expected = sum(c * (l.flat() @ r.flat().conj().T) for c, l, r in zip(coeffs, left, right))
+    got = weighted_sum(coeffs, left, right).flat()
+    assert np.linalg.norm(got - expected, 2) <= 1e-13 * np.linalg.norm(expected, 2)
+    weights = [0.5, 1.5, 0.25, 2.0]
+    gram = weighted_sum(weights, left)
+    expected = sum(w * (op.flat() @ op.flat().conj().T) for w, op in zip(weights, left))
+    assert np.linalg.norm(gram.flat() - expected, 2) <= 1e-13 * np.linalg.norm(expected, 2)
+    assert gram.hermitian_defect() <= 1e-14 * gram.norm()
+
+
+def test_weighted_sum_rejects_mismatched_members(m2):
+    rng = np.random.default_rng(32)
+    a, b = rand_operator(m2, 2, 2, rng), rand_operator(m2, 2, 3, rng)
+    with pytest.raises(InputError):
+        weighted_sum([], [])
+    with pytest.raises(InputError):
+        weighted_sum([1.0], [a], [b])
+    with pytest.raises(InputError):
+        weighted_sum([1.0, 1.0], [a, rand_operator(m2, 3, 2, rng)])
+    with pytest.raises(InputError):
+        weighted_sum([1.0], [a], [rand_operator(AlgebraDescriptor("matrix", 3), 2, 2, rng)])
+
+
+@pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],
+                         ids=["matrix", "diagonal"])
+def test_pairing_matches_apply_and_inner(desc):
+    rng = np.random.default_rng(33)
+    t = rand_operator(desc, 3, 3, rng)
+    xs = [rand_vector(desc, 3, rng) for _ in range(5)]
+    coords = np.stack([x.coords for x in xs])
+    twisted, plain = pairing(desc, coords, t), pairing(desc, coords)
+    for x, tv, pv in zip(xs, twisted, plain):
+        assert np.max(np.abs(tv - t(x).inner(x).data)) <= 1e-13 * max(1.0, t.norm() * x.norm() ** 2)
+        assert np.max(np.abs(pv - x.inner(x).data)) <= 1e-13 * max(1.0, x.norm() ** 2)
+    with pytest.raises(InputError):
+        pairing(desc, coords[:, :2], t)
+    with pytest.raises(InputError):
+        pairing(desc, coords[0], t)
+
+
+def test_channels_keep_the_diagonal_kind_unembedded(diag3):
+    rng = np.random.default_rng(34)
+    t = rand_operator(diag3, 2, 4, rng)
+    chans = t.channels()
+    assert chans.shape == (3, 2, 4)
+    assert np.array_equal(AdjointableOperator.from_channels(diag3, chans).blocks, t.blocks)
+    assert t.norm() == pytest.approx(max(np.linalg.norm(c, 2) for c in chans), rel=1e-13)

@@ -98,3 +98,21 @@ def test_dump_json_sorted_and_stable():
     text = dump_json(doc)
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == doc
+
+
+def test_non_finite_entries_and_weights_rejected():
+    doc = system_to_dict(random_system(5))
+    label = next(iter(doc["family"]))
+    doc["family"][label]["blocks"][0][0]["entries"][0] = [float("nan"), 0.0]
+    with pytest.raises(InputError):
+        system_from_dict(doc)
+    doc = system_to_dict(random_system(5))
+    doc["controls"]["C"]["blocks"][0][0]["entries"][0] = [0.0, float("inf")]
+    with pytest.raises(InputError):
+        system_from_dict(doc)
+    doc = system_to_dict(random_system(5))
+    doc["measure"]["atoms"][0]["weight"] = float("nan")
+    with pytest.raises(InputError):
+        system_from_dict(doc)
+    with pytest.raises(InputError):
+        element_from_dict({"kind": "diagonal", "dim": 1, "entries": [["x", 0.0]]})

@@ -36,7 +36,7 @@ from .hilbert import (
     compose,
     positive_part_checks,
 )
-from .measure import MeasureSpace, integrate_algebra, simpson_unit_interval
+from .measure import MeasureSpace, simpson_unit_interval
 from .reports import TheoremReport
 from .stability import (
     PerturbationParams,

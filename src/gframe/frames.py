@@ -37,7 +37,7 @@ from .hilbert import (
     weighted_sum,
 )
 from .measure import MeasureSpace
-from .reports import TheoremReport
+from .reports import PASS, TheoremReport
 from .sampling import rand_vector
 
 FRAME = "frame"
@@ -378,6 +378,19 @@ def check_frame(system: GFrameSystem, bounds: FrameBounds, mode: str = "exact_sc
         sample, side = divmod(int(np.argmax(violation)), 2)
         report.info["witness"] = {"sample": sample, "side": ("lower", "upper")[side]}
     return report
+
+
+def certify_window(report: TheoremReport, system: GFrameSystem, lower: float, upper: float,
+                   tol: float, label: str) -> None:
+    """Conclude ``label`` when the exact scalar test certifies the window [lower, upper].
+
+    A negative lower end is clamped to zero; info["certified_windows"] records
+    every window tried.
+    """
+    window = FrameBounds.from_scalars(max(lower, 0.0), upper, system.descriptor, tol)
+    sub = check_frame(system, window, mode="exact_scalar", tol=tol * 10)
+    report.add_conclusion(label, sub.status == PASS, sub.conclusion_residual)
+    report.info.setdefault("certified_windows", {})[label] = [max(lower, 0.0), upper]
 
 
 def reconstruction_operator(system: GFrameSystem, dual: Mapping[str, AdjointableOperator],

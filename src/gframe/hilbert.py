@@ -421,25 +421,48 @@ def weighted_sum(weights: Sequence, left: Sequence[AdjointableOperator],
     return AdjointableOperator.from_channels(descriptor, x @ _hermitian_transpose(y))
 
 
-def pairing(descriptor: AlgebraDescriptor, coords: np.ndarray,
-            t: Optional[AdjointableOperator] = None) -> np.ndarray:
-    """<T x, x> (or <x, x> when ``t`` is None) for a whole stack of vectors.
-
-    ``coords`` holds s vectors of A^n as an (s, n) + coordinate-shape array;
-    the result is the (s,) + element-shape array of the s algebra values,
-    each flat(x) flat(T) flat(x)^H, evaluated channel by channel.
-    """
+def _vector_stack(descriptor: AlgebraDescriptor, coords: np.ndarray) -> np.ndarray:
     shape = _coord_shape(descriptor)
     coords = np.asarray(coords, dtype=np.complex128)
     if coords.ndim != len(shape) + 2 or coords.shape[2:] != shape:
         raise InputError(f"vector stack shape {coords.shape} invalid for {descriptor}")
+    return coords
+
+
+def apply_stack(t: AdjointableOperator, coords: np.ndarray) -> np.ndarray:
+    """T x for a whole stack of vectors, given and returned as (s, n) + coordinate-shape data."""
+    coords = _vector_stack(t.descriptor, coords)
+    if coords.shape[1] != t.in_rank:
+        raise InputError("operator/vector stack shape mismatch")
+    rows = as_channels(t.descriptor, coords[:, None]) @ t.channels()
+    return _from_channels(t.descriptor, rows)[:, 0]
+
+
+def pairing(descriptor: AlgebraDescriptor, coords: np.ndarray,
+            t: Optional[AdjointableOperator] = None,
+            other: Optional[np.ndarray] = None) -> np.ndarray:
+    """<T x, y> for a whole stack of vector pairs.
+
+    ``coords`` holds the s vectors x of A^n as an (s, n) + coordinate-shape
+    array, ``other`` the y's in the same shape (y = x when omitted); T is the
+    identity when ``t`` is None.  The result is the (s,) + element-shape array
+    of the s algebra values, each flat(x) flat(T) flat(y)^H, evaluated channel
+    by channel.
+    """
+    coords = _vector_stack(descriptor, coords)
     if t is not None and (t.descriptor != descriptor or t.in_rank != coords.shape[1]
                           or t.out_rank != t.in_rank):
         raise InputError("pairing needs a square operator on the vectors' module")
     rows = as_channels(descriptor, coords[:, None])
+    if other is None:
+        cols = rows
+    elif np.shape(other) != coords.shape:
+        raise InputError("paired vector stacks must have the same shape")
+    else:
+        cols = as_channels(descriptor, _vector_stack(descriptor, other)[:, None])
     left = rows if t is None else rows @ t.channels()
-    values = _from_channels(descriptor, left @ _hermitian_transpose(rows))
-    return values.reshape(coords.shape[:1] + shape)
+    values = _from_channels(descriptor, left @ _hermitian_transpose(cols))
+    return values.reshape(coords.shape[:1] + _coord_shape(descriptor))
 
 
 def positive_part_checks(t: AdjointableOperator, tol: float = DEFAULT_TOL) -> dict:

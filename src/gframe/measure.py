@@ -61,10 +61,6 @@ class MeasureSpace:
         return total
 
 
-def integrate_algebra(values: Mapping[str, AlgebraElement], measure: MeasureSpace) -> AlgebraElement:
-    return measure.integrate(values)
-
-
 def atom_label(index: int, count: int) -> str:
     """Zero-padded atom label so lexicographic order matches atom order."""
     width = max(1, len(str(count - 1)))

@@ -8,16 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import MATRIX, AlgebraDescriptor, AlgebraElement
+from .algebra import MATRIX, AlgebraDescriptor
 from .hilbert import AdjointableOperator, ModuleVector, _coord_shape
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def rand_element(descriptor: AlgebraDescriptor, rng: np.random.Generator) -> AlgebraElement:
-    return AlgebraElement(descriptor, complex_gaussian(rng, _coord_shape(descriptor)))
 
 
 def rand_vector(descriptor: AlgebraDescriptor, rank: int, rng: np.random.Generator,

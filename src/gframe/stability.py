@@ -8,6 +8,7 @@ tests on its frame operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -15,9 +16,9 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraElement, element_norms
 from .errors import DomainError, InputError
-from .frames import FrameBounds, GFrameSystem, check_frame, optimal_scalar_bounds, sample_coords
+from .frames import GFrameSystem, certify_window, optimal_scalar_bounds, sample_coords
 from .hilbert import AdjointableOperator, ModuleVector, pairing
-from .reports import PASS, TheoremReport
+from .reports import TheoremReport
 
 EQUIVALENCE_M = "equivalence_M"
 SUM = "sum"
@@ -79,14 +80,6 @@ def _gram_norms(system: GFrameSystem, coords: np.ndarray) -> np.ndarray:
     return element_norms(system.descriptor, system.gram_batch(coords))
 
 
-def _certify_window(report: TheoremReport, system: GFrameSystem, lower: float, upper: float,
-                    tol: float, label: str) -> None:
-    window = FrameBounds.from_scalars(max(lower, 0.0), upper, system.descriptor, tol)
-    sub = check_frame(system, window, mode="exact_scalar", tol=tol * 10)
-    report.add_conclusion(label, sub.status == PASS, sub.conclusion_residual)
-    report.info.setdefault("certified_windows", {})[label] = [max(lower, 0.0), upper]
-
-
 def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem, samples: int = 200,
                         seed: int = 0, tol: float = DEFAULT_TOL) -> TheoremReport:
     """Two-sided equivalence between a frame and a perturbed family.
@@ -120,8 +113,8 @@ def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem, samples: int =
     report.add_conclusion("distance dominated by the two-sided constant",
                           gap <= tol * max(1.0, m_star), max(0.0, gap))
     factor = 1.0 + float(np.sqrt(m_star))
-    _certify_window(report, sys_b, a / factor, factor * b, tol,
-                    "derived window certified on the perturbed system")
+    certify_window(report, sys_b, a / factor, factor * b, tol,
+                   "derived window certified on the perturbed system")
     report.info["m_constant"] = m_star
     report.info["sampled_min_m"] = worst_ratio
     return report
@@ -145,7 +138,7 @@ def sum_frame_check(sys_frame: GFrameSystem, sys_bessel: GFrameSystem,
     summed = {label: sys_frame.family[label] + sys_bessel.family[label]
               for label in sys_frame.measure.labels}
     sys_sum = sys_frame.with_family(summed)
-    _certify_window(report, sys_sum, a - e, b + e, tol, "summed window certified")
+    certify_window(report, sys_sum, a - e, b + e, tol, "summed window certified")
     return report
 
 
@@ -184,7 +177,7 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
         return report
     lower = bounds.scalar_lower * (1.0 - params.lam) * min(alphas) / ((1.0 + params.mu) * max(betas))
     upper = bounds.scalar_upper * (1.0 + params.lam) * max(alphas) / ((1.0 - params.mu) * min(betas))
-    _certify_window(report, sys_r, lower, upper, tol, "weighted window certified")
+    certify_window(report, sys_r, lower, upper, tol, "weighted window certified")
     return report
 
 
@@ -232,8 +225,8 @@ def additive_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
     if not report.hypotheses_pass:
         return report
     root = float(np.sqrt(rho))
-    _certify_window(report, sys_r, nu * (1.0 - root), delta * (1.0 + root), tol,
-                    "additive window certified")
+    certify_window(report, sys_r, nu * (1.0 - root), delta * (1.0 + root), tol,
+                   "additive window certified")
     squared = [nu * (1.0 - root) ** 2, delta * (1.0 + root) ** 2]
     r_bounds = optimal_scalar_bounds(sys_r, tol)
     report.info["squared_factor_window"] = squared
@@ -243,27 +236,52 @@ def additive_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
     return report
 
 
+def _finite_number(value, name: str) -> float:
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not math.isfinite(number):
+        raise InputError(f"perturbation parameter {name} must be a finite number, got {value!r}")
+    return number
+
+
+def _atom_constants(params: Mapping, key: str, labels: tuple) -> dict:
+    """One constant per atom from a number or from an object with a number for every atom."""
+    value = params.get(key, 1.0)
+    if not isinstance(value, Mapping):
+        number = _finite_number(value, key)
+        return {label: number for label in labels}
+    missing = [label for label in labels if label not in value]
+    if missing:
+        raise InputError(f"perturbation parameter {key} has no value for atoms {missing}")
+    return {label: _finite_number(value[label], f"{key}[{label!r}]") for label in labels}
+
+
 def run_perturbation(kind: str, sys_a: GFrameSystem, sys_b: GFrameSystem, params: Mapping,
                      samples: int = 200, seed: int = 0, tol: float = DEFAULT_TOL) -> TheoremReport:
-    """Dispatch a perturbation run described by plain JSON-friendly parameters."""
+    """Dispatch a perturbation run described by plain JSON-friendly parameters.
+
+    The constants must be finite numbers; ``alpha_w`` and ``beta_w`` may also
+    be objects with a number for every atom.  Anything else is an InputError.
+    """
+    def constant(key: str) -> float:
+        return _finite_number(params.get(key, 0.0), key)
+
     if kind == EQUIVALENCE_M:
         return check_equivalence_M(sys_a, sys_b, samples=samples, seed=seed, tol=tol)
     if kind == SUM:
         return sum_frame_check(sys_a, sys_b, tol=tol, seed=seed)
     if kind == WEIGHTED:
         labels = sys_a.measure.labels
-        alpha_w = params.get("alpha_w", 1.0)
-        beta_w = params.get("beta_w", 1.0)
-        if not isinstance(alpha_w, Mapping):
-            alpha_w = {label: float(alpha_w) for label in labels}
-        if not isinstance(beta_w, Mapping):
-            beta_w = {label: float(beta_w) for label in labels}
         return weighted_perturbation_check(
-            sys_a, dict(sys_b.family), alpha_w, beta_w,
-            lam=float(params.get("lambda", 0.0)), mu=float(params.get("mu", 0.0)),
+            sys_a, dict(sys_b.family), _atom_constants(params, "alpha_w", labels),
+            _atom_constants(params, "beta_w", labels), lam=constant("lambda"), mu=constant("mu"),
             samples=samples, seed=seed, tol=tol)
     if kind in (ADDITIVE, ADDITIVE_COROLLARY):
         return additive_perturbation_check(
-            sys_a, dict(sys_b.family), alpha=float(params.get("alpha", 0.0)),
-            beta=float(params.get("beta", 0.0)), kind=kind, samples=samples, seed=seed, tol=tol)
+            sys_a, dict(sys_b.family), alpha=constant("alpha"), beta=constant("beta"), kind=kind,
+            samples=samples, seed=seed, tol=tol)
     raise InputError(f"unknown perturbation kind {kind!r}")

@@ -5,6 +5,11 @@ hypotheses as numeric predicates, and then evaluates the conclusion as
 residuals against a tolerance.  Rows are deterministic given (id, seed) and
 independent of each other.
 
+A row is a body registered with ``_row``: the runner draws the default
+instance, applies ``break_commutation`` where documented and records the frame
+hypotheses; the body adds its own hypotheses and conclusions.  The first
+failed batch of hypotheses ends the row as ``not_applicable``.
+
 Documented mutants (``scale_member``, ``break_commutation``, ``wrong_k``)
 inject a violation mid-pipeline; the mutant matrix below records which row
 each mutant is expected to flip and to which status.
@@ -12,29 +17,36 @@ each mutant is expected to flip and to which status.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, DIAGONAL, MATRIX, AlgebraDescriptor, AlgebraElement
-from .errors import GFrameError, InputError
+from .algebra import DEFAULT_TOL, DIAGONAL, MATRIX, AlgebraDescriptor, AlgebraElement, element_norms
+from .errors import GFrameError, InputError, UnsupportedConfigurationError
 from .frames import (
     FrameBounds,
     GFrameSystem,
-    check_frame,
+    certify_window,
     optimal_scalar_bounds,
     reconstruction_operator,
 )
-from .generate import random_system
-from .hilbert import AdjointableOperator, ModuleVector
+from .generate import _padding_isometry, random_system
+from .hilbert import (
+    AdjointableOperator,
+    DirectSumSpace,
+    _coord_shape,
+    apply_stack,
+    pairing,
+    weighted_sum,
+)
 from .measure import MeasureSpace, atom_label
-from .reports import FAIL, NOT_APPLICABLE, PASS, TheoremReport
+from .reports import FAIL, NOT_APPLICABLE, TheoremReport
 from .sampling import (
     complex_gaussian,
     rand_invertible_operator,
     rand_operator,
     rand_positive_operator,
-    rand_vector,
 )
 
 SCALE_MEMBER = "scale_member"
@@ -67,8 +79,66 @@ def _rel_op(x: AdjointableOperator, y: AdjointableOperator) -> float:
 
 
 def _identity_residual(op: AdjointableOperator) -> float:
-    eye = AdjointableOperator.identity(op.descriptor, op.in_rank)
-    return (op - eye).norm()
+    return (op - AdjointableOperator.identity(op.descriptor, op.in_rank)).norm()
+
+
+def _singular_range(op: AdjointableOperator) -> tuple:
+    """(smallest, largest) singular value of the flattening."""
+    svals = np.linalg.svd(op.flat(), compute_uv=False)
+    return float(svals[-1]), float(svals[0])
+
+
+def _within(name: str, residual: float, threshold: float) -> tuple:
+    """Check line that passes when the residual is at most the threshold."""
+    return name, residual <= threshold, residual
+
+
+def _gap(name: str, gap: float, threshold: float) -> tuple:
+    """Check line for an inequality: passes when gap <= threshold, residual max(0, gap)."""
+    return name, gap <= threshold, max(0.0, gap)
+
+
+def _frame_line(name: str, bounds: FrameBounds) -> tuple:
+    return name, bounds.is_frame, 0.0 if bounds.is_frame else 1.0
+
+
+def _commute_lines(system: GFrameSystem) -> tuple:
+    ctr = system.controls
+    return (("controls commute", ctr.commute_each_other, ctr.commute_defect),
+            ("controls commute with family", ctr.commute_with_family, ctr.family_defect))
+
+
+def _uniform_rank_line(system: GFrameSystem) -> tuple:
+    ranks = {op.out_rank for op in system.family.values()}
+    return "uniform output rank", len(ranks) == 1, float(len(ranks) - 1)
+
+
+def _control_commutation(op: AdjointableOperator, system: GFrameSystem) -> float:
+    ctr = system.controls
+    return max(_rel_op(op @ ctr.C, ctr.C @ op), _rel_op(op @ ctr.Cp, ctr.Cp @ op))
+
+
+def _components(ds: DirectSumSpace, t: AdjointableOperator) -> dict:
+    """Per-atom components of a map into the direct sum."""
+    return {label: ds.component_operator(t, label) for label in ds.labels}
+
+
+def _composed(system: GFrameSystem, right: AdjointableOperator) -> GFrameSystem:
+    """The system with every member precomposed with ``right``."""
+    return system.with_family({label: op @ right for label, op in system.family.items()})
+
+
+def _right_inverses(t: AdjointableOperator, s_inv: AdjointableOperator,
+                    k: AdjointableOperator) -> Callable:
+    """theta -> t S^-1 K^-1 + (I - t S^-1 t*) theta, the right inverses of K t*."""
+    particular = t @ s_inv @ k.inverse()
+    kernel = AdjointableOperator.identity(t.descriptor, t.out_rank) - t @ s_inv @ t.adjoint()
+    return lambda theta: particular + kernel @ theta
+
+
+def _uncontrolled(system: GFrameSystem) -> GFrameSystem:
+    identity = AdjointableOperator.identity(system.descriptor, system.module_rank)
+    return system.with_controls(identity, identity)
 
 
 def _scale_first_member(system: GFrameSystem, factor: float = 2.0) -> GFrameSystem:
@@ -78,617 +148,485 @@ def _scale_first_member(system: GFrameSystem, factor: float = 2.0) -> GFrameSyst
     return system.with_family(family)
 
 
-def _commutation_breakable(system: GFrameSystem) -> bool:
-    """False when every operator on the module commutes (scalar-like setting)."""
+def _bump_control(system: GFrameSystem, seed: int, generated: bool) -> GFrameSystem:
+    """Add a positive bump to C that breaks its commutation with C' and the family.
+
+    A generated instance on which every operator commutes is first redrawn at
+    rank 2 over M_2.
+    """
     per_channel = system.descriptor.dim if system.descriptor.kind == MATRIX else 1
-    return system.module_rank * per_channel >= 2
-
-
-def _bump_control(system: GFrameSystem, seed: int) -> GFrameSystem:
-    rng = _rng(seed, 9999)
-    r = rand_operator(system.descriptor, system.module_rank, system.module_rank, rng)
+    if generated and system.module_rank * per_channel < 2:
+        system = random_system(seed, commuting=True, rank=2, dim=2)
+    r = rand_operator(system.descriptor, system.module_rank, system.module_rank, _rng(seed, 9999))
     bump = (0.4 / max(1.0, r.norm() ** 2)) * (r.adjoint() @ r)
     return system.with_controls(system.controls.C + bump, system.controls.Cp)
 
 
 def _describe(system: GFrameSystem, generated: bool) -> dict:
-    return {
-        "generated": generated,
-        "algebra": {"kind": system.descriptor.kind, "dim": system.descriptor.dim},
-        "module_rank": system.module_rank,
-        "atoms": len(system.measure.labels),
-    }
+    return {"generated": generated,
+            "algebra": {"kind": system.descriptor.kind, "dim": system.descriptor.dim},
+            "module_rank": system.module_rank, "atoms": len(system.measure.labels)}
 
 
-def _aux_operator(aux, key: str, fallback: Callable[[], AdjointableOperator],
-                  report: TheoremReport) -> AdjointableOperator:
-    if aux and key in aux:
-        report.info.setdefault("aux_supplied", []).append(key)
-        return aux[key]
-    report.info.setdefault("aux_generated", []).append(key)
-    return fallback()
+class _RowEnded(Exception):
+    """A failed hypothesis ended the row; only the row runner catches this."""
 
 
-def _frame_hypotheses(report: TheoremReport, system: GFrameSystem, tol: float,
-                      need_commuting: bool = True) -> Optional[FrameBounds]:
-    """Record the shared frame/commutation hypotheses; None when they fail."""
-    ctr = system.controls
-    if need_commuting:
-        report.add_hypothesis("controls commute", ctr.commute_each_other, ctr.commute_defect)
-        report.add_hypothesis("controls commute with family", ctr.commute_with_family,
-                              ctr.family_defect)
-        if not (ctr.commute_each_other and ctr.commute_with_family):
-            return None
-    try:
-        bounds = optimal_scalar_bounds(system, tol)
-    except GFrameError:
-        report.add_hypothesis("frame operator self-adjoint positive", False, 1.0)
-        return None
-    report.add_hypothesis("frame property (positive lower bound)", bounds.is_frame,
-                          0.0 if bounds.is_frame else 1.0)
-    if not bounds.is_frame:
-        return None
-    report.info["scalar_bounds"] = [bounds.scalar_lower, bounds.scalar_upper]
-    return bounds
+@dataclass
+class _Row:
+    """What a row body sees: its report, its instance and the run settings."""
+
+    report: TheoremReport
+    system: Optional[GFrameSystem]
+    seed: int
+    tol: float
+    samples: int
+    aux: Optional[Mapping[str, AdjointableOperator]]
+    mutant: Optional[str]
+    bounds: Optional[FrameBounds] = None
+
+    def require(self, *lines) -> None:
+        """Record hypothesis lines (name, passed, residual); end the row if one failed."""
+        for line in lines:
+            self.report.add_hypothesis(*line)
+        if not self.report.hypotheses_pass:
+            raise _RowEnded
+
+    def conclude(self, *lines) -> None:
+        for line in lines:
+            self.report.add_conclusion(*line)
+
+    def frame_hypotheses(self, system: GFrameSystem, commuting: bool = True,
+                         lines: tuple = ()) -> FrameBounds:
+        """Require ``lines``, the commutation flags (when asked) and the frame property."""
+        self.require(*lines, *(_commute_lines(system) if commuting else ()))
+        try:
+            bounds = optimal_scalar_bounds(system, self.tol)
+        except GFrameError:
+            self.require(("frame operator self-adjoint positive", False, 1.0))
+        self.require(_frame_line("frame property (positive lower bound)", bounds))
+        self.report.info["scalar_bounds"] = [bounds.scalar_lower, bounds.scalar_upper]
+        return bounds
+
+    def scalar_bounds(self, system: GFrameSystem, name: str) -> FrameBounds:
+        """Optimal scalar bounds; when they do not apply, the failed hypothesis ``name``."""
+        try:
+            return optimal_scalar_bounds(system, self.tol)
+        except UnsupportedConfigurationError:
+            self.require((name, False, 1.0))
+
+    def bounded_below(self, name: str, op: AdjointableOperator) -> tuple:
+        """Require a smallest singular value above tol; return (smallest, largest)."""
+        low, high = _singular_range(op)
+        self.require((name, low > self.tol, low))
+        return low, high
+
+    def operator(self, key: str, fallback: Callable) -> AdjointableOperator:
+        """The auxiliary operator ``key`` when supplied, else ``fallback()``; info says which."""
+        supplied = bool(self.aux) and key in self.aux
+        self.report.info.setdefault("aux_supplied" if supplied else "aux_generated", []).append(key)
+        return self.aux[key] if supplied else fallback()
+
+    def invertible(self, key: str, salt: int, rank: Optional[int] = None) -> AdjointableOperator:
+        """Auxiliary ``key``, by default a seeded invertible operator on A^rank (A^n)."""
+        return self.operator(key, lambda: rand_invertible_operator(
+            self.system.descriptor, rank or self.system.module_rank, _rng(self.seed, salt)))
+
+    def checked(self, k: AdjointableOperator) -> AdjointableOperator:
+        """The companion operator as the conclusions see it: doubled by the wrong_k mutant."""
+        return 2.0 * k if self.mutant == WRONG_K else k
 
 
-# ---------------------------------------------------------------------------
-# individual rows
-# ---------------------------------------------------------------------------
+def _drawn(**options) -> Callable[[int], GFrameSystem]:
+    """Default instance: the seeded commuting random system with these options."""
+    return lambda seed: random_system(seed, commuting=True, **options)
 
 
-def _row_transform(system, seed, tol, samples, aux, mutant):
+def _repeated_control(seed: int) -> GFrameSystem:
+    base = random_system(seed, commuting=True)
+    return base.with_controls(base.controls.C, base.controls.C)
+
+
+_ROWS: dict = {}
+_COMMUTING, _PLAIN = "commuting", "plain"
+
+
+def _row(theorem_id: str, instance: Optional[Callable] = _drawn(scalar_controls=True),
+         frame: Optional[str] = _COMMUTING, same_control: bool = False,
+         breaks: Optional[Callable] = None):
+    """Register a row body under ``theorem_id``.
+
+    ``instance(seed)`` draws the default system (None: the body builds its
+    own); ``breaks(system, seed, generated)`` applies ``break_commutation``;
+    ``same_control`` requires C = C'; ``frame`` selects the frame hypotheses
+    in their commuting form, their plain form, or none.
+    """
+    def register(body: Callable[[_Row], None]):
+        def run(system, seed, tol, samples, aux, mutant) -> TheoremReport:
+            row = _Row(TheoremReport(theorem_id, tolerance=tol, seed=seed), system, seed, tol,
+                       samples, aux, mutant)
+            try:
+                if instance is not None:
+                    generated = system is None
+                    system = instance(seed) if generated else system
+                    if breaks is not None and mutant == BREAK_COMMUTATION:
+                        system = breaks(system, seed, generated)
+                    row.system = system
+                    row.report.info["instance"] = _describe(system, generated)
+                    lines = ((("single repeated control", system.controls_equal,
+                               (system.controls.C - system.controls.Cp).norm()),)
+                             if same_control else ())
+                    if frame is None:
+                        row.require(*lines)
+                    else:
+                        row.bounds = row.frame_hypotheses(system, frame == _COMMUTING, lines)
+                body(row)
+            except _RowEnded:
+                pass
+            return row.report
+
+        _ROWS[theorem_id] = run
+        return body
+    return register
+
+
+@_row("T2.3", _drawn(pad_outputs=True))
+def _transform(row: _Row) -> None:
     """Transform row: injectivity, closed range, norm bound, surjective adjoint."""
-    report = TheoremReport("T2.3", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True, pad_outputs=True)
-    report.info["instance"] = _describe(system, generated)
-    bounds = _frame_hypotheses(report, system, tol)
-    if bounds is None:
-        return report
-    if mutant == SCALE_MEMBER:
+    system, tol, bounds = row.system, row.tol, row.bounds
+    if row.mutant == SCALE_MEMBER:
         system = _scale_first_member(system)
-    t = system.analysis_operator
-    s = system.frame_operator
+    t, s = system.analysis_operator, system.frame_operator
     scale = max(1.0, s.norm())
-    svals = np.linalg.svd(t.flat(), compute_uv=False)
-    sigma_min, sigma_max = float(svals[-1]), float(svals[0])
-    report.add_conclusion("transform factorizes the frame operator",
-                          _rel_op(t.adjoint() @ t, s) <= 10 * tol,
-                          _rel_op(t.adjoint() @ t, s))
-    report.add_conclusion("injective with closed range", sigma_min > tol * scale, 0.0)
-    gap = sigma_max - bounds.scalar_upper
-    report.add_conclusion("norm bounded by the upper frame bound",
-                          gap <= tol * max(1.0, bounds.scalar_upper), max(0.0, gap))
-    report.add_conclusion("adjoint surjective (bounded below)",
-                          sigma_min >= bounds.scalar_lower - tol * scale,
-                          max(0.0, bounds.scalar_lower - sigma_min))
-    return report
+    sigma_min, sigma_max = _singular_range(t)
+    row.conclude(_within("transform factorizes the frame operator", _rel_op(t.adjoint() @ t, s),
+                         10 * tol),
+                 ("injective with closed range", sigma_min > tol * scale, 0.0),
+                 _gap("norm bounded by the upper frame bound", sigma_max - bounds.scalar_upper,
+                      tol * max(1.0, bounds.scalar_upper)),
+                 _gap("adjoint surjective (bounded below)", bounds.scalar_lower - sigma_min,
+                      tol * scale))
 
 
-def _row_frame_operator_props(system, seed, tol, samples, aux, mutant):
+def _spectral_conclusions(row: _Row, op: AdjointableOperator) -> tuple:
+    """Bounded, self-adjoint, positive, invertible; returns (eigenvalues, scale)."""
+    tol, scale = row.tol, max(1.0, op.norm())
+    eigs = op.eigenvalues_hermitian()
+    row.conclude(("bounded", np.isfinite(op.norm()), 0.0),
+                 _within("self-adjoint", op.hermitian_defect() / scale, 10 * tol),
+                 _gap("positive", -float(eigs[0]) / scale, 10 * tol),
+                 ("invertible", eigs[0] > tol * scale, 0.0))
+    return eigs, scale
+
+
+@_row("FO-PROPS", _drawn(), breaks=_bump_control)
+def _frame_operator_props(row: _Row) -> None:
     """Frame operator is bounded, positive, self-adjoint, invertible, norm-sandwiched."""
-    report = TheoremReport("FO-PROPS", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True)
-        if mutant == BREAK_COMMUTATION and not _commutation_breakable(system):
-            system = random_system(seed, commuting=True, rank=2, dim=2)
-    if mutant == BREAK_COMMUTATION:
-        system = _bump_control(system, seed)
-    report.info["instance"] = _describe(system, generated)
-    bounds = _frame_hypotheses(report, system, tol)
-    if bounds is None:
-        return report
-    if mutant == SCALE_MEMBER:
+    system, bounds = row.system, row.bounds
+    if row.mutant == SCALE_MEMBER:
         system = _scale_first_member(system)
-    s = system.frame_operator
-    scale = max(1.0, s.norm())
-    eigs = s.eigenvalues_hermitian()
-    report.add_conclusion("bounded", np.isfinite(s.norm()), 0.0)
-    report.add_conclusion("self-adjoint", s.hermitian_defect() <= 10 * tol * scale,
-                          s.hermitian_defect() / scale)
-    report.add_conclusion("positive", eigs[0] >= -10 * tol * scale, max(0.0, -float(eigs[0])) / scale)
-    report.add_conclusion("invertible", eigs[0] > tol * scale, 0.0)
-    lo_gap = bounds.scalar_lower ** 2 - float(eigs[-1])
-    hi_gap = float(eigs[-1]) - bounds.scalar_upper ** 2
-    report.add_conclusion("norm above squared lower bound", lo_gap <= tol * scale, max(0.0, lo_gap))
-    report.add_conclusion("norm below squared upper bound", hi_gap <= tol * scale, max(0.0, hi_gap))
-    return report
+    eigs, scale = _spectral_conclusions(row, system.frame_operator)
+    row.conclude(_gap("norm above squared lower bound", bounds.scalar_lower ** 2 - float(eigs[-1]),
+                      row.tol * scale),
+                 _gap("norm below squared upper bound", float(eigs[-1]) - bounds.scalar_upper ** 2,
+                      row.tol * scale))
 
 
-def _row_scc_props(system, seed, tol, samples, aux, mutant):
+@_row("SCC-PROPS", _drawn(), breaks=_bump_control)
+def _scc_props(row: _Row) -> None:
     """Synthesis-after-analysis equals the frame operator and shares its properties."""
-    report = TheoremReport("SCC-PROPS", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True)
-        if mutant == BREAK_COMMUTATION and not _commutation_breakable(system):
-            system = random_system(seed, commuting=True, rank=2, dim=2)
-    if mutant == BREAK_COMMUTATION:
-        system = _bump_control(system, seed)
-    report.info["instance"] = _describe(system, generated)
-    bounds = _frame_hypotheses(report, system, tol)
-    if bounds is None:
-        return report
-    composed = system.synthesis_operator @ system.analysis_operator
-    s = system.frame_operator
-    report.add_conclusion("factorization matches block assembly",
-                          _rel_op(composed, s) <= 10 * tol, _rel_op(composed, s))
-    scale = max(1.0, composed.norm())
-    eigs = composed.eigenvalues_hermitian()
-    report.add_conclusion("bounded", np.isfinite(composed.norm()), 0.0)
-    report.add_conclusion("self-adjoint", composed.hermitian_defect() <= 10 * tol * scale,
-                          composed.hermitian_defect() / scale)
-    report.add_conclusion("positive", eigs[0] >= -10 * tol * scale,
-                          max(0.0, -float(eigs[0])) / scale)
-    report.add_conclusion("invertible", eigs[0] > tol * scale, 0.0)
-    return report
+    composed = row.system.synthesis_operator @ row.system.analysis_operator
+    row.conclude(_within("factorization matches block assembly",
+                         _rel_op(composed, row.system.frame_operator), 10 * row.tol))
+    _spectral_conclusions(row, composed)
 
 
-def _row_equal_controls_equivalence(system, seed, tol, samples, aux, mutant):
+def _equal_controls_instance(seed: int) -> GFrameSystem:
+    base = random_system(seed, commuting=True)
+    c = rand_positive_operator(base.descriptor, base.module_rank, _rng(seed, 1), shift=0.6)
+    return base.with_controls(c, c)
+
+
+@_row("T-T3", _equal_controls_instance, frame=None, same_control=True)
+def _equal_controls_equivalence(row: _Row) -> None:
     """Frame with and without one repeated control, with transported bounds."""
-    report = TheoremReport("T-T3", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        base = random_system(seed, commuting=True)
-        rng = _rng(seed, 1)
-        c = rand_positive_operator(base.descriptor, base.module_rank, rng, shift=0.6)
-        system = base.with_controls(c, c)
-    report.info["instance"] = _describe(system, generated)
-    if not system.controls_equal:
-        report.add_hypothesis("single repeated control", False,
-                              (system.controls.C - system.controls.Cp).norm())
-        return report
-    report.add_hypothesis("single repeated control", True, 0.0)
-    c = system.controls.C
-    identity = AdjointableOperator.identity(system.descriptor, system.module_rank)
-    plain = system.with_controls(identity, identity)
-    bounds_c = optimal_scalar_bounds(system, tol)
-    bounds_plain = optimal_scalar_bounds(plain, tol)
-    report.add_hypothesis("controlled system is a frame", bounds_c.is_frame,
-                          0.0 if bounds_c.is_frame else 1.0)
-    report.add_hypothesis("plain system is a frame", bounds_plain.is_frame,
-                          0.0 if bounds_plain.is_frame else 1.0)
-    if not report.hypotheses_pass:
-        return report
-    norm_c = c.norm()
-    norm_c_inv = c.inverse().norm()
-    if mutant == SCALE_MEMBER:
+    system, tol = row.system, row.tol
+    c, plain = system.controls.C, _uncontrolled(system)
+    bounds_c, bounds_plain = optimal_scalar_bounds(system, tol), optimal_scalar_bounds(plain, tol)
+    row.require(_frame_line("controlled system is a frame", bounds_c),
+                _frame_line("plain system is a frame", bounds_plain))
+    norm_c, norm_c_inv = c.norm(), c.inverse().norm()
+    if row.mutant == SCALE_MEMBER:
         system = _scale_first_member(system)
-        plain = system.with_controls(identity, identity)
-    to_plain = FrameBounds.from_scalars(bounds_c.scalar_lower / norm_c,
-                                        bounds_c.scalar_upper * norm_c_inv,
-                                        system.descriptor, tol)
-    to_controlled = FrameBounds.from_scalars(bounds_plain.scalar_lower / norm_c_inv,
-                                             bounds_plain.scalar_upper * norm_c,
-                                             system.descriptor, tol)
-    for name, sys_checked, transported in (
-            ("controlled-to-plain bounds certified", plain, to_plain),
-            ("plain-to-controlled bounds certified", system, to_controlled)):
-        sub = check_frame(sys_checked, transported, mode="exact_scalar", tol=tol * 10)
-        report.add_conclusion(name, sub.status == PASS, sub.conclusion_residual)
-    return report
+        plain = _uncontrolled(system)
+    certify_window(row.report, plain, bounds_c.scalar_lower / norm_c,
+                   bounds_c.scalar_upper * norm_c_inv, tol, "controlled-to-plain bounds certified")
+    certify_window(row.report, system, bounds_plain.scalar_lower / norm_c_inv,
+                   bounds_plain.scalar_upper * norm_c, tol, "plain-to-controlled bounds certified")
 
 
-def _row_transform_bounds(system, seed, tol, samples, aux, mutant):
+@_row("T-TT", _drawn())
+def _transform_bounds(row: _Row) -> None:
     """Optimal scalar frame bounds coincide with the transform's spectral data."""
-    report = TheoremReport("T-TT", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True)
-    report.info["instance"] = _describe(system, generated)
-    bounds = _frame_hypotheses(report, system, tol)
-    if bounds is None:
-        return report
-    t = system.analysis_operator
+    system, tol = row.system, row.tol
     s = system.frame_operator
     scale = max(1.0, s.norm())
-    svals = np.linalg.svd(t.flat(), compute_uv=False)
     eigs = s.eigenvalues_hermitian()
-    upper_defect = abs(float(svals[0]) ** 2 - float(eigs[-1])) / scale
-    report.add_conclusion("upper bound is the squared transform norm",
-                          upper_defect <= 100 * tol, upper_defect)
-    inv_norm = s.inverse().norm()
-    lower_defect = abs(1.0 / inv_norm - float(eigs[0])) / scale
-    report.add_conclusion("lower bound is the inverse-norm reciprocal",
-                          lower_defect <= 100 * tol, lower_defect)
-    sub = check_frame(system, FrameBounds.from_scalars(
-        float(np.sqrt(max(eigs[0], 0.0))), float(np.sqrt(max(eigs[-1], 0.0))),
-        system.descriptor, tol), mode="exact_scalar", tol=tol * 10)
-    report.add_conclusion("spectral bounds certified", sub.status == PASS,
-                          sub.conclusion_residual)
-    return report
+    upper_defect = abs(system.analysis_operator.norm() ** 2 - float(eigs[-1])) / scale
+    lower_defect = abs(1.0 / s.inverse().norm() - float(eigs[0])) / scale
+    row.conclude(_within("upper bound is the squared transform norm", upper_defect, 100 * tol),
+                 _within("lower bound is the inverse-norm reciprocal", lower_defect, 100 * tol))
+    certify_window(row.report, system, float(np.sqrt(max(eigs[0], 0.0))),
+                   float(np.sqrt(max(eigs[-1], 0.0))), tol, "spectral bounds certified")
 
 
-def _row_bessel_composition(system, seed, tol, samples, aux, mutant):
+@_row("BESSEL-COMP", frame=None)
+def _bessel_composition(row: _Row) -> None:
     """Composing a Bessel family with the adjoints of another stays Bessel."""
-    report = TheoremReport("BESSEL-COMP", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True, scalar_controls=True)
-    report.info["instance"] = _describe(system, generated)
-    rng = _rng(seed, 2)
-    second = {}
-    for label, op in system.family.items():
-        second[label] = rand_operator(system.descriptor, system.module_rank, op.out_rank, rng)
+    system, tol = row.system, row.tol
+    rng = _rng(row.seed, 2)
+    second = {label: rand_operator(system.descriptor, system.module_rank, op.out_rank, rng)
+              for label, op in system.family.items()}
     sys_gamma = system.with_family(second)
-    b_lam = optimal_scalar_bounds(system, tol)
-    b_gam = optimal_scalar_bounds(sys_gamma, tol)
+    b_lam = row.scalar_bounds(system, "first family Bessel")
+    b_gam = row.scalar_bounds(sys_gamma, "second family Bessel")
     sup_lam = max(op.norm() for op in system.family.values())
     b1 = max(b_lam.scalar_upper, sup_lam)
-    report.add_hypothesis("first family Bessel", np.isfinite(b_lam.scalar_upper), 0.0)
-    report.add_hypothesis("second family Bessel", np.isfinite(b_gam.scalar_upper), 0.0)
-    report.add_hypothesis("member norms below the first Bessel constant",
-                          sup_lam <= b1 + tol, max(0.0, sup_lam - b1))
-    composed = {label: system.family[label].adjoint() @ second[label]
-                for label in system.measure.labels}
-    sys_comp = sys_gamma.with_family(composed)
-    comp_upper = optimal_scalar_bounds(sys_comp, tol).scalar_upper
+    row.require(("first family Bessel", np.isfinite(b_lam.scalar_upper), 0.0),
+                ("second family Bessel", np.isfinite(b_gam.scalar_upper), 0.0),
+                _gap("member norms below the first Bessel constant", sup_lam - b1, tol))
+    composed = {label: op.adjoint() @ second[label] for label, op in system.family.items()}
+    comp_upper = optimal_scalar_bounds(sys_gamma.with_family(composed), tol).scalar_upper
     target = b1 * b_gam.scalar_upper
-    gap = comp_upper - target
-    report.add_conclusion("composed family Bessel with the product bound",
-                          gap <= tol * max(1.0, target), max(0.0, gap))
-    report.info["bessel_constants"] = [b1, b_gam.scalar_upper, comp_upper]
-    return report
+    row.conclude(_gap("composed family Bessel with the product bound", comp_upper - target,
+                      tol * max(1.0, target)))
+    row.report.info["bessel_constants"] = [b1, b_gam.scalar_upper, comp_upper]
 
 
-def _row_surjective_synthesis(system, seed, tol, samples, aux, mutant):
+@_row("TH-SURJ", _drawn(pad_outputs=True), frame=None)
+def _surjective_synthesis(row: _Row) -> None:
     """A surjective plain synthesis map forces the frame property."""
-    report = TheoremReport("TH-SURJ", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True, pad_outputs=True)
-    report.info["instance"] = _describe(system, generated)
-    ds = system.direct_sum
-    plain = ds.stack_operator(dict(system.family))
-    theta = plain.adjoint()
-    svals = np.linalg.svd(theta.flat(), compute_uv=False)
-    sigma = float(svals[-1])
-    report.add_hypothesis("synthesis map surjective", sigma > tol, sigma)
-    ctr = system.controls
-    report.add_hypothesis("controls commute", ctr.commute_each_other, ctr.commute_defect)
-    report.add_hypothesis("controls commute with family", ctr.commute_with_family,
-                          ctr.family_defect)
-    if not report.hypotheses_pass:
-        return report
+    system, tol = row.system, row.tol
+    theta = system.direct_sum.stack_operator(dict(system.family)).adjoint()
+    sigma, _ = row.bounded_below("synthesis map surjective", theta)
+    row.require(*_commute_lines(system))
     bounds = optimal_scalar_bounds(system, tol)
-    report.add_conclusion("controlled system is a frame", bounds.is_frame,
-                          0.0 if bounds.is_frame else 1.0)
     mixed = (system.controls.Cp @ system.controls.C).eigenvalues_hermitian()
     floor = sigma ** 2 * float(mixed[0])
-    gap = floor - bounds.scalar_lower ** 2
-    report.add_conclusion("lower bound above the surjectivity constant",
-                          gap <= tol * max(1.0, floor), max(0.0, gap))
-    report.info["surjectivity_constant"] = sigma
-    return report
+    row.conclude(_frame_line("controlled system is a frame", bounds),
+                 _gap("lower bound above the surjectivity constant",
+                      floor - bounds.scalar_lower ** 2, tol * max(1.0, floor)))
+    row.report.info["surjectivity_constant"] = sigma
 
 
-def _row_surjective_composition(system, seed, tol, samples, aux, mutant):
+@_row("F-KT", frame=_PLAIN)
+def _surjective_composition(row: _Row) -> None:
     """Surjectivity of the cross Gram map transfers the frame property."""
-    report = TheoremReport("F-KT", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True, scalar_controls=True)
-    report.info["instance"] = _describe(system, generated)
-    rng = _rng(seed, 3)
-    r = rand_invertible_operator(system.descriptor, system.module_rank, rng)
+    system, tol = row.system, row.tol
+    r = rand_invertible_operator(system.descriptor, system.module_rank, _rng(row.seed, 3))
     gamma = {label: op @ r for label, op in system.family.items()}
-    f_op = None
-    for label, weight in system.measure.atoms:
-        term = weight * (gamma[label].adjoint() @ system.family[label])
-        f_op = term if f_op is None else f_op + term
-    bounds = _frame_hypotheses(report, system, tol, need_commuting=False)
-    if bounds is None:
-        return report
-    svals = np.linalg.svd(f_op.flat(), compute_uv=False)
-    report.add_hypothesis("cross Gram map surjective", float(svals[-1]) > tol, float(svals[-1]))
-    if not report.hypotheses_pass:
-        return report
+    f_op = weighted_sum(system.measure.weights, list(system.family.values()), list(gamma.values()))
+    row.bounded_below("cross Gram map surjective", f_op)
     ds = system.direct_sum
     k_op = ds.stack_operator(gamma).adjoint()
-    t_plain = ds.stack_operator(dict(system.family))
-    factor_res = _rel_op(f_op, k_op @ t_plain)
-    report.add_conclusion("factors through plain transform and synthesis",
-                          factor_res <= 10 * tol, factor_res)
-    gamma_bounds = optimal_scalar_bounds(system.with_family(gamma), tol)
-    report.add_conclusion("second family is a frame", gamma_bounds.is_frame,
-                          0.0 if gamma_bounds.is_frame else 1.0)
-    return report
+    row.conclude(_within("factors through plain transform and synthesis",
+                         _rel_op(f_op, k_op @ ds.stack_operator(dict(system.family))), 10 * tol),
+                 _frame_line("second family is a frame", row.scalar_bounds(
+                     system.with_family(gamma), "scalar bounds apply to the second family")))
 
 
-def _hom_instances(seed: int):
-    """Three transport classes: identity, unitary conjugation, entry permutation."""
+def _atoms(rng: np.random.Generator, count: int) -> MeasureSpace:
+    weights = rng.uniform(0.3, 1.2, size=count)
+    return MeasureSpace(tuple((atom_label(i, count), float(w)) for i, w in enumerate(weights)))
+
+
+def _rank_two_system(desc: AlgebraDescriptor, rng: np.random.Generator,
+                     entry: Callable) -> GFrameSystem:
+    """Three atoms, members on A^2 with block (i, j) = entry(i, j), scalar controls."""
+    measure = _atoms(rng, 3)
+    family = {label: AdjointableOperator(desc, [[entry(i, j) for j in range(2)] for i in range(2)])
+              for label in measure.labels}
+    c, cp = (AdjointableOperator.scalar(desc, 2, float(rng.uniform(0.6, 1.5))) for _ in "cc")
+    return GFrameSystem(measure, family, c, cp)
+
+
+def _hom_instances(seed: int) -> list:
+    """Three transport classes: identity, unitary conjugation, entry permutation.
+
+    Each class is (name, system, phi) with phi an algebra morphism acting on
+    the trailing element axes, so that it maps stacks of algebra values and,
+    coordinate by coordinate, stacks of module vectors (the intertwiner).
+    """
     rng = _rng(seed, 4)
-    out = []
-
     base = random_system(seed, commuting=True, scalar_controls=True)
-    out.append(("identity", base, lambda a: a, lambda x: x))
-
-    d, n, atoms = 2, 2, 3
-    desc = AlgebraDescriptor(MATRIX, d)
-    q, r = np.linalg.qr(complex_gaussian(rng, (d, d)))
+    q, r = np.linalg.qr(complex_gaussian(rng, (2, 2)))
     u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    weights = rng.uniform(0.3, 1.2, size=atoms)
-    measure = MeasureSpace(tuple((atom_label(i, atoms), float(weights[i])) for i in range(atoms)))
-    eye = np.eye(d, dtype=np.complex128)
-    family = {}
-    for label in measure.labels:
-        blocks = np.zeros((n, n, d, d), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                c0, c1, c2 = complex_gaussian(rng, (3,))
-                blocks[i, j] = 0.9 * float(i == j) * eye + c0 * eye + c1 * u + c2 * (u @ u)
-        family[label] = AdjointableOperator(desc, blocks)
-    c = AdjointableOperator.scalar(desc, n, float(rng.uniform(0.6, 1.5)))
-    cp = AdjointableOperator.scalar(desc, n, float(rng.uniform(0.6, 1.5)))
-    sys_u = GFrameSystem(measure, family, c, cp)
 
-    def phi_u(a: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(a.descriptor, u @ a.data @ u.conj().T)
+    def unitary_entry(i, j):
+        c0, c1, c2 = complex_gaussian(rng, (3,))
+        return 0.9 * float(i == j) * np.eye(2) + c0 * np.eye(2) + c1 * u + c2 * (u @ u)
 
-    def theta_u(x: ModuleVector) -> ModuleVector:
-        return ModuleVector(x.descriptor, np.einsum("ab,ibc,dc->iad", u, x.coords, u.conj()))
+    def permutation_entry(i, j):
+        z, w = complex_gaussian(rng, (2,))
+        return np.array([z, z, w]) + (1.0 if i == j else 0.0)
 
-    out.append(("unitary", sys_u, phi_u, theta_u))
-
-    k, n2, atoms2 = 3, 2, 3
-    desc_d = AlgebraDescriptor(DIAGONAL, k)
+    sys_u = _rank_two_system(AlgebraDescriptor(MATRIX, 2), rng, unitary_entry)
+    sys_p = _rank_two_system(AlgebraDescriptor(DIAGONAL, 3), rng, permutation_entry)
     perm = np.array([1, 0, 2])
-    weights2 = rng.uniform(0.3, 1.2, size=atoms2)
-    measure2 = MeasureSpace(tuple((atom_label(i, atoms2), float(weights2[i])) for i in range(atoms2)))
-    family2 = {}
-    for label in measure2.labels:
-        blocks = np.zeros((n2, n2, k), dtype=np.complex128)
-        for i in range(n2):
-            for j in range(n2):
-                z, w = complex_gaussian(rng, (2,))
-                blocks[i, j] = np.array([z, z, w]) + (1.0 if i == j else 0.0)
-        family2[label] = AdjointableOperator(desc_d, blocks)
-    c2 = AdjointableOperator.scalar(desc_d, n2, float(rng.uniform(0.6, 1.5)))
-    cp2 = AdjointableOperator.scalar(desc_d, n2, float(rng.uniform(0.6, 1.5)))
-    sys_p = GFrameSystem(measure2, family2, c2, cp2)
-
-    def phi_p(a: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(a.descriptor, a.data[perm])
-
-    def theta_p(x: ModuleVector) -> ModuleVector:
-        return ModuleVector(x.descriptor, x.coords[:, perm])
-
-    out.append(("permutation", sys_p, phi_p, theta_p))
-    return out
+    return [("identity", base, lambda a: a),
+            ("unitary", sys_u, lambda a: u @ a @ u.conj().T),
+            ("permutation", sys_p, lambda a: a[..., perm])]
 
 
-def _row_hom_transport(system, seed, tol, samples, aux, mutant):
+def _unit_vectors(descriptor: AlgebraDescriptor, rank: int, count: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """A stack of Gaussian module vectors scaled to unit norm."""
+    coords = complex_gaussian(rng, (count, rank) + _coord_shape(descriptor))
+    norms = np.sqrt(element_norms(descriptor, pairing(descriptor, coords)))
+    return coords / norms.reshape((count,) + (1,) * (coords.ndim - 1))
+
+
+@_row("HOM-TRANSPORT", instance=None, frame=None)
+def _hom_transport(row: _Row) -> None:
     """Frame data transported through an algebra morphism with an intertwiner."""
-    report = TheoremReport("HOM-TRANSPORT", tolerance=tol, seed=seed)
-    report.info["instance"] = {"generated": True, "classes": ["identity", "unitary", "permutation"]}
-    rng = _rng(seed, 5)
-    pair_count = max(10, min(samples, 40))
-    for name, sys_i, phi, theta in _hom_instances(seed):
-        bounds = optimal_scalar_bounds(sys_i, tol)
-        report.add_hypothesis(f"{name}: frame property", bounds.is_frame,
-                              0.0 if bounds.is_frame else 1.0)
-        if not bounds.is_frame:
-            continue
-        inter_defect = 0.0
-        commute_defect = 0.0
-        gram_defect = 0.0
-        pairing_defect = 0.0
-        s = sys_i.frame_operator
-        for _ in range(pair_count):
-            x = rand_vector(sys_i.descriptor, sys_i.module_rank, rng, unit=True)
-            y = rand_vector(sys_i.descriptor, sys_i.module_rank, rng, unit=True)
-            tx, ty = theta(x), theta(y)
-            inter_defect = max(inter_defect, (tx.inner(ty) - phi(x.inner(y))).norm())
-            for op in sys_i.family.values():
-                commute_defect = max(commute_defect, (op(tx) - theta(op(x))).norm())
-            gram_defect = max(gram_defect, (sys_i.gram(tx) - phi(sys_i.gram(x))).norm())
-            pairing_defect = max(pairing_defect, (s(tx).inner(ty) - phi(s(x).inner(y))).norm())
-        report.add_hypothesis(f"{name}: inner products intertwined", inter_defect <= 100 * tol,
-                              inter_defect)
-        report.add_hypothesis(f"{name}: intertwiner commutes with the family",
-                              commute_defect <= 100 * tol, commute_defect)
-        report.add_conclusion(f"{name}: transported Gram identity", gram_defect <= 100 * tol,
-                              gram_defect)
-        report.add_conclusion(f"{name}: transported frame-operator pairing",
-                              pairing_defect <= 100 * tol, pairing_defect)
-        a2 = bounds.scalar_lower ** 2
-        b2 = bounds.scalar_upper ** 2
+    tol = row.tol
+    row.report.info["instance"] = {"generated": True,
+                                   "classes": ["identity", "unitary", "permutation"]}
+    rng = _rng(row.seed, 5)
+    pair_count = max(10, min(row.samples, 40))
+    for name, system, phi in _hom_instances(row.seed):
+        bounds = optimal_scalar_bounds(system, tol)
+        row.require(_frame_line(f"{name}: frame property", bounds))
+        desc, s = system.descriptor, system.frame_operator
+        x, y = (_unit_vectors(desc, system.module_rank, pair_count, rng) for _ in "xy")
+        tx, ty = phi(x), phi(y)
+
+        def worst(a, b):
+            return float(element_norms(desc, a - b).max())
+
+        commute_defect = max(
+            float(np.sqrt(element_norms(desc, pairing(desc, diff)).max()))
+            for diff in (apply_stack(op, tx) - phi(apply_stack(op, x))
+                         for op in system.family.values()))
+        row.require(_within(f"{name}: inner products intertwined",
+                            worst(pairing(desc, tx, other=ty), phi(pairing(desc, x, other=y))),
+                            100 * tol),
+                    _within(f"{name}: intertwiner commutes with the family", commute_defect,
+                            100 * tol))
         eigs = s.eigenvalues_hermitian()
-        lo_gap = a2 - float(eigs[0])
-        hi_gap = float(eigs[-1]) - b2
-        report.add_conclusion(f"{name}: transported bounds certified",
-                              lo_gap <= tol and hi_gap <= tol,
-                              max(0.0, lo_gap, hi_gap))
-    return report
+        row.conclude(
+            _within(f"{name}: transported Gram identity",
+                    worst(system.gram_batch(tx), phi(system.gram_batch(x))), 100 * tol),
+            _within(f"{name}: transported frame-operator pairing",
+                    worst(pairing(desc, tx, s, ty), phi(pairing(desc, x, s, y))), 100 * tol),
+            _gap(f"{name}: transported bounds certified",
+                 max(bounds.scalar_lower ** 2 - eigs[0], eigs[-1] - bounds.scalar_upper ** 2), tol))
 
 
-def _row_left_composition(system, seed, tol, samples, aux, mutant):
+def _certify_transported(row: _Row, system: GFrameSystem, low: float, high: float) -> None:
+    """Certify the row's frame bounds scaled by a factor's extreme singular values."""
+    certify_window(row.report, system, row.bounds.scalar_lower * low,
+                   row.bounds.scalar_upper * high, row.tol,
+                   "composed family certified with transported bounds")
+
+
+def _commuting_factor(row: _Row, key: str, salt: int, invertible: str, commutes: str) -> tuple:
+    """Auxiliary factor required invertible and commuting with the controls."""
+    theta = row.invertible(key, salt)
+    low, high = row.bounded_below(invertible, theta)
+    row.require(_within(commutes, _control_commutation(theta, row.system), 100 * row.tol))
+    return theta, low, high
+
+
+@_row("LEFT-COMP", frame=_PLAIN)
+def _left_composition(row: _Row) -> None:
     """Composing every member on the left with an invertible map keeps the frame."""
-    report = TheoremReport("LEFT-COMP", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True, scalar_controls=True)
-    report.info["instance"] = _describe(system, generated)
-    bounds = _frame_hypotheses(report, system, tol, need_commuting=False)
-    if bounds is None:
-        return report
-    out_ranks = {op.out_rank for op in system.family.values()}
-    report.add_hypothesis("uniform output rank", len(out_ranks) == 1, float(len(out_ranks) - 1))
-    if not report.hypotheses_pass:
-        return report
-    m = out_ranks.pop()
-    theta = _aux_operator(aux, "theta_left",
-                          lambda: rand_invertible_operator(system.descriptor, m, _rng(seed, 6)),
-                          report)
-    svals = np.linalg.svd(theta.flat(), compute_uv=False)
-    report.add_hypothesis("left factor invertible", float(svals[-1]) > tol, float(svals[-1]))
-    if not report.hypotheses_pass:
-        return report
-    new_family = {label: theta @ op for label, op in system.family.items()}
-    new_sys = system.with_family(new_family)
-    transported = FrameBounds.from_scalars(bounds.scalar_lower * float(svals[-1]),
-                                           bounds.scalar_upper * float(svals[0]),
-                                           system.descriptor, tol)
-    sub = check_frame(new_sys, transported, mode="exact_scalar", tol=tol * 10)
-    report.add_conclusion("composed family certified with transported bounds",
-                          sub.status == PASS, sub.conclusion_residual)
-    return report
+    system = row.system
+    row.require(_uniform_rank_line(system))
+    theta = row.invertible("theta_left", 6, system.family[system.measure.labels[0]].out_rank)
+    low, high = row.bounded_below("left factor invertible", theta)
+    left = system.with_family({label: theta @ op for label, op in system.family.items()})
+    _certify_transported(row, left, low, high)
 
 
-def _row_right_composition(system, seed, tol, samples, aux, mutant):
+@_row("RIGHT-COMP", frame=_PLAIN)
+def _right_composition(row: _Row) -> None:
     """Precomposition with an invertible map conjugates the frame operator."""
-    report = TheoremReport("RIGHT-COMP", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True, scalar_controls=True)
-    report.info["instance"] = _describe(system, generated)
-    bounds = _frame_hypotheses(report, system, tol, need_commuting=False)
-    if bounds is None:
-        return report
-    theta = _aux_operator(aux, "theta_right",
-                          lambda: rand_invertible_operator(system.descriptor,
-                                                           system.module_rank, _rng(seed, 7)),
-                          report)
-    svals = np.linalg.svd(theta.flat(), compute_uv=False)
-    report.add_hypothesis("right factor invertible", float(svals[-1]) > tol, float(svals[-1]))
-    ctrl_defect = max(_rel_op(theta @ system.controls.C, system.controls.C @ theta),
-                      _rel_op(theta @ system.controls.Cp, system.controls.Cp @ theta))
-    report.add_hypothesis("right factor commutes with controls", ctrl_defect <= 100 * tol,
-                          ctrl_defect)
-    if not report.hypotheses_pass:
-        return report
+    system = row.system
+    theta, low, high = _commuting_factor(row, "theta_right", 7, "right factor invertible",
+                                         "right factor commutes with controls")
     conjugated = theta.adjoint() @ system.frame_operator @ theta
-    if mutant == SCALE_MEMBER:
+    if row.mutant == SCALE_MEMBER:
         system = _scale_first_member(system)
-    new_sys = system.with_family({label: op @ theta for label, op in system.family.items()})
-    res = _rel_op(new_sys.frame_operator, conjugated)
-    report.add_conclusion("new frame operator is the conjugated one", res <= 100 * tol, res)
-    transported = FrameBounds.from_scalars(bounds.scalar_lower * float(svals[-1]),
-                                           bounds.scalar_upper * float(svals[0]),
-                                           system.descriptor, tol)
-    sub = check_frame(new_sys, transported, mode="exact_scalar", tol=tol * 10)
-    report.add_conclusion("composed family certified with transported bounds",
-                          sub.status == PASS, sub.conclusion_residual)
-    return report
+    new_sys = _composed(system, theta)
+    row.conclude(_within("new frame operator is the conjugated one",
+                         _rel_op(new_sys.frame_operator, conjugated), 100 * row.tol))
+    _certify_transported(row, new_sys, low, high)
 
 
-def _row_dual_similarity(system, seed, tol, samples, aux, mutant):
+@_row("DUAL-SIM")
+def _dual_similarity(row: _Row) -> None:
     """Duals of the Q*-composed family correspond to duals of the family via Q."""
-    report = TheoremReport("DUAL-SIM", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True, scalar_controls=True)
-    report.info["instance"] = _describe(system, generated)
-    bounds = _frame_hypotheses(report, system, tol)
-    if bounds is None:
-        return report
-    q = _aux_operator(aux, "Q",
-                      lambda: rand_invertible_operator(system.descriptor, system.module_rank,
-                                                       _rng(seed, 8)),
-                      report)
-    svals = np.linalg.svd(q.flat(), compute_uv=False)
-    report.add_hypothesis("similarity operator invertible", float(svals[-1]) > tol,
-                          float(svals[-1]))
-    if not report.hypotheses_pass:
-        return report
-    q_adj = q.adjoint()
-    sys_q = system.with_family({label: op @ q_adj for label, op in system.family.items()})
-    s_q_inv = sys_q.frame_operator.inverse()
-    gamma = {label: op @ s_q_inv for label, op in sys_q.family.items()}
-    forward = reconstruction_operator(system, {label: gamma[label] @ q
-                                               for label in system.measure.labels})
-    report.add_conclusion("dual of the composed family transfers back",
-                          _identity_residual(forward) <= 100 * tol,
-                          _identity_residual(forward))
-    s_inv = system.frame_operator.inverse()
-    gamma0 = {label: op @ s_inv for label, op in system.family.items()}
-    q_inv = q.inverse()
-    backward = reconstruction_operator(sys_q, {label: gamma0[label] @ q_inv
-                                               for label in system.measure.labels})
-    report.add_conclusion("dual of the family transfers forward",
-                          _identity_residual(backward) <= 100 * tol,
-                          _identity_residual(backward))
-    return report
+    system, tol = row.system, row.tol
+    q = row.invertible("Q", 8)
+    row.bounded_below("similarity operator invertible", q)
+    sys_q = _composed(system, q.adjoint())
+    s_q_inv, s_inv = sys_q.frame_operator.inverse(), system.frame_operator.inverse()
+    forward = {label: op @ s_q_inv @ q for label, op in sys_q.family.items()}
+    backward = {label: op @ s_inv @ q.inverse() for label, op in system.family.items()}
+    row.conclude(
+        _within("dual of the composed family transfers back",
+                _identity_residual(reconstruction_operator(system, forward)), 100 * tol),
+        _within("dual of the family transfers forward",
+                _identity_residual(reconstruction_operator(sys_q, backward)), 100 * tol))
 
 
-def _row_equal_frame_operator(system, seed, tol, samples, aux, mutant):
+@_row("EQ-FRAME-OP")
+def _equal_frame_operator(row: _Row) -> None:
     """Similarity by S1^(1/2) S2^(-1/2) matches the two frame operators."""
-    report = TheoremReport("EQ-FRAME-OP", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True, scalar_controls=True)
-    report.info["instance"] = _describe(system, generated)
-    bounds = _frame_hypotheses(report, system, tol)
-    if bounds is None:
-        return report
-    rng = _rng(seed, 9)
-    r = rand_invertible_operator(system.descriptor, system.module_rank, rng)
-    sys_gamma = system.with_family({label: op @ r for label, op in system.family.items()})
-    gamma_bounds = optimal_scalar_bounds(sys_gamma, tol)
-    report.add_hypothesis("second family is a frame", gamma_bounds.is_frame,
-                          0.0 if gamma_bounds.is_frame else 1.0)
-    if not report.hypotheses_pass:
-        return report
+    system = row.system
+    r = rand_invertible_operator(system.descriptor, system.module_rank, _rng(row.seed, 9))
+    sys_gamma = _composed(system, r)
+    name = "second family is a frame"
+    row.require(_frame_line(name, row.scalar_bounds(sys_gamma, name)))
     s_lam = system.frame_operator
-    s_gam = sys_gamma.frame_operator
-    q = s_lam.sqrt_positive() @ s_gam.inverse().sqrt_positive()
-    q_adj = q.adjoint()
-    matched = sys_gamma.with_family({label: op @ q_adj for label, op in sys_gamma.family.items()})
-    res = _rel_op(matched.frame_operator, s_lam)
-    report.add_conclusion("similar family reproduces the first frame operator",
-                          res <= 100 * tol, res)
-    return report
+    q = s_lam.sqrt_positive() @ sys_gamma.frame_operator.inverse().sqrt_positive()
+    matched = _composed(sys_gamma, q.adjoint())
+    row.conclude(_within("similar family reproduces the first frame operator",
+                         _rel_op(matched.frame_operator, s_lam), 100 * row.tol))
 
 
-def _row_operator_dual_correspondence(system, seed, tol, samples, aux, mutant):
+@_row("OP-DUAL-CORR")
+def _operator_dual_correspondence(row: _Row) -> None:
     """Operator duals move across Q*-composition with conjugated companion operators."""
-    report = TheoremReport("OP-DUAL-CORR", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True, scalar_controls=True)
-    report.info["instance"] = _describe(system, generated)
-    bounds = _frame_hypotheses(report, system, tol)
-    if bounds is None:
-        return report
-    rng = _rng(seed, 10)
-    k = _aux_operator(aux, "K",
-                      lambda: rand_invertible_operator(system.descriptor, system.module_rank, rng),
-                      report)
-    q = _aux_operator(aux, "Q",
-                      lambda: rand_invertible_operator(system.descriptor, system.module_rank,
-                                                       _rng(seed, 11)),
-                      report)
-    for name, op in (("companion operator", k), ("similarity operator", q)):
-        svals = np.linalg.svd(op.flat(), compute_uv=False)
-        report.add_hypothesis(f"{name} invertible", float(svals[-1]) > tol, float(svals[-1]))
-    if not report.hypotheses_pass:
-        return report
-    s_inv = system.frame_operator.inverse()
-    k_inv = k.inverse()
+    system, tol = row.system, row.tol
+    k, q = row.invertible("K", 10), row.invertible("Q", 11)
+    row.bounded_below("companion operator invertible", k)
+    row.bounded_below("similarity operator invertible", q)
+    s_inv, k_inv = system.frame_operator.inverse(), k.inverse()
     gamma = {label: op @ s_inv @ k_inv for label, op in system.family.items()}
-    base_res = _identity_residual(reconstruction_operator(system, gamma, k))
-    report.add_hypothesis("operator dual identity holds", base_res <= 100 * tol, base_res)
-    if not report.hypotheses_pass:
-        return report
-    k_checked = (2.0 * k) if mutant == WRONG_K else k
+    row.require(_within("operator dual identity holds",
+                        _identity_residual(reconstruction_operator(system, gamma, k)), 100 * tol))
+    k_checked = row.checked(k)
     q_adj, q_inv = q.adjoint(), q.inverse()
-    sys_q = system.with_family({label: op @ q_adj for label, op in system.family.items()})
-    gamma_q = {label: gamma[label] @ q_adj for label in system.measure.labels}
-    conjugated = q_adj.inverse() @ k_checked @ q_inv
-    forward_res = _identity_residual(reconstruction_operator(sys_q, gamma_q, conjugated))
-    report.add_conclusion("transferred dual with conjugated operator",
-                          forward_res <= 100 * tol, forward_res)
+    sys_q = _composed(system, q_adj)
+    gamma_q = {label: op @ q_adj for label, op in gamma.items()}
+    forward = reconstruction_operator(sys_q, gamma_q, q_adj.inverse() @ k_checked @ q_inv)
     s_q_inv = sys_q.frame_operator.inverse()
-    gamma_prime = {label: op @ s_q_inv @ k_inv for label, op in sys_q.family.items()}
-    back = {label: gamma_prime[label] @ q_adj for label in system.measure.labels}
-    back_op = q_adj.inverse() @ k_checked @ q
-    backward_res = _identity_residual(reconstruction_operator(system, back, back_op))
-    report.add_conclusion("converse transfer with conjugated operator",
-                          backward_res <= 100 * tol, backward_res)
-    return report
+    back = {label: op @ s_q_inv @ k_inv @ q_adj for label, op in sys_q.family.items()}
+    backward = reconstruction_operator(system, back, q_adj.inverse() @ k_checked @ q)
+    row.conclude(_within("transferred dual with conjugated operator",
+                         _identity_residual(forward), 100 * tol),
+                 _within("converse transfer with conjugated operator",
+                         _identity_residual(backward), 100 * tol))
+
+
+def _block_diagonal(top: AdjointableOperator, bottom: AdjointableOperator) -> AdjointableOperator:
+    blocks = AdjointableOperator.zero(top.descriptor, top.in_rank + bottom.in_rank,
+                                      top.out_rank + bottom.out_rank).blocks.copy()
+    blocks[:top.in_rank, :top.out_rank] = top.blocks
+    blocks[top.in_rank:, top.out_rank:] = bottom.blocks
+    return AdjointableOperator(top.descriptor, blocks)
 
 
 def _block_diag_system(seed: int) -> tuple:
@@ -697,206 +635,114 @@ def _block_diag_system(seed: int) -> tuple:
     kind = MATRIX if rng.integers(2) else DIAGONAL
     d = int(rng.integers(1, 3)) if kind == MATRIX else int(rng.integers(2, 4))
     desc = AlgebraDescriptor(kind, d)
-    n, r, atoms = 3, 2, 4
+    n, r = 3, 2
     h_top = rand_positive_operator(desc, r, rng, shift=0.5)
     h_bot = rand_positive_operator(desc, n - r, rng, shift=0.5)
-    weights = rng.uniform(0.3, 1.2, size=atoms)
-    measure = MeasureSpace(tuple((atom_label(i, atoms), float(weights[i])) for i in range(atoms)))
+    measure = _atoms(rng, 4)
     family = {}
     for label in measure.labels:
         top = (float(rng.uniform(0.4, 1.0)) * h_top
                + AdjointableOperator.scalar(desc, r, float(rng.uniform(0.3, 0.8)))).sqrt_positive()
         bot = (float(rng.uniform(0.4, 1.0)) * h_bot
                + AdjointableOperator.scalar(desc, n - r, float(rng.uniform(0.3, 0.8)))).sqrt_positive()
-        blocks = AdjointableOperator.zero(desc, n, n).blocks.copy()
-        blocks[:r, :r] = top.blocks
-        blocks[r:, r:] = bot.blocks
-        family[label] = AdjointableOperator(desc, blocks)
-    c = AdjointableOperator.scalar(desc, n, float(rng.uniform(0.6, 1.4)))
-    cp = AdjointableOperator.scalar(desc, n, float(rng.uniform(0.6, 1.4)))
-    k_top = rand_invertible_operator(desc, r, rng)
-    k_bot = rand_invertible_operator(desc, n - r, rng)
-    k_blocks = AdjointableOperator.zero(desc, n, n).blocks.copy()
-    k_blocks[:r, :r] = k_top.blocks
-    k_blocks[r:, r:] = k_bot.blocks
-    return GFrameSystem(measure, family, c, cp), AdjointableOperator(desc, k_blocks), r
+        family[label] = _block_diagonal(top, bot)
+    c, cp = (AdjointableOperator.scalar(desc, n, float(rng.uniform(0.6, 1.4))) for _ in "cc")
+    k = _block_diagonal(rand_invertible_operator(desc, r, rng),
+                        rand_invertible_operator(desc, n - r, rng))
+    return GFrameSystem(measure, family, c, cp), k, r
 
 
-def _row_submodule(system, seed, tol, samples, aux, mutant):
+@_row("SUBMODULE", instance=None, frame=None)
+def _submodule(row: _Row) -> None:
     """Restriction to an orthogonally complemented submodule."""
-    report = TheoremReport("SUBMODULE", tolerance=tol, seed=seed)
-    sys_full, k, r = _block_diag_system(seed)
-    if mutant == BREAK_COMMUTATION:
-        family = dict(sys_full.family)
+    tol = row.tol
+    sys_full, k, r = _block_diag_system(row.seed)
+    desc, n = sys_full.descriptor, sys_full.module_rank
+    if row.mutant == BREAK_COMMUTATION:  # couple the first member across the split
         first = sys_full.measure.labels[0]
-        blocks = family[first].blocks.copy()
-        blocks[0, r] = 0.5 * AlgebraElement.one(sys_full.descriptor).data
-        family[first] = AdjointableOperator(sys_full.descriptor, blocks)
-        sys_full = sys_full.with_family(family)
-    report.info["instance"] = _describe(sys_full, True)
-    report.info["submodule_rank"] = r
-    n = sys_full.module_rank
-    desc = sys_full.descriptor
-    bounds = _frame_hypotheses(report, sys_full, tol)
-    if bounds is None:
-        return report
+        blocks = sys_full.family[first].blocks.copy()
+        blocks[0, r] = 0.5 * AlgebraElement.one(desc).data
+        sys_full = sys_full.with_family({**sys_full.family,
+                                         first: AdjointableOperator(desc, blocks)})
+    row.report.info["instance"] = _describe(sys_full, True)
+    row.report.info["submodule_rank"] = r
+    row.frame_hypotheses(sys_full)
     s_inv = sys_full.frame_operator.inverse()
-
-    inclusion_blocks = AdjointableOperator.zero(desc, r, n).blocks.copy()
-    one = AlgebraElement.one(desc).data
-    for i in range(r):
-        inclusion_blocks[i, i] = one
-    inclusion = AdjointableOperator(desc, inclusion_blocks)
+    inclusion = _padding_isometry(desc, r, n)
     projection = inclusion.adjoint()
-    restricted = {label: op @ inclusion for label, op in sys_full.family.items()}
-    c_r = projection @ sys_full.controls.C @ inclusion
-    cp_r = projection @ sys_full.controls.Cp @ inclusion
-    sys_r = GFrameSystem(sys_full.measure, restricted, c_r, cp_r)
-    s_r = sys_r.frame_operator
+    sys_r = GFrameSystem(sys_full.measure,
+                         {label: op @ inclusion for label, op in sys_full.family.items()},
+                         projection @ sys_full.controls.C @ inclusion,
+                         projection @ sys_full.controls.Cp @ inclusion)
+    s_r_inv_p = sys_r.frame_operator.inverse() @ projection
 
-    # members must commute with the projection: compare P Lam* Lam with (P Lam* Lam i) P
-    block_defect = 0.0
-    for op in sys_full.family.values():
-        gram_full = op.adjoint() @ op
-        left = projection @ gram_full
-        right = (projection @ gram_full @ inclusion) @ projection
-        block_defect = max(block_defect, _rel_op(left, right))
-    report.add_hypothesis("family respects the submodule split", block_defect <= 100 * tol,
-                          block_defect)
-    k_defect = _rel_op(projection @ k, (projection @ k @ inclusion) @ projection)
-    report.add_hypothesis("companion operator preserves the submodule", k_defect <= 100 * tol,
-                          k_defect)
-    s_r_inv_p = s_r.inverse() @ projection
-    hyp_defect = 0.0
-    for op in sys_full.family.values():
-        lhs = s_r_inv_p @ op.adjoint()
-        rhs = projection @ s_inv @ op.adjoint()
-        hyp_defect = max(hyp_defect, _rel_op(lhs, rhs))
-    report.add_hypothesis("restricted inverse intertwines the members", hyp_defect <= 1e-6,
-                          hyp_defect)
-    if not report.hypotheses_pass:
-        return report
+    def split_defect(op):  # P X against (P X i) P: zero when X preserves the split
+        return _rel_op(projection @ op, (projection @ op @ inclusion) @ projection)
 
-    r_bounds = optimal_scalar_bounds(sys_r, tol)
-    report.add_conclusion("restricted family is a frame for the submodule",
-                          r_bounds.is_frame, 0.0 if r_bounds.is_frame else 1.0)
-
+    row.require(
+        _within("family respects the submodule split",
+                max(split_defect(op.adjoint() @ op) for op in sys_full.family.values()), 100 * tol),
+        _within("companion operator preserves the submodule", split_defect(k), 100 * tol),
+        _within("restricted inverse intertwines the members",
+                max(_rel_op(s_r_inv_p @ op.adjoint(), projection @ s_inv @ op.adjoint())
+                    for op in sys_full.family.values()), 1e-6))
     k_inv = k.inverse()
     gamma = {label: op @ s_inv @ k_inv for label, op in sys_full.family.items()}
-    full_res = _identity_residual(reconstruction_operator(sys_full, gamma, k))
-    report.add_hypothesis("operator dual identity on the full module",
-                          full_res <= 100 * tol, full_res)
-    gamma_r = {label: gamma[label] @ inclusion for label in sys_full.measure.labels}
-    k_r = projection @ k @ inclusion
-    restricted_res = _identity_residual(reconstruction_operator(sys_r, gamma_r, k_r))
-    report.add_conclusion("restricted dual reconstructs on the submodule",
-                          restricted_res <= 1e-6, restricted_res)
-
-    exchange = _rel_op(s_r.inverse() @ projection, projection @ s_inv)
-    report.add_conclusion("restricted inverse agrees with the projected inverse",
-                          exchange <= 1e-6, exchange)
-    return report
+    row.require(_within("operator dual identity on the full module",
+                        _identity_residual(reconstruction_operator(sys_full, gamma, k)), 100 * tol))
+    gamma_r = {label: op @ inclusion for label, op in gamma.items()}
+    restricted = reconstruction_operator(sys_r, gamma_r, projection @ k @ inclusion)
+    row.conclude(_frame_line("restricted family is a frame for the submodule",
+                             optimal_scalar_bounds(sys_r, tol)),
+                 _within("restricted dual reconstructs on the submodule",
+                         _identity_residual(restricted), 1e-6),
+                 _within("restricted inverse agrees with the projected inverse",
+                         _rel_op(s_r_inv_p, projection @ s_inv), 1e-6))
 
 
-def _row_mutual_duality(system, seed, tol, samples, aux, mutant):
+@_row("T33")
+def _mutual_duality(row: _Row) -> None:
     """A single reconstruction identity makes two Bessel families operator duals."""
-    report = TheoremReport("T33", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True, scalar_controls=True)
-    report.info["instance"] = _describe(system, generated)
-    bounds = _frame_hypotheses(report, system, tol)
-    if bounds is None:
-        return report
-    k = _aux_operator(aux, "K",
-                      lambda: rand_invertible_operator(system.descriptor, system.module_rank,
-                                                       _rng(seed, 13)),
-                      report)
+    system, tol = row.system, row.tol
+    k, s_inv = row.invertible("K", 13), system.frame_operator.inverse()
     k_inv = k.inverse()
-    s_inv = system.frame_operator.inverse()
     gamma = {label: op @ s_inv @ k_inv for label, op in system.family.items()}
-    identity_res = _identity_residual(reconstruction_operator(system, gamma, k))
-    report.add_hypothesis("reconstruction identity", identity_res <= 100 * tol, identity_res)
     sys_gamma = system.with_family(gamma)
-    gamma_bounds = optimal_scalar_bounds(sys_gamma, tol)
-    report.add_hypothesis("both families Bessel", np.isfinite(gamma_bounds.scalar_upper), 0.0)
-    if not report.hypotheses_pass:
-        return report
-    k_checked = (2.0 * k) if mutant == WRONG_K else k
-    t_norm = system.analysis_operator.norm()
-    sigma_k_inv = float(np.linalg.svd(k_inv.flat(), compute_uv=False)[-1])
-    floor = (sigma_k_inv / t_norm) ** 2
-    gap = floor - gamma_bounds.scalar_lower ** 2
-    report.add_conclusion("second family frame with the derived lower bound",
-                          gap <= tol * max(1.0, floor), max(0.0, gap))
-    converse_res = _identity_residual(
-        reconstruction_operator(sys_gamma, dict(system.family), k_checked.adjoint()))
-    report.add_conclusion("first family is a dual with the adjoint companion",
-                          converse_res <= 100 * tol, converse_res)
-    return report
+    gamma_bounds = row.scalar_bounds(sys_gamma, "both families Bessel")
+    row.require(_within("reconstruction identity",
+                        _identity_residual(reconstruction_operator(system, gamma, k)), 100 * tol),
+                ("both families Bessel", np.isfinite(gamma_bounds.scalar_upper), 0.0))
+    floor = (_singular_range(k_inv)[0] / system.analysis_operator.norm()) ** 2
+    converse = reconstruction_operator(sys_gamma, dict(system.family), row.checked(k).adjoint())
+    row.conclude(_gap("second family frame with the derived lower bound",
+                      floor - gamma_bounds.scalar_lower ** 2, tol * max(1.0, floor)),
+                 _within("first family is a dual with the adjoint companion",
+                         _identity_residual(converse), 100 * tol))
 
 
-def _t55_context(system, seed, tol):
-    """(C, C)-controlled frame with transform, frame operator and companion."""
-    if system is None:
-        base = random_system(seed, commuting=True)
-        system = base.with_controls(base.controls.C, base.controls.C)
-    k = rand_invertible_operator(system.descriptor, system.module_rank, _rng(seed, 14))
-    return system, k
-
-
-def _row_right_inverses(system, seed, tol, samples, aux, mutant):
+@_row("T55", _repeated_control, same_control=True)
+def _right_inverse_characterization(row: _Row) -> None:
     """All right inverses of K T* arise from one particular inverse plus a kernel part."""
-    report = TheoremReport("T55", tolerance=tol, seed=seed)
-    generated = system is None
-    system, k_default = _t55_context(system, seed, tol)
-    k = aux["K"] if aux and "K" in aux else k_default
-    report.info["instance"] = _describe(system, generated)
-    report.add_hypothesis("single repeated control", system.controls_equal,
-                          (system.controls.C - system.controls.Cp).norm())
-    bounds = _frame_hypotheses(report, system, tol)
-    if bounds is None:
-        return report
-    svals = np.linalg.svd(k.flat(), compute_uv=False)
-    report.add_hypothesis("companion operator invertible", float(svals[-1]) > tol,
-                          float(svals[-1]))
-    if not report.hypotheses_pass:
-        return report
-    t = system.analysis_operator
-    s = system.frame_operator
-    factor_res = _rel_op(t.adjoint() @ t, s)
-    report.add_hypothesis("transform factorizes the frame operator", factor_res <= 100 * tol,
-                          factor_res)
-    if not report.hypotheses_pass:
-        return report
-    s_inv = s.inverse()
-    k_checked = (2.0 * k) if mutant == WRONG_K else k
-    kt_star = k_checked @ t.adjoint()
-    particular = t @ s_inv @ k.inverse()
-    kernel_proj = AdjointableOperator.identity(system.descriptor, t.out_rank) - (
-        t @ s_inv @ t.adjoint())
-    rng = _rng(seed, 15)
+    system, tol, k = row.system, row.tol, row.invertible("K", 14)
+    desc, n = system.descriptor, system.module_rank
+    row.bounded_below("companion operator invertible", k)
+    t, s = system.analysis_operator, system.frame_operator
+    row.require(_within("transform factorizes the frame operator", _rel_op(t.adjoint() @ t, s),
+                        100 * tol))
+    right_inverse = _right_inverses(t, s.inverse(), k)
+    kt_star = row.checked(k) @ t.adjoint()
+    rng = _rng(row.seed, 15)
     count = 20
-    worst = 0.0
-    for _ in range(count):
-        theta = rand_operator(system.descriptor, system.module_rank, t.out_rank, rng)
-        candidate = particular + kernel_proj @ theta
-        worst = max(worst, _identity_residual(kt_star @ candidate))
-    report.add_conclusion("constructed right inverses verified",
-                          worst <= max(1e-9, 100 * tol), worst)
-    report.info["right_inverse_count"] = count
-    flat_kt = (k @ t.adjoint()).flat()
-    g_flat = np.linalg.pinv(flat_kt)
-    g_ls = AdjointableOperator.from_flat(system.descriptor, system.module_rank, t.out_rank,
-                                         g_flat)
-    ls_res = _identity_residual((k_checked @ t.adjoint()) @ g_ls)
-    report.add_conclusion("least-squares right inverse verified", ls_res <= max(1e-9, 100 * tol),
-                          ls_res)
-    decomposition = particular + kernel_proj @ g_ls
-    dec_res = _rel_op(g_ls, decomposition)
-    report.add_conclusion("least-squares inverse decomposes into the stated form",
-                          dec_res <= 1e-8, dec_res)
-    return report
+    worst = max(_identity_residual(kt_star @ right_inverse(rand_operator(desc, n, t.out_rank, rng)))
+                for _ in range(count))
+    row.report.info["right_inverse_count"] = count
+    g_ls = AdjointableOperator.from_flat(desc, n, t.out_rank,
+                                         np.linalg.pinv((k @ t.adjoint()).flat()))
+    row.conclude(_within("constructed right inverses verified", worst, max(1e-9, 100 * tol)),
+                 _within("least-squares right inverse verified",
+                         _identity_residual(kt_star @ g_ls), max(1e-9, 100 * tol)),
+                 _within("least-squares inverse decomposes into the stated form",
+                         _rel_op(g_ls, right_inverse(g_ls)), 1e-8))
 
 
 def _central_element(descriptor: AlgebraDescriptor, rng: np.random.Generator) -> AlgebraElement:
@@ -904,288 +750,133 @@ def _central_element(descriptor: AlgebraDescriptor, rng: np.random.Generator) ->
         z = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
         return AlgebraElement.scalar(descriptor, z)
     mags = rng.uniform(0.5, 1.5, size=descriptor.dim)
-    phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=descriptor.dim))
-    return AlgebraElement(descriptor, mags * phases)
+    return AlgebraElement(descriptor, mags * np.exp(2j * np.pi * rng.uniform(size=descriptor.dim)))
 
 
-def _row_midpoint_dual(system, seed, tol, samples, aux, mutant):
+@_row("MIDPOINT-DUAL")
+def _midpoint_dual(row: _Row) -> None:
     """Averaging a dual with the companion-corrected canonical dual stays a dual."""
-    report = TheoremReport("MIDPOINT-DUAL", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True, scalar_controls=True)
-    report.info["instance"] = _describe(system, generated)
-    bounds = _frame_hypotheses(report, system, tol)
-    if bounds is None:
-        return report
-    rng = _rng(seed, 16)
-    k = _aux_operator(aux, "K",
-                      lambda: rand_invertible_operator(system.descriptor, system.module_rank, rng),
-                      report)
-    s_inv = system.frame_operator.inverse()
-    t = system.analysis_operator
-    root = system.mixed_control_root
-    k_tilde = k @ root.inverse()
-    theta_free = rand_operator(system.descriptor, system.module_rank, t.out_rank, _rng(seed, 17))
-    kernel_proj = AdjointableOperator.identity(system.descriptor, t.out_rank) - (
-        t @ s_inv @ t.adjoint())
-    phi = t @ s_inv @ k.inverse() + kernel_proj @ theta_free
-    ds = system.direct_sum
-    gamma = {label: ds.component_operator(phi, label) for label in system.measure.labels}
-    gamma_res = _identity_residual(reconstruction_operator(system, gamma, k_tilde))
-    report.add_hypothesis("starting family is an operator dual", gamma_res <= 1e-6, gamma_res)
-    if not report.hypotheses_pass:
-        return report
-    v = _central_element(system.descriptor, _rng(seed, 18))
-    v_inv = v.invert()
+    system, k = row.system, row.invertible("K", 16)
+    desc, n = system.descriptor, system.module_rank
+    s_inv, t = system.frame_operator.inverse(), system.analysis_operator
+    k_tilde = k @ system.mixed_control_root.inverse()
+    theta_free = rand_operator(desc, n, t.out_rank, _rng(row.seed, 17))
+    gamma = _components(system.direct_sum, _right_inverses(t, s_inv, k)(theta_free))
+    row.require(_within("starting family is an operator dual",
+                        _identity_residual(reconstruction_operator(system, gamma, k_tilde)), 1e-6))
+    v = _central_element(desc, _rng(row.seed, 18))
+    k_tilde_inv = k_tilde.inverse()
     midpoint = {}
     for label, gam in gamma.items():
-        mv = AdjointableOperator.central_multiplier(system.descriptor, gam.out_rank, v)
-        canonical_part = system.family[label] @ s_inv @ k_tilde.inverse()
-        midpoint[label] = mv @ gam + mv @ canonical_part
-    k_checked = (2.0 * k_tilde) if mutant == WRONG_K else k_tilde
-    companion = 0.5 * (AdjointableOperator.central_multiplier(
-        system.descriptor, system.module_rank, v_inv) @ k_checked)
-    res = _identity_residual(reconstruction_operator(system, midpoint, companion))
-    report.add_conclusion("midpoint family is an operator dual with the halved companion",
-                          res <= 1e-6, res)
-    return report
+        mv = AdjointableOperator.central_multiplier(desc, gam.out_rank, v)
+        midpoint[label] = mv @ gam + mv @ (system.family[label] @ s_inv @ k_tilde_inv)
+    companion = 0.5 * (AdjointableOperator.central_multiplier(desc, n, v.invert())
+                       @ row.checked(k_tilde))
+    row.conclude(_within("midpoint family is an operator dual with the halved companion",
+                         _identity_residual(reconstruction_operator(system, midpoint, companion)),
+                         1e-6))
 
 
-def _row_bessel_parametrization(system, seed, tol, samples, aux, mutant):
+@_row("T12", _drawn(scalar_controls=True, pad_outputs=True), frame=None)
+def _bessel_parametrization(row: _Row) -> None:
     """Bessel families are exactly the componentwise restrictions of one map."""
-    report = TheoremReport("T12", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True, scalar_controls=True, pad_outputs=True)
-    report.info["instance"] = _describe(system, generated)
+    system, tol = row.system, row.tol
     ds = system.direct_sum
-    plain = ds.stack_operator(dict(system.family))
-    component_defect = max(
-        _rel_op(ds.component_operator(plain, label), system.family[label])
-        for label in system.measure.labels)
-    report.add_conclusion("family recovered from its own transform",
-                          component_defect <= 10 * tol, component_defect)
-    theta = _aux_operator(aux, "theta",
-                          lambda: rand_operator(system.descriptor, system.module_rank,
-                                                ds.total_rank, _rng(seed, 19)),
-                          report)
+    plain = _components(ds, ds.stack_operator(dict(system.family)))
+    row.conclude(_within("family recovered from its own transform",
+                         max(_rel_op(plain[label], op) for label, op in system.family.items()),
+                         10 * tol))
+    theta = row.operator("theta", lambda: rand_operator(system.descriptor, system.module_rank,
+                                                        ds.total_rank, _rng(row.seed, 19)))
     if theta.out_rank != ds.total_rank:
-        report.add_hypothesis("free map has matching total rank", False, 1.0)
-        return report
-    family = {label: ds.component_operator(theta, label) for label in system.measure.labels}
-    new_sys = system.with_family(family)
-    upper = optimal_scalar_bounds(new_sys, tol).scalar_upper
-    c_norm = system.controls.C.norm()
-    cp_norm = system.controls.Cp.norm()
-    cap = theta.norm() * float(np.sqrt(c_norm * cp_norm))
-    gap = upper - cap
-    report.add_conclusion("component family Bessel with the norm cap",
-                          gap <= tol * max(1.0, cap), max(0.0, gap))
-    report.info["bessel_cap"] = [upper, cap]
-    return report
+        row.require(("free map has matching total rank", False, 1.0))
+    upper = row.scalar_bounds(system.with_family(_components(ds, theta)),
+                              "component family Bessel").scalar_upper
+    cap = theta.norm() * float(np.sqrt(system.controls.C.norm() * system.controls.Cp.norm()))
+    row.conclude(_gap("component family Bessel with the norm cap", upper - cap,
+                      tol * max(1.0, cap)))
+    row.report.info["bessel_cap"] = [upper, cap]
 
 
-def _row_right_inverse_dual(system, seed, tol, samples, aux, mutant):
+@_row("T66", _drawn())
+def _right_inverse_dual(row: _Row) -> None:
     """A right inverse of K T* restricts componentwise to an operator dual."""
-    report = TheoremReport("T66", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True)
-    report.info["instance"] = _describe(system, generated)
-    bounds = _frame_hypotheses(report, system, tol)
-    if bounds is None:
-        return report
-    k = _aux_operator(aux, "K",
-                      lambda: rand_invertible_operator(system.descriptor, system.module_rank,
-                                                       _rng(seed, 20)),
-                      report)
+    system, k = row.system, row.invertible("K", 20)
     t = system.analysis_operator
-    s_inv = system.frame_operator.inverse()
-    theta_free = rand_operator(system.descriptor, system.module_rank, t.out_rank, _rng(seed, 21))
-    kernel_proj = AdjointableOperator.identity(system.descriptor, t.out_rank) - (
-        t @ s_inv @ t.adjoint())
-    theta = t @ s_inv @ k.inverse() + kernel_proj @ theta_free
-    ri_res = _identity_residual((k @ t.adjoint()) @ theta)
-    report.add_hypothesis("map is a right inverse of the companion-composed synthesis",
-                          ri_res <= 1e-6, ri_res)
-    if not report.hypotheses_pass:
-        return report
-    ds = system.direct_sum
-    family = {label: ds.component_operator(theta, label) for label in system.measure.labels}
-    root_inv = system.mixed_control_root.inverse()
-    k_corrected = k @ root_inv
-    k_checked = (2.0 * k_corrected) if mutant == WRONG_K else k_corrected
-    res = _identity_residual(reconstruction_operator(system, family, k_checked))
-    report.add_conclusion("component family is an operator dual with the corrected companion",
-                          res <= 1e-6, res)
+    theta_free = rand_operator(system.descriptor, system.module_rank, t.out_rank,
+                               _rng(row.seed, 21))
+    theta = _right_inverses(t, system.frame_operator.inverse(), k)(theta_free)
+    row.require(_within("map is a right inverse of the companion-composed synthesis",
+                        _identity_residual((k @ t.adjoint()) @ theta), 1e-6))
+    family = _components(system.direct_sum, theta)
+    k_corrected = k @ system.mixed_control_root.inverse()
+    row.conclude(_within("component family is an operator dual with the corrected companion",
+                         _identity_residual(reconstruction_operator(system, family,
+                                                                    row.checked(k_corrected))),
+                         1e-6))
     nominal = _identity_residual(reconstruction_operator(system, family, k))
-    report.info["nominal_companion_residual"] = nominal
-    report.info["nominal_companion_matches"] = bool(nominal <= 1e-6)
-    return report
+    row.report.info["nominal_companion_residual"] = nominal
+    row.report.info["nominal_companion_matches"] = bool(nominal <= 1e-6)
 
 
-def _row_dual_parametrization(system, seed, tol, samples, aux, mutant):
+@_row("DUAL-PARAM", _repeated_control, same_control=True)
+def _dual_parametrization(row: _Row) -> None:
     """Every operator dual is the stated combination of the family and a Bessel family."""
-    report = TheoremReport("DUAL-PARAM", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        base = random_system(seed, commuting=True)
-        system = base.with_controls(base.controls.C, base.controls.C)
-    report.info["instance"] = _describe(system, generated)
-    report.add_hypothesis("single repeated control", system.controls_equal,
-                          (system.controls.C - system.controls.Cp).norm())
-    bounds = _frame_hypotheses(report, system, tol)
-    if bounds is None:
-        return report
-    uniform = len({op.out_rank for op in system.family.values()}) == 1
-    report.add_hypothesis("uniform output rank", uniform, 0.0 if uniform else 1.0)
-    if not report.hypotheses_pass:
-        return report
-    rng = _rng(seed, 22)
-    k = _aux_operator(aux, "K",
-                      lambda: rand_invertible_operator(system.descriptor, system.module_rank, rng),
-                      report)
-    c = system.controls.C
-    c_inv = c.inverse()
-    s = system.frame_operator
-    s_inv = s.inverse()
-    t = system.analysis_operator
-    ds = system.direct_sum
-    bessel = {label: rand_operator(system.descriptor, system.module_rank,
-                                   system.family[label].out_rank, _rng(seed, 23))
-              for label in system.measure.labels}
-    t_g = ds.stack_operator({label: op @ c for label, op in bessel.items()})
-    kernel_proj = AdjointableOperator.identity(system.descriptor, t.out_rank) - (
-        t @ s_inv @ t.adjoint())
-    phi = t @ s_inv @ k.inverse() + kernel_proj @ t_g
-    constructed = {label: ds.component_operator(phi, label) for label in system.measure.labels}
-
-    cross = None
-    for label, weight in system.measure.atoms:
-        term = weight * (c @ system.family[label].adjoint() @ bessel[label] @ c)
-        cross = term if cross is None else cross + term
-    formula_defect = 0.0
-    for label in system.measure.labels:
-        lam = system.family[label]
-        formula = (lam @ c @ s_inv @ k.inverse()) + (bessel[label] @ c) - (
-            lam @ c @ s_inv @ cross)
-        formula_defect = max(formula_defect, _rel_op(constructed[label], formula))
-    report.add_conclusion("construction matches the displayed formula",
-                          formula_defect <= 1e-6, formula_defect)
-
-    companion = k @ c_inv
-    dual_res = _identity_residual(reconstruction_operator(system, constructed, companion))
-    report.add_conclusion("constructed family is an operator dual", dual_res <= 1e-6, dual_res)
-
-    replay = ds.stack_operator(dict(constructed))
-    phi_replay = t @ s_inv @ k.inverse() + kernel_proj @ replay
-    replay_family = {label: ds.component_operator(phi_replay, label)
-                     for label in system.measure.labels}
-    completeness = max(_rel_op(replay_family[label], constructed[label])
-                       for label in system.measure.labels)
-    report.add_conclusion("given dual reproduces itself through the parametrization",
-                          completeness <= 1e-6, completeness)
-    return report
+    system = row.system
+    row.require(_uniform_rank_line(system))
+    desc, n, labels = system.descriptor, system.module_rank, system.measure.labels
+    k, c, s_inv = row.invertible("K", 22), system.controls.C, system.frame_operator.inverse()
+    t, ds = system.analysis_operator, system.direct_sum
+    bessel = {label: rand_operator(desc, n, system.family[label].out_rank, _rng(row.seed, 23))
+              for label in labels}
+    right_inverse = _right_inverses(t, s_inv, k)
+    constructed = _components(ds, right_inverse(
+        ds.stack_operator({label: op @ c for label, op in bessel.items()})))
+    cross = c @ weighted_sum(system.measure.weights, list(bessel.values()),
+                             list(system.family.values())) @ c
+    tail = c @ s_inv @ (k.inverse() - cross)
+    formula = {label: op @ tail + bessel[label] @ c for label, op in system.family.items()}
+    formula_defect = max(_rel_op(constructed[label], formula[label]) for label in labels)
+    replay = _components(ds, right_inverse(ds.stack_operator(constructed)))
+    row.conclude(
+        _within("construction matches the displayed formula", formula_defect, 1e-6),
+        _within("constructed family is an operator dual",
+                _identity_residual(reconstruction_operator(system, constructed, k @ c.inverse())),
+                1e-6),
+        _within("given dual reproduces itself through the parametrization",
+                max(_rel_op(replay[label], constructed[label]) for label in labels), 1e-6))
 
 
-def _row_any_frame_controlled(system, seed, tol, samples, aux, mutant):
+@_row("ANY-FRAME-CONTROLLED", _drawn(), frame=None)
+def _any_frame_controlled(row: _Row) -> None:
     """A plain frame stays a frame under any commuting positive invertible controls."""
-    report = TheoremReport("ANY-FRAME-CONTROLLED", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True)
-    report.info["instance"] = _describe(system, generated)
-    identity = AdjointableOperator.identity(system.descriptor, system.module_rank)
-    plain = system.with_controls(identity, identity)
-    plain_bounds = optimal_scalar_bounds(plain, tol)
-    report.add_hypothesis("plain system is a frame", plain_bounds.is_frame,
-                          0.0 if plain_bounds.is_frame else 1.0)
-    ctr = system.controls
-    report.add_hypothesis("controls commute", ctr.commute_each_other, ctr.commute_defect)
-    report.add_hypothesis("controls commute with family", ctr.commute_with_family,
-                          ctr.family_defect)
-    if not report.hypotheses_pass:
-        return report
-    controlled_bounds = optimal_scalar_bounds(system, tol)
-    report.add_conclusion("controlled system is a frame", controlled_bounds.is_frame,
-                          0.0 if controlled_bounds.is_frame else 1.0)
+    system, tol = row.system, row.tol
+    plain = optimal_scalar_bounds(_uncontrolled(system), tol)
+    row.require(_frame_line("plain system is a frame", plain), *_commute_lines(system))
+    controlled = optimal_scalar_bounds(system, tol)
     mixed = (system.controls.Cp @ system.controls.C).eigenvalues_hermitian()
-    lo_floor = plain_bounds.scalar_lower ** 2 * float(mixed[0])
-    hi_cap = plain_bounds.scalar_upper ** 2 * float(mixed[-1])
-    lo_gap = lo_floor - controlled_bounds.scalar_lower ** 2
-    hi_gap = controlled_bounds.scalar_upper ** 2 - hi_cap
-    report.add_conclusion("controlled lower bound above the spectral floor",
-                          lo_gap <= tol * max(1.0, lo_floor), max(0.0, lo_gap))
-    report.add_conclusion("controlled upper bound below the spectral cap",
-                          hi_gap <= tol * max(1.0, hi_cap), max(0.0, hi_gap))
-    c_norm = system.controls.C.norm()
-    cp_norm = system.controls.Cp.norm()
-    nominal = [plain_bounds.scalar_lower * c_norm * cp_norm,
-               plain_bounds.scalar_upper * c_norm * cp_norm]
-    report.info["nominal_bounds"] = nominal
-    report.info["nominal_bounds_certify"] = bool(
-        nominal[0] ** 2 <= controlled_bounds.scalar_lower ** 2 + tol
-        and controlled_bounds.scalar_upper ** 2 <= nominal[1] ** 2 + tol)
-    return report
+    lo_floor = plain.scalar_lower ** 2 * float(mixed[0])
+    hi_cap = plain.scalar_upper ** 2 * float(mixed[-1])
+    row.conclude(_frame_line("controlled system is a frame", controlled),
+                 _gap("controlled lower bound above the spectral floor",
+                      lo_floor - controlled.scalar_lower ** 2, tol * max(1.0, lo_floor)),
+                 _gap("controlled upper bound below the spectral cap",
+                      controlled.scalar_upper ** 2 - hi_cap, tol * max(1.0, hi_cap)))
+    norms = system.controls.C.norm() * system.controls.Cp.norm()
+    nominal = [plain.scalar_lower * norms, plain.scalar_upper * norms]
+    row.report.info["nominal_bounds"] = nominal
+    row.report.info["nominal_bounds_certify"] = bool(
+        nominal[0] ** 2 <= controlled.scalar_lower ** 2 + tol
+        and controlled.scalar_upper ** 2 <= nominal[1] ** 2 + tol)
 
 
-def _row_invertible_precomposition(system, seed, tol, samples, aux, mutant):
+@_row("LAMBDA-T", frame=_PLAIN)
+def _invertible_precomposition(row: _Row) -> None:
     """Precomposition with an invertible map commuting with the controls."""
-    report = TheoremReport("LAMBDA-T", tolerance=tol, seed=seed)
-    generated = system is None
-    if generated:
-        system = random_system(seed, commuting=True, scalar_controls=True)
-    report.info["instance"] = _describe(system, generated)
-    bounds = _frame_hypotheses(report, system, tol, need_commuting=False)
-    if bounds is None:
-        return report
-    t_op = _aux_operator(aux, "T",
-                         lambda: rand_invertible_operator(system.descriptor, system.module_rank,
-                                                          _rng(seed, 24)),
-                         report)
-    svals = np.linalg.svd(t_op.flat(), compute_uv=False)
-    report.add_hypothesis("factor invertible", float(svals[-1]) > tol, float(svals[-1]))
-    defect = max(_rel_op(t_op @ system.controls.C, system.controls.C @ t_op),
-                 _rel_op(t_op @ system.controls.Cp, system.controls.Cp @ t_op))
-    report.add_hypothesis("factor commutes with the controls", defect <= 100 * tol, defect)
-    if not report.hypotheses_pass:
-        return report
-    new_sys = system.with_family({label: op @ t_op for label, op in system.family.items()})
-    transported = FrameBounds.from_scalars(bounds.scalar_lower * float(svals[-1]),
-                                           bounds.scalar_upper * float(svals[0]),
-                                           system.descriptor, tol)
-    sub = check_frame(new_sys, transported, mode="exact_scalar", tol=tol * 10)
-    report.add_conclusion("composed family certified with transported bounds",
-                          sub.status == PASS, sub.conclusion_residual)
-    return report
+    t_op, low, high = _commuting_factor(row, "T", 24, "factor invertible",
+                                        "factor commutes with the controls")
+    _certify_transported(row, _composed(row.system, t_op), low, high)
 
-
-_ROWS: dict = {
-    "T2.3": _row_transform,
-    "FO-PROPS": _row_frame_operator_props,
-    "SCC-PROPS": _row_scc_props,
-    "T-T3": _row_equal_controls_equivalence,
-    "T-TT": _row_transform_bounds,
-    "BESSEL-COMP": _row_bessel_composition,
-    "TH-SURJ": _row_surjective_synthesis,
-    "F-KT": _row_surjective_composition,
-    "HOM-TRANSPORT": _row_hom_transport,
-    "LEFT-COMP": _row_left_composition,
-    "RIGHT-COMP": _row_right_composition,
-    "DUAL-SIM": _row_dual_similarity,
-    "EQ-FRAME-OP": _row_equal_frame_operator,
-    "OP-DUAL-CORR": _row_operator_dual_correspondence,
-    "SUBMODULE": _row_submodule,
-    "T33": _row_mutual_duality,
-    "T55": _row_right_inverses,
-    "MIDPOINT-DUAL": _row_midpoint_dual,
-    "T12": _row_bessel_parametrization,
-    "T66": _row_right_inverse_dual,
-    "DUAL-PARAM": _row_dual_parametrization,
-    "ANY-FRAME-CONTROLLED": _row_any_frame_controlled,
-    "LAMBDA-T": _row_invertible_precomposition,
-}
 
 THEOREM_IDS = tuple(_ROWS)
 
@@ -1205,8 +896,5 @@ def verify_theorem(theorem_id: str, system: Optional[GFrameSystem] = None, seed:
 def run_suite(system: Optional[GFrameSystem] = None, seeds=(0,), tol: float = DEFAULT_TOL,
               samples: int = 100, aux=None) -> list:
     """All rows over all seeds, ordered by (theorem id, seed)."""
-    reports = []
-    for theorem_id in sorted(THEOREM_IDS):
-        for seed in seeds:
-            reports.append(verify_theorem(theorem_id, system, seed, tol, samples, aux))
-    return reports
+    return [verify_theorem(theorem_id, system, seed, tol, samples, aux)
+            for theorem_id in sorted(THEOREM_IDS) for seed in seeds]

@@ -210,3 +210,40 @@ def test_non_object_perturb_descriptor_exits_two(tmp_path, capsys, text):
     desc.write_text(text, encoding="utf-8")
     code, _, err = _run(capsys, "perturb", str(desc))
     _assert_input_error(code, err)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("weighted", {"lambda": "x"}),
+    ("weighted", {"mu": float("nan")}),
+    ("weighted", {"alpha_w": "abc"}),
+    ("weighted", {"alpha_w": {"w0": 1.0}}),
+    ("weighted", {"beta_w": [1.0]}),
+    ("additive", {"alpha": [1]}),
+    ("additive", {"beta": True}),
+    ("additive_corollary", {"alpha": 10 ** 400}),
+])
+def test_malformed_perturbation_params_exit_two(tmp_path, capsys, kind, params):
+    code, out, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path, kind=kind, params=params))
+    _assert_input_error(code, err)
+    assert "perturbation parameter" in err
+    assert out == ""
+
+
+def test_per_atom_weights_cover_every_atom(tmp_path, capsys):
+    labels = random_system(11, commuting=True).measure.labels
+    params = {"alpha_w": {label: 1.0 for label in labels}, "beta_w": 1, "lambda": 0.1}
+    code, out, _ = _run(capsys, "perturb",
+                        _perturb_descriptor(tmp_path, kind="weighted", params=params))
+    assert code == 0
+    assert json.loads(out)["results"]["theorem_id"] == "STAB-WEIGHTED"
+
+
+def test_theorem_suite_on_non_commuting_system_reports_every_row(tmp_path, capsys):
+    path = str(tmp_path / "nc.json")
+    _run(capsys, "random", "--seed", "3", "--rank", "2", "--algebra", "matrix", "--dim", "2",
+         "--non-commuting", "--out", path)
+    code, out, err = _run(capsys, "theorem", path, "--id", "all")
+    assert code == 1, err
+    rows = json.loads(out)["results"]
+    assert len(rows) == 23
+    assert {row["status"] for row in rows} <= {"pass", "not_applicable"}

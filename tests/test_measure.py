@@ -3,7 +3,7 @@ import pytest
 
 from gframe.algebra import AlgebraElement
 from gframe.errors import InputError
-from gframe.measure import MeasureSpace, integrate_algebra, simpson_unit_interval
+from gframe.measure import MeasureSpace, simpson_unit_interval
 
 
 def test_simpson_three_nodes():
@@ -41,7 +41,7 @@ def test_integrate_examples():
     assert one_atom.integrate({"w0": zero}).norm() == 0.0
     convex = MeasureSpace((("w0", 0.25), ("w1", 0.75)))
     one = AlgebraElement.one(a.descriptor)
-    out = integrate_algebra({"w0": one, "w1": 3 * one}, convex)
+    out = convex.integrate({"w0": one, "w1": 3 * one})
     assert np.allclose(out.data, 2.5 * one.data)
 
 

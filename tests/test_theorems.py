@@ -90,6 +90,31 @@ def test_hypothesis_failure_yields_not_applicable():
     assert report.conclusions == []
 
 
+@pytest.mark.parametrize("shape, unmet", [
+    (dict(seed=3, rank=2, algebra="matrix", dim=2, commuting=False), ("BESSEL-COMP", "T12")),
+    (dict(seed=11, commuting=True), ("F-KT", "EQ-FRAME-OP", "T33")),
+])
+def test_unmet_hypotheses_never_raise(shape, unmet):
+    # scalar bounds do not apply to a family that does not commute with the controls
+    system = random_system(**shape)
+    reports = {theorem_id: verify_theorem(theorem_id, system=system, seed=0)
+               for theorem_id in THEOREM_IDS}
+    for theorem_id in unmet:
+        report = reports[theorem_id]
+        assert report.status == NOT_APPLICABLE, report.to_dict()
+        assert not report.hypotheses[-1].passed
+
+
+def test_t55_records_a_supplied_companion():
+    system = random_system(0, commuting=True)
+    k = AdjointableOperator.scalar(system.descriptor, system.module_rank, 2.0)
+    report = verify_theorem("T55", seed=0, aux={"K": k})
+    assert report.status == PASS, report.to_dict()
+    assert report.info["aux_supplied"] == ["K"]
+    assert "aux_generated" not in report.info
+    assert verify_theorem("T55", seed=0).info["aux_generated"] == ["K"]
+
+
 def test_documented_mutants_flip_their_rows():
     assert set(m for _, m, _ in DOCUMENTED_MUTANTS) == set(MUTANTS)
     for theorem_id, mutant, expected in DOCUMENTED_MUTANTS:

@@ -238,7 +238,7 @@ def _cmd_perturb(args) -> int:
         seed = int(desc.get("seed", args.seed))
     except KeyError as exc:
         raise InputError(f"descriptor is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad perturbation descriptor: {exc}") from exc
     if not all(isinstance(path, str) for path in paths):
         raise InputError("descriptor systemA and systemB must be file paths")

@@ -31,6 +31,7 @@ from .hilbert import (
     DirectSumVector,
     ModuleVector,
     as_channels,
+    compose_all,
     pairing,
     spectral_norms,
     vector_from_flat_row,
@@ -429,7 +430,7 @@ def canonical_dual(system: GFrameSystem, samples: int = 100, seed: int = 0,
     if not bounds.is_frame:
         raise DomainError("system is not a frame; frame operator is singular")
     s_inv = system.frame_operator.inverse()
-    dual = {label: op @ s_inv for label, op in system.family.items()}
+    dual = dict(zip(system.family, compose_all(list(system.family.values()), s_inv)))
     recon = reconstruction_operator(system, dual)
     sampled, op_res = _reconstruction_residuals(system, recon, samples, seed)
     return DualCertificate(

@@ -76,9 +76,6 @@ class ModuleVector:
     def zero(descriptor: AlgebraDescriptor, rank: int) -> "ModuleVector":
         return ModuleVector(descriptor, np.zeros((rank,) + _coord_shape(descriptor)))
 
-    def element(self, i: int) -> AlgebraElement:
-        return AlgebraElement(self.descriptor, self.coords[i])
-
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_compatible(other)
         return ModuleVector(self.descriptor, self.coords + other.coords)
@@ -205,15 +202,6 @@ class AdjointableOperator:
         return AdjointableOperator(
             descriptor, np.zeros((in_rank, out_rank) + _coord_shape(descriptor))
         )
-
-    @staticmethod
-    def from_blocks(rows: Sequence[Sequence[AlgebraElement]]) -> "AdjointableOperator":
-        """Build from a list of rows, row index = input coordinate."""
-        if not rows or not rows[0]:
-            raise InputError("empty block table")
-        desc = rows[0][0].descriptor
-        data = np.stack([np.stack([b.data for b in row]) for row in rows])
-        return AdjointableOperator(desc, data)
 
     @staticmethod
     def scalar(descriptor: AlgebraDescriptor, rank: int, value: complex) -> "AdjointableOperator":
@@ -419,6 +407,23 @@ def weighted_sum(weights: Sequence, left: Sequence[AdjointableOperator],
     coeffs = np.repeat(np.asarray(weights), [m * width for m in ranks])
     x *= np.sqrt(coeffs) if right is None else coeffs
     return AdjointableOperator.from_channels(descriptor, x @ _hermitian_transpose(y))
+
+
+def compose_all(ops: Sequence[AdjointableOperator], t: AdjointableOperator) -> list:
+    """[op after t for op in ops], computed as one product of stacked flattenings.
+
+    flat(op t) = flat(t) flat(op), so placing the columns of every flat(op)
+    side by side gives all the compositions as one GEMM per channel, whose
+    columns are split back per operator.  The output ranks of ``ops`` may
+    differ; each must map A^m -> A^{m_w} where t maps A^n -> A^m.
+    """
+    if not ops or any(op.descriptor != t.descriptor or op.in_rank != t.out_rank for op in ops):
+        raise InputError("compose_all needs operators whose algebra and input rank match t")
+    width = t.descriptor.dim if t.descriptor.kind == MATRIX else 1
+    cuts = np.cumsum([op.out_rank * width for op in ops])[:-1]
+    product = t.channels() @ _stacked_channels(t.descriptor, ops)
+    return [AdjointableOperator.from_channels(t.descriptor, part)
+            for part in np.split(product, cuts, axis=-1)]
 
 
 def _vector_stack(descriptor: AlgebraDescriptor, coords: np.ndarray) -> np.ndarray:

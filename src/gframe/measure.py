@@ -22,7 +22,10 @@ class MeasureSpace:
     atoms: tuple  # tuple of (label, weight)
 
     def __post_init__(self):
-        atoms = tuple((str(label), float(weight)) for label, weight in self.atoms)
+        try:
+            atoms = tuple((str(label), float(weight)) for label, weight in self.atoms)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"atom weights must be numbers: {exc}") from exc
         if not atoms:
             raise InputError("measure space needs at least one atom")
         labels = [label for label, _ in atoms]

@@ -1,95 +1,118 @@
 """JSON schemas for every value that crosses the CLI boundary.
 
 Complex numbers are two-element [re, im] arrays of doubles.  Round trips are
-bit exact: floats serialize with Python's shortest round-trip repr.
+bit exact: floats serialize with Python's shortest round-trip repr.  The
+pairs are a float64 view of the complex blocks, so a whole operator is
+encoded or decoded by one array conversion.  Documents are written as
+compact, key-sorted JSON on one line, which CPython's C encoder produces.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Mapping
 
 import numpy as np
 
-from .algebra import MATRIX, AlgebraDescriptor, AlgebraElement
+from .algebra import AlgebraDescriptor, AlgebraElement
 from .errors import InputError
 from .frames import GFrameSystem
-from .hilbert import AdjointableOperator, ModuleVector
+from .hilbert import AdjointableOperator, ModuleVector, _coord_shape
 from .measure import MeasureSpace
 
 
-def _complex_out(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
+def _parse_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} must be an integer, got {value!r}") from exc
 
 
-def _complex_in(value) -> complex:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise InputError(f"complex value must be a [re, im] pair, got {value!r}")
-    re, im = float(value[0]), float(value[1])
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise InputError(f"complex value must be finite, got {value!r}")
-    return complex(re, im)
+def _elements_to_docs(descriptor: AlgebraDescriptor, data: np.ndarray) -> list:
+    """One element document per coordinate block of ``data``, in row-major order.
+
+    The [re, im] pairs are the float64 view of the complex entries, converted
+    to lists in one call.
+    """
+    pairs = np.ascontiguousarray(data, dtype=np.complex128).view(np.float64)
+    return [{"kind": descriptor.kind, "dim": descriptor.dim, "entries": entries}
+            for entries in pairs.reshape(-1, descriptor.entry_count, 2).tolist()]
+
+
+def _elements_from_docs(docs: list) -> tuple:
+    """Decode a list of element documents into their descriptor and stacked data.
+
+    The data has shape (len(docs),) + the coordinate shape.  All entries go
+    through one array conversion; the elements must share one kind and
+    dimension, and every entry must be a finite [re, im] pair of numbers.
+    """
+    if not docs:
+        raise InputError("empty list of algebra elements")
+    try:
+        kinds = {(doc["kind"], doc["dim"]) for doc in docs}
+        entries = [doc["entries"] for doc in docs]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"bad algebra element document: {exc}") from exc
+    descs = {AlgebraDescriptor(kind, _parse_int(dim, "algebra dim")) for kind, dim in kinds}
+    if len(descs) != 1:
+        raise InputError("the elements of one operator or vector must share one kind and dim")
+    desc = descs.pop()
+    try:
+        pairs = np.array(entries, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"complex entries must be [re, im] pairs of numbers: {exc}") from exc
+    want = (len(docs), desc.entry_count, 2)
+    if pairs.shape != want:
+        raise InputError(
+            f"each {desc.kind} element of dim {desc.dim} needs {desc.entry_count} [re, im] "
+            f"entries: expected shape {want}, got {pairs.shape}")
+    if not np.isfinite(pairs).all():
+        raise InputError("complex entries must be finite numbers")
+    return desc, pairs.view(np.complex128).reshape((len(docs),) + _coord_shape(desc))
 
 
 def element_to_dict(a: AlgebraElement) -> dict:
-    return {
-        "kind": a.descriptor.kind,
-        "dim": a.descriptor.dim,
-        "entries": [_complex_out(z) for z in a.data.reshape(-1)],
-    }
+    return _elements_to_docs(a.descriptor, a.data)[0]
 
 
 def element_from_dict(doc: Mapping) -> AlgebraElement:
-    try:
-        desc = AlgebraDescriptor(doc["kind"], int(doc["dim"]))
-        entries = [_complex_in(z) for z in doc["entries"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad algebra element document: {exc}") from exc
-    if len(entries) != desc.entry_count:
-        raise InputError(
-            f"algebra element needs {desc.entry_count} entries, got {len(entries)}")
-    arr = np.asarray(entries, dtype=np.complex128)
-    if desc.kind == MATRIX:
-        arr = arr.reshape(desc.dim, desc.dim)
-    return AlgebraElement(desc, arr)
+    desc, data = _elements_from_docs([doc])
+    return AlgebraElement(desc, data[0])
 
 
 def vector_to_dict(x: ModuleVector) -> dict:
-    return {
-        "rank": x.rank,
-        "coords": [element_to_dict(x.element(i)) for i in range(x.rank)],
-    }
+    return {"rank": x.rank, "coords": _elements_to_docs(x.descriptor, x.coords)}
 
 
 def vector_from_dict(doc: Mapping) -> ModuleVector:
-    coords = [element_from_dict(c) for c in doc["coords"]]
-    if int(doc.get("rank", len(coords))) != len(coords):
+    try:
+        coords = list(doc["coords"])
+        rank = _parse_int(doc.get("rank", len(coords)), "vector rank")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"bad vector document: {exc}") from exc
+    if rank != len(coords):
         raise InputError("vector rank does not match coordinate count")
-    return ModuleVector.from_elements(coords)
+    return ModuleVector(*_elements_from_docs(coords))
 
 
 def operator_to_dict(t: AdjointableOperator) -> dict:
-    return {
-        "in_rank": t.in_rank,
-        "out_rank": t.out_rank,
-        "blocks": [
-            [element_to_dict(t.block(i, j)) for j in range(t.out_rank)]
-            for i in range(t.in_rank)
-        ],
-    }
+    n, m = t.in_rank, t.out_rank
+    docs = _elements_to_docs(t.descriptor, t.blocks)
+    return {"in_rank": n, "out_rank": m, "blocks": [docs[i * m:(i + 1) * m] for i in range(n)]}
 
 
 def operator_from_dict(doc: Mapping) -> AdjointableOperator:
     try:
         rows = doc["blocks"]
-        n, m = int(doc["in_rank"]), int(doc["out_rank"])
+        n = _parse_int(doc["in_rank"], "operator in_rank")
+        m = _parse_int(doc["out_rank"], "operator out_rank")
+        if len(rows) != n or any(len(row) != m for row in rows):
+            raise InputError("operator block table does not match declared ranks")
+        docs = [block for row in rows for block in row]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad operator document: {exc}") from exc
-    if len(rows) != n or any(len(row) != m for row in rows):
-        raise InputError("operator block table does not match declared ranks")
-    table = [[element_from_dict(entry) for entry in row] for row in rows]
-    return AdjointableOperator.from_blocks(table)
+    desc, data = _elements_from_docs(docs)
+    return AdjointableOperator(desc, data.reshape((n, m) + data.shape[1:]))
 
 
 def measure_to_dict(m: MeasureSpace) -> dict:
@@ -99,7 +122,7 @@ def measure_to_dict(m: MeasureSpace) -> dict:
 def measure_from_dict(doc: Mapping) -> MeasureSpace:
     try:
         return MeasureSpace(tuple((atom["label"], atom["weight"]) for atom in doc["atoms"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad measure document: {exc}") from exc
 
 
@@ -122,10 +145,10 @@ def system_from_dict(doc: Mapping) -> GFrameSystem:
         family = {label: operator_from_dict(op) for label, op in doc["family"].items()}
         c = operator_from_dict(doc["controls"]["C"])
         cp = operator_from_dict(doc["controls"]["Cp"])
-        declared_rank = int(doc["module_rank"])
+        declared_rank = _parse_int(doc["module_rank"], "module_rank")
         algebra = doc["algebra"]
-        desc = AlgebraDescriptor(algebra["kind"], int(algebra["dim"]))
-    except (KeyError, TypeError) as exc:
+        desc = AlgebraDescriptor(algebra["kind"], _parse_int(algebra["dim"], "algebra dim"))
+    except (KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"bad system document: {exc}") from exc
     system = GFrameSystem(measure, family, c, cp)
     if system.module_rank != declared_rank:
@@ -136,7 +159,7 @@ def system_from_dict(doc: Mapping) -> GFrameSystem:
 
 
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def save_system(system: GFrameSystem, path: str) -> None:
@@ -152,6 +175,10 @@ def load_json(path: str):
             raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text") from exc
+        except (ValueError, RecursionError) as exc:
+            # An integer literal past the interpreter's digit limit, or nesting
+            # deeper than the parser's recursion limit.
+            raise InputError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def load_system(path: str) -> GFrameSystem:

@@ -89,6 +89,12 @@ def brute_force_reconstruction_flat(system: GFrameSystem, dual, k=None) -> np.nd
     return total
 
 
+def brute_force_dual_family(system: GFrameSystem) -> dict:
+    """Canonical dual members Lambda_w S^-1, one compose per atom."""
+    s_inv = system.frame_operator.inverse()
+    return {label: op @ s_inv for label, op in system.family.items()}
+
+
 def brute_force_gram(system: GFrameSystem, x):
     """Weighted sum of <Lambda_w C x, Lambda_w C' x>, one operator application at a time."""
     cx, cpx = system.controls.C(x), system.controls.Cp(x)

@@ -247,3 +247,70 @@ def test_theorem_suite_on_non_commuting_system_reports_every_row(tmp_path, capsy
     rows = json.loads(out)["results"]
     assert len(rows) == 23
     assert {row["status"] for row in rows} <= {"pass", "not_applicable"}
+
+
+def _huge_entry(doc):
+    label = next(iter(doc["family"]))
+    doc["family"][label]["blocks"][0][0]["entries"][0] = [10 ** 400, 0.0]
+
+
+def _huge_weight(doc):
+    doc["measure"]["atoms"][0]["weight"] = 10 ** 400
+
+
+# json.dumps cannot write 1e400 (it writes Infinity), so the test puts this
+# marker in and swaps the literal into the text.
+INFINITE = "INFINITE"
+
+
+def _infinite_dim(doc):
+    doc["algebra"]["dim"] = INFINITE
+
+
+def _infinite_in_rank(doc):
+    next(iter(doc["family"].values()))["in_rank"] = INFINITE
+
+
+def _infinite_module_rank(doc):
+    doc["module_rank"] = INFINITE
+
+
+def _family_list(doc):
+    doc["family"] = list(doc["family"].values())
+
+
+@pytest.mark.parametrize("mutate", [
+    _huge_entry,
+    _huge_weight,
+    _infinite_dim,
+    _infinite_in_rank,
+    _infinite_module_rank,
+    _family_list,
+], ids=["huge-entry", "huge-weight", "dim-1e400", "in-rank-1e400", "module-rank-1e400",
+        "family-list"])
+def test_out_of_range_numbers_in_system_file_exit_two(tmp_path, capsys, mutate):
+    doc = system_to_dict(random_system(3, algebra="diagonal"))
+    mutate(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace(f'"{INFINITE}"', "1e400"), encoding="utf-8")
+    code, out, err = _run(capsys, "validate", str(path))
+    _assert_input_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, '{"a": ' + "7" * 5000 + "}"],
+                         ids=["deep-nesting", "integer-past-digit-limit"])
+def test_unparsable_json_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "odd.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, "bounds", str(path))
+    _assert_input_error(code, err)
+    assert out == ""
+
+
+def test_overflowing_descriptor_samples_exit_two(tmp_path, capsys):
+    desc = tmp_path / "run.json"
+    desc.write_text('{"kind": "sum", "systemA": "a", "systemB": "b", "samples": 1e400}',
+                    encoding="utf-8")
+    code, _, err = _run(capsys, "perturb", str(desc))
+    _assert_input_error(code, err)

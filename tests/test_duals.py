@@ -13,12 +13,13 @@ from gframe.frames import (
     reconstruction_operator,
 )
 from gframe.generate import random_system, unit_interval_system
-from gframe.hilbert import AdjointableOperator
+from gframe.hilbert import AdjointableOperator, compose_all
 from gframe.sampling import rand_invertible_operator, rand_operator
 
 from conftest import (
     ORACLE_SYSTEMS,
     brute_force_controlled_multiplier_flat,
+    brute_force_dual_family,
     brute_force_multiplier_flat,
     brute_force_reconstruction_flat,
 )
@@ -188,6 +189,23 @@ def test_weighted_sums_match_flatten_oracles(kwargs):
     for op, oracle in pairs:
         scale = max(1.0, np.linalg.norm(oracle, 2))
         assert np.linalg.norm(op.flat() - oracle, 2) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kwargs", ORACLE_SYSTEMS,
+                         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_batched_dual_family_matches_per_atom_compose(kwargs):
+    system = random_system(**kwargs)
+    oracle = brute_force_dual_family(system)
+    batched = compose_all(list(system.family.values()), system.frame_operator.inverse())
+    families = [dict(zip(system.family, batched))]
+    if system.commuting:
+        families.append(canonical_dual(system, samples=5, seed=0).dual_family)
+    for family in families:
+        assert list(family) == list(oracle)
+        for label, op in oracle.items():
+            assert family[label].blocks.shape == op.blocks.shape
+            scale = max(1.0, op.norm())
+            assert (family[label] - op).norm() <= 1e-12 * scale
 
 
 def test_dual_verdict_comes_from_the_operator_residual(identity_system):

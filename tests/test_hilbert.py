@@ -8,6 +8,7 @@ from gframe.hilbert import (
     DirectSumSpace,
     ModuleVector,
     compose,
+    compose_all,
     pairing,
     positive_part_checks,
     vector_from_flat_row,
@@ -307,6 +308,17 @@ def test_weighted_sum_rejects_mismatched_members(m2):
         weighted_sum([1.0, 1.0], [a, rand_operator(m2, 3, 2, rng)])
     with pytest.raises(InputError):
         weighted_sum([1.0], [a], [rand_operator(AlgebraDescriptor("matrix", 3), 2, 2, rng)])
+
+
+def test_compose_all_rejects_mismatched_members(m2):
+    rng = np.random.default_rng(34)
+    t = rand_operator(m2, 2, 3, rng)
+    with pytest.raises(InputError):
+        compose_all([], t)
+    with pytest.raises(InputError):
+        compose_all([rand_operator(m2, 3, 1, rng), rand_operator(m2, 2, 1, rng)], t)
+    with pytest.raises(InputError):
+        compose_all([rand_operator(AlgebraDescriptor("matrix", 3), 3, 1, rng)], t)
 
 
 @pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],

@@ -21,6 +21,8 @@ from gframe.serialize import (
     vector_to_dict,
 )
 
+from conftest import ORACLE_SYSTEMS
+
 
 def test_element_round_trip():
     rng = np.random.default_rng(0)
@@ -116,3 +118,113 @@ def test_non_finite_entries_and_weights_rejected():
         system_from_dict(doc)
     with pytest.raises(InputError):
         element_from_dict({"kind": "diagonal", "dim": 1, "entries": [["x", 0.0]]})
+
+
+def _set_entry(value):
+    def mutate(doc):
+        doc["blocks"][0][1]["entries"][0] = value
+    return mutate
+
+
+def _set_block(key, value):
+    def mutate(doc):
+        doc["blocks"][1][0][key] = value
+    return mutate
+
+
+def _set_element(element):
+    def mutate(doc):
+        doc["blocks"][1][1] = element_to_dict(element)
+    return mutate
+
+
+def _drop_entry(doc):
+    doc["blocks"][0][0]["entries"].pop()
+
+
+def _ragged_row(doc):
+    doc["blocks"][1][0]["entries"][2] = [[0.0, 1.0], [2.0, 3.0]]
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_entry([1.0]),
+    _set_entry([1.0, 2.0, 3.0]),
+    _set_entry(["x", 0.0]),
+    _set_entry([0.0, "x"]),
+    _set_entry("x"),
+    _set_entry(None),
+    _set_entry([None, 0.0]),
+    _set_entry([float("nan"), 0.0]),
+    _set_entry([0.0, float("inf")]),
+    _set_entry([float("-inf"), 0.0]),
+    _set_entry([10 ** 400, 0.0]),
+    _set_entry({"re": 1.0, "im": 0.0}),
+    _ragged_row,
+    _drop_entry,
+    _set_element(AlgebraElement.diag([1.0, 2.0j])),
+    _set_element(AlgebraElement.matrix([[1.0]])),
+    _set_block("kind", "quaternion"),
+    _set_block("dim", float("inf")),
+    _set_block("entries", None),
+], ids=["short-pair", "long-pair", "string-re", "string-im", "string-pair", "null-pair",
+        "null-re", "nan", "inf", "minus-inf", "huge-int", "object-pair", "ragged", "entry-count",
+        "mixed-kind", "mixed-dim", "unknown-kind", "infinite-dim", "null-entries"])
+def test_malformed_operator_entries_rejected(m2, mutate):
+    t = AdjointableOperator(m2, np.arange(2 * 2 * 4, dtype=float).reshape(2, 2, 2, 2) * (1 - 0.5j))
+    doc = operator_to_dict(t)
+    assert np.array_equal(operator_from_dict(doc).blocks, t.blocks)
+    mutate(doc)
+    with pytest.raises(InputError):
+        operator_from_dict(doc)
+
+
+def _entries_per_entry(t: AdjointableOperator) -> list:
+    """The [re, im] table of an operator written one entry at a time."""
+    return [[[[float(z.real), float(z.imag)] for z in t.block(i, j).data.reshape(-1)]
+             for j in range(t.out_rank)] for i in range(t.in_rank)]
+
+
+SPECIAL_VALUES = (-0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e308, -1e308, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("kwargs", ORACLE_SYSTEMS,
+                         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_operator_encoding_matches_per_entry_reference(kwargs):
+    system = random_system(**kwargs)
+    ops = list(system.family.values()) + [system.controls.C, system.controls.Cp]
+    special = ops[0].blocks.copy().reshape(-1)
+    values = np.array(SPECIAL_VALUES)
+    special.real[:len(values)] = values
+    special.imag[:len(values)] = values[::-1]
+    ops.append(AdjointableOperator(ops[0].descriptor, special.reshape(ops[0].blocks.shape)))
+    for t in ops:
+        doc = operator_to_dict(t)
+        assert [[b["entries"] for b in row] for row in doc["blocks"]] == _entries_per_entry(t)
+        assert all(b["kind"] == t.descriptor.kind and b["dim"] == t.descriptor.dim
+                   for row in doc["blocks"] for b in row)
+        back = operator_from_dict(json.loads(dump_json(doc)))
+        assert back.blocks.tobytes() == t.blocks.tobytes()
+    signs = np.signbit(np.array(operator_to_dict(ops[-1])["blocks"][0][0]["entries"]))
+    assert signs[0, 0] and not signs[0, 1]
+
+
+def test_indented_system_files_load_bitwise(tmp_path):
+    system = random_system(5, rank=2, algebra="matrix", dim=2, commuting=False)
+    path = tmp_path / "indented.json"
+    path.write_text(json.dumps(system_to_dict(system), indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    loaded = load_system(str(path))
+    for label, op in system.family.items():
+        assert loaded.family[label].blocks.tobytes() == op.blocks.tobytes()
+    for name in ("C", "Cp"):
+        assert (getattr(loaded.controls, name).blocks.tobytes()
+                == getattr(system.controls, name).blocks.tobytes())
+    assert loaded.measure == system.measure
+
+
+def test_dump_json_is_one_sorted_line():
+    doc = system_to_dict(random_system(4))
+    text = dump_json(doc)
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    assert json.loads(text) == doc

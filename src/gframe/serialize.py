@@ -55,7 +55,7 @@ def _elements_from_docs(docs: list) -> tuple:
         raise InputError(f"bad algebra element document: {exc}") from exc
     descs = {AlgebraDescriptor(kind, _parse_int(dim, "algebra dim")) for kind, dim in kinds}
     if len(descs) != 1:
-        raise InputError("the elements of one operator or vector must share one kind and dim")
+        raise InputError("the elements of one operator, vector or system must share one kind and dim")
     desc = descs.pop()
     try:
         pairs = np.array(entries, dtype=np.float64)
@@ -101,18 +101,28 @@ def operator_to_dict(t: AdjointableOperator) -> dict:
     return {"in_rank": n, "out_rank": m, "blocks": [docs[i * m:(i + 1) * m] for i in range(n)]}
 
 
+def _operators_from_docs(docs: list) -> list:
+    """Decode operator documents together, with one array conversion for all their blocks."""
+    shapes, blocks = [], []
+    for doc in docs:
+        try:
+            rows = doc["blocks"]
+            n = _parse_int(doc["in_rank"], "operator in_rank")
+            m = _parse_int(doc["out_rank"], "operator out_rank")
+            if len(rows) != n or any(len(row) != m for row in rows):
+                raise InputError("operator block table does not match declared ranks")
+            blocks.extend(block for row in rows for block in row)
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"bad operator document: {exc}") from exc
+        shapes.append((n, m))
+    desc, data = _elements_from_docs(blocks)
+    cuts = np.cumsum([n * m for n, m in shapes])[:-1]
+    return [AdjointableOperator(desc, part.reshape(shape + data.shape[1:]))
+            for shape, part in zip(shapes, np.split(data, cuts))]
+
+
 def operator_from_dict(doc: Mapping) -> AdjointableOperator:
-    try:
-        rows = doc["blocks"]
-        n = _parse_int(doc["in_rank"], "operator in_rank")
-        m = _parse_int(doc["out_rank"], "operator out_rank")
-        if len(rows) != n or any(len(row) != m for row in rows):
-            raise InputError("operator block table does not match declared ranks")
-        docs = [block for row in rows for block in row]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad operator document: {exc}") from exc
-    desc, data = _elements_from_docs(docs)
-    return AdjointableOperator(desc, data.reshape((n, m) + data.shape[1:]))
+    return _operators_from_docs([doc])[0]
 
 
 def measure_to_dict(m: MeasureSpace) -> dict:
@@ -142,13 +152,15 @@ def system_to_dict(system: GFrameSystem) -> dict:
 def system_from_dict(doc: Mapping) -> GFrameSystem:
     try:
         measure = measure_from_dict(doc["measure"])
-        family = {label: operator_from_dict(op) for label, op in doc["family"].items()}
-        c = operator_from_dict(doc["controls"]["C"])
-        cp = operator_from_dict(doc["controls"]["Cp"])
+        family_docs = doc["family"]
+        labels = list(family_docs)
+        *members, c, cp = _operators_from_docs(
+            [family_docs[label] for label in labels] + [doc["controls"]["C"], doc["controls"]["Cp"]])
+        family = dict(zip(labels, members))
         declared_rank = _parse_int(doc["module_rank"], "module_rank")
         algebra = doc["algebra"]
         desc = AlgebraDescriptor(algebra["kind"], _parse_int(algebra["dim"], "algebra dim"))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad system document: {exc}") from exc
     system = GFrameSystem(measure, family, c, cp)
     if system.module_rank != declared_rank:

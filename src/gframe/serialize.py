@@ -109,6 +109,8 @@ def _operators_from_docs(docs: list) -> list:
             rows = doc["blocks"]
             n = _parse_int(doc["in_rank"], "operator in_rank")
             m = _parse_int(doc["out_rank"], "operator out_rank")
+            if n < 1 or m < 1:
+                raise InputError("operator ranks must be >= 1")
             if len(rows) != n or any(len(row) != m for row in rows):
                 raise InputError("operator block table does not match declared ranks")
             blocks.extend(block for row in rows for block in row)

@@ -59,6 +59,9 @@ def test_operator_schema_mismatch():
     doc = {"in_rank": 2, "out_rank": 1, "blocks": [[element_to_dict(AlgebraElement.diag([1]))]]}
     with pytest.raises(InputError):
         operator_from_dict(doc)
+    for n, m in ((0, 1), (0, -5), (1, 0)):
+        with pytest.raises(InputError):
+            operator_from_dict({"in_rank": n, "out_rank": m, "blocks": [[]] * n})
 
 
 def test_system_round_trip_bit_exact(tmp_path):
@@ -83,6 +86,10 @@ def test_system_declared_fields_validated():
         system_from_dict(doc)
     doc = system_to_dict(system)
     doc["algebra"] = {"kind": "matrix", "dim": 2}
+    with pytest.raises(InputError):
+        system_from_dict(doc)
+    doc = system_to_dict(system)
+    doc["family"][system.measure.labels[0]] = {"in_rank": 0, "out_rank": -5, "blocks": []}
     with pytest.raises(InputError):
         system_from_dict(doc)
 

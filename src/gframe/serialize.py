@@ -2,9 +2,10 @@
 
 Complex numbers are two-element [re, im] arrays of doubles.  Round trips are
 bit exact: floats serialize with Python's shortest round-trip repr.  The
-pairs are a float64 view of the complex blocks, so a whole operator is
-encoded or decoded by one array conversion.  Documents are written as
-compact, key-sorted JSON on one line, which CPython's C encoder produces.
+pairs are a float64 view of the complex blocks: an operator is encoded by
+one array conversion, and all operators of a system file are decoded by
+one.  Documents are written as key-sorted JSON on one line, which CPython's
+C encoder produces.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from .serialize import (
     system_to_dict,
 )
 from .stability import run_perturbation
-from .theorems import THEOREM_IDS, verify_theorem
+from .theorems import THEOREM_IDS, _Draws, verify_theorem
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -111,9 +111,8 @@ def _report(command: str, config: dict, results, status: str) -> dict:
 
 def _cmd_validate(args) -> int:
     system = load_system(args.system)
-    doc = system_to_dict(system)
     results = {
-        "algebra": doc["algebra"],
+        "algebra": {"kind": system.descriptor.kind, "dim": system.descriptor.dim},
         "module_rank": system.module_rank,
         "atoms": len(system.measure.labels),
         "controls_commute": system.controls.commute_each_other,
@@ -217,8 +216,9 @@ def _cmd_theorem(args) -> int:
         ids = [args.theorem_id]
     else:
         raise InputError(f"unknown theorem id {args.theorem_id!r}")
+    draws = _Draws(args.seed)
     reports = [verify_theorem(tid, system, seed=args.seed, tol=args.tol,
-                              samples=args.samples, aux=aux) for tid in ids]
+                              samples=args.samples, aux=aux, draws=draws) for tid in ids]
     all_pass = all(rep.status == PASS for rep in reports)
     results = [rep.to_dict() for rep in reports]
     _emit(_report("theorem", {"system": args.system, "id": args.theorem_id, "tol": args.tol,

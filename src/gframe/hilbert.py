@@ -332,9 +332,11 @@ class AdjointableOperator:
         return np.linalg.eigvalsh(0.5 * (f + f.conj().T))
 
     def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        if self.in_rank != self.out_rank or not self.is_hermitian(tol):
+        if self.in_rank != self.out_rank:
             return False
-        return bool(self.eigenvalues_hermitian()[0] >= -tol * max(1.0, self.norm()))
+        floor = tol * max(1.0, self.norm())
+        return (self.hermitian_defect() <= floor
+                and bool(self.eigenvalues_hermitian()[0] >= -floor))
 
     def inverse(self, cond_cap: float = DEFAULT_COND_CAP) -> "AdjointableOperator":
         if self.in_rank != self.out_rank:
@@ -347,12 +349,19 @@ class AdjointableOperator:
         return AdjointableOperator.from_flat(self.descriptor, self.in_rank, self.out_rank, np.linalg.inv(f))
 
     def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AdjointableOperator":
-        """Positive square root of a positive operator, via the flattening."""
-        if not self.is_positive(tol):
+        """Positive square root of a positive operator, via the flattening.
+
+        Positivity is ``is_positive``'s test, read from the one eigendecomposition
+        that also gives the root.
+        """
+        if self.in_rank != self.out_rank:
             raise DomainError("operator square root requires a positive operator")
         f = self.flat()
-        h = 0.5 * (f + f.conj().T)
-        vals, vecs = np.linalg.eigh(h)
+        floor = tol * max(1.0, float(np.linalg.norm(f, 2)))
+        f_adj = f.conj().T
+        vals, vecs = np.linalg.eigh(0.5 * (f + f_adj))
+        if np.linalg.norm(f - f_adj, 2) > floor or vals[0] < -floor:
+            raise DomainError("operator square root requires a positive operator")
         root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
         return AdjointableOperator.from_flat(self.descriptor, self.in_rank, self.out_rank, root)
 

@@ -11,6 +11,7 @@ C encoder produces.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Mapping
 
 import numpy as np
@@ -23,10 +24,12 @@ from .measure import MeasureSpace
 
 
 def _parse_int(value, what: str) -> int:
-    try:
+    """A JSON integer, or a float with an integral value; never a string or a boolean."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{what} must be an integer, got {value!r}") from exc
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 def _elements_to_docs(descriptor: AlgebraDescriptor, data: np.ndarray) -> list:
@@ -50,11 +53,12 @@ def _elements_from_docs(docs: list) -> tuple:
     if not docs:
         raise InputError("empty list of algebra elements")
     try:
-        kinds = {(doc["kind"], doc["dim"]) for doc in docs}
+        # The type keeps a boolean dim apart from the integer it equals.
+        kinds = {(doc["kind"], doc["dim"], type(doc["dim"])) for doc in docs}
         entries = [doc["entries"] for doc in docs]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad algebra element document: {exc}") from exc
-    descs = {AlgebraDescriptor(kind, _parse_int(dim, "algebra dim")) for kind, dim in kinds}
+    descs = {AlgebraDescriptor(kind, _parse_int(dim, "algebra dim")) for kind, dim, _ in kinds}
     if len(descs) != 1:
         raise InputError("the elements of one operator, vector or system must share one kind and dim")
     desc = descs.pop()

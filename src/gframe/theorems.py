@@ -5,6 +5,11 @@ hypotheses as numeric predicates, and then evaluates the conclusion as
 residuals against a tolerance.  Rows are deterministic given (id, seed) and
 independent of each other.
 
+Seeded instances are drawn through a ``_Draws``: within one invocation each
+option set is drawn once and the same system is handed to every row that asks
+for it, so a row derives new systems (``with_family``/``with_controls``) and
+never mutates the one it is given.
+
 A row is a body registered with ``_row``: the runner draws the default
 instance, applies ``break_commutation`` where documented and records the frame
 hypotheses; the body adds its own hypotheses and conclusions.  The first
@@ -148,7 +153,7 @@ def _scale_first_member(system: GFrameSystem, factor: float = 2.0) -> GFrameSyst
     return system.with_family(family)
 
 
-def _bump_control(system: GFrameSystem, seed: int, generated: bool) -> GFrameSystem:
+def _bump_control(system: GFrameSystem, draw: _Draws, generated: bool) -> GFrameSystem:
     """Add a positive bump to C that breaks its commutation with C' and the family.
 
     A generated instance on which every operator commutes is first redrawn at
@@ -156,8 +161,9 @@ def _bump_control(system: GFrameSystem, seed: int, generated: bool) -> GFrameSys
     """
     per_channel = system.descriptor.dim if system.descriptor.kind == MATRIX else 1
     if generated and system.module_rank * per_channel < 2:
-        system = random_system(seed, commuting=True, rank=2, dim=2)
-    r = rand_operator(system.descriptor, system.module_rank, system.module_rank, _rng(seed, 9999))
+        system = draw(rank=2, dim=2)
+    r = rand_operator(system.descriptor, system.module_rank, system.module_rank,
+                      _rng(draw.seed, 9999))
     bump = (0.4 / max(1.0, r.norm() ** 2)) * (r.adjoint() @ r)
     return system.with_controls(system.controls.C + bump, system.controls.Cp)
 
@@ -178,12 +184,16 @@ class _Row:
 
     report: TheoremReport
     system: Optional[GFrameSystem]
-    seed: int
+    draw: _Draws
     tol: float
     samples: int
     aux: Optional[Mapping[str, AdjointableOperator]]
     mutant: Optional[str]
     bounds: Optional[FrameBounds] = None
+
+    @property
+    def seed(self) -> int:
+        return self.draw.seed
 
     def require(self, *lines) -> None:
         """Record hypothesis lines (name, passed, residual); end the row if one failed."""
@@ -237,13 +247,32 @@ class _Row:
         return 2.0 * k if self.mutant == WRONG_K else k
 
 
-def _drawn(**options) -> Callable[[int], GFrameSystem]:
+class _Draws:
+    """The seeded commuting random systems of one invocation, each drawn once.
+
+    ``draw(**options)`` is ``random_system(seed, commuting=True, **options)``,
+    and the same options return the same system.  Open one per invocation:
+    the draws must not outlive it.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._systems: dict = {}
+
+    def __call__(self, **options) -> GFrameSystem:
+        key = tuple(sorted(options.items()))
+        if key not in self._systems:
+            self._systems[key] = random_system(self.seed, commuting=True, **options)
+        return self._systems[key]
+
+
+def _drawn(**options) -> Callable[[_Draws], GFrameSystem]:
     """Default instance: the seeded commuting random system with these options."""
-    return lambda seed: random_system(seed, commuting=True, **options)
+    return lambda draw: draw(**options)
 
 
-def _repeated_control(seed: int) -> GFrameSystem:
-    base = random_system(seed, commuting=True)
+def _repeated_control(draw: _Draws) -> GFrameSystem:
+    base = draw()
     return base.with_controls(base.controls.C, base.controls.C)
 
 
@@ -256,21 +285,21 @@ def _row(theorem_id: str, instance: Optional[Callable] = _drawn(scalar_controls=
          breaks: Optional[Callable] = None):
     """Register a row body under ``theorem_id``.
 
-    ``instance(seed)`` draws the default system (None: the body builds its
-    own); ``breaks(system, seed, generated)`` applies ``break_commutation``;
+    ``instance(draw)`` draws the default system (None: the body builds its
+    own); ``breaks(system, draw, generated)`` applies ``break_commutation``;
     ``same_control`` requires C = C'; ``frame`` selects the frame hypotheses
     in their commuting form, their plain form, or none.
     """
     def register(body: Callable[[_Row], None]):
-        def run(system, seed, tol, samples, aux, mutant) -> TheoremReport:
-            row = _Row(TheoremReport(theorem_id, tolerance=tol, seed=seed), system, seed, tol,
-                       samples, aux, mutant)
+        def run(system, draw, tol, samples, aux, mutant) -> TheoremReport:
+            row = _Row(TheoremReport(theorem_id, tolerance=tol, seed=draw.seed), system, draw,
+                       tol, samples, aux, mutant)
             try:
                 if instance is not None:
                     generated = system is None
-                    system = instance(seed) if generated else system
+                    system = instance(draw) if generated else system
                     if breaks is not None and mutant == BREAK_COMMUTATION:
-                        system = breaks(system, seed, generated)
+                        system = breaks(system, draw, generated)
                     row.system = system
                     row.report.info["instance"] = _describe(system, generated)
                     lines = ((("single repeated control", system.controls_equal,
@@ -341,9 +370,9 @@ def _scc_props(row: _Row) -> None:
     _spectral_conclusions(row, composed)
 
 
-def _equal_controls_instance(seed: int) -> GFrameSystem:
-    base = random_system(seed, commuting=True)
-    c = rand_positive_operator(base.descriptor, base.module_rank, _rng(seed, 1), shift=0.6)
+def _equal_controls_instance(draw: _Draws) -> GFrameSystem:
+    base = draw()
+    c = rand_positive_operator(base.descriptor, base.module_rank, _rng(draw.seed, 1), shift=0.6)
     return base.with_controls(c, c)
 
 
@@ -450,15 +479,15 @@ def _rank_two_system(desc: AlgebraDescriptor, rng: np.random.Generator,
     return GFrameSystem(measure, family, c, cp)
 
 
-def _hom_instances(seed: int) -> list:
+def _hom_instances(draw: _Draws) -> list:
     """Three transport classes: identity, unitary conjugation, entry permutation.
 
     Each class is (name, system, phi) with phi an algebra morphism acting on
     the trailing element axes, so that it maps stacks of algebra values and,
     coordinate by coordinate, stacks of module vectors (the intertwiner).
     """
-    rng = _rng(seed, 4)
-    base = random_system(seed, commuting=True, scalar_controls=True)
+    rng = _rng(draw.seed, 4)
+    base = draw(scalar_controls=True)
     q, r = np.linalg.qr(complex_gaussian(rng, (2, 2)))
     u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
@@ -494,7 +523,7 @@ def _hom_transport(row: _Row) -> None:
                                    "classes": ["identity", "unitary", "permutation"]}
     rng = _rng(row.seed, 5)
     pair_count = max(10, min(row.samples, 40))
-    for name, system, phi in _hom_instances(row.seed):
+    for name, system, phi in _hom_instances(row.draw):
         bounds = optimal_scalar_bounds(system, tol)
         row.require(_frame_line(f"{name}: frame property", bounds))
         desc, s = system.descriptor, system.frame_operator
@@ -884,17 +913,27 @@ THEOREM_IDS = tuple(_ROWS)
 def verify_theorem(theorem_id: str, system: Optional[GFrameSystem] = None, seed: int = 0,
                    tol: float = DEFAULT_TOL, samples: int = 100,
                    aux: Optional[Mapping[str, AdjointableOperator]] = None,
-                   mutant: Optional[str] = None) -> TheoremReport:
-    """Run one theorem row and return its report."""
+                   mutant: Optional[str] = None, *,
+                   draws: Optional[_Draws] = None) -> TheoremReport:
+    """Run one theorem row and return its report.
+
+    ``draws`` shares the seeded instances of one invocation between its rows;
+    by default the row draws its own.
+    """
     if theorem_id not in _ROWS:
         raise InputError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
     if mutant is not None and mutant not in MUTANTS:
         raise InputError(f"unknown mutant {mutant!r}")
-    return _ROWS[theorem_id](system, seed, tol, samples, aux, mutant)
+    if draws is None:
+        draws = _Draws(seed)
+    elif draws.seed != seed:
+        raise ValueError(f"draws for seed {draws.seed} passed to a row with seed {seed}")
+    return _ROWS[theorem_id](system, draws, tol, samples, aux, mutant)
 
 
 def run_suite(system: Optional[GFrameSystem] = None, seeds=(0,), tol: float = DEFAULT_TOL,
               samples: int = 100, aux=None) -> list:
-    """All rows over all seeds, ordered by (theorem id, seed)."""
-    return [verify_theorem(theorem_id, system, seed, tol, samples, aux)
+    """All rows over all seeds, ordered by (theorem id, seed); one draw per seed and options."""
+    draws = {seed: _Draws(seed) for seed in seeds}
+    return [verify_theorem(theorem_id, system, seed, tol, samples, aux, draws=draws[seed])
             for theorem_id in sorted(THEOREM_IDS) for seed in seeds]

@@ -298,6 +298,17 @@ def test_out_of_range_numbers_in_system_file_exit_two(tmp_path, capsys, mutate):
     assert out == ""
 
 
+@pytest.mark.parametrize("value", ['"2"', "true", "2.7"], ids=["string", "boolean", "fraction"])
+def test_non_integer_module_rank_exits_two(tmp_path, capsys, value):
+    doc = system_to_dict(random_system(3, rank=2))
+    doc["module_rank"] = "RANK"
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps(doc).replace('"RANK"', value), encoding="utf-8")
+    code, out, err = _run(capsys, "validate", str(path))
+    _assert_input_error(code, err)
+    assert out == ""
+
+
 @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, '{"a": ' + "7" * 5000 + "}"],
                          ids=["deep-nesting", "integer-past-digit-limit"])
 def test_unparsable_json_exits_two(tmp_path, capsys, text):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gframe.algebra import AlgebraDescriptor, AlgebraElement, leq
-from gframe.errors import InputError
+from gframe.errors import DomainError, InputError
 from gframe.hilbert import (
     AdjointableOperator,
     DirectSumSpace,
@@ -14,7 +14,7 @@ from gframe.hilbert import (
     vector_from_flat_row,
     weighted_sum,
 )
-from gframe.sampling import rand_operator, rand_vector
+from gframe.sampling import rand_operator, rand_positive_operator, rand_vector
 
 C1 = AlgebraDescriptor("matrix", 1)
 
@@ -345,3 +345,20 @@ def test_channels_keep_the_diagonal_kind_unembedded(diag3):
     assert chans.shape == (3, 2, 4)
     assert np.array_equal(AdjointableOperator.from_channels(diag3, chans).blocks, t.blocks)
     assert t.norm() == pytest.approx(max(np.linalg.norm(c, 2) for c in chans), rel=1e-13)
+
+
+@pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],
+                         ids=["matrix", "diagonal"])
+def test_operator_square_root_and_its_domain(desc):
+    rng = np.random.default_rng(41)
+    p = rand_positive_operator(desc, 3, rng)
+    root = p.sqrt_positive()
+    assert root.is_positive()
+    assert (root @ root - p).norm() <= 1e-12 * p.norm()
+    zero = AdjointableOperator.zero(desc, 3, 3)
+    assert zero.sqrt_positive().norm() == 0.0
+    skew = AdjointableOperator.scalar(desc, 3, 1e-3j)
+    for bad in (rand_operator(desc, 2, 3, rng), p + skew, -1.0 * p):
+        assert not bad.is_positive()
+        with pytest.raises(DomainError):
+            bad.sqrt_positive()

@@ -235,3 +235,46 @@ def test_dump_json_is_one_sorted_line():
     assert text.endswith("\n") and text.count("\n") == 1
     assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
     assert json.loads(text) == doc
+
+
+def _one_by_one_doc():
+    """A system whose dim and every rank is 1, so a truncated or coerced 1 would load."""
+    return system_to_dict(unit_interval_system(1.0, 1.0, 1, 3))
+
+
+def _first_member(doc):
+    return next(iter(doc["family"].values()))
+
+
+_INTEGER_FIELDS = {
+    "dim": lambda doc, v: doc["algebra"].__setitem__("dim", v),
+    "element dim": lambda doc, v: _first_member(doc)["blocks"][0][0].__setitem__("dim", v),
+    "in_rank": lambda doc, v: _first_member(doc).__setitem__("in_rank", v),
+    "out_rank": lambda doc, v: _first_member(doc).__setitem__("out_rank", v),
+    "module_rank": lambda doc, v: doc.__setitem__("module_rank", v),
+}
+
+
+@pytest.mark.parametrize("value", ["1", True, 1.7], ids=["string", "boolean", "fraction"])
+@pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+def test_non_integer_ranks_and_dims_rejected(field, value):
+    doc = _one_by_one_doc()
+    _INTEGER_FIELDS[field](doc, value)
+    with pytest.raises(InputError, match="must be an integer"):
+        system_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", ["1", True, 1.7], ids=["string", "boolean", "fraction"])
+def test_non_integer_vector_rank_rejected(value):
+    doc = vector_to_dict(ModuleVector(AlgebraDescriptor("diagonal", 1), np.ones((1, 1))))
+    doc["rank"] = value
+    with pytest.raises(InputError, match="must be an integer"):
+        vector_from_dict(doc)
+
+
+def test_integral_float_ranks_and_dims_accepted():
+    doc = _one_by_one_doc()
+    for set_field in _INTEGER_FIELDS.values():
+        set_field(doc, 1.0)
+    loaded = system_from_dict(doc)
+    assert loaded.module_rank == 1 and loaded.descriptor == AlgebraDescriptor("diagonal", 1)

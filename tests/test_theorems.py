@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gframe import theorems
+from gframe.cli import main
 from gframe.errors import InputError
 from gframe.generate import random_system, unit_interval_system
 from gframe.hilbert import AdjointableOperator
@@ -9,6 +11,7 @@ from gframe.theorems import (
     DOCUMENTED_MUTANTS,
     MUTANTS,
     THEOREM_IDS,
+    _Draws,
     run_suite,
     verify_theorem,
 )
@@ -128,3 +131,53 @@ def test_run_suite_ordering_and_determinism():
     second = run_suite(seeds=(0,))
     assert [rep.theorem_id for rep in first] == sorted(THEOREM_IDS)
     assert [rep.to_dict() for rep in first] == [rep.to_dict() for rep in second]
+
+
+# Every row, then every documented mutant: mutants see systems the rows already used.
+_JOBS = [(theorem_id, None) for theorem_id in THEOREM_IDS] + [
+    (theorem_id, mutant) for theorem_id, mutant, _ in DOCUMENTED_MUTANTS]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_shared_draws_give_the_reports_of_fresh_draws(seed):
+    fresh = [verify_theorem(tid, seed=seed, mutant=mutant).to_dict() for tid, mutant in _JOBS]
+    for jobs in (_JOBS, _JOBS[::-1]):
+        draws = _Draws(seed)
+        shared = {job: verify_theorem(job[0], seed=seed, mutant=job[1], draws=draws).to_dict()
+                  for job in jobs}
+        assert [shared[job] for job in _JOBS] == fresh
+
+
+def _count_draws(monkeypatch) -> list:
+    drawn = []
+
+    def counting(seed, **options):
+        drawn.append((seed, tuple(sorted(options.items()))))
+        return random_system(seed, **options)
+
+    monkeypatch.setattr(theorems, "random_system", counting)
+    return drawn
+
+
+def test_each_option_set_is_drawn_once_per_invocation(monkeypatch, tmp_path):
+    drawn = _count_draws(monkeypatch)
+    argv = ["theorem", "--id", "all", "--seed", "3", "--out", str(tmp_path / "t.json")]
+    assert main(argv) == 0
+    first = list(drawn)
+    assert len(first) == len(set(first)) == 4
+    assert {options for _, options in first} == {
+        (("commuting", True),),
+        (("commuting", True), ("scalar_controls", True)),
+        (("commuting", True), ("pad_outputs", True)),
+        (("commuting", True), ("pad_outputs", True), ("scalar_controls", True))}
+    assert main(argv) == 0
+    assert drawn[len(first):] == first
+
+    del drawn[:]
+    run_suite(seeds=(0, 1))
+    assert len(drawn) == len(set(drawn)) == 8
+
+
+def test_draws_are_tied_to_one_seed():
+    with pytest.raises(ValueError):
+        verify_theorem("T2.3", seed=1, draws=_Draws(0))

@@ -251,8 +251,9 @@ class _Draws:
     """The seeded commuting random systems of one invocation, each drawn once.
 
     ``draw(**options)`` is ``random_system(seed, commuting=True, **options)``,
-    and the same options return the same system.  Open one per invocation:
-    the draws must not outlive it.
+    and the same options return the same system.  Open one per invocation
+    and drop it with the invocation, so that no drawn system is kept between
+    invocations.
     """
 
     def __init__(self, seed: int):

@@ -148,7 +148,7 @@ def test_shared_draws_give_the_reports_of_fresh_draws(seed):
         assert [shared[job] for job in _JOBS] == fresh
 
 
-def _count_draws(monkeypatch) -> list:
+def test_each_option_set_is_drawn_once_per_invocation(monkeypatch, tmp_path):
     drawn = []
 
     def counting(seed, **options):
@@ -156,11 +156,6 @@ def _count_draws(monkeypatch) -> list:
         return random_system(seed, **options)
 
     monkeypatch.setattr(theorems, "random_system", counting)
-    return drawn
-
-
-def test_each_option_set_is_drawn_once_per_invocation(monkeypatch, tmp_path):
-    drawn = _count_draws(monkeypatch)
     argv = ["theorem", "--id", "all", "--seed", "3", "--out", str(tmp_path / "t.json")]
     assert main(argv) == 0
     first = list(drawn)

@@ -142,12 +142,6 @@ class AlgebraElement:
             return float(np.linalg.norm(self.data, 2))
         return float(np.max(np.abs(self.data)))
 
-    def as_matrix(self) -> np.ndarray:
-        """Dense d x d matrix; the diagonal kind embeds as a diagonal matrix."""
-        if self.descriptor.kind == MATRIX:
-            return np.array(self.data)
-        return np.diag(self.data)
-
     def hermitian_defect(self) -> float:
         return (self - self.adjoint()).norm()
 

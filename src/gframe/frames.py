@@ -47,14 +47,17 @@ BESSEL_ONLY = "bessel_only"
 
 @dataclass(frozen=True)
 class ControlPair:
-    """Positive invertible control operators with computed commutation flags."""
+    """Positive invertible control operators, checked when built.
+
+    The commutation defects, and the flags derived from them, are computed
+    the first time they are read: only some statements need commuting
+    controls, and those checks cost one 2-norm per atom, channel and control.
+    """
 
     C: AdjointableOperator
     Cp: AdjointableOperator
-    commute_each_other: bool
-    commute_with_family: bool
-    commute_defect: float
-    family_defect: float
+    family: tuple
+    tol: float = DEFAULT_TOL
 
     @staticmethod
     def build(C: AdjointableOperator, Cp: AdjointableOperator,
@@ -67,18 +70,26 @@ class ControlPair:
             eigs = ctrl.eigenvalues_hermitian()
             if eigs[0] <= tol * max(1.0, eigs[-1]):
                 raise InputError(f"control {name} must be positive and invertible")
-        fc, fcp = C.flat(), Cp.flat()
-        scale = max(1.0, float(np.linalg.norm(fc, 2) * np.linalg.norm(fcp, 2)))
-        commute_defect = float(np.linalg.norm(fc @ fcp - fcp @ fc, 2)) / scale
-        family_defect = _family_commutation_defect(list(family.values()), C, Cp)
-        return ControlPair(
-            C=C,
-            Cp=Cp,
-            commute_each_other=commute_defect <= tol,
-            commute_with_family=family_defect <= tol,
-            commute_defect=commute_defect,
-            family_defect=family_defect,
-        )
+        return ControlPair(C, Cp, tuple(family.values()), tol)
+
+    @cached_property
+    def commute_defect(self) -> float:
+        """Relative commutator ||C C' - C' C|| / max(1, ||C|| ||C'||)."""
+        fc, fcp = self.C.flat(), self.Cp.flat()
+        scale = max(1.0, self.C.norm() * self.Cp.norm())
+        return float(np.linalg.norm(fc @ fcp - fcp @ fc, 2)) / scale
+
+    @cached_property
+    def family_defect(self) -> float:
+        return _family_commutation_defect(list(self.family), self.C, self.Cp)
+
+    @property
+    def commute_each_other(self) -> bool:
+        return self.commute_defect <= self.tol
+
+    @property
+    def commute_with_family(self) -> bool:
+        return self.family_defect <= self.tol
 
 
 # Complex entries per batched temporary (64 KiB).  Batching atoms bounds the

@@ -21,6 +21,7 @@ run as stacked matrix products over that view.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -308,9 +309,28 @@ class AdjointableOperator:
 
     # -- spectral data -------------------------------------------------------
 
+    # The blocks are read-only and the class is frozen, so each spectral
+    # quantity below is computed on first use and kept on the instance.
+
+    @cached_property
+    def _norm(self) -> float:
+        return float(np.linalg.norm(self.flat(), 2))
+
+    @cached_property
+    def _hermitian_defect(self) -> float:
+        f = self.flat()
+        return float(np.linalg.norm(f - f.conj().T, 2))
+
+    @cached_property
+    def _eigenvalues_hermitian(self) -> np.ndarray:
+        f = self.flat()
+        eigs = np.linalg.eigvalsh(0.5 * (f + f.conj().T))
+        eigs.setflags(write=False)
+        return eigs
+
     def norm(self) -> float:
         """Operator norm: largest singular value of the flattening."""
-        return float(np.linalg.norm(self.flat(), 2))
+        return self._norm
 
     def bounded_below_constant(self) -> float:
         """Smallest singular value of the flattening.
@@ -321,15 +341,14 @@ class AdjointableOperator:
         return float(np.linalg.svd(self.flat(), compute_uv=False)[-1])
 
     def hermitian_defect(self) -> float:
-        f = self.flat()
-        return float(np.linalg.norm(f - f.conj().T, 2))
+        return self._hermitian_defect
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         return self.hermitian_defect() <= tol * max(1.0, self.norm())
 
     def eigenvalues_hermitian(self) -> np.ndarray:
-        f = self.flat()
-        return np.linalg.eigvalsh(0.5 * (f + f.conj().T))
+        """Ascending spectrum of the Hermitian part of the flattening, read-only."""
+        return self._eigenvalues_hermitian
 
     def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
         if self.in_rank != self.out_rank:
@@ -561,16 +580,6 @@ class DirectSumSpace:
                 raise InputError(f"component {label!r} has wrong shape")
             parts.append(np.sqrt(weight) * x.coords)
         return ModuleVector(self.descriptor, np.concatenate(parts, axis=0))
-
-    def unstack(self, stacked: ModuleVector) -> dict:
-        if stacked.rank != self.total_rank:
-            raise InputError("stacked vector has wrong rank")
-        offsets = self._offsets()
-        out = {}
-        for idx, (label, weight) in enumerate(zip(self.labels, self.weights)):
-            piece = stacked.coords[offsets[idx]:offsets[idx + 1]]
-            out[label] = ModuleVector(self.descriptor, piece / np.sqrt(weight))
-        return out
 
     def stack_operator(self, component_ops: Mapping[str, AdjointableOperator]) -> AdjointableOperator:
         """Operator A^n -> A^M whose component at each atom is the given map."""

@@ -43,16 +43,6 @@ class MeasureSpace:
     def weights(self) -> tuple:
         return tuple(weight for _, weight in self.atoms)
 
-    @property
-    def total_mass(self) -> float:
-        return float(math.fsum(self.weights))
-
-    def weight(self, label: str) -> float:
-        for atom_label, weight in self.atoms:
-            if atom_label == label:
-                return weight
-        raise InputError(f"unknown atom {label!r}")
-
     def integrate(self, values: Mapping[str, AlgebraElement]) -> AlgebraElement:
         """Weighted sum of an algebra-valued function given per atom."""
         total = None

@@ -138,9 +138,13 @@ def measure_to_dict(m: MeasureSpace) -> dict:
 
 def measure_from_dict(doc: Mapping) -> MeasureSpace:
     try:
-        return MeasureSpace(tuple((atom["label"], atom["weight"]) for atom in doc["atoms"]))
+        atoms = tuple((atom["label"], atom["weight"]) for atom in doc["atoms"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad measure document: {exc}") from exc
+    for label, weight in atoms:
+        if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
+            raise InputError(f"weight of atom {label!r} must be a number, got {weight!r}")
+    return MeasureSpace(atoms)
 
 
 def system_to_dict(system: GFrameSystem) -> dict:

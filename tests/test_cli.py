@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from gframe import frames
 from gframe.cli import main
-from gframe.serialize import dump_json, load_system, system_to_dict
-from gframe.generate import random_system
+from gframe.hilbert import AdjointableOperator
+from gframe.serialize import dump_json, load_system, operator_to_dict, system_to_dict
+from gframe.generate import random_system, unit_interval_system
 
 
 def _run(capsys, *argv):
@@ -309,6 +311,18 @@ def test_non_integer_module_rank_exits_two(tmp_path, capsys, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("value", ['"0.5"', "true"], ids=["string", "boolean"])
+def test_non_numeric_weight_exits_two(tmp_path, capsys, value):
+    doc = system_to_dict(unit_interval_system(1, 1, 1, 3))
+    doc["measure"]["atoms"][0]["weight"] = "WEIGHT"
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps(doc).replace('"WEIGHT"', value), encoding="utf-8")
+    code, out, err = _run(capsys, "bounds", str(path))
+    _assert_input_error(code, err)
+    assert "weight" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, '{"a": ' + "7" * 5000 + "}"],
                          ids=["deep-nesting", "integer-past-digit-limit"])
 def test_unparsable_json_exits_two(tmp_path, capsys, text):
@@ -325,3 +339,80 @@ def test_overflowing_descriptor_samples_exit_two(tmp_path, capsys):
                     encoding="utf-8")
     code, _, err = _run(capsys, "perturb", str(desc))
     _assert_input_error(code, err)
+
+
+PERTURB_KINDS = [
+    ("equivalence_M", {}),
+    ("weighted", {"lambda": 0.1, "mu": 0.1}),
+    ("additive", {"alpha": 0.05, "beta": 0.05}),
+    ("sum", {}),
+]
+
+
+def _count_commutation_checks(monkeypatch) -> list:
+    calls = []
+    original = frames._family_commutation_defect
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(frames, "_family_commutation_defect", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["bounds", "frame-op", "multiplier"])
+def test_commands_without_commutation_hypotheses_skip_the_check(tmp_path, capsys, monkeypatch,
+                                                                command):
+    path = str(tmp_path / "sys.json")
+    _run(capsys, "random", "--seed", "4", "--out", path)
+    calls = _count_commutation_checks(monkeypatch)
+    code, _, err = _run(capsys, command, path)
+    assert code == 0, err
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("kind, params", PERTURB_KINDS, ids=[kind for kind, _ in PERTURB_KINDS])
+def test_perturb_skips_the_commutation_check(tmp_path, capsys, monkeypatch, kind, params):
+    desc = _perturb_descriptor(tmp_path, kind=kind, params=params)
+    calls = _count_commutation_checks(monkeypatch)
+    code, _, err = _run(capsys, "perturb", desc)
+    assert code in (0, 1), err
+    assert len(calls) == 0
+
+
+def test_validate_runs_the_commutation_check_once(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "sys.json")
+    _run(capsys, "random", "--seed", "4", "--non-commuting", "--out", path)
+    calls = _count_commutation_checks(monkeypatch)
+    code, out, err = _run(capsys, "validate", path)
+    assert code == 0, err
+    assert len(calls) == 1
+    assert json.loads(out)["results"]["controls_commute_with_family"] is False
+
+
+def _not_self_adjoint(c):
+    return c + AdjointableOperator.scalar(c.descriptor, c.in_rank, 1j)
+
+
+def _not_positive(c):
+    return -c
+
+
+@pytest.mark.parametrize("control, spoil, message", [
+    ("C", _not_self_adjoint, "self-adjoint"),
+    ("Cp", _not_positive, "positive"),
+], ids=["C-not-self-adjoint", "Cp-not-positive"])
+def test_invalid_controls_are_rejected_on_load(tmp_path, capsys, control, spoil, message):
+    system = random_system(11, commuting=True)
+    doc = system_to_dict(system)
+    doc["controls"][control] = operator_to_dict(spoil(getattr(system.controls, control)))
+    path = tmp_path / "bad.json"
+    path.write_text(dump_json(doc), encoding="utf-8")
+    runs = [("bounds", str(path)),
+            ("perturb", _perturb_descriptor(tmp_path, systemA=str(path), systemB=str(path)))]
+    for argv in runs:
+        code, out, err = _run(capsys, *argv)
+        _assert_input_error(code, err)
+        assert message in err
+        assert out == ""

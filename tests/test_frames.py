@@ -251,6 +251,23 @@ def test_family_defect_independent_of_batching(monkeypatch):
     assert one_by_one == pytest.approx(whole, rel=1e-13)
 
 
+@pytest.mark.parametrize("kwargs", ORACLE_SYSTEMS + (dict(seed=3, commuting=False),))
+def test_lazy_commutation_facts_match_eager_recomputation(kwargs):
+    from gframe import frames
+
+    system = random_system(**kwargs)
+    ctr = system.controls
+    assert "commute_defect" not in vars(ctr) and "family_defect" not in vars(ctr)
+    fc, fcp = ctr.C.flat(), ctr.Cp.flat()
+    scale = max(1.0, float(np.linalg.norm(fc, 2) * np.linalg.norm(fcp, 2)))
+    commute = float(np.linalg.norm(fc @ fcp - fcp @ fc, 2)) / scale
+    family = frames._family_commutation_defect(list(system.family.values()), ctr.C, ctr.Cp)
+    assert ctr.commute_defect == commute
+    assert ctr.family_defect == family
+    assert ctr.commute_each_other == (commute <= system.tol)
+    assert ctr.commute_with_family == (family <= system.tol)
+
+
 def test_gram_batch_rejects_wrong_shape(identity_system, m2):
     with pytest.raises(InputError):
         identity_system.gram_batch(np.zeros((3, 5, 2, 2)))

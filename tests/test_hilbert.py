@@ -252,14 +252,28 @@ def test_cauchy_schwarz(m2):
         assert x.inner(y).norm() <= x.norm() * y.norm() + 1e-10
 
 
+def test_spectral_data_is_kept_and_read_only(m2):
+    t = rand_operator(m2, 3, 3, np.random.default_rng(41))
+    f = t.flat()
+    eigs = t.eigenvalues_hermitian()
+    np.testing.assert_array_equal(eigs, np.linalg.eigvalsh(0.5 * (f + f.conj().T)))
+    assert not eigs.flags.writeable
+    with pytest.raises(ValueError):
+        eigs[0] = 0.0
+    assert t.eigenvalues_hermitian() is eigs
+    assert t.norm() == float(np.linalg.norm(f, 2))
+    assert t.hermitian_defect() == float(np.linalg.norm(f - f.conj().T, 2))
+
+
 def test_direct_sum_stack_round_trip(m2):
     rng = np.random.default_rng(39)
     space = DirectSumSpace(m2, ("a", "b"), (0.5, 2.0), (2, 3))
     comps = {"a": rand_vector(m2, 2, rng), "b": rand_vector(m2, 3, rng)}
     stacked = space.stack(comps)
-    back = space.unstack(stacked)
-    for label in comps:
-        assert (back[label] - comps[label]).norm() <= 1e-14
+    pieces = np.split(stacked.coords, np.cumsum(space.ranks)[:-1])
+    for label, weight, piece in zip(space.labels, space.weights, pieces):
+        back = ModuleVector(m2, piece / np.sqrt(weight))
+        assert (back - comps[label]).norm() <= 1e-14
     # the stacked inner product reproduces the weighted componentwise one
     lhs = stacked.inner(stacked)
     rhs = space.inner(comps, comps)
@@ -274,9 +288,10 @@ def test_direct_sum_operator_components(m2):
     for label in ops:
         assert (space.component_operator(stacked, label) - ops[label]).norm() <= 1e-14
     x = rand_vector(m2, 3, rng)
-    image = space.unstack(stacked(x))
-    for label in ops:
-        assert (image[label] - ops[label](x)).norm() <= 1e-13
+    pieces = np.split(stacked(x).coords, np.cumsum(space.ranks)[:-1])
+    for label, weight, piece in zip(space.labels, space.weights, pieces):
+        image = ModuleVector(m2, piece / np.sqrt(weight))
+        assert (image - ops[label](x)).norm() <= 1e-13
 
 
 @pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],

@@ -12,6 +12,7 @@ from gframe.serialize import (
     element_from_dict,
     element_to_dict,
     load_system,
+    measure_from_dict,
     operator_from_dict,
     operator_to_dict,
     save_system,
@@ -125,6 +126,16 @@ def test_non_finite_entries_and_weights_rejected():
         system_from_dict(doc)
     with pytest.raises(InputError):
         element_from_dict({"kind": "diagonal", "dim": 1, "entries": [["x", 0.0]]})
+
+
+@pytest.mark.parametrize("weight", [True, "0.5"], ids=["boolean", "string"])
+def test_non_numeric_weights_rejected(weight):
+    doc = system_to_dict(unit_interval_system(1, 1, 1, 3))
+    doc["measure"]["atoms"][0]["weight"] = weight
+    with pytest.raises(InputError, match="weight"):
+        system_from_dict(doc)
+    with pytest.raises(InputError, match="weight"):
+        measure_from_dict(doc["measure"])
 
 
 def _set_entry(value):

@@ -76,7 +76,7 @@ class ControlPair:
     def commute_defect(self) -> float:
         """Relative commutator ||C C' - C' C|| / max(1, ||C|| ||C'||)."""
         fc, fcp = self.C.flat(), self.Cp.flat()
-        scale = max(1.0, self.C.norm() * self.Cp.norm())
+        scale = max(1.0, float(np.linalg.norm(fc, 2) * np.linalg.norm(fcp, 2)))
         return float(np.linalg.norm(fc @ fcp - fcp @ fc, 2)) / scale
 
     @cached_property

@@ -57,7 +57,7 @@ class ControlPair:
     C: AdjointableOperator
     Cp: AdjointableOperator
     family: tuple
-    tol: float = DEFAULT_TOL
+    tol: float
 
     @staticmethod
     def build(C: AdjointableOperator, Cp: AdjointableOperator,

@@ -134,12 +134,15 @@ class AlgebraElement:
             return AlgebraElement(self.descriptor, self.data.conj().T)
         return AlgebraElement(self.descriptor, self.data.conj())
 
+    def _finite_matrix(self) -> np.ndarray:
+        if not np.all(np.isfinite(self.data)):
+            raise DomainError("non-finite entries")
+        return self.data
+
     def norm(self) -> float:
         """C*-norm: largest singular value (matrix) or max modulus (diagonal)."""
         if self.descriptor.kind == MATRIX:
-            if not np.all(np.isfinite(self.data)):
-                raise DomainError("non-finite entries")
-            return float(np.linalg.norm(self.data, 2))
+            return float(two_norm(self._finite_matrix()))
         return float(np.max(np.abs(self.data)))
 
     def hermitian_defect(self) -> float:
@@ -175,15 +178,14 @@ class AlgebraElement:
         vals = np.clip(self.data.real, 0.0, None)
         return AlgebraElement(self.descriptor, np.sqrt(vals).astype(np.complex128))
 
-    def smallest_singular_value(self) -> float:
-        if self.descriptor.kind == MATRIX:
-            return float(np.linalg.svd(self.data, compute_uv=False)[-1])
-        return float(np.min(np.abs(self.data)))
-
     def invert(self, cond_cap: float = DEFAULT_COND_CAP) -> "AlgebraElement":
         """Inverse, refused when the condition number exceeds cond_cap."""
-        sigma_min = self.smallest_singular_value()
-        scale = self.norm()
+        if self.descriptor.kind == MATRIX:
+            svals = np.linalg.svd(self._finite_matrix(), compute_uv=False)
+            sigma_min, scale = float(svals[-1]), float(svals[0])
+        else:
+            moduli = np.abs(self.data)
+            sigma_min, scale = float(np.min(moduli)), float(np.max(moduli))
         if sigma_min <= 0.0 or sigma_min < scale / cond_cap:
             cond = np.inf if sigma_min == 0.0 else scale / sigma_min
             raise DomainError(
@@ -194,10 +196,20 @@ class AlgebraElement:
         return AlgebraElement(self.descriptor, 1.0 / self.data)
 
 
+def two_norm(mats: np.ndarray):
+    """Largest singular value of a matrix, or of each matrix in a (..., rows, cols) stack.
+
+    LAPACK returns singular values in descending order, so this is
+    ``np.linalg.norm(mats, 2, axis=(-2, -1))`` bit for bit, without the
+    wrapper that costs as much as the SVD on small matrices.
+    """
+    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+
+
 def element_norms(descriptor: AlgebraDescriptor, data: np.ndarray) -> np.ndarray:
     """C*-norms of a stack of element data, shaped (..., d, d) or (..., k)."""
     if descriptor.kind == MATRIX:
-        return np.linalg.norm(data, 2, axis=(-2, -1))
+        return two_norm(data)
     return np.max(np.abs(data), axis=-1)
 
 

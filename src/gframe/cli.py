@@ -21,6 +21,7 @@ from .generate import random_system, unit_interval_system
 from .hilbert import positive_part_checks
 from .reports import PASS
 from .serialize import (
+    _parse_int,
     dump_json,
     load_json,
     load_system,
@@ -234,12 +235,10 @@ def _cmd_perturb(args) -> int:
     try:
         kind = desc["kind"]
         paths = (desc["systemA"], desc["systemB"])
-        samples = int(desc.get("samples", args.samples))
-        seed = int(desc.get("seed", args.seed))
+        samples = _parse_int(desc.get("samples", args.samples), "descriptor samples")
+        seed = _parse_int(desc.get("seed", args.seed), "descriptor seed")
     except KeyError as exc:
         raise InputError(f"descriptor is missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"bad perturbation descriptor: {exc}") from exc
     if not all(isinstance(path, str) for path in paths):
         raise InputError("descriptor systemA and systemB must be file paths")
     _check_samples(samples)

@@ -23,6 +23,7 @@ from .algebra import (
     conjugate_by,
     element_norms,
     min_hermitian_eigenvalues,
+    two_norm,
 )
 from .errors import DomainError, InputError, UnsupportedConfigurationError
 from .hilbert import (
@@ -76,8 +77,8 @@ class ControlPair:
     def commute_defect(self) -> float:
         """Relative commutator ||C C' - C' C|| / max(1, ||C|| ||C'||)."""
         fc, fcp = self.C.flat(), self.Cp.flat()
-        scale = max(1.0, float(np.linalg.norm(fc, 2) * np.linalg.norm(fcp, 2)))
-        return float(np.linalg.norm(fc @ fcp - fcp @ fc, 2)) / scale
+        scale = max(1.0, self.C.norm() * self.Cp.norm())
+        return float(two_norm(fc @ fcp - fcp @ fc)) / scale
 
     @cached_property
     def family_defect(self) -> float:
@@ -537,8 +538,8 @@ def multiplier_report(gamma: Mapping[str, complex], lam: Mapping[str, Adjointabl
     unswapped = multiplier(gamma_conj, lam, theta, measure)
     adj_flat = op.flat().conj().T
     scale = max(1.0, op.norm())
-    swapped_res = float(np.linalg.norm(adj_flat - swapped.flat(), 2)) / scale
-    unswapped_res = float(np.linalg.norm(adj_flat - unswapped.flat(), 2)) / scale
+    swapped_res = float(two_norm(adj_flat - swapped.flat())) / scale
+    unswapped_res = float(two_norm(adj_flat - unswapped.flat())) / scale
     return {
         "operator": op,
         "op_norm": op.norm(),

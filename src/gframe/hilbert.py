@@ -32,6 +32,7 @@ from .algebra import (
     MATRIX,
     AlgebraDescriptor,
     AlgebraElement,
+    two_norm,
 )
 from .errors import DomainError, InputError
 
@@ -158,7 +159,7 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     """
     if 1 in mats.shape[-2:]:
         return np.linalg.norm(mats, axis=(-2, -1))
-    return np.linalg.norm(mats, 2, axis=(-2, -1))
+    return two_norm(mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,7 +303,7 @@ class AdjointableOperator:
             return AdjointableOperator(descriptor, blocks4)
         diag = np.einsum("ijaa->ija", blocks4)
         off = blocks4 - _embed_diag(diag)
-        scale = max(1.0, float(np.linalg.norm(matrix, 2)))
+        scale = max(1.0, float(two_norm(matrix)))
         if np.max(np.abs(off)) > tol * scale:
             raise InputError("flattened matrix does not respect the diagonal algebra")
         return AdjointableOperator(descriptor, diag)
@@ -313,13 +314,15 @@ class AdjointableOperator:
     # quantity below is computed on first use and kept on the instance.
 
     @cached_property
-    def _norm(self) -> float:
-        return float(np.linalg.norm(self.flat(), 2))
+    def _singular_values(self) -> np.ndarray:
+        svals = np.linalg.svd(self.flat(), compute_uv=False)
+        svals.setflags(write=False)
+        return svals
 
     @cached_property
     def _hermitian_defect(self) -> float:
         f = self.flat()
-        return float(np.linalg.norm(f - f.conj().T, 2))
+        return float(two_norm(f - f.conj().T))
 
     @cached_property
     def _eigenvalues_hermitian(self) -> np.ndarray:
@@ -328,17 +331,17 @@ class AdjointableOperator:
         eigs.setflags(write=False)
         return eigs
 
+    def singular_values(self) -> np.ndarray:
+        """Descending singular values of the flattening, read-only.
+
+        The last one, when positive, certifies m ||x|| <= ||Tx|| for all x
+        and the surjectivity of the adjoint.
+        """
+        return self._singular_values
+
     def norm(self) -> float:
         """Operator norm: largest singular value of the flattening."""
-        return self._norm
-
-    def bounded_below_constant(self) -> float:
-        """Smallest singular value of the flattening.
-
-        A positive value m certifies m ||x|| <= ||Tx|| for all x and the
-        surjectivity of the adjoint.
-        """
-        return float(np.linalg.svd(self.flat(), compute_uv=False)[-1])
+        return float(self._singular_values[0])
 
     def hermitian_defect(self) -> float:
         return self._hermitian_defect
@@ -360,26 +363,26 @@ class AdjointableOperator:
     def inverse(self, cond_cap: float = DEFAULT_COND_CAP) -> "AdjointableOperator":
         if self.in_rank != self.out_rank:
             raise DomainError("only square operators can be inverted")
-        f = self.flat()
-        svals = np.linalg.svd(f, compute_uv=False)
+        svals = self._singular_values
         if svals[-1] <= 0.0 or svals[-1] < svals[0] / cond_cap:
             cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
             raise DomainError(f"operator is singular or ill-conditioned (condition estimate {cond:.3e})")
-        return AdjointableOperator.from_flat(self.descriptor, self.in_rank, self.out_rank, np.linalg.inv(f))
+        return AdjointableOperator.from_flat(self.descriptor, self.in_rank, self.out_rank,
+                                             np.linalg.inv(self.flat()))
 
     def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AdjointableOperator":
         """Positive square root of a positive operator, via the flattening.
 
-        Positivity is ``is_positive``'s test, read from the one eigendecomposition
-        that also gives the root.
+        Positivity is ``is_positive``'s test on the kept norm and Hermitian
+        defect, with the spectrum read from the one eigendecomposition that
+        also gives the root.
         """
         if self.in_rank != self.out_rank:
             raise DomainError("operator square root requires a positive operator")
         f = self.flat()
-        floor = tol * max(1.0, float(np.linalg.norm(f, 2)))
-        f_adj = f.conj().T
-        vals, vecs = np.linalg.eigh(0.5 * (f + f_adj))
-        if np.linalg.norm(f - f_adj, 2) > floor or vals[0] < -floor:
+        floor = tol * max(1.0, self.norm())
+        vals, vecs = np.linalg.eigh(0.5 * (f + f.conj().T))
+        if self.hermitian_defect() > floor or vals[0] < -floor:
             raise DomainError("operator square root requires a positive operator")
         root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
         return AdjointableOperator.from_flat(self.descriptor, self.in_rank, self.out_rank, root)
@@ -509,7 +512,7 @@ def positive_part_checks(t: AdjointableOperator, tol: float = DEFAULT_TOL) -> di
         invertible = vals.min() > tol * max(1.0, upper) if positive else (
             float(np.min(np.abs(vals))) > tol * max(1.0, upper))
     else:
-        svals = np.linalg.svd(t.flat(), compute_uv=False)
+        svals = t.singular_values()
         lower, upper = float(svals[-1]), float(svals[0])
         positive = False
         invertible = square and lower > tol * max(1.0, upper)

@@ -89,7 +89,7 @@ def _identity_residual(op: AdjointableOperator) -> float:
 
 def _singular_range(op: AdjointableOperator) -> tuple:
     """(smallest, largest) singular value of the flattening."""
-    svals = np.linalg.svd(op.flat(), compute_uv=False)
+    svals = op.singular_values()
     return float(svals[-1]), float(svals[0])
 
 

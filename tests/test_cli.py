@@ -178,11 +178,26 @@ def test_nonpositive_tolerance_exits_two(tmp_path, capsys, tol):
     _assert_input_error(code, err)
 
 
-@pytest.mark.parametrize("samples", [0, -3])
-def test_perturb_descriptor_rejects_sample_counts_below_one(tmp_path, capsys, samples):
-    code, _, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path, samples=samples))
+# Booleans, strings and fractions used to run as int(value): 1, 7 and 7.
+@pytest.mark.parametrize("fields", [
+    pytest.param({"samples": 0}, id="0"),
+    pytest.param({"samples": -3}, id="-3"),
+    *(pytest.param({field: value}, id=f"{field}={value!r}")
+      for field in ("samples", "seed") for value in (True, "7", 7.9)),
+])
+def test_perturb_descriptor_rejects_sample_counts_below_one(tmp_path, capsys, fields):
+    code, _, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path, **fields))
     _assert_input_error(code, err)
-    assert "samples" in err
+    assert next(iter(fields)) in err
+
+
+def test_perturb_descriptor_accepts_integral_floats(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    code, _, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path, samples=7.0, seed=3.0),
+                        "--out", str(out))
+    assert code in (0, 1) and "Traceback" not in err
+    config = json.loads(out.read_text(encoding="utf-8"))["config"]
+    assert (config["samples"], config["seed"]) == (7, 3)
 
 
 def test_nan_entry_in_system_file_exits_two(tmp_path, capsys):

@@ -1,0 +1,113 @@
+"""The one 2-norm kernel and the singular spectrum each operator keeps."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import gframe
+from gframe.algebra import AlgebraDescriptor, AlgebraElement, element_norms, two_norm
+from gframe.hilbert import AdjointableOperator, positive_part_checks
+from gframe.sampling import rand_operator
+from gframe.theorems import _singular_range
+
+SHAPES = [(1, 1), (1, 4), (4, 1), (3, 3), (2, 5), (5, 2),
+          (7, 1, 1), (6, 1, 4), (6, 4, 1), (3, 2, 3, 3), (4, 2, 5), (4, 5, 2)]
+
+
+def _random(shape, rng, dtype):
+    x = rng.standard_normal(shape)
+    if dtype is complex:
+        x = x + 1j * rng.standard_normal(shape)
+    return x
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_kernel_is_numpy_two_norm_bit_for_bit(shape, dtype):
+    x = _random(shape, np.random.default_rng(len(shape) * 100 + sum(shape)), dtype)
+    got = np.asarray(two_norm(x))
+    want = np.linalg.norm(x, 2, axis=(-2, -1))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if x.ndim == 2:
+        assert float(two_norm(x)) == float(np.linalg.norm(x, 2))
+
+
+@pytest.mark.parametrize("dim, lead", [(1, (5,)), (2, (3, 4)), (3, (6,))])
+def test_matrix_element_norms_are_numpy_two_norms(dim, lead):
+    rng = np.random.default_rng(dim)
+    data = _random(lead + (dim, dim), rng, complex)
+    got = element_norms(AlgebraDescriptor("matrix", dim), data)
+    assert got.tobytes() == np.linalg.norm(data, 2, axis=(-2, -1)).tobytes()
+    for idx in np.ndindex(*lead):
+        assert AlgebraElement(AlgebraDescriptor("matrix", dim), data[idx]).norm() == got[idx]
+
+
+@pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],
+                         ids=lambda d: d.kind)
+def test_singular_values_are_kept_and_read_only(desc):
+    t = rand_operator(desc, 3, 2, np.random.default_rng(51))
+    svals = t.singular_values()
+    np.testing.assert_array_equal(svals, np.linalg.svd(t.flat(), compute_uv=False))
+    assert not svals.flags.writeable
+    with pytest.raises(ValueError):
+        svals[0] = 0.0
+    assert t.singular_values() is svals
+    assert t.norm() == float(svals[0])
+
+
+@pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],
+                         ids=lambda d: d.kind)
+def test_one_svd_per_operator(monkeypatch, desc):
+    rng = np.random.default_rng(52)
+    q = rand_operator(desc, 3, 3, rng)
+    t = q + AdjointableOperator.scalar(desc, 3, 0.25 * float(np.abs(q.blocks).sum()) + 1.0)
+    f = t.flat()
+    inputs = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    t.norm()
+    t.inverse()
+    _singular_range(t)
+    t.is_hermitian()
+    positive_part_checks(t)
+    t.norm()
+    # The diagonal kind's from_flat takes a 2-norm of the inverse's flattening.
+    on_t = [a for a in inputs if a.shape == f.shape and np.array_equal(a, f)]
+    assert len(on_t) == 1
+
+
+def test_element_invert_takes_one_svd(monkeypatch):
+    a = AlgebraElement.matrix([[2.0, 1.0], [0.5, 3.0]])
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    inv = a.invert()
+    assert len(calls) == 1
+    np.testing.assert_allclose(inv.data @ a.data, np.eye(2), atol=1e-14)
+
+
+def _ord_two_norm_calls(root: Path) -> list:
+    """``file:line`` of every ``np.linalg.norm`` call with ord 2 under root."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "norm" and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "linalg"):
+                continue
+            ords = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "ord"]
+            if any(isinstance(o, ast.Constant) and o.value in (2, -2) for o in ords):
+                found.append((str(path.relative_to(root)), node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_kernel_is_the_only_two_norm():
+    assert _ord_two_norm_calls(Path(gframe.__file__).parent) == []

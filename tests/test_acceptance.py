@@ -22,6 +22,7 @@ from gframe.sampling import rand_operator, rand_vector
 from gframe.stability import (
     additive_perturbation_check,
     check_equivalence_M,
+    run_perturbation,
     sum_frame_check,
     weighted_perturbation_check,
 )
@@ -174,6 +175,41 @@ def test_criterion_5_theorem_suite_and_mutants():
         assert mismatch is None, (key, mismatch)
     print(f"[acceptance 5] PASS theorem suite {len(THEOREM_IDS)} rows x 10 seeds, "
           f"{flips} mutant runs flipped as documented, {len(runs)} reports match the snapshot")
+
+
+# Golden behaviour of the perturbation statements, written once like the theorem
+# snapshot: all five kinds on seeds 1, 3 and 5, each a random system with C' = C
+# against a 1.01x copy and a 0.05x copy of itself.  The pairs reach pass, fail
+# and not_applicable.
+PERTURB_SNAPSHOT = Path(__file__).parent / "data" / "perturb_snapshot.json"
+PERTURB_PARAMS = {"equivalence_M": {}, "sum": {}, "weighted": {"lambda": 0.1, "mu": 0.1},
+                  "additive": {"alpha": 0.05, "beta": 0.05},
+                  "additive_corollary": {"alpha": 0.05}}
+
+
+def _perturb_runs():
+    """(key, kind, reference system, perturbed system, seed) of every snapshot report."""
+    runs = []
+    for seed in (1, 3, 5):
+        base = random_system(seed)
+        sys_a = base.with_controls(base.controls.C, base.controls.C)
+        for factor in (1.01, 0.05):
+            sys_b = sys_a.with_family({label: factor * op for label, op in sys_a.family.items()})
+            runs += [(f"{kind}|{factor}|{seed}", kind, sys_a, sys_b, seed) for kind in PERTURB_PARAMS]
+    return runs
+
+
+def test_perturbation_snapshot():
+    snapshot = json.loads(PERTURB_SNAPSHOT.read_text(encoding="utf-8"))
+    runs = _perturb_runs()
+    assert sorted(snapshot) == sorted(key for key, *_ in runs)
+    for key, kind, sys_a, sys_b, seed in runs:
+        report = run_perturbation(kind, sys_a, sys_b, PERTURB_PARAMS[kind], samples=50, seed=seed)
+        mismatch = _snapshot_mismatch(_snapshot_entry(report), snapshot[key])
+        assert mismatch is None, (key, mismatch)
+    statuses = sorted({entry["status"] for entry in snapshot.values()})
+    assert statuses == ["fail", "not_applicable", "pass"]
+    print(f"[acceptance 5] PASS {len(runs)} perturbation reports match the snapshot")
 
 
 def test_criterion_6_right_inverse_characterization():

@@ -39,7 +39,6 @@ from .hilbert import (
 from .measure import MeasureSpace, simpson_unit_interval
 from .reports import TheoremReport
 from .stability import (
-    PerturbationParams,
     additive_perturbation_check,
     check_equivalence_M,
     family_distance,

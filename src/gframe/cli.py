@@ -19,7 +19,7 @@ from .errors import GFrameError, InputError
 from .frames import canonical_dual, multiplier_report, optimal_scalar_bounds
 from .generate import random_system, unit_interval_system
 from .hilbert import positive_part_checks
-from .reports import PASS
+from .reports import FAIL, PASS
 from .serialize import (
     _parse_int,
     dump_json,
@@ -41,37 +41,31 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gframe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_system=True):
-        if with_system:
-            p.add_argument("system", help="system JSON file")
+    def common(p):
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--out", help="write the report here instead of stdout")
+        return p
 
-    common(sub.add_parser("validate", help="parse and structurally validate a system file"))
-    common(sub.add_parser("bounds", help="optimal scalar frame bounds"))
-    common(sub.add_parser("frame-op", help="frame operator with its spectral properties"))
-    common(sub.add_parser("dual", help="canonical dual family with reconstruction residual"))
-    common(sub.add_parser("reconstruct", help="reconstruction residuals on seeded unit vectors"))
-    common(sub.add_parser("multiplier", help="multiplier norm bound and adjoint identity"))
+    for name, text in (("validate", "parse and structurally validate a system file"),
+                       ("bounds", "optimal scalar frame bounds"),
+                       ("frame-op", "frame operator with its spectral properties"),
+                       ("dual", "canonical dual family with reconstruction residual"),
+                       ("reconstruct", "reconstruction residuals on seeded unit vectors"),
+                       ("multiplier", "multiplier norm bound and adjoint identity")):
+        common(sub.add_parser(name, help=text)).add_argument("system", help="system JSON file")
 
     p_theorem = sub.add_parser("theorem", help="run one theorem row or the whole suite")
     p_theorem.add_argument("system", nargs="?", help="optional system file; otherwise seeded")
     p_theorem.add_argument("--id", required=True, dest="theorem_id",
                            help="theorem id or 'all'")
     p_theorem.add_argument("--aux", help="JSON file with named auxiliary operators")
-    p_theorem.add_argument("--tol", type=float, default=1e-9)
-    p_theorem.add_argument("--seed", type=int, default=0)
-    p_theorem.add_argument("--samples", type=int, default=200)
-    p_theorem.add_argument("--out")
+    common(p_theorem)
 
     p_perturb = sub.add_parser("perturb", help="run a perturbation descriptor")
     p_perturb.add_argument("descriptor", help="JSON run descriptor")
-    p_perturb.add_argument("--tol", type=float, default=1e-9)
-    p_perturb.add_argument("--seed", type=int, default=0)
-    p_perturb.add_argument("--samples", type=int, default=200)
-    p_perturb.add_argument("--out")
+    common(p_perturb)
 
     p_example = sub.add_parser("example", help="generate the unit-interval system")
     p_example.add_argument("--alpha", type=float, required=True)
@@ -110,6 +104,12 @@ def _report(command: str, config: dict, results, status: str) -> dict:
     }
 
 
+def _finish(args, config: dict, results, status: str) -> int:
+    """Write the command's report; exit 0 when its status is pass and 1 otherwise."""
+    _emit(_report(args.command, config, results, status), args.out)
+    return 0 if status == PASS else 1
+
+
 def _cmd_validate(args) -> int:
     system = load_system(args.system)
     results = {
@@ -121,8 +121,7 @@ def _cmd_validate(args) -> int:
         "frame_operator_norm": system.frame_operator.norm(),
         "round_trip": True,
     }
-    _emit(_report("validate", {"system": args.system, "tol": args.tol}, results, PASS), args.out)
-    return 0
+    return _finish(args, {"system": args.system, "tol": args.tol}, results, PASS)
 
 
 def _cmd_bounds(args) -> int:
@@ -133,9 +132,8 @@ def _cmd_bounds(args) -> int:
         "scalar_upper": bounds.scalar_upper,
         "verdict": bounds.verdict,
     }
-    status = PASS if bounds.is_frame else "fail"
-    _emit(_report("bounds", {"system": args.system, "tol": args.tol}, results, status), args.out)
-    return 0 if bounds.is_frame else 1
+    return _finish(args, {"system": args.system, "tol": args.tol}, results,
+                   PASS if bounds.is_frame else FAIL)
 
 
 def _cmd_frame_op(args) -> int:
@@ -144,39 +142,25 @@ def _cmd_frame_op(args) -> int:
     checks = positive_part_checks(s, args.tol)
     results = {"properties": checks, "operator": operator_to_dict(s)}
     good = checks["self_adjoint"] and checks["positive"] and checks["invertible"]
-    _emit(_report("frame-op", {"system": args.system, "tol": args.tol}, results,
-                  PASS if good else "fail"), args.out)
-    return 0 if good else 1
+    return _finish(args, {"system": args.system, "tol": args.tol}, results,
+                   PASS if good else FAIL)
 
 
 def _cmd_dual(args) -> int:
+    """``dual`` and ``reconstruct``: the canonical dual and its reconstruction residuals."""
     system = load_system(args.system)
     cert = canonical_dual(system, samples=args.samples, seed=args.seed,
                           tol=max(args.tol, 1e-8))
-    results = {
-        "reconstruction_residual": cert.reconstruction_residual,
-        "operator_residual": cert.details["operator_residual"],
-        "dual_family": {label: operator_to_dict(op) for label, op in cert.dual_family.items()},
-    }
-    _emit(_report("dual", {"system": args.system, "tol": args.tol, "seed": args.seed,
-                           "samples": args.samples}, results,
-                  PASS if cert.passed else "fail"), args.out)
-    return 0 if cert.passed else 1
-
-
-def _cmd_reconstruct(args) -> int:
-    system = load_system(args.system)
-    cert = canonical_dual(system, samples=args.samples, seed=args.seed,
-                          tol=max(args.tol, 1e-8))
-    results = {
-        "samples": args.samples,
-        "worst_relative_residual": cert.reconstruction_residual,
-        "operator_residual": cert.details["operator_residual"],
-    }
-    _emit(_report("reconstruct", {"system": args.system, "tol": args.tol, "seed": args.seed,
-                                  "samples": args.samples}, results,
-                  PASS if cert.passed else "fail"), args.out)
-    return 0 if cert.passed else 1
+    results = {"operator_residual": cert.operator_residual}
+    if args.command == "dual":
+        results["reconstruction_residual"] = cert.reconstruction_residual
+        results["dual_family"] = {label: operator_to_dict(op)
+                                  for label, op in cert.dual_family.items()}
+    else:
+        results["samples"] = args.samples
+        results["worst_relative_residual"] = cert.reconstruction_residual
+    return _finish(args, {"system": args.system, "tol": args.tol, "seed": args.seed,
+                          "samples": args.samples}, results, PASS if cert.passed else FAIL)
 
 
 def _cmd_multiplier(args) -> int:
@@ -198,9 +182,8 @@ def _cmd_multiplier(args) -> int:
         "adjoint_unswapped_residual": rep["adjoint_unswapped_residual"],
         "statement_form_matches": rep["statement_form_matches"],
     }
-    _emit(_report("multiplier", {"system": args.system, "tol": args.tol, "seed": args.seed},
-                  results, PASS if good else "fail"), args.out)
-    return 0 if good else 1
+    return _finish(args, {"system": args.system, "tol": args.tol, "seed": args.seed}, results,
+                   PASS if good else FAIL)
 
 
 def _cmd_theorem(args) -> int:
@@ -220,12 +203,10 @@ def _cmd_theorem(args) -> int:
     draws = _Draws(args.seed)
     reports = [verify_theorem(tid, system, seed=args.seed, tol=args.tol,
                               samples=args.samples, aux=aux, draws=draws) for tid in ids]
-    all_pass = all(rep.status == PASS for rep in reports)
-    results = [rep.to_dict() for rep in reports]
-    _emit(_report("theorem", {"system": args.system, "id": args.theorem_id, "tol": args.tol,
-                              "seed": args.seed, "samples": args.samples}, results,
-                  PASS if all_pass else "fail"), args.out)
-    return 0 if all_pass else 1
+    status = PASS if all(rep.status == PASS for rep in reports) else FAIL
+    return _finish(args, {"system": args.system, "id": args.theorem_id, "tol": args.tol,
+                          "seed": args.seed, "samples": args.samples},
+                   [rep.to_dict() for rep in reports], status)
 
 
 def _cmd_perturb(args) -> int:
@@ -248,10 +229,8 @@ def _cmd_perturb(args) -> int:
     sys_a, sys_b = (load_system(path) for path in paths)
     report = run_perturbation(kind, sys_a, sys_b, params,
                               samples=samples, seed=seed, tol=args.tol)
-    _emit(_report("perturb", {"descriptor": args.descriptor, "tol": args.tol,
-                              "seed": seed, "samples": samples},
-                  report.to_dict(), report.status), args.out)
-    return 0 if report.status == PASS else 1
+    return _finish(args, {"descriptor": args.descriptor, "tol": args.tol, "seed": seed,
+                          "samples": samples}, report.to_dict(), report.status)
 
 
 def _cmd_example(args) -> int:
@@ -273,7 +252,7 @@ _COMMANDS = {
     "bounds": _cmd_bounds,
     "frame-op": _cmd_frame_op,
     "dual": _cmd_dual,
-    "reconstruct": _cmd_reconstruct,
+    "reconstruct": _cmd_dual,
     "multiplier": _cmd_multiplier,
     "theorem": _cmd_theorem,
     "perturb": _cmd_perturb,

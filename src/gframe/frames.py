@@ -39,8 +39,8 @@ from .hilbert import (
     weighted_sum,
 )
 from .measure import MeasureSpace
-from .reports import PASS, TheoremReport
-from .sampling import rand_vector
+from .reports import PASS, TheoremReport, gap, within
+from .sampling import rand_coords
 
 FRAME = "frame"
 BESSEL_ONLY = "bessel_only"
@@ -334,15 +334,14 @@ def sample_coords(system: GFrameSystem, samples: int, seed: int, extra_ops: tupl
 
     The witnesses come from the frame operator and from each extra operator.
     """
-    rng = np.random.default_rng(seed)
-    out = [rand_vector(system.descriptor, system.module_rank, rng).coords for _ in range(samples)]
+    out = [rand_coords(system.descriptor, system.module_rank, np.random.default_rng(seed), samples)]
     for op in (system.frame_operator,) + tuple(extra_ops):
         f = op.flat()
         _, vecs = np.linalg.eigh(0.5 * (f + f.conj().T))
         for idx in (0, vecs.shape[1] - 1):
             out.append(vector_from_flat_row(system.descriptor, system.module_rank,
-                                            vecs[:, idx].conj()).coords)
-    return np.stack(out)
+                                            vecs[:, idx].conj()).coords[None])
+    return np.concatenate(out)
 
 
 def check_frame(system: GFrameSystem, bounds: FrameBounds, mode: str = "exact_scalar",
@@ -359,24 +358,22 @@ def check_frame(system: GFrameSystem, bounds: FrameBounds, mode: str = "exact_sc
     if mode == "exact_scalar":
         s = system.frame_operator
         scale = max(1.0, s.norm())
-        report.add_hypothesis("frame operator self-adjoint",
-                              s.hermitian_defect() <= tol * scale * 10,
-                              s.hermitian_defect() / scale)
-        if not report.hypotheses_pass:
-            return report
-        eigs = s.eigenvalues_hermitian()
-        low_gap = float(eigs[0]) - bounds.scalar_lower ** 2
-        up_gap = bounds.scalar_upper ** 2 - float(eigs[-1])
-        report.add_conclusion("lower bound PSD", low_gap >= -tol * scale, max(0.0, -low_gap))
-        report.add_conclusion("upper bound PSD", up_gap >= -tol * scale, max(0.0, -up_gap))
-        if low_gap < -tol * scale or up_gap < -tol * scale:
-            report.info["witness_eigenvalues"] = [float(eigs[0]), float(eigs[-1])]
+        with report.gate():
+            report.require(("frame operator self-adjoint", s.hermitian_defect() <= tol * scale * 10,
+                            s.hermitian_defect() / scale))
+            eigs = s.eigenvalues_hermitian()
+            report.conclude(gap("lower bound PSD", bounds.scalar_lower ** 2 - float(eigs[0]),
+                                tol * scale),
+                            gap("upper bound PSD", float(eigs[-1]) - bounds.scalar_upper ** 2,
+                                tol * scale))
+            if not report.conclusion_passed:
+                report.info["witness_eigenvalues"] = [float(eigs[0]), float(eigs[-1])]
         return report
     if mode != "sampled_general":
         raise InputError(f"unknown check mode {mode!r}")
     if bounds.lower is None or bounds.upper is None:
         raise InputError("sampled mode needs element bounds")
-    report.add_hypothesis("element bounds present", True)
+    report.require(("element bounds present", True, 0.0))
     desc = system.descriptor
     coords = sample_coords(system, samples, seed)
     gram = system.gram_batch(coords)
@@ -386,7 +383,7 @@ def check_frame(system: GFrameSystem, bounds: FrameBounds, mode: str = "exact_sc
     lam = np.stack([min_hermitian_eigenvalues(desc, diff) for diff in sides], axis=1)
     violation = np.maximum(0.0, -lam) / scale[:, None]
     worst = float(violation.max())
-    report.add_conclusion("sampled sandwich", worst <= tol * 10, worst)
+    report.conclude(within("sampled sandwich", worst, tol * 10))
     if worst > tol * 10:
         sample, side = divmod(int(np.argmax(violation)), 2)
         report.info["witness"] = {"sample": sample, "side": ("lower", "upper")[side]}
@@ -402,7 +399,7 @@ def certify_window(report: TheoremReport, system: GFrameSystem, lower: float, up
     """
     window = FrameBounds.from_scalars(max(lower, 0.0), upper, system.descriptor, tol)
     sub = check_frame(system, window, mode="exact_scalar", tol=tol * 10)
-    report.add_conclusion(label, sub.status == PASS, sub.conclusion_residual)
+    report.conclude((label, sub.status == PASS, sub.conclusion_residual))
     report.info.setdefault("certified_windows", {})[label] = [max(lower, 0.0), upper]
 
 
@@ -421,11 +418,10 @@ def _reconstruction_residuals(system: GFrameSystem, op: AdjointableOperator,
     """Worst ||op(x) - x|| over seeded unit vectors, and the exact ||op - I||."""
     identity = AdjointableOperator.identity(system.descriptor, system.module_rank)
     defect = op - identity
-    rng = np.random.default_rng(seed)
     worst = 0.0
     if samples > 0:
-        coords = np.stack([rand_vector(system.descriptor, system.module_rank, rng, unit=True).coords
-                           for _ in range(samples)])
+        coords = rand_coords(system.descriptor, system.module_rank, np.random.default_rng(seed),
+                             samples, unit=True)
         squares = element_norms(system.descriptor,
                                 pairing(system.descriptor, coords, defect.adjoint() @ defect))
         worst = float(np.sqrt(squares.max()))
@@ -451,7 +447,7 @@ def canonical_dual(system: GFrameSystem, samples: int = 100, seed: int = 0,
         reconstruction_residual=sampled,
         operator_residual=op_res,
         tolerance=tol,
-        details={"operator_residual": op_res, "samples": samples, "seed": seed},
+        details={"samples": samples, "seed": seed},
     )
 
 
@@ -560,28 +556,3 @@ def controlled_multiplier(gamma: Mapping[str, complex], theta: Mapping[str, Adjo
     labels = measure.labels
     inner = weighted_sum(coeffs, [lam[label] for label in labels], [theta[label] for label in labels])
     return C @ inner @ Cp
-
-
-def controlled_multiplier_report(gamma: Mapping[str, complex],
-                                 theta: Mapping[str, AdjointableOperator],
-                                 lam: Mapping[str, AdjointableOperator],
-                                 C: AdjointableOperator, Cp: AdjointableOperator,
-                                 measure: MeasureSpace, tol: float = DEFAULT_TOL) -> dict:
-    """Controlled multiplier with the Bessel-constant norm bound.
-
-    The constants come from the squared-control systems: theta with controls
-    (C, C) and lambda with controls (C', C').
-    """
-    op = controlled_multiplier(gamma, theta, lam, C, Cp, measure)
-    sup = max((abs(complex(v)) for v in gamma.values()), default=0.0)
-    b_theta = bessel_constant(theta, measure, C, C)
-    b_lam = bessel_constant(lam, measure, Cp, Cp)
-    bound = sup * b_theta * b_lam
-    return {
-        "operator": op,
-        "op_norm": op.norm(),
-        "bound_product": bound,
-        "bessel_theta": b_theta,
-        "bessel_lambda": b_lam,
-        "norm_within_bound": op.norm() <= bound + tol * max(1.0, bound),
-    }

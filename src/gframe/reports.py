@@ -1,7 +1,12 @@
-"""Structured pass/fail records for executable checks."""
+"""Structured pass/fail records for executable checks.
+
+Check lines are ``(name, passed, residual)`` triples, written out or built by
+``within``, ``gap`` and ``frame_line``.
+"""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -21,6 +26,29 @@ class CheckLine:
         return {"name": self.name, "passed": bool(self.passed), "residual": float(self.residual)}
 
 
+def within(name: str, residual: float, threshold: float) -> tuple:
+    """Check line that passes when the residual is at most the threshold."""
+    return name, residual <= threshold, residual
+
+
+def gap(name: str, value: float, threshold: float) -> tuple:
+    """Check line for an inequality: passes when value <= threshold, residual max(0, value)."""
+    return name, value <= threshold, max(0.0, value)
+
+
+def frame_line(name: str, bounds) -> tuple:
+    """Check line for the frame verdict of a ``FrameBounds``."""
+    return name, bounds.is_frame, 0.0 if bounds.is_frame else 1.0
+
+
+def _lines(lines) -> list:
+    return [CheckLine(name, bool(passed), float(residual)) for name, passed, residual in lines]
+
+
+class _Ended(Exception):
+    """A failed hypothesis ended the statement; only ``TheoremReport.gate`` catches this."""
+
+
 @dataclass
 class TheoremReport:
     """Record of one theorem check: hypotheses, then conclusion residuals.
@@ -36,11 +64,22 @@ class TheoremReport:
     conclusions: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
 
-    def add_hypothesis(self, name: str, passed: bool, residual: float = 0.0) -> None:
-        self.hypotheses.append(CheckLine(name, bool(passed), float(residual)))
+    def require(self, *lines) -> None:
+        """Record hypothesis lines; end the statement if one of them failed."""
+        self.hypotheses += _lines(lines)
+        if not self.hypotheses_pass:
+            raise _Ended
 
-    def add_conclusion(self, name: str, passed: bool, residual: float = 0.0) -> None:
-        self.conclusions.append(CheckLine(name, bool(passed), float(residual)))
+    def conclude(self, *lines) -> None:
+        self.conclusions += _lines(lines)
+
+    @contextmanager
+    def gate(self):
+        """Run a statement body; a failed ``require`` ends the body here."""
+        try:
+            yield self
+        except _Ended:
+            pass
 
     @property
     def hypotheses_pass(self) -> bool:

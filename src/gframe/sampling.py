@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import MATRIX, AlgebraDescriptor
+from .algebra import MATRIX, AlgebraDescriptor, element_norms
 from .hilbert import AdjointableOperator, ModuleVector, _coord_shape
 
 
@@ -16,15 +16,26 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def rand_coords(descriptor: AlgebraDescriptor, rank: int, rng: np.random.Generator,
+                count: int, unit: bool = False) -> np.ndarray:
+    """A (count, rank) + coordinate-shape stack of independent standard complex Gaussians.
+
+    One draw, equal to ``count`` successive single draws; ``unit`` scales each vector to norm one.
+    """
+    pairs = rng.standard_normal((count, 2, rank) + _coord_shape(descriptor))
+    coords = (pairs[:, 0] + 1j * pairs[:, 1]) / np.sqrt(2.0)
+    if unit:
+        spec = "siab,sicb->sac" if descriptor.kind == MATRIX else "sia,sia->sa"
+        norms = np.sqrt(element_norms(descriptor, np.einsum(spec, coords, coords.conj())))
+        scale = 1.0 / np.where(norms > 0, norms, 1.0)
+        coords = scale.reshape((count,) + (1,) * (coords.ndim - 1)) * coords
+    return coords
+
+
 def rand_vector(descriptor: AlgebraDescriptor, rank: int, rng: np.random.Generator,
                 unit: bool = False) -> ModuleVector:
-    """Coordinates with independent standard complex Gaussian entries."""
-    x = ModuleVector(descriptor, complex_gaussian(rng, (rank,) + _coord_shape(descriptor)))
-    if unit:
-        n = x.norm()
-        if n > 0:
-            x = (1.0 / n) * x
-    return x
+    """One vector of ``rand_coords``."""
+    return ModuleVector(descriptor, rand_coords(descriptor, rank, rng, 1, unit)[0])
 
 
 def rand_operator(descriptor: AlgebraDescriptor, in_rank: int, out_rank: int,

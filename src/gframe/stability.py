@@ -9,8 +9,7 @@ tests on its frame operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -18,36 +17,13 @@ from .algebra import DEFAULT_TOL, AlgebraElement, element_norms
 from .errors import DomainError, InputError
 from .frames import GFrameSystem, certify_window, optimal_scalar_bounds, sample_coords
 from .hilbert import AdjointableOperator, ModuleVector, pairing
-from .reports import TheoremReport
+from .reports import TheoremReport, frame_line, gap
 
 EQUIVALENCE_M = "equivalence_M"
 SUM = "sum"
 WEIGHTED = "weighted"
 ADDITIVE = "additive"
 ADDITIVE_COROLLARY = "additive_corollary"
-KINDS = (EQUIVALENCE_M, SUM, WEIGHTED, ADDITIVE, ADDITIVE_COROLLARY)
-
-
-@dataclass(frozen=True)
-class PerturbationParams:
-    """Constants for one perturbation run; fields are read per kind."""
-
-    kind: str
-    lam: float = 0.0
-    mu: float = 0.0
-    alpha: float = 0.0
-    beta: float = 0.0
-    alpha_w: Optional[Mapping[str, float]] = None
-    beta_w: Optional[Mapping[str, float]] = None
-    m_constant: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InputError(f"unknown perturbation kind {self.kind!r}")
-        if self.kind == WEIGHTED and not (0 <= self.lam < 1 and 0 <= self.mu < 1):
-            raise InputError("weighted check needs constants in [0, 1)")
-        if self.kind in (ADDITIVE, ADDITIVE_COROLLARY) and (self.alpha < 0 or self.beta < 0):
-            raise InputError("additive check needs nonnegative constants")
 
 
 def _require_pair(sys_a: GFrameSystem, sys_b: GFrameSystem) -> None:
@@ -67,6 +43,14 @@ def _require_pair(sys_a: GFrameSystem, sys_b: GFrameSystem) -> None:
 def _difference_system(sys_a: GFrameSystem, sys_b: GFrameSystem) -> GFrameSystem:
     diff = {label: sys_a.family[label] - sys_b.family[label] for label in sys_a.measure.labels}
     return sys_a.with_family(diff)
+
+
+def _sampled(reference: GFrameSystem, a: GFrameSystem, b: GFrameSystem, samples: int,
+             seed: int) -> tuple:
+    """The system a - b, and samples on ``reference`` with witnesses from b and a - b."""
+    diff = _difference_system(a, b)
+    return diff, sample_coords(reference, samples, seed,
+                               extra_ops=(b.frame_operator, diff.frame_operator))
 
 
 def family_distance(sys_a: GFrameSystem, sys_b: GFrameSystem, x: ModuleVector) -> AlgebraElement:
@@ -93,30 +77,24 @@ def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem, samples: int =
     _require_pair(sys_a, sys_b)
     bounds_a = optimal_scalar_bounds(sys_a, tol)
     bounds_b = optimal_scalar_bounds(sys_b, tol)
-    report.add_hypothesis("first system is a frame", bounds_a.is_frame,
-                          0.0 if bounds_a.is_frame else 1.0)
-    report.add_hypothesis("second system is a frame", bounds_b.is_frame,
-                          0.0 if bounds_b.is_frame else 1.0)
-    if not report.hypotheses_pass:
-        return report
-    a, b = bounds_a.scalar_lower, bounds_a.scalar_upper
-    e, f = bounds_b.scalar_lower, bounds_b.scalar_upper
-    m_star = min((b / e + 1.0) ** 2, (f / a + 1.0) ** 2)
-    diff = _difference_system(sys_a, sys_b)
-    coords = sample_coords(sys_a, samples, seed, extra_ops=(sys_b.frame_operator,
-                                                            diff.frame_operator))
-    dist = _gram_norms(diff, coords)
-    floor = np.minimum(_gram_norms(sys_a, coords), _gram_norms(sys_b, coords))
-    kept = floor > tol
-    worst_ratio = float(np.max(dist[kept] / floor[kept], initial=0.0))
-    gap = worst_ratio - m_star
-    report.add_conclusion("distance dominated by the two-sided constant",
-                          gap <= tol * max(1.0, m_star), max(0.0, gap))
-    factor = 1.0 + float(np.sqrt(m_star))
-    certify_window(report, sys_b, a / factor, factor * b, tol,
-                   "derived window certified on the perturbed system")
-    report.info["m_constant"] = m_star
-    report.info["sampled_min_m"] = worst_ratio
+    with report.gate():
+        report.require(frame_line("first system is a frame", bounds_a),
+                       frame_line("second system is a frame", bounds_b))
+        a, b = bounds_a.scalar_lower, bounds_a.scalar_upper
+        e, f = bounds_b.scalar_lower, bounds_b.scalar_upper
+        m_star = min((b / e + 1.0) ** 2, (f / a + 1.0) ** 2)
+        diff, coords = _sampled(sys_a, sys_a, sys_b, samples, seed)
+        dist = _gram_norms(diff, coords)
+        floor = np.minimum(_gram_norms(sys_a, coords), _gram_norms(sys_b, coords))
+        kept = floor > tol
+        worst_ratio = float(np.max(dist[kept] / floor[kept], initial=0.0))
+        report.conclude(gap("distance dominated by the two-sided constant",
+                            worst_ratio - m_star, tol * max(1.0, m_star)))
+        factor = 1.0 + float(np.sqrt(m_star))
+        certify_window(report, sys_b, a / factor, factor * b, tol,
+                       "derived window certified on the perturbed system")
+        report.info["m_constant"] = m_star
+        report.info["sampled_min_m"] = worst_ratio
     return report
 
 
@@ -127,18 +105,15 @@ def sum_frame_check(sys_frame: GFrameSystem, sys_bessel: GFrameSystem,
     _require_pair(sys_frame, sys_bessel)
     bounds = optimal_scalar_bounds(sys_frame, tol)
     bessel = optimal_scalar_bounds(sys_bessel, tol)
-    report.add_hypothesis("first system is a frame", bounds.is_frame,
-                          0.0 if bounds.is_frame else 1.0)
     a, b = bounds.scalar_lower, bounds.scalar_upper
     e = bessel.scalar_upper
-    report.add_hypothesis("Bessel bound below the lower frame bound", a >= e - tol,
-                          max(0.0, e - a))
-    if not report.hypotheses_pass:
-        return report
-    summed = {label: sys_frame.family[label] + sys_bessel.family[label]
-              for label in sys_frame.measure.labels}
-    sys_sum = sys_frame.with_family(summed)
-    certify_window(report, sys_sum, a - e, b + e, tol, "summed window certified")
+    with report.gate():
+        report.require(frame_line("first system is a frame", bounds),
+                       ("Bessel bound below the lower frame bound", a >= e - tol, max(0.0, e - a)))
+        summed = {label: sys_frame.family[label] + sys_bessel.family[label]
+                  for label in sys_frame.measure.labels}
+        certify_window(report, sys_frame.with_family(summed), a - e, b + e, tol,
+                       "summed window certified")
     return report
 
 
@@ -147,7 +122,8 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
                                 lam: float, mu: float, samples: int = 200, seed: int = 0,
                                 tol: float = DEFAULT_TOL) -> TheoremReport:
     """Weighted two-constant perturbation with per-atom positive weights."""
-    params = PerturbationParams(WEIGHTED, lam=lam, mu=mu, alpha_w=alpha_w, beta_w=beta_w)
+    if not (0 <= lam < 1 and 0 <= mu < 1):
+        raise InputError("weighted check needs constants in [0, 1)")
     report = TheoremReport("STAB-WEIGHTED", tolerance=tol, seed=seed)
     sys_r = sys_t.with_family(dict(family_r))
     _require_pair(sys_t, sys_r)
@@ -156,28 +132,22 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
     if min(alphas) <= 0 or min(betas) <= 0:
         raise InputError("weight families must be positive")
     bounds = optimal_scalar_bounds(sys_t, tol)
-    report.add_hypothesis("reference system is a frame", bounds.is_frame,
-                          0.0 if bounds.is_frame else 1.0)
-    if not report.hypotheses_pass:
-        return report
-    weighted_t = sys_t.with_family({label: float(alpha_w[label]) * op
-                                    for label, op in sys_t.family.items()})
-    weighted_r = sys_t.with_family({label: float(beta_w[label]) * family_r[label]
-                                    for label in sys_t.measure.labels})
-    diff = _difference_system(weighted_t, weighted_r)
-    coords = sample_coords(sys_t, samples, seed, extra_ops=(weighted_r.frame_operator,
-                                                            diff.frame_operator))
-    lhs = np.sqrt(_gram_norms(diff, coords))
-    rhs = (params.lam * np.sqrt(_gram_norms(weighted_t, coords))
-           + params.mu * np.sqrt(_gram_norms(weighted_r, coords)))
-    worst = float(np.max(lhs - rhs, initial=0.0))
-    scale = max(1.0, bounds.scalar_upper)
-    report.add_hypothesis("sampled weighted smallness", worst <= tol * 100 * scale, max(0.0, worst))
-    if not report.hypotheses_pass:
-        return report
-    lower = bounds.scalar_lower * (1.0 - params.lam) * min(alphas) / ((1.0 + params.mu) * max(betas))
-    upper = bounds.scalar_upper * (1.0 + params.lam) * max(alphas) / ((1.0 - params.mu) * min(betas))
-    certify_window(report, sys_r, lower, upper, tol, "weighted window certified")
+    with report.gate():
+        report.require(frame_line("reference system is a frame", bounds))
+        weighted_t = sys_t.with_family({label: float(alpha_w[label]) * op
+                                        for label, op in sys_t.family.items()})
+        weighted_r = sys_t.with_family({label: float(beta_w[label]) * family_r[label]
+                                        for label in sys_t.measure.labels})
+        diff, coords = _sampled(sys_t, weighted_t, weighted_r, samples, seed)
+        lhs = np.sqrt(_gram_norms(diff, coords))
+        rhs = (lam * np.sqrt(_gram_norms(weighted_t, coords))
+               + mu * np.sqrt(_gram_norms(weighted_r, coords)))
+        worst = float(np.max(lhs - rhs, initial=0.0))
+        report.require(gap("sampled weighted smallness", worst,
+                           tol * 100 * max(1.0, bounds.scalar_upper)))
+        lower = bounds.scalar_lower * (1.0 - lam) * min(alphas) / ((1.0 + mu) * max(betas))
+        upper = bounds.scalar_upper * (1.0 + lam) * max(alphas) / ((1.0 - mu) * min(betas))
+        certify_window(report, sys_r, lower, upper, tol, "weighted window certified")
     return report
 
 
@@ -194,45 +164,38 @@ def additive_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
     """
     if kind not in (ADDITIVE, ADDITIVE_COROLLARY):
         raise InputError(f"additive check got kind {kind!r}")
-    PerturbationParams(kind, alpha=alpha, beta=beta)
+    if alpha < 0 or beta < 0:
+        raise InputError("additive check needs nonnegative constants")
     report = TheoremReport("STAB-ADDITIVE", tolerance=tol, seed=seed)
     sys_r = sys_t.with_family(dict(family_r))
     _require_pair(sys_t, sys_r)
     bounds = optimal_scalar_bounds(sys_t, tol)
-    report.add_hypothesis("reference system is a frame", bounds.is_frame,
-                          0.0 if bounds.is_frame else 1.0)
-    if not report.hypotheses_pass:
-        return report
-    nu, delta = bounds.scalar_lower, bounds.scalar_upper
-    if kind == ADDITIVE:
-        rho = alpha + beta / (nu * nu)
-    else:
-        rho = alpha / (nu * nu)
-    if rho >= 1.0:
-        raise DomainError(f"perturbation size {rho:.6g} reaches 1; the window degenerates")
-    diff = _difference_system(sys_t, sys_r)
-    coords = sample_coords(sys_t, samples, seed, extra_ops=(sys_r.frame_operator,
-                                                            diff.frame_operator))
-    xx = element_norms(sys_t.descriptor, pairing(sys_t.descriptor, coords))
-    if kind == ADDITIVE:
-        rhs = alpha * _gram_norms(sys_t, coords) + beta * xx
-    else:
-        rhs = alpha * xx
-    worst = float(np.max(_gram_norms(diff, coords) - rhs, initial=0.0))
-    scale = max(1.0, delta ** 2)
-    report.add_hypothesis("sampled additive smallness", worst <= tol * 100 * scale,
-                          max(0.0, worst))
-    if not report.hypotheses_pass:
-        return report
-    root = float(np.sqrt(rho))
-    certify_window(report, sys_r, nu * (1.0 - root), delta * (1.0 + root), tol,
-                   "additive window certified")
-    squared = [nu * (1.0 - root) ** 2, delta * (1.0 + root) ** 2]
-    r_bounds = optimal_scalar_bounds(sys_r, tol)
-    report.info["squared_factor_window"] = squared
-    report.info["squared_factor_window_certifies"] = bool(
-        squared[0] <= r_bounds.scalar_lower + tol and r_bounds.scalar_upper <= squared[1] + tol)
-    report.info["rho"] = rho
+    with report.gate():
+        report.require(frame_line("reference system is a frame", bounds))
+        nu, delta = bounds.scalar_lower, bounds.scalar_upper
+        if kind == ADDITIVE:
+            rho = alpha + beta / (nu * nu)
+        else:
+            rho = alpha / (nu * nu)
+        if rho >= 1.0:
+            raise DomainError(f"perturbation size {rho:.6g} reaches 1; the window degenerates")
+        diff, coords = _sampled(sys_t, sys_t, sys_r, samples, seed)
+        xx = element_norms(sys_t.descriptor, pairing(sys_t.descriptor, coords))
+        if kind == ADDITIVE:
+            rhs = alpha * _gram_norms(sys_t, coords) + beta * xx
+        else:
+            rhs = alpha * xx
+        worst = float(np.max(_gram_norms(diff, coords) - rhs, initial=0.0))
+        report.require(gap("sampled additive smallness", worst, tol * 100 * max(1.0, delta ** 2)))
+        root = float(np.sqrt(rho))
+        certify_window(report, sys_r, nu * (1.0 - root), delta * (1.0 + root), tol,
+                       "additive window certified")
+        squared = [nu * (1.0 - root) ** 2, delta * (1.0 + root) ** 2]
+        r_bounds = optimal_scalar_bounds(sys_r, tol)
+        report.info["squared_factor_window"] = squared
+        report.info["squared_factor_window_certifies"] = bool(
+            squared[0] <= r_bounds.scalar_lower + tol and r_bounds.scalar_upper <= squared[1] + tol)
+        report.info["rho"] = rho
     return report
 
 

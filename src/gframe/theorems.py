@@ -46,7 +46,7 @@ from .hilbert import (
     weighted_sum,
 )
 from .measure import MeasureSpace, atom_label
-from .reports import FAIL, NOT_APPLICABLE, TheoremReport
+from .reports import FAIL, NOT_APPLICABLE, TheoremReport, frame_line, gap, within
 from .sampling import (
     complex_gaussian,
     rand_invertible_operator,
@@ -91,20 +91,6 @@ def _singular_range(op: AdjointableOperator) -> tuple:
     """(smallest, largest) singular value of the flattening."""
     svals = op.singular_values()
     return float(svals[-1]), float(svals[0])
-
-
-def _within(name: str, residual: float, threshold: float) -> tuple:
-    """Check line that passes when the residual is at most the threshold."""
-    return name, residual <= threshold, residual
-
-
-def _gap(name: str, gap: float, threshold: float) -> tuple:
-    """Check line for an inequality: passes when gap <= threshold, residual max(0, gap)."""
-    return name, gap <= threshold, max(0.0, gap)
-
-
-def _frame_line(name: str, bounds: FrameBounds) -> tuple:
-    return name, bounds.is_frame, 0.0 if bounds.is_frame else 1.0
 
 
 def _commute_lines(system: GFrameSystem) -> tuple:
@@ -174,10 +160,6 @@ def _describe(system: GFrameSystem, generated: bool) -> dict:
             "module_rank": system.module_rank, "atoms": len(system.measure.labels)}
 
 
-class _RowEnded(Exception):
-    """A failed hypothesis ended the row; only the row runner catches this."""
-
-
 @dataclass
 class _Row:
     """What a row body sees: its report, its instance and the run settings."""
@@ -196,15 +178,11 @@ class _Row:
         return self.draw.seed
 
     def require(self, *lines) -> None:
-        """Record hypothesis lines (name, passed, residual); end the row if one failed."""
-        for line in lines:
-            self.report.add_hypothesis(*line)
-        if not self.report.hypotheses_pass:
-            raise _RowEnded
+        """Record hypothesis lines; end the row if one failed (``TheoremReport.require``)."""
+        self.report.require(*lines)
 
     def conclude(self, *lines) -> None:
-        for line in lines:
-            self.report.add_conclusion(*line)
+        self.report.conclude(*lines)
 
     def frame_hypotheses(self, system: GFrameSystem, commuting: bool = True,
                          lines: tuple = ()) -> FrameBounds:
@@ -214,7 +192,7 @@ class _Row:
             bounds = optimal_scalar_bounds(system, self.tol)
         except GFrameError:
             self.require(("frame operator self-adjoint positive", False, 1.0))
-        self.require(_frame_line("frame property (positive lower bound)", bounds))
+        self.require(frame_line("frame property (positive lower bound)", bounds))
         self.report.info["scalar_bounds"] = [bounds.scalar_lower, bounds.scalar_upper]
         return bounds
 
@@ -295,7 +273,7 @@ def _row(theorem_id: str, instance: Optional[Callable] = _drawn(scalar_controls=
         def run(system, draw, tol, samples, aux, mutant) -> TheoremReport:
             row = _Row(TheoremReport(theorem_id, tolerance=tol, seed=draw.seed), system, draw,
                        tol, samples, aux, mutant)
-            try:
+            with row.report.gate():
                 if instance is not None:
                     generated = system is None
                     system = instance(draw) if generated else system
@@ -311,8 +289,6 @@ def _row(theorem_id: str, instance: Optional[Callable] = _drawn(scalar_controls=
                     else:
                         row.bounds = row.frame_hypotheses(system, frame == _COMMUTING, lines)
                 body(row)
-            except _RowEnded:
-                pass
             return row.report
 
         _ROWS[theorem_id] = run
@@ -329,13 +305,13 @@ def _transform(row: _Row) -> None:
     t, s = system.analysis_operator, system.frame_operator
     scale = max(1.0, s.norm())
     sigma_min, sigma_max = _singular_range(t)
-    row.conclude(_within("transform factorizes the frame operator", _rel_op(t.adjoint() @ t, s),
-                         10 * tol),
+    row.conclude(within("transform factorizes the frame operator", _rel_op(t.adjoint() @ t, s),
+                        10 * tol),
                  ("injective with closed range", sigma_min > tol * scale, 0.0),
-                 _gap("norm bounded by the upper frame bound", sigma_max - bounds.scalar_upper,
-                      tol * max(1.0, bounds.scalar_upper)),
-                 _gap("adjoint surjective (bounded below)", bounds.scalar_lower - sigma_min,
-                      tol * scale))
+                 gap("norm bounded by the upper frame bound", sigma_max - bounds.scalar_upper,
+                     tol * max(1.0, bounds.scalar_upper)),
+                 gap("adjoint surjective (bounded below)", bounds.scalar_lower - sigma_min,
+                     tol * scale))
 
 
 def _spectral_conclusions(row: _Row, op: AdjointableOperator) -> tuple:
@@ -343,8 +319,8 @@ def _spectral_conclusions(row: _Row, op: AdjointableOperator) -> tuple:
     tol, scale = row.tol, max(1.0, op.norm())
     eigs = op.eigenvalues_hermitian()
     row.conclude(("bounded", np.isfinite(op.norm()), 0.0),
-                 _within("self-adjoint", op.hermitian_defect() / scale, 10 * tol),
-                 _gap("positive", -float(eigs[0]) / scale, 10 * tol),
+                 within("self-adjoint", op.hermitian_defect() / scale, 10 * tol),
+                 gap("positive", -float(eigs[0]) / scale, 10 * tol),
                  ("invertible", eigs[0] > tol * scale, 0.0))
     return eigs, scale
 
@@ -356,18 +332,18 @@ def _frame_operator_props(row: _Row) -> None:
     if row.mutant == SCALE_MEMBER:
         system = _scale_first_member(system)
     eigs, scale = _spectral_conclusions(row, system.frame_operator)
-    row.conclude(_gap("norm above squared lower bound", bounds.scalar_lower ** 2 - float(eigs[-1]),
-                      row.tol * scale),
-                 _gap("norm below squared upper bound", float(eigs[-1]) - bounds.scalar_upper ** 2,
-                      row.tol * scale))
+    row.conclude(gap("norm above squared lower bound", bounds.scalar_lower ** 2 - float(eigs[-1]),
+                     row.tol * scale),
+                 gap("norm below squared upper bound", float(eigs[-1]) - bounds.scalar_upper ** 2,
+                     row.tol * scale))
 
 
 @_row("SCC-PROPS", _drawn(), breaks=_bump_control)
 def _scc_props(row: _Row) -> None:
     """Synthesis-after-analysis equals the frame operator and shares its properties."""
     composed = row.system.synthesis_operator @ row.system.analysis_operator
-    row.conclude(_within("factorization matches block assembly",
-                         _rel_op(composed, row.system.frame_operator), 10 * row.tol))
+    row.conclude(within("factorization matches block assembly",
+                        _rel_op(composed, row.system.frame_operator), 10 * row.tol))
     _spectral_conclusions(row, composed)
 
 
@@ -383,8 +359,8 @@ def _equal_controls_equivalence(row: _Row) -> None:
     system, tol = row.system, row.tol
     c, plain = system.controls.C, _uncontrolled(system)
     bounds_c, bounds_plain = optimal_scalar_bounds(system, tol), optimal_scalar_bounds(plain, tol)
-    row.require(_frame_line("controlled system is a frame", bounds_c),
-                _frame_line("plain system is a frame", bounds_plain))
+    row.require(frame_line("controlled system is a frame", bounds_c),
+                frame_line("plain system is a frame", bounds_plain))
     norm_c, norm_c_inv = c.norm(), c.inverse().norm()
     if row.mutant == SCALE_MEMBER:
         system = _scale_first_member(system)
@@ -404,8 +380,8 @@ def _transform_bounds(row: _Row) -> None:
     eigs = s.eigenvalues_hermitian()
     upper_defect = abs(system.analysis_operator.norm() ** 2 - float(eigs[-1])) / scale
     lower_defect = abs(1.0 / s.inverse().norm() - float(eigs[0])) / scale
-    row.conclude(_within("upper bound is the squared transform norm", upper_defect, 100 * tol),
-                 _within("lower bound is the inverse-norm reciprocal", lower_defect, 100 * tol))
+    row.conclude(within("upper bound is the squared transform norm", upper_defect, 100 * tol),
+                 within("lower bound is the inverse-norm reciprocal", lower_defect, 100 * tol))
     certify_window(row.report, system, float(np.sqrt(max(eigs[0], 0.0))),
                    float(np.sqrt(max(eigs[-1], 0.0))), tol, "spectral bounds certified")
 
@@ -424,12 +400,12 @@ def _bessel_composition(row: _Row) -> None:
     b1 = max(b_lam.scalar_upper, sup_lam)
     row.require(("first family Bessel", np.isfinite(b_lam.scalar_upper), 0.0),
                 ("second family Bessel", np.isfinite(b_gam.scalar_upper), 0.0),
-                _gap("member norms below the first Bessel constant", sup_lam - b1, tol))
+                gap("member norms below the first Bessel constant", sup_lam - b1, tol))
     composed = {label: op.adjoint() @ second[label] for label, op in system.family.items()}
     comp_upper = optimal_scalar_bounds(sys_gamma.with_family(composed), tol).scalar_upper
     target = b1 * b_gam.scalar_upper
-    row.conclude(_gap("composed family Bessel with the product bound", comp_upper - target,
-                      tol * max(1.0, target)))
+    row.conclude(gap("composed family Bessel with the product bound", comp_upper - target,
+                     tol * max(1.0, target)))
     row.report.info["bessel_constants"] = [b1, b_gam.scalar_upper, comp_upper]
 
 
@@ -443,9 +419,9 @@ def _surjective_synthesis(row: _Row) -> None:
     bounds = optimal_scalar_bounds(system, tol)
     mixed = (system.controls.Cp @ system.controls.C).eigenvalues_hermitian()
     floor = sigma ** 2 * float(mixed[0])
-    row.conclude(_frame_line("controlled system is a frame", bounds),
-                 _gap("lower bound above the surjectivity constant",
-                      floor - bounds.scalar_lower ** 2, tol * max(1.0, floor)))
+    row.conclude(frame_line("controlled system is a frame", bounds),
+                 gap("lower bound above the surjectivity constant",
+                     floor - bounds.scalar_lower ** 2, tol * max(1.0, floor)))
     row.report.info["surjectivity_constant"] = sigma
 
 
@@ -459,9 +435,9 @@ def _surjective_composition(row: _Row) -> None:
     row.bounded_below("cross Gram map surjective", f_op)
     ds = system.direct_sum
     k_op = ds.stack_operator(gamma).adjoint()
-    row.conclude(_within("factors through plain transform and synthesis",
-                         _rel_op(f_op, k_op @ ds.stack_operator(dict(system.family))), 10 * tol),
-                 _frame_line("second family is a frame", row.scalar_bounds(
+    row.conclude(within("factors through plain transform and synthesis",
+                        _rel_op(f_op, k_op @ ds.stack_operator(dict(system.family))), 10 * tol),
+                 frame_line("second family is a frame", row.scalar_bounds(
                      system.with_family(gamma), "scalar bounds apply to the second family")))
 
 
@@ -526,7 +502,7 @@ def _hom_transport(row: _Row) -> None:
     pair_count = max(10, min(row.samples, 40))
     for name, system, phi in _hom_instances(row.draw):
         bounds = optimal_scalar_bounds(system, tol)
-        row.require(_frame_line(f"{name}: frame property", bounds))
+        row.require(frame_line(f"{name}: frame property", bounds))
         desc, s = system.descriptor, system.frame_operator
         x, y = (_unit_vectors(desc, system.module_rank, pair_count, rng) for _ in "xy")
         tx, ty = phi(x), phi(y)
@@ -538,19 +514,19 @@ def _hom_transport(row: _Row) -> None:
             float(np.sqrt(element_norms(desc, pairing(desc, diff)).max()))
             for diff in (apply_stack(op, tx) - phi(apply_stack(op, x))
                          for op in system.family.values()))
-        row.require(_within(f"{name}: inner products intertwined",
-                            worst(pairing(desc, tx, other=ty), phi(pairing(desc, x, other=y))),
-                            100 * tol),
-                    _within(f"{name}: intertwiner commutes with the family", commute_defect,
-                            100 * tol))
+        row.require(within(f"{name}: inner products intertwined",
+                           worst(pairing(desc, tx, other=ty), phi(pairing(desc, x, other=y))),
+                           100 * tol),
+                    within(f"{name}: intertwiner commutes with the family", commute_defect,
+                           100 * tol))
         eigs = s.eigenvalues_hermitian()
         row.conclude(
-            _within(f"{name}: transported Gram identity",
-                    worst(system.gram_batch(tx), phi(system.gram_batch(x))), 100 * tol),
-            _within(f"{name}: transported frame-operator pairing",
-                    worst(pairing(desc, tx, s, ty), phi(pairing(desc, x, s, y))), 100 * tol),
-            _gap(f"{name}: transported bounds certified",
-                 max(bounds.scalar_lower ** 2 - eigs[0], eigs[-1] - bounds.scalar_upper ** 2), tol))
+            within(f"{name}: transported Gram identity",
+                   worst(system.gram_batch(tx), phi(system.gram_batch(x))), 100 * tol),
+            within(f"{name}: transported frame-operator pairing",
+                   worst(pairing(desc, tx, s, ty), phi(pairing(desc, x, s, y))), 100 * tol),
+            gap(f"{name}: transported bounds certified",
+                max(bounds.scalar_lower ** 2 - eigs[0], eigs[-1] - bounds.scalar_upper ** 2), tol))
 
 
 def _certify_transported(row: _Row, system: GFrameSystem, low: float, high: float) -> None:
@@ -564,7 +540,7 @@ def _commuting_factor(row: _Row, key: str, salt: int, invertible: str, commutes:
     """Auxiliary factor required invertible and commuting with the controls."""
     theta = row.invertible(key, salt)
     low, high = row.bounded_below(invertible, theta)
-    row.require(_within(commutes, _control_commutation(theta, row.system), 100 * row.tol))
+    row.require(within(commutes, _control_commutation(theta, row.system), 100 * row.tol))
     return theta, low, high
 
 
@@ -589,8 +565,8 @@ def _right_composition(row: _Row) -> None:
     if row.mutant == SCALE_MEMBER:
         system = _scale_first_member(system)
     new_sys = _composed(system, theta)
-    row.conclude(_within("new frame operator is the conjugated one",
-                         _rel_op(new_sys.frame_operator, conjugated), 100 * row.tol))
+    row.conclude(within("new frame operator is the conjugated one",
+                        _rel_op(new_sys.frame_operator, conjugated), 100 * row.tol))
     _certify_transported(row, new_sys, low, high)
 
 
@@ -605,10 +581,10 @@ def _dual_similarity(row: _Row) -> None:
     forward = {label: op @ s_q_inv @ q for label, op in sys_q.family.items()}
     backward = {label: op @ s_inv @ q.inverse() for label, op in system.family.items()}
     row.conclude(
-        _within("dual of the composed family transfers back",
-                _identity_residual(reconstruction_operator(system, forward)), 100 * tol),
-        _within("dual of the family transfers forward",
-                _identity_residual(reconstruction_operator(sys_q, backward)), 100 * tol))
+        within("dual of the composed family transfers back",
+               _identity_residual(reconstruction_operator(system, forward)), 100 * tol),
+        within("dual of the family transfers forward",
+               _identity_residual(reconstruction_operator(sys_q, backward)), 100 * tol))
 
 
 @_row("EQ-FRAME-OP")
@@ -618,12 +594,12 @@ def _equal_frame_operator(row: _Row) -> None:
     r = rand_invertible_operator(system.descriptor, system.module_rank, _rng(row.seed, 9))
     sys_gamma = _composed(system, r)
     name = "second family is a frame"
-    row.require(_frame_line(name, row.scalar_bounds(sys_gamma, name)))
+    row.require(frame_line(name, row.scalar_bounds(sys_gamma, name)))
     s_lam = system.frame_operator
     q = s_lam.sqrt_positive() @ sys_gamma.frame_operator.inverse().sqrt_positive()
     matched = _composed(sys_gamma, q.adjoint())
-    row.conclude(_within("similar family reproduces the first frame operator",
-                         _rel_op(matched.frame_operator, s_lam), 100 * row.tol))
+    row.conclude(within("similar family reproduces the first frame operator",
+                        _rel_op(matched.frame_operator, s_lam), 100 * row.tol))
 
 
 @_row("OP-DUAL-CORR")
@@ -635,8 +611,8 @@ def _operator_dual_correspondence(row: _Row) -> None:
     row.bounded_below("similarity operator invertible", q)
     s_inv, k_inv = system.frame_operator.inverse(), k.inverse()
     gamma = {label: op @ s_inv @ k_inv for label, op in system.family.items()}
-    row.require(_within("operator dual identity holds",
-                        _identity_residual(reconstruction_operator(system, gamma, k)), 100 * tol))
+    row.require(within("operator dual identity holds",
+                       _identity_residual(reconstruction_operator(system, gamma, k)), 100 * tol))
     k_checked = row.checked(k)
     q_adj, q_inv = q.adjoint(), q.inverse()
     sys_q = _composed(system, q_adj)
@@ -645,10 +621,10 @@ def _operator_dual_correspondence(row: _Row) -> None:
     s_q_inv = sys_q.frame_operator.inverse()
     back = {label: op @ s_q_inv @ k_inv @ q_adj for label, op in sys_q.family.items()}
     backward = reconstruction_operator(system, back, q_adj.inverse() @ k_checked @ q)
-    row.conclude(_within("transferred dual with conjugated operator",
-                         _identity_residual(forward), 100 * tol),
-                 _within("converse transfer with conjugated operator",
-                         _identity_residual(backward), 100 * tol))
+    row.conclude(within("transferred dual with conjugated operator",
+                        _identity_residual(forward), 100 * tol),
+                 within("converse transfer with conjugated operator",
+                        _identity_residual(backward), 100 * tol))
 
 
 def _block_diagonal(top: AdjointableOperator, bottom: AdjointableOperator) -> AdjointableOperator:
@@ -710,24 +686,24 @@ def _submodule(row: _Row) -> None:
         return _rel_op(projection @ op, (projection @ op @ inclusion) @ projection)
 
     row.require(
-        _within("family respects the submodule split",
-                max(split_defect(op.adjoint() @ op) for op in sys_full.family.values()), 100 * tol),
-        _within("companion operator preserves the submodule", split_defect(k), 100 * tol),
-        _within("restricted inverse intertwines the members",
-                max(_rel_op(s_r_inv_p @ op.adjoint(), projection @ s_inv @ op.adjoint())
-                    for op in sys_full.family.values()), 1e-6))
+        within("family respects the submodule split",
+               max(split_defect(op.adjoint() @ op) for op in sys_full.family.values()), 100 * tol),
+        within("companion operator preserves the submodule", split_defect(k), 100 * tol),
+        within("restricted inverse intertwines the members",
+               max(_rel_op(s_r_inv_p @ op.adjoint(), projection @ s_inv @ op.adjoint())
+                   for op in sys_full.family.values()), 1e-6))
     k_inv = k.inverse()
     gamma = {label: op @ s_inv @ k_inv for label, op in sys_full.family.items()}
-    row.require(_within("operator dual identity on the full module",
-                        _identity_residual(reconstruction_operator(sys_full, gamma, k)), 100 * tol))
+    row.require(within("operator dual identity on the full module",
+                       _identity_residual(reconstruction_operator(sys_full, gamma, k)), 100 * tol))
     gamma_r = {label: op @ inclusion for label, op in gamma.items()}
     restricted = reconstruction_operator(sys_r, gamma_r, projection @ k @ inclusion)
-    row.conclude(_frame_line("restricted family is a frame for the submodule",
-                             optimal_scalar_bounds(sys_r, tol)),
-                 _within("restricted dual reconstructs on the submodule",
-                         _identity_residual(restricted), 1e-6),
-                 _within("restricted inverse agrees with the projected inverse",
-                         _rel_op(s_r_inv_p, projection @ s_inv), 1e-6))
+    row.conclude(frame_line("restricted family is a frame for the submodule",
+                            optimal_scalar_bounds(sys_r, tol)),
+                 within("restricted dual reconstructs on the submodule",
+                        _identity_residual(restricted), 1e-6),
+                 within("restricted inverse agrees with the projected inverse",
+                        _rel_op(s_r_inv_p, projection @ s_inv), 1e-6))
 
 
 @_row("T33")
@@ -739,15 +715,15 @@ def _mutual_duality(row: _Row) -> None:
     gamma = {label: op @ s_inv @ k_inv for label, op in system.family.items()}
     sys_gamma = system.with_family(gamma)
     gamma_bounds = row.scalar_bounds(sys_gamma, "both families Bessel")
-    row.require(_within("reconstruction identity",
-                        _identity_residual(reconstruction_operator(system, gamma, k)), 100 * tol),
+    row.require(within("reconstruction identity",
+                       _identity_residual(reconstruction_operator(system, gamma, k)), 100 * tol),
                 ("both families Bessel", np.isfinite(gamma_bounds.scalar_upper), 0.0))
     floor = (_singular_range(k_inv)[0] / system.analysis_operator.norm()) ** 2
     converse = reconstruction_operator(sys_gamma, dict(system.family), row.checked(k).adjoint())
-    row.conclude(_gap("second family frame with the derived lower bound",
-                      floor - gamma_bounds.scalar_lower ** 2, tol * max(1.0, floor)),
-                 _within("first family is a dual with the adjoint companion",
-                         _identity_residual(converse), 100 * tol))
+    row.conclude(gap("second family frame with the derived lower bound",
+                     floor - gamma_bounds.scalar_lower ** 2, tol * max(1.0, floor)),
+                 within("first family is a dual with the adjoint companion",
+                        _identity_residual(converse), 100 * tol))
 
 
 @_row("T55", _repeated_control, same_control=True)
@@ -757,8 +733,8 @@ def _right_inverse_characterization(row: _Row) -> None:
     desc, n = system.descriptor, system.module_rank
     row.bounded_below("companion operator invertible", k)
     t, s = system.analysis_operator, system.frame_operator
-    row.require(_within("transform factorizes the frame operator", _rel_op(t.adjoint() @ t, s),
-                        100 * tol))
+    row.require(within("transform factorizes the frame operator", _rel_op(t.adjoint() @ t, s),
+                       100 * tol))
     right_inverse = _right_inverses(t, s.inverse(), k)
     kt_star = row.checked(k) @ t.adjoint()
     rng = _rng(row.seed, 15)
@@ -768,11 +744,11 @@ def _right_inverse_characterization(row: _Row) -> None:
     row.report.info["right_inverse_count"] = count
     g_ls = AdjointableOperator.from_flat(desc, n, t.out_rank,
                                          np.linalg.pinv((k @ t.adjoint()).flat()))
-    row.conclude(_within("constructed right inverses verified", worst, max(1e-9, 100 * tol)),
-                 _within("least-squares right inverse verified",
-                         _identity_residual(kt_star @ g_ls), max(1e-9, 100 * tol)),
-                 _within("least-squares inverse decomposes into the stated form",
-                         _rel_op(g_ls, right_inverse(g_ls)), 1e-8))
+    row.conclude(within("constructed right inverses verified", worst, max(1e-9, 100 * tol)),
+                 within("least-squares right inverse verified",
+                        _identity_residual(kt_star @ g_ls), max(1e-9, 100 * tol)),
+                 within("least-squares inverse decomposes into the stated form",
+                        _rel_op(g_ls, right_inverse(g_ls)), 1e-8))
 
 
 def _central_element(descriptor: AlgebraDescriptor, rng: np.random.Generator) -> AlgebraElement:
@@ -792,8 +768,8 @@ def _midpoint_dual(row: _Row) -> None:
     k_tilde = k @ system.mixed_control_root.inverse()
     theta_free = rand_operator(desc, n, t.out_rank, _rng(row.seed, 17))
     gamma = _components(system.direct_sum, _right_inverses(t, s_inv, k)(theta_free))
-    row.require(_within("starting family is an operator dual",
-                        _identity_residual(reconstruction_operator(system, gamma, k_tilde)), 1e-6))
+    row.require(within("starting family is an operator dual",
+                       _identity_residual(reconstruction_operator(system, gamma, k_tilde)), 1e-6))
     v = _central_element(desc, _rng(row.seed, 18))
     k_tilde_inv = k_tilde.inverse()
     midpoint = {}
@@ -802,9 +778,9 @@ def _midpoint_dual(row: _Row) -> None:
         midpoint[label] = mv @ gam + mv @ (system.family[label] @ s_inv @ k_tilde_inv)
     companion = 0.5 * (AdjointableOperator.central_multiplier(desc, n, v.invert())
                        @ row.checked(k_tilde))
-    row.conclude(_within("midpoint family is an operator dual with the halved companion",
-                         _identity_residual(reconstruction_operator(system, midpoint, companion)),
-                         1e-6))
+    row.conclude(within("midpoint family is an operator dual with the halved companion",
+                        _identity_residual(reconstruction_operator(system, midpoint, companion)),
+                        1e-6))
 
 
 @_row("T12", _drawn(scalar_controls=True, pad_outputs=True), frame=None)
@@ -813,9 +789,9 @@ def _bessel_parametrization(row: _Row) -> None:
     system, tol = row.system, row.tol
     ds = system.direct_sum
     plain = _components(ds, ds.stack_operator(dict(system.family)))
-    row.conclude(_within("family recovered from its own transform",
-                         max(_rel_op(plain[label], op) for label, op in system.family.items()),
-                         10 * tol))
+    row.conclude(within("family recovered from its own transform",
+                        max(_rel_op(plain[label], op) for label, op in system.family.items()),
+                        10 * tol))
     theta = row.operator("theta", lambda: rand_operator(system.descriptor, system.module_rank,
                                                         ds.total_rank, _rng(row.seed, 19)))
     if theta.out_rank != ds.total_rank:
@@ -823,8 +799,8 @@ def _bessel_parametrization(row: _Row) -> None:
     upper = row.scalar_bounds(system.with_family(_components(ds, theta)),
                               "component family Bessel").scalar_upper
     cap = theta.norm() * float(np.sqrt(system.controls.C.norm() * system.controls.Cp.norm()))
-    row.conclude(_gap("component family Bessel with the norm cap", upper - cap,
-                      tol * max(1.0, cap)))
+    row.conclude(gap("component family Bessel with the norm cap", upper - cap,
+                     tol * max(1.0, cap)))
     row.report.info["bessel_cap"] = [upper, cap]
 
 
@@ -836,14 +812,14 @@ def _right_inverse_dual(row: _Row) -> None:
     theta_free = rand_operator(system.descriptor, system.module_rank, t.out_rank,
                                _rng(row.seed, 21))
     theta = _right_inverses(t, system.frame_operator.inverse(), k)(theta_free)
-    row.require(_within("map is a right inverse of the companion-composed synthesis",
-                        _identity_residual((k @ t.adjoint()) @ theta), 1e-6))
+    row.require(within("map is a right inverse of the companion-composed synthesis",
+                       _identity_residual((k @ t.adjoint()) @ theta), 1e-6))
     family = _components(system.direct_sum, theta)
     k_corrected = k @ system.mixed_control_root.inverse()
-    row.conclude(_within("component family is an operator dual with the corrected companion",
-                         _identity_residual(reconstruction_operator(system, family,
-                                                                    row.checked(k_corrected))),
-                         1e-6))
+    row.conclude(within("component family is an operator dual with the corrected companion",
+                        _identity_residual(reconstruction_operator(system, family,
+                                                                   row.checked(k_corrected))),
+                        1e-6))
     nominal = _identity_residual(reconstruction_operator(system, family, k))
     row.report.info["nominal_companion_residual"] = nominal
     row.report.info["nominal_companion_matches"] = bool(nominal <= 1e-6)
@@ -869,12 +845,12 @@ def _dual_parametrization(row: _Row) -> None:
     formula_defect = max(_rel_op(constructed[label], formula[label]) for label in labels)
     replay = _components(ds, right_inverse(ds.stack_operator(constructed)))
     row.conclude(
-        _within("construction matches the displayed formula", formula_defect, 1e-6),
-        _within("constructed family is an operator dual",
-                _identity_residual(reconstruction_operator(system, constructed, k @ c.inverse())),
-                1e-6),
-        _within("given dual reproduces itself through the parametrization",
-                max(_rel_op(replay[label], constructed[label]) for label in labels), 1e-6))
+        within("construction matches the displayed formula", formula_defect, 1e-6),
+        within("constructed family is an operator dual",
+               _identity_residual(reconstruction_operator(system, constructed, k @ c.inverse())),
+               1e-6),
+        within("given dual reproduces itself through the parametrization",
+               max(_rel_op(replay[label], constructed[label]) for label in labels), 1e-6))
 
 
 @_row("ANY-FRAME-CONTROLLED", _drawn(), frame=None)
@@ -882,16 +858,16 @@ def _any_frame_controlled(row: _Row) -> None:
     """A plain frame stays a frame under any commuting positive invertible controls."""
     system, tol = row.system, row.tol
     plain = optimal_scalar_bounds(_uncontrolled(system), tol)
-    row.require(_frame_line("plain system is a frame", plain), *_commute_lines(system))
+    row.require(frame_line("plain system is a frame", plain), *_commute_lines(system))
     controlled = optimal_scalar_bounds(system, tol)
     mixed = (system.controls.Cp @ system.controls.C).eigenvalues_hermitian()
     lo_floor = plain.scalar_lower ** 2 * float(mixed[0])
     hi_cap = plain.scalar_upper ** 2 * float(mixed[-1])
-    row.conclude(_frame_line("controlled system is a frame", controlled),
-                 _gap("controlled lower bound above the spectral floor",
-                      lo_floor - controlled.scalar_lower ** 2, tol * max(1.0, lo_floor)),
-                 _gap("controlled upper bound below the spectral cap",
-                      controlled.scalar_upper ** 2 - hi_cap, tol * max(1.0, hi_cap)))
+    row.conclude(frame_line("controlled system is a frame", controlled),
+                 gap("controlled lower bound above the spectral floor",
+                     lo_floor - controlled.scalar_lower ** 2, tol * max(1.0, lo_floor)),
+                 gap("controlled upper bound below the spectral cap",
+                     controlled.scalar_upper ** 2 - hi_cap, tol * max(1.0, hi_cap)))
     norms = system.controls.C.norm() * system.controls.Cp.norm()
     nominal = [plain.scalar_lower * norms, plain.scalar_upper * norms]
     row.report.info["nominal_bounds"] = nominal

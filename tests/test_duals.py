@@ -4,9 +4,9 @@ import pytest
 from gframe.errors import DomainError
 from gframe.frames import (
     DualCertificate,
+    bessel_constant,
     canonical_dual,
     controlled_multiplier,
-    controlled_multiplier_report,
     multiplier,
     multiplier_report,
     operator_dual_check,
@@ -163,8 +163,11 @@ def test_controlled_multiplier_zero_symbol_and_bound():
     c, cp = system.controls.C, system.controls.Cp
     assert controlled_multiplier(zeros, family, family, c, cp, system.measure).norm() == 0.0
     ones = {label: 1.0 for label in family}
-    rep = controlled_multiplier_report(ones, family, family, c, cp, system.measure)
-    assert rep["norm_within_bound"]
+    op = controlled_multiplier(ones, family, family, c, cp, system.measure)
+    # Bessel constants of the squared-control systems: (C, C) and (C', C')
+    bound = (bessel_constant(family, system.measure, c, c)
+             * bessel_constant(family, system.measure, cp, cp))
+    assert op.norm() <= bound + 1e-9 * max(1.0, bound)
 
 
 @pytest.mark.parametrize("kwargs", ORACLE_SYSTEMS,

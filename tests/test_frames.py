@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from gframe.algebra import AlgebraElement
+from gframe.algebra import AlgebraDescriptor, AlgebraElement
 from gframe.errors import InputError, UnsupportedConfigurationError
 from gframe.frames import FrameBounds, GFrameSystem, check_frame, optimal_scalar_bounds
 from gframe.generate import random_system
 from gframe.hilbert import AdjointableOperator, DirectSumVector, ModuleVector
 from gframe.measure import MeasureSpace
-from gframe.sampling import rand_vector
+from gframe.sampling import complex_gaussian, rand_coords, rand_vector
 
 from conftest import ORACLE_SYSTEMS, brute_force_frame_operator_flat, brute_force_gram
 
@@ -273,3 +273,20 @@ def test_gram_batch_rejects_wrong_shape(identity_system, m2):
         identity_system.gram_batch(np.zeros((3, 5, 2, 2)))
     with pytest.raises(InputError):
         identity_system.gram(rand_vector(m2, 3, np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("unit", [False, True], ids=["gaussian", "unit"])
+@pytest.mark.parametrize("kind, shape", [("matrix", (2, 2)), ("diagonal", (3,))])
+def test_stacked_draw_equals_successive_single_draws(kind, shape, unit):
+    # The stacked draw keeps the stream of one complex Gaussian vector at a time,
+    # each scaled by the reciprocal of its own norm: equal to the last bit.
+    desc = AlgebraDescriptor(kind, shape[0])
+    rng = np.random.default_rng(4)
+    singles = []
+    for _ in range(9):
+        x = ModuleVector(desc, complex_gaussian(rng, (3,) + shape))
+        singles.append(((1.0 / x.norm()) * x if unit else x).coords)
+    stacked = rand_coords(desc, 3, np.random.default_rng(4), 9, unit=unit)
+    assert np.array_equal(stacked, np.stack(singles))
+    first = rand_vector(desc, 3, np.random.default_rng(4), unit=unit)
+    assert np.array_equal(first.coords, singles[0])

@@ -6,10 +6,10 @@ from gframe.frames import FrameBounds, check_frame, optimal_scalar_bounds
 from gframe.generate import random_system, unit_interval_system
 from gframe.sampling import rand_operator, rand_vector
 from gframe.stability import (
-    PerturbationParams,
     additive_perturbation_check,
     check_equivalence_M,
     family_distance,
+    run_perturbation,
     sum_frame_check,
     weighted_perturbation_check,
 )
@@ -26,13 +26,15 @@ def _cc_system(seed):
     return base.with_controls(base.controls.C, base.controls.C)
 
 
-def test_params_validation():
-    with pytest.raises(InputError):
-        PerturbationParams("weighted", lam=1.0, mu=0.0)
-    with pytest.raises(InputError):
-        PerturbationParams("additive", alpha=-1.0)
-    with pytest.raises(InputError):
-        PerturbationParams("bogus")
+def test_params_validation(unit_interval):
+    family = dict(unit_interval.family)
+    ones = {label: 1.0 for label in family}
+    with pytest.raises(InputError, match=r"constants in \[0, 1\)"):
+        weighted_perturbation_check(unit_interval, family, ones, ones, lam=1.0, mu=0.0)
+    with pytest.raises(InputError, match="nonnegative constants"):
+        additive_perturbation_check(unit_interval, family, alpha=-1.0, beta=0.0)
+    with pytest.raises(InputError, match="unknown perturbation kind"):
+        run_perturbation("bogus", unit_interval, unit_interval, {})
 
 
 def test_family_distance_basic(unit_interval):

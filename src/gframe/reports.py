@@ -77,7 +77,7 @@ class TheoremReport:
     def gate(self):
         """Run a statement body; a failed ``require`` ends the body here."""
         try:
-            yield self
+            yield
         except _Ended:
             pass
 

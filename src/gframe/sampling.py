@@ -20,15 +20,15 @@ def rand_coords(descriptor: AlgebraDescriptor, rank: int, rng: np.random.Generat
                 count: int, unit: bool = False) -> np.ndarray:
     """A (count, rank) + coordinate-shape stack of independent standard complex Gaussians.
 
-    One draw, equal to ``count`` successive single draws; ``unit`` scales each vector to norm one.
+    One draw, equal to ``count`` successive single draws; ``unit`` multiplies each vector by
+    the reciprocal of its norm.
     """
     pairs = rng.standard_normal((count, 2, rank) + _coord_shape(descriptor))
     coords = (pairs[:, 0] + 1j * pairs[:, 1]) / np.sqrt(2.0)
     if unit:
         spec = "siab,sicb->sac" if descriptor.kind == MATRIX else "sia,sia->sa"
         norms = np.sqrt(element_norms(descriptor, np.einsum(spec, coords, coords.conj())))
-        scale = 1.0 / np.where(norms > 0, norms, 1.0)
-        coords = scale.reshape((count,) + (1,) * (coords.ndim - 1)) * coords
+        coords = (1.0 / norms).reshape((count,) + (1,) * (coords.ndim - 1)) * coords
     return coords
 
 

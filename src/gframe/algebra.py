@@ -178,15 +178,15 @@ class AlgebraElement:
         vals = np.clip(self.data.real, 0.0, None)
         return AlgebraElement(self.descriptor, np.sqrt(vals).astype(np.complex128))
 
-    def invert(self, cond_cap: float = DEFAULT_COND_CAP) -> "AlgebraElement":
-        """Inverse, refused when the condition number exceeds cond_cap."""
+    def invert(self) -> "AlgebraElement":
+        """Inverse, refused when the condition number exceeds DEFAULT_COND_CAP."""
         if self.descriptor.kind == MATRIX:
             svals = np.linalg.svd(self._finite_matrix(), compute_uv=False)
             sigma_min, scale = float(svals[-1]), float(svals[0])
         else:
             moduli = np.abs(self.data)
             sigma_min, scale = float(np.min(moduli)), float(np.max(moduli))
-        if sigma_min <= 0.0 or sigma_min < scale / cond_cap:
+        if sigma_min <= 0.0 or sigma_min < scale / DEFAULT_COND_CAP:
             cond = np.inf if sigma_min == 0.0 else scale / sigma_min
             raise DomainError(
                 f"element is singular or ill-conditioned (condition estimate {cond:.3e})"

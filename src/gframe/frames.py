@@ -23,7 +23,6 @@ from .algebra import (
     conjugate_by,
     element_norms,
     min_hermitian_eigenvalues,
-    two_norm,
 )
 from .errors import DomainError, InputError, UnsupportedConfigurationError
 from .hilbert import (
@@ -33,9 +32,9 @@ from .hilbert import (
     ModuleVector,
     as_channels,
     compose_all,
+    extreme_witnesses,
     pairing,
     spectral_norms,
-    vector_from_flat_row,
     weighted_sum,
 )
 from .measure import MeasureSpace
@@ -75,10 +74,9 @@ class ControlPair:
 
     @cached_property
     def commute_defect(self) -> float:
-        """Relative commutator ||C C' - C' C|| / max(1, ||C|| ||C'||)."""
-        fc, fcp = self.C.flat(), self.Cp.flat()
+        """Relative commutator ||C' C - C C'|| / max(1, ||C|| ||C'||)."""
         scale = max(1.0, self.C.norm() * self.Cp.norm())
-        return float(two_norm(fc @ fcp - fcp @ fc)) / scale
+        return (self.Cp @ self.C - self.C @ self.Cp).norm() / scale
 
     @cached_property
     def family_defect(self) -> float:
@@ -335,12 +333,7 @@ def sample_coords(system: GFrameSystem, samples: int, seed: int, extra_ops: tupl
     The witnesses come from the frame operator and from each extra operator.
     """
     out = [rand_coords(system.descriptor, system.module_rank, np.random.default_rng(seed), samples)]
-    for op in (system.frame_operator,) + tuple(extra_ops):
-        f = op.flat()
-        _, vecs = np.linalg.eigh(0.5 * (f + f.conj().T))
-        for idx in (0, vecs.shape[1] - 1):
-            out.append(vector_from_flat_row(system.descriptor, system.module_rank,
-                                            vecs[:, idx].conj()).coords[None])
+    out += [extreme_witnesses(op) for op in (system.frame_operator,) + tuple(extra_ops)]
     return np.concatenate(out)
 
 
@@ -532,10 +525,10 @@ def multiplier_report(gamma: Mapping[str, complex], lam: Mapping[str, Adjointabl
     gamma_conj = {label: np.conj(complex(v)) for label, v in gamma.items()}
     swapped = multiplier(gamma_conj, theta, lam, measure)
     unswapped = multiplier(gamma_conj, lam, theta, measure)
-    adj_flat = op.flat().conj().T
+    adj = op.adjoint()
     scale = max(1.0, op.norm())
-    swapped_res = float(two_norm(adj_flat - swapped.flat())) / scale
-    unswapped_res = float(two_norm(adj_flat - unswapped.flat())) / scale
+    swapped_res = (adj - swapped).norm() / scale
+    unswapped_res = (adj - unswapped).norm() / scale
     return {
         "operator": op,
         "op_norm": op.norm(),

@@ -9,13 +9,17 @@ which makes T(a x) = a T(x) automatic.
 d x (n d) row of its coordinate blocks, an operator the (n d) x (m d) block
 matrix of its entries.  Under this convention flat(S after T) =
 flat(T) @ flat(S) and flat(T*) = flat(T)^H, so norms, spectra and positivity
-of operators are read off the flattened matrix.
+of operators are those of the flattened matrix.
 
 The diagonal algebra C^k is k independent copies of C, so its flattening is
-a permutation of k block-diagonal channels.  ``channels`` is the view the
-products use: one (n d) x (m d) channel (the flattening) for M_d, and k
-channels of shape n x m for C^k.  Compositions, weighted sums and pairings
-run as stacked matrix products over that view.
+a permutation of k block-diagonal channels.  ``channels`` is the one matrix
+model every computation uses: one (n d) x (m d) channel (the flattening) for
+M_d, and k channels of shape n x m for C^k.  Compositions, weighted sums and
+pairings run as stacked matrix products over that view; inverses and square
+roots are taken channel by channel; singular values and spectra come from
+one batched LAPACK call over the channels, merged into the spectrum of the
+whole operator.  ``flat`` itself is kept as the raw-numpy oracle the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -113,10 +117,6 @@ class ModuleVector:
         """Scalar norm ||<x, x>||^(1/2)."""
         return float(np.sqrt(max(self.inner(self).norm(), 0.0)))
 
-    def modulus(self, tol: float = DEFAULT_TOL) -> AlgebraElement:
-        """A-valued modulus <x, x>^(1/2)."""
-        return self.inner(self).sqrt_positive(tol)
-
     def flat(self) -> np.ndarray:
         """d x (n d) row-block matrix of the coordinates."""
         blocks = self.coords if self.descriptor.kind == MATRIX else _embed_diag(self.coords)
@@ -147,8 +147,19 @@ def _from_channels(descriptor: AlgebraDescriptor, chans: np.ndarray) -> np.ndarr
     return chans.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
+def channel_layout(descriptor: AlgebraDescriptor) -> tuple:
+    """(number of channels, rows and columns per module coordinate in a channel)."""
+    if descriptor.kind == MATRIX:
+        return 1, descriptor.dim
+    return descriptor.dim, 1
+
+
 def _hermitian_transpose(chans: np.ndarray) -> np.ndarray:
     return chans.conj().swapaxes(-1, -2)
+
+
+def _hermitian_part(chans: np.ndarray) -> np.ndarray:
+    return 0.5 * (chans + _hermitian_transpose(chans))
 
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
@@ -240,11 +251,8 @@ class AdjointableOperator:
         return ModuleVector(self.descriptor, out)
 
     def adjoint(self) -> "AdjointableOperator":
-        if self.descriptor.kind == MATRIX:
-            adj = self.blocks.conj().transpose(1, 0, 3, 2)
-        else:
-            adj = self.blocks.conj().transpose(1, 0, 2)
-        return AdjointableOperator(self.descriptor, adj)
+        return AdjointableOperator.from_channels(self.descriptor,
+                                                 _hermitian_transpose(self.channels()))
 
     def __add__(self, other: "AdjointableOperator") -> "AdjointableOperator":
         self._check_same_shape(other)
@@ -270,10 +278,14 @@ class AdjointableOperator:
         if self.descriptor != other.descriptor or self.blocks.shape != other.blocks.shape:
             raise InputError("operator shape mismatch")
 
-    # -- flattening oracle ---------------------------------------------------
+    # -- matrix models: the channels, and the flattening oracle ---------------
 
     def flat(self) -> np.ndarray:
-        """(n d) x (m d) complex matrix with block (i, j) equal to t_ij."""
+        """(n d) x (m d) complex matrix with block (i, j) equal to t_ij.
+
+        The oracle the tests compare the channels against; no computation
+        reads it.
+        """
         blocks = self.blocks if self.descriptor.kind == MATRIX else _embed_diag(self.blocks)
         n, m, d, _ = blocks.shape
         return blocks.transpose(0, 2, 1, 3).reshape(n * d, m * d)
@@ -286,53 +298,32 @@ class AdjointableOperator:
     def from_channels(descriptor: AlgebraDescriptor, chans: np.ndarray) -> "AdjointableOperator":
         return AdjointableOperator(descriptor, _from_channels(descriptor, chans))
 
-    @staticmethod
-    def from_flat(descriptor: AlgebraDescriptor, in_rank: int, out_rank: int,
-                  matrix: np.ndarray, tol: float = 1e-8) -> "AdjointableOperator":
-        """Inverse of ``flat``.
-
-        For the diagonal kind the blocks must be diagonal up to tol relative
-        to the matrix norm; off-diagonal residue beyond that is an error.
-        """
-        d = descriptor.dim
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        if matrix.shape != (in_rank * d, out_rank * d):
-            raise InputError("flattened matrix has wrong shape")
-        blocks4 = matrix.reshape(in_rank, d, out_rank, d).transpose(0, 2, 1, 3)
-        if descriptor.kind == MATRIX:
-            return AdjointableOperator(descriptor, blocks4)
-        diag = np.einsum("ijaa->ija", blocks4)
-        off = blocks4 - _embed_diag(diag)
-        scale = max(1.0, float(two_norm(matrix)))
-        if np.max(np.abs(off)) > tol * scale:
-            raise InputError("flattened matrix does not respect the diagonal algebra")
-        return AdjointableOperator(descriptor, diag)
-
     # -- spectral data -------------------------------------------------------
 
     # The blocks are read-only and the class is frozen, so each spectral
-    # quantity below is computed on first use and kept on the instance.
+    # quantity below is computed on first use and kept on the instance.  Each
+    # is one batched LAPACK call over the channels; for C^k the k channel
+    # spectra together are the spectrum of the whole operator.
 
     @cached_property
     def _singular_values(self) -> np.ndarray:
-        svals = np.linalg.svd(self.flat(), compute_uv=False)
+        svals = np.sort(np.linalg.svd(self.channels(), compute_uv=False), axis=None)[::-1]
         svals.setflags(write=False)
         return svals
 
     @cached_property
     def _hermitian_defect(self) -> float:
-        f = self.flat()
-        return float(two_norm(f - f.conj().T))
+        chans = self.channels()
+        return float(two_norm(chans - _hermitian_transpose(chans)).max())
 
     @cached_property
     def _eigenvalues_hermitian(self) -> np.ndarray:
-        f = self.flat()
-        eigs = np.linalg.eigvalsh(0.5 * (f + f.conj().T))
+        eigs = np.sort(np.linalg.eigvalsh(_hermitian_part(self.channels())), axis=None)
         eigs.setflags(write=False)
         return eigs
 
     def singular_values(self) -> np.ndarray:
-        """Descending singular values of the flattening, read-only.
+        """Descending singular values of the operator over all channels, read-only.
 
         The last one, when positive, certifies m ||x|| <= ||Tx|| for all x
         and the surjectivity of the adjoint.
@@ -340,7 +331,7 @@ class AdjointableOperator:
         return self._singular_values
 
     def norm(self) -> float:
-        """Operator norm: largest singular value of the flattening."""
+        """Operator norm: the largest singular value of any channel."""
         return float(self._singular_values[0])
 
     def hermitian_defect(self) -> float:
@@ -350,7 +341,7 @@ class AdjointableOperator:
         return self.hermitian_defect() <= tol * max(1.0, self.norm())
 
     def eigenvalues_hermitian(self) -> np.ndarray:
-        """Ascending spectrum of the Hermitian part of the flattening, read-only."""
+        """Ascending spectrum of the Hermitian part over all channels, read-only."""
         return self._eigenvalues_hermitian
 
     def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
@@ -360,32 +351,31 @@ class AdjointableOperator:
         return (self.hermitian_defect() <= floor
                 and bool(self.eigenvalues_hermitian()[0] >= -floor))
 
-    def inverse(self, cond_cap: float = DEFAULT_COND_CAP) -> "AdjointableOperator":
+    def inverse(self) -> "AdjointableOperator":
+        """Inverse, channel by channel; refused beyond condition number DEFAULT_COND_CAP."""
         if self.in_rank != self.out_rank:
             raise DomainError("only square operators can be inverted")
         svals = self._singular_values
-        if svals[-1] <= 0.0 or svals[-1] < svals[0] / cond_cap:
+        if svals[-1] <= 0.0 or svals[-1] < svals[0] / DEFAULT_COND_CAP:
             cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
             raise DomainError(f"operator is singular or ill-conditioned (condition estimate {cond:.3e})")
-        return AdjointableOperator.from_flat(self.descriptor, self.in_rank, self.out_rank,
-                                             np.linalg.inv(self.flat()))
+        return AdjointableOperator.from_channels(self.descriptor, np.linalg.inv(self.channels()))
 
     def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AdjointableOperator":
-        """Positive square root of a positive operator, via the flattening.
+        """Positive square root of a positive operator, channel by channel.
 
         Positivity is ``is_positive``'s test on the kept norm and Hermitian
-        defect, with the spectrum read from the one eigendecomposition that
-        also gives the root.
+        defect, with the spectrum read from the one batched eigendecomposition
+        that also gives the root.
         """
         if self.in_rank != self.out_rank:
             raise DomainError("operator square root requires a positive operator")
-        f = self.flat()
         floor = tol * max(1.0, self.norm())
-        vals, vecs = np.linalg.eigh(0.5 * (f + f.conj().T))
-        if self.hermitian_defect() > floor or vals[0] < -floor:
+        vals, vecs = np.linalg.eigh(_hermitian_part(self.channels()))
+        if self.hermitian_defect() > floor or vals[:, 0].min() < -floor:
             raise DomainError("operator square root requires a positive operator")
-        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-        return AdjointableOperator.from_flat(self.descriptor, self.in_rank, self.out_rank, root)
+        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ _hermitian_transpose(vecs)
+        return AdjointableOperator.from_channels(self.descriptor, root)
 
 
 def compose(s: AdjointableOperator, t: AdjointableOperator) -> AdjointableOperator:
@@ -434,7 +424,7 @@ def weighted_sum(weights: Sequence, left: Sequence[AdjointableOperator],
         raise InputError("weighted sum members must share the algebra and the input rank") from exc
     if y.shape != x.shape:
         raise InputError("weighted sum members must share the algebra and the input rank")
-    width = descriptor.dim if descriptor.kind == MATRIX else 1
+    width = channel_layout(descriptor)[1]
     coeffs = np.repeat(np.asarray(weights), [m * width for m in ranks])
     x *= np.sqrt(coeffs) if right is None else coeffs
     return AdjointableOperator.from_channels(descriptor, x @ _hermitian_transpose(y))
@@ -450,7 +440,7 @@ def compose_all(ops: Sequence[AdjointableOperator], t: AdjointableOperator) -> l
     """
     if not ops or any(op.descriptor != t.descriptor or op.in_rank != t.out_rank for op in ops):
         raise InputError("compose_all needs operators whose algebra and input rank match t")
-    width = t.descriptor.dim if t.descriptor.kind == MATRIX else 1
+    width = channel_layout(t.descriptor)[1]
     cuts = np.cumsum([op.out_rank * width for op in ops])[:-1]
     product = t.channels() @ _stacked_channels(t.descriptor, ops)
     return [AdjointableOperator.from_channels(t.descriptor, part)
@@ -525,20 +515,22 @@ def positive_part_checks(t: AdjointableOperator, tol: float = DEFAULT_TOL) -> di
     }
 
 
-def vector_from_flat_row(descriptor: AlgebraDescriptor, rank: int, row: np.ndarray) -> ModuleVector:
-    """Module vector whose flattening has ``row`` as first row and zeros below.
+def extreme_witnesses(t: AdjointableOperator) -> np.ndarray:
+    """Vectors x at which <T x, x> attains the extreme eigenvalues of T's Hermitian part.
 
-    Used to turn an eigenvector of a flattened operator into a module-level
-    witness: <S x, x> then has row^H F(S) row as its (0, 0) entry.
+    Returns the (2, n) + coordinate-shape stack of the witness for the
+    smallest eigenvalue, then for the largest.  Each witness is a unit
+    eigenvector of the channel that holds that eigenvalue, conjugated and
+    placed in the first row of the vector's channel with zeros elsewhere, so
+    <T x, x> has the eigenvalue as an entry.
     """
-    d = descriptor.dim
-    row = np.asarray(row, dtype=np.complex128).reshape(rank, d)
-    if descriptor.kind == MATRIX:
-        coords = np.zeros((rank, d, d), dtype=np.complex128)
-        coords[:, 0, :] = row
-    else:
-        coords = row.astype(np.complex128)
-    return ModuleVector(descriptor, coords)
+    chans = t.channels()
+    vals, vecs = np.linalg.eigh(_hermitian_part(chans))
+    rows = np.zeros((2, chans.shape[0], channel_layout(t.descriptor)[1], chans.shape[-1]),
+                    dtype=np.complex128)
+    for out, (channel, col) in enumerate(((np.argmin(vals[:, 0]), 0), (np.argmax(vals[:, -1]), -1))):
+        rows[out, channel, 0] = vecs[channel, :, col].conj()
+    return _from_channels(t.descriptor, rows)[:, 0]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import MATRIX, AlgebraDescriptor, element_norms
-from .hilbert import AdjointableOperator, ModuleVector, _coord_shape
+from .hilbert import AdjointableOperator, ModuleVector, _coord_shape, channel_layout
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -61,15 +61,11 @@ def rand_invertible_operator(descriptor: AlgebraDescriptor, rank: int,
 
 def rand_unitary_operator(descriptor: AlgebraDescriptor, rank: int,
                           rng: np.random.Generator) -> AdjointableOperator:
-    """QR-based unitary; for the diagonal kind one unitary per channel."""
-    d = descriptor.dim
-    if descriptor.kind == MATRIX:
-        q, r = np.linalg.qr(complex_gaussian(rng, (rank * d, rank * d)))
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        return AdjointableOperator.from_flat(descriptor, rank, rank, q)
-    blocks = np.zeros((rank, rank, d), dtype=np.complex128)
-    for channel in range(d):
-        q, r = np.linalg.qr(complex_gaussian(rng, (rank, rank)))
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        blocks[:, :, channel] = q
-    return AdjointableOperator(descriptor, blocks)
+    """QR-based unitary, one per channel."""
+    count, width = channel_layout(descriptor)
+    size = rank * width
+    chans = np.empty((count, size, size), dtype=np.complex128)
+    for channel in range(count):
+        q, r = np.linalg.qr(complex_gaussian(rng, (size, size)))
+        chans[channel] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return AdjointableOperator.from_channels(descriptor, chans)

@@ -164,7 +164,7 @@ def additive_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
     """
     if kind not in (ADDITIVE, ADDITIVE_COROLLARY):
         raise InputError(f"additive check got kind {kind!r}")
-    if alpha < 0 or beta < 0:
+    if alpha < 0 or (kind == ADDITIVE and beta < 0):
         raise InputError("additive check needs nonnegative constants")
     report = TheoremReport("STAB-ADDITIVE", tolerance=tol, seed=seed)
     sys_r = sys_t.with_family(dict(family_r))

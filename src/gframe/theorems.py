@@ -742,8 +742,7 @@ def _right_inverse_characterization(row: _Row) -> None:
     worst = max(_identity_residual(kt_star @ right_inverse(rand_operator(desc, n, t.out_rank, rng)))
                 for _ in range(count))
     row.report.info["right_inverse_count"] = count
-    g_ls = AdjointableOperator.from_flat(desc, n, t.out_rank,
-                                         np.linalg.pinv((k @ t.adjoint()).flat()))
+    g_ls = AdjointableOperator.from_channels(desc, np.linalg.pinv((k @ t.adjoint()).channels()))
     row.conclude(within("constructed right inverses verified", worst, max(1e-9, 100 * tol)),
                  within("least-squares right inverse verified",
                         _identity_residual(kt_star @ g_ls), max(1e-9, 100 * tol)),

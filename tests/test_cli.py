@@ -246,6 +246,19 @@ def test_malformed_perturbation_params_exit_two(tmp_path, capsys, kind, params):
     assert out == ""
 
 
+def test_additive_corollary_ignores_beta(tmp_path, capsys):
+    # The corollary's statement never reads beta, so its sign is not checked there.
+    params = {"alpha": 0.01, "beta": -1.0}
+    code, out, err = _run(capsys, "perturb",
+                          _perturb_descriptor(tmp_path, kind="additive_corollary", params=params))
+    assert code in (0, 1), err
+    assert json.loads(out)["results"]["theorem_id"] == "STAB-ADDITIVE"
+    code, out, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path, kind="additive", params=params))
+    _assert_input_error(code, err)
+    assert "nonnegative" in err
+    assert out == ""
+
+
 def test_per_atom_weights_cover_every_atom(tmp_path, capsys):
     labels = random_system(11, commuting=True).measure.labels
     params = {"alpha_w": {label: 1.0 for label in labels}, "beta_w": 1, "lambda": 0.1}
@@ -404,6 +417,34 @@ def test_validate_runs_the_commutation_check_once(tmp_path, capsys, monkeypatch)
     assert code == 0, err
     assert len(calls) == 1
     assert json.loads(out)["results"]["controls_commute_with_family"] is False
+
+
+@pytest.mark.parametrize("algebra", ["diagonal", "matrix"])
+def test_no_command_reads_the_dense_flattening(tmp_path, capsys, monkeypatch, algebra):
+    # Every kernel works on the channel view; flat() is the tests' oracle only.
+    path = str(tmp_path / "sys.json")
+    _run(capsys, "random", "--seed", "5", "--rank", "2", "--atoms", "4", "--algebra", algebra,
+         "--dim", "2", "--out", path)
+    runs = [[command, path, "--samples", "10"]
+            for command in ("validate", "bounds", "frame-op", "dual", "reconstruct", "multiplier")]
+    runs.append(["theorem", path, "--id", "all", "--samples", "10"])
+    # The stability checks need C' = C.
+    system = load_system(path)
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(dump_json(system_to_dict(system.with_controls(system.controls.C,
+                                                                      system.controls.C))),
+                        encoding="utf-8")
+    for kind, params in PERTURB_KINDS + [("additive_corollary", {"alpha": 0.01})]:
+        desc = tmp_path / f"run-{kind}.json"
+        desc.write_text(json.dumps({"kind": kind, "params": params, "systemA": str(repeated),
+                                    "systemB": str(repeated), "samples": 10}), encoding="utf-8")
+        runs.append(["perturb", str(desc)])
+    flat, calls = AdjointableOperator.flat, []
+    monkeypatch.setattr(AdjointableOperator, "flat", lambda self: calls.append(1) or flat(self))
+    for argv in runs:
+        code, _, err = _run(capsys, *argv)
+        assert code in (0, 1), (argv, err)
+        assert calls == [], argv
 
 
 def _not_self_adjoint(c):

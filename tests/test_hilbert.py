@@ -9,9 +9,9 @@ from gframe.hilbert import (
     ModuleVector,
     compose,
     compose_all,
+    extreme_witnesses,
     pairing,
     positive_part_checks,
-    vector_from_flat_row,
     weighted_sum,
 )
 from gframe.sampling import rand_operator, rand_positive_operator, rand_vector
@@ -171,12 +171,8 @@ def test_flatten_functoriality(m2):
 def test_flatten_round_trip_diagonal(diag3):
     rng = np.random.default_rng(33)
     t = rand_operator(diag3, 2, 4, rng)
-    back = AdjointableOperator.from_flat(diag3, 2, 4, t.flat())
-    assert (back - t).norm() == 0.0
-    dense = t.flat().copy()
-    dense[0, 1] = 5.0  # off the diagonal of block (0, 0)
-    with pytest.raises(InputError):
-        AdjointableOperator.from_flat(diag3, 2, 4, dense, tol=1e-10)
+    back = AdjointableOperator.from_channels(diag3, t.channels())
+    assert np.array_equal(back.blocks, t.blocks)
 
 
 def test_positivity_bridge(m2):
@@ -191,9 +187,8 @@ def test_positivity_bridge(m2):
     # a PSD violation yields a module-level witness through the eigenvector
     q = rand_operator(m2, 3, 3, rng)
     indefinite = q + q.adjoint()
-    vals, vecs = np.linalg.eigh(indefinite.flat())
-    if vals[0] < -1e-6:
-        witness = vector_from_flat_row(m2, 3, vecs[:, 0].conj())
+    if np.linalg.eigvalsh(indefinite.flat())[0] < -1e-6:
+        witness = ModuleVector(m2, extreme_witnesses(indefinite)[0])
         assert not indefinite(witness).inner(witness).is_positive(1e-9)
 
 

@@ -1,4 +1,4 @@
-"""The one 2-norm kernel and the singular spectrum each operator keeps."""
+"""The one 2-norm kernel, the per-channel spectra each operator keeps, and their dense oracle."""
 
 import ast
 from pathlib import Path
@@ -8,8 +8,8 @@ import pytest
 
 import gframe
 from gframe.algebra import AlgebraDescriptor, AlgebraElement, element_norms, two_norm
-from gframe.hilbert import AdjointableOperator, positive_part_checks
-from gframe.sampling import rand_operator
+from gframe.hilbert import AdjointableOperator, extreme_witnesses, positive_part_checks
+from gframe.sampling import rand_operator, rand_positive_operator
 from gframe.theorems import _singular_range
 
 SHAPES = [(1, 1), (1, 4), (4, 1), (3, 3), (2, 5), (5, 2),
@@ -50,7 +50,8 @@ def test_matrix_element_norms_are_numpy_two_norms(dim, lead):
 def test_singular_values_are_kept_and_read_only(desc):
     t = rand_operator(desc, 3, 2, np.random.default_rng(51))
     svals = t.singular_values()
-    np.testing.assert_array_equal(svals, np.linalg.svd(t.flat(), compute_uv=False))
+    per_channel = np.linalg.svd(t.channels(), compute_uv=False)
+    np.testing.assert_array_equal(svals, np.sort(per_channel, axis=None)[::-1])
     assert not svals.flags.writeable
     with pytest.raises(ValueError):
         svals[0] = 0.0
@@ -64,7 +65,7 @@ def test_one_svd_per_operator(monkeypatch, desc):
     rng = np.random.default_rng(52)
     q = rand_operator(desc, 3, 3, rng)
     t = q + AdjointableOperator.scalar(desc, 3, 0.25 * float(np.abs(q.blocks).sum()) + 1.0)
-    f = t.flat()
+    chans = t.channels()
     inputs = []
     svd = np.linalg.svd
 
@@ -79,9 +80,65 @@ def test_one_svd_per_operator(monkeypatch, desc):
     t.is_hermitian()
     positive_part_checks(t)
     t.norm()
-    # The diagonal kind's from_flat takes a 2-norm of the inverse's flattening.
-    on_t = [a for a in inputs if a.shape == f.shape and np.array_equal(a, f)]
+    on_t = [a for a in inputs if a.shape == chans.shape and np.array_equal(a, chans)]
     assert len(on_t) == 1
+
+
+# Relative tolerance of the per-channel spectral data of C^k against the dense
+# flattening, in which every block is a k x k diagonal embedding.
+DENSE_RTOL = 1e-12
+
+
+def _close(got, want, scale):
+    assert np.shape(got) == np.shape(want)
+    assert float(np.max(np.abs(np.asarray(got) - want))) <= DENSE_RTOL * max(1.0, scale)
+
+
+def _flat_witness(coords: np.ndarray, kind: str) -> np.ndarray:
+    """The vector as one column of coordinates: its first row for M_d, all of it for C^k."""
+    return (coords[:, 0, :] if kind == "matrix" else coords).ravel()
+
+
+def _dense_witnesses(t: AdjointableOperator) -> list:
+    # The conjugated extreme eigenvectors of the flattened Hermitian part: the
+    # witness coordinates the dense model gives.
+    f = t.flat()
+    _, vecs = np.linalg.eigh(0.5 * (f + f.conj().T))
+    return [vecs[:, idx].conj() for idx in (0, -1)]
+
+
+def test_diagonal_spectra_match_the_dense_flattening():
+    desc = AlgebraDescriptor("diagonal", 4)
+    rng = np.random.default_rng(61)
+    wide = rand_operator(desc, 3, 5, rng)
+    square = rand_operator(desc, 3, 3, rng)
+    positive = rand_positive_operator(desc, 3, rng)
+    for t in (wide, square, positive):
+        f = t.flat()
+        _close(t.singular_values(), np.linalg.svd(f, compute_uv=False), t.norm())
+    for t in (square, positive):
+        f = t.flat()
+        _close(t.hermitian_defect(), np.linalg.norm(f - f.conj().T, 2), t.norm())
+        _close(t.eigenvalues_hermitian(), np.linalg.eigvalsh(0.5 * (f + f.conj().T)), t.norm())
+        inverse = np.linalg.inv(f)
+        _close(t.inverse().flat(), inverse, np.linalg.norm(inverse, 2))
+    vals, vecs = np.linalg.eigh(positive.flat())
+    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+    _close(positive.sqrt_positive().flat(), root, np.linalg.norm(root, 2))
+    for t in (square, positive):
+        # Eigenvectors are fixed up to a phase, so the witnesses are compared as projectors.
+        for got, want in zip(extreme_witnesses(t), _dense_witnesses(t)):
+            got = _flat_witness(got, "diagonal")
+            _close(np.outer(got, got.conj()), np.outer(want, want.conj()), 1.0)
+
+
+def test_matrix_witnesses_are_the_dense_eigenvectors_bit_for_bit():
+    desc = AlgebraDescriptor("matrix", 2)
+    q = rand_operator(desc, 3, 3, np.random.default_rng(62))
+    h = q + q.adjoint()
+    for got, want in zip(extreme_witnesses(h), _dense_witnesses(h)):
+        assert np.array_equal(_flat_witness(got, "matrix"), want)
+        assert not np.any(got[:, 1:, :])
 
 
 def test_element_invert_takes_one_svd(monkeypatch):

@@ -30,11 +30,15 @@ def _called_name(node):
 
 def test_retired_names_stay_gone():
     retired = {"PerturbationParams", "_RowEnded", "KINDS", "controlled_multiplier_report",
-               "add_hypothesis", "add_conclusion"}
+               "add_hypothesis", "add_conclusion",
+               # The dense C^k model: every kernel reads the channels instead.
+               "from_flat", "vector_from_flat_row", "modulus", "cond_cap"}
     found = []
     for name, tree in _trees().items():
         for node in ast.walk(tree):
-            defined = getattr(node, "name", None) or getattr(node, "id", None)
+            # Definitions, names, and parameters or keyword arguments (``arg``).
+            defined = (getattr(node, "name", None) or getattr(node, "id", None)
+                       or getattr(node, "arg", None))
             if defined in retired or getattr(node, "attr", None) in retired:
                 found.append(f"{name}:{node.lineno}")
     assert found == []

@@ -14,7 +14,13 @@ from gframe.hilbert import (
     positive_part_checks,
     weighted_sum,
 )
-from gframe.sampling import rand_operator, rand_positive_operator, rand_vector
+from gframe.sampling import (
+    complex_gaussian,
+    rand_operator,
+    rand_positive_operator,
+    rand_unitary_operator,
+    rand_vector,
+)
 
 C1 = AlgebraDescriptor("matrix", 1)
 
@@ -173,6 +179,21 @@ def test_flatten_round_trip_diagonal(diag3):
     t = rand_operator(diag3, 2, 4, rng)
     back = AdjointableOperator.from_channels(diag3, t.channels())
     assert np.array_equal(back.blocks, t.blocks)
+
+
+@pytest.mark.parametrize("kind, dim", [("matrix", 2), ("diagonal", 3)])
+def test_rand_unitary_operator_draws_one_unitary_per_channel(kind, dim):
+    # One (rank d)^2 draw for M_d, read as the flattening; k draws of rank^2 for C^k.
+    desc = AlgebraDescriptor(kind, dim)
+    u = rand_unitary_operator(desc, 3, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    for channel in range(1 if kind == "matrix" else dim):
+        size = 3 * dim if kind == "matrix" else 3
+        q, r = np.linalg.qr(complex_gaussian(rng, (size, size)))
+        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        assert np.array_equal(u.flat() if kind == "matrix" else u.blocks[:, :, channel], q)
+    residual = (u.adjoint() @ u - AdjointableOperator.identity(desc, 3)).norm()
+    assert residual <= 1e-14
 
 
 def test_positivity_bridge(m2):

@@ -8,6 +8,7 @@ values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,6 +21,21 @@ DIAGONAL = "diagonal"
 
 DEFAULT_TOL = 1e-9
 DEFAULT_COND_CAP = 1e12
+
+
+def tolerance_scale(*norms):
+    """The scale a tolerance is relative to: the largest of the norms, never below 1.
+
+    Every threshold is ``tol * tolerance_scale(...)`` times a fixed factor,
+    and every relative residual is divided by it.  Scalars give a Python
+    float; if any norm is an array the scale is taken elementwise.  The
+    scalar path is a plain ``max``: the theorem suite calls it thousands of
+    times per pass.
+    """
+    for norm in norms:
+        if isinstance(norm, np.ndarray):
+            return functools.reduce(np.maximum, norms, 1.0)
+    return float(max(1.0, *norms))
 
 
 @dataclass(frozen=True)
@@ -149,7 +165,7 @@ class AlgebraElement:
         return (self - self.adjoint()).norm()
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.hermitian_defect() <= tol * max(1.0, self.norm())
+        return self.hermitian_defect() <= tol * tolerance_scale(self.norm())
 
     def eigenvalues_hermitian(self) -> np.ndarray:
         """Real spectrum of the Hermitian part, ascending."""
@@ -159,10 +175,10 @@ class AlgebraElement:
         return np.sort(self.data.real)
 
     def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        """Hermitian within tol with spectrum bounded below by -tol*max(1, norm)."""
+        """Hermitian within tol with spectrum bounded below by -tol * tolerance_scale(norm)."""
         if not self.is_hermitian(tol):
             return False
-        thresh = tol * max(1.0, self.norm())
+        thresh = tol * tolerance_scale(self.norm())
         return bool(self.eigenvalues_hermitian()[0] >= -thresh)
 
     def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
@@ -237,7 +253,7 @@ def is_positive_by_norm_shift(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bo
         raise InputError("norm-shift positivity requires a Hermitian element")
     t = a.norm()
     shifted = a - AlgebraElement.scalar(a.descriptor, t)
-    return shifted.norm() <= t + tol * max(1.0, t)
+    return shifted.norm() <= t + tol * tolerance_scale(t)
 
 
 def leq(a: AlgebraElement, b: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:

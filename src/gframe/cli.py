@@ -172,7 +172,6 @@ def _cmd_multiplier(args) -> int:
         symbol[label] = z / max(1.0, abs(z))
     rep = multiplier_report(symbol, dict(system.family), dict(system.family),
                             system.measure, tol=args.tol)
-    good = rep["norm_within_bound"] and rep["adjoint_swapped_residual"] <= args.tol * 100
     results = {
         "symbol": {label: [z.real, z.imag] for label, z in symbol.items()},
         "op_norm": rep["op_norm"],
@@ -183,7 +182,7 @@ def _cmd_multiplier(args) -> int:
         "statement_form_matches": rep["statement_form_matches"],
     }
     return _finish(args, {"system": args.system, "tol": args.tol, "seed": args.seed}, results,
-                   PASS if good else FAIL)
+                   PASS if rep["passed"] else FAIL)
 
 
 def _cmd_theorem(args) -> int:

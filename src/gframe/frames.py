@@ -23,6 +23,7 @@ from .algebra import (
     conjugate_by,
     element_norms,
     min_hermitian_eigenvalues,
+    tolerance_scale,
 )
 from .errors import DomainError, InputError, UnsupportedConfigurationError
 from .hilbert import (
@@ -49,33 +50,33 @@ BESSEL_ONLY = "bessel_only"
 class ControlPair:
     """Positive invertible control operators, checked when built.
 
-    The commutation defects, and the flags derived from them, are computed
-    the first time they are read: only some statements need commuting
-    controls, and those checks cost one 2-norm per atom, channel and control.
+    Every check of the pair is at DEFAULT_TOL.  The commutation defects, and
+    the flags derived from them, are computed the first time they are read:
+    only some statements need commuting controls, and those checks cost one
+    2-norm per atom, channel and control.
     """
 
     C: AdjointableOperator
     Cp: AdjointableOperator
     family: tuple
-    tol: float
 
     @staticmethod
     def build(C: AdjointableOperator, Cp: AdjointableOperator,
-              family: Mapping[str, AdjointableOperator], tol: float = DEFAULT_TOL) -> "ControlPair":
+              family: Mapping[str, AdjointableOperator]) -> "ControlPair":
         for name, ctrl in (("C", C), ("C'", Cp)):
             if ctrl.in_rank != ctrl.out_rank:
                 raise InputError(f"control {name} must be square")
-            if not ctrl.is_hermitian(tol):
+            if not ctrl.is_hermitian():
                 raise InputError(f"control {name} must be self-adjoint")
             eigs = ctrl.eigenvalues_hermitian()
-            if eigs[0] <= tol * max(1.0, eigs[-1]):
+            if eigs[0] <= DEFAULT_TOL * tolerance_scale(eigs[-1]):
                 raise InputError(f"control {name} must be positive and invertible")
-        return ControlPair(C, Cp, tuple(family.values()), tol)
+        return ControlPair(C, Cp, tuple(family.values()))
 
     @cached_property
     def commute_defect(self) -> float:
-        """Relative commutator ||C' C - C C'|| / max(1, ||C|| ||C'||)."""
-        scale = max(1.0, self.C.norm() * self.Cp.norm())
+        """Relative commutator ||C' C - C C'|| / tolerance_scale(||C|| ||C'||)."""
+        scale = tolerance_scale(self.C.norm() * self.Cp.norm())
         return (self.Cp @ self.C - self.C @ self.Cp).norm() / scale
 
     @cached_property
@@ -84,11 +85,11 @@ class ControlPair:
 
     @property
     def commute_each_other(self) -> bool:
-        return self.commute_defect <= self.tol
+        return self.commute_defect <= DEFAULT_TOL
 
     @property
     def commute_with_family(self) -> bool:
-        return self.family_defect <= self.tol
+        return self.family_defect <= DEFAULT_TOL
 
 
 # Complex entries per batched temporary (64 KiB).  Batching atoms bounds the
@@ -119,14 +120,14 @@ def _family_commutation_defect(family: list, C: AdjointableOperator,
     channel; batches hold all atoms unless that would exceed _BATCH_ENTRIES.
     """
     controls = (C.channels(), Cp.channels())
-    cscales = [max(1.0, float(spectral_norms(ctrl).max())) for ctrl in controls]
+    cscales = [tolerance_scale(float(spectral_norms(ctrl).max())) for ctrl in controls]
     widest = max(op.out_rank for op in family)
     step = max(1, _BATCH_ENTRIES * C.in_rank // (controls[0].size * max(widest, C.in_rank)))
     worst = 0.0
     for start in range(0, len(family), step):
         members = _padded_channels(family[start:start + step])
         grams = members @ members.conj().swapaxes(-1, -2)
-        gscale = np.maximum(1.0, spectral_norms(grams).max(axis=-1))
+        gscale = tolerance_scale(spectral_norms(grams).max(axis=-1))
         for ctrl, cscale in zip(controls, cscales):
             defects = spectral_norms(grams @ ctrl - ctrl @ grams).max(axis=-1)
             worst = max(worst, float(np.max(defects / gscale)) / cscale)
@@ -146,7 +147,7 @@ class FrameBounds:
     @staticmethod
     def from_scalars(a: float, b: float, descriptor: AlgebraDescriptor,
                      tol: float = DEFAULT_TOL) -> "FrameBounds":
-        verdict = FRAME if a > tol * max(1.0, b) else BESSEL_ONLY
+        verdict = FRAME if a > tol * tolerance_scale(b) else BESSEL_ONLY
         lower = AlgebraElement.scalar(descriptor, a) if verdict == FRAME else None
         upper = AlgebraElement.scalar(descriptor, b) if b > 0 else None
         return FrameBounds(float(a), float(b), lower, upper, verdict)
@@ -180,10 +181,14 @@ class DualCertificate:
 
 
 class GFrameSystem:
-    """Measure + operator family + control pair over one standard module."""
+    """Measure + operator family + control pair over one standard module.
+
+    The system's own checks (the controls, their commutation and equality)
+    are at DEFAULT_TOL.
+    """
 
     def __init__(self, measure: MeasureSpace, family: Mapping[str, AdjointableOperator],
-                 C: AdjointableOperator, Cp: AdjointableOperator, tol: float = DEFAULT_TOL):
+                 C: AdjointableOperator, Cp: AdjointableOperator):
         if set(family) != set(measure.labels):
             raise InputError("family labels must match measure atoms exactly")
         ordered = {label: family[label] for label in measure.labels}
@@ -201,8 +206,7 @@ class GFrameSystem:
         self.family = ordered
         self.descriptor = descriptor
         self.module_rank = n
-        self.tol = tol
-        self.controls = ControlPair.build(C, Cp, ordered, tol)
+        self.controls = ControlPair.build(C, Cp, ordered)
 
     # -- basic structure -----------------------------------------------------
 
@@ -218,8 +222,8 @@ class GFrameSystem:
     @cached_property
     def controls_equal(self) -> bool:
         diff = (self.controls.C - self.controls.Cp).norm()
-        scale = max(1.0, self.controls.C.norm())
-        return diff <= self.tol * scale
+        scale = tolerance_scale(self.controls.C.norm())
+        return diff <= DEFAULT_TOL * scale
 
     @property
     def commuting(self) -> bool:
@@ -233,10 +237,10 @@ class GFrameSystem:
         )
 
     def with_controls(self, C: AdjointableOperator, Cp: AdjointableOperator) -> "GFrameSystem":
-        return GFrameSystem(self.measure, self.family, C, Cp, self.tol)
+        return GFrameSystem(self.measure, self.family, C, Cp)
 
     def with_family(self, family: Mapping[str, AdjointableOperator]) -> "GFrameSystem":
-        return GFrameSystem(self.measure, family, self.controls.C, self.controls.Cp, self.tol)
+        return GFrameSystem(self.measure, family, self.controls.C, self.controls.Cp)
 
     # -- frame operator and Gram ----------------------------------------------
 
@@ -279,7 +283,7 @@ class GFrameSystem:
                 "analysis/synthesis need commuting controls (or C = C')"
             )
         product = self.controls.Cp @ self.controls.C
-        return product.sqrt_positive(max(self.tol, 1e-8))
+        return product.sqrt_positive(1e-8)
 
     @cached_property
     def analysis_operator(self) -> AdjointableOperator:
@@ -312,7 +316,7 @@ def optimal_scalar_bounds(system: GFrameSystem, tol: float = DEFAULT_TOL) -> Fra
     UnsupportedConfigurationError is raised.
     """
     s = system.frame_operator
-    scale = max(1.0, s.norm())
+    scale = tolerance_scale(s.norm())
     if s.hermitian_defect() > tol * scale * 10:
         raise UnsupportedConfigurationError(
             "scalar bounds need a self-adjoint frame operator; "
@@ -350,7 +354,7 @@ def check_frame(system: GFrameSystem, bounds: FrameBounds, mode: str = "exact_sc
     report.info["mode"] = mode
     if mode == "exact_scalar":
         s = system.frame_operator
-        scale = max(1.0, s.norm())
+        scale = tolerance_scale(s.norm())
         with report.gate():
             report.require(("frame operator self-adjoint", s.hermitian_defect() <= tol * scale * 10,
                             s.hermitian_defect() / scale))
@@ -371,7 +375,7 @@ def check_frame(system: GFrameSystem, bounds: FrameBounds, mode: str = "exact_sc
     coords = sample_coords(system, samples, seed)
     gram = system.gram_batch(coords)
     xx = pairing(desc, coords)
-    scale = np.maximum(1.0, np.maximum(element_norms(desc, gram), element_norms(desc, xx)))
+    scale = tolerance_scale(element_norms(desc, gram), element_norms(desc, xx))
     sides = (gram - conjugate_by(bounds.lower, xx), conjugate_by(bounds.upper, xx) - gram)
     lam = np.stack([min_hermitian_eigenvalues(desc, diff) for diff in sides], axis=1)
     violation = np.maximum(0.0, -lam) / scale[:, None]
@@ -455,7 +459,7 @@ def operator_dual_check(system: GFrameSystem, dual: Mapping[str, AdjointableOper
     k.inverse()  # raises DomainError if K is singular
     forward = reconstruction_operator(system, dual, k)
     sampled, op_res = _reconstruction_residuals(system, forward, samples, seed)
-    swapped = GFrameSystem(system.measure, dual, system.controls.C, system.controls.Cp, system.tol)
+    swapped = system.with_family(dual)
     backward = reconstruction_operator(swapped, system.family, k.adjoint())
     sampled_back, op_res_back = _reconstruction_residuals(swapped, backward, samples, seed + 1)
     return DualCertificate(
@@ -516,6 +520,8 @@ def multiplier_report(gamma: Mapping[str, complex], lam: Mapping[str, Adjointabl
     alongside for reference, not enforced.  The adjoint is compared against
     the conjugate-symbol multiplier with the two families exchanged; the
     unswapped variant is reported as well and flagged when it differs.
+    ``passed`` holds when the norm bound holds and the swapped adjoint
+    identity holds to within 100 tol.
     """
     op = multiplier(gamma, lam, theta, measure)
     sup = max((abs(complex(v)) for v in gamma.values()), default=0.0)
@@ -526,18 +532,20 @@ def multiplier_report(gamma: Mapping[str, complex], lam: Mapping[str, Adjointabl
     swapped = multiplier(gamma_conj, theta, lam, measure)
     unswapped = multiplier(gamma_conj, lam, theta, measure)
     adj = op.adjoint()
-    scale = max(1.0, op.norm())
+    scale = tolerance_scale(op.norm())
     swapped_res = (adj - swapped).norm() / scale
     unswapped_res = (adj - unswapped).norm() / scale
+    within_bound = op.norm() <= bound + tol * tolerance_scale(bound)
     return {
         "operator": op,
         "op_norm": op.norm(),
         "bound_product": bound,
         "bound_squared": (sup ** 2) * (b_lam ** 2) * (b_theta ** 2),
-        "norm_within_bound": op.norm() <= bound + tol * max(1.0, bound),
+        "norm_within_bound": within_bound,
         "adjoint_swapped_residual": swapped_res,
         "adjoint_unswapped_residual": unswapped_res,
         "statement_form_matches": unswapped_res <= tol * 10,
+        "passed": within_bound and swapped_res <= tol * 100,
     }
 
 

@@ -36,6 +36,7 @@ from .algebra import (
     MATRIX,
     AlgebraDescriptor,
     AlgebraElement,
+    tolerance_scale,
     two_norm,
 )
 from .errors import DomainError, InputError
@@ -221,15 +222,15 @@ class AdjointableOperator:
         return AdjointableOperator.identity(descriptor, rank) * complex(value)
 
     @staticmethod
-    def central_multiplier(descriptor: AlgebraDescriptor, rank: int, v: AlgebraElement,
-                           tol: float = DEFAULT_TOL) -> "AdjointableOperator":
+    def central_multiplier(descriptor: AlgebraDescriptor, rank: int,
+                           v: AlgebraElement) -> "AdjointableOperator":
         """Multiplication x -> x v. A-linear exactly when v is central."""
         if v.descriptor != descriptor:
             raise InputError("algebra mismatch for multiplier element")
         if descriptor.kind == MATRIX:
             z = np.trace(v.data) / descriptor.dim
             defect = (v - AlgebraElement.scalar(descriptor, z)).norm()
-            if defect > tol * max(1.0, v.norm()):
+            if defect > DEFAULT_TOL * tolerance_scale(v.norm()):
                 raise InputError("multiplier element must be central (scalar) in the matrix algebra")
         blocks = np.zeros((rank, rank) + _coord_shape(descriptor), dtype=np.complex128)
         for i in range(rank):
@@ -338,7 +339,7 @@ class AdjointableOperator:
         return self._hermitian_defect
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.hermitian_defect() <= tol * max(1.0, self.norm())
+        return self.hermitian_defect() <= tol * tolerance_scale(self.norm())
 
     def eigenvalues_hermitian(self) -> np.ndarray:
         """Ascending spectrum of the Hermitian part over all channels, read-only."""
@@ -347,7 +348,7 @@ class AdjointableOperator:
     def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
         if self.in_rank != self.out_rank:
             return False
-        floor = tol * max(1.0, self.norm())
+        floor = tol * tolerance_scale(self.norm())
         return (self.hermitian_defect() <= floor
                 and bool(self.eigenvalues_hermitian()[0] >= -floor))
 
@@ -370,7 +371,7 @@ class AdjointableOperator:
         """
         if self.in_rank != self.out_rank:
             raise DomainError("operator square root requires a positive operator")
-        floor = tol * max(1.0, self.norm())
+        floor = tol * tolerance_scale(self.norm())
         vals, vecs = np.linalg.eigh(_hermitian_part(self.channels()))
         if self.hermitian_defect() > floor or vals[:, 0].min() < -floor:
             raise DomainError("operator square root requires a positive operator")
@@ -498,14 +499,14 @@ def positive_part_checks(t: AdjointableOperator, tol: float = DEFAULT_TOL) -> di
     if self_adjoint:
         vals = t.eigenvalues_hermitian()
         lower, upper = float(vals[0]), float(vals[-1])
-        positive = lower >= -tol * max(1.0, upper)
-        invertible = vals.min() > tol * max(1.0, upper) if positive else (
-            float(np.min(np.abs(vals))) > tol * max(1.0, upper))
+        floor = tol * tolerance_scale(upper)
+        positive = lower >= -floor
+        invertible = vals.min() > floor if positive else float(np.min(np.abs(vals))) > floor
     else:
         svals = t.singular_values()
         lower, upper = float(svals[-1]), float(svals[0])
         positive = False
-        invertible = square and lower > tol * max(1.0, upper)
+        invertible = square and lower > tol * tolerance_scale(upper)
     return {
         "self_adjoint": bool(self_adjoint),
         "positive": bool(positive),

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraElement, element_norms
+from .algebra import DEFAULT_TOL, AlgebraElement, element_norms, tolerance_scale
 from .errors import DomainError, InputError
 from .frames import GFrameSystem, certify_window, optimal_scalar_bounds, sample_coords
 from .hilbert import AdjointableOperator, ModuleVector, pairing
@@ -29,7 +29,8 @@ ADDITIVE_COROLLARY = "additive_corollary"
 def _require_pair(sys_a: GFrameSystem, sys_b: GFrameSystem) -> None:
     if not sys_a.controls_equal or not sys_b.controls_equal:
         raise InputError("stability checks require a single repeated control")
-    if (sys_a.controls.C - sys_b.controls.C).norm() > DEFAULT_TOL * max(1.0, sys_a.controls.C.norm()):
+    shared = sys_a.controls.C
+    if (shared - sys_b.controls.C).norm() > DEFAULT_TOL * tolerance_scale(shared.norm()):
         raise InputError("both systems must share the control")
     if sys_a.measure.atoms != sys_b.measure.atoms:
         raise InputError("systems must share the measure")
@@ -89,7 +90,7 @@ def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem, samples: int =
         kept = floor > tol
         worst_ratio = float(np.max(dist[kept] / floor[kept], initial=0.0))
         report.conclude(gap("distance dominated by the two-sided constant",
-                            worst_ratio - m_star, tol * max(1.0, m_star)))
+                            worst_ratio - m_star, tol * tolerance_scale(m_star)))
         factor = 1.0 + float(np.sqrt(m_star))
         certify_window(report, sys_b, a / factor, factor * b, tol,
                        "derived window certified on the perturbed system")
@@ -144,7 +145,7 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
                + mu * np.sqrt(_gram_norms(weighted_r, coords)))
         worst = float(np.max(lhs - rhs, initial=0.0))
         report.require(gap("sampled weighted smallness", worst,
-                           tol * 100 * max(1.0, bounds.scalar_upper)))
+                           tol * 100 * tolerance_scale(bounds.scalar_upper)))
         lower = bounds.scalar_lower * (1.0 - lam) * min(alphas) / ((1.0 + mu) * max(betas))
         upper = bounds.scalar_upper * (1.0 + lam) * max(alphas) / ((1.0 - mu) * min(betas))
         certify_window(report, sys_r, lower, upper, tol, "weighted window certified")
@@ -186,7 +187,7 @@ def additive_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
         else:
             rhs = alpha * xx
         worst = float(np.max(_gram_norms(diff, coords) - rhs, initial=0.0))
-        report.require(gap("sampled additive smallness", worst, tol * 100 * max(1.0, delta ** 2)))
+        report.require(gap("sampled additive smallness", worst, tol * 100 * tolerance_scale(delta ** 2)))
         root = float(np.sqrt(rho))
         certify_window(report, sys_r, nu * (1.0 - root), delta * (1.0 + root), tol,
                        "additive window certified")

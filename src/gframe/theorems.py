@@ -27,7 +27,15 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, DIAGONAL, MATRIX, AlgebraDescriptor, AlgebraElement, element_norms
+from .algebra import (
+    DEFAULT_TOL,
+    DIAGONAL,
+    MATRIX,
+    AlgebraDescriptor,
+    AlgebraElement,
+    element_norms,
+    tolerance_scale,
+)
 from .errors import GFrameError, InputError, UnsupportedConfigurationError
 from .frames import (
     FrameBounds,
@@ -80,7 +88,7 @@ def _rng(seed: int, salt: int = 0) -> np.random.Generator:
 
 
 def _rel_op(x: AdjointableOperator, y: AdjointableOperator) -> float:
-    return (x - y).norm() / max(1.0, x.norm(), y.norm())
+    return (x - y).norm() / tolerance_scale(x.norm(), y.norm())
 
 
 def _identity_residual(op: AdjointableOperator) -> float:
@@ -303,20 +311,20 @@ def _transform(row: _Row) -> None:
     if row.mutant == SCALE_MEMBER:
         system = _scale_first_member(system)
     t, s = system.analysis_operator, system.frame_operator
-    scale = max(1.0, s.norm())
+    scale = tolerance_scale(s.norm())
     sigma_min, sigma_max = _singular_range(t)
     row.conclude(within("transform factorizes the frame operator", _rel_op(t.adjoint() @ t, s),
                         10 * tol),
                  ("injective with closed range", sigma_min > tol * scale, 0.0),
                  gap("norm bounded by the upper frame bound", sigma_max - bounds.scalar_upper,
-                     tol * max(1.0, bounds.scalar_upper)),
+                     tol * tolerance_scale(bounds.scalar_upper)),
                  gap("adjoint surjective (bounded below)", bounds.scalar_lower - sigma_min,
                      tol * scale))
 
 
 def _spectral_conclusions(row: _Row, op: AdjointableOperator) -> tuple:
     """Bounded, self-adjoint, positive, invertible; returns (eigenvalues, scale)."""
-    tol, scale = row.tol, max(1.0, op.norm())
+    tol, scale = row.tol, tolerance_scale(op.norm())
     eigs = op.eigenvalues_hermitian()
     row.conclude(("bounded", np.isfinite(op.norm()), 0.0),
                  within("self-adjoint", op.hermitian_defect() / scale, 10 * tol),
@@ -376,7 +384,7 @@ def _transform_bounds(row: _Row) -> None:
     """Optimal scalar frame bounds coincide with the transform's spectral data."""
     system, tol = row.system, row.tol
     s = system.frame_operator
-    scale = max(1.0, s.norm())
+    scale = tolerance_scale(s.norm())
     eigs = s.eigenvalues_hermitian()
     upper_defect = abs(system.analysis_operator.norm() ** 2 - float(eigs[-1])) / scale
     lower_defect = abs(1.0 / s.inverse().norm() - float(eigs[0])) / scale
@@ -405,7 +413,7 @@ def _bessel_composition(row: _Row) -> None:
     comp_upper = optimal_scalar_bounds(sys_gamma.with_family(composed), tol).scalar_upper
     target = b1 * b_gam.scalar_upper
     row.conclude(gap("composed family Bessel with the product bound", comp_upper - target,
-                     tol * max(1.0, target)))
+                     tol * tolerance_scale(target)))
     row.report.info["bessel_constants"] = [b1, b_gam.scalar_upper, comp_upper]
 
 
@@ -421,7 +429,7 @@ def _surjective_synthesis(row: _Row) -> None:
     floor = sigma ** 2 * float(mixed[0])
     row.conclude(frame_line("controlled system is a frame", bounds),
                  gap("lower bound above the surjectivity constant",
-                     floor - bounds.scalar_lower ** 2, tol * max(1.0, floor)))
+                     floor - bounds.scalar_lower ** 2, tol * tolerance_scale(floor)))
     row.report.info["surjectivity_constant"] = sigma
 
 
@@ -721,7 +729,7 @@ def _mutual_duality(row: _Row) -> None:
     floor = (_singular_range(k_inv)[0] / system.analysis_operator.norm()) ** 2
     converse = reconstruction_operator(sys_gamma, dict(system.family), row.checked(k).adjoint())
     row.conclude(gap("second family frame with the derived lower bound",
-                     floor - gamma_bounds.scalar_lower ** 2, tol * max(1.0, floor)),
+                     floor - gamma_bounds.scalar_lower ** 2, tol * tolerance_scale(floor)),
                  within("first family is a dual with the adjoint companion",
                         _identity_residual(converse), 100 * tol))
 
@@ -799,7 +807,7 @@ def _bessel_parametrization(row: _Row) -> None:
                               "component family Bessel").scalar_upper
     cap = theta.norm() * float(np.sqrt(system.controls.C.norm() * system.controls.Cp.norm()))
     row.conclude(gap("component family Bessel with the norm cap", upper - cap,
-                     tol * max(1.0, cap)))
+                     tol * tolerance_scale(cap)))
     row.report.info["bessel_cap"] = [upper, cap]
 
 
@@ -864,9 +872,9 @@ def _any_frame_controlled(row: _Row) -> None:
     hi_cap = plain.scalar_upper ** 2 * float(mixed[-1])
     row.conclude(frame_line("controlled system is a frame", controlled),
                  gap("controlled lower bound above the spectral floor",
-                     lo_floor - controlled.scalar_lower ** 2, tol * max(1.0, lo_floor)),
+                     lo_floor - controlled.scalar_lower ** 2, tol * tolerance_scale(lo_floor)),
                  gap("controlled upper bound below the spectral cap",
-                     controlled.scalar_upper ** 2 - hi_cap, tol * max(1.0, hi_cap)))
+                     controlled.scalar_upper ** 2 - hi_cap, tol * tolerance_scale(hi_cap)))
     norms = system.controls.C.norm() * system.controls.Cp.norm()
     nominal = [plain.scalar_lower * norms, plain.scalar_upper * norms]
     row.report.info["nominal_bounds"] = nominal

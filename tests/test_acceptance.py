@@ -353,11 +353,11 @@ def test_criterion_10_determinism(tmp_path):
     out1, out2 = str(tmp_path / "suite1.json"), str(tmp_path / "suite2.json")
     assert cli_main(["theorem", "--id", "all", "--seed", "0", "--out", out1]) == 0
     assert cli_main(["theorem", "--id", "all", "--seed", "0", "--out", out2]) == 0
-    bytes1 = open(out1, "rb").read()
-    bytes2 = open(out2, "rb").read()
+    bytes1 = Path(out1).read_bytes()
+    bytes2 = Path(out2).read_bytes()
     assert bytes1 == bytes2
     sys1, sys2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     assert cli_main(["random", "--seed", "17", "--out", sys1]) == 0
     assert cli_main(["random", "--seed", "17", "--out", sys2]) == 0
-    assert open(sys1, "rb").read() == open(sys2, "rb").read()
+    assert Path(sys1).read_bytes() == Path(sys2).read_bytes()
     print("[acceptance 10] PASS determinism, byte-identical reports and system files")

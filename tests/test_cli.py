@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ def test_random_determinism(tmp_path, capsys):
     p1, p2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     _run(capsys, "random", "--seed", "9", "--out", p1)
     _run(capsys, "random", "--seed", "9", "--out", p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_exit_code_one_on_failed_check(tmp_path, capsys):

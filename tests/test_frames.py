@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gframe.algebra import AlgebraDescriptor, AlgebraElement
+from gframe.algebra import DEFAULT_TOL, AlgebraDescriptor, AlgebraElement
 from gframe.errors import InputError, UnsupportedConfigurationError
 from gframe.frames import FrameBounds, GFrameSystem, check_frame, optimal_scalar_bounds
 from gframe.generate import random_system
@@ -268,8 +268,8 @@ def test_lazy_commutation_facts_match_eager_recomputation(kwargs):
     family = frames._family_commutation_defect(list(system.family.values()), ctr.C, ctr.Cp)
     assert ctr.commute_defect == commute
     assert ctr.family_defect == family
-    assert ctr.commute_each_other == (commute <= system.tol)
-    assert ctr.commute_with_family == (family <= system.tol)
+    assert ctr.commute_each_other == (commute <= DEFAULT_TOL)
+    assert ctr.commute_with_family == (family <= DEFAULT_TOL)
 
 
 def test_gram_batch_rejects_wrong_shape(identity_system, m2):

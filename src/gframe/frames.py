@@ -120,7 +120,7 @@ def _family_commutation_defect(family: list, C: AdjointableOperator,
     channel; batches hold all atoms unless that would exceed _BATCH_ENTRIES.
     """
     controls = (C.channels(), Cp.channels())
-    cscales = [tolerance_scale(float(spectral_norms(ctrl).max())) for ctrl in controls]
+    cscales = [tolerance_scale(spectral_norms(ctrl).max()) for ctrl in controls]
     widest = max(op.out_rank for op in family)
     step = max(1, _BATCH_ENTRIES * C.in_rank // (controls[0].size * max(widest, C.in_rank)))
     worst = 0.0

@@ -229,20 +229,6 @@ def element_norms(descriptor: AlgebraDescriptor, data: np.ndarray) -> np.ndarray
     return np.max(np.abs(data), axis=-1)
 
 
-def min_hermitian_eigenvalues(descriptor: AlgebraDescriptor, data: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of each element in a stack."""
-    if descriptor.kind == MATRIX:
-        return np.linalg.eigvalsh(0.5 * (data + data.conj().swapaxes(-1, -2)))[..., 0]
-    return np.min(data.real, axis=-1)
-
-
-def conjugate_by(a: AlgebraElement, data: np.ndarray) -> np.ndarray:
-    """a x a* for each element x in a stack of element data."""
-    if a.descriptor.kind == MATRIX:
-        return a.data @ data @ a.data.conj().T
-    return (np.abs(a.data) ** 2) * data
-
-
 def is_positive_by_norm_shift(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
     """Positivity via the norm-shift criterion: ||a - t*1|| <= t for t = ||a||.
 

@@ -41,10 +41,11 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gframe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, samples=True):
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=200)
+        if samples:
+            p.add_argument("--samples", type=int, default=200)
         p.add_argument("--out", help="write the report here instead of stdout")
         return p
 
@@ -65,7 +66,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_perturb = sub.add_parser("perturb", help="run a perturbation descriptor")
     p_perturb.add_argument("descriptor", help="JSON run descriptor")
-    common(p_perturb)
+    common(p_perturb, samples=False)
 
     p_example = sub.add_parser("example", help="generate the unit-interval system")
     p_example.add_argument("--alpha", type=float, required=True)
@@ -215,21 +216,18 @@ def _cmd_perturb(args) -> int:
     try:
         kind = desc["kind"]
         paths = (desc["systemA"], desc["systemB"])
-        samples = _parse_int(desc.get("samples", args.samples), "descriptor samples")
         seed = _parse_int(desc.get("seed", args.seed), "descriptor seed")
     except KeyError as exc:
         raise InputError(f"descriptor is missing {exc}") from exc
     if not all(isinstance(path, str) for path in paths):
         raise InputError("descriptor systemA and systemB must be file paths")
-    _check_samples(samples)
     params = desc.get("params", {})
     if not isinstance(params, dict):
         raise InputError("descriptor params must be a JSON object")
     sys_a, sys_b = (load_system(path) for path in paths)
-    report = run_perturbation(kind, sys_a, sys_b, params,
-                              samples=samples, seed=seed, tol=args.tol)
-    return _finish(args, {"descriptor": args.descriptor, "tol": args.tol, "seed": seed,
-                          "samples": samples}, report.to_dict(), report.status)
+    report = run_perturbation(kind, sys_a, sys_b, params, seed=seed, tol=args.tol)
+    return _finish(args, {"descriptor": args.descriptor, "tol": args.tol, "seed": seed},
+                   report.to_dict(), report.status)
 
 
 def _cmd_example(args) -> int:
@@ -260,15 +258,10 @@ _COMMANDS = {
 }
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise InputError(f"samples must be >= 1, got {samples}")
-
-
 def _check_options(args) -> None:
     """Reject sample counts below one and tolerances that are not positive and finite."""
-    if hasattr(args, "samples"):
-        _check_samples(args.samples)
+    if getattr(args, "samples", 1) < 1:
+        raise InputError(f"samples must be >= 1, got {args.samples}")
     if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
         raise InputError(f"--tol must be positive and finite, got {args.tol}")
 

@@ -18,11 +18,10 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
+    MATRIX,
     AlgebraDescriptor,
     AlgebraElement,
-    conjugate_by,
     element_norms,
-    min_hermitian_eigenvalues,
     tolerance_scale,
 )
 from .errors import DomainError, InputError, UnsupportedConfigurationError
@@ -33,13 +32,13 @@ from .hilbert import (
     ModuleVector,
     as_channels,
     compose_all,
-    extreme_witnesses,
+    loewner_gap,
     pairing,
     spectral_norms,
     weighted_sum,
 )
 from .measure import MeasureSpace
-from .reports import PASS, TheoremReport, gap, within
+from .reports import PASS, TheoremReport, gap
 from .sampling import rand_coords
 
 FRAME = "frame"
@@ -331,33 +330,50 @@ def optimal_scalar_bounds(system: GFrameSystem, tol: float = DEFAULT_TOL) -> Fra
     return FrameBounds.from_scalars(a, b, system.descriptor, tol)
 
 
-def sample_coords(system: GFrameSystem, samples: int, seed: int, extra_ops: tuple = ()) -> np.ndarray:
-    """Seeded Gaussian vectors plus extreme-eigenvector witnesses, stacked as coordinates.
+def _is_unit_multiple(a: Optional[AlgebraElement]) -> bool:
+    return a is None or np.array_equal(a.data, a.data.flat[0] * AlgebraElement.one(a.descriptor).data)
 
-    The witnesses come from the frame operator and from each extra operator.
+
+def _element_violation(system: GFrameSystem, a: AlgebraElement, lower: bool) -> tuple:
+    """Largest eigenvalue of a<x,x>a* - gram(x) (lower) or gram(x) - a<x,x>a*, at x.
+
+    x comes from ``loewner_gap`` against the Gram operator K.  A non-central a
+    in M_d moves some unit w off span(w), and flat(x) = w v^H, for v an extreme
+    eigenvector of K, violates its side unless K = 0 (upper side).
     """
-    out = [rand_coords(system.descriptor, system.module_rank, np.random.default_rng(seed), samples)]
-    out += [extreme_witnesses(op) for op in (system.frame_operator,) + tuple(extra_ops)]
-    return np.concatenate(out)
+    desc, n, k = system.descriptor, system.module_rank, system.gram_operator
+    if desc.kind == MATRIX and not _is_unit_multiple(a):
+        eye = np.eye(desc.dim)
+        _, cols = np.nonzero(a.data - np.diag(np.diagonal(a.data)))
+        moved = np.flatnonzero(np.diagonal(a.data) != a.data[0, 0])
+        w = eye[cols[0]] if cols.size else (eye[0] + eye[moved[0]]) / np.sqrt(2.0)
+        bound, left = AdjointableOperator.zero(desc, n, n), AlgebraElement(desc, np.outer(w, eye[0]))
+    else:
+        bound = AdjointableOperator.central_multiplier(desc, n, a.adjoint() * a)
+        left = AlgebraElement.one(desc)
+    gaps, witnesses = loewner_gap(bound, k) if lower else loewner_gap(k, bound)
+    x = left * ModuleVector(desc, witnesses[int(np.argmax(gaps))])
+    sandwich = a * x.inner(x) * a.adjoint()
+    excess = sandwich - system.gram(x) if lower else system.gram(x) - sandwich
+    return float(excess.eigenvalues_hermitian()[-1]), x
 
 
-def check_frame(system: GFrameSystem, bounds: FrameBounds, mode: str = "exact_scalar",
-                samples: int = 200, seed: int = 0, tol: float = DEFAULT_TOL) -> TheoremReport:
-    """Certify the two-sided frame inequality against the given bounds.
+def check_frame(system: GFrameSystem, bounds: FrameBounds,
+                tol: float = DEFAULT_TOL) -> TheoremReport:
+    """Certify A<x,x>A* <= gram(x) <= B<x,x>B* for every x against the given bounds.
 
-    ``exact_scalar`` runs positive-semidefiniteness tests on the flattened
-    frame operator against the scalar bounds.  ``sampled_general`` checks the
-    element-bound sandwich on seeded sample vectors (plus eigenvector
-    adversaries) and records the first witness of a violation.
+    Multiples of the unit get PSD tests of the frame operator against the
+    scalar bounds.  Other bounds are exact too: for C^k, channel by channel,
+    |l_j|^2 <= lambda_min(K_j) and lambda_max(K_j) <= |u_j|^2 for the Gram operator
+    K; in M_d a non-central bound fails at a rank-one vector in info["witnesses"].
     """
-    report = TheoremReport("FRAME-CHECK", tolerance=tol, seed=seed)
-    report.info["mode"] = mode
-    if mode == "exact_scalar":
-        s = system.frame_operator
-        scale = tolerance_scale(s.norm())
-        with report.gate():
-            report.require(("frame operator self-adjoint", s.hermitian_defect() <= tol * scale * 10,
-                            s.hermitian_defect() / scale))
+    report = TheoremReport("FRAME-CHECK", tolerance=tol, seed=0)
+    s = system.frame_operator
+    scale = tolerance_scale(s.norm())
+    with report.gate():
+        report.require(("frame operator self-adjoint", s.hermitian_defect() <= tol * scale * 10,
+                        s.hermitian_defect() / scale))
+        if _is_unit_multiple(bounds.lower) and _is_unit_multiple(bounds.upper):
             eigs = s.eigenvalues_hermitian()
             report.conclude(gap("lower bound PSD", bounds.scalar_lower ** 2 - float(eigs[0]),
                                 tol * scale),
@@ -365,25 +381,14 @@ def check_frame(system: GFrameSystem, bounds: FrameBounds, mode: str = "exact_sc
                                 tol * scale))
             if not report.conclusion_passed:
                 report.info["witness_eigenvalues"] = [float(eigs[0]), float(eigs[-1])]
-        return report
-    if mode != "sampled_general":
-        raise InputError(f"unknown check mode {mode!r}")
-    if bounds.lower is None or bounds.upper is None:
-        raise InputError("sampled mode needs element bounds")
-    report.require(("element bounds present", True, 0.0))
-    desc = system.descriptor
-    coords = sample_coords(system, samples, seed)
-    gram = system.gram_batch(coords)
-    xx = pairing(desc, coords)
-    scale = tolerance_scale(element_norms(desc, gram), element_norms(desc, xx))
-    sides = (gram - conjugate_by(bounds.lower, xx), conjugate_by(bounds.upper, xx) - gram)
-    lam = np.stack([min_hermitian_eigenvalues(desc, diff) for diff in sides], axis=1)
-    violation = np.maximum(0.0, -lam) / scale[:, None]
-    worst = float(violation.max())
-    report.conclude(within("sampled sandwich", worst, tol * 10))
-    if worst > tol * 10:
-        sample, side = divmod(int(np.argmax(violation)), 2)
-        report.info["witness"] = {"sample": sample, "side": ("lower", "upper")[side]}
+            return report
+        for side, a, value in (("lower", bounds.lower, bounds.scalar_lower),
+                               ("upper", bounds.upper, bounds.scalar_upper)):
+            a = AlgebraElement.scalar(system.descriptor, value) if a is None else a
+            violation, x = _element_violation(system, a, side == "lower")
+            report.conclude(gap(f"{side} element bound", violation, tol * scale))
+            if violation > tol * scale:
+                report.info.setdefault("witnesses", {})[side] = x
     return report
 
 
@@ -395,7 +400,7 @@ def certify_window(report: TheoremReport, system: GFrameSystem, lower: float, up
     every window tried.
     """
     window = FrameBounds.from_scalars(max(lower, 0.0), upper, system.descriptor, tol)
-    sub = check_frame(system, window, mode="exact_scalar", tol=tol * 10)
+    sub = check_frame(system, window, tol=tol * 10)
     report.conclude((label, sub.status == PASS, sub.conclusion_residual))
     report.info.setdefault("certified_windows", {})[label] = [max(lower, 0.0), upper]
 

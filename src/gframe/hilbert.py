@@ -516,22 +516,24 @@ def positive_part_checks(t: AdjointableOperator, tol: float = DEFAULT_TOL) -> di
     }
 
 
-def extreme_witnesses(t: AdjointableOperator) -> np.ndarray:
-    """Vectors x at which <T x, x> attains the extreme eigenvalues of T's Hermitian part.
+def loewner_gap(lhs: AdjointableOperator, rhs: AdjointableOperator) -> tuple:
+    """Per channel, the largest eigenvalue of the Hermitian part of lhs - rhs, and its witness.
 
-    Returns the (2, n) + coordinate-shape stack of the witness for the
-    smallest eigenvalue, then for the largest.  Each witness is a unit
-    eigenvector of the channel that holds that eigenvalue, conjugated and
-    placed in the first row of the vector's channel with zeros elsewhere, so
-    <T x, x> has the eigenvalue as an entry.
+    A channel's witness, in the (channels, n) + coordinate-shape stack, is a
+    unit eigenvector for that eigenvalue, conjugated and placed in the first
+    row of that channel, zeros elsewhere: <(lhs - rhs) x, x> has the gap as an
+    entry.  On rank-one x, flat(x) = w v^H, every <T x, x> is w (v^H T v) w^H,
+    so a "for all x" inequality between the two forms holds iff no gap is > 0.
     """
-    chans = t.channels()
+    if lhs.in_rank != lhs.out_rank:
+        raise InputError("Loewner comparison needs square operators")
+    chans = (lhs - rhs).channels()
     vals, vecs = np.linalg.eigh(_hermitian_part(chans))
-    rows = np.zeros((2, chans.shape[0], channel_layout(t.descriptor)[1], chans.shape[-1]),
+    count = np.arange(chans.shape[0])
+    rows = np.zeros((count.size, count.size, channel_layout(lhs.descriptor)[1], chans.shape[-1]),
                     dtype=np.complex128)
-    for out, (channel, col) in enumerate(((np.argmin(vals[:, 0]), 0), (np.argmax(vals[:, -1]), -1))):
-        rows[out, channel, 0] = vecs[channel, :, col].conj()
-    return _from_channels(t.descriptor, rows)[:, 0]
+    rows[count, count, 0] = vecs[:, :, -1].conj()
+    return vals[:, -1], _from_channels(lhs.descriptor, rows)[:, 0]
 
 
 @dataclass(frozen=True)

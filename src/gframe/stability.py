@@ -1,9 +1,11 @@
 """Perturbation checks for frame families under one repeated control.
 
-Every check compares two families over the same measure and control, verifies
-the stated smallness hypothesis on seeded samples (plus spectral adversaries),
-and then certifies the perturbed family's bounds with exact semidefinite
-tests on its frame operator.
+Every check compares two families over the same measure and control, decides
+the stated smallness hypothesis exactly, and then certifies the perturbed
+family's bounds with exact semidefinite tests on its frame operator.  A
+hypothesis bounds norms of Gram elements <K x, x> for all x, so by the rank-one
+argument of ``hilbert.loewner_gap`` it orders Gram operators; a failed one
+keeps the document of its witness vector in info["witness"].
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraElement, element_norms, tolerance_scale
+from .algebra import DEFAULT_TOL, AlgebraElement, tolerance_scale
 from .errors import DomainError, InputError
-from .frames import GFrameSystem, certify_window, optimal_scalar_bounds, sample_coords
-from .hilbert import AdjointableOperator, ModuleVector, pairing
+from .frames import GFrameSystem, certify_window, optimal_scalar_bounds
+from .hilbert import AdjointableOperator, ModuleVector, loewner_gap
 from .reports import TheoremReport, frame_line, gap
+from .serialize import vector_to_dict
 
 EQUIVALENCE_M = "equivalence_M"
 SUM = "sum"
@@ -46,12 +49,11 @@ def _difference_system(sys_a: GFrameSystem, sys_b: GFrameSystem) -> GFrameSystem
     return sys_a.with_family(diff)
 
 
-def _sampled(reference: GFrameSystem, a: GFrameSystem, b: GFrameSystem, samples: int,
-             seed: int) -> tuple:
-    """The system a - b, and samples on ``reference`` with witnesses from b and a - b."""
-    diff = _difference_system(a, b)
-    return diff, sample_coords(reference, samples, seed,
-                               extra_ops=(b.frame_operator, diff.frame_operator))
+def _worst_gap(lhs: AdjointableOperator, rhs: AdjointableOperator) -> tuple:
+    """The largest ``loewner_gap`` of lhs <= rhs over the channels, and its witness."""
+    gaps, witnesses = loewner_gap(lhs, rhs)
+    channel = int(np.argmax(gaps))
+    return float(gaps[channel]), ModuleVector(lhs.descriptor, witnesses[channel])
 
 
 def family_distance(sys_a: GFrameSystem, sys_b: GFrameSystem, x: ModuleVector) -> AlgebraElement:
@@ -60,19 +62,15 @@ def family_distance(sys_a: GFrameSystem, sys_b: GFrameSystem, x: ModuleVector) -
     return _difference_system(sys_a, sys_b).gram(x)
 
 
-def _gram_norms(system: GFrameSystem, coords: np.ndarray) -> np.ndarray:
-    """||gram(x)|| for every vector of a coordinate stack, in one batched evaluation."""
-    return element_norms(system.descriptor, system.gram_batch(coords))
-
-
-def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem, samples: int = 200,
-                        seed: int = 0, tol: float = DEFAULT_TOL) -> TheoremReport:
+def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem, seed: int = 0,
+                        tol: float = DEFAULT_TOL) -> TheoremReport:
     """Two-sided equivalence between a frame and a perturbed family.
 
     Forward: with both families certified, the constant
-    min((b_A/e_B + 1)^2, (f_B/a_A + 1)^2) dominates the sampled distance ratio.
-    Backward: that constant feeds the (1 + sqrt(M)) window which is certified
-    on the perturbed frame operator.
+    min((b_A/e_B + 1)^2, (f_B/a_A + 1)^2) dominates the distance ratio
+    ||gram_D(x)|| / min(||gram_A(x)||, ||gram_B(x)||), whose supremum over x is
+    info["min_m"] = max(lambda_max(K_D; K_A), lambda_max(K_D; K_B)).  Backward:
+    that constant feeds the (1 + sqrt(M)) window certified on the perturbed system.
     """
     report = TheoremReport("STAB-EQUIV-M", tolerance=tol, seed=seed)
     _require_pair(sys_a, sys_b)
@@ -84,18 +82,16 @@ def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem, samples: int =
         a, b = bounds_a.scalar_lower, bounds_a.scalar_upper
         e, f = bounds_b.scalar_lower, bounds_b.scalar_upper
         m_star = min((b / e + 1.0) ** 2, (f / a + 1.0) ** 2)
-        diff, coords = _sampled(sys_a, sys_a, sys_b, samples, seed)
-        dist = _gram_norms(diff, coords)
-        floor = np.minimum(_gram_norms(sys_a, coords), _gram_norms(sys_b, coords))
-        kept = floor > tol
-        worst_ratio = float(np.max(dist[kept] / floor[kept], initial=0.0))
+        k_diff = _difference_system(sys_a, sys_b).gram_operator
+        roots = [sys.gram_operator.sqrt_positive().inverse() for sys in (sys_a, sys_b)]
+        min_m = max(_worst_gap(root @ k_diff @ root, 0.0 * k_diff)[0] for root in roots)
         report.conclude(gap("distance dominated by the two-sided constant",
-                            worst_ratio - m_star, tol * tolerance_scale(m_star)))
+                            min_m - m_star, tol * tolerance_scale(m_star)))
         factor = 1.0 + float(np.sqrt(m_star))
         certify_window(report, sys_b, a / factor, factor * b, tol,
                        "derived window certified on the perturbed system")
         report.info["m_constant"] = m_star
-        report.info["sampled_min_m"] = worst_ratio
+        report.info["min_m"] = min_m
     return report
 
 
@@ -120,9 +116,17 @@ def sum_frame_check(sys_frame: GFrameSystem, sys_bessel: GFrameSystem,
 
 def weighted_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, AdjointableOperator],
                                 alpha_w: Mapping[str, float], beta_w: Mapping[str, float],
-                                lam: float, mu: float, samples: int = 200, seed: int = 0,
+                                lam: float, mu: float, seed: int = 0,
                                 tol: float = DEFAULT_TOL) -> TheoremReport:
-    """Weighted two-constant perturbation with per-atom positive weights."""
+    """Weighted two-constant perturbation with per-atom positive weights.
+
+    On rank-one x the hypothesis reads sqrt(v^H K_D v) <= lam sqrt(v^H K_T v)
+    + mu sqrt(v^H K_R v), D = T - R of the weighted families.  Its right side
+    squared is at least v^H (lam^2 K_T + mu^2 K_R + 2 lam mu K_T # K_R) v, as
+    [[K_T, K_T # K_R], [K_T # K_R, K_R]] is positive for the geometric mean #; so
+    K_D below that suffices (exactly, when K_R is a multiple of K_T).  The witness
+    of that test either violates the hypothesis or leaves it undecided.
+    """
     if not (0 <= lam < 1 and 0 <= mu < 1):
         raise InputError("weighted check needs constants in [0, 1)")
     report = TheoremReport("STAB-WEIGHTED", tolerance=tol, seed=seed)
@@ -139,13 +143,20 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
                                         for label, op in sys_t.family.items()})
         weighted_r = sys_t.with_family({label: float(beta_w[label]) * family_r[label]
                                         for label in sys_t.measure.labels})
-        diff, coords = _sampled(sys_t, weighted_t, weighted_r, samples, seed)
-        lhs = np.sqrt(_gram_norms(diff, coords))
-        rhs = (lam * np.sqrt(_gram_norms(weighted_t, coords))
-               + mu * np.sqrt(_gram_norms(weighted_r, coords)))
-        worst = float(np.max(lhs - rhs, initial=0.0))
-        report.require(gap("sampled weighted smallness", worst,
-                           tol * 100 * tolerance_scale(bounds.scalar_upper)))
+        diff = _difference_system(weighted_t, weighted_r)
+        k_t, k_r = weighted_t.gram_operator, weighted_r.gram_operator
+        root = k_t.sqrt_positive()
+        inverse_root = root.inverse()
+        mean = root @ (inverse_root @ k_r @ inverse_root).sqrt_positive() @ root  # K_T # K_R
+        sufficient, x = _worst_gap(diff.gram_operator,
+                                   (lam * lam) * k_t + (mu * mu) * k_r + (2 * lam * mu) * mean)
+        violation = (math.sqrt(diff.gram(x).norm()) - lam * math.sqrt(weighted_t.gram(x).norm())
+                     - mu * math.sqrt(weighted_r.gram(x).norm()))
+        report.info.update(weighted_sufficient_gap=sufficient, weighted_witness_violation=violation)
+        if violation > tol * 100 * tolerance_scale(bounds.scalar_upper):
+            report.info["witness"] = vector_to_dict(x)
+        report.require(gap("weighted smallness", sufficient,
+                           tol * 100 * tolerance_scale(bounds.scalar_upper ** 2)))
         lower = bounds.scalar_lower * (1.0 - lam) * min(alphas) / ((1.0 + mu) * max(betas))
         upper = bounds.scalar_upper * (1.0 + lam) * max(alphas) / ((1.0 - mu) * min(betas))
         certify_window(report, sys_r, lower, upper, tol, "weighted window certified")
@@ -154,12 +165,12 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
 
 def additive_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, AdjointableOperator],
                                 alpha: float, beta: float, kind: str = ADDITIVE,
-                                samples: int = 200, seed: int = 0,
-                                tol: float = DEFAULT_TOL) -> TheoremReport:
+                                seed: int = 0, tol: float = DEFAULT_TOL) -> TheoremReport:
     """Additive perturbation with constants measured against the Gram and the inner product.
 
+    The hypothesis, for all x with D = T - R, is exactly K_D <= alpha K_T + beta I.
     The corollary kind drops the Gram term and measures the whole distance
-    against the inner product alone.  The certified window uses the
+    against the inner product alone: K_D <= alpha I.  The certified window uses the
     (1 -+ sqrt(rho)) factors from the two-constant argument; the variant with
     squared outer factors is reported for reference only.
     """
@@ -174,20 +185,20 @@ def additive_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
     with report.gate():
         report.require(frame_line("reference system is a frame", bounds))
         nu, delta = bounds.scalar_lower, bounds.scalar_upper
+        desc, n = sys_t.descriptor, sys_t.module_rank
         if kind == ADDITIVE:
             rho = alpha + beta / (nu * nu)
+            rhs = alpha * sys_t.gram_operator + AdjointableOperator.scalar(desc, n, beta)
         else:
             rho = alpha / (nu * nu)
+            rhs = AdjointableOperator.scalar(desc, n, alpha)
         if rho >= 1.0:
             raise DomainError(f"perturbation size {rho:.6g} reaches 1; the window degenerates")
-        diff, coords = _sampled(sys_t, sys_t, sys_r, samples, seed)
-        xx = element_norms(sys_t.descriptor, pairing(sys_t.descriptor, coords))
-        if kind == ADDITIVE:
-            rhs = alpha * _gram_norms(sys_t, coords) + beta * xx
-        else:
-            rhs = alpha * xx
-        worst = float(np.max(_gram_norms(diff, coords) - rhs, initial=0.0))
-        report.require(gap("sampled additive smallness", worst, tol * 100 * tolerance_scale(delta ** 2)))
+        excess, x = _worst_gap(_difference_system(sys_t, sys_r).gram_operator, rhs)
+        threshold = tol * 100 * tolerance_scale(delta ** 2)
+        if excess > threshold:
+            report.info["witness"] = vector_to_dict(x)
+        report.require(gap("additive smallness", excess, threshold))
         root = float(np.sqrt(rho))
         certify_window(report, sys_r, nu * (1.0 - root), delta * (1.0 + root), tol,
                        "additive window certified")
@@ -225,7 +236,7 @@ def _atom_constants(params: Mapping, key: str, labels: tuple) -> dict:
 
 
 def run_perturbation(kind: str, sys_a: GFrameSystem, sys_b: GFrameSystem, params: Mapping,
-                     samples: int = 200, seed: int = 0, tol: float = DEFAULT_TOL) -> TheoremReport:
+                     seed: int = 0, tol: float = DEFAULT_TOL) -> TheoremReport:
     """Dispatch a perturbation run described by plain JSON-friendly parameters.
 
     The constants must be finite numbers; ``alpha_w`` and ``beta_w`` may also
@@ -235,7 +246,7 @@ def run_perturbation(kind: str, sys_a: GFrameSystem, sys_b: GFrameSystem, params
         return _finite_number(params.get(key, 0.0), key)
 
     if kind == EQUIVALENCE_M:
-        return check_equivalence_M(sys_a, sys_b, samples=samples, seed=seed, tol=tol)
+        return check_equivalence_M(sys_a, sys_b, seed=seed, tol=tol)
     if kind == SUM:
         return sum_frame_check(sys_a, sys_b, tol=tol, seed=seed)
     if kind == WEIGHTED:
@@ -243,9 +254,9 @@ def run_perturbation(kind: str, sys_a: GFrameSystem, sys_b: GFrameSystem, params
         return weighted_perturbation_check(
             sys_a, dict(sys_b.family), _atom_constants(params, "alpha_w", labels),
             _atom_constants(params, "beta_w", labels), lam=constant("lambda"), mu=constant("mu"),
-            samples=samples, seed=seed, tol=tol)
+            seed=seed, tol=tol)
     if kind in (ADDITIVE, ADDITIVE_COROLLARY):
         return additive_perturbation_check(
             sys_a, dict(sys_b.family), alpha=constant("alpha"), beta=constant("beta"), kind=kind,
-            samples=samples, seed=seed, tol=tol)
+            seed=seed, tol=tol)
     raise InputError(f"unknown perturbation kind {kind!r}")

@@ -7,11 +7,9 @@ from hypothesis.extra.numpy import arrays
 from gframe.algebra import (
     AlgebraDescriptor,
     AlgebraElement,
-    conjugate_by,
     element_norms,
     is_positive_by_norm_shift,
     leq,
-    min_hermitian_eigenvalues,
 )
 from gframe.errors import DomainError, InputError
 
@@ -208,12 +206,6 @@ def test_batched_element_helpers_match_element_methods(desc):
     rng = np.random.default_rng(41)
     shape = (6,) + ((3, 3) if desc.kind == "matrix" else (4,))
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    a = AlgebraElement(desc, data[0] + 0.5)
     norms = element_norms(desc, data)
-    lows = min_hermitian_eigenvalues(desc, data)
-    sandwiched = conjugate_by(a, data)
     for idx, entry in enumerate(data):
-        x = AlgebraElement(desc, entry)
-        assert norms[idx] == pytest.approx(x.norm(), rel=1e-13)
-        assert lows[idx] == pytest.approx(x.eigenvalues_hermitian()[0], rel=1e-12, abs=1e-13)
-        assert np.allclose(sandwiched[idx], (a * x * a.adjoint()).data, rtol=1e-13, atol=1e-13)
+        assert norms[idx] == pytest.approx(AlgebraElement(desc, entry).norm(), rel=1e-13)

@@ -153,7 +153,7 @@ def _perturb_descriptor(tmp_path, **fields):
     path.write_text(dump_json(system_to_dict(sys_a)), encoding="utf-8")
     desc = tmp_path / "run.json"
     doc = {"kind": "equivalence_M", "params": {}, "systemA": str(path), "systemB": str(path),
-           "samples": 10, "seed": 0}
+           "seed": 0}
     doc.update(fields)
     desc.write_text(json.dumps(doc), encoding="utf-8")
     return str(desc)
@@ -179,26 +179,39 @@ def test_nonpositive_tolerance_exits_two(tmp_path, capsys, tol):
     _assert_input_error(code, err)
 
 
-# Booleans, strings and fractions used to run as int(value): 1, 7 and 7.
+# Booleans, strings and fractions used to run as int(value): 1, 7 and 7.  The
+# descriptor's seed is still parsed; its samples key is not read at all.
 @pytest.mark.parametrize("fields", [
-    pytest.param({"samples": 0}, id="0"),
-    pytest.param({"samples": -3}, id="-3"),
-    *(pytest.param({field: value}, id=f"{field}={value!r}")
-      for field in ("samples", "seed") for value in (True, "7", 7.9)),
-])
+    pytest.param({"seed": value}, id=f"seed={value!r}") for value in (True, "7", 7.9)])
 def test_perturb_descriptor_rejects_sample_counts_below_one(tmp_path, capsys, fields):
     code, _, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path, **fields))
     _assert_input_error(code, err)
     assert next(iter(fields)) in err
 
 
+# The perturbation hypotheses are exact, so nothing reads a sample count: a
+# descriptor's samples key is ignored like any other unknown key, whatever its value.
+@pytest.mark.parametrize("samples", [
+    pytest.param(0, id="0"),
+    pytest.param(-3, id="-3"),
+    pytest.param(50, id="50"),
+    *(pytest.param(value, id=f"samples={value!r}") for value in (True, "7", 7.9)),
+])
+def test_perturb_descriptor_ignores_samples(tmp_path, capsys, samples):
+    code, without, _ = _run(capsys, "perturb", _perturb_descriptor(tmp_path))
+    assert code == 0
+    code, out, _ = _run(capsys, "perturb", _perturb_descriptor(tmp_path, samples=samples))
+    assert code == 0
+    assert out == without
+    assert "samples" not in json.loads(out)["config"]
+
+
 def test_perturb_descriptor_accepts_integral_floats(tmp_path, capsys):
     out = tmp_path / "rep.json"
-    code, _, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path, samples=7.0, seed=3.0),
+    code, _, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path, seed=3.0),
                         "--out", str(out))
     assert code in (0, 1) and "Traceback" not in err
-    config = json.loads(out.read_text(encoding="utf-8"))["config"]
-    assert (config["samples"], config["seed"]) == (7, 3)
+    assert json.loads(out.read_text(encoding="utf-8"))["config"]["seed"] == 3
 
 
 def test_nan_entry_in_system_file_exits_two(tmp_path, capsys):
@@ -363,11 +376,13 @@ def test_unparsable_json_exits_two(tmp_path, capsys, text):
 
 
 def test_overflowing_descriptor_samples_exit_two(tmp_path, capsys):
+    # The samples key is ignored; an overflowing seed still exits 2 before any file is read.
     desc = tmp_path / "run.json"
-    desc.write_text('{"kind": "sum", "systemA": "a", "systemB": "b", "samples": 1e400}',
-                    encoding="utf-8")
+    desc.write_text('{"kind": "sum", "systemA": "a", "systemB": "b", "samples": 1e400, '
+                    '"seed": 1e400}', encoding="utf-8")
     code, _, err = _run(capsys, "perturb", str(desc))
     _assert_input_error(code, err)
+    assert "seed" in err
 
 
 PERTURB_KINDS = [

@@ -90,44 +90,94 @@ def test_check_frame_exact_scalar(identity_system, m2):
 
 def test_check_frame_optimality_margin(unit_interval):
     bounds = optimal_scalar_bounds(unit_interval)
-    tight = check_frame(unit_interval, bounds, mode="exact_scalar")
+    tight = check_frame(unit_interval, bounds)
     assert tight.status == "pass"
     over = FrameBounds.from_scalars(bounds.scalar_lower * 1.01, bounds.scalar_upper,
                                     unit_interval.descriptor)
-    assert check_frame(unit_interval, over, mode="exact_scalar").status == "fail"
+    assert check_frame(unit_interval, over).status == "fail"
     under = FrameBounds.from_scalars(bounds.scalar_lower, bounds.scalar_upper * 0.99,
                                      unit_interval.descriptor)
-    assert check_frame(unit_interval, under, mode="exact_scalar").status == "fail"
+    assert check_frame(unit_interval, under).status == "fail"
 
 
 def test_check_frame_sampled_with_element_bounds(unit_interval):
-    # element bounds sqrt(ab)/4 * diag(1/n) and sqrt(ab) * diag(1/n)
+    # C^k element bounds are decided channel by channel: sqrt(ab)/4 * diag(1/n) and
+    # sqrt(ab) * diag(1/n) hold, and the example is tight per channel at sqrt(ab/3) * diag(1/n).
     inv_n = np.array([1.0, 0.5, 1.0 / 3.0])
     lower = AlgebraElement.diag(0.25 * inv_n)
     upper = AlgebraElement.diag(inv_n)
-    bounds = FrameBounds.from_elements(lower, upper)
-    report = check_frame(unit_interval, bounds, mode="sampled_general", samples=100, seed=0)
+    report = check_frame(unit_interval, FrameBounds.from_elements(lower, upper))
     assert report.status == "pass"
+    assert [line.name for line in report.conclusions] == ["lower element bound",
+                                                          "upper element bound"]
+    tight = AlgebraElement.diag(np.sqrt(1.0 / 3.0) * inv_n)
+    assert check_frame(unit_interval, FrameBounds.from_elements(tight, tight)).status == "pass"
+    # Raising channel 1 by 1% breaks the lower side there, by 0.0201 / 12, at a vector
+    # supported on that channel.
+    raised = AlgebraElement.diag(np.sqrt(1.0 / 3.0) * inv_n * np.array([1.0, 1.01, 1.0]))
+    report = check_frame(unit_interval, FrameBounds.from_elements(raised, raised))
+    assert [line.passed for line in report.conclusions] == [False, True]
+    assert report.conclusions[0].residual == pytest.approx(0.0201 / 12, rel=1e-9)
+    x = report.info["witnesses"]["lower"]
+    assert not np.any(x.coords[:, [0, 2]])
+    sandwich = (raised * x.inner(x) * raised.adjoint()).data.real
+    assert sandwich[1] - unit_interval.gram(x).data.real[1] == pytest.approx(0.0201 / 12, rel=1e-9)
 
 
-def test_check_frame_sampled_reports_witness(identity_system, m2):
-    lower = AlgebraElement.scalar(m2, 2.0)
-    upper = AlgebraElement.scalar(m2, 3.0)
-    report = check_frame(identity_system, FrameBounds.from_elements(lower, upper),
-                         mode="sampled_general", samples=20, seed=0)
-    assert report.status == "fail"
-    assert report.info["witness"]["side"] == "lower"
+def _identity_system(rank: int) -> GFrameSystem:
+    m2 = AlgebraDescriptor("matrix", 2)
+    eye = AdjointableOperator.identity(m2, rank)
+    return GFrameSystem(MeasureSpace((("w0", 1.0),)), {"w0": eye}, eye, eye)
+
+
+def _assert_rank_one_along(x, w) -> None:
+    """flat(x) = w v^H for some v: rank one, with w spanning its column space."""
+    u, svals, _ = np.linalg.svd(x.flat())
+    assert svals[1] <= 1e-15
+    assert abs(u[:, 0].conj() @ w) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_check_frame_sampled_reports_witness():
+    # In M_2 a non-central bound fails whenever the Gram operator is nonzero:
+    # diag(0.5, 0.45) moves w = (1, 1)/sqrt 2 off its span, and the rank-one
+    # vector flat(x) = w v^H violates the lower side by 8.07e-4.  200 seeded
+    # samples passed this bound at both module ranks.
+    w = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    lower = AlgebraElement.matrix(np.diag([0.5, 0.45]))
+    lw = lower.data @ w
+    closed_form = np.linalg.eigvalsh(np.outer(lw, lw) - np.outer(w, w))[-1]
+    assert closed_form == pytest.approx(8.07e-4, rel=1e-3)
+    for rank in (2, 8):
+        system = _identity_system(rank)
+        bounds = FrameBounds.from_elements(lower, AlgebraElement.one(system.descriptor))
+        report = check_frame(system, bounds)
+        assert report.status == "fail"
+        assert [line.passed for line in report.conclusions] == [False, True]
+        assert report.conclusions[0].residual == pytest.approx(closed_form, rel=1e-12)
+        x = report.info["witnesses"]["lower"]
+        _assert_rank_one_along(x, w)
+        excess = lower * x.inner(x) * lower.adjoint() - system.gram(x)
+        assert excess.eigenvalues_hermitian()[-1] == pytest.approx(closed_form, rel=1e-12)
 
 
 def test_check_frame_sampled_reports_upper_witness(identity_system, m2):
-    lower = AlgebraElement.scalar(m2, 0.5)
-    upper = AlgebraElement.scalar(m2, 0.9)
-    report = check_frame(identity_system, FrameBounds.from_elements(lower, upper),
-                         mode="sampled_general", samples=20, seed=0)
+    # A non-central upper bound fails at w = e_2 (the (1, 2) entry moves it);
+    # the central lower bound 0.5 gets the scalar test and holds.
+    upper = AlgebraElement.matrix([[1.2, 0.3], [0.0, 1.1]])
+    report = check_frame(identity_system, FrameBounds.from_elements(
+        AlgebraElement.scalar(m2, 0.5), upper))
     assert report.status == "fail"
-    assert report.info["witness"]["side"] == "upper"
-    # gram(x) = <x, x> here, so the worst violation is 1 - 0.81 of ||<x, x>|| / max(1, ||<x, x>||)
-    assert report.conclusions[0].residual <= 0.19 + 1e-12
+    assert [line.passed for line in report.conclusions] == [True, False]
+    assert report.conclusions[0].residual == 0.0
+    x = report.info["witnesses"]["upper"]
+    _assert_rank_one_along(x, np.array([0.0, 1.0]))
+    uw = upper.data[:, 1]
+    closed_form = np.linalg.eigvalsh(np.diag([0.0, 1.0]) - np.outer(uw, uw))[-1]
+    assert report.conclusions[1].residual == pytest.approx(closed_form, rel=1e-12)
+    # With a zero Gram operator every upper bound holds, central or not.
+    zero = identity_system.with_family({"w0": 0.0 * identity_system.family["w0"]})
+    report = check_frame(zero, FrameBounds(0.0, 1.2, None, upper, "bessel_only"))
+    assert report.status == "pass"
 
 
 def test_gram_matches_frame_operator_pairing():

@@ -9,7 +9,7 @@ from gframe.hilbert import (
     ModuleVector,
     compose,
     compose_all,
-    extreme_witnesses,
+    loewner_gap,
     pairing,
     positive_part_checks,
     weighted_sum,
@@ -209,8 +209,11 @@ def test_positivity_bridge(m2):
     q = rand_operator(m2, 3, 3, rng)
     indefinite = q + q.adjoint()
     if np.linalg.eigvalsh(indefinite.flat())[0] < -1e-6:
-        witness = ModuleVector(m2, extreme_witnesses(indefinite)[0])
+        zero = AdjointableOperator.zero(m2, 3, 3)
+        gaps, witnesses = loewner_gap(zero, indefinite)
+        witness = ModuleVector(m2, witnesses[0])
         assert not indefinite(witness).inner(witness).is_positive(1e-9)
+        assert gaps[0] == pytest.approx(-np.linalg.eigvalsh(indefinite.flat())[0], rel=1e-12)
 
 
 def test_operator_norm_examples(m2):

@@ -8,7 +8,7 @@ import pytest
 
 import gframe
 from gframe.algebra import AlgebraDescriptor, AlgebraElement, element_norms, two_norm
-from gframe.hilbert import AdjointableOperator, extreme_witnesses, positive_part_checks
+from gframe.hilbert import AdjointableOperator, ModuleVector, loewner_gap, positive_part_checks
 from gframe.sampling import rand_operator, rand_positive_operator
 from gframe.theorems import _singular_range
 
@@ -99,12 +99,27 @@ def _flat_witness(coords: np.ndarray, kind: str) -> np.ndarray:
     return (coords[:, 0, :] if kind == "matrix" else coords).ravel()
 
 
+def _dense_top(f: np.ndarray) -> tuple:
+    """Top eigenvalue of the Hermitian part of a dense matrix, and its conjugated eigenvector."""
+    vals, vecs = np.linalg.eigh(0.5 * (f + f.conj().T))
+    return vals[-1], vecs[:, -1].conj()
+
+
+def _extreme_witnesses(t: AdjointableOperator) -> list:
+    """The witnesses of t's smallest and largest eigenvalue: loewner_gap against zero."""
+    zero = AdjointableOperator.zero(t.descriptor, t.in_rank, t.in_rank)
+    witnesses = []
+    for lhs, rhs in ((zero, t), (t, zero)):
+        gaps, stack = loewner_gap(lhs, rhs)
+        witnesses.append(stack[int(np.argmax(gaps))])
+    return witnesses
+
+
 def _dense_witnesses(t: AdjointableOperator) -> list:
     # The conjugated extreme eigenvectors of the flattened Hermitian part: the
     # witness coordinates the dense model gives.
-    f = t.flat()
-    _, vecs = np.linalg.eigh(0.5 * (f + f.conj().T))
-    return [vecs[:, idx].conj() for idx in (0, -1)]
+    zero = AdjointableOperator.zero(t.descriptor, t.in_rank, t.in_rank)
+    return [_dense_top((zero - t).flat())[1], _dense_top(t.flat())[1]]
 
 
 def test_diagonal_spectra_match_the_dense_flattening():
@@ -127,7 +142,7 @@ def test_diagonal_spectra_match_the_dense_flattening():
     _close(positive.sqrt_positive().flat(), root, np.linalg.norm(root, 2))
     for t in (square, positive):
         # Eigenvectors are fixed up to a phase, so the witnesses are compared as projectors.
-        for got, want in zip(extreme_witnesses(t), _dense_witnesses(t)):
+        for got, want in zip(_extreme_witnesses(t), _dense_witnesses(t)):
             got = _flat_witness(got, "diagonal")
             _close(np.outer(got, got.conj()), np.outer(want, want.conj()), 1.0)
 
@@ -136,9 +151,36 @@ def test_matrix_witnesses_are_the_dense_eigenvectors_bit_for_bit():
     desc = AlgebraDescriptor("matrix", 2)
     q = rand_operator(desc, 3, 3, np.random.default_rng(62))
     h = q + q.adjoint()
-    for got, want in zip(extreme_witnesses(h), _dense_witnesses(h)):
+    for got, want in zip(_extreme_witnesses(h), _dense_witnesses(h)):
         assert np.array_equal(_flat_witness(got, "matrix"), want)
         assert not np.any(got[:, 1:, :])
+
+
+def _channel_indices(desc: AlgebraDescriptor, rank: int) -> list:
+    """Rows and columns of each channel inside the dense flattening."""
+    if desc.kind == "matrix":
+        return [np.arange(rank * desc.dim)]
+    return [np.arange(rank) * desc.dim + j for j in range(desc.dim)]
+
+
+@pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 4)],
+                         ids=lambda d: d.kind)
+def test_loewner_gap_matches_the_dense_flattening(desc):
+    rng = np.random.default_rng(63)
+    lhs = rand_operator(desc, 3, 3, rng)
+    rhs = rand_positive_operator(desc, 3, rng)
+    gaps, witnesses = loewner_gap(lhs, rhs)
+    f = lhs.flat() - rhs.flat()
+    assert gaps.shape == (len(_channel_indices(desc, 3)),)
+    for channel, idx in enumerate(_channel_indices(desc, 3)):
+        _close(gaps[channel], _dense_top(f[np.ix_(idx, idx)])[0], np.linalg.norm(f, 2))
+        # The witness is a unit vector of that channel at which <(lhs - rhs) x, x> attains the gap.
+        x = ModuleVector(desc, witnesses[channel])
+        entry = (0, 0) if desc.kind == "matrix" else (channel, channel)
+        value = x.flat() @ f @ x.flat().conj().T
+        _close(value[entry].real, gaps[channel], np.linalg.norm(f, 2))
+        assert (x.flat() @ x.flat().conj().T)[entry].real == pytest.approx(1.0, rel=1e-14)
+    assert float(gaps.max()) == pytest.approx(_dense_top(f)[0], rel=DENSE_RTOL)
 
 
 def test_element_invert_takes_one_svd(monkeypatch):

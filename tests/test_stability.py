@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from gframe.errors import DomainError, InputError
 from gframe.frames import FrameBounds, check_frame, optimal_scalar_bounds
 from gframe.generate import random_system, unit_interval_system
 from gframe.sampling import rand_operator, rand_vector
+from gframe.serialize import vector_from_dict
 from gframe.stability import (
     additive_perturbation_check,
     check_equivalence_M,
@@ -24,6 +27,16 @@ def _scaled(system, factor):
 def _cc_system(seed):
     base = random_system(seed, commuting=True)
     return base.with_controls(base.controls.C, base.controls.C)
+
+
+def _noisy_pair(seed):
+    """random_system(seed) with C' = C, and its family plus 0.3 times seeded Gaussian operators."""
+    base = random_system(seed)
+    sys_t = base.with_controls(base.controls.C, base.controls.C)
+    rng = np.random.default_rng(101)
+    family = {label: op + 0.3 * rand_operator(sys_t.descriptor, op.in_rank, op.out_rank, rng)
+              for label, op in sys_t.family.items()}
+    return sys_t, family
 
 
 def test_params_validation(unit_interval):
@@ -83,9 +96,9 @@ def test_zero_distance_means_equal_frame_operators():
 
 
 def test_equivalence_self(unit_interval):
-    report = check_equivalence_M(unit_interval, unit_interval, samples=50, seed=0)
+    report = check_equivalence_M(unit_interval, unit_interval, seed=0)
     assert report.status == "pass"
-    assert report.info["sampled_min_m"] == 0.0
+    assert report.info["min_m"] == 0.0
 
 
 def test_equivalence_scaled_diagonal_closed_form(unit_interval):
@@ -100,9 +113,10 @@ def test_equivalence_scaled_diagonal_closed_form(unit_interval):
     # difference family is 0.5 * Lambda: ratios are exactly 1/4 and 1/9
     assert worst_a == pytest.approx(0.25, abs=1e-12)
     assert worst_b == pytest.approx(1.0 / 9.0, abs=1e-12)
-    report = check_equivalence_M(unit_interval, sys_b, samples=100, seed=1)
+    report = check_equivalence_M(unit_interval, sys_b, seed=1)
     assert report.status == "pass"
-    assert report.info["sampled_min_m"] == pytest.approx(0.25, abs=1e-10)
+    # the exact constant is the larger generalized eigenvalue, max(1/4, 1/9)
+    assert report.info["min_m"] == pytest.approx(0.25, abs=1e-12)
     # two-sided constant: bounds are (a, b) and (1.5a, 1.5b) with b = 3a
     assert report.info["m_constant"] == pytest.approx(9.0, abs=1e-9)
 
@@ -116,7 +130,7 @@ def test_equivalence_near_identical_seeded_pairs():
             noise = rand_operator(sys_a.descriptor, op.in_rank, op.out_rank, rng)
             perturbed[label] = op + (0.01 / max(1.0, noise.norm())) * noise
         sys_b = sys_a.with_family(perturbed)
-        report = check_equivalence_M(sys_a, sys_b, samples=60, seed=seed)
+        report = check_equivalence_M(sys_a, sys_b, seed=seed)
         assert report.status == "pass", report.to_dict()
 
 
@@ -162,7 +176,7 @@ def test_weighted_identity_reproduces_bounds(unit_interval):
     labels = unit_interval.measure.labels
     ones = {label: 1.0 for label in labels}
     report = weighted_perturbation_check(unit_interval, dict(unit_interval.family),
-                                         ones, ones, lam=0.0, mu=0.0, samples=50, seed=0)
+                                         ones, ones, lam=0.0, mu=0.0, seed=0)
     assert report.status == "pass"
     window = report.info["certified_windows"]["weighted window certified"]
     bounds = optimal_scalar_bounds(unit_interval)
@@ -176,7 +190,7 @@ def test_weighted_scaled_diagonal(c, lam, mu, unit_interval):
     ones = {label: 1.0 for label in labels}
     scaled_family = {label: c * op for label, op in unit_interval.family.items()}
     report = weighted_perturbation_check(unit_interval, scaled_family, ones, ones,
-                                         lam=lam, mu=mu, samples=80, seed=1)
+                                         lam=lam, mu=mu, seed=1)
     assert report.status == "pass", report.to_dict()
     bounds = optimal_scalar_bounds(unit_interval)
     window = report.info["certified_windows"]["weighted window certified"]
@@ -194,7 +208,7 @@ def test_weighted_seeded_small_constants():
         noise = rand_operator(sys_a.descriptor, op.in_rank, op.out_rank, rng)
         perturbed[label] = op + (0.02 / max(1.0, noise.norm())) * noise
     report = weighted_perturbation_check(sys_a, perturbed, ones, ones,
-                                         lam=0.1, mu=0.1, samples=60, seed=2)
+                                         lam=0.1, mu=0.1, seed=2)
     assert report.status == "pass"
 
 
@@ -202,14 +216,14 @@ def test_additive_identity_and_small_scale():
     tight = tight_line_system()
     bounds = optimal_scalar_bounds(tight)
     report = additive_perturbation_check(tight, dict(tight.family), alpha=0.0, beta=0.0,
-                                         samples=40, seed=0)
+                                         seed=0)
     assert report.status == "pass"
     window = report.info["certified_windows"]["additive window certified"]
     assert window[0] == pytest.approx(bounds.scalar_lower)
     assert window[1] == pytest.approx(bounds.scalar_upper)
     scaled = {label: 1.01 * op for label, op in tight.family.items()}
     report = additive_perturbation_check(tight, scaled, alpha=(0.012) ** 1, beta=0.0,
-                                         samples=40, seed=1)
+                                         seed=1)
     assert report.status == "pass"
     window = report.info["certified_windows"]["additive window certified"]
     assert window[0] <= 1.01 * bounds.scalar_lower
@@ -229,7 +243,7 @@ def test_additive_precondition_gate():
 def test_additive_corollary_kind():
     tight = tight_line_system()
     report = additive_perturbation_check(tight, dict(tight.family), alpha=0.01, beta=0.0,
-                                         kind="additive_corollary", samples=40, seed=2)
+                                         kind="additive_corollary", seed=2)
     assert report.status == "pass"
     assert "squared_factor_window" in report.info
 
@@ -239,10 +253,73 @@ def test_certified_windows_recheck_exactly():
     tight = tight_line_system()
     scaled = {label: 0.9 * op for label, op in tight.family.items()}
     report = additive_perturbation_check(tight, scaled, alpha=0.02, beta=0.0,
-                                         samples=40, seed=3)
+                                         seed=3)
     assert report.status == "pass"
     window = report.info["certified_windows"]["additive window certified"]
     sys_r = tight.with_family(scaled)
     sub = check_frame(sys_r, FrameBounds.from_scalars(window[0], window[1],
-                                                      tight.descriptor), mode="exact_scalar")
+                                                      tight.descriptor))
     assert sub.status == "pass"
+
+
+@pytest.mark.parametrize("fraction", [0.99, 0.97])
+def test_additive_hypothesis_fails_at_its_witness(fraction):
+    # C^2, rank 4, 8 atoms.  With beta just below lambda_max(K_D - alpha K_T) the
+    # hypothesis fails by the difference, at the top eigenvector; 200 seeded
+    # samples missed that vector and passed the run.
+    sys_t, family = _noisy_pair(1)
+    sys_r = sys_t.with_family(family)
+    diff = sys_t.with_family({label: sys_t.family[label] - family[label] for label in family})
+    f = diff.gram_operator.flat() - 0.5 * sys_t.gram_operator.flat()
+    top = np.linalg.eigvalsh(0.5 * (f + f.conj().T))[-1]
+    report = additive_perturbation_check(sys_t, family, alpha=0.5, beta=fraction * top)
+    assert report.status == "not_applicable"
+    line = report.hypotheses[-1]
+    assert (line.name, line.passed) == ("additive smallness", False)
+    assert line.residual == pytest.approx((1.0 - fraction) * top, rel=1e-9)
+    x = vector_from_dict(report.info["witness"])
+    excess = (family_distance(sys_t, sys_r, x).norm() - 0.5 * sys_t.gram(x).norm()
+              - fraction * top * x.inner(x).norm())
+    assert excess == pytest.approx(line.residual, rel=1e-9)
+
+
+def _weighted_noisy(seed, lam, mu):
+    sys_t, family = _noisy_pair(seed)
+    ones = {label: 1.0 for label in family}
+    report = weighted_perturbation_check(sys_t, family, ones, ones, lam=lam, mu=mu)
+    return sys_t, sys_t.with_family(family), report
+
+
+def test_weighted_hypothesis_proven_false_at_its_witness():
+    # M_2, rank 2: the witness of the Loewner test violates the hypothesis
+    # itself; 200 seeded samples missed it and passed the run.
+    sys_t, sys_r, report = _weighted_noisy(5, lam=0.5, mu=0.1)
+    assert sys_t.descriptor.kind == "matrix"
+    assert report.status == "not_applicable"
+    assert report.info["weighted_sufficient_gap"] == report.hypotheses[-1].residual > 0
+    x = vector_from_dict(report.info["witness"])
+    violation = (math.sqrt(family_distance(sys_t, sys_r, x).norm())
+                 - 0.5 * math.sqrt(sys_t.gram(x).norm()) - 0.1 * math.sqrt(sys_r.gram(x).norm()))
+    assert violation == pytest.approx(report.info["weighted_witness_violation"], rel=1e-9)
+    assert violation > 0.02
+
+
+def test_weighted_hypothesis_undecided_is_not_applicable():
+    # The Loewner test fails, but its witness satisfies the hypothesis: no
+    # witness is recorded and the run is not applicable.
+    _, _, report = _weighted_noisy(1, lam=0.35, mu=0.5)
+    assert report.status == "not_applicable"
+    assert report.info["weighted_sufficient_gap"] > 0
+    assert report.info["weighted_witness_violation"] < 0
+    assert "witness" not in report.info
+
+
+def test_equivalence_constant_is_the_larger_generalized_eigenvalue():
+    sys_a, family = _noisy_pair(5)
+    sys_b = sys_a.with_family(family)
+    report = check_equivalence_M(sys_a, sys_b)
+    diff = sys_a.with_family({label: sys_a.family[label] - family[label] for label in family})
+    k_d = diff.gram_operator.flat()
+    oracle = max(np.linalg.eigvals(np.linalg.solve(sys.gram_operator.flat(), k_d)).real.max()
+                 for sys in (sys_a, sys_b))
+    assert report.info["min_m"] == pytest.approx(oracle, rel=1e-10)

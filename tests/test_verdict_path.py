@@ -32,7 +32,10 @@ def test_retired_names_stay_gone():
     retired = {"PerturbationParams", "_RowEnded", "KINDS", "controlled_multiplier_report",
                "add_hypothesis", "add_conclusion",
                # The dense C^k model: every kernel reads the channels instead.
-               "from_flat", "vector_from_flat_row", "modulus", "cond_cap"}
+               "from_flat", "vector_from_flat_row", "modulus", "cond_cap",
+               # Sampled "for all x" checks: every one is a loewner_gap test now.
+               "sample_coords", "_sampled", "_gram_norms", "conjugate_by",
+               "min_hermitian_eigenvalues", "extreme_witnesses"}
     found = []
     for name, tree in _trees().items():
         for node in ast.walk(tree):

@@ -529,10 +529,10 @@ def loewner_gap(lhs: AdjointableOperator, rhs: AdjointableOperator) -> tuple:
         raise InputError("Loewner comparison needs square operators")
     chans = (lhs - rhs).channels()
     vals, vecs = np.linalg.eigh(_hermitian_part(chans))
-    count = np.arange(chans.shape[0])
-    rows = np.zeros((count.size, count.size, channel_layout(lhs.descriptor)[1], chans.shape[-1]),
+    index = np.arange(chans.shape[0])
+    rows = np.zeros((index.size, index.size, channel_layout(lhs.descriptor)[1], chans.shape[-1]),
                     dtype=np.complex128)
-    rows[count, count, 0] = vecs[:, :, -1].conj()
+    rows[index, index, 0] = vecs[:, :, -1].conj()
     return vals[:, -1], _from_channels(lhs.descriptor, rows)[:, 0]
 
 

@@ -30,11 +30,11 @@ from .frames import (
 )
 from .hilbert import (
     AdjointableOperator,
-    DirectSumSpace,
-    DirectSumVector,
     ModuleVector,
     compose,
     positive_part_checks,
+    stack,
+    unstack,
 )
 from .measure import MeasureSpace, simpson_unit_interval
 from .reports import TheoremReport

@@ -9,6 +9,7 @@ values are immutable; operations are pure functions.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -212,6 +213,22 @@ class AlgebraElement:
         return AlgebraElement(self.descriptor, 1.0 / self.data)
 
 
+def finite_spectrum(routine, mats: np.ndarray, **options):
+    """``routine(mats, **options)``, a numpy.linalg spectral routine, or a DomainError.
+
+    LAPACK raises on NaN entries and returns NaN on infinite ones.  The test
+    reads the result, so on success it is one sum over the spectrum.
+    """
+    try:
+        result = routine(mats, **options)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"spectral computation failed: {exc}") from exc
+    values = result[0] if isinstance(result, tuple) else result
+    if not math.isfinite(values.sum()):
+        raise DomainError("spectral computation overflowed: entries too large or not finite")
+    return result
+
+
 def two_norm(mats: np.ndarray):
     """Largest singular value of a matrix, or of each matrix in a (..., rows, cols) stack.
 
@@ -219,7 +236,7 @@ def two_norm(mats: np.ndarray):
     ``np.linalg.norm(mats, 2, axis=(-2, -1))`` bit for bit, without the
     wrapper that costs as much as the SVD on small matrices.
     """
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    return finite_spectrum(np.linalg.svd, mats, compute_uv=False)[..., 0]
 
 
 def element_norms(descriptor: AlgebraDescriptor, data: np.ndarray) -> np.ndarray:

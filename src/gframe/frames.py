@@ -5,7 +5,8 @@ Lambda_w: A^n -> A^{m_w}, and a pair of positive invertible controls (C, C').
 The twisted Gram of the system at x is the weighted sum of
 <Lambda_w C x, Lambda_w C' x>; sandwiching it between A<x,x>A* and B<x,x>B*
 is the frame property this module certifies, together with the induced
-frame operator, transforms, duals and multipliers.
+frame operator, transforms, duals and multipliers.  The family meets the
+weighted direct sum only through ``hilbert.stack`` and ``unstack``.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from .algebra import (
 from .errors import DomainError, InputError, UnsupportedConfigurationError
 from .hilbert import (
     AdjointableOperator,
-    DirectSumSpace,
-    DirectSumVector,
     ModuleVector,
     as_channels,
-    compose_all,
     loewner_gap,
     pairing,
     spectral_norms,
+    stack,
+    unstack,
     weighted_sum,
 )
 from .measure import MeasureSpace
@@ -210,15 +210,6 @@ class GFrameSystem:
     # -- basic structure -----------------------------------------------------
 
     @cached_property
-    def direct_sum(self) -> DirectSumSpace:
-        return DirectSumSpace(
-            descriptor=self.descriptor,
-            labels=self.measure.labels,
-            weights=self.measure.weights,
-            ranks=tuple(op.out_rank for op in self.family.values()),
-        )
-
-    @cached_property
     def controls_equal(self) -> bool:
         diff = (self.controls.C - self.controls.Cp).norm()
         scale = tolerance_scale(self.controls.C.norm())
@@ -286,25 +277,13 @@ class GFrameSystem:
 
     @cached_property
     def analysis_operator(self) -> AdjointableOperator:
-        """Transform into the weighted direct sum, stacked as a map A^n -> A^M."""
-        root = self.mixed_control_root
-        comps = {label: op @ root for label, op in self.family.items()}
-        return self.direct_sum.stack_operator(comps)
+        """x -> (Lambda_w (C'C)^(1/2) x)_w into the weighted direct sum, as one product."""
+        ops = list(self.family.values())
+        return stack(ops, np.sqrt(self.measure.weights)) @ self.mixed_control_root
 
     @cached_property
     def synthesis_operator(self) -> AdjointableOperator:
         return self.analysis_operator.adjoint()
-
-    def analysis(self, x: ModuleVector) -> DirectSumVector:
-        """Per-atom components Lambda_w (C'C)^(1/2) x in the weighted direct sum."""
-        root = self.mixed_control_root
-        rx = root(x)
-        comps = {label: op(rx) for label, op in self.family.items()}
-        return DirectSumVector(self.direct_sum, comps)
-
-    def synthesis(self, y: DirectSumVector) -> ModuleVector:
-        """Weighted sum of (C C')^(1/2) Lambda_w* y_w; adjoint of analysis."""
-        return self.synthesis_operator(self.direct_sum.stack(y.components))
 
 
 def optimal_scalar_bounds(system: GFrameSystem, tol: float = DEFAULT_TOL) -> FrameBounds:
@@ -432,15 +411,16 @@ def _reconstruction_residuals(system: GFrameSystem, op: AdjointableOperator,
 
 def canonical_dual(system: GFrameSystem, samples: int = 100, seed: int = 0,
                    tol: float = 1e-8) -> DualCertificate:
-    """Dual family Lambda_w S^(-1) with verified reconstruction."""
+    """Dual family Lambda_w S^(-1), unstack(stack(family) S^(-1)), with verified reconstruction."""
     if not system.commuting:
         raise UnsupportedConfigurationError(
             "canonical dual reconstruction needs commuting controls")
     bounds = optimal_scalar_bounds(system)
     if not bounds.is_frame:
         raise DomainError("system is not a frame; frame operator is singular")
-    s_inv = system.frame_operator.inverse()
-    dual = dict(zip(system.family, compose_all(list(system.family.values()), s_inv)))
+    ops = list(system.family.values())
+    duals = unstack(stack(ops) @ system.frame_operator.inverse(), [op.out_rank for op in ops])
+    dual = dict(zip(system.family, duals))
     recon = reconstruction_operator(system, dual)
     sampled, op_res = _reconstruction_residuals(system, recon, samples, seed)
     return DualCertificate(

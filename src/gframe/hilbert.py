@@ -1,32 +1,30 @@
-"""Standard Hilbert modules A^n and their adjointable operators.
+"""Standard Hilbert modules A^n, their adjointable operators, and weighted direct sums.
 
 A module vector is an n-tuple of algebra elements with the A-valued inner
 product <x, y> = sum_i x_i y_i*.  An adjointable operator A^n -> A^m is an
 n x m array of algebra blocks acting on the right, (Tx)_j = sum_i x_i t_ij,
 which makes T(a x) = a T(x) automatic.
 
-``flat`` maps everything to plain complex matrices: a vector becomes the
-d x (n d) row of its coordinate blocks, an operator the (n d) x (m d) block
-matrix of its entries.  Under this convention flat(S after T) =
-flat(T) @ flat(S) and flat(T*) = flat(T)^H, so norms, spectra and positivity
-of operators are those of the flattened matrix.
+``flat`` maps a vector to the d x (n d) row of its coordinate blocks and an
+operator to the (n d) x (m d) block matrix of its entries, so flat(S after T)
+= flat(T) @ flat(S) and flat(T*) = flat(T)^H; it is the tests' raw-numpy
+oracle.  Every computation reads ``channels`` instead: the flattening for
+M_d, and k matrices of shape n x m for C^k, which is k independent copies of
+C.  Products run as stacked matrix products over the channels, inverses and
+roots channel by channel, and spectra come from one batched LAPACK call.
 
-The diagonal algebra C^k is k independent copies of C, so its flattening is
-a permutation of k block-diagonal channels.  ``channels`` is the one matrix
-model every computation uses: one (n d) x (m d) channel (the flattening) for
-M_d, and k channels of shape n x m for C^k.  Compositions, weighted sums and
-pairings run as stacked matrix products over that view; inverses and square
-roots are taken channel by channel; singular values and spectra come from
-one batched LAPACK call over the channels, merged into the spectrum of the
-whole operator.  ``flat`` itself is kept as the raw-numpy oracle the tests
-compare against.
+A family of operators A^n -> A^{m_w} meets the weighted direct sum of the
+A^{m_w} in one pair of functions.  ``stack`` places the members, scaled by
+sqrt(w), side by side as one operator A^n -> A^(m_1 + ... + m_W);
+``unstack`` cuts a map into the direct sum back into its components.
+``weighted_sum`` is one GEMM per channel over stacked members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +34,7 @@ from .algebra import (
     MATRIX,
     AlgebraDescriptor,
     AlgebraElement,
+    finite_spectrum,
     tolerance_scale,
     two_norm,
 )
@@ -308,7 +307,8 @@ class AdjointableOperator:
 
     @cached_property
     def _singular_values(self) -> np.ndarray:
-        svals = np.sort(np.linalg.svd(self.channels(), compute_uv=False), axis=None)[::-1]
+        svals = np.sort(finite_spectrum(np.linalg.svd, self.channels(), compute_uv=False),
+                        axis=None)[::-1]
         svals.setflags(write=False)
         return svals
 
@@ -319,7 +319,8 @@ class AdjointableOperator:
 
     @cached_property
     def _eigenvalues_hermitian(self) -> np.ndarray:
-        eigs = np.sort(np.linalg.eigvalsh(_hermitian_part(self.channels())), axis=None)
+        chans = _hermitian_part(self.channels())
+        eigs = np.sort(finite_spectrum(np.linalg.eigvalsh, chans), axis=None)
         eigs.setflags(write=False)
         return eigs
 
@@ -372,7 +373,7 @@ class AdjointableOperator:
         if self.in_rank != self.out_rank:
             raise DomainError("operator square root requires a positive operator")
         floor = tol * tolerance_scale(self.norm())
-        vals, vecs = np.linalg.eigh(_hermitian_part(self.channels()))
+        vals, vecs = finite_spectrum(np.linalg.eigh, _hermitian_part(self.channels()))
         if self.hermitian_defect() > floor or vals[:, 0].min() < -floor:
             raise DomainError("operator square root requires a positive operator")
         root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ _hermitian_transpose(vecs)
@@ -388,64 +389,60 @@ def compose(s: AdjointableOperator, t: AdjointableOperator) -> AdjointableOperat
     return AdjointableOperator.from_channels(s.descriptor, t.channels() @ s.channels())
 
 
-def _stacked_channels(descriptor: AlgebraDescriptor, ops: Sequence[AdjointableOperator]) -> np.ndarray:
-    """Channels of the operators placed side by side, built with a single copy.
+def _stacked_channels(ops: Sequence[AdjointableOperator], scales=None) -> np.ndarray:
+    """Channels of ``stack(ops, scales)``, built with a single contiguous copy."""
+    if not ops:
+        raise InputError("a stack needs at least one member")
+    descriptor = ops[0].descriptor
+    try:
+        if descriptor.kind == MATRIX:
+            cols = np.concatenate([op.blocks.swapaxes(1, 2) for op in ops], axis=2)
+            n, d, m, _ = cols.shape
+            chans = cols.reshape(1, n * d, m * d)
+        else:
+            chans = np.concatenate([op.blocks.transpose(2, 0, 1) for op in ops], axis=2)
+        if scales is not None:
+            width = channel_layout(descriptor)[1]
+            chans *= np.repeat(np.asarray(scales), [op.out_rank * width for op in ops])
+    except ValueError as exc:
+        raise InputError("stack members must share the algebra and the input rank, "
+                         "with one scale each") from exc
+    return chans
 
-    This is the channel view of the one operator A^n -> A^(m_1 + ... + m_W)
-    whose output coordinates are those of every operator in turn.
+
+def stack(ops: Sequence[AdjointableOperator], scales=None) -> AdjointableOperator:
+    """A^n -> A^(m_1 + ... + m_W), with the output coordinates of scales[w] ops[w] in turn.
+
+    With sqrt(w) scales this maps into the weighted direct sum.  The m_w may differ.
     """
-    if descriptor.kind == MATRIX:
-        cols = np.concatenate([op.blocks.swapaxes(1, 2) for op in ops], axis=2)
-        n, d, m, _ = cols.shape
-        return cols.reshape(1, n * d, m * d)
-    return np.concatenate([op.blocks.transpose(2, 0, 1) for op in ops], axis=2)
+    chans = _stacked_channels(ops, scales)
+    return AdjointableOperator.from_channels(ops[0].descriptor, chans)
+
+
+def unstack(t: AdjointableOperator, ranks: Sequence[int], scales=None) -> list:
+    """The pieces A^n -> A^(m_w) of t's output, each divided by its scale: ``stack`` undone."""
+    if sum(ranks) != t.out_rank or (scales is not None and len(scales) != len(ranks)):
+        raise InputError("unstack needs ranks summing to the output rank, and one scale each")
+    pieces = np.split(t.blocks, np.cumsum(ranks)[:-1], axis=1)
+    if scales is not None:
+        pieces = [piece / scale for piece, scale in zip(pieces, scales)]
+    return [AdjointableOperator(t.descriptor, piece) for piece in pieces]
 
 
 def weighted_sum(weights: Sequence, left: Sequence[AdjointableOperator],
                  right: Optional[Sequence[AdjointableOperator]] = None) -> AdjointableOperator:
-    """Sum over atoms of c_w R_w* L_w, computed as one product of stacked flattenings.
+    """Sum over atoms of c_w R_w* L_w, which is stack(R)* stack(L, c): one GEMM per channel.
 
-    flat(R_w* L_w) = flat(L_w) flat(R_w)^H, so the sum is X Y^H where X
-    stacks the columns of c_w flat(L_w) over all atoms and Y those of
-    flat(R_w): one GEMM per channel.  L_w and R_w map A^n -> A^{m_w}, and the
-    output ranks m_w may differ between atoms.  Without ``right`` the sum is
-    that of w L_w* L_w, formed as X X^H from sqrt(w)-scaled flattenings, so
-    the weights must be nonnegative.
+    The output ranks may differ between atoms.  Without ``right`` it is the sum
+    of w L_w* L_w, X X^H for X the channels of stack(L, sqrt w), so w must be >= 0.
     """
-    if not left or len(weights) != len(left) or (right is not None and len(right) != len(left)):
-        raise InputError("weighted sum needs one weight and one operator per atom on each side")
-    descriptor = left[0].descriptor
-    ranks = [op.out_rank for op in left]
-    if right is not None and [op.out_rank for op in right] != ranks:
+    if right is not None and [op.out_rank for op in right] != [op.out_rank for op in left]:
         raise InputError("weighted sum pairs operators with different output ranks")
-    try:
-        x = _stacked_channels(descriptor, left)
-        y = x if right is None else _stacked_channels(descriptor, right)
-    except ValueError as exc:
-        raise InputError("weighted sum members must share the algebra and the input rank") from exc
+    x = _stacked_channels(left, np.sqrt(weights) if right is None else weights)
+    y = x if right is None else _stacked_channels(right)
     if y.shape != x.shape:
         raise InputError("weighted sum members must share the algebra and the input rank")
-    width = channel_layout(descriptor)[1]
-    coeffs = np.repeat(np.asarray(weights), [m * width for m in ranks])
-    x *= np.sqrt(coeffs) if right is None else coeffs
-    return AdjointableOperator.from_channels(descriptor, x @ _hermitian_transpose(y))
-
-
-def compose_all(ops: Sequence[AdjointableOperator], t: AdjointableOperator) -> list:
-    """[op after t for op in ops], computed as one product of stacked flattenings.
-
-    flat(op t) = flat(t) flat(op), so placing the columns of every flat(op)
-    side by side gives all the compositions as one GEMM per channel, whose
-    columns are split back per operator.  The output ranks of ``ops`` may
-    differ; each must map A^m -> A^{m_w} where t maps A^n -> A^m.
-    """
-    if not ops or any(op.descriptor != t.descriptor or op.in_rank != t.out_rank for op in ops):
-        raise InputError("compose_all needs operators whose algebra and input rank match t")
-    width = channel_layout(t.descriptor)[1]
-    cuts = np.cumsum([op.out_rank * width for op in ops])[:-1]
-    product = t.channels() @ _stacked_channels(t.descriptor, ops)
-    return [AdjointableOperator.from_channels(t.descriptor, part)
-            for part in np.split(product, cuts, axis=-1)]
+    return AdjointableOperator.from_channels(left[0].descriptor, x @ _hermitian_transpose(y))
 
 
 def _vector_stack(descriptor: AlgebraDescriptor, coords: np.ndarray) -> np.ndarray:
@@ -528,94 +525,9 @@ def loewner_gap(lhs: AdjointableOperator, rhs: AdjointableOperator) -> tuple:
     if lhs.in_rank != lhs.out_rank:
         raise InputError("Loewner comparison needs square operators")
     chans = (lhs - rhs).channels()
-    vals, vecs = np.linalg.eigh(_hermitian_part(chans))
+    vals, vecs = finite_spectrum(np.linalg.eigh, _hermitian_part(chans))
     index = np.arange(chans.shape[0])
     rows = np.zeros((index.size, index.size, channel_layout(lhs.descriptor)[1], chans.shape[-1]),
                     dtype=np.complex128)
     rows[index, index, 0] = vecs[:, :, -1].conj()
     return vals[:, -1], _from_channels(lhs.descriptor, rows)[:, 0]
-
-
-@dataclass(frozen=True)
-class DirectSumSpace:
-    """Weighted direct sum of standard modules, one summand per atom.
-
-    The inner product of families is the weight-summed componentwise inner
-    product.  ``stack`` embeds a family isometrically into one standard module
-    A^M by scaling each component with sqrt(weight), so operators into the
-    direct sum can be handled as ordinary adjointable operators into A^M.
-    """
-
-    descriptor: AlgebraDescriptor
-    labels: tuple
-    weights: tuple
-    ranks: tuple
-
-    def __post_init__(self):
-        if not self.labels:
-            raise InputError("direct sum needs at least one summand")
-        if len(set(self.labels)) != len(self.labels):
-            raise InputError("duplicate summand labels")
-        if any(w <= 0 for w in self.weights):
-            raise InputError("weights must be positive")
-
-    @property
-    def total_rank(self) -> int:
-        return int(sum(self.ranks))
-
-    def _offsets(self):
-        off = [0]
-        for r in self.ranks:
-            off.append(off[-1] + r)
-        return off
-
-    def stack(self, components: Mapping[str, ModuleVector]) -> ModuleVector:
-        """sqrt(weight)-scaled concatenation of the components."""
-        parts = []
-        for label, weight, rank in zip(self.labels, self.weights, self.ranks):
-            x = components[label]
-            if x.rank != rank or x.descriptor != self.descriptor:
-                raise InputError(f"component {label!r} has wrong shape")
-            parts.append(np.sqrt(weight) * x.coords)
-        return ModuleVector(self.descriptor, np.concatenate(parts, axis=0))
-
-    def stack_operator(self, component_ops: Mapping[str, AdjointableOperator]) -> AdjointableOperator:
-        """Operator A^n -> A^M whose component at each atom is the given map."""
-        blocks = []
-        for label, weight in zip(self.labels, self.weights):
-            op = component_ops[label]
-            blocks.append(np.sqrt(weight) * op.blocks)
-        return AdjointableOperator(self.descriptor, np.concatenate(blocks, axis=1))
-
-    def component_operator(self, t: AdjointableOperator, label: str) -> AdjointableOperator:
-        """Projection of a map into the direct sum onto one summand."""
-        idx = self.labels.index(label)
-        offsets = self._offsets()
-        piece = t.blocks[:, offsets[idx]:offsets[idx + 1]]
-        return AdjointableOperator(self.descriptor, piece / np.sqrt(self.weights[idx]))
-
-    def inner(self, x: Mapping[str, ModuleVector], y: Mapping[str, ModuleVector]) -> AlgebraElement:
-        total = AlgebraElement.zero(self.descriptor)
-        for label, weight in zip(self.labels, self.weights):
-            total = total + weight * x[label].inner(y[label])
-        return total
-
-    def norm(self, x: Mapping[str, ModuleVector]) -> float:
-        return float(np.sqrt(max(self.inner(x, x).norm(), 0.0)))
-
-
-@dataclass(frozen=True, eq=False)
-class DirectSumVector:
-    """A family {x_w} in a weighted direct sum."""
-
-    space: DirectSumSpace
-    components: dict
-
-    def inner(self, other: "DirectSumVector") -> AlgebraElement:
-        return self.space.inner(self.components, other.components)
-
-    def norm(self) -> float:
-        return self.space.norm(self.components)
-
-    def __getitem__(self, label: str) -> ModuleVector:
-        return self.components[label]

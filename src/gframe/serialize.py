@@ -164,6 +164,8 @@ def system_from_dict(doc: Mapping) -> GFrameSystem:
     try:
         measure = measure_from_dict(doc["measure"])
         family_docs = doc["family"]
+        if not isinstance(family_docs, dict):
+            raise InputError("system family must be a JSON object of operators by atom label")
         labels = list(family_docs)
         *members, c, cp = _operators_from_docs(
             [family_docs[label] for label in labels] + [doc["controls"]["C"], doc["controls"]["Cp"]])

@@ -47,10 +47,11 @@ from .frames import (
 from .generate import _padding_isometry, random_system
 from .hilbert import (
     AdjointableOperator,
-    DirectSumSpace,
     _coord_shape,
     apply_stack,
     pairing,
+    stack,
+    unstack,
     weighted_sum,
 )
 from .measure import MeasureSpace, atom_label
@@ -117,9 +118,15 @@ def _control_commutation(op: AdjointableOperator, system: GFrameSystem) -> float
     return max(_rel_op(op @ ctr.C, ctr.C @ op), _rel_op(op @ ctr.Cp, ctr.Cp @ op))
 
 
-def _components(ds: DirectSumSpace, t: AdjointableOperator) -> dict:
-    """Per-atom components of a map into the direct sum."""
-    return {label: ds.component_operator(t, label) for label in ds.labels}
+def _stacked(system: GFrameSystem, family: Mapping) -> AdjointableOperator:
+    """A family, in the order of the system's atoms, as one map into its weighted direct sum."""
+    return stack(list(family.values()), np.sqrt(system.measure.weights))
+
+
+def _components(system: GFrameSystem, t: AdjointableOperator) -> dict:
+    """Per-atom components of a map into the system's weighted direct sum."""
+    ranks = [op.out_rank for op in system.family.values()]
+    return dict(zip(system.measure.labels, unstack(t, ranks, np.sqrt(system.measure.weights))))
 
 
 def _composed(system: GFrameSystem, right: AdjointableOperator) -> GFrameSystem:
@@ -421,7 +428,7 @@ def _bessel_composition(row: _Row) -> None:
 def _surjective_synthesis(row: _Row) -> None:
     """A surjective plain synthesis map forces the frame property."""
     system, tol = row.system, row.tol
-    theta = system.direct_sum.stack_operator(dict(system.family)).adjoint()
+    theta = _stacked(system, system.family).adjoint()
     sigma, _ = row.bounded_below("synthesis map surjective", theta)
     row.require(*_commute_lines(system))
     bounds = optimal_scalar_bounds(system, tol)
@@ -441,10 +448,9 @@ def _surjective_composition(row: _Row) -> None:
     gamma = {label: op @ r for label, op in system.family.items()}
     f_op = weighted_sum(system.measure.weights, list(system.family.values()), list(gamma.values()))
     row.bounded_below("cross Gram map surjective", f_op)
-    ds = system.direct_sum
-    k_op = ds.stack_operator(gamma).adjoint()
+    k_op = _stacked(system, gamma).adjoint()
     row.conclude(within("factors through plain transform and synthesis",
-                        _rel_op(f_op, k_op @ ds.stack_operator(dict(system.family))), 10 * tol),
+                        _rel_op(f_op, k_op @ _stacked(system, system.family)), 10 * tol),
                  frame_line("second family is a frame", row.scalar_bounds(
                      system.with_family(gamma), "scalar bounds apply to the second family")))
 
@@ -774,7 +780,7 @@ def _midpoint_dual(row: _Row) -> None:
     s_inv, t = system.frame_operator.inverse(), system.analysis_operator
     k_tilde = k @ system.mixed_control_root.inverse()
     theta_free = rand_operator(desc, n, t.out_rank, _rng(row.seed, 17))
-    gamma = _components(system.direct_sum, _right_inverses(t, s_inv, k)(theta_free))
+    gamma = _components(system, _right_inverses(t, s_inv, k)(theta_free))
     row.require(within("starting family is an operator dual",
                        _identity_residual(reconstruction_operator(system, gamma, k_tilde)), 1e-6))
     v = _central_element(desc, _rng(row.seed, 18))
@@ -794,16 +800,16 @@ def _midpoint_dual(row: _Row) -> None:
 def _bessel_parametrization(row: _Row) -> None:
     """Bessel families are exactly the componentwise restrictions of one map."""
     system, tol = row.system, row.tol
-    ds = system.direct_sum
-    plain = _components(ds, ds.stack_operator(dict(system.family)))
+    stacked = _stacked(system, system.family)
+    plain = _components(system, stacked)
     row.conclude(within("family recovered from its own transform",
                         max(_rel_op(plain[label], op) for label, op in system.family.items()),
                         10 * tol))
     theta = row.operator("theta", lambda: rand_operator(system.descriptor, system.module_rank,
-                                                        ds.total_rank, _rng(row.seed, 19)))
-    if theta.out_rank != ds.total_rank:
+                                                        stacked.out_rank, _rng(row.seed, 19)))
+    if theta.out_rank != stacked.out_rank:
         row.require(("free map has matching total rank", False, 1.0))
-    upper = row.scalar_bounds(system.with_family(_components(ds, theta)),
+    upper = row.scalar_bounds(system.with_family(_components(system, theta)),
                               "component family Bessel").scalar_upper
     cap = theta.norm() * float(np.sqrt(system.controls.C.norm() * system.controls.Cp.norm()))
     row.conclude(gap("component family Bessel with the norm cap", upper - cap,
@@ -821,7 +827,7 @@ def _right_inverse_dual(row: _Row) -> None:
     theta = _right_inverses(t, system.frame_operator.inverse(), k)(theta_free)
     row.require(within("map is a right inverse of the companion-composed synthesis",
                        _identity_residual((k @ t.adjoint()) @ theta), 1e-6))
-    family = _components(system.direct_sum, theta)
+    family = _components(system, theta)
     k_corrected = k @ system.mixed_control_root.inverse()
     row.conclude(within("component family is an operator dual with the corrected companion",
                         _identity_residual(reconstruction_operator(system, family,
@@ -839,18 +845,17 @@ def _dual_parametrization(row: _Row) -> None:
     row.require(_uniform_rank_line(system))
     desc, n, labels = system.descriptor, system.module_rank, system.measure.labels
     k, c, s_inv = row.invertible("K", 22), system.controls.C, system.frame_operator.inverse()
-    t, ds = system.analysis_operator, system.direct_sum
-    bessel = {label: rand_operator(desc, n, system.family[label].out_rank, _rng(row.seed, 23))
-              for label in labels}
-    right_inverse = _right_inverses(t, s_inv, k)
-    constructed = _components(ds, right_inverse(
-        ds.stack_operator({label: op @ c for label, op in bessel.items()})))
+    rng = _rng(row.seed, 23)
+    bessel = {label: rand_operator(desc, n, system.family[label].out_rank, rng) for label in labels}
+    right_inverse = _right_inverses(system.analysis_operator, s_inv, k)
+    constructed = _components(system, right_inverse(
+        _stacked(system, {label: op @ c for label, op in bessel.items()})))
     cross = c @ weighted_sum(system.measure.weights, list(bessel.values()),
                              list(system.family.values())) @ c
     tail = c @ s_inv @ (k.inverse() - cross)
     formula = {label: op @ tail + bessel[label] @ c for label, op in system.family.items()}
     formula_defect = max(_rel_op(constructed[label], formula[label]) for label in labels)
-    replay = _components(ds, right_inverse(ds.stack_operator(constructed)))
+    replay = _components(system, right_inverse(_stacked(system, constructed)))
     row.conclude(
         within("construction matches the displayed formula", formula_defect, 1e-6),
         within("constructed family is an operator dual",

@@ -12,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gframe.algebra import element_norms
 from gframe.cli import main as cli_main
 from gframe.frames import optimal_scalar_bounds
 from gframe.generate import random_system, unit_interval_system
-from gframe.hilbert import DirectSumVector
+from gframe.hilbert import apply_stack, pairing
 from gframe.frames import canonical_dual
 from gframe.reports import PASS
-from gframe.sampling import rand_operator, rand_vector
+from gframe.sampling import rand_coords, rand_operator, rand_vector
 from gframe.stability import (
     additive_perturbation_check,
     check_equivalence_M,
@@ -92,19 +93,20 @@ def test_criterion_3_reconstruction(system_pool):
 def test_criterion_4_analysis_synthesis(system_pool):
     worst_adj, worst_fact = 0.0, 0.0
     for seed, system in enumerate(system_pool):
-        rng = np.random.default_rng(seed)
-        ds = system.direct_sum
-        for _ in range(5):
-            x = rand_vector(system.descriptor, system.module_rank, rng)
-            comps = {label: rand_vector(system.descriptor, rank, rng)
-                     for label, rank in zip(ds.labels, ds.ranks)}
-            y = DirectSumVector(ds, comps)
-            lhs = system.synthesis(y).inner(x)
-            rhs = y.inner(system.analysis(x))
-            scale = max(1.0, lhs.norm(), rhs.norm())
-            defect = (lhs - rhs).norm() / scale
-            worst_adj = max(worst_adj, defect)
-            assert defect <= 1e-10, seed
+        desc, rng = system.descriptor, np.random.default_rng(seed)
+        t, root = system.analysis_operator, system.mixed_control_root
+        # <T* y, x> against the weighted sum of <y_w, Lambda_w (C'C)^(1/2) x>, where y
+        # stacks the components y_w scaled by sqrt(w).
+        x = rand_coords(desc, system.module_rank, rng, 5)
+        atoms = [(w, op, rand_coords(desc, op.out_rank, rng, 5))
+                 for w, op in zip(system.measure.weights, system.family.values())]
+        y = np.concatenate([np.sqrt(w) * comp for w, _, comp in atoms], axis=1)
+        lhs = pairing(desc, apply_stack(t.adjoint(), y), other=x)
+        rhs = sum(w * pairing(desc, comp, other=apply_stack(op @ root, x)) for w, op, comp in atoms)
+        scale = np.maximum(1.0, np.maximum(element_norms(desc, lhs), element_norms(desc, rhs)))
+        defect = float((element_norms(desc, lhs - rhs) / scale).max())
+        worst_adj = max(worst_adj, defect)
+        assert defect <= 1e-10, seed
         s = system.frame_operator
         composed = system.synthesis_operator @ system.analysis_operator
         fact = (composed - s).norm() / max(1.0, s.norm())

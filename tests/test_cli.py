@@ -183,7 +183,7 @@ def test_nonpositive_tolerance_exits_two(tmp_path, capsys, tol):
 # descriptor's seed is still parsed; its samples key is not read at all.
 @pytest.mark.parametrize("fields", [
     pytest.param({"seed": value}, id=f"seed={value!r}") for value in (True, "7", 7.9)])
-def test_perturb_descriptor_rejects_sample_counts_below_one(tmp_path, capsys, fields):
+def test_perturb_descriptor_rejects_non_integral_seeds(tmp_path, capsys, fields):
     code, _, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path, **fields))
     _assert_input_error(code, err)
     assert next(iter(fields)) in err
@@ -225,6 +225,40 @@ def test_nan_entry_in_system_file_exits_two(tmp_path, capsys):
     assert "finite" in err
 
 
+FILE_COMMANDS = ("validate", "bounds", "frame-op", "dual", "reconstruct", "multiplier")
+
+
+def _write_system_doc(tmp_path, doc) -> str:
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("family", [[1], [], 3], ids=str)
+def test_non_object_family_exits_two(tmp_path, capsys, family):
+    doc = system_to_dict(random_system(1))
+    doc["family"] = family
+    path = _write_system_doc(tmp_path, doc)
+    for command in FILE_COMMANDS:
+        code, out, err = _run(capsys, command, path)
+        _assert_input_error(code, err)
+        assert "family must be a JSON object" in err and out == "", command
+
+
+def test_overflowing_family_entry_exits_two(tmp_path, capsys):
+    # 1e200 is finite, so the file loads; the frame operator it builds overflows,
+    # which numpy reports as a RuntimeWarning, and the spectral kernels refuse it.
+    doc = system_to_dict(random_system(1))
+    label = next(iter(doc["family"]))
+    doc["family"][label]["blocks"][0][0]["entries"][0] = [1e200, 0.0]
+    path = _write_system_doc(tmp_path, doc)
+    for command in FILE_COMMANDS:
+        with pytest.warns(RuntimeWarning):
+            code, out, err = _run(capsys, command, path)
+        _assert_input_error(code, err)
+        assert "spectral computation" in err and out == "", command
+
+
 @pytest.mark.parametrize("text", ["{", "[1, 2]"])
 def test_malformed_aux_file_exits_two(tmp_path, capsys, text):
     aux = tmp_path / "aux.json"
@@ -235,12 +269,18 @@ def test_malformed_aux_file_exits_two(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("text", ["[]", "3", '"kind"',
                                   '{"kind": "sum", "systemA": 3, "systemB": 3}',
-                                  '{"kind": "sum", "systemA": "a", "systemB": "b", "samples": "x"}'])
-def test_non_object_perturb_descriptor_exits_two(tmp_path, capsys, text):
+                                  '{"kind": "sum", "systemA": "a", "systemB": "b", "params": "x"}'])
+def test_non_object_perturb_descriptor_exits_two(tmp_path, capsys, monkeypatch, text):
+    # Valid system files "a" and "b" exist, so each exit 2 comes from a shape
+    # check of the descriptor, not from a missing file.
+    monkeypatch.chdir(tmp_path)
+    for name in "ab":
+        (tmp_path / name).write_text(dump_json(system_to_dict(random_system(11))), encoding="utf-8")
     desc = tmp_path / "run.json"
     desc.write_text(text, encoding="utf-8")
     code, _, err = _run(capsys, "perturb", str(desc))
     _assert_input_error(code, err)
+    assert "must be" in err
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -375,8 +415,8 @@ def test_unparsable_json_exits_two(tmp_path, capsys, text):
     assert out == ""
 
 
-def test_overflowing_descriptor_samples_exit_two(tmp_path, capsys):
-    # The samples key is ignored; an overflowing seed still exits 2 before any file is read.
+def test_overflowing_descriptor_seed_exits_two(tmp_path, capsys):
+    # The samples key is ignored; an overflowing seed exits 2 before any file is read.
     desc = tmp_path / "run.json"
     desc.write_text('{"kind": "sum", "systemA": "a", "systemB": "b", "samples": 1e400, '
                     '"seed": 1e400}', encoding="utf-8")

@@ -13,7 +13,7 @@ from gframe.frames import (
     reconstruction_operator,
 )
 from gframe.generate import random_system, unit_interval_system
-from gframe.hilbert import AdjointableOperator, compose_all
+from gframe.hilbert import AdjointableOperator, stack, unstack
 from gframe.sampling import rand_invertible_operator, rand_operator
 
 from conftest import (
@@ -199,7 +199,8 @@ def test_weighted_sums_match_flatten_oracles(kwargs):
 def test_batched_dual_family_matches_per_atom_compose(kwargs):
     system = random_system(**kwargs)
     oracle = brute_force_dual_family(system)
-    batched = compose_all(list(system.family.values()), system.frame_operator.inverse())
+    ops = list(system.family.values())
+    batched = unstack(stack(ops) @ system.frame_operator.inverse(), [op.out_rank for op in ops])
     families = [dict(zip(system.family, batched))]
     if system.commuting:
         families.append(canonical_dual(system, samples=5, seed=0).dual_family)

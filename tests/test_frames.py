@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gframe.algebra import DEFAULT_TOL, AlgebraDescriptor, AlgebraElement
+from gframe.algebra import DEFAULT_TOL, AlgebraDescriptor, AlgebraElement, element_norms
 from gframe.errors import InputError, UnsupportedConfigurationError
 from gframe.frames import FrameBounds, GFrameSystem, check_frame, optimal_scalar_bounds
 from gframe.generate import random_system
-from gframe.hilbert import AdjointableOperator, DirectSumVector, ModuleVector
+from gframe.hilbert import AdjointableOperator, ModuleVector, apply_stack, pairing, unstack
 from gframe.measure import MeasureSpace
 from gframe.sampling import complex_gaussian, rand_coords, rand_vector
 
@@ -100,7 +100,7 @@ def test_check_frame_optimality_margin(unit_interval):
     assert check_frame(unit_interval, under).status == "fail"
 
 
-def test_check_frame_sampled_with_element_bounds(unit_interval):
+def test_check_frame_element_bounds_per_channel(unit_interval):
     # C^k element bounds are decided channel by channel: sqrt(ab)/4 * diag(1/n) and
     # sqrt(ab) * diag(1/n) hold, and the example is tight per channel at sqrt(ab/3) * diag(1/n).
     inv_n = np.array([1.0, 0.5, 1.0 / 3.0])
@@ -137,7 +137,7 @@ def _assert_rank_one_along(x, w) -> None:
     assert abs(u[:, 0].conj() @ w) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_check_frame_sampled_reports_witness():
+def test_check_frame_non_central_lower_bound_fails_at_witness():
     # In M_2 a non-central bound fails whenever the Gram operator is nonzero:
     # diag(0.5, 0.45) moves w = (1, 1)/sqrt 2 off its span, and the rank-one
     # vector flat(x) = w v^H violates the lower side by 8.07e-4.  200 seeded
@@ -160,7 +160,7 @@ def test_check_frame_sampled_reports_witness():
         assert excess.eigenvalues_hermitian()[-1] == pytest.approx(closed_form, rel=1e-12)
 
 
-def test_check_frame_sampled_reports_upper_witness(identity_system, m2):
+def test_check_frame_non_central_upper_bound_fails_at_witness(identity_system, m2):
     # A non-central upper bound fails at w = e_2 (the (1, 2) entry moves it);
     # the central lower bound 0.5 gets the scalar test and holds.
     upper = AlgebraElement.matrix([[1.2, 0.3], [0.0, 1.1]])
@@ -193,38 +193,38 @@ def test_gram_matches_frame_operator_pairing():
 
 
 def test_analysis_synthesis_identity_frame(identity_system, m2):
-    rng = np.random.default_rng(2)
-    x = rand_vector(m2, 2, rng)
-    family = identity_system.analysis(x)
-    assert (family["w0"] - x).norm() <= 1e-13
-    assert (identity_system.synthesis(family) - x).norm() <= 1e-13
+    coords = rand_coords(m2, 2, np.random.default_rng(2), 5)
+    t = identity_system.analysis_operator
+    (component,) = unstack(t, [2])
+    assert np.max(np.abs(apply_stack(component, coords) - coords)) <= 1e-13
+    assert np.max(np.abs(apply_stack(t.adjoint(), apply_stack(t, coords)) - coords)) <= 1e-13
 
 
 def test_analysis_gram_consistency():
+    # <T x, T x> = <S x, x>: the analysis operator's image carries the frame operator.
     system = random_system(5, commuting=True)
-    rng = np.random.default_rng(3)
-    s = system.frame_operator
-    for _ in range(20):
-        x = rand_vector(system.descriptor, system.module_rank, rng)
-        family = system.analysis(x)
-        lhs = family.inner(family)
-        rhs = s(x).inner(x)
-        assert (lhs - rhs).norm() <= 1e-10 * max(1.0, rhs.norm())
+    desc = system.descriptor
+    coords = rand_coords(desc, system.module_rank, np.random.default_rng(3), 20)
+    lhs = pairing(desc, apply_stack(system.analysis_operator, coords))
+    rhs = pairing(desc, coords, system.frame_operator)
+    scale = max(1.0, element_norms(desc, rhs).max())
+    assert element_norms(desc, lhs - rhs).max() <= 1e-10 * scale
 
 
 def test_analysis_synthesis_adjointness():
+    # <T* y, x> against the weighted sum of <y_w, Lambda_w (C'C)^(1/2) x> over the
+    # atoms, where y stacks the components y_w scaled by sqrt(w).
     system = random_system(6, commuting=True)
-    rng = np.random.default_rng(4)
-    ds = system.direct_sum
-    for _ in range(20):
-        x = rand_vector(system.descriptor, system.module_rank, rng)
-        comps = {label: rand_vector(system.descriptor, rank, rng)
-                 for label, rank in zip(ds.labels, ds.ranks)}
-        y = DirectSumVector(ds, comps)
-        lhs = system.synthesis(y).inner(x)
-        rhs = y.inner(system.analysis(x))
-        scale = max(1.0, lhs.norm(), rhs.norm())
-        assert (lhs - rhs).norm() <= 1e-10 * scale
+    desc, rng = system.descriptor, np.random.default_rng(4)
+    t, root = system.analysis_operator, system.mixed_control_root
+    x = rand_coords(desc, system.module_rank, rng, 20)
+    atoms = [(w, op, rand_coords(desc, op.out_rank, rng, 20))
+             for w, op in zip(system.measure.weights, system.family.values())]
+    y = np.concatenate([np.sqrt(w) * comp for w, _, comp in atoms], axis=1)
+    lhs = pairing(desc, apply_stack(t.adjoint(), y), other=x)
+    rhs = sum(w * pairing(desc, comp, other=apply_stack(op @ root, x)) for w, op, comp in atoms)
+    scale = max(1.0, element_norms(desc, rhs).max())
+    assert element_norms(desc, lhs - rhs).max() <= 1e-10 * scale
 
 
 def test_synthesis_after_analysis_is_frame_operator():

@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
 
-from gframe.algebra import AlgebraDescriptor, AlgebraElement, leq
+from gframe.algebra import AlgebraDescriptor, AlgebraElement, element_norms, leq
 from gframe.errors import DomainError, InputError
 from gframe.hilbert import (
     AdjointableOperator,
-    DirectSumSpace,
     ModuleVector,
+    apply_stack,
     compose,
-    compose_all,
     loewner_gap,
     pairing,
     positive_part_checks,
+    stack,
+    unstack,
     weighted_sum,
 )
 from gframe.sampling import (
     complex_gaussian,
+    rand_coords,
     rand_operator,
     rand_positive_operator,
     rand_unitary_operator,
@@ -284,33 +286,37 @@ def test_spectral_data_is_kept_and_read_only(m2):
     assert t.hermitian_defect() == float(np.linalg.norm(f - f.conj().T, 2))
 
 
-def test_direct_sum_stack_round_trip(m2):
+def test_direct_sum_stack_round_trip():
+    # unstack inverts stack for mixed output ranks in both algebra kinds, and the
+    # sqrt(w)-scaled stack carries the weighted direct-sum inner product.
     rng = np.random.default_rng(39)
-    space = DirectSumSpace(m2, ("a", "b"), (0.5, 2.0), (2, 3))
-    comps = {"a": rand_vector(m2, 2, rng), "b": rand_vector(m2, 3, rng)}
-    stacked = space.stack(comps)
-    pieces = np.split(stacked.coords, np.cumsum(space.ranks)[:-1])
-    for label, weight, piece in zip(space.labels, space.weights, pieces):
-        back = ModuleVector(m2, piece / np.sqrt(weight))
-        assert (back - comps[label]).norm() <= 1e-14
-    # the stacked inner product reproduces the weighted componentwise one
-    lhs = stacked.inner(stacked)
-    rhs = space.inner(comps, comps)
-    assert (lhs - rhs).norm() <= 1e-12
+    ranks, weights = (2, 1, 3), (0.5, 2.0, 1.25)
+    scales = np.sqrt(weights)
+    for desc in (AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)):
+        ops = [rand_operator(desc, 3, m, rng) for m in ranks]
+        stacked = stack(ops, scales)
+        expected = np.concatenate([scale * op.flat() for scale, op in zip(scales, ops)], axis=1)
+        assert np.array_equal(stacked.flat(), expected)
+        for back, op in zip(unstack(stacked, ranks, scales), ops):
+            assert back.blocks.shape == op.blocks.shape
+            assert (back - op).norm() <= 1e-15 * op.norm()
+        for back, op in zip(unstack(stack(ops), ranks), ops):
+            assert np.array_equal(back.blocks, op.blocks)
+        x = rand_coords(desc, 3, rng, 4)
+        lhs = pairing(desc, apply_stack(stacked, x))
+        rhs = sum(w * pairing(desc, apply_stack(op, x)) for w, op in zip(weights, ops))
+        assert element_norms(desc, lhs - rhs).max() <= 1e-12 * element_norms(desc, rhs).max()
 
 
 def test_direct_sum_operator_components(m2):
+    # The image of a stacked map splits into the scaled images of its members.
     rng = np.random.default_rng(40)
-    space = DirectSumSpace(m2, ("a", "b"), (0.5, 2.0), (2, 2))
-    ops = {"a": rand_operator(m2, 3, 2, rng), "b": rand_operator(m2, 3, 2, rng)}
-    stacked = space.stack_operator(ops)
-    for label in ops:
-        assert (space.component_operator(stacked, label) - ops[label]).norm() <= 1e-14
-    x = rand_vector(m2, 3, rng)
-    pieces = np.split(stacked(x).coords, np.cumsum(space.ranks)[:-1])
-    for label, weight, piece in zip(space.labels, space.weights, pieces):
-        image = ModuleVector(m2, piece / np.sqrt(weight))
-        assert (image - ops[label](x)).norm() <= 1e-13
+    ops = [rand_operator(m2, 3, 2, rng), rand_operator(m2, 3, 2, rng)]
+    scales = np.sqrt([0.5, 2.0])
+    x = rand_coords(m2, 3, rng, 4)
+    pieces = np.split(apply_stack(stack(ops, scales), x), [2], axis=1)
+    for piece, scale, op in zip(pieces, scales, ops):
+        assert np.max(np.abs(piece / scale - apply_stack(op, x))) <= 1e-13
 
 
 @pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],
@@ -344,15 +350,24 @@ def test_weighted_sum_rejects_mismatched_members(m2):
         weighted_sum([1.0], [a], [rand_operator(AlgebraDescriptor("matrix", 3), 2, 2, rng)])
 
 
-def test_compose_all_rejects_mismatched_members(m2):
+def test_stack_rejects_mismatched_members(m2):
     rng = np.random.default_rng(34)
-    t = rand_operator(m2, 2, 3, rng)
+    a, b = rand_operator(m2, 3, 1, rng), rand_operator(m2, 3, 2, rng)
     with pytest.raises(InputError):
-        compose_all([], t)
+        stack([])
     with pytest.raises(InputError):
-        compose_all([rand_operator(m2, 3, 1, rng), rand_operator(m2, 2, 1, rng)], t)
+        stack([a, rand_operator(m2, 2, 1, rng)])
     with pytest.raises(InputError):
-        compose_all([rand_operator(AlgebraDescriptor("matrix", 3), 3, 1, rng)], t)
+        stack([a, rand_operator(AlgebraDescriptor("matrix", 3), 3, 1, rng)])
+    with pytest.raises(InputError):
+        stack([a, rand_operator(AlgebraDescriptor("diagonal", 2), 3, 1, rng)])
+    with pytest.raises(InputError):
+        stack([a, b], [1.0])
+    stacked = stack([a, b])
+    with pytest.raises(InputError):
+        unstack(stacked, [1, 1])
+    with pytest.raises(InputError):
+        unstack(stacked, [1, 2], [1.0])
 
 
 @pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],

@@ -8,6 +8,7 @@ import pytest
 
 import gframe
 from gframe.algebra import AlgebraDescriptor, AlgebraElement, element_norms, two_norm
+from gframe.errors import DomainError
 from gframe.hilbert import AdjointableOperator, ModuleVector, loewner_gap, positive_part_checks
 from gframe.sampling import rand_operator, rand_positive_operator
 from gframe.theorems import _singular_range
@@ -191,6 +192,29 @@ def test_element_invert_takes_one_svd(monkeypatch):
     inv = a.invert()
     assert len(calls) == 1
     np.testing.assert_allclose(inv.data @ a.data, np.eye(2), atol=1e-14)
+
+
+def test_non_finite_spectra_raise_domain_error():
+    # LAPACK raises LinAlgError on a NaN entry and returns NaN without raising on
+    # an infinite one; the 2-norm kernel and an operator's singular values turn
+    # both into a DomainError.
+    desc = AlgebraDescriptor("matrix", 2)
+    for bad in (np.nan, np.inf):
+        mat = np.array([[1.0, 0.5], [bad, 1.0]], dtype=np.complex128)
+        for mats in (mat, np.stack([np.eye(2), mat])):
+            with pytest.raises(DomainError):
+                two_norm(mats)
+        with pytest.raises(DomainError):
+            AdjointableOperator(desc, mat.reshape(1, 1, 2, 2)).singular_values()
+    # NaN reaches the eigensolvers without a floating-point warning; they
+    # return NaN, which is refused too.
+    nan_op = AdjointableOperator(desc, np.array([[1.0, 0.5], [np.nan, 1.0]]).reshape(1, 1, 2, 2))
+    kernels = (lambda op: op.eigenvalues_hermitian(), lambda op: op.sqrt_positive(),
+               lambda op: loewner_gap(op, AdjointableOperator.zero(desc, 1, 1)))
+    for kernel in kernels:
+        with pytest.raises(DomainError):
+            kernel(nan_op)
+    assert two_norm(np.array([[1e200, 0.0], [0.0, 1.0]])) == 1e200
 
 
 def _ord_two_norm_calls(root: Path) -> list:

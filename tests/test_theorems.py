@@ -176,3 +176,18 @@ def test_each_option_set_is_drawn_once_per_invocation(monkeypatch, tmp_path):
 def test_draws_are_tied_to_one_seed():
     with pytest.raises(ValueError):
         verify_theorem("T2.3", seed=1, draws=_Draws(0))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_dual_param_draws_distinct_bessel_members(monkeypatch, seed):
+    # The row's Bessel family is its only rand_operator draw; one stream gives
+    # every atom its own member.
+    original, drawn = theorems.rand_operator, []
+    monkeypatch.setattr(theorems, "rand_operator",
+                        lambda *args: drawn.append(original(*args)) or drawn[-1])
+    report = verify_theorem("DUAL-PARAM", seed=seed)
+    assert report.status == PASS
+    assert len(drawn) == report.info["instance"]["atoms"] >= 2
+    for i, first in enumerate(drawn):
+        for second in drawn[i + 1:]:
+            assert not np.array_equal(first.blocks, second.blocks)

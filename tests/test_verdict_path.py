@@ -35,7 +35,10 @@ def test_retired_names_stay_gone():
                "from_flat", "vector_from_flat_row", "modulus", "cond_cap",
                # Sampled "for all x" checks: every one is a loewner_gap test now.
                "sample_coords", "_sampled", "_gram_norms", "conjugate_by",
-               "min_hermitian_eigenvalues", "extreme_witnesses"}
+               "min_hermitian_eigenvalues", "extreme_witnesses",
+               # The weighted direct sum: stack and unstack are its only model.
+               "DirectSumSpace", "DirectSumVector", "direct_sum", "compose_all",
+               "stack_operator", "component_operator", "analysis", "synthesis"}
     found = []
     for name, tree in _trees().items():
         for node in ast.walk(tree):

@@ -19,6 +19,7 @@ from .errors import (
 from .frames import (
     ControlPair,
     DualCertificate,
+    Family,
     FrameBounds,
     GFrameSystem,
     canonical_dual,

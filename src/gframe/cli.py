@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import GFrameError, InputError
+from .errors import DomainError, GFrameError, InputError
 from .frames import canonical_dual, multiplier_report, optimal_scalar_bounds
 from .generate import random_system, unit_interval_system
 from .hilbert import positive_part_checks
@@ -23,6 +23,7 @@ from .reports import FAIL, PASS
 from .serialize import (
     _parse_int,
     dump_json,
+    family_to_dict,
     load_json,
     load_system,
     operator_from_dict,
@@ -155,8 +156,7 @@ def _cmd_dual(args) -> int:
     results = {"operator_residual": cert.operator_residual}
     if args.command == "dual":
         results["reconstruction_residual"] = cert.reconstruction_residual
-        results["dual_family"] = {label: operator_to_dict(op)
-                                  for label, op in cert.dual_family.items()}
+        results["dual_family"] = family_to_dict(cert.dual)
     else:
         results["samples"] = args.samples
         results["worst_relative_residual"] = cert.reconstruction_residual
@@ -166,12 +166,14 @@ def _cmd_dual(args) -> int:
 
 def _cmd_multiplier(args) -> int:
     system = load_system(args.system)
-    rng = np.random.default_rng(args.seed)
+    labels = system.measure.labels
+    # One draw of every real and imaginary part, in the order of one normal at a time.
+    draws = np.random.default_rng(args.seed).standard_normal((len(labels), 2)).tolist()
     symbol = {}
-    for label in system.measure.labels:
-        z = rng.standard_normal() + 1j * rng.standard_normal()
+    for label, (re, im) in zip(labels, draws):
+        z = re + 1j * im
         symbol[label] = z / max(1.0, abs(z))
-    rep = multiplier_report(symbol, dict(system.family), dict(system.family),
+    rep = multiplier_report(symbol, system.stacked_family, system.stacked_family,
                             system.measure, tol=args.tol)
     results = {
         "symbol": {label: [z.real, z.imag] for label, z in symbol.items()},
@@ -266,15 +268,22 @@ def _check_options(args) -> None:
         raise InputError(f"--tol must be positive and finite, got {args.tol}")
 
 
+def _run(args) -> int:
+    """Run the command with numpy's overflow and invalid-value warnings raised as DomainErrors."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return _COMMANDS[args.command](args)
+        except FloatingPointError as exc:
+            message = f"arithmetic failed ({exc}): entries too large or not finite"
+            raise DomainError(message) from exc
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _check_options(args)
-        return _COMMANDS[args.command](args)
-    except GFrameError as exc:
-        print(f"gframe: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return _run(args)
+    except (GFrameError, OSError) as exc:
         print(f"gframe: error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,13 @@ Lambda_w: A^n -> A^{m_w}, and a pair of positive invertible controls (C, C').
 The twisted Gram of the system at x is the weighted sum of
 <Lambda_w C x, Lambda_w C' x>; sandwiching it between A<x,x>A* and B<x,x>B*
 is the frame property this module certifies, together with the induced
-frame operator, transforms, duals and multipliers.  The family meets the
-weighted direct sum only through ``hilbert.stack`` and ``unstack``.
+frame operator, transforms, duals and multipliers.
+
+A family is held as one stacked operator (``Family``): the unweighted
+``hilbert.stack`` of its members, A^n -> A^(m_1 + ... + m_W), with the atom
+ranks m_w.  Frame operators, transforms, duals, multipliers and the family's
+commutation check are products of that stack; the per-label mapping of
+members is derived from it only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ from .hilbert import (
     AdjointableOperator,
     ModuleVector,
     as_channels,
+    atom_columns,
     loewner_gap,
     pairing,
+    scale_atoms,
     spectral_norms,
     stack,
     unstack,
@@ -43,6 +50,65 @@ from .sampling import rand_coords
 
 FRAME = "frame"
 BESSEL_ONLY = "bessel_only"
+
+
+class Family:
+    """Operators Lambda_w: A^n -> A^{m_w}, one for each atom label, in the measure's order.
+
+    A family is held in one of two forms and derives the other when it is
+    first read, at most once.  ``stack`` is the unweighted ``hilbert.stack`` of
+    the members, A^n -> A^(m_1 + ... + m_W), with ``ranks`` the m_w; every
+    weighted sum, dual and family check reads it.  ``members`` maps each label
+    to its operator, for the theorem rows and the perturbation checks.  A
+    decoded file or a computed dual starts from its stack, a mapping from its
+    members (``Family.of``).
+    """
+
+    def __init__(self, labels, ranks, stack: Optional[AdjointableOperator] = None,
+                 members: Optional[dict] = None):
+        self.labels, self.ranks = tuple(labels), tuple(ranks)
+        if stack is not None:
+            if len(self.ranks) != len(self.labels) or sum(self.ranks) != stack.out_rank:
+                raise InputError("a stacked family needs one rank per label, summing to "
+                                 "the stack's output rank")
+            self.stack = stack  # the given form fills its cached property
+            first = stack
+        else:
+            self.members = members
+            first = members[self.labels[0]]
+        self.descriptor, self.in_rank = first.descriptor, first.in_rank
+
+    @staticmethod
+    def of(family, labels) -> "Family":
+        """``family`` over the atom labels ``labels``: a Family on them, or a mapping by label."""
+        labels = tuple(labels)
+        if isinstance(family, Family):
+            if family.labels != labels:
+                raise InputError("family labels must match measure atoms exactly")
+            return family
+        if set(family) != set(labels):
+            raise InputError("family labels must match measure atoms exactly")
+        members = {label: family[label] for label in labels}
+        first = members[labels[0]]
+        if any(op.descriptor != first.descriptor or op.in_rank != first.in_rank
+               for op in members.values()):
+            raise InputError("family members must share descriptor and input rank")
+        return Family(labels, [op.out_rank for op in members.values()], members=members)
+
+    @cached_property
+    def stack(self) -> AdjointableOperator:
+        return stack(list(self.members.values()))
+
+    @cached_property
+    def members(self) -> dict:
+        return dict(zip(self.labels, unstack(self.stack, self.ranks)))
+
+
+def _weighted(weights, left: Family, right: Optional[Family] = None) -> AdjointableOperator:
+    """``hilbert.weighted_sum`` of two families over one measure, member by member."""
+    if right is not None and right.ranks != left.ranks:
+        raise InputError("weighted sum pairs operators with different output ranks")
+    return weighted_sum(weights, left.ranks, left.stack, None if right is None else right.stack)
 
 
 @dataclass(frozen=True)
@@ -57,11 +123,10 @@ class ControlPair:
 
     C: AdjointableOperator
     Cp: AdjointableOperator
-    family: tuple
+    family: Family
 
     @staticmethod
-    def build(C: AdjointableOperator, Cp: AdjointableOperator,
-              family: Mapping[str, AdjointableOperator]) -> "ControlPair":
+    def build(C: AdjointableOperator, Cp: AdjointableOperator, family: Family) -> "ControlPair":
         for name, ctrl in (("C", C), ("C'", Cp)):
             if ctrl.in_rank != ctrl.out_rank:
                 raise InputError(f"control {name} must be square")
@@ -70,7 +135,7 @@ class ControlPair:
             eigs = ctrl.eigenvalues_hermitian()
             if eigs[0] <= DEFAULT_TOL * tolerance_scale(eigs[-1]):
                 raise InputError(f"control {name} must be positive and invertible")
-        return ControlPair(C, Cp, tuple(family.values()))
+        return ControlPair(C, Cp, family)
 
     @cached_property
     def commute_defect(self) -> float:
@@ -80,7 +145,7 @@ class ControlPair:
 
     @cached_property
     def family_defect(self) -> float:
-        return _family_commutation_defect(list(self.family), self.C, self.Cp)
+        return _family_commutation_defect(self.family, self.C, self.Cp)
 
     @property
     def commute_each_other(self) -> bool:
@@ -97,34 +162,31 @@ class ControlPair:
 _BATCH_ENTRIES = 1 << 12
 
 
-def _padded_channels(ops: list) -> np.ndarray:
-    """Channels of the members stacked along a leading atom axis.
-
-    Members are zero-padded to a common output rank; zero columns leave
-    every Lambda_w* Lambda_w unchanged.
-    """
-    first = ops[0].blocks
-    width = max(op.out_rank for op in ops)
-    padded = np.zeros((len(ops), first.shape[0], width) + first.shape[2:], dtype=np.complex128)
-    for idx, op in enumerate(ops):
-        padded[idx, :, :op.out_rank] = op.blocks
-    return as_channels(ops[0].descriptor, padded)
-
-
-def _family_commutation_defect(family: list, C: AdjointableOperator,
+def _family_commutation_defect(family: Family, C: AdjointableOperator,
                                Cp: AdjointableOperator) -> float:
     """Worst relative commutator ||G_w X - X G_w|| of G_w = Lambda_w* Lambda_w with X = C, C'.
 
     Each quantity is one batched 2-norm over a batch of atoms, channel by
     channel; batches hold all atoms unless that would exceed _BATCH_ENTRIES.
+    A batch scatters the stack's columns into (atom, slot) positions, each
+    member zero-padded to the batch's widest rank: zero columns leave every
+    Lambda_w* Lambda_w unchanged.
     """
     controls = (C.channels(), Cp.channels())
     cscales = [tolerance_scale(spectral_norms(ctrl).max()) for ctrl in controls]
-    widest = max(op.out_rank for op in family)
-    step = max(1, _BATCH_ENTRIES * C.in_rank // (controls[0].size * max(widest, C.in_rank)))
+    ranks = np.asarray(family.ranks)
+    step = max(1, _BATCH_ENTRIES * C.in_rank // (controls[0].size * max(ranks.max(), C.in_rank)))
+    atom, slot = atom_columns(ranks)
+    columns = family.stack.blocks.swapaxes(0, 1)
+    ends = np.cumsum(ranks)
     worst = 0.0
-    for start in range(0, len(family), step):
-        members = _padded_channels(family[start:start + step])
+    for start in range(0, ranks.size, step):
+        stop = min(start + step, ranks.size)
+        cols = slice(ends[start] - ranks[start], ends[stop - 1])
+        padded = np.zeros((stop - start, family.in_rank, ranks[start:stop].max())
+                          + columns.shape[2:], dtype=np.complex128)
+        padded[atom[cols] - start, :, slot[cols]] = columns[cols]
+        members = as_channels(family.descriptor, padded)
         grams = members @ members.conj().swapaxes(-1, -2)
         gscale = tolerance_scale(spectral_norms(grams).max(axis=-1))
         for ctrl, cscale in zip(controls, cscales):
@@ -166,12 +228,17 @@ class FrameBounds:
 class DualCertificate:
     """Reconstruction evidence for a (operator) dual family."""
 
-    dual_family: dict
+    dual: Family
     corresponding_k: Optional[AdjointableOperator]
     reconstruction_residual: float
     operator_residual: float
     tolerance: float
     details: dict
+
+    @property
+    def dual_family(self) -> dict:
+        """The dual members by atom label, derived from the dual's stack when first read."""
+        return self.dual.members
 
     @property
     def passed(self) -> bool:
@@ -182,30 +249,27 @@ class DualCertificate:
 class GFrameSystem:
     """Measure + operator family + control pair over one standard module.
 
-    The system's own checks (the controls, their commutation and equality)
-    are at DEFAULT_TOL.
+    The family is given as a mapping by atom label or as a ``Family``, and
+    kept as a ``Family`` (``stacked_family``).  The system's own checks (the
+    controls, their commutation and equality) are at DEFAULT_TOL.
     """
 
-    def __init__(self, measure: MeasureSpace, family: Mapping[str, AdjointableOperator],
-                 C: AdjointableOperator, Cp: AdjointableOperator):
-        if set(family) != set(measure.labels):
-            raise InputError("family labels must match measure atoms exactly")
-        ordered = {label: family[label] for label in measure.labels}
-        ops = list(ordered.values())
-        descriptor = ops[0].descriptor
-        n = ops[0].in_rank
-        if n < 1:
-            raise InputError("module rank must be >= 1")
-        for op in ops:
-            if op.descriptor != descriptor or op.in_rank != n:
-                raise InputError("family members must share descriptor and input rank")
+    def __init__(self, measure: MeasureSpace, family, C: AdjointableOperator,
+                 Cp: AdjointableOperator):
+        family = Family.of(family, measure.labels)
+        descriptor, n = family.descriptor, family.in_rank
         if C.descriptor != descriptor or C.in_rank != n or Cp.descriptor != descriptor or Cp.in_rank != n:
             raise InputError("controls must act on the same module as the family")
         self.measure = measure
-        self.family = ordered
+        self.stacked_family = family
         self.descriptor = descriptor
         self.module_rank = n
-        self.controls = ControlPair.build(C, Cp, ordered)
+        self.controls = ControlPair.build(C, Cp, family)
+
+    @property
+    def family(self) -> dict:
+        """The members by atom label, in the measure's order."""
+        return self.stacked_family.members
 
     # -- basic structure -----------------------------------------------------
 
@@ -227,17 +291,17 @@ class GFrameSystem:
         )
 
     def with_controls(self, C: AdjointableOperator, Cp: AdjointableOperator) -> "GFrameSystem":
-        return GFrameSystem(self.measure, self.family, C, Cp)
+        return GFrameSystem(self.measure, self.stacked_family, C, Cp)
 
-    def with_family(self, family: Mapping[str, AdjointableOperator]) -> "GFrameSystem":
+    def with_family(self, family) -> "GFrameSystem":
         return GFrameSystem(self.measure, family, self.controls.C, self.controls.Cp)
 
     # -- frame operator and Gram ----------------------------------------------
 
     @cached_property
     def uncontrolled_operator(self) -> AdjointableOperator:
-        """Weighted sum of Lambda_w* Lambda_w: one product of the stacked flattenings."""
-        return weighted_sum(self.measure.weights, list(self.family.values()))
+        """Weighted sum of Lambda_w* Lambda_w: one product of the family's stack."""
+        return _weighted(self.measure.weights, self.stacked_family)
 
     @cached_property
     def frame_operator(self) -> AdjointableOperator:
@@ -278,8 +342,9 @@ class GFrameSystem:
     @cached_property
     def analysis_operator(self) -> AdjointableOperator:
         """x -> (Lambda_w (C'C)^(1/2) x)_w into the weighted direct sum, as one product."""
-        ops = list(self.family.values())
-        return stack(ops, np.sqrt(self.measure.weights)) @ self.mixed_control_root
+        family = self.stacked_family
+        return (scale_atoms(family.stack, family.ranks, np.sqrt(self.measure.weights))
+                @ self.mixed_control_root)
 
     @cached_property
     def synthesis_operator(self) -> AdjointableOperator:
@@ -384,12 +449,14 @@ def certify_window(report: TheoremReport, system: GFrameSystem, lower: float, up
     report.info.setdefault("certified_windows", {})[label] = [max(lower, 0.0), upper]
 
 
-def reconstruction_operator(system: GFrameSystem, dual: Mapping[str, AdjointableOperator],
+def reconstruction_operator(system: GFrameSystem, dual,
                             k: Optional[AdjointableOperator] = None) -> AdjointableOperator:
-    """Weighted sum of C' Lambda_w* Gamma_w [K] C as one operator."""
-    labels = system.measure.labels
-    inner = weighted_sum(system.measure.weights, [dual[label] for label in labels],
-                         [system.family[label] for label in labels])
+    """Weighted sum of C' Lambda_w* Gamma_w [K] C as one operator.
+
+    ``dual`` is a Family or a mapping by atom label.
+    """
+    inner = _weighted(system.measure.weights, Family.of(dual, system.measure.labels),
+                      system.stacked_family)
     chain = inner @ k if k is not None else inner
     return system.controls.Cp @ chain @ system.controls.C
 
@@ -411,20 +478,20 @@ def _reconstruction_residuals(system: GFrameSystem, op: AdjointableOperator,
 
 def canonical_dual(system: GFrameSystem, samples: int = 100, seed: int = 0,
                    tol: float = 1e-8) -> DualCertificate:
-    """Dual family Lambda_w S^(-1), unstack(stack(family) S^(-1)), with verified reconstruction."""
+    """Dual family Lambda_w S^(-1), the family's stack times S^(-1), with verified reconstruction."""
     if not system.commuting:
         raise UnsupportedConfigurationError(
             "canonical dual reconstruction needs commuting controls")
     bounds = optimal_scalar_bounds(system)
     if not bounds.is_frame:
         raise DomainError("system is not a frame; frame operator is singular")
-    ops = list(system.family.values())
-    duals = unstack(stack(ops) @ system.frame_operator.inverse(), [op.out_rank for op in ops])
-    dual = dict(zip(system.family, duals))
+    family = system.stacked_family
+    dual = Family(family.labels, family.ranks,
+                  stack=family.stack @ system.frame_operator.inverse())
     recon = reconstruction_operator(system, dual)
     sampled, op_res = _reconstruction_residuals(system, recon, samples, seed)
     return DualCertificate(
-        dual_family=dual,
+        dual=dual,
         corresponding_k=None,
         reconstruction_residual=sampled,
         operator_residual=op_res,
@@ -433,22 +500,22 @@ def canonical_dual(system: GFrameSystem, samples: int = 100, seed: int = 0,
     )
 
 
-def operator_dual_check(system: GFrameSystem, dual: Mapping[str, AdjointableOperator],
-                        k: AdjointableOperator, samples: int = 100, seed: int = 0,
-                        tol: float = 1e-8) -> DualCertificate:
+def operator_dual_check(system: GFrameSystem, dual, k: AdjointableOperator, samples: int = 100,
+                        seed: int = 0, tol: float = 1e-8) -> DualCertificate:
     """Certify x = integral of C' Lambda_w* Gamma_w K C x, and its converse.
 
     The converse exchanges the two families and replaces K by K*; both
     directions are sampled and the worst relative residual is reported.
     """
     k.inverse()  # raises DomainError if K is singular
+    dual = Family.of(dual, system.measure.labels)
     forward = reconstruction_operator(system, dual, k)
     sampled, op_res = _reconstruction_residuals(system, forward, samples, seed)
     swapped = system.with_family(dual)
-    backward = reconstruction_operator(swapped, system.family, k.adjoint())
+    backward = reconstruction_operator(swapped, system.stacked_family, k.adjoint())
     sampled_back, op_res_back = _reconstruction_residuals(swapped, backward, samples, seed + 1)
     return DualCertificate(
-        dual_family=dict(dual),
+        dual=dual,
         corresponding_k=k,
         reconstruction_residual=max(sampled, sampled_back),
         operator_residual=max(op_res, op_res_back),
@@ -464,39 +531,40 @@ def operator_dual_check(system: GFrameSystem, dual: Mapping[str, AdjointableOper
     )
 
 
-def bessel_constant(family: Mapping[str, AdjointableOperator], measure: MeasureSpace,
-                    C: Optional[AdjointableOperator] = None,
+def bessel_constant(family, measure: MeasureSpace, C: Optional[AdjointableOperator] = None,
                     Cp: Optional[AdjointableOperator] = None) -> float:
-    """Optimal scalar Bessel constant of the (optionally controlled) family."""
-    ops = list(family.values())
-    descriptor = ops[0].descriptor
-    n = ops[0].in_rank
+    """Optimal scalar Bessel constant of the (optionally controlled) family.
+
+    ``family`` is a Family or a mapping by atom label.
+    """
+    family = Family.of(family, measure.labels)
     if C is None:
-        C = AdjointableOperator.identity(descriptor, n)
+        C = AdjointableOperator.identity(family.descriptor, family.in_rank)
     if Cp is None:
         Cp = C
     system = GFrameSystem(measure, family, C, Cp)
     return optimal_scalar_bounds(system).scalar_upper
 
 
-def multiplier(gamma: Mapping[str, complex], lam: Mapping[str, AdjointableOperator],
-               theta: Mapping[str, AdjointableOperator], measure: MeasureSpace) -> AdjointableOperator:
-    """Weighted sum of gamma_w Lambda_w* Theta_w for a bounded scalar symbol."""
-    coeffs = _symbol_weights(gamma, measure, lam, theta)
-    labels = measure.labels
-    return weighted_sum(coeffs, [theta[label] for label in labels], [lam[label] for label in labels])
+def multiplier(gamma: Mapping[str, complex], lam, theta, measure: MeasureSpace) -> AdjointableOperator:
+    """Weighted sum of gamma_w Lambda_w* Theta_w for a bounded scalar symbol.
+
+    ``lam`` and ``theta`` are Families or mappings by atom label.
+    """
+    coeffs = _symbol_weights(gamma, measure)
+    lam, theta = Family.of(lam, measure.labels), Family.of(theta, measure.labels)
+    return _weighted(coeffs, theta, lam)
 
 
-def _symbol_weights(gamma: Mapping[str, complex], measure: MeasureSpace, *families) -> list:
-    """Per-atom weight * gamma_w, after checking every family covers every atom."""
-    for label in measure.labels:
-        if any(label not in data for data in (gamma,) + families):
-            raise InputError(f"multiplier data missing atom {label!r}")
+def _symbol_weights(gamma: Mapping[str, complex], measure: MeasureSpace) -> list:
+    """Per-atom weight * gamma_w, after checking that the symbol covers every atom."""
+    if not set(measure.labels).issubset(gamma):
+        missing = next(label for label in measure.labels if label not in gamma)
+        raise InputError(f"multiplier data missing atom {missing!r}")
     return [weight * complex(gamma[label]) for label, weight in measure.atoms]
 
 
-def multiplier_report(gamma: Mapping[str, complex], lam: Mapping[str, AdjointableOperator],
-                      theta: Mapping[str, AdjointableOperator], measure: MeasureSpace,
+def multiplier_report(gamma: Mapping[str, complex], lam, theta, measure: MeasureSpace,
                       tol: float = DEFAULT_TOL) -> dict:
     """Multiplier with its norm bound and the adjoint identity.
 
@@ -508,6 +576,7 @@ def multiplier_report(gamma: Mapping[str, complex], lam: Mapping[str, Adjointabl
     ``passed`` holds when the norm bound holds and the swapped adjoint
     identity holds to within 100 tol.
     """
+    lam, theta = Family.of(lam, measure.labels), Family.of(theta, measure.labels)
     op = multiplier(gamma, lam, theta, measure)
     sup = max((abs(complex(v)) for v in gamma.values()), default=0.0)
     b_lam = bessel_constant(lam, measure)
@@ -534,11 +603,9 @@ def multiplier_report(gamma: Mapping[str, complex], lam: Mapping[str, Adjointabl
     }
 
 
-def controlled_multiplier(gamma: Mapping[str, complex], theta: Mapping[str, AdjointableOperator],
-                          lam: Mapping[str, AdjointableOperator], C: AdjointableOperator,
+def controlled_multiplier(gamma: Mapping[str, complex], theta, lam, C: AdjointableOperator,
                           Cp: AdjointableOperator, measure: MeasureSpace) -> AdjointableOperator:
-    """Weighted sum of gamma_w C theta_w* Lambda_w C'."""
-    coeffs = _symbol_weights(gamma, measure, lam, theta)
-    labels = measure.labels
-    inner = weighted_sum(coeffs, [lam[label] for label in labels], [theta[label] for label in labels])
-    return C @ inner @ Cp
+    """Weighted sum of gamma_w C theta_w* Lambda_w C'; the families are Families or mappings."""
+    coeffs = _symbol_weights(gamma, measure)
+    lam, theta = Family.of(lam, measure.labels), Family.of(theta, measure.labels)
+    return C @ _weighted(coeffs, lam, theta) @ Cp

@@ -13,15 +13,18 @@ M_d, and k matrices of shape n x m for C^k, which is k independent copies of
 C.  Products run as stacked matrix products over the channels, inverses and
 roots channel by channel, and spectra come from one batched LAPACK call.
 
-A family of operators A^n -> A^{m_w} meets the weighted direct sum of the
-A^{m_w} in one pair of functions.  ``stack`` places the members, scaled by
-sqrt(w), side by side as one operator A^n -> A^(m_1 + ... + m_W);
-``unstack`` cuts a map into the direct sum back into its components.
-``weighted_sum`` is one GEMM per channel over stacked members.
+A family of operators A^n -> A^{m_w} is held as one operator, its stack
+A^n -> A^(m_1 + ... + m_W): the members' output coordinates side by side,
+with the atom ranks m_w saying where each member's columns lie
+(``atom_columns``).  ``stack`` builds it from the members, scaled by
+sqrt(w) when it maps into the weighted direct sum; ``unstack`` cuts a map
+into the direct sum back into its members; ``weighted_sum`` reads stacks
+directly, one GEMM per channel with one weight per atom.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -321,6 +324,10 @@ class AdjointableOperator:
     def _eigenvalues_hermitian(self) -> np.ndarray:
         chans = _hermitian_part(self.channels())
         eigs = np.sort(finite_spectrum(np.linalg.eigvalsh, chans), axis=None)
+        # eigvalsh can return finite values for a NaN on the diagonal; the
+        # trace, which is the sum of the eigenvalues, keeps the NaN.
+        if not math.isfinite(chans.diagonal(axis1=-2, axis2=-1).real.sum()):
+            raise DomainError("spectral computation overflowed: entries too large or not finite")
         eigs.setflags(write=False)
         return eigs
 
@@ -389,8 +396,22 @@ def compose(s: AdjointableOperator, t: AdjointableOperator) -> AdjointableOperat
     return AdjointableOperator.from_channels(s.descriptor, t.channels() @ s.channels())
 
 
-def _stacked_channels(ops: Sequence[AdjointableOperator], scales=None) -> np.ndarray:
-    """Channels of ``stack(ops, scales)``, built with a single contiguous copy."""
+def atom_columns(ranks: Sequence[int]) -> tuple:
+    """(atom, slot) of each output coordinate of a stack whose members have output ranks ``ranks``.
+
+    Coordinate c of the stack is coordinate slot[c] of member atom[c].
+    """
+    ranks = np.asarray(ranks, dtype=np.intp)
+    atom = np.repeat(np.arange(ranks.size), ranks)
+    return atom, np.arange(atom.size) - (np.cumsum(ranks) - ranks)[atom]
+
+
+def stack(ops: Sequence[AdjointableOperator], scales=None) -> AdjointableOperator:
+    """A^n -> A^(m_1 + ... + m_W), with the output coordinates of scales[w] ops[w] in turn.
+
+    With sqrt(w) scales this maps into the weighted direct sum.  The m_w may
+    differ.  The channels are built with a single contiguous copy.
+    """
     if not ops:
         raise InputError("a stack needs at least one member")
     descriptor = ops[0].descriptor
@@ -401,22 +422,10 @@ def _stacked_channels(ops: Sequence[AdjointableOperator], scales=None) -> np.nda
             chans = cols.reshape(1, n * d, m * d)
         else:
             chans = np.concatenate([op.blocks.transpose(2, 0, 1) for op in ops], axis=2)
-        if scales is not None:
-            width = channel_layout(descriptor)[1]
-            chans *= np.repeat(np.asarray(scales), [op.out_rank * width for op in ops])
     except ValueError as exc:
-        raise InputError("stack members must share the algebra and the input rank, "
-                         "with one scale each") from exc
-    return chans
-
-
-def stack(ops: Sequence[AdjointableOperator], scales=None) -> AdjointableOperator:
-    """A^n -> A^(m_1 + ... + m_W), with the output coordinates of scales[w] ops[w] in turn.
-
-    With sqrt(w) scales this maps into the weighted direct sum.  The m_w may differ.
-    """
-    chans = _stacked_channels(ops, scales)
-    return AdjointableOperator.from_channels(ops[0].descriptor, chans)
+        raise InputError("stack members must share the algebra and the input rank") from exc
+    t = AdjointableOperator.from_channels(descriptor, chans)
+    return t if scales is None else scale_atoms(t, [op.out_rank for op in ops], scales)
 
 
 def unstack(t: AdjointableOperator, ranks: Sequence[int], scales=None) -> list:
@@ -429,20 +438,39 @@ def unstack(t: AdjointableOperator, ranks: Sequence[int], scales=None) -> list:
     return [AdjointableOperator(t.descriptor, piece) for piece in pieces]
 
 
-def weighted_sum(weights: Sequence, left: Sequence[AdjointableOperator],
-                 right: Optional[Sequence[AdjointableOperator]] = None) -> AdjointableOperator:
-    """Sum over atoms of c_w R_w* L_w, which is stack(R)* stack(L, c): one GEMM per channel.
+def _atom_channels(t: AdjointableOperator, ranks: Sequence[int], scales=None) -> np.ndarray:
+    """Channels of a stack as one fresh contiguous array, member w's columns times scales[w]."""
+    if sum(ranks) != t.out_rank or (scales is not None and len(scales) != len(ranks)):
+        raise InputError("a stack needs atom ranks summing to its output rank, and one scale each")
+    chans = t.channels()
+    if not chans.flags.writeable:  # a view of the read-only blocks
+        chans = chans.copy()
+    if scales is not None:
+        width = channel_layout(t.descriptor)[1]
+        chans *= np.repeat(np.asarray(scales), np.asarray(ranks) * width)
+    return chans
 
-    The output ranks may differ between atoms.  Without ``right`` it is the sum
-    of w L_w* L_w, X X^H for X the channels of stack(L, sqrt w), so w must be >= 0.
+
+def scale_atoms(t: AdjointableOperator, ranks: Sequence[int], scales) -> AdjointableOperator:
+    """The stack t with the output coordinates of member w multiplied by scales[w]."""
+    return AdjointableOperator.from_channels(t.descriptor, _atom_channels(t, ranks, scales))
+
+
+def weighted_sum(weights: Sequence, ranks: Sequence[int], left: AdjointableOperator,
+                 right: Optional[AdjointableOperator] = None) -> AdjointableOperator:
+    """Sum over atoms of c_w R_w* L_w for stacks L and R of members with output ranks ``ranks``.
+
+    That is R* scale_atoms(L, ranks, c): one GEMM per channel, with one
+    weight per atom.  Without ``right`` it is the sum of w L_w* L_w, X X^H for
+    X the channels of scale_atoms(L, ranks, sqrt w), so w must be >= 0.
     """
-    if right is not None and [op.out_rank for op in right] != [op.out_rank for op in left]:
-        raise InputError("weighted sum pairs operators with different output ranks")
-    x = _stacked_channels(left, np.sqrt(weights) if right is None else weights)
-    y = x if right is None else _stacked_channels(right)
-    if y.shape != x.shape:
-        raise InputError("weighted sum members must share the algebra and the input rank")
-    return AdjointableOperator.from_channels(left[0].descriptor, x @ _hermitian_transpose(y))
+    if right is not None and (right.descriptor != left.descriptor
+                              or right.blocks.shape != left.blocks.shape):
+        raise InputError("weighted sum stacks must share the algebra, the input rank "
+                         "and the output ranks")
+    x = _atom_channels(left, ranks, np.sqrt(weights) if right is None else weights)
+    y = x if right is None else _atom_channels(right, ranks)
+    return AdjointableOperator.from_channels(left.descriptor, x @ _hermitian_transpose(y))
 
 
 def _vector_stack(descriptor: AlgebraDescriptor, coords: np.ndarray) -> np.ndarray:

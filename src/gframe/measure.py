@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .algebra import AlgebraElement
@@ -23,7 +24,9 @@ class MeasureSpace:
 
     def __post_init__(self):
         try:
-            atoms = tuple((str(label), float(weight)) for label, weight in self.atoms)
+            atoms = tuple((label if type(label) is str else str(label),
+                           weight if type(weight) is float else float(weight))
+                          for label, weight in self.atoms)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"atom weights must be numbers: {exc}") from exc
         if not atoms:
@@ -35,11 +38,11 @@ class MeasureSpace:
             raise InputError("atom weights must be positive and finite")
         object.__setattr__(self, "atoms", atoms)
 
-    @property
+    @cached_property
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.atoms)
 
-    @property
+    @cached_property
     def weights(self) -> tuple:
         return tuple(weight for _, weight in self.atoms)
 

@@ -2,29 +2,35 @@
 
 Complex numbers are two-element [re, im] arrays of doubles.  Round trips are
 bit exact: floats serialize with Python's shortest round-trip repr.  The
-pairs are a float64 view of the complex blocks: an operator is encoded by
-one array conversion, and all operators of a system file are decoded by
-one.  Documents are written as key-sorted JSON on one line, which CPython's
-C encoder produces.
+pairs are a float64 view of the complex blocks.  A system file's family is
+decoded and encoded as one stack (``frames.Family``): all blocks of a file
+go through one array conversion, and one index gather places the members'
+blocks side by side as the stacked operator, with no operator per atom.  A
+family is encoded by one conversion of its stack, cut into per-label
+operator documents.  Documents are written as key-sorted JSON on one line,
+which CPython's C encoder produces.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
 
 from .algebra import AlgebraDescriptor, AlgebraElement
 from .errors import InputError
-from .frames import GFrameSystem
-from .hilbert import AdjointableOperator, ModuleVector, _coord_shape
+from .frames import Family, GFrameSystem
+from .hilbert import AdjointableOperator, ModuleVector, _coord_shape, atom_columns
 from .measure import MeasureSpace
 
 
 def _parse_int(value, what: str) -> int:
     """A JSON integer, or a float with an integral value; never a string or a boolean."""
+    if type(value) is int:
+        return value
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, float) and value.is_integer():
@@ -100,14 +106,32 @@ def vector_from_dict(doc: Mapping) -> ModuleVector:
     return ModuleVector(*_elements_from_docs(coords))
 
 
+def _operator_doc(n: int, m: int, docs: list, first: int, stride: int) -> dict:
+    """The document of the n x m operator whose block (i, j) is docs[first + i * stride + j]."""
+    rows = [docs[first + i * stride:first + i * stride + m] for i in range(n)]
+    return {"in_rank": n, "out_rank": m, "blocks": rows}
+
+
 def operator_to_dict(t: AdjointableOperator) -> dict:
-    n, m = t.in_rank, t.out_rank
+    m = t.out_rank
+    return _operator_doc(t.in_rank, m, _elements_to_docs(t.descriptor, t.blocks), 0, m)
+
+
+def family_to_dict(family: Family) -> dict:
+    """Operator documents by label, cut from one encoding of the family's stack."""
+    t = family.stack
     docs = _elements_to_docs(t.descriptor, t.blocks)
-    return {"in_rank": n, "out_rank": m, "blocks": [docs[i * m:(i + 1) * m] for i in range(n)]}
+    firsts = accumulate(family.ranks[:-1], initial=0)
+    return {label: _operator_doc(t.in_rank, m, docs, first, t.out_rank)
+            for label, m, first in zip(family.labels, family.ranks, firsts)}
 
 
-def _operators_from_docs(docs: list) -> list:
-    """Decode operator documents together, with one array conversion for all their blocks."""
+def _operators_from_docs(docs: list) -> tuple:
+    """Decode operator documents together: one array conversion for all their blocks.
+
+    Returns the descriptor, the (n, m) ranks of each operator, and the blocks
+    of all operators in document order, each operator's in row-major order.
+    """
     shapes, blocks = [], []
     for doc in docs:
         try:
@@ -123,13 +147,33 @@ def _operators_from_docs(docs: list) -> list:
             raise InputError(f"bad operator document: {exc}") from exc
         shapes.append((n, m))
     desc, data = _elements_from_docs(blocks)
-    cuts = np.cumsum([n * m for n, m in shapes])[:-1]
-    return [AdjointableOperator(desc, part.reshape(shape + data.shape[1:]))
-            for shape, part in zip(shapes, np.split(data, cuts))]
+    return desc, shapes, data
+
+
+def _operator(desc: AlgebraDescriptor, shape: tuple, data: np.ndarray) -> AdjointableOperator:
+    return AdjointableOperator(desc, data.reshape(shape + data.shape[1:]))
 
 
 def operator_from_dict(doc: Mapping) -> AdjointableOperator:
-    return _operators_from_docs([doc])[0]
+    desc, (shape,), data = _operators_from_docs([doc])
+    return _operator(desc, shape, data)
+
+
+def _stacked_blocks(shapes: list, data: np.ndarray) -> np.ndarray:
+    """Blocks of the stack of operators given by their (n, m) ranks and row-major blocks in turn.
+
+    Block (i, c) of the stack is block (i, slot) of member atom, for the
+    (atom, slot) of output coordinate c: one gather over all members.
+    """
+    in_ranks = {n for n, _ in shapes}
+    if len(in_ranks) != 1:
+        raise InputError("family members must share descriptor and input rank")
+    n = in_ranks.pop()
+    ranks = np.array([m for _, m in shapes])
+    atom, slot = atom_columns(ranks)
+    firsts = n * (np.cumsum(ranks) - ranks)
+    rows = np.arange(n)[:, None]
+    return data[firsts[atom] + rows * ranks[atom] + slot]
 
 
 def measure_to_dict(m: MeasureSpace) -> dict:
@@ -142,7 +186,8 @@ def measure_from_dict(doc: Mapping) -> MeasureSpace:
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad measure document: {exc}") from exc
     for label, weight in atoms:
-        if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
+        if type(weight) is not float and (isinstance(weight, bool)
+                                          or not isinstance(weight, numbers.Real)):
             raise InputError(f"weight of atom {label!r} must be a number, got {weight!r}")
     return MeasureSpace(atoms)
 
@@ -152,7 +197,7 @@ def system_to_dict(system: GFrameSystem) -> dict:
         "algebra": {"kind": system.descriptor.kind, "dim": system.descriptor.dim},
         "module_rank": system.module_rank,
         "measure": measure_to_dict(system.measure),
-        "family": {label: operator_to_dict(op) for label, op in system.family.items()},
+        "family": family_to_dict(system.stacked_family),
         "controls": {
             "C": operator_to_dict(system.controls.C),
             "Cp": operator_to_dict(system.controls.Cp),
@@ -161,15 +206,28 @@ def system_to_dict(system: GFrameSystem) -> dict:
 
 
 def system_from_dict(doc: Mapping) -> GFrameSystem:
+    """The system of a document; its family is decoded straight into one stack.
+
+    The stack holds the members in the measure's order, whatever the order of
+    the family's keys.
+    """
     try:
         measure = measure_from_dict(doc["measure"])
         family_docs = doc["family"]
         if not isinstance(family_docs, dict):
             raise InputError("system family must be a JSON object of operators by atom label")
-        labels = list(family_docs)
-        *members, c, cp = _operators_from_docs(
+        labels = measure.labels
+        if family_docs.keys() != set(labels):
+            raise InputError("family labels must match measure atoms exactly")
+        decoded, shapes, data = _operators_from_docs(
             [family_docs[label] for label in labels] + [doc["controls"]["C"], doc["controls"]["Cp"]])
-        family = dict(zip(labels, members))
+        *member_shapes, c_shape, cp_shape = shapes
+        c_start = len(data) - c_shape[0] * c_shape[1] - cp_shape[0] * cp_shape[1]
+        cp_start = len(data) - cp_shape[0] * cp_shape[1]
+        stacked = AdjointableOperator(decoded, _stacked_blocks(member_shapes, data[:c_start]))
+        family = Family(labels, [m for _, m in member_shapes], stack=stacked)
+        c = _operator(decoded, c_shape, data[c_start:cp_start])
+        cp = _operator(decoded, cp_shape, data[cp_start:])
         declared_rank = _parse_int(doc["module_rank"], "module_rank")
         algebra = doc["algebra"]
         desc = AlgebraDescriptor(algebra["kind"], _parse_int(algebra["dim"], "algebra dim"))

@@ -109,7 +109,7 @@ def _commute_lines(system: GFrameSystem) -> tuple:
 
 
 def _uniform_rank_line(system: GFrameSystem) -> tuple:
-    ranks = {op.out_rank for op in system.family.values()}
+    ranks = set(system.stacked_family.ranks)
     return "uniform output rank", len(ranks) == 1, float(len(ranks) - 1)
 
 
@@ -125,7 +125,7 @@ def _stacked(system: GFrameSystem, family: Mapping) -> AdjointableOperator:
 
 def _components(system: GFrameSystem, t: AdjointableOperator) -> dict:
     """Per-atom components of a map into the system's weighted direct sum."""
-    ranks = [op.out_rank for op in system.family.values()]
+    ranks = system.stacked_family.ranks
     return dict(zip(system.measure.labels, unstack(t, ranks, np.sqrt(system.measure.weights))))
 
 
@@ -446,7 +446,9 @@ def _surjective_composition(row: _Row) -> None:
     system, tol = row.system, row.tol
     r = rand_invertible_operator(system.descriptor, system.module_rank, _rng(row.seed, 3))
     gamma = {label: op @ r for label, op in system.family.items()}
-    f_op = weighted_sum(system.measure.weights, list(system.family.values()), list(gamma.values()))
+    family = system.stacked_family
+    f_op = weighted_sum(system.measure.weights, family.ranks, family.stack,
+                        stack(list(gamma.values())))
     row.bounded_below("cross Gram map surjective", f_op)
     k_op = _stacked(system, gamma).adjoint()
     row.conclude(within("factors through plain transform and synthesis",
@@ -850,8 +852,9 @@ def _dual_parametrization(row: _Row) -> None:
     right_inverse = _right_inverses(system.analysis_operator, s_inv, k)
     constructed = _components(system, right_inverse(
         _stacked(system, {label: op @ c for label, op in bessel.items()})))
-    cross = c @ weighted_sum(system.measure.weights, list(bessel.values()),
-                             list(system.family.values())) @ c
+    family = system.stacked_family
+    cross = c @ weighted_sum(system.measure.weights, family.ranks,
+                             stack(list(bessel.values())), family.stack) @ c
     tail = c @ s_inv @ (k.inverse() - cross)
     formula = {label: op @ tail + bessel[label] @ c for label, op in system.family.items()}
     formula_defect = max(_rel_op(constructed[label], formula[label]) for label in labels)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,18 +246,34 @@ def test_non_object_family_exits_two(tmp_path, capsys, family):
         assert "family must be a JSON object" in err and out == "", command
 
 
-def test_overflowing_family_entry_exits_two(tmp_path, capsys):
-    # 1e200 is finite, so the file loads; the frame operator it builds overflows,
-    # which numpy reports as a RuntimeWarning, and the spectral kernels refuse it.
+def _overflowing_system(tmp_path) -> str:
+    # 1e200 is finite, so the file loads; the frame operator it builds overflows.
     doc = system_to_dict(random_system(1))
     label = next(iter(doc["family"]))
     doc["family"][label]["blocks"][0][0]["entries"][0] = [1e200, 0.0]
-    path = _write_system_doc(tmp_path, doc)
+    return _write_system_doc(tmp_path, doc)
+
+
+def test_overflowing_family_entry_exits_two(tmp_path, capsys):
+    path = _overflowing_system(tmp_path)
     for command in FILE_COMMANDS:
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
             code, out, err = _run(capsys, command, path)
         _assert_input_error(code, err)
-        assert "spectral computation" in err and out == "", command
+        assert "arithmetic failed" in err and out == "", command
+        assert seen == [], command
+
+
+def test_overflow_is_an_input_error_when_warnings_are_errors(tmp_path, capsys):
+    # Under python -W error a numpy RuntimeWarning would escape main as an exception.
+    path = _overflowing_system(tmp_path)
+    for command in FILE_COMMANDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, command, path)
+        _assert_input_error(code, err)
+        assert err.count("\n") == 1 and out == "", command
 
 
 @pytest.mark.parametrize("text", ["{", "[1, 2]"])
@@ -528,3 +545,18 @@ def test_invalid_controls_are_rejected_on_load(tmp_path, capsys, control, spoil,
         _assert_input_error(code, err)
         assert message in err
         assert out == ""
+
+
+def test_multiplier_symbol_is_the_one_normal_at_a_time_stream(tmp_path, capsys):
+    path = str(tmp_path / "example.json")
+    _run(capsys, "example", "--alpha", "2", "--beta", "3", "--rank", "2", "--nodes", "1001",
+         "--out", path)
+    code, out, err = _run(capsys, "multiplier", path, "--seed", "7")
+    assert code == 0, err
+    rng = np.random.default_rng(7)
+    expected = {}
+    for label in load_system(path).measure.labels:
+        z = rng.standard_normal() + 1j * rng.standard_normal()
+        z = z / max(1.0, abs(z))
+        expected[label] = [z.real, z.imag]
+    assert json.loads(out)["results"]["symbol"] == expected

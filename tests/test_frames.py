@@ -3,11 +3,19 @@ import pytest
 
 from gframe.algebra import DEFAULT_TOL, AlgebraDescriptor, AlgebraElement, element_norms
 from gframe.errors import InputError, UnsupportedConfigurationError
-from gframe.frames import FrameBounds, GFrameSystem, check_frame, optimal_scalar_bounds
+from gframe.frames import (
+    FrameBounds,
+    GFrameSystem,
+    canonical_dual,
+    check_frame,
+    optimal_scalar_bounds,
+    reconstruction_operator,
+)
 from gframe.generate import random_system
 from gframe.hilbert import AdjointableOperator, ModuleVector, apply_stack, pairing, unstack
 from gframe.measure import MeasureSpace
 from gframe.sampling import complex_gaussian, rand_coords, rand_vector
+from gframe.serialize import load_system, save_system
 
 from conftest import ORACLE_SYSTEMS, brute_force_frame_operator_flat, brute_force_gram
 
@@ -294,9 +302,9 @@ def test_family_defect_independent_of_batching(monkeypatch):
 
     system = random_system(**ORACLE_SYSTEMS[-1])
     ctr = system.controls
-    whole = frames.ControlPair.build(ctr.C, ctr.Cp, system.family).family_defect
+    whole = frames.ControlPair.build(ctr.C, ctr.Cp, system.stacked_family).family_defect
     monkeypatch.setattr(frames, "_BATCH_ENTRIES", 1)
-    one_by_one = frames.ControlPair.build(ctr.C, ctr.Cp, system.family).family_defect
+    one_by_one = frames.ControlPair.build(ctr.C, ctr.Cp, system.stacked_family).family_defect
     assert whole > 1e-3
     assert one_by_one == pytest.approx(whole, rel=1e-13)
 
@@ -315,7 +323,7 @@ def test_lazy_commutation_facts_match_eager_recomputation(kwargs):
 
     scale = max(1.0, two_norm(fc) * two_norm(fcp))
     commute = two_norm(fc @ fcp - fcp @ fc) / scale
-    family = frames._family_commutation_defect(list(system.family.values()), ctr.C, ctr.Cp)
+    family = frames._family_commutation_defect(system.stacked_family, ctr.C, ctr.Cp)
     assert ctr.commute_defect == commute
     assert ctr.family_defect == family
     assert ctr.commute_each_other == (commute <= DEFAULT_TOL)
@@ -344,3 +352,34 @@ def test_stacked_draw_equals_successive_single_draws(kind, shape, unit):
     assert np.array_equal(stacked, np.stack(singles))
     first = rand_vector(desc, 3, np.random.default_rng(4), unit=unit)
     assert np.array_equal(first.coords, singles[0])
+
+
+# Both algebra kinds, commuting and not, with equal and with mixed output ranks.
+STACK_SYSTEMS = ORACLE_SYSTEMS + (dict(seed=27, rank=2, algebra="diagonal", dim=3,
+                                       pad_outputs=True),)
+
+
+@pytest.mark.parametrize("kwargs", STACK_SYSTEMS, ids=_oracle_id)
+def test_decoded_stack_gives_the_mapping_results_bit_for_bit(tmp_path, kwargs):
+    # A loaded system holds the stack decoded from its file; the same system
+    # built from its per-label mapping stacks the members itself.
+    path = str(tmp_path / "system.json")
+    save_system(random_system(**kwargs), path)
+    loaded = load_system(path)
+    ctr = loaded.controls
+    mapped = GFrameSystem(loaded.measure, dict(loaded.family), ctr.C, ctr.Cp)
+    assert loaded.stacked_family.ranks == mapped.stacked_family.ranks
+    if kwargs.get("pad_outputs"):
+        assert len(set(loaded.stacked_family.ranks)) > 1
+    for name in ("uncontrolled_operator", "frame_operator"):
+        assert np.array_equal(getattr(loaded, name).blocks, getattr(mapped, name).blocks), name
+    assert loaded.controls.family_defect == mapped.controls.family_defect
+    if loaded.supports_transform:
+        assert np.array_equal(loaded.analysis_operator.blocks, mapped.analysis_operator.blocks)
+    if loaded.commuting:
+        duals = [canonical_dual(system, samples=5, seed=0) for system in (loaded, mapped)]
+        assert np.array_equal(duals[0].dual.stack.blocks, duals[1].dual.stack.blocks)
+        assert duals[0].operator_residual == duals[1].operator_residual
+        recons = [reconstruction_operator(system, cert.dual)
+                  for system, cert in zip((loaded, mapped), duals)]
+        assert np.array_equal(recons[0].blocks, recons[1].blocks)

@@ -328,10 +328,10 @@ def test_weighted_sum_matches_per_atom_sum_with_mixed_output_ranks(desc):
     right = [rand_operator(desc, 2, m, rng) for m in ranks]
     coeffs = [0.5, 1.5 - 0.25j, 2.0j, 0.75]
     expected = sum(c * (l.flat() @ r.flat().conj().T) for c, l, r in zip(coeffs, left, right))
-    got = weighted_sum(coeffs, left, right).flat()
+    got = weighted_sum(coeffs, ranks, stack(left), stack(right)).flat()
     assert np.linalg.norm(got - expected, 2) <= 1e-13 * np.linalg.norm(expected, 2)
     weights = [0.5, 1.5, 0.25, 2.0]
-    gram = weighted_sum(weights, left)
+    gram = weighted_sum(weights, ranks, stack(left))
     expected = sum(w * (op.flat() @ op.flat().conj().T) for w, op in zip(weights, left))
     assert np.linalg.norm(gram.flat() - expected, 2) <= 1e-13 * np.linalg.norm(expected, 2)
     assert gram.hermitian_defect() <= 1e-14 * gram.norm()
@@ -341,13 +341,17 @@ def test_weighted_sum_rejects_mismatched_members(m2):
     rng = np.random.default_rng(32)
     a, b = rand_operator(m2, 2, 2, rng), rand_operator(m2, 2, 3, rng)
     with pytest.raises(InputError):
-        weighted_sum([], [])
+        weighted_sum([], [], a)
     with pytest.raises(InputError):
-        weighted_sum([1.0], [a], [b])
+        weighted_sum([1.0], [2], a, b)
     with pytest.raises(InputError):
-        weighted_sum([1.0, 1.0], [a, rand_operator(m2, 3, 2, rng)])
+        weighted_sum([1.0], [2], a, rand_operator(m2, 3, 2, rng))
     with pytest.raises(InputError):
-        weighted_sum([1.0], [a], [rand_operator(AlgebraDescriptor("matrix", 3), 2, 2, rng)])
+        weighted_sum([1.0], [2], a, rand_operator(AlgebraDescriptor("matrix", 3), 2, 2, rng))
+    with pytest.raises(InputError):
+        weighted_sum([1.0, 1.0], [1, 1], b)
+    with pytest.raises(InputError):
+        weighted_sum([1.0], [1, 1], a)
 
 
 def test_stack_rejects_mismatched_members(m2):

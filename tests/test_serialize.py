@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gframe.algebra import AlgebraDescriptor, AlgebraElement
+from gframe.cli import main
 from gframe.errors import InputError
 from gframe.generate import random_system, unit_interval_system
 from gframe.hilbert import AdjointableOperator, ModuleVector
@@ -289,3 +290,60 @@ def test_integral_float_ranks_and_dims_accepted():
         set_field(doc, 1.0)
     loaded = system_from_dict(doc)
     assert loaded.module_rank == 1 and loaded.descriptor == AlgebraDescriptor("diagonal", 1)
+
+
+def test_mixed_rank_system_round_trips(tmp_path):
+    system = random_system(**ORACLE_SYSTEMS[4])
+    ranks = system.stacked_family.ranks
+    assert len(set(ranks)) > 1
+    path = str(tmp_path / "mixed.json")
+    save_system(system, path)
+    loaded = load_system(path)
+    assert loaded.stacked_family.ranks == ranks
+    stacks = (loaded.stacked_family.stack, system.stacked_family.stack)
+    assert stacks[0].blocks.tobytes() == stacks[1].blocks.tobytes()
+    for label, op in system.family.items():
+        assert loaded.family[label].blocks.tobytes() == op.blocks.tobytes()
+    assert dump_json(system_to_dict(loaded)) == dump_json(system_to_dict(system))
+
+
+def _count_operators(monkeypatch) -> list:
+    built = []
+    original = AdjointableOperator.__post_init__
+
+    def counted(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(AdjointableOperator, "__post_init__", counted)
+    return built
+
+
+def test_loaded_family_is_built_once_when_read(tmp_path, monkeypatch):
+    path = str(tmp_path / "system.json")
+    save_system(unit_interval_system(2.0, 3.0, 3, 11), path)
+    built = _count_operators(monkeypatch)
+    system = load_system(path)
+    assert len(built) == 3  # the stack and the two controls
+    assert "members" not in vars(system.stacked_family)
+    system.frame_operator
+    assert "members" not in vars(system.stacked_family)
+    before = len(built)
+    family = system.family
+    assert len(built) == before + 11 and list(family) == list(system.measure.labels)
+    assert system.family is family and len(built) == before + 11
+
+
+def test_file_commands_build_no_operator_per_atom(tmp_path, capsys, monkeypatch):
+    counts = []
+    for nodes in (11, 1001):
+        path = str(tmp_path / f"example-{nodes}.json")
+        assert main(["example", "--alpha", "2", "--beta", "3", "--rank", "3",
+                     "--nodes", str(nodes), "--out", path]) == 0
+        built = _count_operators(monkeypatch)
+        for command in ("validate", "bounds", "dual", "multiplier"):
+            assert main([command, path, "--out", str(tmp_path / f"{command}.json")]) == 0
+        counts.append(len(built))
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
+    assert capsys.readouterr().err == ""

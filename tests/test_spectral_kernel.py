@@ -217,6 +217,17 @@ def test_non_finite_spectra_raise_domain_error():
     assert two_norm(np.array([[1e200, 0.0], [0.0, 1.0]])) == 1e200
 
 
+def test_nan_diagonal_spectrum_raises_domain_error():
+    # eigvalsh can return finite values for a Hermitian matrix with NaN on its
+    # diagonal ([[nan, 0], [0, 1]] gives [0, -0] on numpy 2.4), and the spectrum
+    # is read here before anything has read the operator's norm.
+    desc = AlgebraDescriptor("matrix", 2)
+    blocks = np.array([[np.nan, 0.0], [0.0, 1.0]]).reshape(1, 1, 2, 2)
+    nan_diagonal = AdjointableOperator(desc, blocks)
+    with pytest.raises(DomainError):
+        nan_diagonal.eigenvalues_hermitian()
+
+
 def _ord_two_norm_calls(root: Path) -> list:
     """``file:line`` of every ``np.linalg.norm`` call with ord 2 under root."""
     found = []

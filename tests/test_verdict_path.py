@@ -38,7 +38,9 @@ def test_retired_names_stay_gone():
                "min_hermitian_eigenvalues", "extreme_witnesses",
                # The weighted direct sum: stack and unstack are its only model.
                "DirectSumSpace", "DirectSumVector", "direct_sum", "compose_all",
-               "stack_operator", "component_operator", "analysis", "synthesis"}
+               "stack_operator", "component_operator", "analysis", "synthesis",
+               # A family is one stack: no per-atom padding or restacking.
+               "_padded_channels", "_stacked_channels"}
     found = []
     for name, tree in _trees().items():
         for node in ast.walk(tree):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Optional
 
 import numpy as np
@@ -174,16 +175,16 @@ def _family_commutation_defect(family: Family, C: AdjointableOperator,
     """
     controls = (C.channels(), Cp.channels())
     cscales = [tolerance_scale(spectral_norms(ctrl).max()) for ctrl in controls]
-    ranks = np.asarray(family.ranks)
-    step = max(1, _BATCH_ENTRIES * C.in_rank // (controls[0].size * max(ranks.max(), C.in_rank)))
+    ranks = family.ranks
+    step = max(1, _BATCH_ENTRIES * C.in_rank // (controls[0].size * max(max(ranks), C.in_rank)))
     atom, slot = atom_columns(ranks)
     columns = family.stack.blocks.swapaxes(0, 1)
-    ends = np.cumsum(ranks)
+    ends = list(accumulate(ranks))
     worst = 0.0
-    for start in range(0, ranks.size, step):
-        stop = min(start + step, ranks.size)
+    for start in range(0, len(ranks), step):
+        stop = min(start + step, len(ranks))
         cols = slice(ends[start] - ranks[start], ends[stop - 1])
-        padded = np.zeros((stop - start, family.in_rank, ranks[start:stop].max())
+        padded = np.zeros((stop - start, family.in_rank, max(ranks[start:stop]))
                           + columns.shape[2:], dtype=np.complex128)
         padded[atom[cols] - start, :, slot[cols]] = columns[cols]
         members = as_channels(family.descriptor, padded)

@@ -326,7 +326,7 @@ class AdjointableOperator:
         eigs = np.sort(finite_spectrum(np.linalg.eigvalsh, chans), axis=None)
         # eigvalsh can return finite values for a NaN on the diagonal; the
         # trace, which is the sum of the eigenvalues, keeps the NaN.
-        if not math.isfinite(chans.diagonal(axis1=-2, axis2=-1).real.sum()):
+        if not math.isfinite(sum(chans.diagonal(0, -2, -1).real.ravel().tolist())):
             raise DomainError("spectral computation overflowed: entries too large or not finite")
         eigs.setflags(write=False)
         return eigs
@@ -401,30 +401,23 @@ def atom_columns(ranks: Sequence[int]) -> tuple:
 
     Coordinate c of the stack is coordinate slot[c] of member atom[c].
     """
-    ranks = np.asarray(ranks, dtype=np.intp)
-    atom = np.repeat(np.arange(ranks.size), ranks)
-    return atom, np.arange(atom.size) - (np.cumsum(ranks) - ranks)[atom]
+    ranks = np.asarray(ranks)
+    atom = np.arange(ranks.size).repeat(ranks)
+    return atom, np.arange(atom.size) - (ranks.cumsum() - ranks)[atom]
 
 
 def stack(ops: Sequence[AdjointableOperator], scales=None) -> AdjointableOperator:
     """A^n -> A^(m_1 + ... + m_W), with the output coordinates of scales[w] ops[w] in turn.
 
-    With sqrt(w) scales this maps into the weighted direct sum.  The m_w may
-    differ.  The channels are built with a single contiguous copy.
+    With sqrt(w) scales this maps into the weighted direct sum.  The m_w may differ.
     """
     if not ops:
         raise InputError("a stack needs at least one member")
-    descriptor = ops[0].descriptor
     try:
-        if descriptor.kind == MATRIX:
-            cols = np.concatenate([op.blocks.swapaxes(1, 2) for op in ops], axis=2)
-            n, d, m, _ = cols.shape
-            chans = cols.reshape(1, n * d, m * d)
-        else:
-            chans = np.concatenate([op.blocks.transpose(2, 0, 1) for op in ops], axis=2)
+        blocks = np.concatenate([op.blocks for op in ops], axis=1)
     except ValueError as exc:
         raise InputError("stack members must share the algebra and the input rank") from exc
-    t = AdjointableOperator.from_channels(descriptor, chans)
+    t = AdjointableOperator(ops[0].descriptor, blocks)
     return t if scales is None else scale_atoms(t, [op.out_rank for op in ops], scales)
 
 

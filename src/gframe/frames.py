@@ -7,11 +7,12 @@ The twisted Gram of the system at x is the weighted sum of
 is the frame property this module certifies, together with the induced
 frame operator, transforms, duals and multipliers.
 
-A family is held as one stacked operator (``Family``): the unweighted
-``hilbert.stack`` of its members, A^n -> A^(m_1 + ... + m_W), with the atom
-ranks m_w.  Frame operators, transforms, duals, multipliers and the family's
-commutation check are products of that stack; the per-label mapping of
-members is derived from it only when a caller reads it.
+A family is stored in one form (``Family``): the unweighted ``hilbert.stack``
+of its members, A^n -> A^(m_1 + ... + m_W), with the atom ranks m_w.  Frame
+operators, transforms, duals, multipliers and the family's commutation check
+are products of that stack, and so is member-wise algebra: precomposition,
+per-atom scaling, sums and differences of families.  The per-label mapping of
+members is cut from the stack only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -56,28 +57,21 @@ BESSEL_ONLY = "bessel_only"
 class Family:
     """Operators Lambda_w: A^n -> A^{m_w}, one for each atom label, in the measure's order.
 
-    A family is held in one of two forms and derives the other when it is
-    first read, at most once.  ``stack`` is the unweighted ``hilbert.stack`` of
-    the members, A^n -> A^(m_1 + ... + m_W), with ``ranks`` the m_w; every
-    weighted sum, dual and family check reads it.  ``members`` maps each label
-    to its operator, for the theorem rows and the perturbation checks.  A
-    decoded file or a computed dual starts from its stack, a mapping from its
-    members (``Family.of``).
+    A family is held as its stack: the unweighted ``hilbert.stack`` of the
+    members, A^n -> A^(m_1 + ... + m_W), with ``ranks`` the m_w.  Member-wise
+    algebra is stack algebra: ``family @ R`` precomposes every member with R,
+    and ``with_stack`` puts a scaled (``hilbert.scale_atoms``), summed or
+    otherwise computed stack on the same atoms and ranks.  ``members`` maps
+    each label to its operator, cut from the stack when first read.
     """
 
-    def __init__(self, labels, ranks, stack: Optional[AdjointableOperator] = None,
-                 members: Optional[dict] = None):
+    def __init__(self, labels, ranks, stack: AdjointableOperator):
         self.labels, self.ranks = tuple(labels), tuple(ranks)
-        if stack is not None:
-            if len(self.ranks) != len(self.labels) or sum(self.ranks) != stack.out_rank:
-                raise InputError("a stacked family needs one rank per label, summing to "
-                                 "the stack's output rank")
-            self.stack = stack  # the given form fills its cached property
-            first = stack
-        else:
-            self.members = members
-            first = members[self.labels[0]]
-        self.descriptor, self.in_rank = first.descriptor, first.in_rank
+        if len(self.ranks) != len(self.labels) or sum(self.ranks) != stack.out_rank:
+            raise InputError("a stacked family needs one rank per label, summing to "
+                             "the stack's output rank")
+        self.stack = stack
+        self.descriptor, self.in_rank = stack.descriptor, stack.in_rank
 
     @staticmethod
     def of(family, labels) -> "Family":
@@ -89,20 +83,20 @@ class Family:
             return family
         if set(family) != set(labels):
             raise InputError("family labels must match measure atoms exactly")
-        members = {label: family[label] for label in labels}
-        first = members[labels[0]]
-        if any(op.descriptor != first.descriptor or op.in_rank != first.in_rank
-               for op in members.values()):
-            raise InputError("family members must share descriptor and input rank")
-        return Family(labels, [op.out_rank for op in members.values()], members=members)
-
-    @cached_property
-    def stack(self) -> AdjointableOperator:
-        return stack(list(self.members.values()))
+        ops = [family[label] for label in labels]
+        return Family(labels, [op.out_rank for op in ops], stack(ops))
 
     @cached_property
     def members(self) -> dict:
         return dict(zip(self.labels, unstack(self.stack, self.ranks)))
+
+    def with_stack(self, t: AdjointableOperator) -> "Family":
+        """The family on the same atoms and ranks whose stack is t."""
+        return Family(self.labels, self.ranks, t)
+
+    def __matmul__(self, right: AdjointableOperator) -> "Family":
+        """Every member precomposed with ``right``: Lambda_w @ right."""
+        return self.with_stack(self.stack @ right)
 
 
 def _weighted(weights, left: Family, right: Optional[Family] = None) -> AdjointableOperator:
@@ -486,9 +480,7 @@ def canonical_dual(system: GFrameSystem, samples: int = 100, seed: int = 0,
     bounds = optimal_scalar_bounds(system)
     if not bounds.is_frame:
         raise DomainError("system is not a frame; frame operator is singular")
-    family = system.stacked_family
-    dual = Family(family.labels, family.ranks,
-                  stack=family.stack @ system.frame_operator.inverse())
+    dual = system.stacked_family @ system.frame_operator.inverse()
     recon = reconstruction_operator(system, dual)
     sampled, op_res = _reconstruction_residuals(system, recon, samples, seed)
     return DualCertificate(
@@ -569,17 +561,17 @@ def multiplier_report(gamma: Mapping[str, complex], lam, theta, measure: Measure
                       tol: float = DEFAULT_TOL) -> dict:
     """Multiplier with its norm bound and the adjoint identity.
 
-    The enforced norm bound is the product of the symbol sup-norm with the two
-    scalar Bessel constants.  The squared variant of that product is reported
-    alongside for reference, not enforced.  The adjoint is compared against
-    the conjugate-symbol multiplier with the two families exchanged; the
-    unswapped variant is reported as well and flagged when it differs.
-    ``passed`` holds when the norm bound holds and the swapped adjoint
-    identity holds to within 100 tol.
+    The enforced norm bound is the product of the symbol's sup-norm over the
+    measure's atoms with the two scalar Bessel constants.  The squared variant
+    of that product is reported alongside for reference, not enforced.  The
+    adjoint is compared against the conjugate-symbol multiplier with the two
+    families exchanged; the unswapped variant is reported as well and flagged
+    when it differs.  ``passed`` holds when the norm bound holds and the
+    swapped adjoint identity holds to within 100 tol.
     """
     lam, theta = Family.of(lam, measure.labels), Family.of(theta, measure.labels)
     op = multiplier(gamma, lam, theta, measure)
-    sup = max((abs(complex(v)) for v in gamma.values()), default=0.0)
+    sup = max(abs(complex(gamma[label])) for label in measure.labels)
     b_lam = bessel_constant(lam, measure)
     b_theta = bessel_constant(theta, measure)
     bound = sup * b_lam * b_theta

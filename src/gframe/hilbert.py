@@ -16,10 +16,12 @@ roots channel by channel, and spectra come from one batched LAPACK call.
 A family of operators A^n -> A^{m_w} is held as one operator, its stack
 A^n -> A^(m_1 + ... + m_W): the members' output coordinates side by side,
 with the atom ranks m_w saying where each member's columns lie
-(``atom_columns``).  ``stack`` builds it from the members, scaled by
-sqrt(w) when it maps into the weighted direct sum; ``unstack`` cuts a map
-into the direct sum back into its members; ``weighted_sum`` reads stacks
-directly, one GEMM per channel with one weight per atom.
+(``atom_columns``).  ``stack`` builds it from the members and ``unstack``
+cuts it back into them.  Member-wise algebra is stack algebra: precomposing
+every member is one product, ``scale_atoms`` multiplies member w by its own
+scalar (sqrt(w) maps the stack into the weighted direct sum), and sums of
+families are sums of stacks.  ``weighted_sum`` reads stacks directly, one
+GEMM per channel with one weight per atom.
 """
 
 from __future__ import annotations
@@ -406,10 +408,10 @@ def atom_columns(ranks: Sequence[int]) -> tuple:
     return atom, np.arange(atom.size) - (ranks.cumsum() - ranks)[atom]
 
 
-def stack(ops: Sequence[AdjointableOperator], scales=None) -> AdjointableOperator:
-    """A^n -> A^(m_1 + ... + m_W), with the output coordinates of scales[w] ops[w] in turn.
+def stack(ops: Sequence[AdjointableOperator]) -> AdjointableOperator:
+    """A^n -> A^(m_1 + ... + m_W), with the output coordinates of each ops[w] in turn.
 
-    With sqrt(w) scales this maps into the weighted direct sum.  The m_w may differ.
+    The m_w may differ; ``scale_atoms`` with sqrt(w) maps it into the weighted direct sum.
     """
     if not ops:
         raise InputError("a stack needs at least one member")
@@ -417,17 +419,14 @@ def stack(ops: Sequence[AdjointableOperator], scales=None) -> AdjointableOperato
         blocks = np.concatenate([op.blocks for op in ops], axis=1)
     except ValueError as exc:
         raise InputError("stack members must share the algebra and the input rank") from exc
-    t = AdjointableOperator(ops[0].descriptor, blocks)
-    return t if scales is None else scale_atoms(t, [op.out_rank for op in ops], scales)
+    return AdjointableOperator(ops[0].descriptor, blocks)
 
 
-def unstack(t: AdjointableOperator, ranks: Sequence[int], scales=None) -> list:
-    """The pieces A^n -> A^(m_w) of t's output, each divided by its scale: ``stack`` undone."""
-    if sum(ranks) != t.out_rank or (scales is not None and len(scales) != len(ranks)):
-        raise InputError("unstack needs ranks summing to the output rank, and one scale each")
+def unstack(t: AdjointableOperator, ranks: Sequence[int]) -> list:
+    """The pieces A^n -> A^(m_w) of t's output: ``stack`` undone."""
+    if sum(ranks) != t.out_rank:
+        raise InputError("unstack needs ranks summing to the output rank")
     pieces = np.split(t.blocks, np.cumsum(ranks)[:-1], axis=1)
-    if scales is not None:
-        pieces = [piece / scale for piece, scale in zip(pieces, scales)]
     return [AdjointableOperator(t.descriptor, piece) for piece in pieces]
 
 

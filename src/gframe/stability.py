@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import DEFAULT_TOL, AlgebraElement, tolerance_scale
 from .errors import DomainError, InputError
 from .frames import GFrameSystem, certify_window, optimal_scalar_bounds
-from .hilbert import AdjointableOperator, ModuleVector, loewner_gap
+from .hilbert import AdjointableOperator, ModuleVector, loewner_gap, scale_atoms
 from .reports import TheoremReport, frame_line, gap
 from .serialize import vector_to_dict
 
@@ -39,14 +39,15 @@ def _require_pair(sys_a: GFrameSystem, sys_b: GFrameSystem) -> None:
         raise InputError("systems must share the measure")
     if sys_a.descriptor != sys_b.descriptor or sys_a.module_rank != sys_b.module_rank:
         raise InputError("systems must share the module")
-    for label in sys_a.measure.labels:
-        if sys_a.family[label].out_rank != sys_b.family[label].out_rank:
+    for label, m_a, m_b in zip(sys_a.measure.labels, sys_a.stacked_family.ranks,
+                               sys_b.stacked_family.ranks):
+        if m_a != m_b:
             raise InputError(f"output rank mismatch at atom {label!r}")
 
 
 def _difference_system(sys_a: GFrameSystem, sys_b: GFrameSystem) -> GFrameSystem:
-    diff = {label: sys_a.family[label] - sys_b.family[label] for label in sys_a.measure.labels}
-    return sys_a.with_family(diff)
+    family = sys_a.stacked_family
+    return sys_a.with_family(family.with_stack(family.stack - sys_b.stacked_family.stack))
 
 
 def _worst_gap(lhs: AdjointableOperator, rhs: AdjointableOperator) -> tuple:
@@ -107,14 +108,14 @@ def sum_frame_check(sys_frame: GFrameSystem, sys_bessel: GFrameSystem,
     with report.gate():
         report.require(frame_line("first system is a frame", bounds),
                        ("Bessel bound below the lower frame bound", a >= e - tol, max(0.0, e - a)))
-        summed = {label: sys_frame.family[label] + sys_bessel.family[label]
-                  for label in sys_frame.measure.labels}
+        family = sys_frame.stacked_family
+        summed = family.with_stack(family.stack + sys_bessel.stacked_family.stack)
         certify_window(report, sys_frame.with_family(summed), a - e, b + e, tol,
                        "summed window certified")
     return report
 
 
-def weighted_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, AdjointableOperator],
+def weighted_perturbation_check(sys_t: GFrameSystem, family_r,
                                 alpha_w: Mapping[str, float], beta_w: Mapping[str, float],
                                 lam: float, mu: float, seed: int = 0,
                                 tol: float = DEFAULT_TOL) -> TheoremReport:
@@ -126,11 +127,12 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
     [[K_T, K_T # K_R], [K_T # K_R, K_R]] is positive for the geometric mean #; so
     K_D below that suffices (exactly, when K_R is a multiple of K_T).  The witness
     of that test either violates the hypothesis or leaves it undecided.
+    ``family_r`` is a Family or a mapping by atom label.
     """
     if not (0 <= lam < 1 and 0 <= mu < 1):
         raise InputError("weighted check needs constants in [0, 1)")
     report = TheoremReport("STAB-WEIGHTED", tolerance=tol, seed=seed)
-    sys_r = sys_t.with_family(dict(family_r))
+    sys_r = sys_t.with_family(family_r)
     _require_pair(sys_t, sys_r)
     alphas = [float(alpha_w[label]) for label in sys_t.measure.labels]
     betas = [float(beta_w[label]) for label in sys_t.measure.labels]
@@ -139,10 +141,9 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
     bounds = optimal_scalar_bounds(sys_t, tol)
     with report.gate():
         report.require(frame_line("reference system is a frame", bounds))
-        weighted_t = sys_t.with_family({label: float(alpha_w[label]) * op
-                                        for label, op in sys_t.family.items()})
-        weighted_r = sys_t.with_family({label: float(beta_w[label]) * family_r[label]
-                                        for label in sys_t.measure.labels})
+        weighted_t, weighted_r = (
+            sys_t.with_family(family.with_stack(scale_atoms(family.stack, family.ranks, scales)))
+            for family, scales in ((sys_t.stacked_family, alphas), (sys_r.stacked_family, betas)))
         diff = _difference_system(weighted_t, weighted_r)
         k_t, k_r = weighted_t.gram_operator, weighted_r.gram_operator
         root = k_t.sqrt_positive()
@@ -163,7 +164,7 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
     return report
 
 
-def additive_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, AdjointableOperator],
+def additive_perturbation_check(sys_t: GFrameSystem, family_r,
                                 alpha: float, beta: float, kind: str = ADDITIVE,
                                 seed: int = 0, tol: float = DEFAULT_TOL) -> TheoremReport:
     """Additive perturbation with constants measured against the Gram and the inner product.
@@ -172,14 +173,15 @@ def additive_perturbation_check(sys_t: GFrameSystem, family_r: Mapping[str, Adjo
     The corollary kind drops the Gram term and measures the whole distance
     against the inner product alone: K_D <= alpha I.  The certified window uses the
     (1 -+ sqrt(rho)) factors from the two-constant argument; the variant with
-    squared outer factors is reported for reference only.
+    squared outer factors is reported for reference only.  ``family_r`` is a
+    Family or a mapping by atom label.
     """
     if kind not in (ADDITIVE, ADDITIVE_COROLLARY):
         raise InputError(f"additive check got kind {kind!r}")
     if alpha < 0 or (kind == ADDITIVE and beta < 0):
         raise InputError("additive check needs nonnegative constants")
     report = TheoremReport("STAB-ADDITIVE", tolerance=tol, seed=seed)
-    sys_r = sys_t.with_family(dict(family_r))
+    sys_r = sys_t.with_family(family_r)
     _require_pair(sys_t, sys_r)
     bounds = optimal_scalar_bounds(sys_t, tol)
     with report.gate():
@@ -252,11 +254,11 @@ def run_perturbation(kind: str, sys_a: GFrameSystem, sys_b: GFrameSystem, params
     if kind == WEIGHTED:
         labels = sys_a.measure.labels
         return weighted_perturbation_check(
-            sys_a, dict(sys_b.family), _atom_constants(params, "alpha_w", labels),
+            sys_a, sys_b.stacked_family, _atom_constants(params, "alpha_w", labels),
             _atom_constants(params, "beta_w", labels), lam=constant("lambda"), mu=constant("mu"),
             seed=seed, tol=tol)
     if kind in (ADDITIVE, ADDITIVE_COROLLARY):
         return additive_perturbation_check(
-            sys_a, dict(sys_b.family), alpha=constant("alpha"), beta=constant("beta"), kind=kind,
+            sys_a, sys_b.stacked_family, alpha=constant("alpha"), beta=constant("beta"), kind=kind,
             seed=seed, tol=tol)
     raise InputError(f"unknown perturbation kind {kind!r}")

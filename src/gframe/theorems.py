@@ -10,6 +10,11 @@ option set is drawn once and the same system is handed to every row that asks
 for it, so a row derives new systems (``with_family``/``with_controls``) and
 never mutates the one it is given.
 
+Derived families are stack algebra on ``Family``: ``family @ R``, per-atom
+``scale_atoms``, sums of stacks, and ``_components`` of a map into the
+weighted direct sum.  Rows read single members only for a maximum over
+members, a per-member draw, or a member operation that is not a stack product.
+
 A row is a body registered with ``_row``: the runner draws the default
 instance, applies ``break_commutation`` where documented and records the frame
 hypotheses; the body adds its own hypotheses and conclusions.  The first
@@ -38,6 +43,7 @@ from .algebra import (
 )
 from .errors import GFrameError, InputError, UnsupportedConfigurationError
 from .frames import (
+    Family,
     FrameBounds,
     GFrameSystem,
     certify_window,
@@ -50,8 +56,8 @@ from .hilbert import (
     _coord_shape,
     apply_stack,
     pairing,
+    scale_atoms,
     stack,
-    unstack,
     weighted_sum,
 )
 from .measure import MeasureSpace, atom_label
@@ -118,20 +124,20 @@ def _control_commutation(op: AdjointableOperator, system: GFrameSystem) -> float
     return max(_rel_op(op @ ctr.C, ctr.C @ op), _rel_op(op @ ctr.Cp, ctr.Cp @ op))
 
 
-def _stacked(system: GFrameSystem, family: Mapping) -> AdjointableOperator:
-    """A family, in the order of the system's atoms, as one map into its weighted direct sum."""
-    return stack(list(family.values()), np.sqrt(system.measure.weights))
+def _stacked(system: GFrameSystem, family: Family) -> AdjointableOperator:
+    """A family on the system's atoms as one map into its weighted direct sum."""
+    return scale_atoms(family.stack, family.ranks, np.sqrt(system.measure.weights))
 
 
-def _components(system: GFrameSystem, t: AdjointableOperator) -> dict:
-    """Per-atom components of a map into the system's weighted direct sum."""
-    ranks = system.stacked_family.ranks
-    return dict(zip(system.measure.labels, unstack(t, ranks, np.sqrt(system.measure.weights))))
+def _components(system: GFrameSystem, t: AdjointableOperator) -> Family:
+    """The family whose map into the system's weighted direct sum is t."""
+    family = system.stacked_family
+    return family.with_stack(scale_atoms(t, family.ranks, 1.0 / np.sqrt(system.measure.weights)))
 
 
 def _composed(system: GFrameSystem, right: AdjointableOperator) -> GFrameSystem:
     """The system with every member precomposed with ``right``."""
-    return system.with_family({label: op @ right for label, op in system.family.items()})
+    return system.with_family(system.stacked_family @ right)
 
 
 def _right_inverses(t: AdjointableOperator, s_inv: AdjointableOperator,
@@ -148,10 +154,9 @@ def _uncontrolled(system: GFrameSystem) -> GFrameSystem:
 
 
 def _scale_first_member(system: GFrameSystem, factor: float = 2.0) -> GFrameSystem:
-    family = dict(system.family)
-    first = system.measure.labels[0]
-    family[first] = factor * family[first]
-    return system.with_family(family)
+    family = system.stacked_family
+    scales = [factor] + [1.0] * (len(family.ranks) - 1)
+    return system.with_family(family.with_stack(scale_atoms(family.stack, family.ranks, scales)))
 
 
 def _bump_control(system: GFrameSystem, draw: _Draws, generated: bool) -> GFrameSystem:
@@ -428,7 +433,7 @@ def _bessel_composition(row: _Row) -> None:
 def _surjective_synthesis(row: _Row) -> None:
     """A surjective plain synthesis map forces the frame property."""
     system, tol = row.system, row.tol
-    theta = _stacked(system, system.family).adjoint()
+    theta = _stacked(system, system.stacked_family).adjoint()
     sigma, _ = row.bounded_below("synthesis map surjective", theta)
     row.require(*_commute_lines(system))
     bounds = optimal_scalar_bounds(system, tol)
@@ -445,14 +450,13 @@ def _surjective_composition(row: _Row) -> None:
     """Surjectivity of the cross Gram map transfers the frame property."""
     system, tol = row.system, row.tol
     r = rand_invertible_operator(system.descriptor, system.module_rank, _rng(row.seed, 3))
-    gamma = {label: op @ r for label, op in system.family.items()}
     family = system.stacked_family
-    f_op = weighted_sum(system.measure.weights, family.ranks, family.stack,
-                        stack(list(gamma.values())))
+    gamma = family @ r
+    f_op = weighted_sum(system.measure.weights, family.ranks, family.stack, gamma.stack)
     row.bounded_below("cross Gram map surjective", f_op)
     k_op = _stacked(system, gamma).adjoint()
     row.conclude(within("factors through plain transform and synthesis",
-                        _rel_op(f_op, k_op @ _stacked(system, system.family)), 10 * tol),
+                        _rel_op(f_op, k_op @ _stacked(system, family)), 10 * tol),
                  frame_line("second family is a frame", row.scalar_bounds(
                      system.with_family(gamma), "scalar bounds apply to the second family")))
 
@@ -565,7 +569,7 @@ def _left_composition(row: _Row) -> None:
     """Composing every member on the left with an invertible map keeps the frame."""
     system = row.system
     row.require(_uniform_rank_line(system))
-    theta = row.invertible("theta_left", 6, system.family[system.measure.labels[0]].out_rank)
+    theta = row.invertible("theta_left", 6, system.stacked_family.ranks[0])
     low, high = row.bounded_below("left factor invertible", theta)
     left = system.with_family({label: theta @ op for label, op in system.family.items()})
     _certify_transported(row, left, low, high)
@@ -594,8 +598,8 @@ def _dual_similarity(row: _Row) -> None:
     row.bounded_below("similarity operator invertible", q)
     sys_q = _composed(system, q.adjoint())
     s_q_inv, s_inv = sys_q.frame_operator.inverse(), system.frame_operator.inverse()
-    forward = {label: op @ s_q_inv @ q for label, op in sys_q.family.items()}
-    backward = {label: op @ s_inv @ q.inverse() for label, op in system.family.items()}
+    forward = sys_q.stacked_family @ s_q_inv @ q
+    backward = system.stacked_family @ s_inv @ q.inverse()
     row.conclude(
         within("dual of the composed family transfers back",
                _identity_residual(reconstruction_operator(system, forward)), 100 * tol),
@@ -626,16 +630,16 @@ def _operator_dual_correspondence(row: _Row) -> None:
     row.bounded_below("companion operator invertible", k)
     row.bounded_below("similarity operator invertible", q)
     s_inv, k_inv = system.frame_operator.inverse(), k.inverse()
-    gamma = {label: op @ s_inv @ k_inv for label, op in system.family.items()}
+    gamma = system.stacked_family @ s_inv @ k_inv
     row.require(within("operator dual identity holds",
                        _identity_residual(reconstruction_operator(system, gamma, k)), 100 * tol))
     k_checked = row.checked(k)
     q_adj, q_inv = q.adjoint(), q.inverse()
     sys_q = _composed(system, q_adj)
-    gamma_q = {label: op @ q_adj for label, op in gamma.items()}
+    gamma_q = gamma @ q_adj
     forward = reconstruction_operator(sys_q, gamma_q, q_adj.inverse() @ k_checked @ q_inv)
     s_q_inv = sys_q.frame_operator.inverse()
-    back = {label: op @ s_q_inv @ k_inv @ q_adj for label, op in sys_q.family.items()}
+    back = sys_q.stacked_family @ s_q_inv @ k_inv @ q_adj
     backward = reconstruction_operator(system, back, q_adj.inverse() @ k_checked @ q)
     row.conclude(within("transferred dual with conjugated operator",
                         _identity_residual(forward), 100 * tol),
@@ -681,19 +685,17 @@ def _submodule(row: _Row) -> None:
     sys_full, k, r = _block_diag_system(row.seed)
     desc, n = sys_full.descriptor, sys_full.module_rank
     if row.mutant == BREAK_COMMUTATION:  # couple the first member across the split
-        first = sys_full.measure.labels[0]
-        blocks = sys_full.family[first].blocks.copy()
+        family = sys_full.stacked_family
+        blocks = family.stack.blocks.copy()  # the first member's columns come first
         blocks[0, r] = 0.5 * AlgebraElement.one(desc).data
-        sys_full = sys_full.with_family({**sys_full.family,
-                                         first: AdjointableOperator(desc, blocks)})
+        sys_full = sys_full.with_family(family.with_stack(AdjointableOperator(desc, blocks)))
     row.report.info["instance"] = _describe(sys_full, True)
     row.report.info["submodule_rank"] = r
     row.frame_hypotheses(sys_full)
     s_inv = sys_full.frame_operator.inverse()
     inclusion = _padding_isometry(desc, r, n)
     projection = inclusion.adjoint()
-    sys_r = GFrameSystem(sys_full.measure,
-                         {label: op @ inclusion for label, op in sys_full.family.items()},
+    sys_r = GFrameSystem(sys_full.measure, sys_full.stacked_family @ inclusion,
                          projection @ sys_full.controls.C @ inclusion,
                          projection @ sys_full.controls.Cp @ inclusion)
     s_r_inv_p = sys_r.frame_operator.inverse() @ projection
@@ -709,10 +711,10 @@ def _submodule(row: _Row) -> None:
                max(_rel_op(s_r_inv_p @ op.adjoint(), projection @ s_inv @ op.adjoint())
                    for op in sys_full.family.values()), 1e-6))
     k_inv = k.inverse()
-    gamma = {label: op @ s_inv @ k_inv for label, op in sys_full.family.items()}
+    gamma = sys_full.stacked_family @ s_inv @ k_inv
     row.require(within("operator dual identity on the full module",
                        _identity_residual(reconstruction_operator(sys_full, gamma, k)), 100 * tol))
-    gamma_r = {label: op @ inclusion for label, op in gamma.items()}
+    gamma_r = gamma @ inclusion
     restricted = reconstruction_operator(sys_r, gamma_r, projection @ k @ inclusion)
     row.conclude(frame_line("restricted family is a frame for the submodule",
                             optimal_scalar_bounds(sys_r, tol)),
@@ -728,14 +730,14 @@ def _mutual_duality(row: _Row) -> None:
     system, tol = row.system, row.tol
     k, s_inv = row.invertible("K", 13), system.frame_operator.inverse()
     k_inv = k.inverse()
-    gamma = {label: op @ s_inv @ k_inv for label, op in system.family.items()}
+    gamma = system.stacked_family @ s_inv @ k_inv
     sys_gamma = system.with_family(gamma)
     gamma_bounds = row.scalar_bounds(sys_gamma, "both families Bessel")
     row.require(within("reconstruction identity",
                        _identity_residual(reconstruction_operator(system, gamma, k)), 100 * tol),
                 ("both families Bessel", np.isfinite(gamma_bounds.scalar_upper), 0.0))
     floor = (_singular_range(k_inv)[0] / system.analysis_operator.norm()) ** 2
-    converse = reconstruction_operator(sys_gamma, dict(system.family), row.checked(k).adjoint())
+    converse = reconstruction_operator(sys_gamma, system.stacked_family, row.checked(k).adjoint())
     row.conclude(gap("second family frame with the derived lower bound",
                      floor - gamma_bounds.scalar_lower ** 2, tol * tolerance_scale(floor)),
                  within("first family is a dual with the adjoint companion",
@@ -786,11 +788,9 @@ def _midpoint_dual(row: _Row) -> None:
     row.require(within("starting family is an operator dual",
                        _identity_residual(reconstruction_operator(system, gamma, k_tilde)), 1e-6))
     v = _central_element(desc, _rng(row.seed, 18))
-    k_tilde_inv = k_tilde.inverse()
-    midpoint = {}
-    for label, gam in gamma.items():
-        mv = AdjointableOperator.central_multiplier(desc, gam.out_rank, v)
-        midpoint[label] = mv @ gam + mv @ (system.family[label] @ s_inv @ k_tilde_inv)
+    mv = AdjointableOperator.central_multiplier(desc, t.out_rank, v)
+    canonical = system.stacked_family @ s_inv @ k_tilde.inverse()
+    midpoint = gamma.with_stack(mv @ gamma.stack + mv @ canonical.stack)
     companion = 0.5 * (AdjointableOperator.central_multiplier(desc, n, v.invert())
                        @ row.checked(k_tilde))
     row.conclude(within("midpoint family is an operator dual with the halved companion",
@@ -802,8 +802,8 @@ def _midpoint_dual(row: _Row) -> None:
 def _bessel_parametrization(row: _Row) -> None:
     """Bessel families are exactly the componentwise restrictions of one map."""
     system, tol = row.system, row.tol
-    stacked = _stacked(system, system.family)
-    plain = _components(system, stacked)
+    stacked = _stacked(system, system.stacked_family)
+    plain = _components(system, stacked).members
     row.conclude(within("family recovered from its own transform",
                         max(_rel_op(plain[label], op) for label, op in system.family.items()),
                         10 * tol))
@@ -848,24 +848,23 @@ def _dual_parametrization(row: _Row) -> None:
     desc, n, labels = system.descriptor, system.module_rank, system.measure.labels
     k, c, s_inv = row.invertible("K", 22), system.controls.C, system.frame_operator.inverse()
     rng = _rng(row.seed, 23)
-    bessel = {label: rand_operator(desc, n, system.family[label].out_rank, rng) for label in labels}
-    right_inverse = _right_inverses(system.analysis_operator, s_inv, k)
-    constructed = _components(system, right_inverse(
-        _stacked(system, {label: op @ c for label, op in bessel.items()})))
     family = system.stacked_family
-    cross = c @ weighted_sum(system.measure.weights, family.ranks,
-                             stack(list(bessel.values())), family.stack) @ c
+    bessel = family.with_stack(stack([rand_operator(desc, n, m, rng) for m in family.ranks]))
+    right_inverse = _right_inverses(system.analysis_operator, s_inv, k)
+    bessel_c = bessel @ c
+    constructed = _components(system, right_inverse(_stacked(system, bessel_c)))
+    cross = c @ weighted_sum(system.measure.weights, family.ranks, bessel.stack, family.stack) @ c
     tail = c @ s_inv @ (k.inverse() - cross)
-    formula = {label: op @ tail + bessel[label] @ c for label, op in system.family.items()}
-    formula_defect = max(_rel_op(constructed[label], formula[label]) for label in labels)
-    replay = _components(system, right_inverse(_stacked(system, constructed)))
+    formula = family.with_stack((family @ tail).stack + bessel_c.stack).members
+    formula_defect = max(_rel_op(constructed.members[label], formula[label]) for label in labels)
+    replay = _components(system, right_inverse(_stacked(system, constructed))).members
     row.conclude(
         within("construction matches the displayed formula", formula_defect, 1e-6),
         within("constructed family is an operator dual",
                _identity_residual(reconstruction_operator(system, constructed, k @ c.inverse())),
                1e-6),
         within("given dual reproduces itself through the parametrization",
-               max(_rel_op(replay[label], constructed[label]) for label in labels), 1e-6))
+               max(_rel_op(replay[label], constructed.members[label]) for label in labels), 1e-6))
 
 
 @_row("ANY-FRAME-CONTROLLED", _drawn(), frame=None)

@@ -27,6 +27,19 @@ ORACLE_SYSTEMS = (
 )
 
 
+def count_operators(monkeypatch) -> list:
+    """A list that grows by one for every AdjointableOperator built from now on."""
+    built = []
+    original = AdjointableOperator.__post_init__
+
+    def counted(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(AdjointableOperator, "__post_init__", counted)
+    return built
+
+
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Triple-loop matrix product."""
     n, m = a.shape[0], b.shape[1]

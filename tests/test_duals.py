@@ -122,6 +122,19 @@ def test_multiplier_adjoint_and_bound():
     assert rep["bound_squared"] >= rep["bound_product"] ** 2 / max(1.0, rep["bound_product"]) - 1e-12
 
 
+def test_multiplier_bound_ignores_symbol_values_off_the_atoms():
+    # The symbol's sup-norm is taken over the measure's atoms only: an entry for
+    # a label that is not an atom must not inflate the enforced norm bound.
+    system = unit_interval_system(2, 3, 2, 5)
+    ones = {label: 1.0 for label in system.measure.labels}
+    plain = multiplier_report(ones, system.family, system.family, system.measure)
+    extra = multiplier_report({**ones, "extra": 1e6}, system.family, system.family,
+                              system.measure)
+    assert round(plain["bound_product"], 3) == 0.333
+    assert extra["bound_product"] == plain["bound_product"]
+    assert extra["op_norm"] == plain["op_norm"]
+
+
 def test_multiplier_matches_flatten_oracle():
     system = random_system(1, commuting=True)
     family = dict(system.family)

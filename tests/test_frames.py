@@ -1,9 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from gframe import theorems
 from gframe.algebra import DEFAULT_TOL, AlgebraDescriptor, AlgebraElement, element_norms
 from gframe.errors import InputError, UnsupportedConfigurationError
 from gframe.frames import (
+    Family,
     FrameBounds,
     GFrameSystem,
     canonical_dual,
@@ -12,12 +16,24 @@ from gframe.frames import (
     reconstruction_operator,
 )
 from gframe.generate import random_system
-from gframe.hilbert import AdjointableOperator, ModuleVector, apply_stack, pairing, unstack
+from gframe.hilbert import (
+    AdjointableOperator,
+    ModuleVector,
+    apply_stack,
+    pairing,
+    scale_atoms,
+    unstack,
+)
 from gframe.measure import MeasureSpace
-from gframe.sampling import complex_gaussian, rand_coords, rand_vector
+from gframe.sampling import complex_gaussian, rand_coords, rand_operator, rand_vector
 from gframe.serialize import load_system, save_system
 
-from conftest import ORACLE_SYSTEMS, brute_force_frame_operator_flat, brute_force_gram
+from conftest import (
+    ORACLE_SYSTEMS,
+    brute_force_frame_operator_flat,
+    brute_force_gram,
+    count_operators,
+)
 
 
 def test_gram_identity_frame(identity_system, m2):
@@ -383,3 +399,70 @@ def test_decoded_stack_gives_the_mapping_results_bit_for_bit(tmp_path, kwargs):
         recons = [reconstruction_operator(system, cert.dual)
                   for system, cert in zip((loaded, mapped), duals)]
         assert np.array_equal(recons[0].blocks, recons[1].blocks)
+
+
+# One seed per algebra kind whose members have mixed output ranks.
+MIXED_RANK_SYSTEMS = (dict(seed=45, algebra="matrix", pad_outputs=True),
+                      dict(seed=45, algebra="diagonal", pad_outputs=True))
+
+
+def _rel_flat(got: np.ndarray, expected: np.ndarray) -> float:
+    return np.linalg.norm(got - expected, 2) / np.linalg.norm(expected, 2)
+
+
+def test_family_is_built_from_labels_ranks_and_stack():
+    assert list(inspect.signature(Family).parameters) == ["labels", "ranks", "stack"]
+
+
+@pytest.mark.parametrize("kwargs", MIXED_RANK_SYSTEMS, ids=_oracle_id)
+def test_family_from_mapping_holds_its_stack_and_cuts_members_once(kwargs, monkeypatch):
+    system = random_system(**kwargs)
+    ops = dict(system.family)
+    family = Family.of(ops, system.measure.labels)
+    assert "stack" in vars(family) and "members" not in vars(family)
+    assert family.ranks == tuple(op.out_rank for op in ops.values())
+    assert len(set(family.ranks)) > 1
+    built = count_operators(monkeypatch)
+    members = family.members
+    assert len(built) == len(ops)
+    assert family.members is members and len(built) == len(ops)
+    assert list(members) == list(system.measure.labels)
+    for label, op in ops.items():
+        assert np.array_equal(members[label].blocks, op.blocks)
+
+
+@pytest.mark.parametrize("kwargs", MIXED_RANK_SYSTEMS, ids=_oracle_id)
+def test_member_wise_algebra_is_stack_algebra(kwargs):
+    # Precomposition, per-atom scaling, sums and differences on the stack match
+    # the per-member computation on the flattening oracle.
+    system = random_system(**kwargs)
+    family, desc, n = system.stacked_family, system.descriptor, system.module_rank
+    assert len(set(family.ranks)) > 1
+    rng = np.random.default_rng(46)
+    r = rand_operator(desc, n, n, rng)
+    other = Family.of({label: rand_operator(desc, n, m, rng)
+                       for label, m in zip(family.labels, family.ranks)}, family.labels)
+    scales = complex_gaussian(rng, (len(family.ranks),))
+    composed = (family @ r).members
+    scaled = family.with_stack(scale_atoms(family.stack, family.ranks, scales)).members
+    summed = family.with_stack(family.stack + other.stack).members
+    difference = family.with_stack(family.stack - other.stack).members
+    for scale, (label, op) in zip(scales, family.members.items()):
+        flat, flat_other = op.flat(), other.members[label].flat()
+        assert _rel_flat(composed[label].flat(), r.flat() @ flat) <= 1e-13
+        assert _rel_flat(scaled[label].flat(), scale * flat) <= 1e-13
+        assert _rel_flat(summed[label].flat(), flat + flat_other) <= 1e-13
+        assert _rel_flat(difference[label].flat(), flat - flat_other) <= 1e-13
+
+
+def test_precomposing_a_family_builds_a_fixed_number_of_operators(monkeypatch):
+    counts = []
+    for atoms in (4, 40):
+        system = random_system(7, rank=2, atoms=atoms, algebra="matrix", dim=2)
+        r = rand_operator(system.descriptor, 2, 2, np.random.default_rng(8))
+        built = count_operators(monkeypatch)
+        composed = theorems._composed(system, r)
+        counts.append(len(built))
+        monkeypatch.undo()
+        assert composed.stacked_family.ranks == system.stacked_family.ranks
+    assert counts[0] == counts[1]

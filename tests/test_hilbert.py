@@ -11,6 +11,7 @@ from gframe.hilbert import (
     loewner_gap,
     pairing,
     positive_part_checks,
+    scale_atoms,
     stack,
     unstack,
     weighted_sum,
@@ -288,16 +289,17 @@ def test_spectral_data_is_kept_and_read_only(m2):
 
 def test_direct_sum_stack_round_trip():
     # unstack inverts stack for mixed output ranks in both algebra kinds, and the
-    # sqrt(w)-scaled stack carries the weighted direct-sum inner product.
+    # stack scaled by sqrt(w) (scale_atoms) carries the weighted direct-sum inner
+    # product; scaling by 1/sqrt(w) and unstacking gives the members back.
     rng = np.random.default_rng(39)
     ranks, weights = (2, 1, 3), (0.5, 2.0, 1.25)
     scales = np.sqrt(weights)
     for desc in (AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)):
         ops = [rand_operator(desc, 3, m, rng) for m in ranks]
-        stacked = stack(ops, scales)
+        stacked = scale_atoms(stack(ops), ranks, scales)
         expected = np.concatenate([scale * op.flat() for scale, op in zip(scales, ops)], axis=1)
         assert np.array_equal(stacked.flat(), expected)
-        for back, op in zip(unstack(stacked, ranks, scales), ops):
+        for back, op in zip(unstack(scale_atoms(stacked, ranks, 1.0 / scales), ranks), ops):
             assert back.blocks.shape == op.blocks.shape
             assert (back - op).norm() <= 1e-15 * op.norm()
         for back, op in zip(unstack(stack(ops), ranks), ops):
@@ -314,7 +316,7 @@ def test_direct_sum_operator_components(m2):
     ops = [rand_operator(m2, 3, 2, rng), rand_operator(m2, 3, 2, rng)]
     scales = np.sqrt([0.5, 2.0])
     x = rand_coords(m2, 3, rng, 4)
-    pieces = np.split(apply_stack(stack(ops, scales), x), [2], axis=1)
+    pieces = np.split(apply_stack(scale_atoms(stack(ops), [2, 2], scales), x), [2], axis=1)
     for piece, scale, op in zip(pieces, scales, ops):
         assert np.max(np.abs(piece / scale - apply_stack(op, x))) <= 1e-13
 
@@ -365,13 +367,13 @@ def test_stack_rejects_mismatched_members(m2):
         stack([a, rand_operator(AlgebraDescriptor("matrix", 3), 3, 1, rng)])
     with pytest.raises(InputError):
         stack([a, rand_operator(AlgebraDescriptor("diagonal", 2), 3, 1, rng)])
-    with pytest.raises(InputError):
-        stack([a, b], [1.0])
     stacked = stack([a, b])
+    with pytest.raises(InputError):
+        scale_atoms(stacked, [1, 2], [1.0])
     with pytest.raises(InputError):
         unstack(stacked, [1, 1])
     with pytest.raises(InputError):
-        unstack(stacked, [1, 2], [1.0])
+        scale_atoms(stacked, [1, 2], [1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],

@@ -23,7 +23,7 @@ from gframe.serialize import (
     vector_to_dict,
 )
 
-from conftest import ORACLE_SYSTEMS
+from conftest import ORACLE_SYSTEMS, count_operators
 
 
 def test_element_round_trip():
@@ -307,22 +307,10 @@ def test_mixed_rank_system_round_trips(tmp_path):
     assert dump_json(system_to_dict(loaded)) == dump_json(system_to_dict(system))
 
 
-def _count_operators(monkeypatch) -> list:
-    built = []
-    original = AdjointableOperator.__post_init__
-
-    def counted(self):
-        built.append(1)
-        original(self)
-
-    monkeypatch.setattr(AdjointableOperator, "__post_init__", counted)
-    return built
-
-
 def test_loaded_family_is_built_once_when_read(tmp_path, monkeypatch):
     path = str(tmp_path / "system.json")
     save_system(unit_interval_system(2.0, 3.0, 3, 11), path)
-    built = _count_operators(monkeypatch)
+    built = count_operators(monkeypatch)
     system = load_system(path)
     assert len(built) == 3  # the stack and the two controls
     assert "members" not in vars(system.stacked_family)
@@ -340,7 +328,7 @@ def test_file_commands_build_no_operator_per_atom(tmp_path, capsys, monkeypatch)
         path = str(tmp_path / f"example-{nodes}.json")
         assert main(["example", "--alpha", "2", "--beta", "3", "--rank", "3",
                      "--nodes", str(nodes), "--out", path]) == 0
-        built = _count_operators(monkeypatch)
+        built = count_operators(monkeypatch)
         for command in ("validate", "bounds", "dual", "multiplier"):
             assert main([command, path, "--out", str(tmp_path / f"{command}.json")]) == 0
         counts.append(len(built))

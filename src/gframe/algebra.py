@@ -1,9 +1,14 @@
-"""Finite-dimensional C*-algebra scalars.
+"""Finite-dimensional C*-algebras, their elements, and the one channel kernel.
 
-Two kinds of algebra are supported: the full matrix algebra M_d(C) and the
-diagonal algebra C^k (componentwise product).  Elements of either kind carry
-their descriptor, and every operation checks descriptor compatibility.  All
-values are immutable; operations are pure functions.
+The algebra is M_d(C) or the diagonal C^k, and this is the only module that
+knows how a kind is laid out.  An element's data has the descriptor's
+``shape``, (d, d) or (k,); module vectors and operators hold one such block
+per coordinate.  ``as_channels`` reads blocks as per-channel matrices, the
+flattening for M_d and k matrices for C^k (k independent copies of C), and
+``from_channels`` undoes it.  An element is a 1 x 1 block, channels (1, d, d)
+or (k, 1, 1), so elements and operators share the spectral functions of a
+channel stack, and each LAPACK call in them goes through ``finite_spectrum``.
+Values are immutable and check that their descriptors agree.
 """
 
 from __future__ import annotations
@@ -52,166 +57,41 @@ class AlgebraDescriptor:
         if self.dim < 1:
             raise InputError("algebra dimension must be >= 1")
 
+    @functools.cached_property
+    def shape(self) -> tuple:
+        """The shape of an element's data: (d, d) for M_d, (k,) for C^k."""
+        return (self.dim, self.dim) if self.kind == MATRIX else (self.dim,)
+
     @property
     def entry_count(self) -> int:
-        return self.dim * self.dim if self.kind == MATRIX else self.dim
+        return math.prod(self.shape)
 
 
-def _check_same(a: "AlgebraElement", b: "AlgebraElement") -> None:
-    if a.descriptor != b.descriptor:
-        raise InputError(
-            f"algebra mismatch: {a.descriptor} vs {b.descriptor}"
-        )
+def channel_layout(descriptor: AlgebraDescriptor) -> tuple:
+    """(number of channels, rows and columns per module coordinate in a channel)."""
+    if descriptor.kind == MATRIX:
+        return 1, descriptor.dim
+    return descriptor.dim, 1
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraElement:
-    """One element of a finite-dimensional C*-algebra.
+def as_channels(descriptor: AlgebraDescriptor, blocks: np.ndarray) -> np.ndarray:
+    """(..., n, m) + element shape -> (..., 1, n d, m d) for M_d, (..., k, n, m) for C^k."""
+    if descriptor.kind == MATRIX:
+        *lead, n, m, d, _ = blocks.shape
+        return blocks.swapaxes(-3, -2).reshape(*lead, 1, n * d, m * d)
+    return blocks.swapaxes(-1, -2).swapaxes(-2, -3)
 
-    ``data`` is a (d, d) complex array for the matrix kind and a length-k
-    complex vector for the diagonal kind.
-    """
 
-    descriptor: AlgebraDescriptor
-    data: np.ndarray
+def from_channels(descriptor: AlgebraDescriptor, chans: np.ndarray) -> np.ndarray:
+    """Inverse of ``as_channels``: (..., c, rows, cols) -> (..., n, m) + element shape."""
+    if descriptor.kind == MATRIX:
+        d = descriptor.dim
+        *lead, _, rows, cols = chans.shape
+        return chans.reshape(*lead, rows // d, d, cols // d, d).swapaxes(-3, -2)
+    return chans.swapaxes(-3, -2).swapaxes(-2, -1)
 
-    def __post_init__(self):
-        d = self.descriptor
-        want = (d.dim, d.dim) if d.kind == MATRIX else (d.dim,)
-        arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.shape != want:
-            raise InputError(f"entry shape {arr.shape} does not match {want}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(descriptor: AlgebraDescriptor) -> "AlgebraElement":
-        shape = (descriptor.dim, descriptor.dim) if descriptor.kind == MATRIX else (descriptor.dim,)
-        return AlgebraElement(descriptor, np.zeros(shape, dtype=np.complex128))
-
-    @staticmethod
-    def one(descriptor: AlgebraDescriptor) -> "AlgebraElement":
-        if descriptor.kind == MATRIX:
-            return AlgebraElement(descriptor, np.eye(descriptor.dim, dtype=np.complex128))
-        return AlgebraElement(descriptor, np.ones(descriptor.dim, dtype=np.complex128))
-
-    @staticmethod
-    def scalar(descriptor: AlgebraDescriptor, value: complex) -> "AlgebraElement":
-        """value times the unit element."""
-        return AlgebraElement.one(descriptor) * complex(value)
-
-    @staticmethod
-    def diag(values: Iterable[complex]) -> "AlgebraElement":
-        vals = np.asarray(list(values), dtype=np.complex128)
-        return AlgebraElement(AlgebraDescriptor(DIAGONAL, len(vals)), vals)
-
-    @staticmethod
-    def matrix(rows) -> "AlgebraElement":
-        arr = np.asarray(rows, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InputError("matrix element must be square")
-        return AlgebraElement(AlgebraDescriptor(MATRIX, arr.shape[0]), arr)
-
-    # -- ring structure ----------------------------------------------------
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_same(self, other)
-        return AlgebraElement(self.descriptor, self.data + other.data)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_same(self, other)
-        return AlgebraElement(self.descriptor, self.data - other.data)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.descriptor, -self.data)
-
-    def __mul__(self, other):
-        """Algebra product, or scaling by a complex number."""
-        if isinstance(other, AlgebraElement):
-            _check_same(self, other)
-            if self.descriptor.kind == MATRIX:
-                return AlgebraElement(self.descriptor, self.data @ other.data)
-            return AlgebraElement(self.descriptor, self.data * other.data)
-        if isinstance(other, (int, float, complex, np.number)):
-            return AlgebraElement(self.descriptor, self.data * complex(other))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, np.number)):
-            return AlgebraElement(self.descriptor, complex(other) * self.data)
-        return NotImplemented
-
-    # -- involution, norm, order -------------------------------------------
-
-    def adjoint(self) -> "AlgebraElement":
-        if self.descriptor.kind == MATRIX:
-            return AlgebraElement(self.descriptor, self.data.conj().T)
-        return AlgebraElement(self.descriptor, self.data.conj())
-
-    def _finite_matrix(self) -> np.ndarray:
-        if not np.all(np.isfinite(self.data)):
-            raise DomainError("non-finite entries")
-        return self.data
-
-    def norm(self) -> float:
-        """C*-norm: largest singular value (matrix) or max modulus (diagonal)."""
-        if self.descriptor.kind == MATRIX:
-            return float(two_norm(self._finite_matrix()))
-        return float(np.max(np.abs(self.data)))
-
-    def hermitian_defect(self) -> float:
-        return (self - self.adjoint()).norm()
-
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.hermitian_defect() <= tol * tolerance_scale(self.norm())
-
-    def eigenvalues_hermitian(self) -> np.ndarray:
-        """Real spectrum of the Hermitian part, ascending."""
-        if self.descriptor.kind == MATRIX:
-            h = 0.5 * (self.data + self.data.conj().T)
-            return np.linalg.eigvalsh(h)
-        return np.sort(self.data.real)
-
-    def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        """Hermitian within tol with spectrum bounded below by -tol * tolerance_scale(norm)."""
-        if not self.is_hermitian(tol):
-            return False
-        thresh = tol * tolerance_scale(self.norm())
-        return bool(self.eigenvalues_hermitian()[0] >= -thresh)
-
-    def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
-        """Positive square root via spectral decomposition, negative eigenvalues clamped."""
-        if not self.is_positive(tol):
-            raise DomainError("square root requires a positive element")
-        if self.descriptor.kind == MATRIX:
-            h = 0.5 * (self.data + self.data.conj().T)
-            vals, vecs = np.linalg.eigh(h)
-            vals = np.clip(vals, 0.0, None)
-            root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-            return AlgebraElement(self.descriptor, root)
-        vals = np.clip(self.data.real, 0.0, None)
-        return AlgebraElement(self.descriptor, np.sqrt(vals).astype(np.complex128))
-
-    def invert(self) -> "AlgebraElement":
-        """Inverse, refused when the condition number exceeds DEFAULT_COND_CAP."""
-        if self.descriptor.kind == MATRIX:
-            svals = np.linalg.svd(self._finite_matrix(), compute_uv=False)
-            sigma_min, scale = float(svals[-1]), float(svals[0])
-        else:
-            moduli = np.abs(self.data)
-            sigma_min, scale = float(np.min(moduli)), float(np.max(moduli))
-        if sigma_min <= 0.0 or sigma_min < scale / DEFAULT_COND_CAP:
-            cond = np.inf if sigma_min == 0.0 else scale / sigma_min
-            raise DomainError(
-                f"element is singular or ill-conditioned (condition estimate {cond:.3e})"
-            )
-        if self.descriptor.kind == MATRIX:
-            return AlgebraElement(self.descriptor, np.linalg.inv(self.data))
-        return AlgebraElement(self.descriptor, 1.0 / self.data)
-
+# -- the spectral kernel: functions of a (channels, rows, cols) stack ----------
 
 def finite_spectrum(routine, mats: np.ndarray, **options):
     """``routine(mats, **options)``, a numpy.linalg spectral routine, or a DomainError.
@@ -240,11 +120,192 @@ def two_norm(mats: np.ndarray):
     return finite_spectrum(np.linalg.svd, mats, compute_uv=False)[..., 0]
 
 
+def hermitian_transpose(chans: np.ndarray) -> np.ndarray:
+    return chans.conj().swapaxes(-1, -2)
+
+
+def hermitian_part(chans: np.ndarray) -> np.ndarray:
+    return 0.5 * (chans + hermitian_transpose(chans))
+
+
+def singular_values(chans: np.ndarray) -> np.ndarray:
+    """Descending singular values over all channels: for C^k the k spectra together."""
+    return np.sort(finite_spectrum(np.linalg.svd, chans, compute_uv=False), axis=None)[::-1]
+
+
+def hermitian_defect(chans: np.ndarray) -> float:
+    """The norm of T - T*: the largest channel 2-norm of the difference."""
+    return float(two_norm(chans - hermitian_transpose(chans)).max())
+
+
+def eigenvalues_hermitian(chans: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of the Hermitian part over all channels."""
+    herm = hermitian_part(chans)
+    eigs = np.sort(finite_spectrum(np.linalg.eigvalsh, herm), axis=None)
+    # eigvalsh can return finite values for a NaN on the diagonal; the
+    # trace, which is the sum of the eigenvalues, keeps the NaN.
+    if not math.isfinite(sum(herm.diagonal(0, -2, -1).real.ravel().tolist())):
+        raise DomainError("spectral computation overflowed: entries too large or not finite")
+    return eigs
+
+
+def inverse(chans: np.ndarray, svals: np.ndarray, what: str) -> np.ndarray:
+    """Inverse channel by channel, refused beyond condition number DEFAULT_COND_CAP.
+
+    ``svals`` are the stack's ``singular_values``; ``what`` names it in the error.
+    """
+    if svals[-1] <= 0.0 or svals[-1] < svals[0] / DEFAULT_COND_CAP:
+        cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
+        raise DomainError(f"{what} is singular or ill-conditioned (condition estimate {cond:.3e})")
+    return np.linalg.inv(chans)
+
+
+def sqrt_positive(chans: np.ndarray, norm: float, defect: float, tol: float,
+                  what: str) -> np.ndarray:
+    """Positive square root channel by channel, negative eigenvalues clamped.
+
+    The stack must be positive: its Hermitian defect (``defect``) and the
+    negative part of its spectrum at most tol * tolerance_scale(norm).  The
+    spectrum comes from the one batched eigendecomposition that gives the root.
+    """
+    floor = tol * tolerance_scale(norm)
+    vals, vecs = finite_spectrum(np.linalg.eigh, hermitian_part(chans))
+    if defect > floor or vals[:, 0].min() < -floor:
+        raise DomainError(f"{what} square root requires a positive {what}")
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ hermitian_transpose(vecs)
+
+
 def element_norms(descriptor: AlgebraDescriptor, data: np.ndarray) -> np.ndarray:
-    """C*-norms of a stack of element data, shaped (..., d, d) or (..., k)."""
+    """C*-norms of a stack of element data, shaped (...,) + the element shape."""
     if descriptor.kind == MATRIX:
         return two_norm(data)
     return np.max(np.abs(data), axis=-1)
+
+
+def _check_same(a: "AlgebraElement", b: "AlgebraElement") -> None:
+    if a.descriptor != b.descriptor:
+        raise InputError(f"algebra mismatch: {a.descriptor} vs {b.descriptor}")
+
+
+@dataclass(frozen=True, eq=False)
+class AlgebraElement:
+    """One element of a finite-dimensional C*-algebra.
+
+    ``data`` has the descriptor's shape: a (d, d) complex array for M_d and a
+    length-k complex vector for C^k.  Products, the adjoint and the spectral
+    data are computed on ``channels()`` by the channel kernel.
+    """
+
+    descriptor: AlgebraDescriptor
+    data: np.ndarray
+
+    def __post_init__(self):
+        want = self.descriptor.shape
+        arr = np.asarray(self.data, dtype=np.complex128)
+        if arr.shape != want:
+            raise InputError(f"entry shape {arr.shape} does not match {want}")
+        arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "data", arr)
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def zero(descriptor: AlgebraDescriptor) -> "AlgebraElement":
+        return AlgebraElement(descriptor, np.zeros(descriptor.shape, dtype=np.complex128))
+
+    @staticmethod
+    def one(descriptor: AlgebraDescriptor) -> "AlgebraElement":
+        if descriptor.kind == MATRIX:
+            return AlgebraElement(descriptor, np.eye(descriptor.dim, dtype=np.complex128))
+        return AlgebraElement(descriptor, np.ones(descriptor.dim, dtype=np.complex128))
+
+    @staticmethod
+    def scalar(descriptor: AlgebraDescriptor, value: complex) -> "AlgebraElement":
+        """value times the unit element."""
+        return AlgebraElement.one(descriptor) * complex(value)
+
+    @staticmethod
+    def diag(values: Iterable[complex]) -> "AlgebraElement":
+        vals = np.asarray(list(values), dtype=np.complex128)
+        return AlgebraElement(AlgebraDescriptor(DIAGONAL, len(vals)), vals)
+
+    @staticmethod
+    def matrix(rows) -> "AlgebraElement":
+        arr = np.asarray(rows, dtype=np.complex128)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise InputError("matrix element must be square")
+        return AlgebraElement(AlgebraDescriptor(MATRIX, arr.shape[0]), arr)
+
+    # -- channels ------------------------------------------------------------
+
+    def channels(self) -> np.ndarray:
+        """The element as a 1 x 1 block: channels (1, d, d) for M_d, (k, 1, 1) for C^k."""
+        return as_channels(self.descriptor, self.data[None, None])
+
+    def _from_channels(self, chans: np.ndarray) -> "AlgebraElement":
+        return AlgebraElement(self.descriptor, from_channels(self.descriptor, chans)[0, 0])
+
+    # -- ring structure ----------------------------------------------------
+
+    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        _check_same(self, other)
+        return AlgebraElement(self.descriptor, self.data + other.data)
+
+    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        _check_same(self, other)
+        return AlgebraElement(self.descriptor, self.data - other.data)
+
+    def __neg__(self) -> "AlgebraElement":
+        return AlgebraElement(self.descriptor, -self.data)
+
+    def __mul__(self, other):
+        """Algebra product, or scaling by a complex number."""
+        if isinstance(other, AlgebraElement):
+            _check_same(self, other)
+            return self._from_channels(self.channels() @ other.channels())
+        if isinstance(other, (int, float, complex, np.number)):
+            return AlgebraElement(self.descriptor, self.data * complex(other))
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, float, complex, np.number)):
+            return AlgebraElement(self.descriptor, complex(other) * self.data)
+        return NotImplemented
+
+    # -- involution, norm, order -------------------------------------------
+
+    def adjoint(self) -> "AlgebraElement":
+        return self._from_channels(hermitian_transpose(self.channels()))
+
+    def norm(self) -> float:
+        """C*-norm: the largest singular value of any channel."""
+        return float(singular_values(self.channels())[0])
+
+    def hermitian_defect(self) -> float:
+        return hermitian_defect(self.channels())
+
+    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
+        return self.hermitian_defect() <= tol * tolerance_scale(self.norm())
+
+    def eigenvalues_hermitian(self) -> np.ndarray:
+        """Real spectrum of the Hermitian part, ascending."""
+        return eigenvalues_hermitian(self.channels())
+
+    def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
+        """Hermitian within tol with spectrum bounded below by -tol * tolerance_scale(norm)."""
+        floor = tol * tolerance_scale(self.norm())
+        return self.hermitian_defect() <= floor and bool(self.eigenvalues_hermitian()[0] >= -floor)
+
+    def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
+        """Positive square root via spectral decomposition, negative eigenvalues clamped."""
+        root = sqrt_positive(self.channels(), self.norm(), self.hermitian_defect(), tol, "element")
+        return self._from_channels(root)
+
+    def invert(self) -> "AlgebraElement":
+        """Inverse, refused when the condition number exceeds DEFAULT_COND_CAP."""
+        chans = self.channels()
+        return self._from_channels(inverse(chans, singular_values(chans), "element"))
 
 
 def is_positive_by_norm_shift(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:

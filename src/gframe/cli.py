@@ -42,21 +42,25 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gframe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=True):
+    def common(p, seed=True, samples=True):
+        """--tol and --out, and --seed and --samples for the commands that read them."""
         p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         if samples:
             p.add_argument("--samples", type=int, default=200)
         p.add_argument("--out", help="write the report here instead of stdout")
         return p
 
-    for name, text in (("validate", "parse and structurally validate a system file"),
-                       ("bounds", "optimal scalar frame bounds"),
-                       ("frame-op", "frame operator with its spectral properties"),
-                       ("dual", "canonical dual family with reconstruction residual"),
-                       ("reconstruct", "reconstruction residuals on seeded unit vectors"),
-                       ("multiplier", "multiplier norm bound and adjoint identity")):
-        common(sub.add_parser(name, help=text)).add_argument("system", help="system JSON file")
+    for name, text, seed, samples in (
+            ("validate", "parse and structurally validate a system file", False, False),
+            ("bounds", "optimal scalar frame bounds", False, False),
+            ("frame-op", "frame operator with its spectral properties", False, False),
+            ("dual", "canonical dual family with reconstruction residual", True, True),
+            ("reconstruct", "reconstruction residuals on seeded unit vectors", True, True),
+            ("multiplier", "multiplier norm bound and adjoint identity", True, False)):
+        common(sub.add_parser(name, help=text), seed, samples).add_argument(
+            "system", help="system JSON file")
 
     p_theorem = sub.add_parser("theorem", help="run one theorem row or the whole suite")
     p_theorem.add_argument("system", nargs="?", help="optional system file; otherwise seeded")

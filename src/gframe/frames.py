@@ -27,8 +27,8 @@ import numpy as np
 from .algebra import (
     DEFAULT_TOL,
     MATRIX,
-    AlgebraDescriptor,
     AlgebraElement,
+    as_channels,
     element_norms,
     tolerance_scale,
 )
@@ -36,7 +36,6 @@ from .errors import DomainError, InputError, UnsupportedConfigurationError
 from .hilbert import (
     AdjointableOperator,
     ModuleVector,
-    as_channels,
     atom_columns,
     loewner_gap,
     pairing,
@@ -201,12 +200,10 @@ class FrameBounds:
     verdict: str
 
     @staticmethod
-    def from_scalars(a: float, b: float, descriptor: AlgebraDescriptor,
-                     tol: float = DEFAULT_TOL) -> "FrameBounds":
+    def from_scalars(a: float, b: float, tol: float = DEFAULT_TOL) -> "FrameBounds":
+        """Scalar bounds a and b, with element bounds None: ``check_frame`` reads a and b."""
         verdict = FRAME if a > tol * tolerance_scale(b) else BESSEL_ONLY
-        lower = AlgebraElement.scalar(descriptor, a) if verdict == FRAME else None
-        upper = AlgebraElement.scalar(descriptor, b) if b > 0 else None
-        return FrameBounds(float(a), float(b), lower, upper, verdict)
+        return FrameBounds(float(a), float(b), None, None, verdict)
 
     @staticmethod
     def from_elements(lower: AlgebraElement, upper: AlgebraElement) -> "FrameBounds":
@@ -366,7 +363,7 @@ def optimal_scalar_bounds(system: GFrameSystem, tol: float = DEFAULT_TOL) -> Fra
         raise UnsupportedConfigurationError("frame operator is not positive")
     a = float(np.sqrt(max(lam_min, 0.0)))
     b = float(np.sqrt(max(lam_max, 0.0)))
-    return FrameBounds.from_scalars(a, b, system.descriptor, tol)
+    return FrameBounds.from_scalars(a, b, tol)
 
 
 def _is_unit_multiple(a: Optional[AlgebraElement]) -> bool:
@@ -438,7 +435,7 @@ def certify_window(report: TheoremReport, system: GFrameSystem, lower: float, up
     A negative lower end is clamped to zero; info["certified_windows"] records
     every window tried.
     """
-    window = FrameBounds.from_scalars(max(lower, 0.0), upper, system.descriptor, tol)
+    window = FrameBounds.from_scalars(max(lower, 0.0), upper, tol)
     sub = check_frame(system, window, tol=tol * 10)
     report.conclude((label, sub.status == PASS, sub.conclusion_residual))
     report.info.setdefault("certified_windows", {})[label] = [max(lower, 0.0), upper]

@@ -8,10 +8,12 @@ which makes T(a x) = a T(x) automatic.
 ``flat`` maps a vector to the d x (n d) row of its coordinate blocks and an
 operator to the (n d) x (m d) block matrix of its entries, so flat(S after T)
 = flat(T) @ flat(S) and flat(T*) = flat(T)^H; it is the tests' raw-numpy
-oracle.  Every computation reads ``channels`` instead: the flattening for
-M_d, and k matrices of shape n x m for C^k, which is k independent copies of
-C.  Products run as stacked matrix products over the channels, inverses and
-roots channel by channel, and spectra come from one batched LAPACK call.
+oracle.  Every computation reads ``channels`` instead (``algebra.as_channels``:
+the flattening for M_d, k matrices of shape n x m for C^k).  Products, the
+module action, inner products and T x are stacked matrix products over the
+channels, with a vector as a 1 x n row of blocks (``apply_stack`` and
+``pairing`` take whole stacks of vectors).  Spectra, inverses and roots are
+the algebra module's channel kernel, the same functions an element calls.
 
 A family of operators A^n -> A^{m_w} is held as one operator, its stack
 A^n -> A^(m_1 + ... + m_W): the members' output coordinates side by side,
@@ -26,7 +28,6 @@ GEMM per channel with one weight per atom.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -34,21 +35,25 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (
-    DEFAULT_COND_CAP,
     DEFAULT_TOL,
     MATRIX,
     AlgebraDescriptor,
     AlgebraElement,
+    as_channels,
+    channel_layout,
+    eigenvalues_hermitian,
     finite_spectrum,
+    from_channels,
+    hermitian_defect,
+    hermitian_part,
+    hermitian_transpose,
+    inverse,
+    singular_values,
+    sqrt_positive,
     tolerance_scale,
     two_norm,
 )
 from .errors import DomainError, InputError
-
-
-def _coord_shape(descriptor: AlgebraDescriptor) -> tuple:
-    d = descriptor.dim
-    return (d, d) if descriptor.kind == MATRIX else (d,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +65,8 @@ class ModuleVector:
 
     def __post_init__(self):
         arr = np.asarray(self.coords, dtype=np.complex128)
-        want = (None,) + _coord_shape(self.descriptor)
-        if arr.ndim != len(want) or arr.shape[1:] != want[1:]:
+        want = self.descriptor.shape
+        if arr.ndim != len(want) + 1 or arr.shape[1:] != want:
             raise InputError(f"coordinate array shape {arr.shape} invalid for {self.descriptor}")
         if arr.shape[0] < 1:
             raise InputError("module rank must be >= 1")
@@ -85,7 +90,7 @@ class ModuleVector:
 
     @staticmethod
     def zero(descriptor: AlgebraDescriptor, rank: int) -> "ModuleVector":
-        return ModuleVector(descriptor, np.zeros((rank,) + _coord_shape(descriptor)))
+        return ModuleVector(descriptor, np.zeros((rank,) + descriptor.shape))
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_compatible(other)
@@ -100,9 +105,8 @@ class ModuleVector:
         if isinstance(other, AlgebraElement):
             if other.descriptor != self.descriptor:
                 raise InputError("algebra mismatch in module action")
-            if self.descriptor.kind == MATRIX:
-                return ModuleVector(self.descriptor, np.einsum("ab,ibc->iac", other.data, self.coords))
-            return ModuleVector(self.descriptor, other.data * self.coords)
+            rows = other.channels() @ as_channels(self.descriptor, self.coords[None])
+            return ModuleVector(self.descriptor, from_channels(self.descriptor, rows)[0])
         return ModuleVector(self.descriptor, complex(other) * self.coords)
 
     def _check_compatible(self, other: "ModuleVector") -> None:
@@ -110,13 +114,9 @@ class ModuleVector:
             raise InputError("module vectors have incompatible shape")
 
     def inner(self, other: "ModuleVector") -> AlgebraElement:
-        """A-valued inner product sum_i x_i y_i*."""
-        self._check_compatible(other)
-        if self.descriptor.kind == MATRIX:
-            data = np.einsum("iab,icb->ac", self.coords, other.coords.conj())
-        else:
-            data = np.einsum("ia,ia->a", self.coords, other.coords.conj())
-        return AlgebraElement(self.descriptor, data)
+        """A-valued inner product sum_i x_i y_i*; ``pairing`` checks that the shapes agree."""
+        values = pairing(self.descriptor, self.coords[None], other=other.coords[None])
+        return AlgebraElement(self.descriptor, values[0])
 
     def norm(self) -> float:
         """Scalar norm ||<x, x>||^(1/2)."""
@@ -133,38 +133,6 @@ def _embed_diag(arr: np.ndarray) -> np.ndarray:
     """Embed (..., k) diagonal data as (..., k, k) diagonal matrices."""
     k = arr.shape[-1]
     return arr[..., :, None] * np.eye(k, dtype=np.complex128)
-
-
-def as_channels(descriptor: AlgebraDescriptor, blocks: np.ndarray) -> np.ndarray:
-    """(..., n, m) + coordinate shape -> (..., 1, n d, m d) for M_d, (..., k, n, m) for C^k."""
-    if descriptor.kind == MATRIX:
-        *lead, n, m, d, _ = blocks.shape
-        return blocks.swapaxes(-3, -2).reshape(*lead, 1, n * d, m * d)
-    return blocks.swapaxes(-1, -2).swapaxes(-2, -3)
-
-
-def _from_channels(descriptor: AlgebraDescriptor, chans: np.ndarray) -> np.ndarray:
-    """Inverse of ``as_channels``: (..., c, rows, cols) -> (..., n, m) + coordinate shape."""
-    if descriptor.kind == MATRIX:
-        d = descriptor.dim
-        *lead, _, rows, cols = chans.shape
-        return chans.reshape(*lead, rows // d, d, cols // d, d).swapaxes(-3, -2)
-    return chans.swapaxes(-3, -2).swapaxes(-2, -1)
-
-
-def channel_layout(descriptor: AlgebraDescriptor) -> tuple:
-    """(number of channels, rows and columns per module coordinate in a channel)."""
-    if descriptor.kind == MATRIX:
-        return 1, descriptor.dim
-    return descriptor.dim, 1
-
-
-def _hermitian_transpose(chans: np.ndarray) -> np.ndarray:
-    return chans.conj().swapaxes(-1, -2)
-
-
-def _hermitian_part(chans: np.ndarray) -> np.ndarray:
-    return 0.5 * (chans + _hermitian_transpose(chans))
 
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
@@ -187,7 +155,7 @@ class AdjointableOperator:
 
     def __post_init__(self):
         arr = np.asarray(self.blocks, dtype=np.complex128)
-        want_tail = _coord_shape(self.descriptor)
+        want_tail = self.descriptor.shape
         if arr.ndim != 2 + len(want_tail) or arr.shape[2:] != want_tail:
             raise InputError(f"block array shape {arr.shape} invalid for {self.descriptor}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -207,19 +175,20 @@ class AdjointableOperator:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def identity(descriptor: AlgebraDescriptor, rank: int) -> "AdjointableOperator":
-        shape = (rank, rank) + _coord_shape(descriptor)
-        blocks = np.zeros(shape, dtype=np.complex128)
-        one = AlgebraElement.one(descriptor).data
+    def _diagonal(descriptor: AlgebraDescriptor, rank: int, data) -> "AdjointableOperator":
+        """The operator on A^rank with every diagonal block ``data`` and zeros elsewhere."""
+        blocks = np.zeros((rank, rank) + descriptor.shape, dtype=np.complex128)
         for i in range(rank):
-            blocks[i, i] = one
+            blocks[i, i] = data
         return AdjointableOperator(descriptor, blocks)
 
     @staticmethod
+    def identity(descriptor: AlgebraDescriptor, rank: int) -> "AdjointableOperator":
+        return AdjointableOperator._diagonal(descriptor, rank, AlgebraElement.one(descriptor).data)
+
+    @staticmethod
     def zero(descriptor: AlgebraDescriptor, in_rank: int, out_rank: int) -> "AdjointableOperator":
-        return AdjointableOperator(
-            descriptor, np.zeros((in_rank, out_rank) + _coord_shape(descriptor))
-        )
+        return AdjointableOperator(descriptor, np.zeros((in_rank, out_rank) + descriptor.shape))
 
     @staticmethod
     def scalar(descriptor: AlgebraDescriptor, rank: int, value: complex) -> "AdjointableOperator":
@@ -236,10 +205,7 @@ class AdjointableOperator:
             defect = (v - AlgebraElement.scalar(descriptor, z)).norm()
             if defect > DEFAULT_TOL * tolerance_scale(v.norm()):
                 raise InputError("multiplier element must be central (scalar) in the matrix algebra")
-        blocks = np.zeros((rank, rank) + _coord_shape(descriptor), dtype=np.complex128)
-        for i in range(rank):
-            blocks[i, i] = v.data
-        return AdjointableOperator(descriptor, blocks)
+        return AdjointableOperator._diagonal(descriptor, rank, v.data)
 
     # -- algebra of operators ------------------------------------------------
 
@@ -247,17 +213,12 @@ class AdjointableOperator:
         return AlgebraElement(self.descriptor, self.blocks[i, j])
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
-        if x.descriptor != self.descriptor or x.rank != self.in_rank:
-            raise InputError("operator/vector shape mismatch")
-        if self.descriptor.kind == MATRIX:
-            out = np.einsum("iab,ijbc->jac", x.coords, self.blocks)
-        else:
-            out = np.einsum("ia,ija->ja", x.coords, self.blocks)
-        return ModuleVector(self.descriptor, out)
+        """T x; ``apply_stack`` checks the vector's shape, which fixes its algebra."""
+        return ModuleVector(self.descriptor, apply_stack(self, x.coords[None])[0])
 
     def adjoint(self) -> "AdjointableOperator":
         return AdjointableOperator.from_channels(self.descriptor,
-                                                 _hermitian_transpose(self.channels()))
+                                                 hermitian_transpose(self.channels()))
 
     def __add__(self, other: "AdjointableOperator") -> "AdjointableOperator":
         self._check_same_shape(other)
@@ -301,35 +262,27 @@ class AdjointableOperator:
 
     @staticmethod
     def from_channels(descriptor: AlgebraDescriptor, chans: np.ndarray) -> "AdjointableOperator":
-        return AdjointableOperator(descriptor, _from_channels(descriptor, chans))
+        return AdjointableOperator(descriptor, from_channels(descriptor, chans))
 
     # -- spectral data -------------------------------------------------------
 
     # The blocks are read-only and the class is frozen, so each spectral
-    # quantity below is computed on first use and kept on the instance.  Each
-    # is one batched LAPACK call over the channels; for C^k the k channel
-    # spectra together are the spectrum of the whole operator.
+    # quantity below is computed on first use by the channel kernel, one
+    # batched LAPACK call over the channels, and kept on the instance.
 
     @cached_property
     def _singular_values(self) -> np.ndarray:
-        svals = np.sort(finite_spectrum(np.linalg.svd, self.channels(), compute_uv=False),
-                        axis=None)[::-1]
+        svals = singular_values(self.channels())
         svals.setflags(write=False)
         return svals
 
     @cached_property
     def _hermitian_defect(self) -> float:
-        chans = self.channels()
-        return float(two_norm(chans - _hermitian_transpose(chans)).max())
+        return hermitian_defect(self.channels())
 
     @cached_property
     def _eigenvalues_hermitian(self) -> np.ndarray:
-        chans = _hermitian_part(self.channels())
-        eigs = np.sort(finite_spectrum(np.linalg.eigvalsh, chans), axis=None)
-        # eigvalsh can return finite values for a NaN on the diagonal; the
-        # trace, which is the sum of the eigenvalues, keeps the NaN.
-        if not math.isfinite(sum(chans.diagonal(0, -2, -1).real.ravel().tolist())):
-            raise DomainError("spectral computation overflowed: entries too large or not finite")
+        eigs = eigenvalues_hermitian(self.channels())
         eigs.setflags(write=False)
         return eigs
 
@@ -366,26 +319,17 @@ class AdjointableOperator:
         """Inverse, channel by channel; refused beyond condition number DEFAULT_COND_CAP."""
         if self.in_rank != self.out_rank:
             raise DomainError("only square operators can be inverted")
-        svals = self._singular_values
-        if svals[-1] <= 0.0 or svals[-1] < svals[0] / DEFAULT_COND_CAP:
-            cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
-            raise DomainError(f"operator is singular or ill-conditioned (condition estimate {cond:.3e})")
-        return AdjointableOperator.from_channels(self.descriptor, np.linalg.inv(self.channels()))
+        return AdjointableOperator.from_channels(
+            self.descriptor, inverse(self.channels(), self._singular_values, "operator"))
 
     def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AdjointableOperator":
         """Positive square root of a positive operator, channel by channel.
 
-        Positivity is ``is_positive``'s test on the kept norm and Hermitian
-        defect, with the spectrum read from the one batched eigendecomposition
-        that also gives the root.
+        ``algebra.sqrt_positive`` tests positivity on the kept norm and Hermitian defect.
         """
         if self.in_rank != self.out_rank:
             raise DomainError("operator square root requires a positive operator")
-        floor = tol * tolerance_scale(self.norm())
-        vals, vecs = finite_spectrum(np.linalg.eigh, _hermitian_part(self.channels()))
-        if self.hermitian_defect() > floor or vals[:, 0].min() < -floor:
-            raise DomainError("operator square root requires a positive operator")
-        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ _hermitian_transpose(vecs)
+        root = sqrt_positive(self.channels(), self.norm(), self.hermitian_defect(), tol, "operator")
         return AdjointableOperator.from_channels(self.descriptor, root)
 
 
@@ -462,11 +406,11 @@ def weighted_sum(weights: Sequence, ranks: Sequence[int], left: AdjointableOpera
                          "and the output ranks")
     x = _atom_channels(left, ranks, np.sqrt(weights) if right is None else weights)
     y = x if right is None else _atom_channels(right, ranks)
-    return AdjointableOperator.from_channels(left.descriptor, x @ _hermitian_transpose(y))
+    return AdjointableOperator.from_channels(left.descriptor, x @ hermitian_transpose(y))
 
 
 def _vector_stack(descriptor: AlgebraDescriptor, coords: np.ndarray) -> np.ndarray:
-    shape = _coord_shape(descriptor)
+    shape = descriptor.shape
     coords = np.asarray(coords, dtype=np.complex128)
     if coords.ndim != len(shape) + 2 or coords.shape[2:] != shape:
         raise InputError(f"vector stack shape {coords.shape} invalid for {descriptor}")
@@ -479,7 +423,7 @@ def apply_stack(t: AdjointableOperator, coords: np.ndarray) -> np.ndarray:
     if coords.shape[1] != t.in_rank:
         raise InputError("operator/vector stack shape mismatch")
     rows = as_channels(t.descriptor, coords[:, None]) @ t.channels()
-    return _from_channels(t.descriptor, rows)[:, 0]
+    return from_channels(t.descriptor, rows)[:, 0]
 
 
 def pairing(descriptor: AlgebraDescriptor, coords: np.ndarray,
@@ -505,8 +449,8 @@ def pairing(descriptor: AlgebraDescriptor, coords: np.ndarray,
     else:
         cols = as_channels(descriptor, _vector_stack(descriptor, other)[:, None])
     left = rows if t is None else rows @ t.channels()
-    values = _from_channels(descriptor, left @ _hermitian_transpose(cols))
-    return values.reshape(coords.shape[:1] + _coord_shape(descriptor))
+    values = from_channels(descriptor, left @ hermitian_transpose(cols))
+    return values.reshape(coords.shape[:1] + descriptor.shape)
 
 
 def positive_part_checks(t: AdjointableOperator, tol: float = DEFAULT_TOL) -> dict:
@@ -545,9 +489,9 @@ def loewner_gap(lhs: AdjointableOperator, rhs: AdjointableOperator) -> tuple:
     if lhs.in_rank != lhs.out_rank:
         raise InputError("Loewner comparison needs square operators")
     chans = (lhs - rhs).channels()
-    vals, vecs = finite_spectrum(np.linalg.eigh, _hermitian_part(chans))
+    vals, vecs = finite_spectrum(np.linalg.eigh, hermitian_part(chans))
     index = np.arange(chans.shape[0])
     rows = np.zeros((index.size, index.size, channel_layout(lhs.descriptor)[1], chans.shape[-1]),
                     dtype=np.complex128)
     rows[index, index, 0] = vecs[:, :, -1].conj()
-    return vals[:, -1], _from_channels(lhs.descriptor, rows)[:, 0]
+    return vals[:, -1], from_channels(lhs.descriptor, rows)[:, 0]

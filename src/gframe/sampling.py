@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import MATRIX, AlgebraDescriptor, element_norms
-from .hilbert import AdjointableOperator, ModuleVector, _coord_shape, channel_layout
+from .algebra import AlgebraDescriptor, channel_layout, element_norms
+from .hilbert import AdjointableOperator, ModuleVector, pairing
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -18,16 +18,15 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 def rand_coords(descriptor: AlgebraDescriptor, rank: int, rng: np.random.Generator,
                 count: int, unit: bool = False) -> np.ndarray:
-    """A (count, rank) + coordinate-shape stack of independent standard complex Gaussians.
+    """A (count, rank) + element-shape stack of independent standard complex Gaussians.
 
     One draw, equal to ``count`` successive single draws; ``unit`` multiplies each vector by
-    the reciprocal of its norm.
+    the reciprocal of its norm, read from the batched inner products <x, x>.
     """
-    pairs = rng.standard_normal((count, 2, rank) + _coord_shape(descriptor))
+    pairs = rng.standard_normal((count, 2, rank) + descriptor.shape)
     coords = (pairs[:, 0] + 1j * pairs[:, 1]) / np.sqrt(2.0)
     if unit:
-        spec = "siab,sicb->sac" if descriptor.kind == MATRIX else "sia,sia->sa"
-        norms = np.sqrt(element_norms(descriptor, np.einsum(spec, coords, coords.conj())))
+        norms = np.sqrt(element_norms(descriptor, pairing(descriptor, coords)))
         coords = (1.0 / norms).reshape((count,) + (1,) * (coords.ndim - 1)) * coords
     return coords
 
@@ -40,7 +39,7 @@ def rand_vector(descriptor: AlgebraDescriptor, rank: int, rng: np.random.Generat
 
 def rand_operator(descriptor: AlgebraDescriptor, in_rank: int, out_rank: int,
                   rng: np.random.Generator) -> AdjointableOperator:
-    shape = (in_rank, out_rank) + _coord_shape(descriptor)
+    shape = (in_rank, out_rank) + descriptor.shape
     return AdjointableOperator(descriptor, complex_gaussian(rng, shape))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import AlgebraDescriptor, AlgebraElement
 from .errors import InputError
 from .frames import Family, GFrameSystem
-from .hilbert import AdjointableOperator, ModuleVector, _coord_shape, atom_columns
+from .hilbert import AdjointableOperator, ModuleVector, atom_columns
 from .measure import MeasureSpace
 
 
@@ -52,7 +52,7 @@ def _elements_to_docs(descriptor: AlgebraDescriptor, data: np.ndarray) -> list:
 def _elements_from_docs(docs: list) -> tuple:
     """Decode a list of element documents into their descriptor and stacked data.
 
-    The data has shape (len(docs),) + the coordinate shape.  All entries go
+    The data has shape (len(docs),) + the element shape.  All entries go
     through one array conversion; the elements must share one kind and
     dimension, and every entry must be a finite [re, im] pair of numbers.
     """
@@ -79,7 +79,7 @@ def _elements_from_docs(docs: list) -> tuple:
             f"entries: expected shape {want}, got {pairs.shape}")
     if not np.isfinite(pairs).all():
         raise InputError("complex entries must be finite numbers")
-    return desc, pairs.view(np.complex128).reshape((len(docs),) + _coord_shape(desc))
+    return desc, pairs.view(np.complex128).reshape((len(docs),) + desc.shape)
 
 
 def element_to_dict(a: AlgebraElement) -> dict:

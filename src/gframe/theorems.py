@@ -38,6 +38,7 @@ from .algebra import (
     MATRIX,
     AlgebraDescriptor,
     AlgebraElement,
+    channel_layout,
     element_norms,
     tolerance_scale,
 )
@@ -53,7 +54,6 @@ from .frames import (
 from .generate import _padding_isometry, random_system
 from .hilbert import (
     AdjointableOperator,
-    _coord_shape,
     apply_stack,
     pairing,
     scale_atoms,
@@ -64,6 +64,7 @@ from .measure import MeasureSpace, atom_label
 from .reports import FAIL, NOT_APPLICABLE, TheoremReport, frame_line, gap, within
 from .sampling import (
     complex_gaussian,
+    rand_coords,
     rand_invertible_operator,
     rand_operator,
     rand_positive_operator,
@@ -165,8 +166,7 @@ def _bump_control(system: GFrameSystem, draw: _Draws, generated: bool) -> GFrame
     A generated instance on which every operator commutes is first redrawn at
     rank 2 over M_2.
     """
-    per_channel = system.descriptor.dim if system.descriptor.kind == MATRIX else 1
-    if generated and system.module_rank * per_channel < 2:
+    if generated and system.module_rank * channel_layout(system.descriptor)[1] < 2:
         system = draw(rank=2, dim=2)
     r = rand_operator(system.descriptor, system.module_rank, system.module_rank,
                       _rng(draw.seed, 9999))
@@ -504,14 +504,6 @@ def _hom_instances(draw: _Draws) -> list:
             ("permutation", sys_p, lambda a: a[..., perm])]
 
 
-def _unit_vectors(descriptor: AlgebraDescriptor, rank: int, count: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """A stack of Gaussian module vectors scaled to unit norm."""
-    coords = complex_gaussian(rng, (count, rank) + _coord_shape(descriptor))
-    norms = np.sqrt(element_norms(descriptor, pairing(descriptor, coords)))
-    return coords / norms.reshape((count,) + (1,) * (coords.ndim - 1))
-
-
 @_row("HOM-TRANSPORT", instance=None, frame=None)
 def _hom_transport(row: _Row) -> None:
     """Frame data transported through an algebra morphism with an intertwiner."""
@@ -524,7 +516,7 @@ def _hom_transport(row: _Row) -> None:
         bounds = optimal_scalar_bounds(system, tol)
         row.require(frame_line(f"{name}: frame property", bounds))
         desc, s = system.descriptor, system.frame_operator
-        x, y = (_unit_vectors(desc, system.module_rank, pair_count, rng) for _ in "xy")
+        x, y = (rand_coords(desc, system.module_rank, rng, pair_count, unit=True) for _ in "xy")
         tx, ty = phi(x), phi(y)
 
         def worst(a, b):

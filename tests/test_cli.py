@@ -52,10 +52,28 @@ def test_bounds_unit_interval(tmp_path, capsys):
 def test_frame_op_dual_reconstruct_multiplier(tmp_path, capsys):
     path = str(tmp_path / "sys.json")
     _run(capsys, "random", "--seed", "4", "--out", path)
-    for command in ("frame-op", "dual", "reconstruct", "multiplier"):
-        code, out, _ = _run(capsys, command, path, "--samples", "20")
-        assert code == 0, (command, out)
+    for argv in (["frame-op"], ["dual", "--samples", "20"], ["reconstruct", "--samples", "20"],
+                 ["multiplier"]):
+        code, out, _ = _run(capsys, *argv, path)
+        assert code == 0, (argv, out)
         assert json.loads(out)["status"] == "pass"
+
+
+# validate, bounds and frame-op read no seed and draw no samples, and multiplier
+# draws none: they take neither option, so passing one is a usage error.
+@pytest.mark.parametrize("command,option", [
+    *((command, option) for command in ("validate", "bounds", "frame-op")
+      for option in ("--seed", "--samples")),
+    ("multiplier", "--samples"),
+])
+def test_unread_options_exit_two(tmp_path, capsys, command, option):
+    path = str(tmp_path / "sys.json")
+    _run(capsys, "random", "--seed", "4", "--out", path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, option, "5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 5" in captured.err and captured.out == ""
 
 
 def test_theorem_command_single_and_all(tmp_path, capsys):
@@ -498,8 +516,8 @@ def test_no_command_reads_the_dense_flattening(tmp_path, capsys, monkeypatch, al
     path = str(tmp_path / "sys.json")
     _run(capsys, "random", "--seed", "5", "--rank", "2", "--atoms", "4", "--algebra", algebra,
          "--dim", "2", "--out", path)
-    runs = [[command, path, "--samples", "10"]
-            for command in ("validate", "bounds", "frame-op", "dual", "reconstruct", "multiplier")]
+    runs = [[command, path] for command in ("validate", "bounds", "frame-op", "multiplier")]
+    runs += [[command, path, "--samples", "10"] for command in ("dual", "reconstruct")]
     runs.append(["theorem", path, "--id", "all", "--samples", "10"])
     # The stability checks need C' = C.
     system = load_system(path)

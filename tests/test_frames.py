@@ -104,10 +104,10 @@ def test_noncommuting_bounds_rejected():
         optimal_scalar_bounds(system)
 
 
-def test_check_frame_exact_scalar(identity_system, m2):
-    good = check_frame(identity_system, FrameBounds.from_scalars(1.0, 1.0, m2))
+def test_check_frame_exact_scalar(identity_system):
+    good = check_frame(identity_system, FrameBounds.from_scalars(1.0, 1.0))
     assert good.status == "pass"
-    bad = check_frame(identity_system, FrameBounds.from_scalars(2.0, 1.0, m2))
+    bad = check_frame(identity_system, FrameBounds.from_scalars(2.0, 1.0))
     assert bad.status == "fail"
     assert "witness_eigenvalues" in bad.info
 
@@ -116,11 +116,9 @@ def test_check_frame_optimality_margin(unit_interval):
     bounds = optimal_scalar_bounds(unit_interval)
     tight = check_frame(unit_interval, bounds)
     assert tight.status == "pass"
-    over = FrameBounds.from_scalars(bounds.scalar_lower * 1.01, bounds.scalar_upper,
-                                    unit_interval.descriptor)
+    over = FrameBounds.from_scalars(bounds.scalar_lower * 1.01, bounds.scalar_upper)
     assert check_frame(unit_interval, over).status == "fail"
-    under = FrameBounds.from_scalars(bounds.scalar_lower, bounds.scalar_upper * 0.99,
-                                     unit_interval.descriptor)
+    under = FrameBounds.from_scalars(bounds.scalar_lower, bounds.scalar_upper * 0.99)
     assert check_frame(unit_interval, under).status == "fail"
 
 

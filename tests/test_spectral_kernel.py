@@ -228,6 +228,46 @@ def test_nan_diagonal_spectrum_raises_domain_error():
         nan_diagonal.eigenvalues_hermitian()
 
 
+KINDS = [AlgebraDescriptor("matrix", 3), AlgebraDescriptor("diagonal", 4)]
+
+
+def _as_operator(a: AlgebraElement) -> AdjointableOperator:
+    return AdjointableOperator(a.descriptor, a.data[None, None])
+
+
+@pytest.mark.parametrize("desc", KINDS, ids=lambda d: d.kind)
+def test_element_methods_are_those_of_the_one_by_one_operator(desc):
+    # An element is a 1 x 1 block: channels (1, d, d) or (k, 1, 1), run
+    # through the same kernel as an operator's.
+    rng = np.random.default_rng(61)
+    a, b = (AlgebraElement(desc, _random(desc.shape, rng, complex)) for _ in "ab")
+    positive = a * a.adjoint() + AlgebraElement.scalar(desc, 0.5)
+    op_a, op_b, op_positive = map(_as_operator, (a, b, positive))
+
+    def close(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    close(a.norm(), op_a.norm())
+    close(a.hermitian_defect(), op_a.hermitian_defect())
+    close(a.eigenvalues_hermitian(), op_a.eigenvalues_hermitian())
+    close(positive.sqrt_positive().data, op_positive.sqrt_positive().blocks[0, 0])
+    close(a.invert().data, op_a.inverse().blocks[0, 0])
+    # Blocks act on the right, so block (0, 0) of (B after A) is a b.
+    close((a * b).data, (op_b @ op_a).blocks[0, 0])
+    close(a.adjoint().data, op_a.adjoint().blocks[0, 0])
+
+
+@pytest.mark.parametrize("rows", [[[np.nan, 0.0], [0.0, 1.0]], [np.nan, 1.0]],
+                         ids=["matrix", "diagonal"])
+def test_nan_elements_raise_domain_error(rows):
+    a = AlgebraElement.matrix(rows) if np.ndim(rows) == 2 else AlgebraElement.diag(rows)
+    for method in (a.norm, a.eigenvalues_hermitian, a.invert):
+        with pytest.raises(DomainError):
+            method()
+
+
 def _ord_two_norm_calls(root: Path) -> list:
     """``file:line`` of every ``np.linalg.norm`` call with ord 2 under root."""
     found = []

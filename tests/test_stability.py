@@ -257,8 +257,7 @@ def test_certified_windows_recheck_exactly():
     assert report.status == "pass"
     window = report.info["certified_windows"]["additive window certified"]
     sys_r = tight.with_family(scaled)
-    sub = check_frame(sys_r, FrameBounds.from_scalars(window[0], window[1],
-                                                      tight.descriptor))
+    sub = check_frame(sys_r, FrameBounds.from_scalars(window[0], window[1]))
     assert sub.status == "pass"
 
 

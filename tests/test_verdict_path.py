@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from gframe.algebra import AlgebraDescriptor
 from gframe.errors import DomainError
 from gframe.frames import FrameBounds
 from gframe.reports import FAIL, NOT_APPLICABLE, PASS, TheoremReport, frame_line, gap, within
@@ -40,7 +39,10 @@ def test_retired_names_stay_gone():
                "DirectSumSpace", "DirectSumVector", "direct_sum", "compose_all",
                "stack_operator", "component_operator", "analysis", "synthesis",
                # A family is one stack: no per-atom padding or restacking.
-               "_padded_channels", "_stacked_channels"}
+               "_padded_channels", "_stacked_channels",
+               # The layout of a kind lives in algebra.py: descriptor.shape and
+               # the channel kernel, which elements and operators share.
+               "_coord_shape", "_finite_matrix"}
     found = []
     for name, tree in _trees().items():
         for node in ast.walk(tree):
@@ -49,6 +51,28 @@ def test_retired_names_stay_gone():
                        or getattr(node, "arg", None))
             if defined in retired or getattr(node, "attr", None) in retired:
                 found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_every_spectral_call_goes_through_finite_spectrum():
+    # An svd, eigh or eigvalsh of numpy.linalg is only ever handed to
+    # finite_spectrum as its routine, never called or passed elsewhere.
+    found = []
+    for name, tree in _trees().items():
+        guarded = {id(node.args[0]) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and _called_name(node) == "finite_spectrum"
+                   and node.args}
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("svd", "eigh", "eigvalsh")
+                  and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                  and id(node) not in guarded]
+    assert found == []
+
+
+def test_no_einsum():
+    # Products over coordinates are channel products (apply_stack, pairing).
+    found = [f"{name}:{node.lineno}" for name, tree in _trees().items() for node in ast.walk(tree)
+             if getattr(node, "attr", None) == "einsum" or getattr(node, "id", None) == "einsum"]
     assert found == []
 
 
@@ -110,6 +134,5 @@ def test_check_line_constructors():
     assert within("w", 0.75, 0.5) == ("w", False, 0.75)
     assert gap("g", -3.0, 0.0) == ("g", True, 0.0)
     assert gap("g", 3.0, 1.0) == ("g", False, 3.0)
-    desc = AlgebraDescriptor("diagonal", 2)
-    assert frame_line("f", FrameBounds.from_scalars(1.0, 2.0, desc)) == ("f", True, 0.0)
-    assert frame_line("f", FrameBounds.from_scalars(0.0, 2.0, desc)) == ("f", False, 1.0)
+    assert frame_line("f", FrameBounds.from_scalars(1.0, 2.0)) == ("f", True, 0.0)
+    assert frame_line("f", FrameBounds.from_scalars(0.0, 2.0)) == ("f", False, 1.0)

@@ -176,10 +176,16 @@ def sqrt_positive(chans: np.ndarray, norm: float, defect: float, tol: float,
 
 
 def element_norms(descriptor: AlgebraDescriptor, data: np.ndarray) -> np.ndarray:
-    """C*-norms of a stack of element data, shaped (...,) + the element shape."""
+    """C*-norms of a stack of element data, shaped (...,) + the element shape.
+
+    A non-finite entry raises DomainError in both kinds, as ``two_norm`` does for M_d.
+    """
     if descriptor.kind == MATRIX:
         return two_norm(data)
-    return np.max(np.abs(data), axis=-1)
+    norms = np.max(np.abs(data), axis=-1)
+    if not np.isfinite(norms).all():
+        raise DomainError("element norm is not finite: entries too large or not finite")
+    return norms
 
 
 def _check_same(a: "AlgebraElement", b: "AlgebraElement") -> None:

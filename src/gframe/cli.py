@@ -9,8 +9,11 @@ and the seed.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,7 +37,9 @@ from .stability import run_perturbation
 from .theorems import THEOREM_IDS, _Draws, verify_theorem
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="gframe",
         description="Controlled operator-valued frame systems: bounds, duals, "
@@ -272,9 +277,27 @@ def _check_options(args) -> None:
         raise InputError(f"--tol must be positive and finite, got {args.tol}")
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore the caller's setting.
+
+    No command creates reference cycles, so a pause defers no garbage.  Left
+    running, the collector's full passes walk every object alive, which while
+    a system file is read includes the whole decoded document.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _run(args) -> int:
-    """Run the command with numpy's overflow and invalid-value warnings raised as DomainErrors."""
-    with np.errstate(over="raise", invalid="raise"):
+    """Run the command with the collector paused and numpy's overflow and
+    invalid-value warnings raised as DomainErrors."""
+    with _collector_paused(), np.errstate(over="raise", invalid="raise"):
         try:
             return _COMMANDS[args.command](args)
         except FloatingPointError as exc:

@@ -7,10 +7,12 @@ for polynomial integrands of degree up to three.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping
+
+import numpy as np
 
 from .algebra import AlgebraElement
 from .errors import InputError
@@ -24,27 +26,29 @@ class MeasureSpace:
 
     def __post_init__(self):
         try:
-            atoms = tuple((label if type(label) is str else str(label),
-                           weight if type(weight) is float else float(weight))
-                          for label, weight in self.atoms)
+            columns = tuple(zip(*self.atoms, strict=True))
+            if not columns:
+                raise InputError("measure space needs at least one atom")
+            labels, weights = columns
+            weights = np.fromiter(weights, np.float64, count=len(weights))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"atom weights must be numbers: {exc}") from exc
-        if not atoms:
-            raise InputError("measure space needs at least one atom")
-        labels = [label for label, _ in atoms]
+        labels = tuple(map(str, labels))
         if len(set(labels)) != len(labels):
             raise InputError("atom labels must be unique")
-        if not all(0.0 < weight < math.inf for _, weight in atoms):
+        # Finiteness first: an ordered comparison with NaN may set the invalid
+        # flag, which the commands' errstate raises.
+        if not (np.isfinite(weights).all() and weights.min() > 0):
             raise InputError("atom weights must be positive and finite")
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", tuple(zip(labels, weights.tolist())))
 
     @cached_property
     def labels(self) -> tuple:
-        return tuple(label for label, _ in self.atoms)
+        return tuple(map(itemgetter(0), self.atoms))
 
     @cached_property
     def weights(self) -> tuple:
-        return tuple(weight for _, weight in self.atoms)
+        return tuple(map(itemgetter(1), self.atoms))
 
     def integrate(self, values: Mapping[str, AlgebraElement]) -> AlgebraElement:
         """Weighted sum of an algebra-valued function given per atom."""

@@ -1,11 +1,13 @@
 """JSON schemas for every value that crosses the CLI boundary.
 
-Complex numbers are two-element [re, im] arrays of doubles.  Round trips are
-bit exact: floats serialize with Python's shortest round-trip repr.  The
-pairs are a float64 view of the complex blocks.  A system file's family is
-decoded and encoded as one stack (``frames.Family``): all blocks of a file
-go through one array conversion, and one index gather places the members'
-blocks side by side as the stacked operator, with no operator per atom.  A
+Complex numbers are two-element [re, im] arrays of JSON numbers; strings and
+booleans are refused.  Round trips are bit exact: floats serialize with
+Python's shortest round-trip repr.  The pairs are a float64 view of the
+complex blocks.  A system file's family is decoded and encoded as one stack
+(``frames.Family``): decoding reads and checks the documents in whole-list
+passes with no Python loop over them, all blocks of a file go through one
+array conversion, and one index gather places the members' blocks side by
+side as the stacked operator, with no operator per atom.  A
 family is encoded by one conversion of its stack, cut into per-label
 operator documents.  Documents are written as key-sorted JSON on one line,
 which CPython's C encoder produces.
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import json
 import numbers
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -25,6 +28,8 @@ from .errors import InputError
 from .frames import Family, GFrameSystem
 from .hilbert import AdjointableOperator, ModuleVector, atom_columns
 from .measure import MeasureSpace
+
+_flatten = chain.from_iterable
 
 
 def _parse_int(value, what: str) -> int:
@@ -36,6 +41,19 @@ def _parse_int(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def _are_numbers(values) -> bool:
+    """Whether every value is a real number other than a boolean, judged on the set of their types."""
+    return all(issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+               for kind in set(map(type, values)))
+
+
+def _parse_ints(values: list, what: str) -> list:
+    """``_parse_int`` of each value; a list of JSON integers is returned as it is."""
+    if set(map(type, values)) <= {int}:
+        return values
+    return [_parse_int(value, what) for value in values]
 
 
 def _elements_to_docs(descriptor: AlgebraDescriptor, data: np.ndarray) -> list:
@@ -52,34 +70,44 @@ def _elements_to_docs(descriptor: AlgebraDescriptor, data: np.ndarray) -> list:
 def _elements_from_docs(docs: list) -> tuple:
     """Decode a list of element documents into their descriptor and stacked data.
 
-    The data has shape (len(docs),) + the element shape.  All entries go
-    through one array conversion; the elements must share one kind and
-    dimension, and every entry must be a finite [re, im] pair of numbers.
+    The data has shape (len(docs),) + the element shape.  Every step is a
+    whole-list pass: the fields are read with ``itemgetter``, the descriptor
+    is parsed once per distinct (kind, dim), the entry and pair counts are
+    compared as lists of lengths, and all entries go through one type check
+    and one ``np.fromiter``.  The elements must share one kind and dimension,
+    and every entry must be a finite [re, im] pair of JSON numbers: strings
+    and booleans are rejected.
     """
     if not docs:
         raise InputError("empty list of algebra elements")
     try:
+        kinds = list(map(itemgetter("kind"), docs))
+        dims = list(map(itemgetter("dim"), docs))
+        entries = list(map(itemgetter("entries"), docs))
         # The type keeps a boolean dim apart from the integer it equals.
-        kinds = {(doc["kind"], doc["dim"], type(doc["dim"])) for doc in docs}
-        entries = [doc["entries"] for doc in docs]
+        keys = set(zip(kinds, dims, map(type, dims)))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad algebra element document: {exc}") from exc
-    descs = {AlgebraDescriptor(kind, _parse_int(dim, "algebra dim")) for kind, dim, _ in kinds}
+    descs = {AlgebraDescriptor(kind, _parse_int(dim, "algebra dim")) for kind, dim, _ in keys}
     if len(descs) != 1:
         raise InputError("the elements of one operator, vector or system must share one kind and dim")
     desc = descs.pop()
+    count = desc.entry_count
     try:
-        pairs = np.array(entries, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
+        lengths = list(map(len, entries))
+        if lengths != [count] * len(docs):
+            got = next(length for length in lengths if length != count)
+            raise InputError(f"each {desc.kind} element of dim {desc.dim} needs {count} "
+                             f"[re, im] entries, got {got}")
+        pairs = list(_flatten(entries))
+        if list(map(len, pairs)) != [2] * len(pairs) or not _are_numbers(_flatten(pairs)):
+            raise InputError("complex entries must be [re, im] pairs of numbers")
+        values = np.fromiter(_flatten(pairs), np.float64, count=2 * len(pairs))
+    except (TypeError, OverflowError) as exc:
         raise InputError(f"complex entries must be [re, im] pairs of numbers: {exc}") from exc
-    want = (len(docs), desc.entry_count, 2)
-    if pairs.shape != want:
-        raise InputError(
-            f"each {desc.kind} element of dim {desc.dim} needs {desc.entry_count} [re, im] "
-            f"entries: expected shape {want}, got {pairs.shape}")
-    if not np.isfinite(pairs).all():
+    if not np.isfinite(values).all():
         raise InputError("complex entries must be finite numbers")
-    return desc, pairs.view(np.complex128).reshape((len(docs),) + desc.shape)
+    return desc, values.view(np.complex128).reshape((len(docs),) + desc.shape)
 
 
 def element_to_dict(a: AlgebraElement) -> dict:
@@ -131,23 +159,23 @@ def _operators_from_docs(docs: list) -> tuple:
 
     Returns the descriptor, the (n, m) ranks of each operator, and the blocks
     of all operators in document order, each operator's in row-major order.
+    The fields are read and the table shapes checked in whole-list passes.
     """
-    shapes, blocks = [], []
-    for doc in docs:
-        try:
-            rows = doc["blocks"]
-            n = _parse_int(doc["in_rank"], "operator in_rank")
-            m = _parse_int(doc["out_rank"], "operator out_rank")
-            if n < 1 or m < 1:
-                raise InputError("operator ranks must be >= 1")
-            if len(rows) != n or any(len(row) != m for row in rows):
-                raise InputError("operator block table does not match declared ranks")
-            blocks.extend(block for row in rows for block in row)
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad operator document: {exc}") from exc
-        shapes.append((n, m))
-    desc, data = _elements_from_docs(blocks)
-    return desc, shapes, data
+    try:
+        tables = list(map(itemgetter("blocks"), docs))
+        ins = _parse_ints(list(map(itemgetter("in_rank"), docs)), "operator in_rank")
+        outs = _parse_ints(list(map(itemgetter("out_rank"), docs)), "operator out_rank")
+        if min(ins) < 1 or min(outs) < 1:
+            raise InputError("operator ranks must be >= 1")
+        if list(map(len, tables)) != ins:
+            raise InputError("operator block table does not match declared ranks")
+        rows = list(_flatten(tables))
+        if list(map(len, rows)) != list(_flatten(map(repeat, outs, ins))):
+            raise InputError("operator block table does not match declared ranks")
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"bad operator document: {exc}") from exc
+    desc, data = _elements_from_docs(list(_flatten(rows)))
+    return desc, list(zip(ins, outs)), data
 
 
 def _operator(desc: AlgebraDescriptor, shape: tuple, data: np.ndarray) -> AdjointableOperator:
@@ -182,14 +210,16 @@ def measure_to_dict(m: MeasureSpace) -> dict:
 
 def measure_from_dict(doc: Mapping) -> MeasureSpace:
     try:
-        atoms = tuple((atom["label"], atom["weight"]) for atom in doc["atoms"])
+        atoms = doc["atoms"]
+        labels = list(map(itemgetter("label"), atoms))
+        weights = list(map(itemgetter("weight"), atoms))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad measure document: {exc}") from exc
-    for label, weight in atoms:
-        if type(weight) is not float and (isinstance(weight, bool)
-                                          or not isinstance(weight, numbers.Real)):
-            raise InputError(f"weight of atom {label!r} must be a number, got {weight!r}")
-    return MeasureSpace(atoms)
+    if not _are_numbers(weights):
+        label, weight = next((label, weight) for label, weight in zip(labels, weights)
+                             if not _are_numbers([weight]))
+        raise InputError(f"weight of atom {label!r} must be a number, got {weight!r}")
+    return MeasureSpace(tuple(zip(labels, weights)))
 
 
 def system_to_dict(system: GFrameSystem) -> dict:

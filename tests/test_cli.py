@@ -1,3 +1,4 @@
+import gc
 import json
 import warnings
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gframe import frames
+from gframe import cli, frames
 from gframe.cli import main
 from gframe.hilbert import AdjointableOperator
 from gframe.serialize import dump_json, load_system, operator_to_dict, system_to_dict
@@ -578,3 +579,137 @@ def test_multiplier_symbol_is_the_one_normal_at_a_time_stream(tmp_path, capsys):
         z = z / max(1.0, abs(z))
         expected[label] = [z.real, z.imag]
     assert json.loads(out)["results"]["symbol"] == expected
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    path = str(tmp_path / "example.json")
+    _run(capsys, "example", "--alpha", "2", "--beta", "3", "--rank", "2", "--nodes", "5",
+         "--out", path)
+    code, out, err = _run(capsys, "dual", path, "--seed", "5", "--samples", "3")
+    assert code == 0, err
+    assert json.loads(out)["config"]["seed"] == 5
+    code, out, err = _run(capsys, "dual", path)
+    assert code == 0, err
+    config = json.loads(out)["config"]
+    assert config["seed"] == 0 and config["samples"] == 200
+
+
+def _entry_system(tmp_path, pair: str) -> str:
+    """A system file whose first member's first entry is the JSON text ``pair``."""
+    doc = system_to_dict(unit_interval_system(1, 1, 1, 3))
+    next(iter(doc["family"].values()))["blocks"][0][0]["entries"][0] = "PAIR"
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(doc).replace('"PAIR"', pair), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("pair", ['["1.5", 0.0]', '[0.0, "1"]', "[true, 0.0]", "[0.0, false]",
+                                  '["1.5", true]'],
+                         ids=["string-re", "string-im", "true-re", "false-im", "string-and-true"])
+def test_non_numeric_entries_exit_two(tmp_path, capsys, pair):
+    path = _entry_system(tmp_path, pair)
+    for command in FILE_COMMANDS:
+        code, out, err = _run(capsys, command, path)
+        _assert_input_error(code, err)
+        assert "complex entries must be [re, im] pairs of numbers" in err and out == "", command
+
+
+def _weight(value):
+    return lambda doc: doc["measure"]["atoms"][0].__setitem__("weight", value)
+
+
+def _member(doc):
+    return next(iter(doc["family"].values()))
+
+
+def _pair(value):
+    return lambda doc: _member(doc)["blocks"][0][0]["entries"].__setitem__(0, value)
+
+
+def _blocks(value):
+    return lambda doc: _member(doc).__setitem__("blocks", value)
+
+
+DECODE_CASES = {
+    "nan-weight": (_weight(float("nan")), "atom weights must be positive and finite"),
+    "inf-weight": (_weight(float("inf")), "atom weights must be positive and finite"),
+    "zero-weight": (_weight(0.0), "atom weights must be positive and finite"),
+    "negative-weight": (_weight(-1.0), "atom weights must be positive and finite"),
+    "true-weight": (_weight(True), "weight of atom 'w0' must be a number, got True"),
+    "true-rank": (lambda doc: _member(doc).__setitem__("in_rank", True),
+                  "operator in_rank must be an integer, got True"),
+    "true-dim": (lambda doc: _member(doc)["blocks"][0][0].__setitem__("dim", True),
+                 "algebra dim must be an integer, got True"),
+    "ragged-pair": (_pair([[0.0, 1.0], [2.0, 3.0]]),
+                    "complex entries must be [re, im] pairs of numbers"),
+    "short-pair": (_pair([1.0]), "complex entries must be [re, im] pairs of numbers"),
+    "three-element-pair": (_pair([1.0, 2.0, 3.0]),
+                           "complex entries must be [re, im] pairs of numbers"),
+    "integer-blocks": (_blocks(3), "bad operator document: object of type 'int' has no len()"),
+    "null-blocks": (_blocks(None),
+                    "bad operator document: object of type 'NoneType' has no len()"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODE_CASES))
+def test_malformed_system_files_keep_their_messages(tmp_path, capsys, case):
+    mutate, message = DECODE_CASES[case]
+    doc = system_to_dict(unit_interval_system(1, 1, 2, 3))
+    mutate(doc)
+    path = _write_system_doc(tmp_path, doc)
+    for command in FILE_COMMANDS:
+        code, out, err = _run(capsys, command, path)
+        _assert_input_error(code, err)
+        assert message in err and out == "", command
+
+
+def _collector_runs(tmp_path, capsys) -> list:
+    """Every file command on the example and on a matrix system, the theorem suite,
+    one perturbation run and one run that exits 2."""
+    example, matrix = str(tmp_path / "example.json"), str(tmp_path / "matrix.json")
+    _run(capsys, "example", "--alpha", "2", "--beta", "3", "--rank", "3", "--nodes", "11",
+         "--out", example)
+    _run(capsys, "random", "--seed", "3", "--algebra", "matrix", "--out", matrix)
+    runs = [[command, system] for system in (example, matrix) for command in FILE_COMMANDS]
+    runs.append(["theorem", "--id", "all"])
+    runs.append(["perturb", _perturb_descriptor(tmp_path)])
+    runs.append(["validate", _entry_system(tmp_path, '["1.5", true]')])
+    return runs
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
+    # The collector is paused while a command runs; that defers no garbage
+    # only as long as no command creates reference cycles.
+    codes = []
+    for argv in _collector_runs(tmp_path, capsys):
+        gc.collect()
+        codes.append(main(argv))
+        assert gc.collect() == 0, argv
+    capsys.readouterr()
+    assert codes[-1] == 2 and set(codes[:-1]) <= {0, 1}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_collector_is_paused_per_command_and_restored(tmp_path, capsys, monkeypatch, enabled):
+    runs = _collector_runs(tmp_path, capsys)
+    seen = []
+
+    def recording(command):
+        def run(args):
+            seen.append(gc.isenabled())
+            return command(args)
+        return run
+
+    for name, command in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, recording(command))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv in [runs[0], runs[-1]]:
+            main(argv)
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert seen == [False, False]

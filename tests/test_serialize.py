@@ -178,6 +178,8 @@ def _ragged_row(doc):
     _set_entry([float("-inf"), 0.0]),
     _set_entry([10 ** 400, 0.0]),
     _set_entry({"re": 1.0, "im": 0.0}),
+    _set_entry(["1.5", 0.0]),
+    _set_entry([0.0, True]),
     _ragged_row,
     _drop_entry,
     _set_element(AlgebraElement.diag([1.0, 2.0j])),
@@ -186,7 +188,8 @@ def _ragged_row(doc):
     _set_block("dim", float("inf")),
     _set_block("entries", None),
 ], ids=["short-pair", "long-pair", "string-re", "string-im", "string-pair", "null-pair",
-        "null-re", "nan", "inf", "minus-inf", "huge-int", "object-pair", "ragged", "entry-count",
+        "null-re", "nan", "inf", "minus-inf", "huge-int", "object-pair", "numeric-string-re",
+        "boolean-im", "ragged", "entry-count",
         "mixed-kind", "mixed-dim", "unknown-kind", "infinite-dim", "null-entries"])
 def test_malformed_operator_entries_rejected(m2, mutate):
     t = AdjointableOperator(m2, np.arange(2 * 2 * 4, dtype=float).reshape(2, 2, 2, 2) * (1 - 0.5j))

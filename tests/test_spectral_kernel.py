@@ -266,6 +266,12 @@ def test_nan_elements_raise_domain_error(rows):
     for method in (a.norm, a.eigenvalues_hermitian, a.invert):
         with pytest.raises(DomainError):
             method()
+    # The batched norms refuse a NaN or infinite entry in both kinds too.
+    finite = AlgebraElement.one(a.descriptor).data
+    for bad in (np.nan, np.inf):
+        stack = np.stack([finite, np.where(np.isnan(a.data), bad, a.data)])
+        with pytest.raises(DomainError):
+            element_norms(a.descriptor, stack)
 
 
 def _ord_two_norm_calls(root: Path) -> list:

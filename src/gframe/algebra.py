@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,6 +28,12 @@ DIAGONAL = "diagonal"
 
 DEFAULT_TOL = 1e-9
 DEFAULT_COND_CAP = 1e12
+
+
+def _are_numbers(values) -> bool:
+    """Whether every value is a real number other than a boolean, judged on the set of their types."""
+    return all(issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+               for kind in set(map(type, values)))
 
 
 def tolerance_scale(*norms):

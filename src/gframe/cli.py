@@ -24,7 +24,6 @@ from .generate import random_system, unit_interval_system
 from .hilbert import positive_part_checks
 from .reports import FAIL, PASS
 from .serialize import (
-    _parse_int,
     dump_json,
     family_to_dict,
     load_json,
@@ -72,11 +71,11 @@ def _parser() -> argparse.ArgumentParser:
     p_theorem.add_argument("--id", required=True, dest="theorem_id",
                            help="theorem id or 'all'")
     p_theorem.add_argument("--aux", help="JSON file with named auxiliary operators")
-    common(p_theorem)
+    common(p_theorem, samples=False)
 
     p_perturb = sub.add_parser("perturb", help="run a perturbation descriptor")
     p_perturb.add_argument("descriptor", help="JSON run descriptor")
-    common(p_perturb, samples=False)
+    common(p_perturb, seed=False, samples=False)
 
     p_example = sub.add_parser("example", help="generate the unit-interval system")
     p_example.add_argument("--alpha", type=float, required=True)
@@ -212,11 +211,11 @@ def _cmd_theorem(args) -> int:
     else:
         raise InputError(f"unknown theorem id {args.theorem_id!r}")
     draws = _Draws(args.seed)
-    reports = [verify_theorem(tid, system, seed=args.seed, tol=args.tol,
-                              samples=args.samples, aux=aux, draws=draws) for tid in ids]
+    reports = [verify_theorem(tid, system, seed=args.seed, tol=args.tol, aux=aux, draws=draws)
+               for tid in ids]
     status = PASS if all(rep.status == PASS for rep in reports) else FAIL
     return _finish(args, {"system": args.system, "id": args.theorem_id, "tol": args.tol,
-                          "seed": args.seed, "samples": args.samples},
+                          "seed": args.seed},
                    [rep.to_dict() for rep in reports], status)
 
 
@@ -227,7 +226,6 @@ def _cmd_perturb(args) -> int:
     try:
         kind = desc["kind"]
         paths = (desc["systemA"], desc["systemB"])
-        seed = _parse_int(desc.get("seed", args.seed), "descriptor seed")
     except KeyError as exc:
         raise InputError(f"descriptor is missing {exc}") from exc
     if not all(isinstance(path, str) for path in paths):
@@ -236,8 +234,8 @@ def _cmd_perturb(args) -> int:
     if not isinstance(params, dict):
         raise InputError("descriptor params must be a JSON object")
     sys_a, sys_b = (load_system(path) for path in paths)
-    report = run_perturbation(kind, sys_a, sys_b, params, seed=seed, tol=args.tol)
-    return _finish(args, {"descriptor": args.descriptor, "tol": args.tol, "seed": seed},
+    report = run_perturbation(kind, sys_a, sys_b, params, tol=args.tol)
+    return _finish(args, {"descriptor": args.descriptor, "tol": args.tol},
                    report.to_dict(), report.status)
 
 

@@ -403,7 +403,7 @@ def check_frame(system: GFrameSystem, bounds: FrameBounds,
     |l_j|^2 <= lambda_min(K_j) and lambda_max(K_j) <= |u_j|^2 for the Gram operator
     K; in M_d a non-central bound fails at a rank-one vector in info["witnesses"].
     """
-    report = TheoremReport("FRAME-CHECK", tolerance=tol, seed=0)
+    report = TheoremReport("FRAME-CHECK", tolerance=tol)
     s = system.frame_operator
     scale = tolerance_scale(s.norm())
     with report.gate():

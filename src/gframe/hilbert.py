@@ -139,10 +139,10 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (..., rows, cols) stack.
 
     A single row or column has one singular value, its Euclidean length, so
-    that case skips the SVD.
+    that case skips the SVD but not ``finite_spectrum``'s finiteness test.
     """
     if 1 in mats.shape[-2:]:
-        return np.linalg.norm(mats, axis=(-2, -1))
+        return finite_spectrum(np.linalg.norm, mats, axis=(-2, -1))
     return two_norm(mats)
 
 

@@ -14,13 +14,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _are_numbers
 from .errors import InputError
 
 
 @dataclass(frozen=True)
 class MeasureSpace:
-    """Ordered finite family of (label, weight) atoms with positive weights."""
+    """Ordered finite family of (label, weight) atoms with positive real weights."""
 
     atoms: tuple  # tuple of (label, weight)
 
@@ -30,6 +30,10 @@ class MeasureSpace:
             if not columns:
                 raise InputError("measure space needs at least one atom")
             labels, weights = columns
+            if not _are_numbers(weights):
+                label, weight = next((label, weight) for label, weight in zip(labels, weights)
+                                     if not _are_numbers([weight]))
+                raise InputError(f"weight of atom {label!r} must be a number, got {weight!r}")
             weights = np.fromiter(weights, np.float64, count=len(weights))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"atom weights must be numbers: {exc}") from exc

@@ -59,7 +59,7 @@ class TheoremReport:
 
     theorem_id: str
     tolerance: float
-    seed: int
+    seed: int | None = None  # set, and reported, only where a check draws from a seed
     hypotheses: list = field(default_factory=list)
     conclusions: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
@@ -104,7 +104,7 @@ class TheoremReport:
             "theorem_id": self.theorem_id,
             "status": self.status,
             "tolerance": float(self.tolerance),
-            "seed": int(self.seed),
+            **({} if self.seed is None else {"seed": int(self.seed)}),
             "hypotheses": [line.to_dict() for line in self.hypotheses],
             "conclusions": [line.to_dict() for line in self.conclusions],
             "info": self.info,

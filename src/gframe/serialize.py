@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraElement
+from .algebra import AlgebraDescriptor, AlgebraElement, _are_numbers
 from .errors import InputError
 from .frames import Family, GFrameSystem
 from .hilbert import AdjointableOperator, ModuleVector, atom_columns
@@ -41,12 +41,6 @@ def _parse_int(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise InputError(f"{what} must be an integer, got {value!r}")
-
-
-def _are_numbers(values) -> bool:
-    """Whether every value is a real number other than a boolean, judged on the set of their types."""
-    return all(issubclass(kind, numbers.Real) and not issubclass(kind, bool)
-               for kind in set(map(type, values)))
 
 
 def _parse_ints(values: list, what: str) -> list:
@@ -215,10 +209,6 @@ def measure_from_dict(doc: Mapping) -> MeasureSpace:
         weights = list(map(itemgetter("weight"), atoms))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad measure document: {exc}") from exc
-    if not _are_numbers(weights):
-        label, weight = next((label, weight) for label, weight in zip(labels, weights)
-                             if not _are_numbers([weight]))
-        raise InputError(f"weight of atom {label!r} must be a number, got {weight!r}")
     return MeasureSpace(tuple(zip(labels, weights)))
 
 

@@ -63,7 +63,7 @@ def family_distance(sys_a: GFrameSystem, sys_b: GFrameSystem, x: ModuleVector) -
     return _difference_system(sys_a, sys_b).gram(x)
 
 
-def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem, seed: int = 0,
+def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem,
                         tol: float = DEFAULT_TOL) -> TheoremReport:
     """Two-sided equivalence between a frame and a perturbed family.
 
@@ -73,7 +73,7 @@ def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem, seed: int = 0,
     info["min_m"] = max(lambda_max(K_D; K_A), lambda_max(K_D; K_B)).  Backward:
     that constant feeds the (1 + sqrt(M)) window certified on the perturbed system.
     """
-    report = TheoremReport("STAB-EQUIV-M", tolerance=tol, seed=seed)
+    report = TheoremReport("STAB-EQUIV-M", tolerance=tol)
     _require_pair(sys_a, sys_b)
     bounds_a = optimal_scalar_bounds(sys_a, tol)
     bounds_b = optimal_scalar_bounds(sys_b, tol)
@@ -97,9 +97,9 @@ def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem, seed: int = 0,
 
 
 def sum_frame_check(sys_frame: GFrameSystem, sys_bessel: GFrameSystem,
-                    tol: float = DEFAULT_TOL, seed: int = 0) -> TheoremReport:
+                    tol: float = DEFAULT_TOL) -> TheoremReport:
     """Adding a small Bessel family keeps the frame property."""
-    report = TheoremReport("STAB-SUM", tolerance=tol, seed=seed)
+    report = TheoremReport("STAB-SUM", tolerance=tol)
     _require_pair(sys_frame, sys_bessel)
     bounds = optimal_scalar_bounds(sys_frame, tol)
     bessel = optimal_scalar_bounds(sys_bessel, tol)
@@ -117,7 +117,7 @@ def sum_frame_check(sys_frame: GFrameSystem, sys_bessel: GFrameSystem,
 
 def weighted_perturbation_check(sys_t: GFrameSystem, family_r,
                                 alpha_w: Mapping[str, float], beta_w: Mapping[str, float],
-                                lam: float, mu: float, seed: int = 0,
+                                lam: float, mu: float,
                                 tol: float = DEFAULT_TOL) -> TheoremReport:
     """Weighted two-constant perturbation with per-atom positive weights.
 
@@ -131,7 +131,7 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r,
     """
     if not (0 <= lam < 1 and 0 <= mu < 1):
         raise InputError("weighted check needs constants in [0, 1)")
-    report = TheoremReport("STAB-WEIGHTED", tolerance=tol, seed=seed)
+    report = TheoremReport("STAB-WEIGHTED", tolerance=tol)
     sys_r = sys_t.with_family(family_r)
     _require_pair(sys_t, sys_r)
     alphas = [float(alpha_w[label]) for label in sys_t.measure.labels]
@@ -166,7 +166,7 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r,
 
 def additive_perturbation_check(sys_t: GFrameSystem, family_r,
                                 alpha: float, beta: float, kind: str = ADDITIVE,
-                                seed: int = 0, tol: float = DEFAULT_TOL) -> TheoremReport:
+                                tol: float = DEFAULT_TOL) -> TheoremReport:
     """Additive perturbation with constants measured against the Gram and the inner product.
 
     The hypothesis, for all x with D = T - R, is exactly K_D <= alpha K_T + beta I.
@@ -180,7 +180,7 @@ def additive_perturbation_check(sys_t: GFrameSystem, family_r,
         raise InputError(f"additive check got kind {kind!r}")
     if alpha < 0 or (kind == ADDITIVE and beta < 0):
         raise InputError("additive check needs nonnegative constants")
-    report = TheoremReport("STAB-ADDITIVE", tolerance=tol, seed=seed)
+    report = TheoremReport("STAB-ADDITIVE", tolerance=tol)
     sys_r = sys_t.with_family(family_r)
     _require_pair(sys_t, sys_r)
     bounds = optimal_scalar_bounds(sys_t, tol)
@@ -238,7 +238,7 @@ def _atom_constants(params: Mapping, key: str, labels: tuple) -> dict:
 
 
 def run_perturbation(kind: str, sys_a: GFrameSystem, sys_b: GFrameSystem, params: Mapping,
-                     seed: int = 0, tol: float = DEFAULT_TOL) -> TheoremReport:
+                     tol: float = DEFAULT_TOL) -> TheoremReport:
     """Dispatch a perturbation run described by plain JSON-friendly parameters.
 
     The constants must be finite numbers; ``alpha_w`` and ``beta_w`` may also
@@ -248,17 +248,17 @@ def run_perturbation(kind: str, sys_a: GFrameSystem, sys_b: GFrameSystem, params
         return _finite_number(params.get(key, 0.0), key)
 
     if kind == EQUIVALENCE_M:
-        return check_equivalence_M(sys_a, sys_b, seed=seed, tol=tol)
+        return check_equivalence_M(sys_a, sys_b, tol=tol)
     if kind == SUM:
-        return sum_frame_check(sys_a, sys_b, tol=tol, seed=seed)
+        return sum_frame_check(sys_a, sys_b, tol=tol)
     if kind == WEIGHTED:
         labels = sys_a.measure.labels
         return weighted_perturbation_check(
             sys_a, sys_b.stacked_family, _atom_constants(params, "alpha_w", labels),
             _atom_constants(params, "beta_w", labels), lam=constant("lambda"), mu=constant("mu"),
-            seed=seed, tol=tol)
+            tol=tol)
     if kind in (ADDITIVE, ADDITIVE_COROLLARY):
         return additive_perturbation_check(
             sys_a, sys_b.stacked_family, alpha=constant("alpha"), beta=constant("beta"), kind=kind,
-            seed=seed, tol=tol)
+            tol=tol)
     raise InputError(f"unknown perturbation kind {kind!r}")

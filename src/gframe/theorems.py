@@ -64,7 +64,6 @@ from .measure import MeasureSpace, atom_label
 from .reports import FAIL, NOT_APPLICABLE, TheoremReport, frame_line, gap, within
 from .sampling import (
     complex_gaussian,
-    rand_coords,
     rand_invertible_operator,
     rand_operator,
     rand_positive_operator,
@@ -188,7 +187,6 @@ class _Row:
     system: Optional[GFrameSystem]
     draw: _Draws
     tol: float
-    samples: int
     aux: Optional[Mapping[str, AdjointableOperator]]
     mutant: Optional[str]
     bounds: Optional[FrameBounds] = None
@@ -290,9 +288,9 @@ def _row(theorem_id: str, instance: Optional[Callable] = _drawn(scalar_controls=
     in their commuting form, their plain form, or none.
     """
     def register(body: Callable[[_Row], None]):
-        def run(system, draw, tol, samples, aux, mutant) -> TheoremReport:
+        def run(system, draw, tol, aux, mutant) -> TheoremReport:
             row = _Row(TheoremReport(theorem_id, tolerance=tol, seed=draw.seed), system, draw,
-                       tol, samples, aux, mutant)
+                       tol, aux, mutant)
             with row.report.gate():
                 if instance is not None:
                     generated = system is None
@@ -506,37 +504,39 @@ def _hom_instances(draw: _Draws) -> list:
 
 @_row("HOM-TRANSPORT", instance=None, frame=None)
 def _hom_transport(row: _Row) -> None:
-    """Frame data transported through an algebra morphism with an intertwiner."""
+    """Frame data transported through an algebra morphism with an intertwiner.
+
+    The identities are (sesqui)linear over C, so the C-basis of A^n decides
+    them: all basis pairs, and the Gram identity through its polarization.
+    """
     tol = row.tol
     row.report.info["instance"] = {"generated": True,
                                    "classes": ["identity", "unitary", "permutation"]}
-    rng = _rng(row.seed, 5)
-    pair_count = max(10, min(row.samples, 40))
     for name, system, phi in _hom_instances(row.draw):
         bounds = optimal_scalar_bounds(system, tol)
         row.require(frame_line(f"{name}: frame property", bounds))
         desc, s = system.descriptor, system.frame_operator
-        x, y = (rand_coords(desc, system.module_rank, rng, pair_count, unit=True) for _ in "xy")
+        size = system.module_rank * desc.entry_count
+        basis = np.eye(size, dtype=complex).reshape((size, system.module_rank) + desc.shape)
+        x, y = basis[np.indices((size, size)).reshape(2, -1)]
         tx, ty = phi(x), phi(y)
 
         def worst(a, b):
             return float(element_norms(desc, a - b).max())
 
-        commute_defect = max(
-            float(np.sqrt(element_norms(desc, pairing(desc, diff)).max()))
-            for diff in (apply_stack(op, tx) - phi(apply_stack(op, x))
-                         for op in system.family.values()))
-        row.require(within(f"{name}: inner products intertwined",
-                           worst(pairing(desc, tx, other=ty), phi(pairing(desc, x, other=y))),
-                           100 * tol),
-                    within(f"{name}: intertwiner commutes with the family", commute_defect,
+        def transported(op=None):  # <op phi x, phi y> against phi <op x, y>
+            return worst(pairing(desc, tx, op, ty), phi(pairing(desc, x, op, y)))
+
+        family = system.stacked_family.stack
+        row.require(within(f"{name}: inner products intertwined", transported(), 100 * tol),
+                    within(f"{name}: intertwiner commutes with the family",
+                           worst(apply_stack(family, phi(basis)), phi(apply_stack(family, basis))),
                            100 * tol))
         eigs = s.eigenvalues_hermitian()
         row.conclude(
-            within(f"{name}: transported Gram identity",
-                   worst(system.gram_batch(tx), phi(system.gram_batch(x))), 100 * tol),
-            within(f"{name}: transported frame-operator pairing",
-                   worst(pairing(desc, tx, s, ty), phi(pairing(desc, x, s, y))), 100 * tol),
+            within(f"{name}: transported Gram identity", transported(system.gram_operator),
+                   100 * tol),
+            within(f"{name}: transported frame-operator pairing", transported(s), 100 * tol),
             gap(f"{name}: transported bounds certified",
                 max(bounds.scalar_lower ** 2 - eigs[0], eigs[-1] - bounds.scalar_upper ** 2), tol))
 
@@ -894,7 +894,7 @@ THEOREM_IDS = tuple(_ROWS)
 
 
 def verify_theorem(theorem_id: str, system: Optional[GFrameSystem] = None, seed: int = 0,
-                   tol: float = DEFAULT_TOL, samples: int = 100,
+                   tol: float = DEFAULT_TOL,
                    aux: Optional[Mapping[str, AdjointableOperator]] = None,
                    mutant: Optional[str] = None, *,
                    draws: Optional[_Draws] = None) -> TheoremReport:
@@ -911,12 +911,12 @@ def verify_theorem(theorem_id: str, system: Optional[GFrameSystem] = None, seed:
         draws = _Draws(seed)
     elif draws.seed != seed:
         raise ValueError(f"draws for seed {draws.seed} passed to a row with seed {seed}")
-    return _ROWS[theorem_id](system, draws, tol, samples, aux, mutant)
+    return _ROWS[theorem_id](system, draws, tol, aux, mutant)
 
 
 def run_suite(system: Optional[GFrameSystem] = None, seeds=(0,), tol: float = DEFAULT_TOL,
-              samples: int = 100, aux=None) -> list:
+              aux=None) -> list:
     """All rows over all seeds, ordered by (theorem id, seed); one draw per seed and options."""
     draws = {seed: _Draws(seed) for seed in seeds}
-    return [verify_theorem(theorem_id, system, seed, tol, samples, aux, draws=draws[seed])
+    return [verify_theorem(theorem_id, system, seed, tol, aux, draws=draws[seed])
             for theorem_id in sorted(THEOREM_IDS) for seed in seeds]

@@ -205,8 +205,8 @@ def test_perturbation_snapshot():
     snapshot = json.loads(PERTURB_SNAPSHOT.read_text(encoding="utf-8"))
     runs = _perturb_runs()
     assert sorted(snapshot) == sorted(key for key, *_ in runs)
-    for key, kind, sys_a, sys_b, seed in runs:
-        report = run_perturbation(kind, sys_a, sys_b, PERTURB_PARAMS[kind], seed=seed)
+    for key, kind, sys_a, sys_b, _ in runs:
+        report = run_perturbation(kind, sys_a, sys_b, PERTURB_PARAMS[kind])
         mismatch = _snapshot_mismatch(_snapshot_entry(report), snapshot[key])
         assert mismatch is None, (key, mismatch)
     statuses = sorted({entry["status"] for entry in snapshot.values()})
@@ -237,7 +237,7 @@ def test_criterion_7_stability():
         for label, op in sys_a.family.items():
             noise = rand_operator(sys_a.descriptor, op.in_rank, op.out_rank, rng)
             perturbed[label] = op + (0.01 / max(1.0, noise.norm())) * noise
-        report = check_equivalence_M(sys_a, sys_a.with_family(perturbed), seed=seed)
+        report = check_equivalence_M(sys_a, sys_a.with_family(perturbed))
         assert report.status == PASS, (seed, report.to_dict())
 
     tight = tight_line_system()
@@ -258,8 +258,7 @@ def test_criterion_7_stability():
     ones = {label: 1.0 for label in ui.measure.labels}
     for c, lam, mu in ((0.5, 0.55, 0.0), (1.0, 0.0, 0.0), (2.0, 0.6, 0.25)):
         family = {label: c * op for label, op in ui.family.items()}
-        report = weighted_perturbation_check(ui, family, ones, ones, lam=lam, mu=mu,
-                                             seed=int(10 * c))
+        report = weighted_perturbation_check(ui, family, ones, ones, lam=lam, mu=mu)
         assert report.status == PASS, (c, report.to_dict())
         window = report.info["certified_windows"]["weighted window certified"]
         if not (window[0] <= c * ui_bounds.scalar_lower + 1e-12
@@ -268,8 +267,7 @@ def test_criterion_7_stability():
 
     for c, alpha in ((0.5, 0.2501), (1.0, 0.0)):
         family = {label: c * op for label, op in tight.family.items()}
-        report = additive_perturbation_check(tight, family, alpha=alpha, beta=0.0,
-                                             seed=int(10 * c))
+        report = additive_perturbation_check(tight, family, alpha=alpha, beta=0.0)
         assert report.status == PASS, (c, report.to_dict())
         window = report.info["certified_windows"]["additive window certified"]
         if not (window[0] <= c * a + 1e-12 and c * b <= window[1] + 1e-12):

@@ -60,18 +60,22 @@ def test_frame_op_dual_reconstruct_multiplier(tmp_path, capsys):
         assert json.loads(out)["status"] == "pass"
 
 
-# validate, bounds and frame-op read no seed and draw no samples, and multiplier
-# draws none: they take neither option, so passing one is a usage error.
+# validate, bounds and frame-op read no seed and draw no samples, multiplier and
+# theorem draw none, and perturb draws nothing: a command does not take an option
+# it does not read, so passing one is a usage error.
 @pytest.mark.parametrize("command,option", [
     *((command, option) for command in ("validate", "bounds", "frame-op")
       for option in ("--seed", "--samples")),
     ("multiplier", "--samples"),
+    ("theorem", "--samples"),
+    ("perturb", "--seed"),
 ])
 def test_unread_options_exit_two(tmp_path, capsys, command, option):
     path = str(tmp_path / "sys.json")
     _run(capsys, "random", "--seed", "4", "--out", path)
+    required = ["--id", "T55"] if command == "theorem" else []
     with pytest.raises(SystemExit) as exc:
-        main([command, path, option, "5"])
+        main([command, path, *required, option, "5"])
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option} 5" in captured.err and captured.out == ""
@@ -172,8 +176,7 @@ def _perturb_descriptor(tmp_path, **fields):
     path = tmp_path / "a.json"
     path.write_text(dump_json(system_to_dict(sys_a)), encoding="utf-8")
     desc = tmp_path / "run.json"
-    doc = {"kind": "equivalence_M", "params": {}, "systemA": str(path), "systemB": str(path),
-           "seed": 0}
+    doc = {"kind": "equivalence_M", "params": {}, "systemA": str(path), "systemB": str(path)}
     doc.update(fields)
     desc.write_text(json.dumps(doc), encoding="utf-8")
     return str(desc)
@@ -199,39 +202,25 @@ def test_nonpositive_tolerance_exits_two(tmp_path, capsys, tol):
     _assert_input_error(code, err)
 
 
-# Booleans, strings and fractions used to run as int(value): 1, 7 and 7.  The
-# descriptor's seed is still parsed; its samples key is not read at all.
-@pytest.mark.parametrize("fields", [
-    pytest.param({"seed": value}, id=f"seed={value!r}") for value in (True, "7", 7.9)])
-def test_perturb_descriptor_rejects_non_integral_seeds(tmp_path, capsys, fields):
-    code, _, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path, **fields))
-    _assert_input_error(code, err)
-    assert next(iter(fields)) in err
-
-
-# The perturbation hypotheses are exact, so nothing reads a sample count: a
-# descriptor's samples key is ignored like any other unknown key, whatever its value.
-@pytest.mark.parametrize("samples", [
+# The perturbation hypotheses are exact, so nothing reads a sample count or a
+# seed: a descriptor's samples and seed keys are ignored like any other unknown
+# key, whatever their values.
+@pytest.mark.parametrize("value", [
     pytest.param(0, id="0"),
     pytest.param(-3, id="-3"),
     pytest.param(50, id="50"),
-    *(pytest.param(value, id=f"samples={value!r}") for value in (True, "7", 7.9)),
+    *(pytest.param(value, id=f"samples={value!r}") for value in (True, "7", 7.9, 3.0)),
 ])
-def test_perturb_descriptor_ignores_samples(tmp_path, capsys, samples):
+def test_perturb_descriptor_ignores_samples(tmp_path, capsys, value):
     code, without, _ = _run(capsys, "perturb", _perturb_descriptor(tmp_path))
     assert code == 0
-    code, out, _ = _run(capsys, "perturb", _perturb_descriptor(tmp_path, samples=samples))
-    assert code == 0
-    assert out == without
-    assert "samples" not in json.loads(out)["config"]
-
-
-def test_perturb_descriptor_accepts_integral_floats(tmp_path, capsys):
-    out = tmp_path / "rep.json"
-    code, _, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path, seed=3.0),
-                        "--out", str(out))
-    assert code in (0, 1) and "Traceback" not in err
-    assert json.loads(out.read_text(encoding="utf-8"))["config"]["seed"] == 3
+    for fields in ({"samples": value}, {"seed": value}, {"samples": value, "seed": value}):
+        code, out, _ = _run(capsys, "perturb", _perturb_descriptor(tmp_path, **fields))
+        assert code == 0
+        assert out == without, fields
+    doc = json.loads(out)
+    assert "samples" not in doc["config"] and "seed" not in doc["config"]
+    assert "seed" not in doc["results"]
 
 
 def test_nan_entry_in_system_file_exits_two(tmp_path, capsys):
@@ -452,13 +441,14 @@ def test_unparsable_json_exits_two(tmp_path, capsys, text):
 
 
 def test_overflowing_descriptor_seed_exits_two(tmp_path, capsys):
-    # The samples key is ignored; an overflowing seed exits 2 before any file is read.
+    # The samples and seed keys are ignored, so overflowing ones do not stop the
+    # run: it exits 2 on the system file "a", which does not exist.
     desc = tmp_path / "run.json"
     desc.write_text('{"kind": "sum", "systemA": "a", "systemB": "b", "samples": 1e400, '
                     '"seed": 1e400}', encoding="utf-8")
     code, _, err = _run(capsys, "perturb", str(desc))
     _assert_input_error(code, err)
-    assert "seed" in err
+    assert "'a'" in err and "seed" not in err
 
 
 PERTURB_KINDS = [
@@ -519,7 +509,7 @@ def test_no_command_reads_the_dense_flattening(tmp_path, capsys, monkeypatch, al
          "--dim", "2", "--out", path)
     runs = [[command, path] for command in ("validate", "bounds", "frame-op", "multiplier")]
     runs += [[command, path, "--samples", "10"] for command in ("dual", "reconstruct")]
-    runs.append(["theorem", path, "--id", "all", "--samples", "10"])
+    runs.append(["theorem", path, "--id", "all"])
     # The stability checks need C' = C.
     system = load_system(path)
     repeated = tmp_path / "repeated.json"

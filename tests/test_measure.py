@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,3 +76,12 @@ def test_measure_validation():
         MeasureSpace((("w0", 1.0), ("w0", 2.0)))
     with pytest.raises(InputError):
         MeasureSpace((("w0", 0.0),))
+
+
+@pytest.mark.parametrize("weight", ["0.5", True, False, None, 1j], ids=repr)
+def test_weights_must_be_numbers(weight):
+    # A string or a boolean used to be converted (to 0.5 and 1.0).
+    message = f"weight of atom 'w1' must be a number, got {weight!r}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        MeasureSpace((("w0", 0.5), ("w1", weight)))
+    assert MeasureSpace((("w0", np.float64(0.5)), ("w1", 2))).weights == (0.5, 2.0)

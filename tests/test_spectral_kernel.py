@@ -9,7 +9,15 @@ import pytest
 import gframe
 from gframe.algebra import AlgebraDescriptor, AlgebraElement, element_norms, two_norm
 from gframe.errors import DomainError
-from gframe.hilbert import AdjointableOperator, ModuleVector, loewner_gap, positive_part_checks
+from gframe.frames import GFrameSystem
+from gframe.hilbert import (
+    AdjointableOperator,
+    ModuleVector,
+    loewner_gap,
+    positive_part_checks,
+    spectral_norms,
+)
+from gframe.measure import MeasureSpace
 from gframe.sampling import rand_operator, rand_positive_operator
 from gframe.theorems import _singular_range
 
@@ -272,6 +280,32 @@ def test_nan_elements_raise_domain_error(rows):
         stack = np.stack([finite, np.where(np.isnan(a.data), bad, a.data)])
         with pytest.raises(DomainError):
             element_norms(a.descriptor, stack)
+
+
+@pytest.mark.parametrize("desc", [AlgebraDescriptor("diagonal", 2),
+                                  AlgebraDescriptor("matrix", 2)], ids=["diagonal", "matrix"])
+def test_nan_member_fails_the_family_commutation_check(desc):
+    # Over C^2 at rank 1 every channel is 1 x 1, so the 2-norms take the
+    # one-row shortcut; it used to read a NaN member as commuting (defect 0.0).
+    blocks = AlgebraElement.one(desc).data.copy()[None, None]
+    blocks.flat[0] = np.nan
+    identity = AdjointableOperator.identity(desc, 1)
+    system = GFrameSystem(MeasureSpace((("w0", 1.0), ("w1", 1.0))),
+                          {"w0": identity, "w1": AdjointableOperator(desc, blocks)},
+                          identity, identity)
+    with pytest.raises(DomainError):
+        system.controls.family_defect
+    with pytest.raises(DomainError):
+        system.controls.commute_with_family
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 2), (3, 2, 1), (1, 1)], ids=["row", "column", "scalar"])
+def test_one_row_or_column_norms_refuse_non_finite_entries(shape):
+    finite = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+    np.testing.assert_array_equal(spectral_norms(finite), np.linalg.norm(finite, axis=(-2, -1)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            spectral_norms(np.where(finite == finite.max(), bad, finite))
 
 
 def _ord_two_norm_calls(root: Path) -> list:

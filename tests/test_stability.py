@@ -96,7 +96,7 @@ def test_zero_distance_means_equal_frame_operators():
 
 
 def test_equivalence_self(unit_interval):
-    report = check_equivalence_M(unit_interval, unit_interval, seed=0)
+    report = check_equivalence_M(unit_interval, unit_interval)
     assert report.status == "pass"
     assert report.info["min_m"] == 0.0
 
@@ -113,7 +113,7 @@ def test_equivalence_scaled_diagonal_closed_form(unit_interval):
     # difference family is 0.5 * Lambda: ratios are exactly 1/4 and 1/9
     assert worst_a == pytest.approx(0.25, abs=1e-12)
     assert worst_b == pytest.approx(1.0 / 9.0, abs=1e-12)
-    report = check_equivalence_M(unit_interval, sys_b, seed=1)
+    report = check_equivalence_M(unit_interval, sys_b)
     assert report.status == "pass"
     # the exact constant is the larger generalized eigenvalue, max(1/4, 1/9)
     assert report.info["min_m"] == pytest.approx(0.25, abs=1e-12)
@@ -130,7 +130,7 @@ def test_equivalence_near_identical_seeded_pairs():
             noise = rand_operator(sys_a.descriptor, op.in_rank, op.out_rank, rng)
             perturbed[label] = op + (0.01 / max(1.0, noise.norm())) * noise
         sys_b = sys_a.with_family(perturbed)
-        report = check_equivalence_M(sys_a, sys_b, seed=seed)
+        report = check_equivalence_M(sys_a, sys_b)
         assert report.status == "pass", report.to_dict()
 
 
@@ -176,7 +176,7 @@ def test_weighted_identity_reproduces_bounds(unit_interval):
     labels = unit_interval.measure.labels
     ones = {label: 1.0 for label in labels}
     report = weighted_perturbation_check(unit_interval, dict(unit_interval.family),
-                                         ones, ones, lam=0.0, mu=0.0, seed=0)
+                                         ones, ones, lam=0.0, mu=0.0)
     assert report.status == "pass"
     window = report.info["certified_windows"]["weighted window certified"]
     bounds = optimal_scalar_bounds(unit_interval)
@@ -190,7 +190,7 @@ def test_weighted_scaled_diagonal(c, lam, mu, unit_interval):
     ones = {label: 1.0 for label in labels}
     scaled_family = {label: c * op for label, op in unit_interval.family.items()}
     report = weighted_perturbation_check(unit_interval, scaled_family, ones, ones,
-                                         lam=lam, mu=mu, seed=1)
+                                         lam=lam, mu=mu)
     assert report.status == "pass", report.to_dict()
     bounds = optimal_scalar_bounds(unit_interval)
     window = report.info["certified_windows"]["weighted window certified"]
@@ -208,22 +208,20 @@ def test_weighted_seeded_small_constants():
         noise = rand_operator(sys_a.descriptor, op.in_rank, op.out_rank, rng)
         perturbed[label] = op + (0.02 / max(1.0, noise.norm())) * noise
     report = weighted_perturbation_check(sys_a, perturbed, ones, ones,
-                                         lam=0.1, mu=0.1, seed=2)
+                                         lam=0.1, mu=0.1)
     assert report.status == "pass"
 
 
 def test_additive_identity_and_small_scale():
     tight = tight_line_system()
     bounds = optimal_scalar_bounds(tight)
-    report = additive_perturbation_check(tight, dict(tight.family), alpha=0.0, beta=0.0,
-                                         seed=0)
+    report = additive_perturbation_check(tight, dict(tight.family), alpha=0.0, beta=0.0)
     assert report.status == "pass"
     window = report.info["certified_windows"]["additive window certified"]
     assert window[0] == pytest.approx(bounds.scalar_lower)
     assert window[1] == pytest.approx(bounds.scalar_upper)
     scaled = {label: 1.01 * op for label, op in tight.family.items()}
-    report = additive_perturbation_check(tight, scaled, alpha=(0.012) ** 1, beta=0.0,
-                                         seed=1)
+    report = additive_perturbation_check(tight, scaled, alpha=(0.012) ** 1, beta=0.0)
     assert report.status == "pass"
     window = report.info["certified_windows"]["additive window certified"]
     assert window[0] <= 1.01 * bounds.scalar_lower
@@ -243,7 +241,7 @@ def test_additive_precondition_gate():
 def test_additive_corollary_kind():
     tight = tight_line_system()
     report = additive_perturbation_check(tight, dict(tight.family), alpha=0.01, beta=0.0,
-                                         kind="additive_corollary", seed=2)
+                                         kind="additive_corollary")
     assert report.status == "pass"
     assert "squared_factor_window" in report.info
 
@@ -252,8 +250,7 @@ def test_certified_windows_recheck_exactly():
     # conclusion soundness: every certified window passes the exact scalar check
     tight = tight_line_system()
     scaled = {label: 0.9 * op for label, op in tight.family.items()}
-    report = additive_perturbation_check(tight, scaled, alpha=0.02, beta=0.0,
-                                         seed=3)
+    report = additive_perturbation_check(tight, scaled, alpha=0.02, beta=0.0)
     assert report.status == "pass"
     window = report.info["certified_windows"]["additive window certified"]
     sys_r = tight.with_family(scaled)

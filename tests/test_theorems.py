@@ -191,3 +191,25 @@ def test_dual_param_draws_distinct_bessel_members(monkeypatch, seed):
     for i, first in enumerate(drawn):
         for second in drawn[i + 1:]:
             assert not np.array_equal(first.blocks, second.blocks)
+
+
+def test_hom_transport_rejects_a_non_morphism(monkeypatch):
+    # The transpose on M_2 reverses products (an anti-morphism), so it cannot
+    # intertwine the inner products: the basis pairs show it, and the row is
+    # not_applicable with only the unitary class's hypotheses failed.
+    drawn = theorems._hom_instances
+
+    def transposed(draw):
+        return [(name, system, (lambda a: np.swapaxes(a, -1, -2)) if name == "unitary" else phi)
+                for name, system, phi in drawn(draw)]
+
+    monkeypatch.setattr(theorems, "_hom_instances", transposed)
+    for seed in range(3):
+        report = verify_theorem("HOM-TRANSPORT", seed=seed)
+        assert report.status == NOT_APPLICABLE
+        failed = {line.name: line.residual for line in report.hypotheses if not line.passed}
+        assert set(failed) <= {"unitary: inner products intertwined",
+                               "unitary: intertwiner commutes with the family"}
+        assert failed["unitary: inner products intertwined"] == pytest.approx(1.0)
+        assert report.conclusions and all(line.name.startswith("identity:")
+                                          for line in report.conclusions)

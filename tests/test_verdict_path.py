@@ -42,7 +42,9 @@ def test_retired_names_stay_gone():
                "_padded_channels", "_stacked_channels",
                # The layout of a kind lives in algebra.py: descriptor.shape and
                # the channel kernel, which elements and operators share.
-               "_coord_shape", "_finite_matrix"}
+               "_coord_shape", "_finite_matrix",
+               # HOM-TRANSPORT is decided on a basis, not on drawn vector pairs.
+               "pair_count"}
     found = []
     for name, tree in _trees().items():
         for node in ast.walk(tree):
@@ -52,6 +54,22 @@ def test_retired_names_stay_gone():
             if defined in retired or getattr(node, "attr", None) in retired:
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_theorems_and_stability_draw_nothing():
+    # theorems.py draws no module vectors and reads no sample count, and no
+    # perturbation check takes a seed: every identity is decided exactly.
+    trees = _trees()
+    imported = {alias.name for node in ast.walk(trees["theorems.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({"rand_coords", "rand_vector"})
+    names = {getattr(node, "id", None) or getattr(node, "arg", None) or getattr(node, "attr", None)
+             for node in ast.walk(trees["theorems.py"])}
+    assert "samples" not in names
+    seeded = [node.name for node in ast.walk(trees["stability.py"])
+              if isinstance(node, ast.FunctionDef)
+              and "seed" in [arg.arg for arg in node.args.args + node.args.kwonlyargs]]
+    assert seeded == []
 
 
 def test_every_spectral_call_goes_through_finite_spectrum():

@@ -54,8 +54,6 @@ from .frames import (
 from .generate import _padding_isometry, random_system
 from .hilbert import (
     AdjointableOperator,
-    apply_stack,
-    pairing,
     scale_atoms,
     stack,
     weighted_sum,
@@ -479,7 +477,7 @@ def _hom_instances(draw: _Draws) -> list:
 
     Each class is (name, system, phi) with phi an algebra morphism acting on
     the trailing element axes, so that it maps stacks of algebra values and,
-    coordinate by coordinate, stacks of module vectors (the intertwiner).
+    block by block, operator blocks (the intertwiner on their module vectors).
     """
     rng = _rng(draw.seed, 4)
     base = draw(scalar_controls=True)
@@ -515,23 +513,24 @@ def _hom_transport(row: _Row) -> None:
     for name, system, phi in _hom_instances(row.draw):
         bounds = optimal_scalar_bounds(system, tol)
         row.require(frame_line(f"{name}: frame property", bounds))
-        desc, s = system.descriptor, system.frame_operator
-        size = system.module_rank * desc.entry_count
-        basis = np.eye(size, dtype=complex).reshape((size, system.module_rank) + desc.shape)
-        x, y = basis[np.indices((size, size)).reshape(2, -1)]
-        tx, ty = phi(x), phi(y)
+        desc, n, s = system.descriptor, system.module_rank, system.frame_operator
+        size = n * desc.entry_count
+        # Row i of ``basis`` is the i-th basis vector e_i, so block (i, j) of
+        # basis* T basis is <T e_i, e_j>: all basis pairs, with no pair stack.
+        basis = AdjointableOperator(desc, np.eye(size).reshape((size, n) + desc.shape))
+        moved = AdjointableOperator(desc, phi(basis.blocks))
 
-        def worst(a, b):
-            return float(element_norms(desc, a - b).max())
+        def worst(a, b):  # the blocks of a against phi of the blocks of b
+            return float(element_norms(desc, a.blocks - phi(b.blocks)).max())
 
-        def transported(op=None):  # <op phi x, phi y> against phi <op x, y>
-            return worst(pairing(desc, tx, op, ty), phi(pairing(desc, x, op, y)))
+        def transported(op):  # <op phi e_i, phi e_j> against phi <op e_i, e_j>
+            return worst(moved.adjoint() @ op @ moved, basis.adjoint() @ op @ basis)
 
         family = system.stacked_family.stack
-        row.require(within(f"{name}: inner products intertwined", transported(), 100 * tol),
+        row.require(within(f"{name}: inner products intertwined",
+                           transported(AdjointableOperator.identity(desc, n)), 100 * tol),
                     within(f"{name}: intertwiner commutes with the family",
-                           worst(apply_stack(family, phi(basis)), phi(apply_stack(family, basis))),
-                           100 * tol))
+                           worst(family @ moved, family @ basis), 100 * tol))
         eigs = s.eigenvalues_hermitian()
         row.conclude(
             within(f"{name}: transported Gram identity", transported(system.gram_operator),

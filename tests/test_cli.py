@@ -202,19 +202,32 @@ def test_nonpositive_tolerance_exits_two(tmp_path, capsys, tol):
     _assert_input_error(code, err)
 
 
-# The perturbation hypotheses are exact, so nothing reads a sample count or a
-# seed: a descriptor's samples and seed keys are ignored like any other unknown
-# key, whatever their values.
-@pytest.mark.parametrize("value", [
+# The perturbation hypotheses are exact, so nothing reads a sample count: a
+# descriptor's samples key is ignored like any other unknown key, whatever its value.
+@pytest.mark.parametrize("samples", [
     pytest.param(0, id="0"),
     pytest.param(-3, id="-3"),
     pytest.param(50, id="50"),
     *(pytest.param(value, id=f"samples={value!r}") for value in (True, "7", 7.9, 3.0)),
 ])
-def test_perturb_descriptor_ignores_samples(tmp_path, capsys, value):
+def test_perturb_descriptor_ignores_samples(tmp_path, capsys, samples):
     code, without, _ = _run(capsys, "perturb", _perturb_descriptor(tmp_path))
     assert code == 0
-    for fields in ({"samples": value}, {"seed": value}, {"samples": value, "seed": value}):
+    code, out, _ = _run(capsys, "perturb", _perturb_descriptor(tmp_path, samples=samples))
+    assert code == 0
+    assert out == without
+    assert "samples" not in json.loads(out)["config"]
+
+
+# Nor does anything draw from a seed.  Booleans, strings and fractions used to be
+# rejected as descriptor seeds and 3.0 echoed as 3; now the key is ignored, alone
+# or next to samples, and no seed is echoed into the report.
+@pytest.mark.parametrize("seed", [
+    pytest.param(value, id=f"seed={value!r}") for value in (True, "7", 7.9, 3.0)])
+def test_perturb_descriptor_ignores_seed(tmp_path, capsys, seed):
+    code, without, _ = _run(capsys, "perturb", _perturb_descriptor(tmp_path))
+    assert code == 0
+    for fields in ({"seed": seed}, {"samples": seed, "seed": seed}):
         code, out, _ = _run(capsys, "perturb", _perturb_descriptor(tmp_path, **fields))
         assert code == 0
         assert out == without, fields

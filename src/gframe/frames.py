@@ -9,17 +9,15 @@ frame operator, transforms, duals and multipliers.
 
 A family is stored in one form (``Family``): the unweighted ``hilbert.stack``
 of its members, A^n -> A^(m_1 + ... + m_W), with the atom ranks m_w.  Frame
-operators, transforms, duals, multipliers and the family's commutation check
-are products of that stack, and so is member-wise algebra: precomposition,
-per-atom scaling, sums and differences of families.  The per-label mapping of
-members is cut from the stack only when a caller reads it.
+operators, transforms, duals, multipliers and member-wise algebra are products
+of that stack; member norms and the commutation check read its member view.
+The per-label mapping of members is cut from the stack only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Mapping, Optional
 
 import numpy as np
@@ -30,6 +28,7 @@ from .algebra import (
     AlgebraElement,
     as_channels,
     element_norms,
+    hermitian_transpose,
     tolerance_scale,
 )
 from .errors import DomainError, InputError, UnsupportedConfigurationError
@@ -61,7 +60,7 @@ class Family:
     algebra is stack algebra: ``family @ R`` precomposes every member with R,
     and ``with_stack`` puts a scaled (``hilbert.scale_atoms``), summed or
     otherwise computed stack on the same atoms and ranks.  ``members`` maps
-    each label to its operator, cut from the stack when first read.
+    each label to its operator when first read; ``member_channels`` views all at once.
     """
 
     def __init__(self, labels, ranks, stack: AdjointableOperator):
@@ -88,6 +87,21 @@ class Family:
     @cached_property
     def members(self) -> dict:
         return dict(zip(self.labels, unstack(self.stack, self.ranks)))
+
+    def member_channels(self) -> np.ndarray:
+        """Channels of every member, (atoms, c, n w, m_max w), each zero-padded to the widest rank.
+
+        Zero columns change no norm and no Lambda_w* Lambda_w.
+        """
+        atom, slot = atom_columns(self.ranks)
+        padded = np.zeros((len(self.ranks), self.in_rank, max(self.ranks))
+                          + self.descriptor.shape, dtype=np.complex128)
+        padded[atom, :, slot] = self.stack.blocks.swapaxes(0, 1)
+        return as_channels(self.descriptor, padded)
+
+    def member_norms(self) -> np.ndarray:
+        """||Lambda_w|| for every atom: one batched 2-norm of ``member_channels``."""
+        return spectral_norms(self.member_channels()).max(axis=-1)
 
     def with_stack(self, t: AdjointableOperator) -> "Family":
         """The family on the same atoms and ranks whose stack is t."""
@@ -150,42 +164,21 @@ class ControlPair:
         return self.family_defect <= DEFAULT_TOL
 
 
-# Complex entries per batched temporary (64 KiB).  Batching atoms bounds the
-# memory of the stacked family checks; larger temporaries measurably raised
-# the peak resident memory of whole CLI runs.
-_BATCH_ENTRIES = 1 << 12
-
-
 def _family_commutation_defect(family: Family, C: AdjointableOperator,
                                Cp: AdjointableOperator) -> float:
     """Worst relative commutator ||G_w X - X G_w|| of G_w = Lambda_w* Lambda_w with X = C, C'.
 
-    Each quantity is one batched 2-norm over a batch of atoms, channel by
-    channel; batches hold all atoms unless that would exceed _BATCH_ENTRIES.
-    A batch scatters the stack's columns into (atom, slot) positions, each
-    member zero-padded to the batch's widest rank: zero columns leave every
-    Lambda_w* Lambda_w unchanged.
+    Each quantity is one batched 2-norm over all atoms, channel by channel,
+    of the Grams of ``Family.member_channels``.
     """
-    controls = (C.channels(), Cp.channels())
-    cscales = [tolerance_scale(spectral_norms(ctrl).max()) for ctrl in controls]
-    ranks = family.ranks
-    step = max(1, _BATCH_ENTRIES * C.in_rank // (controls[0].size * max(max(ranks), C.in_rank)))
-    atom, slot = atom_columns(ranks)
-    columns = family.stack.blocks.swapaxes(0, 1)
-    ends = list(accumulate(ranks))
+    members = family.member_channels()
+    grams = members @ hermitian_transpose(members)
+    gscale = tolerance_scale(spectral_norms(grams).max(axis=-1))
     worst = 0.0
-    for start in range(0, len(ranks), step):
-        stop = min(start + step, len(ranks))
-        cols = slice(ends[start] - ranks[start], ends[stop - 1])
-        padded = np.zeros((stop - start, family.in_rank, max(ranks[start:stop]))
-                          + columns.shape[2:], dtype=np.complex128)
-        padded[atom[cols] - start, :, slot[cols]] = columns[cols]
-        members = as_channels(family.descriptor, padded)
-        grams = members @ members.conj().swapaxes(-1, -2)
-        gscale = tolerance_scale(spectral_norms(grams).max(axis=-1))
-        for ctrl, cscale in zip(controls, cscales):
-            defects = spectral_norms(grams @ ctrl - ctrl @ grams).max(axis=-1)
-            worst = max(worst, float(np.max(defects / gscale)) / cscale)
+    for ctrl in (C.channels(), Cp.channels()):
+        cscale = tolerance_scale(spectral_norms(ctrl).max())
+        defects = spectral_norms(grams @ ctrl - ctrl @ grams).max(axis=-1)
+        worst = max(worst, float(np.max(defects / gscale)) / cscale)
     return worst
 
 

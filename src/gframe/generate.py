@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import DIAGONAL, MATRIX, AlgebraDescriptor, AlgebraElement
 from .errors import InputError
-from .frames import GFrameSystem
+from .frames import Family, GFrameSystem
 from .hilbert import AdjointableOperator
 from .measure import MeasureSpace, atom_label, simpson_unit_interval
 from .sampling import rand_operator, rand_positive_operator, rand_unitary_operator
@@ -37,9 +37,8 @@ def unit_interval_system(alpha: float, beta: float, rank: int, nodes: int) -> GF
     measure, positions = simpson_unit_interval(nodes)
     desc = AlgebraDescriptor(DIAGONAL, rank)
     base = np.array([1.0 / (n + 1) for n in range(rank)], dtype=np.complex128)
-    family = {}
-    for label, w in zip(measure.labels, positions):
-        family[label] = AdjointableOperator(desc, (w * base).reshape(1, 1, rank))
+    stack = AdjointableOperator(desc, np.outer(positions, base)[None])
+    family = Family(measure.labels, [1] * nodes, stack)
     c = AdjointableOperator.scalar(desc, 1, alpha)
     cp = AdjointableOperator.scalar(desc, 1, beta)
     return GFrameSystem(measure, family, c, cp)

@@ -12,8 +12,8 @@ never mutates the one it is given.
 
 Derived families are stack algebra on ``Family``: ``family @ R``, per-atom
 ``scale_atoms``, sums of stacks, and ``_components`` of a map into the
-weighted direct sum.  Rows read single members only for a maximum over
-members, a per-member draw, or a member operation that is not a stack product.
+weighted direct sum; member-wise maxima are ``Family.member_norms``.  Rows
+read single members only for member operations that are not stack products.
 
 A row is a body registered with ``_row``: the runner draws the default
 instance, applies ``break_commutation`` where documented and records the frame
@@ -94,6 +94,12 @@ def _rng(seed: int, salt: int = 0) -> np.random.Generator:
 
 def _rel_op(x: AdjointableOperator, y: AdjointableOperator) -> float:
     return (x - y).norm() / tolerance_scale(x.norm(), y.norm())
+
+
+def _rel_members(x: Family, y: Family) -> float:
+    """The largest ``_rel_op`` of the members of two families on the same atoms and ranks."""
+    diff = x.with_stack(x.stack - y.stack).member_norms()
+    return float(np.max(diff / tolerance_scale(x.member_norms(), y.member_norms())))
 
 
 def _identity_residual(op: AdjointableOperator) -> float:
@@ -406,18 +412,19 @@ def _transform_bounds(row: _Row) -> None:
 def _bessel_composition(row: _Row) -> None:
     """Composing a Bessel family with the adjoints of another stays Bessel."""
     system, tol = row.system, row.tol
-    rng = _rng(row.seed, 2)
-    second = {label: rand_operator(system.descriptor, system.module_rank, op.out_rank, rng)
-              for label, op in system.family.items()}
+    rng, family = _rng(row.seed, 2), system.stacked_family
+    second = family.with_stack(stack([rand_operator(system.descriptor, system.module_rank, m, rng)
+                                      for m in family.ranks]))
     sys_gamma = system.with_family(second)
     b_lam = row.scalar_bounds(system, "first family Bessel")
     b_gam = row.scalar_bounds(sys_gamma, "second family Bessel")
-    sup_lam = max(op.norm() for op in system.family.values())
+    sup_lam = float(family.member_norms().max())
     b1 = max(b_lam.scalar_upper, sup_lam)
     row.require(("first family Bessel", np.isfinite(b_lam.scalar_upper), 0.0),
                 ("second family Bessel", np.isfinite(b_gam.scalar_upper), 0.0),
                 gap("member norms below the first Bessel constant", sup_lam - b1, tol))
-    composed = {label: op.adjoint() @ second[label] for label, op in system.family.items()}
+    composed = {label: op.adjoint() @ second.members[label]
+                for label, op in system.family.items()}
     comp_upper = optimal_scalar_bounds(sys_gamma.with_family(composed), tol).scalar_upper
     target = b1 * b_gam.scalar_upper
     row.conclude(gap("composed family Bessel with the product bound", comp_upper - target,
@@ -690,6 +697,7 @@ def _submodule(row: _Row) -> None:
                          projection @ sys_full.controls.C @ inclusion,
                          projection @ sys_full.controls.Cp @ inclusion)
     s_r_inv_p = sys_r.frame_operator.inverse() @ projection
+    family = sys_full.stacked_family
 
     def split_defect(op):  # P X against (P X i) P: zero when X preserves the split
         return _rel_op(projection @ op, (projection @ op @ inclusion) @ projection)
@@ -698,11 +706,11 @@ def _submodule(row: _Row) -> None:
         within("family respects the submodule split",
                max(split_defect(op.adjoint() @ op) for op in sys_full.family.values()), 100 * tol),
         within("companion operator preserves the submodule", split_defect(k), 100 * tol),
-        within("restricted inverse intertwines the members",
-               max(_rel_op(s_r_inv_p @ op.adjoint(), projection @ s_inv @ op.adjoint())
-                   for op in sys_full.family.values()), 1e-6))
+        within("restricted inverse intertwines the members",  # ||X L_w*|| = ||L_w X*||
+               _rel_members(family @ s_r_inv_p.adjoint(), family @ (projection @ s_inv).adjoint()),
+               1e-6))
     k_inv = k.inverse()
-    gamma = sys_full.stacked_family @ s_inv @ k_inv
+    gamma = family @ s_inv @ k_inv
     row.require(within("operator dual identity on the full module",
                        _identity_residual(reconstruction_operator(sys_full, gamma, k)), 100 * tol))
     gamma_r = gamma @ inclusion
@@ -794,9 +802,8 @@ def _bessel_parametrization(row: _Row) -> None:
     """Bessel families are exactly the componentwise restrictions of one map."""
     system, tol = row.system, row.tol
     stacked = _stacked(system, system.stacked_family)
-    plain = _components(system, stacked).members
     row.conclude(within("family recovered from its own transform",
-                        max(_rel_op(plain[label], op) for label, op in system.family.items()),
+                        _rel_members(_components(system, stacked), system.stacked_family),
                         10 * tol))
     theta = row.operator("theta", lambda: rand_operator(system.descriptor, system.module_rank,
                                                         stacked.out_rank, _rng(row.seed, 19)))
@@ -836,7 +843,7 @@ def _dual_parametrization(row: _Row) -> None:
     """Every operator dual is the stated combination of the family and a Bessel family."""
     system = row.system
     row.require(_uniform_rank_line(system))
-    desc, n, labels = system.descriptor, system.module_rank, system.measure.labels
+    desc, n = system.descriptor, system.module_rank
     k, c, s_inv = row.invertible("K", 22), system.controls.C, system.frame_operator.inverse()
     rng = _rng(row.seed, 23)
     family = system.stacked_family
@@ -846,16 +853,16 @@ def _dual_parametrization(row: _Row) -> None:
     constructed = _components(system, right_inverse(_stacked(system, bessel_c)))
     cross = c @ weighted_sum(system.measure.weights, family.ranks, bessel.stack, family.stack) @ c
     tail = c @ s_inv @ (k.inverse() - cross)
-    formula = family.with_stack((family @ tail).stack + bessel_c.stack).members
-    formula_defect = max(_rel_op(constructed.members[label], formula[label]) for label in labels)
-    replay = _components(system, right_inverse(_stacked(system, constructed))).members
+    formula = family.with_stack((family @ tail).stack + bessel_c.stack)
+    replay = _components(system, right_inverse(_stacked(system, constructed)))
     row.conclude(
-        within("construction matches the displayed formula", formula_defect, 1e-6),
+        within("construction matches the displayed formula",
+               _rel_members(constructed, formula), 1e-6),
         within("constructed family is an operator dual",
                _identity_residual(reconstruction_operator(system, constructed, k @ c.inverse())),
                1e-6),
         within("given dual reproduces itself through the parametrization",
-               max(_rel_op(replay[label], constructed.members[label]) for label in labels), 1e-6))
+               _rel_members(replay, constructed), 1e-6))
 
 
 @_row("ANY-FRAME-CONTROLLED", _drawn(), frame=None)

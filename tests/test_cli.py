@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from gframe import cli, frames
+from gframe.algebra import DIAGONAL, AlgebraDescriptor
 from gframe.cli import main
+from gframe.frames import GFrameSystem
 from gframe.hilbert import AdjointableOperator
+from gframe.measure import simpson_unit_interval
 from gframe.serialize import dump_json, load_system, operator_to_dict, system_to_dict
 from gframe.generate import random_system, unit_interval_system
 
@@ -30,6 +33,22 @@ def test_example_and_validate(tmp_path, capsys):
     assert doc["status"] == "pass"
     assert doc["results"]["algebra"] == {"kind": "diagonal", "dim": 3}
     assert doc["tool"]["name"] == "gframe"
+
+
+def test_example_family_matches_per_node_construction(capsys):
+    # The example's family is built as one stack; one operator per Simpson node
+    # gives the same file, byte for byte.
+    measure, positions = simpson_unit_interval(1001)
+    desc = AlgebraDescriptor(DIAGONAL, 8)
+    base = np.array([1.0 / (n + 1) for n in range(8)], dtype=np.complex128)
+    family = {label: AdjointableOperator(desc, (w * base).reshape(1, 1, 8))
+              for label, w in zip(measure.labels, positions)}
+    controls = (AdjointableOperator.scalar(desc, 1, value) for value in (2.0, 3.0))
+    reference = GFrameSystem(measure, family, *controls)
+    code, out, _ = _run(capsys, "example", "--alpha", "2", "--beta", "3", "--rank", "8",
+                        "--nodes", "1001")
+    assert code == 0
+    assert out == dump_json(system_to_dict(reference))
 
 
 def test_example_parity_gate(tmp_path, capsys):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from gframe import theorems
-from gframe.algebra import DEFAULT_TOL, AlgebraDescriptor, AlgebraElement, element_norms
+from gframe.algebra import (
+    DEFAULT_TOL,
+    AlgebraDescriptor,
+    AlgebraElement,
+    channel_layout,
+    element_norms,
+)
 from gframe.errors import InputError, UnsupportedConfigurationError
 from gframe.frames import (
     Family,
@@ -15,7 +21,7 @@ from gframe.frames import (
     optimal_scalar_bounds,
     reconstruction_operator,
 )
-from gframe.generate import random_system
+from gframe.generate import random_system, unit_interval_system
 from gframe.hilbert import (
     AdjointableOperator,
     ModuleVector,
@@ -311,16 +317,56 @@ def test_frame_operator_matches_flatten_oracle_all_kinds(kwargs):
     assert np.linalg.norm(system.frame_operator.flat() - oracle, 2) / scale <= 1e-13
 
 
-def test_family_defect_independent_of_batching(monkeypatch):
+@pytest.mark.parametrize("kwargs", ORACLE_SYSTEMS, ids=_oracle_id)
+def test_member_view_matches_per_member_flat(kwargs):
+    family = random_system(**kwargs).stacked_family
+    if kwargs.get("pad_outputs"):
+        assert len(set(family.ranks)) > 1
+    channels, width = channel_layout(family.descriptor)
+    view, norms = family.member_channels(), family.member_norms()
+    assert view.shape == (len(family.ranks), channels, family.in_rank * width,
+                          max(family.ranks) * width)
+    for w, (op, m) in enumerate(zip(family.members.values(), family.ranks)):
+        flat = op.flat()
+        for j in range(channels):  # channel j of C^k is every k-th row and column
+            assert np.array_equal(view[w, j, :, :m * width], flat[j::channels, j::channels])
+        assert not view[w, :, :, m * width:].any()
+        assert norms[w] == pytest.approx(np.linalg.norm(flat, 2), rel=1e-12)
+
+
+def _commutation_reference(family, C, Cp) -> float:
+    """The worst relative ||G_w X - X G_w||, member by member on the flattening."""
+    worst = 0.0
+    for op in family.members.values():
+        gram = op.flat() @ op.flat().conj().T
+        for x in (C.flat(), Cp.flat()):
+            scale = max(1.0, np.linalg.norm(gram, 2)) * max(1.0, np.linalg.norm(x, 2))
+            worst = max(worst, np.linalg.norm(gram @ x - x @ gram, 2) / scale)
+    return worst
+
+
+def _zero_first_member(system):
+    family = system.stacked_family
+    scales = [0.0] + [1.0] * (len(family.ranks) - 1)
+    return system.with_family(family.with_stack(scale_atoms(family.stack, family.ranks, scales)))
+
+
+@pytest.mark.parametrize("build, commuting", [
+    *(pytest.param(lambda kwargs=kwargs: random_system(**kwargs), kwargs.get("commuting", True),
+                   id=_oracle_id(kwargs)) for kwargs in ORACLE_SYSTEMS),
+    pytest.param(lambda: _zero_first_member(random_system(**ORACLE_SYSTEMS[-1])), False,
+                 id="zero-first-member"),
+    pytest.param(lambda: unit_interval_system(2.0, 3.0, 3, 11), True, id="unit-interval"),
+])
+def test_family_defect_matches_per_member_reference(build, commuting):
     from gframe import frames
 
-    system = random_system(**ORACLE_SYSTEMS[-1])
+    system = build()
     ctr = system.controls
-    whole = frames.ControlPair.build(ctr.C, ctr.Cp, system.stacked_family).family_defect
-    monkeypatch.setattr(frames, "_BATCH_ENTRIES", 1)
-    one_by_one = frames.ControlPair.build(ctr.C, ctr.Cp, system.stacked_family).family_defect
-    assert whole > 1e-3
-    assert one_by_one == pytest.approx(whole, rel=1e-13)
+    defect = frames._family_commutation_defect(system.stacked_family, ctr.C, ctr.Cp)
+    reference = _commutation_reference(system.stacked_family, ctr.C, ctr.Cp)
+    assert defect == pytest.approx(reference, rel=1e-9, abs=1e-15)
+    assert (reference <= 1e-12) == commuting
 
 
 @pytest.mark.parametrize("kwargs", ORACLE_SYSTEMS + (dict(seed=3, commuting=False),))

@@ -10,9 +10,10 @@ import pytest
 
 from gframe.algebra import AlgebraDescriptor
 from gframe.frames import GFrameSystem
-from gframe.generate import unit_interval_system
+from gframe.generate import random_system, unit_interval_system
 from gframe.hilbert import AdjointableOperator
 from gframe.measure import MeasureSpace
+from gframe.sampling import rand_invertible_operator
 
 
 # Seeded random systems for oracle parity: both algebra kinds, non-commuting
@@ -100,6 +101,24 @@ def brute_force_reconstruction_flat(system: GFrameSystem, dual, k=None) -> np.nd
                          @ system.family[label].flat().conj().T @ system.controls.Cp.flat())
         total = term if total is None else total + term
     return total
+
+
+def brute_force_right_inverse_residual(seed: int, k_factor: float = 1.0) -> float:
+    """T55's exact residual on its default instance, from the flattening.
+
+    max(||K T* R_0 - I||, ||K T* N||) for R_0 = T S^-1 K0^-1 and N = I - T S^-1 T*,
+    where K0 is the row's companion and K = k_factor K0 the one it checks.
+    """
+    base = random_system(seed, commuting=True)
+    system = base.with_controls(base.controls.C, base.controls.C)
+    k0 = rand_invertible_operator(system.descriptor, system.module_rank,
+                                  np.random.default_rng([seed, 14])).flat()
+    t, s_inv = system.analysis_operator.flat(), np.linalg.inv(system.frame_operator.flat())
+    kt_star = t.conj().T @ (k_factor * k0)  # flat(A after B) = flat(B) flat(A)
+    particular = np.linalg.inv(k0) @ s_inv @ t
+    kernel = np.eye(t.shape[1]) - t.conj().T @ s_inv @ t
+    return max(np.linalg.norm(particular @ kt_star - np.eye(t.shape[0]), 2),
+               np.linalg.norm(kernel @ kt_star, 2))
 
 
 def brute_force_dual_family(system: GFrameSystem) -> dict:

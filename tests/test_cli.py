@@ -15,6 +15,8 @@ from gframe.measure import simpson_unit_interval
 from gframe.serialize import dump_json, load_system, operator_to_dict, system_to_dict
 from gframe.generate import random_system, unit_interval_system
 
+from conftest import brute_force_right_inverse_residual
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -105,7 +107,10 @@ def test_theorem_command_single_and_all(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"][0]["status"] == "pass"
-    assert doc["results"][0]["info"]["right_inverse_count"] == 20
+    assert "right_inverse_count" not in doc["results"][0]["info"]
+    residual = next(line["residual"] for line in doc["results"][0]["conclusions"]
+                    if line["name"] == "constructed right inverses verified")
+    assert residual == pytest.approx(brute_force_right_inverse_residual(42), abs=1e-12)
     code, _, err = _run(capsys, "theorem", "--id", "NOPE")
     assert code == 2 and "unknown theorem id" in err
 

@@ -6,7 +6,7 @@ from gframe.cli import main
 from gframe.errors import InputError
 from gframe.generate import random_system, unit_interval_system
 from gframe.hilbert import AdjointableOperator
-from gframe.reports import NOT_APPLICABLE, PASS
+from gframe.reports import FAIL, NOT_APPLICABLE, PASS
 from gframe.theorems import (
     DOCUMENTED_MUTANTS,
     MUTANTS,
@@ -15,6 +15,8 @@ from gframe.theorems import (
     run_suite,
     verify_theorem,
 )
+
+from conftest import brute_force_right_inverse_residual
 
 
 def test_row_registry_is_complete():
@@ -64,13 +66,18 @@ def test_right_composition_unit_interval_closed_form():
     assert np.max(np.abs(s_new - 1.0 / 3.0)) <= 1e-14
 
 
-def test_t55_reports_twenty_right_inverses():
-    report = verify_theorem("T55", seed=3)
-    assert report.status == PASS
-    assert report.info["right_inverse_count"] == 20
-    by_name = {line.name: line for line in report.conclusions}
-    assert by_name["constructed right inverses verified"].residual <= 1e-9
-    assert by_name["least-squares inverse decomposes into the stated form"].residual <= 1e-8
+def test_t55_decides_every_free_map():
+    # R(theta) is affine, so one residual for R(0) and one for the kernel part
+    # decide every free map: no map is drawn, and none are counted.
+    for mutant, k_factor, status in ((None, 1.0, PASS), ("wrong_k", 2.0, FAIL)):
+        report = verify_theorem("T55", seed=3, mutant=mutant)
+        assert report.status == status
+        assert "right_inverse_count" not in report.info
+        by_name = {line.name: line for line in report.conclusions}
+        residual = by_name["constructed right inverses verified"].residual
+        assert residual == pytest.approx(brute_force_right_inverse_residual(3, k_factor),
+                                         rel=1e-9, abs=1e-12)
+        assert by_name["least-squares inverse decomposes into the stated form"].residual <= 1e-8
 
 
 def test_t66_records_nominal_companion_mismatch():

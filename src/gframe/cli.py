@@ -219,10 +219,19 @@ def _cmd_theorem(args) -> int:
                    [rep.to_dict() for rep in reports], status)
 
 
+# The keys a perturbation descriptor may have.  Nothing reads samples or seed
+# any more; they are accepted so that descriptors written for earlier versions
+# still run.
+_DESCRIPTOR_KEYS = ("kind", "systemA", "systemB", "params", "samples", "seed")
+
+
 def _cmd_perturb(args) -> int:
     desc = load_json(args.descriptor)
     if not isinstance(desc, dict):
         raise InputError(f"{args.descriptor}: a perturbation descriptor must be a JSON object")
+    unknown = [key for key in desc if key not in _DESCRIPTOR_KEYS]
+    if unknown:
+        raise InputError(f"{args.descriptor}: unknown descriptor key {unknown[0]!r}")
     try:
         kind = desc["kind"]
         paths = (desc["systemA"], desc["systemB"])

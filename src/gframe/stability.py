@@ -237,16 +237,27 @@ def _atom_constants(params: Mapping, key: str, labels: tuple) -> dict:
     return {label: _finite_number(value[label], f"{key}[{label!r}]") for label in labels}
 
 
+# The parameters each kind reads.
+_PARAMETERS = {EQUIVALENCE_M: (), SUM: (), WEIGHTED: ("lambda", "mu", "alpha_w", "beta_w"),
+               ADDITIVE: ("alpha", "beta"), ADDITIVE_COROLLARY: ("alpha", "beta")}
+
+
 def run_perturbation(kind: str, sys_a: GFrameSystem, sys_b: GFrameSystem, params: Mapping,
                      tol: float = DEFAULT_TOL) -> TheoremReport:
     """Dispatch a perturbation run described by plain JSON-friendly parameters.
 
     The constants must be finite numbers; ``alpha_w`` and ``beta_w`` may also
-    be objects with a number for every atom.  Anything else is an InputError.
+    be objects with a number for every atom.  Anything else, and a parameter
+    the kind does not read, is an InputError.
     """
     def constant(key: str) -> float:
         return _finite_number(params.get(key, 0.0), key)
 
+    if not isinstance(kind, str) or kind not in _PARAMETERS:
+        raise InputError(f"unknown perturbation kind {kind!r}")
+    unread = [key for key in params if key not in _PARAMETERS[kind]]
+    if unread:
+        raise InputError(f"perturbation kind {kind!r} reads no parameter {unread[0]!r}")
     if kind == EQUIVALENCE_M:
         return check_equivalence_M(sys_a, sys_b, tol=tol)
     if kind == SUM:
@@ -257,8 +268,6 @@ def run_perturbation(kind: str, sys_a: GFrameSystem, sys_b: GFrameSystem, params
             sys_a, sys_b.stacked_family, _atom_constants(params, "alpha_w", labels),
             _atom_constants(params, "beta_w", labels), lam=constant("lambda"), mu=constant("mu"),
             tol=tol)
-    if kind in (ADDITIVE, ADDITIVE_COROLLARY):
-        return additive_perturbation_check(
-            sys_a, sys_b.stacked_family, alpha=constant("alpha"), beta=constant("beta"), kind=kind,
-            tol=tol)
-    raise InputError(f"unknown perturbation kind {kind!r}")
+    return additive_perturbation_check(
+        sys_a, sys_b.stacked_family, alpha=constant("alpha"), beta=constant("beta"), kind=kind,
+        tol=tol)

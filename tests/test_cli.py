@@ -227,7 +227,7 @@ def test_nonpositive_tolerance_exits_two(tmp_path, capsys, tol):
 
 
 # The perturbation hypotheses are exact, so nothing reads a sample count: a
-# descriptor's samples key is ignored like any other unknown key, whatever its value.
+# descriptor's samples key is still accepted and ignored, whatever its value.
 @pytest.mark.parametrize("samples", [
     pytest.param(0, id="0"),
     pytest.param(-3, id="-3"),
@@ -258,6 +258,29 @@ def test_perturb_descriptor_ignores_seed(tmp_path, capsys, seed):
     doc = json.loads(out)
     assert "samples" not in doc["config"] and "seed" not in doc["config"]
     assert "seed" not in doc["results"]
+
+
+# Any other key, and a parameter the kind does not read, is most likely a typo:
+# run anyway, the check would fall back on its default constants.
+@pytest.mark.parametrize("fields, named", [
+    pytest.param({"kind": "additive", "parms": {"alpha": 0.05, "beta": 0.05}}, "'parms'",
+                 id="parms"),
+    pytest.param({"Kind": "sum"}, "'Kind'", id="Kind"),
+    pytest.param({"kind": "additive", "params": {"alpha": 0.05, "lambda": 0.1}}, "'lambda'",
+                 id="additive-lambda"),
+    pytest.param({"kind": "additive_corollary", "params": {"alpha_w": 1.0}}, "'alpha_w'",
+                 id="additive_corollary-alpha_w"),
+    pytest.param({"kind": "weighted", "params": {"lambda": 0.1, "alpha": 0.05}}, "'alpha'",
+                 id="weighted-alpha"),
+    pytest.param({"kind": "equivalence_M", "params": {"mu": 0.1}}, "'mu'", id="equivalence_M-mu"),
+    pytest.param({"kind": "sum", "params": {"beta": 0.1}}, "'beta'", id="sum-beta"),
+    pytest.param({"kind": ["sum"]}, "unknown perturbation kind ['sum']", id="list-kind"),
+])
+def test_perturb_descriptor_rejects_unread_keys(tmp_path, capsys, fields, named):
+    code, out, err = _run(capsys, "perturb", _perturb_descriptor(tmp_path, **fields))
+    _assert_input_error(code, err)
+    assert named in err
+    assert out == ""
 
 
 def test_nan_entry_in_system_file_exits_two(tmp_path, capsys):

@@ -37,7 +37,9 @@ class MeasureSpace:
             weights = np.fromiter(weights, np.float64, count=len(weights))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"atom weights must be numbers: {exc}") from exc
-        labels = tuple(map(str, labels))
+        if not all(issubclass(kind, str) for kind in set(map(type, labels))):
+            label = next(label for label in labels if not isinstance(label, str))
+            raise InputError(f"atom labels must be strings, got {label!r}")
         if len(set(labels)) != len(labels):
             raise InputError("atom labels must be unique")
         # Finiteness first: an ordered comparison with NaN may set the invalid

@@ -283,6 +283,21 @@ def test_perturb_descriptor_rejects_unread_keys(tmp_path, capsys, fields, named)
     assert out == ""
 
 
+def test_numeric_atom_label_exits_two(tmp_path, capsys):
+    # A JSON number as an atom label used to load as its string when the family
+    # had the matching key.
+    doc = system_to_dict(unit_interval_system(1.0, 1.0, 2, 5))
+    first = doc["measure"]["atoms"][0]
+    doc["family"]["7"] = doc["family"].pop(first["label"])
+    first["label"] = 7
+    path = tmp_path / "sys.json"
+    path.write_text(dump_json(doc), encoding="utf-8")
+    code, out, err = _run(capsys, "validate", str(path))
+    _assert_input_error(code, err)
+    assert "atom labels must be strings, got 7" in err
+    assert out == ""
+
+
 def test_nan_entry_in_system_file_exits_two(tmp_path, capsys):
     doc = system_to_dict(random_system(3, algebra="diagonal"))
     label = next(iter(doc["family"]))

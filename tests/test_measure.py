@@ -85,3 +85,11 @@ def test_weights_must_be_numbers(weight):
     with pytest.raises(InputError, match=re.escape(message)):
         MeasureSpace((("w0", 0.5), ("w1", weight)))
     assert MeasureSpace((("w0", np.float64(0.5)), ("w1", 2))).weights == (0.5, 2.0)
+
+
+@pytest.mark.parametrize("label", [7, True, None, 1.5, ["w1"]], ids=repr)
+def test_labels_must_be_strings(label):
+    # Labels used to be converted with str(), so 7 became '7' and None 'None'.
+    message = f"atom labels must be strings, got {label!r}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        MeasureSpace((("w0", 0.5), (label, 1.0)))

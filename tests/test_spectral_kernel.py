@@ -299,7 +299,8 @@ def test_nan_member_fails_the_family_commutation_check(desc):
         system.controls.commute_with_family
 
 
-@pytest.mark.parametrize("shape", [(3, 1, 2), (3, 2, 1), (1, 1)], ids=["row", "column", "scalar"])
+@pytest.mark.parametrize("shape", [(3, 1, 2), (3, 2, 1), (1, 1), (1001, 8, 1, 1)],
+                         ids=["row", "column", "scalar", "atom-stack"])
 def test_one_row_or_column_norms_refuse_non_finite_entries(shape):
     finite = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
     np.testing.assert_array_equal(spectral_norms(finite), np.linalg.norm(finite, axis=(-2, -1)))

@@ -383,9 +383,6 @@ def _equal_controls_equivalence(row: _Row) -> None:
     row.require(frame_line("controlled system is a frame", bounds_c),
                 frame_line("plain system is a frame", bounds_plain))
     norm_c, norm_c_inv = c.norm(), c.inverse().norm()
-    if row.mutant == SCALE_MEMBER:
-        system = _scale_first_member(system)
-        plain = _uncontrolled(system)
     certify_window(row.report, plain, bounds_c.scalar_lower / norm_c,
                    bounds_c.scalar_upper * norm_c_inv, tol, "controlled-to-plain bounds certified")
     certify_window(row.report, system, bounds_plain.scalar_lower / norm_c_inv,

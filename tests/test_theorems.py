@@ -133,6 +133,19 @@ def test_documented_mutants_flip_their_rows():
         assert report.status != PASS
 
 
+def test_undocumented_mutants_change_no_report():
+    # A mutant injects a violation only into the rows the matrix documents.
+    documented = {(theorem_id, mutant) for theorem_id, mutant, _ in DOCUMENTED_MUTANTS}
+    for seed in range(3):
+        draws = _Draws(seed)
+        for theorem_id in THEOREM_IDS:
+            plain = verify_theorem(theorem_id, seed=seed, draws=draws).to_dict()
+            for mutant in MUTANTS:
+                if (theorem_id, mutant) not in documented:
+                    mutated = verify_theorem(theorem_id, seed=seed, mutant=mutant, draws=draws)
+                    assert mutated.to_dict() == plain, (theorem_id, mutant, seed)
+
+
 def test_run_suite_ordering_and_determinism():
     first = run_suite(seeds=(0,))
     second = run_suite(seeds=(0,))

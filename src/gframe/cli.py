@@ -219,9 +219,8 @@ def _cmd_theorem(args) -> int:
                    [rep.to_dict() for rep in reports], status)
 
 
-# The keys a perturbation descriptor may have.  Nothing reads samples or seed
-# any more; they are accepted so that descriptors written for earlier versions
-# still run.
+# The keys a descriptor may have; samples and seed are read by nothing, but
+# accepted so that descriptors written for earlier versions still run.
 _DESCRIPTOR_KEYS = ("kind", "systemA", "systemB", "params", "samples", "seed")
 
 

@@ -260,8 +260,8 @@ def test_perturb_descriptor_ignores_seed(tmp_path, capsys, seed):
     assert "seed" not in doc["results"]
 
 
-# Any other key, and a parameter the kind does not read, is most likely a typo:
-# run anyway, the check would fall back on its default constants.
+# Any other key, and a parameter the kind does not read, exits 2 naming it: it is
+# most likely a typo, and the check would otherwise run on its default constants.
 @pytest.mark.parametrize("fields, named", [
     pytest.param({"kind": "additive", "parms": {"alpha": 0.05, "beta": 0.05}}, "'parms'",
                  id="parms"),

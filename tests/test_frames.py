@@ -345,17 +345,11 @@ def _commutation_reference(family, C, Cp) -> float:
     return worst
 
 
-def _zero_first_member(system):
-    family = system.stacked_family
-    scales = [0.0] + [1.0] * (len(family.ranks) - 1)
-    return system.with_family(family.with_stack(scale_atoms(family.stack, family.ranks, scales)))
-
-
 @pytest.mark.parametrize("build, commuting", [
     *(pytest.param(lambda kwargs=kwargs: random_system(**kwargs), kwargs.get("commuting", True),
                    id=_oracle_id(kwargs)) for kwargs in ORACLE_SYSTEMS),
-    pytest.param(lambda: _zero_first_member(random_system(**ORACLE_SYSTEMS[-1])), False,
-                 id="zero-first-member"),
+    pytest.param(lambda: theorems._scale_first_member(random_system(**ORACLE_SYSTEMS[-1]), 0.0),
+                 False, id="zero-first-member"),
     pytest.param(lambda: unit_interval_system(2.0, 3.0, 3, 11), True, id="unit-interval"),
 ])
 def test_family_defect_matches_per_member_reference(build, commuting):

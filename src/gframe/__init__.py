@@ -35,7 +35,6 @@ from .hilbert import (
     compose,
     positive_part_checks,
     stack,
-    unstack,
 )
 from .measure import MeasureSpace, simpson_unit_interval
 from .reports import TheoremReport

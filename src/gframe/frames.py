@@ -8,10 +8,12 @@ is the frame property this module certifies, together with the induced
 frame operator, transforms, duals and multipliers.
 
 A family is stored in one form (``Family``): the unweighted ``hilbert.stack``
-of its members, A^n -> A^(m_1 + ... + m_W), with the atom ranks m_w.  Frame
-operators, transforms, duals, multipliers and member-wise algebra are products
-of that stack; member norms and the commutation check read its member view.
-The per-label mapping of members is cut from the stack only when read.
+of its members, A^n -> A^(m_1 + ... + m_W), with the atom ranks m_w, and only
+``Family`` reads which columns belong to which atom.  Frame operators,
+transforms, duals, multipliers and member-wise algebra are products of that
+stack (``Family.weighted_sum``, ``scaled``, ``@``); member norms and the
+commutation check read its member groups, one per output rank.  The per-label
+mapping of members is cut from the stack only when read.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .algebra import (
     MATRIX,
     AlgebraElement,
     as_channels,
+    channel_layout,
     element_norms,
     hermitian_transpose,
     tolerance_scale,
@@ -35,14 +38,10 @@ from .errors import DomainError, InputError, UnsupportedConfigurationError
 from .hilbert import (
     AdjointableOperator,
     ModuleVector,
-    atom_columns,
     loewner_gap,
     pairing,
-    scale_atoms,
     spectral_norms,
     stack,
-    unstack,
-    weighted_sum,
 )
 from .measure import MeasureSpace
 from .reports import PASS, TheoremReport, gap
@@ -56,11 +55,14 @@ class Family:
     """Operators Lambda_w: A^n -> A^{m_w}, one for each atom label, in the measure's order.
 
     A family is held as its stack: the unweighted ``hilbert.stack`` of the
-    members, A^n -> A^(m_1 + ... + m_W), with ``ranks`` the m_w.  Member-wise
+    members, A^n -> A^(m_1 + ... + m_W), with ``ranks`` the m_w saying where
+    each member's columns lie.  Only this class reads that layout.  Member-wise
     algebra is stack algebra: ``family @ R`` precomposes every member with R,
-    and ``with_stack`` puts a scaled (``hilbert.scale_atoms``), summed or
-    otherwise computed stack on the same atoms and ranks.  ``members`` maps
-    each label to its operator when first read; ``member_channels`` views all at once.
+    ``scaled`` multiplies member w by its own scalar (sqrt(w) maps the stack
+    into the weighted direct sum), ``weighted_sum`` is one GEMM per channel,
+    and ``with_stack`` puts a summed or otherwise computed stack on the same
+    atoms and ranks.  ``members`` maps each label to its operator when first
+    read; ``member_groups`` views them all, grouped by output rank.
     """
 
     def __init__(self, labels, ranks, stack: AdjointableOperator):
@@ -86,22 +88,32 @@ class Family:
 
     @cached_property
     def members(self) -> dict:
-        return dict(zip(self.labels, unstack(self.stack, self.ranks)))
+        """The members by label, cut from the stack when first read."""
+        pieces = np.split(self.stack.blocks, np.cumsum(self.ranks)[:-1], axis=1)
+        return {label: AdjointableOperator(self.descriptor, piece)
+                for label, piece in zip(self.labels, pieces)}
 
-    def member_channels(self) -> np.ndarray:
-        """Channels of every member, (atoms, c, n w, m_max w), each zero-padded to the widest rank.
+    def member_groups(self) -> list:
+        """(atoms, channels) for each output rank m, gathered from the stack without padding.
 
-        Zero columns change no norm and no Lambda_w* Lambda_w.
+        ``atoms`` are the atoms of rank m and ``channels`` their members'
+        channels, (atoms, c, n w, m w).
         """
-        atom, slot = atom_columns(self.ranks)
-        padded = np.zeros((len(self.ranks), self.in_rank, max(self.ranks))
-                          + self.descriptor.shape, dtype=np.complex128)
-        padded[atom, :, slot] = self.stack.blocks.swapaxes(0, 1)
-        return as_channels(self.descriptor, padded)
+        ranks = np.asarray(self.ranks)
+        firsts = ranks.cumsum() - ranks
+        groups = []
+        for m in np.unique(ranks):
+            atoms = np.flatnonzero(ranks == m)
+            blocks = self.stack.blocks[:, firsts[atoms, None] + np.arange(m)]
+            groups.append((atoms, as_channels(self.descriptor, blocks.swapaxes(0, 1))))
+        return groups
 
     def member_norms(self) -> np.ndarray:
-        """||Lambda_w|| for every atom: one batched 2-norm of ``member_channels``."""
-        return spectral_norms(self.member_channels()).max(axis=-1)
+        """||Lambda_w|| for every atom: one batched 2-norm per group of ``member_groups``."""
+        norms = np.empty(len(self.ranks))
+        for atoms, chans in self.member_groups():
+            norms[atoms] = spectral_norms(chans).max(axis=-1)
+        return norms
 
     def with_stack(self, t: AdjointableOperator) -> "Family":
         """The family on the same atoms and ranks whose stack is t."""
@@ -111,12 +123,38 @@ class Family:
         """Every member precomposed with ``right``: Lambda_w @ right."""
         return self.with_stack(self.stack @ right)
 
+    def _channels(self, scales=None) -> np.ndarray:
+        """Channels of the stack as one fresh contiguous array, member w's columns times scales[w]."""
+        chans = self.stack.channels()
+        if not chans.flags.writeable:  # a view of the read-only blocks
+            chans = chans.copy()
+        if scales is not None:
+            if len(scales) != len(self.ranks):
+                raise InputError("a family needs one scale per atom")
+            width = channel_layout(self.descriptor)[1]
+            chans *= np.repeat(np.asarray(scales), np.asarray(self.ranks) * width)
+        return chans
 
-def _weighted(weights, left: Family, right: Optional[Family] = None) -> AdjointableOperator:
-    """``hilbert.weighted_sum`` of two families over one measure, member by member."""
-    if right is not None and right.ranks != left.ranks:
-        raise InputError("weighted sum pairs operators with different output ranks")
-    return weighted_sum(weights, left.ranks, left.stack, None if right is None else right.stack)
+    def scaled(self, scales) -> "Family":
+        """The family whose member w is scales[w] Lambda_w."""
+        return self.with_stack(AdjointableOperator.from_channels(self.descriptor,
+                                                                 self._channels(scales)))
+
+    def weighted_sum(self, weights, right: Optional["Family"] = None) -> AdjointableOperator:
+        """Sum over atoms of c_w R_w* Lambda_w, for R the family ``right``.
+
+        It is the adjoint of R's stack after the stack of ``scaled(c)``, one
+        GEMM per channel.
+        Without ``right`` it is the sum of w Lambda_w* Lambda_w, X X^H for X
+        the channels of ``scaled(sqrt w)``, so w must be >= 0.
+        """
+        if right is not None and (right.descriptor != self.descriptor
+                                  or right.in_rank != self.in_rank or right.ranks != self.ranks):
+            raise InputError("a weighted sum pairs families with the same algebra, input rank "
+                             "and output ranks")
+        x = self._channels(np.sqrt(weights) if right is None else weights)
+        y = x if right is None else right._channels()
+        return AdjointableOperator.from_channels(self.descriptor, x @ hermitian_transpose(y))
 
 
 @dataclass(frozen=True)
@@ -168,17 +206,18 @@ def _family_commutation_defect(family: Family, C: AdjointableOperator,
                                Cp: AdjointableOperator) -> float:
     """Worst relative commutator ||G_w X - X G_w|| of G_w = Lambda_w* Lambda_w with X = C, C'.
 
-    Each quantity is one batched 2-norm over all atoms, channel by channel,
-    of the Grams of ``Family.member_channels``.
+    Each quantity is one batched 2-norm over the atoms of one output rank,
+    channel by channel, of the Grams of ``Family.member_groups``.
     """
-    members = family.member_channels()
-    grams = members @ hermitian_transpose(members)
-    gscale = tolerance_scale(spectral_norms(grams).max(axis=-1))
+    controls = [(ctrl, tolerance_scale(spectral_norms(ctrl).max()))
+                for ctrl in (C.channels(), Cp.channels())]
     worst = 0.0
-    for ctrl in (C.channels(), Cp.channels()):
-        cscale = tolerance_scale(spectral_norms(ctrl).max())
-        defects = spectral_norms(grams @ ctrl - ctrl @ grams).max(axis=-1)
-        worst = max(worst, float(np.max(defects / gscale)) / cscale)
+    for _, members in family.member_groups():
+        grams = members @ hermitian_transpose(members)
+        gscale = tolerance_scale(spectral_norms(grams).max(axis=-1))
+        for ctrl, cscale in controls:
+            defects = spectral_norms(grams @ ctrl - ctrl @ grams).max(axis=-1)
+            worst = max(worst, float(np.max(defects / gscale)) / cscale)
     return worst
 
 
@@ -286,7 +325,7 @@ class GFrameSystem:
     @cached_property
     def uncontrolled_operator(self) -> AdjointableOperator:
         """Weighted sum of Lambda_w* Lambda_w: one product of the family's stack."""
-        return _weighted(self.measure.weights, self.stacked_family)
+        return self.stacked_family.weighted_sum(self.measure.weights)
 
     @cached_property
     def frame_operator(self) -> AdjointableOperator:
@@ -327,9 +366,8 @@ class GFrameSystem:
     @cached_property
     def analysis_operator(self) -> AdjointableOperator:
         """x -> (Lambda_w (C'C)^(1/2) x)_w into the weighted direct sum, as one product."""
-        family = self.stacked_family
-        return (scale_atoms(family.stack, family.ranks, np.sqrt(self.measure.weights))
-                @ self.mixed_control_root)
+        scaled = self.stacked_family.scaled(np.sqrt(self.measure.weights))
+        return scaled.stack @ self.mixed_control_root
 
     @cached_property
     def synthesis_operator(self) -> AdjointableOperator:
@@ -440,8 +478,8 @@ def reconstruction_operator(system: GFrameSystem, dual,
 
     ``dual`` is a Family or a mapping by atom label.
     """
-    inner = _weighted(system.measure.weights, Family.of(dual, system.measure.labels),
-                      system.stacked_family)
+    dual = Family.of(dual, system.measure.labels)
+    inner = dual.weighted_sum(system.measure.weights, right=system.stacked_family)
     chain = inner @ k if k is not None else inner
     return system.controls.Cp @ chain @ system.controls.C
 
@@ -536,7 +574,7 @@ def multiplier(gamma: Mapping[str, complex], lam, theta, measure: MeasureSpace) 
     """
     coeffs = _symbol_weights(gamma, measure)
     lam, theta = Family.of(lam, measure.labels), Family.of(theta, measure.labels)
-    return _weighted(coeffs, theta, lam)
+    return theta.weighted_sum(coeffs, right=lam)
 
 
 def _symbol_weights(gamma: Mapping[str, complex], measure: MeasureSpace) -> list:
@@ -591,4 +629,4 @@ def controlled_multiplier(gamma: Mapping[str, complex], theta, lam, C: Adjointab
     """Weighted sum of gamma_w C theta_w* Lambda_w C'; the families are Families or mappings."""
     coeffs = _symbol_weights(gamma, measure)
     lam, theta = Family.of(lam, measure.labels), Family.of(theta, measure.labels)
-    return C @ _weighted(coeffs, lam, theta) @ Cp
+    return C @ lam.weighted_sum(coeffs, right=theta) @ Cp

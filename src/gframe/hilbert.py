@@ -1,4 +1,4 @@
-"""Standard Hilbert modules A^n, their adjointable operators, and weighted direct sums.
+"""Standard Hilbert modules A^n and their adjointable operators.
 
 A module vector is an n-tuple of algebra elements with the A-valued inner
 product <x, y> = sum_i x_i y_i*.  An adjointable operator A^n -> A^m is an
@@ -16,14 +16,9 @@ channels, with a vector as a 1 x n row of blocks (``apply_stack`` and
 the algebra module's channel kernel, the same functions an element calls.
 
 A family of operators A^n -> A^{m_w} is held as one operator, its stack
-A^n -> A^(m_1 + ... + m_W): the members' output coordinates side by side,
-with the atom ranks m_w saying where each member's columns lie
-(``atom_columns``).  ``stack`` builds it from the members and ``unstack``
-cuts it back into them.  Member-wise algebra is stack algebra: precomposing
-every member is one product, ``scale_atoms`` multiplies member w by its own
-scalar (sqrt(w) maps the stack into the weighted direct sum), and sums of
-families are sums of stacks.  ``weighted_sum`` reads stacks directly, one
-GEMM per channel with one weight per atom.
+A^n -> A^(m_1 + ... + m_W): the members' output coordinates side by side.
+``stack`` builds it from the members; which columns belong to which member,
+and every member-wise product, is ``frames.Family``'s business.
 """
 
 from __future__ import annotations
@@ -342,20 +337,10 @@ def compose(s: AdjointableOperator, t: AdjointableOperator) -> AdjointableOperat
     return AdjointableOperator.from_channels(s.descriptor, t.channels() @ s.channels())
 
 
-def atom_columns(ranks: Sequence[int]) -> tuple:
-    """(atom, slot) of each output coordinate of a stack whose members have output ranks ``ranks``.
-
-    Coordinate c of the stack is coordinate slot[c] of member atom[c].
-    """
-    ranks = np.asarray(ranks)
-    atom = np.arange(ranks.size).repeat(ranks)
-    return atom, np.arange(atom.size) - (ranks.cumsum() - ranks)[atom]
-
-
 def stack(ops: Sequence[AdjointableOperator]) -> AdjointableOperator:
     """A^n -> A^(m_1 + ... + m_W), with the output coordinates of each ops[w] in turn.
 
-    The m_w may differ; ``scale_atoms`` with sqrt(w) maps it into the weighted direct sum.
+    The m_w may differ; ``frames.Family`` holds the result with the m_w.
     """
     if not ops:
         raise InputError("a stack needs at least one member")
@@ -364,49 +349,6 @@ def stack(ops: Sequence[AdjointableOperator]) -> AdjointableOperator:
     except ValueError as exc:
         raise InputError("stack members must share the algebra and the input rank") from exc
     return AdjointableOperator(ops[0].descriptor, blocks)
-
-
-def unstack(t: AdjointableOperator, ranks: Sequence[int]) -> list:
-    """The pieces A^n -> A^(m_w) of t's output: ``stack`` undone."""
-    if sum(ranks) != t.out_rank:
-        raise InputError("unstack needs ranks summing to the output rank")
-    pieces = np.split(t.blocks, np.cumsum(ranks)[:-1], axis=1)
-    return [AdjointableOperator(t.descriptor, piece) for piece in pieces]
-
-
-def _atom_channels(t: AdjointableOperator, ranks: Sequence[int], scales=None) -> np.ndarray:
-    """Channels of a stack as one fresh contiguous array, member w's columns times scales[w]."""
-    if sum(ranks) != t.out_rank or (scales is not None and len(scales) != len(ranks)):
-        raise InputError("a stack needs atom ranks summing to its output rank, and one scale each")
-    chans = t.channels()
-    if not chans.flags.writeable:  # a view of the read-only blocks
-        chans = chans.copy()
-    if scales is not None:
-        width = channel_layout(t.descriptor)[1]
-        chans *= np.repeat(np.asarray(scales), np.asarray(ranks) * width)
-    return chans
-
-
-def scale_atoms(t: AdjointableOperator, ranks: Sequence[int], scales) -> AdjointableOperator:
-    """The stack t with the output coordinates of member w multiplied by scales[w]."""
-    return AdjointableOperator.from_channels(t.descriptor, _atom_channels(t, ranks, scales))
-
-
-def weighted_sum(weights: Sequence, ranks: Sequence[int], left: AdjointableOperator,
-                 right: Optional[AdjointableOperator] = None) -> AdjointableOperator:
-    """Sum over atoms of c_w R_w* L_w for stacks L and R of members with output ranks ``ranks``.
-
-    That is R* scale_atoms(L, ranks, c): one GEMM per channel, with one
-    weight per atom.  Without ``right`` it is the sum of w L_w* L_w, X X^H for
-    X the channels of scale_atoms(L, ranks, sqrt w), so w must be >= 0.
-    """
-    if right is not None and (right.descriptor != left.descriptor
-                              or right.blocks.shape != left.blocks.shape):
-        raise InputError("weighted sum stacks must share the algebra, the input rank "
-                         "and the output ranks")
-    x = _atom_channels(left, ranks, np.sqrt(weights) if right is None else weights)
-    y = x if right is None else _atom_channels(right, ranks)
-    return AdjointableOperator.from_channels(left.descriptor, x @ hermitian_transpose(y))
 
 
 def _vector_stack(descriptor: AlgebraDescriptor, coords: np.ndarray) -> np.ndarray:

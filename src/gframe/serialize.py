@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import AlgebraDescriptor, AlgebraElement, _are_numbers
 from .errors import InputError
 from .frames import Family, GFrameSystem
-from .hilbert import AdjointableOperator, ModuleVector, atom_columns
+from .hilbert import AdjointableOperator, ModuleVector
 from .measure import MeasureSpace
 
 _flatten = chain.from_iterable
@@ -192,10 +192,10 @@ def _stacked_blocks(shapes: list, data: np.ndarray) -> np.ndarray:
         raise InputError("family members must share descriptor and input rank")
     n = in_ranks.pop()
     ranks = np.array([m for _, m in shapes])
-    atom, slot = atom_columns(ranks)
-    firsts = n * (np.cumsum(ranks) - ranks)
-    rows = np.arange(n)[:, None]
-    return data[firsts[atom] + rows * ranks[atom] + slot]
+    atom = np.arange(ranks.size).repeat(ranks)
+    first = (np.cumsum(ranks) - ranks)[atom]  # the first output coordinate of c's member
+    slot = np.arange(atom.size) - first
+    return data[n * first + np.arange(n)[:, None] * ranks[atom] + slot]
 
 
 def measure_to_dict(m: MeasureSpace) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import DEFAULT_TOL, AlgebraElement, tolerance_scale
 from .errors import DomainError, InputError
 from .frames import GFrameSystem, certify_window, optimal_scalar_bounds
-from .hilbert import AdjointableOperator, ModuleVector, loewner_gap, scale_atoms
+from .hilbert import AdjointableOperator, ModuleVector, loewner_gap
 from .reports import TheoremReport, frame_line, gap
 from .serialize import vector_to_dict
 
@@ -141,9 +141,8 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r,
     bounds = optimal_scalar_bounds(sys_t, tol)
     with report.gate():
         report.require(frame_line("reference system is a frame", bounds))
-        weighted_t, weighted_r = (
-            sys_t.with_family(family.with_stack(scale_atoms(family.stack, family.ranks, scales)))
-            for family, scales in ((sys_t.stacked_family, alphas), (sys_r.stacked_family, betas)))
+        weighted_t = sys_t.with_family(sys_t.stacked_family.scaled(alphas))
+        weighted_r = sys_t.with_family(sys_r.stacked_family.scaled(betas))
         diff = _difference_system(weighted_t, weighted_r)
         k_t, k_r = weighted_t.gram_operator, weighted_r.gram_operator
         root = k_t.sqrt_positive()

@@ -10,8 +10,8 @@ option set is drawn once and the same system is handed to every row that asks
 for it, so a row derives new systems (``with_family``/``with_controls``) and
 never mutates the one it is given.
 
-Derived families are stack algebra on ``Family``: ``family @ R``, per-atom
-``scale_atoms``, sums of stacks, and ``_components`` of a map into the
+Derived families are stack algebra on ``Family``: ``family @ R``,
+``Family.scaled``, sums of stacks, and ``_components`` of a map into the
 weighted direct sum; member-wise maxima are ``Family.member_norms``.  Rows
 read single members only for member operations that are not stack products.
 
@@ -52,12 +52,7 @@ from .frames import (
     reconstruction_operator,
 )
 from .generate import _padding_isometry, random_system
-from .hilbert import (
-    AdjointableOperator,
-    scale_atoms,
-    stack,
-    weighted_sum,
-)
+from .hilbert import AdjointableOperator, stack
 from .measure import MeasureSpace, atom_label
 from .reports import FAIL, NOT_APPLICABLE, TheoremReport, frame_line, gap, within
 from .sampling import (
@@ -130,13 +125,12 @@ def _control_commutation(op: AdjointableOperator, system: GFrameSystem) -> float
 
 def _stacked(system: GFrameSystem, family: Family) -> AdjointableOperator:
     """A family on the system's atoms as one map into its weighted direct sum."""
-    return scale_atoms(family.stack, family.ranks, np.sqrt(system.measure.weights))
+    return family.scaled(np.sqrt(system.measure.weights)).stack
 
 
 def _components(system: GFrameSystem, t: AdjointableOperator) -> Family:
     """The family whose map into the system's weighted direct sum is t."""
-    family = system.stacked_family
-    return family.with_stack(scale_atoms(t, family.ranks, 1.0 / np.sqrt(system.measure.weights)))
+    return system.stacked_family.with_stack(t).scaled(1.0 / np.sqrt(system.measure.weights))
 
 
 def _composed(system: GFrameSystem, right: AdjointableOperator) -> GFrameSystem:
@@ -158,8 +152,7 @@ def _uncontrolled(system: GFrameSystem) -> GFrameSystem:
 
 def _scale_first_member(system: GFrameSystem, factor: float = 2.0) -> GFrameSystem:
     family = system.stacked_family
-    scales = [factor] + [1.0] * (len(family.ranks) - 1)
-    return system.with_family(family.with_stack(scale_atoms(family.stack, family.ranks, scales)))
+    return system.with_family(family.scaled([factor] + [1.0] * (len(family.ranks) - 1)))
 
 
 def _bump_control(system: GFrameSystem, draw: _Draws, generated: bool) -> GFrameSystem:
@@ -451,7 +444,7 @@ def _surjective_composition(row: _Row) -> None:
     r = rand_invertible_operator(system.descriptor, system.module_rank, _rng(row.seed, 3))
     family = system.stacked_family
     gamma = family @ r
-    f_op = weighted_sum(system.measure.weights, family.ranks, family.stack, gamma.stack)
+    f_op = family.weighted_sum(system.measure.weights, right=gamma)
     row.bounded_below("cross Gram map surjective", f_op)
     k_op = _stacked(system, gamma).adjoint()
     row.conclude(within("factors through plain transform and synthesis",
@@ -849,7 +842,7 @@ def _dual_parametrization(row: _Row) -> None:
     particular, kernel = _right_inverses(system.analysis_operator, s_inv, k)
     bessel_c = bessel @ c
     constructed = _components(system, particular + kernel @ _stacked(system, bessel_c))
-    cross = c @ weighted_sum(system.measure.weights, family.ranks, bessel.stack, family.stack) @ c
+    cross = c @ bessel.weighted_sum(system.measure.weights, right=family) @ c
     tail = c @ s_inv @ (k.inverse() - cross)
     formula = family.with_stack((family @ tail).stack + bessel_c.stack)
     replay = _components(system, particular + kernel @ _stacked(system, constructed))

@@ -4,6 +4,7 @@ import pytest
 from gframe.errors import DomainError
 from gframe.frames import (
     DualCertificate,
+    Family,
     bessel_constant,
     canonical_dual,
     controlled_multiplier,
@@ -13,7 +14,7 @@ from gframe.frames import (
     reconstruction_operator,
 )
 from gframe.generate import random_system, unit_interval_system
-from gframe.hilbert import AdjointableOperator, stack, unstack
+from gframe.hilbert import AdjointableOperator
 from gframe.sampling import rand_invertible_operator, rand_operator
 
 from conftest import (
@@ -212,9 +213,8 @@ def test_weighted_sums_match_flatten_oracles(kwargs):
 def test_batched_dual_family_matches_per_atom_compose(kwargs):
     system = random_system(**kwargs)
     oracle = brute_force_dual_family(system)
-    ops = list(system.family.values())
-    batched = unstack(stack(ops) @ system.frame_operator.inverse(), [op.out_rank for op in ops])
-    families = [dict(zip(system.family, batched))]
+    batched = Family.of(system.family, system.measure.labels) @ system.frame_operator.inverse()
+    families = [batched.members]
     if system.commuting:
         families.append(canonical_dual(system, samples=5, seed=0).dual_family)
     for family in families:

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,6 @@ from gframe.hilbert import (
     ModuleVector,
     apply_stack,
     pairing,
-    scale_atoms,
-    unstack,
 )
 from gframe.measure import MeasureSpace
 from gframe.sampling import complex_gaussian, rand_coords, rand_operator, rand_vector
@@ -223,7 +222,7 @@ def test_gram_matches_frame_operator_pairing():
 def test_analysis_synthesis_identity_frame(identity_system, m2):
     coords = rand_coords(m2, 2, np.random.default_rng(2), 5)
     t = identity_system.analysis_operator
-    (component,) = unstack(t, [2])
+    (component,) = identity_system.stacked_family.with_stack(t).members.values()
     assert np.max(np.abs(apply_stack(component, coords) - coords)) <= 1e-13
     assert np.max(np.abs(apply_stack(t.adjoint(), apply_stack(t, coords)) - coords)) <= 1e-13
 
@@ -323,15 +322,19 @@ def test_member_view_matches_per_member_flat(kwargs):
     if kwargs.get("pad_outputs"):
         assert len(set(family.ranks)) > 1
     channels, width = channel_layout(family.descriptor)
-    view, norms = family.member_channels(), family.member_norms()
-    assert view.shape == (len(family.ranks), channels, family.in_rank * width,
-                          max(family.ranks) * width)
-    for w, (op, m) in enumerate(zip(family.members.values(), family.ranks)):
-        flat = op.flat()
-        for j in range(channels):  # channel j of C^k is every k-th row and column
-            assert np.array_equal(view[w, j, :, :m * width], flat[j::channels, j::channels])
-        assert not view[w, :, :, m * width:].any()
-        assert norms[w] == pytest.approx(np.linalg.norm(flat, 2), rel=1e-12)
+    groups, norms = family.member_groups(), family.member_norms()
+    assert sorted(np.concatenate([atoms for atoms, _ in groups])) == list(range(len(family.ranks)))
+    assert len(groups) == len(set(family.ranks))
+    members = list(family.members.values())
+    for atoms, view in groups:
+        m = family.ranks[atoms[0]]
+        assert view.shape == (len(atoms), channels, family.in_rank * width, m * width)
+        for w, chans in zip(atoms, view):
+            assert family.ranks[w] == m
+            flat = members[w].flat()
+            for j in range(channels):  # channel j of C^k is every k-th row and column
+                assert np.array_equal(chans[j], flat[j::channels, j::channels])
+            assert norms[w] == pytest.approx(np.linalg.norm(flat, 2), rel=1e-12)
 
 
 def _commutation_reference(family, C, Cp) -> float:
@@ -361,6 +364,30 @@ def test_family_defect_matches_per_member_reference(build, commuting):
     reference = _commutation_reference(system.stacked_family, ctr.C, ctr.Cp)
     assert defect == pytest.approx(reference, rel=1e-9, abs=1e-15)
     assert (reference <= 1e-12) == commuting
+
+
+def test_member_view_memory_grows_with_the_stack_not_the_widest_rank():
+    # One rank-256 member beside 1000 rank-1 members: padding every member to
+    # the widest rank would hold 1001 x 256 columns, about 200 stacks.
+    from gframe import frames
+
+    desc = AlgebraDescriptor("diagonal", 2)
+    ranks = [256] + [1] * 1000
+    blocks = complex_gaussian(np.random.default_rng(47), (4, sum(ranks), 2))
+    family = Family([f"w{i}" for i in range(len(ranks))], ranks, AdjointableOperator(desc, blocks))
+    identity = AdjointableOperator.identity(desc, 4)
+    limit = 50 * family.stack.blocks.nbytes
+    tracemalloc.start()
+    try:
+        assert frames._family_commutation_defect(family, identity, identity) == 0.0
+        defect_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        norms = family.member_norms()
+        norms_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norms.shape == (len(ranks),)
+    assert defect_peak < limit and norms_peak < limit
 
 
 @pytest.mark.parametrize("kwargs", ORACLE_SYSTEMS + (dict(seed=3, commuting=False),))
@@ -482,7 +509,7 @@ def test_member_wise_algebra_is_stack_algebra(kwargs):
                        for label, m in zip(family.labels, family.ranks)}, family.labels)
     scales = complex_gaussian(rng, (len(family.ranks),))
     composed = (family @ r).members
-    scaled = family.with_stack(scale_atoms(family.stack, family.ranks, scales)).members
+    scaled = family.scaled(scales).members
     summed = family.with_stack(family.stack + other.stack).members
     difference = family.with_stack(family.stack - other.stack).members
     for scale, (label, op) in zip(scales, family.members.items()):

@@ -3,6 +3,7 @@ import pytest
 
 from gframe.algebra import AlgebraDescriptor, AlgebraElement, element_norms, leq
 from gframe.errors import DomainError, InputError
+from gframe.frames import Family
 from gframe.hilbert import (
     AdjointableOperator,
     ModuleVector,
@@ -11,10 +12,7 @@ from gframe.hilbert import (
     loewner_gap,
     pairing,
     positive_part_checks,
-    scale_atoms,
     stack,
-    unstack,
-    weighted_sum,
 )
 from gframe.sampling import (
     complex_gaussian,
@@ -287,25 +285,30 @@ def test_spectral_data_is_kept_and_read_only(m2):
     assert t.hermitian_defect() == float(np.linalg.norm(f - f.conj().T, 2))
 
 
+def _family(ops) -> Family:
+    """The ``Family`` of ``ops`` on labels w0, w1, ...: their ``stack`` with its atom ranks."""
+    return Family([f"w{i}" for i in range(len(ops))], [op.out_rank for op in ops], stack(ops))
+
+
 def test_direct_sum_stack_round_trip():
-    # unstack inverts stack for mixed output ranks in both algebra kinds, and the
-    # stack scaled by sqrt(w) (scale_atoms) carries the weighted direct-sum inner
-    # product; scaling by 1/sqrt(w) and unstacking gives the members back.
+    # Family.members inverts stack for mixed output ranks in both algebra kinds,
+    # and the family scaled by sqrt(w) (Family.scaled) stacks into the weighted
+    # direct sum; scaling back by 1/sqrt(w) gives the members back.
     rng = np.random.default_rng(39)
     ranks, weights = (2, 1, 3), (0.5, 2.0, 1.25)
     scales = np.sqrt(weights)
     for desc in (AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)):
         ops = [rand_operator(desc, 3, m, rng) for m in ranks]
-        stacked = scale_atoms(stack(ops), ranks, scales)
+        scaled = _family(ops).scaled(scales)
         expected = np.concatenate([scale * op.flat() for scale, op in zip(scales, ops)], axis=1)
-        assert np.array_equal(stacked.flat(), expected)
-        for back, op in zip(unstack(scale_atoms(stacked, ranks, 1.0 / scales), ranks), ops):
+        assert np.array_equal(scaled.stack.flat(), expected)
+        for back, op in zip(scaled.scaled(1.0 / scales).members.values(), ops):
             assert back.blocks.shape == op.blocks.shape
             assert (back - op).norm() <= 1e-15 * op.norm()
-        for back, op in zip(unstack(stack(ops), ranks), ops):
+        for back, op in zip(_family(ops).members.values(), ops):
             assert np.array_equal(back.blocks, op.blocks)
         x = rand_coords(desc, 3, rng, 4)
-        lhs = pairing(desc, apply_stack(stacked, x))
+        lhs = pairing(desc, apply_stack(scaled.stack, x))
         rhs = sum(w * pairing(desc, apply_stack(op, x)) for w, op in zip(weights, ops))
         assert element_norms(desc, lhs - rhs).max() <= 1e-12 * element_norms(desc, rhs).max()
 
@@ -316,7 +319,7 @@ def test_direct_sum_operator_components(m2):
     ops = [rand_operator(m2, 3, 2, rng), rand_operator(m2, 3, 2, rng)]
     scales = np.sqrt([0.5, 2.0])
     x = rand_coords(m2, 3, rng, 4)
-    pieces = np.split(apply_stack(scale_atoms(stack(ops), [2, 2], scales), x), [2], axis=1)
+    pieces = np.split(apply_stack(_family(ops).scaled(scales).stack, x), [2], axis=1)
     for piece, scale, op in zip(pieces, scales, ops):
         assert np.max(np.abs(piece / scale - apply_stack(op, x))) <= 1e-13
 
@@ -330,30 +333,35 @@ def test_weighted_sum_matches_per_atom_sum_with_mixed_output_ranks(desc):
     right = [rand_operator(desc, 2, m, rng) for m in ranks]
     coeffs = [0.5, 1.5 - 0.25j, 2.0j, 0.75]
     expected = sum(c * (l.flat() @ r.flat().conj().T) for c, l, r in zip(coeffs, left, right))
-    got = weighted_sum(coeffs, ranks, stack(left), stack(right)).flat()
+    got = _family(left).weighted_sum(coeffs, right=_family(right)).flat()
     assert np.linalg.norm(got - expected, 2) <= 1e-13 * np.linalg.norm(expected, 2)
     weights = [0.5, 1.5, 0.25, 2.0]
-    gram = weighted_sum(weights, ranks, stack(left))
+    gram = _family(left).weighted_sum(weights)
     expected = sum(w * (op.flat() @ op.flat().conj().T) for w, op in zip(weights, left))
     assert np.linalg.norm(gram.flat() - expected, 2) <= 1e-13 * np.linalg.norm(expected, 2)
     assert gram.hermitian_defect() <= 1e-14 * gram.norm()
 
 
 def test_weighted_sum_rejects_mismatched_members(m2):
+    # A family's ranks must sum to its stack's output rank (the constructor),
+    # and a weighted sum needs one weight per atom and a partner family of the
+    # same algebra, input rank and output ranks.
     rng = np.random.default_rng(32)
     a, b = rand_operator(m2, 2, 2, rng), rand_operator(m2, 2, 3, rng)
+    family = Family(["w"], [2], a)
     with pytest.raises(InputError):
-        weighted_sum([], [], a)
+        Family([], [], a)
     with pytest.raises(InputError):
-        weighted_sum([1.0], [2], a, b)
+        family.weighted_sum([1.0], right=Family(["w"], [3], b))
     with pytest.raises(InputError):
-        weighted_sum([1.0], [2], a, rand_operator(m2, 3, 2, rng))
+        family.weighted_sum([1.0], right=Family(["w"], [2], rand_operator(m2, 3, 2, rng)))
     with pytest.raises(InputError):
-        weighted_sum([1.0], [2], a, rand_operator(AlgebraDescriptor("matrix", 3), 2, 2, rng))
+        family.weighted_sum([1.0], right=Family(
+            ["w"], [2], rand_operator(AlgebraDescriptor("matrix", 3), 2, 2, rng)))
     with pytest.raises(InputError):
-        weighted_sum([1.0, 1.0], [1, 1], b)
+        Family(["u", "v"], [1, 1], b)
     with pytest.raises(InputError):
-        weighted_sum([1.0], [1, 1], a)
+        Family(["u", "v"], [1, 1], a).weighted_sum([1.0])
 
 
 def test_stack_rejects_mismatched_members(m2):
@@ -367,13 +375,13 @@ def test_stack_rejects_mismatched_members(m2):
         stack([a, rand_operator(AlgebraDescriptor("matrix", 3), 3, 1, rng)])
     with pytest.raises(InputError):
         stack([a, rand_operator(AlgebraDescriptor("diagonal", 2), 3, 1, rng)])
-    stacked = stack([a, b])
+    family = _family([a, b])
     with pytest.raises(InputError):
-        scale_atoms(stacked, [1, 2], [1.0])
+        family.scaled([1.0])
     with pytest.raises(InputError):
-        unstack(stacked, [1, 1])
+        Family(["u", "v"], [1, 1], family.stack)
     with pytest.raises(InputError):
-        scale_atoms(stacked, [1, 2], [1.0, 1.0, 1.0])
+        family.scaled([1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],

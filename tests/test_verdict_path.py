@@ -46,7 +46,9 @@ def test_retired_names_stay_gone():
                # HOM-TRANSPORT is decided on a basis, not on drawn vector pairs.
                "pair_count",
                # The family commutation check runs over all atoms in one pass.
-               "_BATCH_ENTRIES"}
+               "_BATCH_ENTRIES",
+               # A family's stack layout lives in frames.Family alone.
+               "scale_atoms", "unstack", "_atom_channels", "_weighted", "atom_columns"}
     found = []
     for name, tree in _trees().items():
         for node in ast.walk(tree):
@@ -72,6 +74,15 @@ def test_theorems_and_stability_draw_nothing():
               if isinstance(node, ast.FunctionDef)
               and "seed" in [arg.arg for arg in node.args.args + node.args.kwonlyargs]]
     assert seeded == []
+
+
+def test_no_hilbert_function_takes_atom_ranks():
+    # Which stack columns belong to which atom is frames.Family's business:
+    # hilbert.py holds operators on A^n and the generic stack only.
+    found = [f"{node.name}:{node.lineno}" for node in ast.walk(_trees()["hilbert.py"])
+             if isinstance(node, ast.FunctionDef)
+             and "ranks" in [arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)]]
+    assert found == []
 
 
 def test_every_spectral_call_goes_through_finite_spectrum():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gframe
+from gframe import algebra
 from gframe.algebra import AlgebraDescriptor, AlgebraElement, element_norms, two_norm
 from gframe.errors import DomainError
 from gframe.frames import GFrameSystem
@@ -223,6 +224,17 @@ def test_non_finite_spectra_raise_domain_error():
         with pytest.raises(DomainError):
             kernel(nan_op)
     assert two_norm(np.array([[1e200, 0.0], [0.0, 1.0]])) == 1e200
+
+
+@pytest.mark.parametrize("size", [2, algebra._PYTHON_TEST_SIZE + 1], ids=["python", "numpy"])
+def test_finite_spectrum_tests_values_not_their_sum(size):
+    # Singular values of 1e308 are finite though their sum overflows; on both
+    # sides of the size switch they pass, and one NaN or infinity among them fails.
+    huge = np.full((size, 1, 1), 1e308)
+    np.testing.assert_array_equal(two_norm(huge), np.full(size, 1e308))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            two_norm(np.where(np.arange(size)[:, None, None] == size - 1, bad, huge))
 
 
 def test_nan_diagonal_spectrum_raises_domain_error():

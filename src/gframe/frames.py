@@ -102,7 +102,7 @@ class Family:
         ranks = np.asarray(self.ranks)
         firsts = ranks.cumsum() - ranks
         groups = []
-        for m in np.unique(ranks):
+        for m in sorted(set(self.ranks)):
             atoms = np.flatnonzero(ranks == m)
             blocks = self.stack.blocks[:, firsts[atoms, None] + np.arange(m)]
             groups.append((atoms, as_channels(self.descriptor, blocks.swapaxes(0, 1))))

@@ -144,9 +144,9 @@ class Family:
         """Sum over atoms of c_w R_w* Lambda_w, for R the family ``right``.
 
         It is the adjoint of R's stack after the stack of ``scaled(c)``, one
-        GEMM per channel.
-        Without ``right`` it is the sum of w Lambda_w* Lambda_w, X X^H for X
-        the channels of ``scaled(sqrt w)``, so w must be >= 0.
+        GEMM per channel.  Without ``right`` it is the sum of w Lambda_w*
+        Lambda_w, X X^H for X the channels of ``scaled(sqrt w)``, so w must be
+        >= 0.
         """
         if right is not None and (right.descriptor != self.descriptor
                                   or right.in_rank != self.in_rank or right.ranks != self.ranks):

@@ -292,8 +292,9 @@ def _family(ops) -> Family:
 
 def test_direct_sum_stack_round_trip():
     # Family.members inverts stack for mixed output ranks in both algebra kinds,
-    # and the family scaled by sqrt(w) (Family.scaled) stacks into the weighted
-    # direct sum; scaling back by 1/sqrt(w) gives the members back.
+    # and the stack of the family scaled by sqrt(w) (Family.scaled) carries the
+    # weighted direct-sum inner product; scaling back by 1/sqrt(w) gives the
+    # members back.
     rng = np.random.default_rng(39)
     ranks, weights = (2, 1, 3), (0.5, 2.0, 1.25)
     scales = np.sqrt(weights)

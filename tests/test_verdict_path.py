@@ -35,7 +35,7 @@ def test_retired_names_stay_gone():
                # Sampled "for all x" checks: every one is a loewner_gap test now.
                "sample_coords", "_sampled", "_gram_norms", "conjugate_by",
                "min_hermitian_eigenvalues", "extreme_witnesses",
-               # The weighted direct sum: stack and unstack are its only model.
+               # The weighted direct sum: a Family's stack is its only model.
                "DirectSumSpace", "DirectSumVector", "direct_sum", "compose_all",
                "stack_operator", "component_operator", "analysis", "synthesis",
                # A family is one stack: no per-atom padding or restacking.

@@ -106,19 +106,20 @@ _PYTHON_TEST_SIZE = 40
 
 
 def finite_spectrum(routine, mats: np.ndarray, **options):
-    """``routine(mats, **options)``, a numpy.linalg spectral routine, or a DomainError.
+    """``routine(mats, **options)``, a numpy.linalg routine or ``np.abs``, or a DomainError.
 
     LAPACK raises on NaN entries and returns NaN on infinite ones.  The test
-    reads each value of the result: up to _PYTHON_TEST_SIZE values in Python,
-    which costs less than a numpy reduction there; larger stacks, such as the
-    1 x 1 norms of many atoms, take ``np.isfinite``.
+    reads each value of the result: up to _PYTHON_TEST_SIZE real values in
+    Python, which costs less than a numpy reduction there; larger stacks, such
+    as the 1 x 1 norms of many atoms, and complex ones take ``np.isfinite``.
     """
     try:
         result = routine(mats, **options)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"spectral computation failed: {exc}") from exc
     values = result[0] if isinstance(result, tuple) else result
-    if not (all(map(math.isfinite, values.ravel().tolist())) if values.size <= _PYTHON_TEST_SIZE
+    if not (all(map(math.isfinite, values.ravel().tolist()))
+            if values.size <= _PYTHON_TEST_SIZE and values.dtype.kind == "f"
             else np.isfinite(values).all()):
         raise DomainError("spectral computation overflowed: entries too large or not finite")
     return result
@@ -127,10 +128,14 @@ def finite_spectrum(routine, mats: np.ndarray, **options):
 def two_norm(mats: np.ndarray):
     """Largest singular value of a matrix, or of each matrix in a (..., rows, cols) stack.
 
-    LAPACK returns singular values in descending order, so this is
+    A 1 x 1 matrix's singular value is its modulus, which is exact and
+    overflows only when the norm does.  Every other shape takes one batched
+    SVD; LAPACK returns singular values in descending order, so that is
     ``np.linalg.norm(mats, 2, axis=(-2, -1))`` bit for bit, without the
     wrapper that costs as much as the SVD on small matrices.
     """
+    if mats.shape[-2:] == (1, 1):
+        return finite_spectrum(np.abs, mats)[..., 0, 0]
     return finite_spectrum(np.linalg.svd, mats, compute_uv=False)[..., 0]
 
 
@@ -192,14 +197,13 @@ def sqrt_positive(chans: np.ndarray, norm: float, defect: float, tol: float,
 def element_norms(descriptor: AlgebraDescriptor, data: np.ndarray) -> np.ndarray:
     """C*-norms of a stack of element data, shaped (...,) + the element shape.
 
-    A non-finite entry raises DomainError in both kinds, as ``two_norm`` does for M_d.
+    Each element is a 1 x 1 block, so its norm is the largest ``two_norm``
+    of its channels: one SVD for M_d, the largest entry modulus for C^k.  A
+    non-finite entry raises ``finite_spectrum``'s DomainError in both kinds.
     """
-    if descriptor.kind == MATRIX:
-        return two_norm(data)
-    norms = np.max(np.abs(data), axis=-1)
-    if not np.isfinite(norms).all():
-        raise DomainError("element norm is not finite: entries too large or not finite")
-    return norms
+    lead = data.shape[:data.ndim - len(descriptor.shape)]
+    blocks = data.reshape(lead + (1, 1) + descriptor.shape)
+    return two_norm(as_channels(descriptor, blocks)).max(axis=-1)
 
 
 def _check_same(a: "AlgebraElement", b: "AlgebraElement") -> None:

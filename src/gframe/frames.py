@@ -33,6 +33,7 @@ from .algebra import (
     element_norms,
     hermitian_transpose,
     tolerance_scale,
+    two_norm,
 )
 from .errors import DomainError, InputError, UnsupportedConfigurationError
 from .hilbert import (
@@ -40,7 +41,6 @@ from .hilbert import (
     ModuleVector,
     loewner_gap,
     pairing,
-    spectral_norms,
     stack,
 )
 from .measure import MeasureSpace
@@ -112,7 +112,7 @@ class Family:
         """||Lambda_w|| for every atom: one batched 2-norm per group of ``member_groups``."""
         norms = np.empty(len(self.ranks))
         for atoms, chans in self.member_groups():
-            norms[atoms] = spectral_norms(chans).max(axis=-1)
+            norms[atoms] = two_norm(chans).max(axis=-1)
         return norms
 
     def with_stack(self, t: AdjointableOperator) -> "Family":
@@ -209,14 +209,14 @@ def _family_commutation_defect(family: Family, C: AdjointableOperator,
     Each quantity is one batched 2-norm over the atoms of one output rank,
     channel by channel, of the Grams of ``Family.member_groups``.
     """
-    controls = [(ctrl, tolerance_scale(spectral_norms(ctrl).max()))
+    controls = [(ctrl, tolerance_scale(two_norm(ctrl).max()))
                 for ctrl in (C.channels(), Cp.channels())]
     worst = 0.0
     for _, members in family.member_groups():
         grams = members @ hermitian_transpose(members)
-        gscale = tolerance_scale(spectral_norms(grams).max(axis=-1))
+        gscale = tolerance_scale(two_norm(grams).max(axis=-1))
         for ctrl, cscale in controls:
-            defects = spectral_norms(grams @ ctrl - ctrl @ grams).max(axis=-1)
+            defects = two_norm(grams @ ctrl - ctrl @ grams).max(axis=-1)
             worst = max(worst, float(np.max(defects / gscale)) / cscale)
     return worst
 

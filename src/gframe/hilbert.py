@@ -46,7 +46,6 @@ from .algebra import (
     singular_values,
     sqrt_positive,
     tolerance_scale,
-    two_norm,
 )
 from .errors import DomainError, InputError
 
@@ -128,17 +127,6 @@ def _embed_diag(arr: np.ndarray) -> np.ndarray:
     """Embed (..., k) diagonal data as (..., k, k) diagonal matrices."""
     k = arr.shape[-1]
     return arr[..., :, None] * np.eye(k, dtype=np.complex128)
-
-
-def spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a (..., rows, cols) stack.
-
-    A single row or column has one singular value, its Euclidean length, so
-    that case skips the SVD but not ``finite_spectrum``'s finiteness test.
-    """
-    if 1 in mats.shape[-2:]:
-        return finite_spectrum(np.linalg.norm, mats, axis=(-2, -1))
-    return two_norm(mats)
 
 
 @dataclass(frozen=True, eq=False)

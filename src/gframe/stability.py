@@ -1,11 +1,12 @@
 """Perturbation checks for frame families under one repeated control.
 
-Every check compares two families over the same measure and control, decides
-the stated smallness hypothesis exactly, and then certifies the perturbed
-family's bounds with exact semidefinite tests on its frame operator.  A
-hypothesis bounds norms of Gram elements <K x, x> for all x, so by the rank-one
-argument of ``hilbert.loewner_gap`` it orders Gram operators; a failed one
-keeps the document of its witness vector in info["witness"].
+Every check takes two systems, a reference and a perturbed one, refuses them
+with an InputError unless they share the measure, the module and one repeated
+control, decides the stated smallness hypothesis exactly, and then certifies
+the perturbed family's bounds with exact semidefinite tests on its frame
+operator.  A hypothesis bounds norms of Gram elements <K x, x> for all x, so
+by the rank-one argument of ``hilbert.loewner_gap`` it orders Gram operators;
+a failed one keeps the document of its witness vector in info["witness"].
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def sum_frame_check(sys_frame: GFrameSystem, sys_bessel: GFrameSystem,
     return report
 
 
-def weighted_perturbation_check(sys_t: GFrameSystem, family_r,
+def weighted_perturbation_check(sys_t: GFrameSystem, sys_r: GFrameSystem,
                                 alpha_w: Mapping[str, float], beta_w: Mapping[str, float],
                                 lam: float, mu: float,
                                 tol: float = DEFAULT_TOL) -> TheoremReport:
@@ -127,12 +128,11 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r,
     [[K_T, K_T # K_R], [K_T # K_R, K_R]] is positive for the geometric mean #; so
     K_D below that suffices (exactly, when K_R is a multiple of K_T).  The witness
     of that test either violates the hypothesis or leaves it undecided.
-    ``family_r`` is a Family or a mapping by atom label.
+    ``sys_r`` is the perturbed system; it must share sys_t's control and measure.
     """
     if not (0 <= lam < 1 and 0 <= mu < 1):
         raise InputError("weighted check needs constants in [0, 1)")
     report = TheoremReport("STAB-WEIGHTED", tolerance=tol)
-    sys_r = sys_t.with_family(family_r)
     _require_pair(sys_t, sys_r)
     alphas = [float(alpha_w[label]) for label in sys_t.measure.labels]
     betas = [float(beta_w[label]) for label in sys_t.measure.labels]
@@ -163,7 +163,7 @@ def weighted_perturbation_check(sys_t: GFrameSystem, family_r,
     return report
 
 
-def additive_perturbation_check(sys_t: GFrameSystem, family_r,
+def additive_perturbation_check(sys_t: GFrameSystem, sys_r: GFrameSystem,
                                 alpha: float, beta: float, kind: str = ADDITIVE,
                                 tol: float = DEFAULT_TOL) -> TheoremReport:
     """Additive perturbation with constants measured against the Gram and the inner product.
@@ -172,15 +172,14 @@ def additive_perturbation_check(sys_t: GFrameSystem, family_r,
     The corollary kind drops the Gram term and measures the whole distance
     against the inner product alone: K_D <= alpha I.  The certified window uses the
     (1 -+ sqrt(rho)) factors from the two-constant argument; the variant with
-    squared outer factors is reported for reference only.  ``family_r`` is a
-    Family or a mapping by atom label.
+    squared outer factors is reported for reference only.  ``sys_r`` is the
+    perturbed system; it must share sys_t's control and measure.
     """
     if kind not in (ADDITIVE, ADDITIVE_COROLLARY):
         raise InputError(f"additive check got kind {kind!r}")
     if alpha < 0 or (kind == ADDITIVE and beta < 0):
         raise InputError("additive check needs nonnegative constants")
     report = TheoremReport("STAB-ADDITIVE", tolerance=tol)
-    sys_r = sys_t.with_family(family_r)
     _require_pair(sys_t, sys_r)
     bounds = optimal_scalar_bounds(sys_t, tol)
     with report.gate():
@@ -264,9 +263,8 @@ def run_perturbation(kind: str, sys_a: GFrameSystem, sys_b: GFrameSystem, params
     if kind == WEIGHTED:
         labels = sys_a.measure.labels
         return weighted_perturbation_check(
-            sys_a, sys_b.stacked_family, _atom_constants(params, "alpha_w", labels),
+            sys_a, sys_b, _atom_constants(params, "alpha_w", labels),
             _atom_constants(params, "beta_w", labels), lam=constant("lambda"), mu=constant("mu"),
             tol=tol)
-    return additive_perturbation_check(
-        sys_a, sys_b.stacked_family, alpha=constant("alpha"), beta=constant("beta"), kind=kind,
-        tol=tol)
+    return additive_perturbation_check(sys_a, sys_b, alpha=constant("alpha"),
+                                       beta=constant("beta"), kind=kind, tol=tol)

@@ -40,6 +40,7 @@ from .algebra import (
     AlgebraElement,
     channel_layout,
     element_norms,
+    finite_spectrum,
     tolerance_scale,
 )
 from .errors import GFrameError, InputError, UnsupportedConfigurationError
@@ -747,8 +748,8 @@ def _right_inverse_characterization(row: _Row) -> None:
     particular, kernel = _right_inverses(t, s.inverse(), k)
     kt_star = row.checked(k) @ t.adjoint()
     worst = max(_identity_residual(kt_star @ particular), (kt_star @ kernel).norm())
-    g_ls = AdjointableOperator.from_channels(system.descriptor,
-                                             np.linalg.pinv((k @ t.adjoint()).channels()))
+    g_ls = AdjointableOperator.from_channels(
+        system.descriptor, finite_spectrum(np.linalg.pinv, (k @ t.adjoint()).channels()))
     row.conclude(within("constructed right inverses verified", worst, max(1e-9, 100 * tol)),
                  within("least-squares right inverse verified",
                         _identity_residual(kt_star @ g_ls), max(1e-9, 100 * tol)),

@@ -260,7 +260,8 @@ def test_criterion_7_stability():
     ones = {label: 1.0 for label in ui.measure.labels}
     for c, lam, mu in ((0.5, 0.55, 0.0), (1.0, 0.0, 0.0), (2.0, 0.6, 0.25)):
         family = {label: c * op for label, op in ui.family.items()}
-        report = weighted_perturbation_check(ui, family, ones, ones, lam=lam, mu=mu)
+        report = weighted_perturbation_check(ui, ui.with_family(family), ones, ones, lam=lam,
+                                             mu=mu)
         assert report.status == PASS, (c, report.to_dict())
         window = report.info["certified_windows"]["weighted window certified"]
         if not (window[0] <= c * ui_bounds.scalar_lower + 1e-12
@@ -269,7 +270,8 @@ def test_criterion_7_stability():
 
     for c, alpha in ((0.5, 0.2501), (1.0, 0.0)):
         family = {label: c * op for label, op in tight.family.items()}
-        report = additive_perturbation_check(tight, family, alpha=alpha, beta=0.0)
+        report = additive_perturbation_check(tight, tight.with_family(family), alpha=alpha,
+                                             beta=0.0)
         assert report.status == PASS, (c, report.to_dict())
         window = report.info["certified_windows"]["additive window certified"]
         if not (window[0] <= c * a + 1e-12 and c * b <= window[1] + 1e-12):
@@ -278,7 +280,7 @@ def test_criterion_7_stability():
     from gframe.errors import DomainError
     with pytest.raises(DomainError):
         additive_perturbation_check(
-            tight, {label: 2.0 * op for label, op in tight.family.items()},
+            tight, tight.with_family({label: 2.0 * op for label, op in tight.family.items()}),
             alpha=1.0, beta=0.0)
 
     assert violations == 0

@@ -11,7 +11,7 @@ from gframe.algebra import DIAGONAL, AlgebraDescriptor
 from gframe.cli import main
 from gframe.frames import GFrameSystem
 from gframe.hilbert import AdjointableOperator
-from gframe.measure import simpson_unit_interval
+from gframe.measure import MeasureSpace, simpson_unit_interval
 from gframe.serialize import dump_json, load_system, operator_to_dict, system_to_dict
 from gframe.generate import random_system, unit_interval_system
 
@@ -167,6 +167,32 @@ def test_perturb_command(tmp_path, capsys):
     code, out, _ = _run(capsys, "perturb", str(desc))
     assert code == 0
     assert json.loads(out)["results"]["theorem_id"] == "STAB-EQUIV-M"
+
+
+@pytest.mark.parametrize("kind", ["equivalence_M", "sum", "weighted", "additive",
+                                  "additive_corollary"])
+@pytest.mark.parametrize("change", ["control", "measure"])
+def test_perturbed_system_must_share_control_and_measure(tmp_path, capsys, kind, change):
+    # Every kind reads systemB as given: doubling both its controls, or
+    # tripling its weights, is a mismatch with systemA and exits 2.
+    base = random_system(3, algebra="matrix")
+    sys_a = base.with_controls(base.controls.C, base.controls.C)
+    if change == "control":
+        sys_b = sys_a.with_controls(2.0 * sys_a.controls.C, 2.0 * sys_a.controls.C)
+    else:
+        tripled = MeasureSpace(tuple((label, 3.0 * w) for label, w in sys_a.measure.atoms))
+        sys_b = GFrameSystem(tripled, sys_a.stacked_family, sys_a.controls.C, sys_a.controls.C)
+    paths = {}
+    for name, system in (("a", sys_a), ("b", sys_b)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dump_json(system_to_dict(system)), encoding="utf-8")
+    desc = tmp_path / "run.json"
+    desc.write_text(json.dumps({"kind": kind, "systemA": str(paths["a"]),
+                                "systemB": str(paths["b"])}), encoding="utf-8")
+    code, out, err = _run(capsys, "perturb", str(desc))
+    _assert_input_error(code, err)
+    assert f"share the {change}" in err
+    assert out == ""
 
 
 def test_random_determinism(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The one 2-norm kernel, the per-channel spectra each operator keeps, and their dense oracle."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,12 @@ import gframe
 from gframe import algebra
 from gframe.algebra import AlgebraDescriptor, AlgebraElement, element_norms, two_norm
 from gframe.errors import DomainError
-from gframe.frames import GFrameSystem
+from gframe.frames import Family, GFrameSystem
 from gframe.hilbert import (
     AdjointableOperator,
     ModuleVector,
     loewner_gap,
     positive_part_checks,
-    spectral_norms,
 )
 from gframe.measure import MeasureSpace
 from gframe.sampling import rand_operator, rand_positive_operator
@@ -36,13 +36,22 @@ def _random(shape, rng, dtype):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_kernel_is_numpy_two_norm_bit_for_bit(shape, dtype):
+    # A 1 x 1 matrix's norm is its modulus, which the SVD of a complex entry
+    # can miss by an ulp; every other shape is numpy's SVD 2-norm.
     x = _random(shape, np.random.default_rng(len(shape) * 100 + sum(shape)), dtype)
     got = np.asarray(two_norm(x))
-    want = np.linalg.norm(x, 2, axis=(-2, -1))
+    want = _two_norm_oracle(x)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    if x.ndim == 2:
+    if x.ndim == 2 and shape != (1, 1):
         assert float(two_norm(x)) == float(np.linalg.norm(x, 2))
+
+
+def _two_norm_oracle(x: np.ndarray) -> np.ndarray:
+    """np.abs of a stack of 1 x 1 matrices, numpy's 2-norm of any other stack."""
+    if x.shape[-2:] == (1, 1):
+        return np.abs(x[..., 0, 0])
+    return np.linalg.norm(x, 2, axis=(-2, -1))
 
 
 @pytest.mark.parametrize("dim, lead", [(1, (5,)), (2, (3, 4)), (3, (6,))])
@@ -237,6 +246,16 @@ def test_finite_spectrum_tests_values_not_their_sum(size):
             two_norm(np.where(np.arange(size)[:, None, None] == size - 1, bad, huge))
 
 
+def test_finite_spectrum_reads_a_small_complex_result():
+    # T55's pseudo-inverse is complex, with fewer values than the Python
+    # test's switch at desk scale: it comes back bit for bit, and NaN raises.
+    x = np.arange(6.0).reshape(1, 2, 3) + 1j
+    assert algebra.finite_spectrum(np.linalg.pinv, x).tobytes() == np.linalg.pinv(x).tobytes()
+    x[0, 0, 0] = np.nan
+    with pytest.raises(DomainError):
+        algebra.finite_spectrum(np.linalg.pinv, x)
+
+
 def test_nan_diagonal_spectrum_raises_domain_error():
     # eigvalsh can return finite values for a Hermitian matrix with NaN on its
     # diagonal ([[nan, 0], [0, 1]] gives [0, -0] on numpy 2.4), and the spectrum
@@ -297,8 +316,8 @@ def test_nan_elements_raise_domain_error(rows):
 @pytest.mark.parametrize("desc", [AlgebraDescriptor("diagonal", 2),
                                   AlgebraDescriptor("matrix", 2)], ids=["diagonal", "matrix"])
 def test_nan_member_fails_the_family_commutation_check(desc):
-    # Over C^2 at rank 1 every channel is 1 x 1, so the 2-norms take the
-    # one-row shortcut; it used to read a NaN member as commuting (defect 0.0).
+    # Over C^2 at rank 1 every channel is 1 x 1, so the 2-norms are moduli;
+    # a NaN member must not read as commuting (defect 0.0).
     blocks = AlgebraElement.one(desc).data.copy()[None, None]
     blocks.flat[0] = np.nan
     identity = AdjointableOperator.identity(desc, 1)
@@ -314,11 +333,28 @@ def test_nan_member_fails_the_family_commutation_check(desc):
 @pytest.mark.parametrize("shape", [(3, 1, 2), (3, 2, 1), (1, 1), (1001, 8, 1, 1)],
                          ids=["row", "column", "scalar", "atom-stack"])
 def test_one_row_or_column_norms_refuse_non_finite_entries(shape):
+    # Rows and columns take the SVD, not the Frobenius norm, which differs in
+    # the last digit on the row (7.810249675906656 against ...654).
     finite = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
-    np.testing.assert_array_equal(spectral_norms(finite), np.linalg.norm(finite, axis=(-2, -1)))
+    assert np.asarray(two_norm(finite)).tobytes() == _two_norm_oracle(finite).tobytes()
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError):
-            spectral_norms(np.where(finite == finite.max(), bad, finite))
+            two_norm(np.where(finite == finite.max(), bad, finite))
+
+
+@pytest.mark.parametrize("entries, want", [(([[1e200, 1.0]], [[2.0, 3.0]]), [1e200, 3.0]),
+                                           (([[1e200, 1e200], [1e200, 1e200]],),
+                                            [math.sqrt(2.0) * 1e200])],
+                         ids=["scalar-members", "rank-two-member"])
+def test_member_norms_do_not_square_their_entries(entries, want):
+    # Members on A^1 over C^2, one row of C^2 blocks each: every channel is
+    # 1 x 1 or one row, whose 2-norm is finite though its squared entries
+    # overflow.
+    desc = AlgebraDescriptor("diagonal", 2)
+    ops = [AdjointableOperator(desc, np.asarray(rows, dtype=complex)[None]) for rows in entries]
+    labels = [f"w{i}" for i in range(len(ops))]
+    family = Family.of(dict(zip(labels, ops)), labels)
+    np.testing.assert_allclose(family.member_norms(), want, rtol=1e-15)
 
 
 def _ord_two_norm_calls(root: Path) -> list:

@@ -43,9 +43,11 @@ def test_params_validation(unit_interval):
     family = dict(unit_interval.family)
     ones = {label: 1.0 for label in family}
     with pytest.raises(InputError, match=r"constants in \[0, 1\)"):
-        weighted_perturbation_check(unit_interval, family, ones, ones, lam=1.0, mu=0.0)
+        weighted_perturbation_check(unit_interval, unit_interval.with_family(family), ones,
+                                    ones, lam=1.0, mu=0.0)
     with pytest.raises(InputError, match="nonnegative constants"):
-        additive_perturbation_check(unit_interval, family, alpha=-1.0, beta=0.0)
+        additive_perturbation_check(unit_interval, unit_interval.with_family(family), alpha=-1.0,
+                                    beta=0.0)
     with pytest.raises(InputError, match="unknown perturbation kind"):
         run_perturbation("bogus", unit_interval, unit_interval, {})
 
@@ -175,8 +177,8 @@ def test_sum_seeded_half_bessel():
 def test_weighted_identity_reproduces_bounds(unit_interval):
     labels = unit_interval.measure.labels
     ones = {label: 1.0 for label in labels}
-    report = weighted_perturbation_check(unit_interval, dict(unit_interval.family),
-                                         ones, ones, lam=0.0, mu=0.0)
+    report = weighted_perturbation_check(unit_interval, unit_interval, ones, ones, lam=0.0,
+                                         mu=0.0)
     assert report.status == "pass"
     window = report.info["certified_windows"]["weighted window certified"]
     bounds = optimal_scalar_bounds(unit_interval)
@@ -189,7 +191,8 @@ def test_weighted_scaled_diagonal(c, lam, mu, unit_interval):
     labels = unit_interval.measure.labels
     ones = {label: 1.0 for label in labels}
     scaled_family = {label: c * op for label, op in unit_interval.family.items()}
-    report = weighted_perturbation_check(unit_interval, scaled_family, ones, ones,
+    report = weighted_perturbation_check(unit_interval, unit_interval.with_family(scaled_family),
+                                         ones, ones,
                                          lam=lam, mu=mu)
     assert report.status == "pass", report.to_dict()
     bounds = optimal_scalar_bounds(unit_interval)
@@ -207,7 +210,7 @@ def test_weighted_seeded_small_constants():
     for label, op in sys_a.family.items():
         noise = rand_operator(sys_a.descriptor, op.in_rank, op.out_rank, rng)
         perturbed[label] = op + (0.02 / max(1.0, noise.norm())) * noise
-    report = weighted_perturbation_check(sys_a, perturbed, ones, ones,
+    report = weighted_perturbation_check(sys_a, sys_a.with_family(perturbed), ones, ones,
                                          lam=0.1, mu=0.1)
     assert report.status == "pass"
 
@@ -215,13 +218,14 @@ def test_weighted_seeded_small_constants():
 def test_additive_identity_and_small_scale():
     tight = tight_line_system()
     bounds = optimal_scalar_bounds(tight)
-    report = additive_perturbation_check(tight, dict(tight.family), alpha=0.0, beta=0.0)
+    report = additive_perturbation_check(tight, tight, alpha=0.0, beta=0.0)
     assert report.status == "pass"
     window = report.info["certified_windows"]["additive window certified"]
     assert window[0] == pytest.approx(bounds.scalar_lower)
     assert window[1] == pytest.approx(bounds.scalar_upper)
     scaled = {label: 1.01 * op for label, op in tight.family.items()}
-    report = additive_perturbation_check(tight, scaled, alpha=(0.012) ** 1, beta=0.0)
+    report = additive_perturbation_check(tight, tight.with_family(scaled), alpha=(0.012) ** 1,
+                                         beta=0.0)
     assert report.status == "pass"
     window = report.info["certified_windows"]["additive window certified"]
     assert window[0] <= 1.01 * bounds.scalar_lower
@@ -231,16 +235,15 @@ def test_additive_identity_and_small_scale():
 def test_additive_precondition_gate():
     tight = tight_line_system()
     with pytest.raises(DomainError):
-        additive_perturbation_check(tight, dict(tight.family), alpha=1.0, beta=0.0)
+        additive_perturbation_check(tight, tight, alpha=1.0, beta=0.0)
     nu = optimal_scalar_bounds(tight).scalar_lower
     with pytest.raises(DomainError):
-        additive_perturbation_check(tight, dict(tight.family), alpha=0.5,
-                                    beta=0.6 * nu * nu)
+        additive_perturbation_check(tight, tight, alpha=0.5, beta=0.6 * nu * nu)
 
 
 def test_additive_corollary_kind():
     tight = tight_line_system()
-    report = additive_perturbation_check(tight, dict(tight.family), alpha=0.01, beta=0.0,
+    report = additive_perturbation_check(tight, tight, alpha=0.01, beta=0.0,
                                          kind="additive_corollary")
     assert report.status == "pass"
     assert "squared_factor_window" in report.info
@@ -250,7 +253,7 @@ def test_certified_windows_recheck_exactly():
     # conclusion soundness: every certified window passes the exact scalar check
     tight = tight_line_system()
     scaled = {label: 0.9 * op for label, op in tight.family.items()}
-    report = additive_perturbation_check(tight, scaled, alpha=0.02, beta=0.0)
+    report = additive_perturbation_check(tight, tight.with_family(scaled), alpha=0.02, beta=0.0)
     assert report.status == "pass"
     window = report.info["certified_windows"]["additive window certified"]
     sys_r = tight.with_family(scaled)
@@ -268,7 +271,7 @@ def test_additive_hypothesis_fails_at_its_witness(fraction):
     diff = sys_t.with_family({label: sys_t.family[label] - family[label] for label in family})
     f = diff.gram_operator.flat() - 0.5 * sys_t.gram_operator.flat()
     top = np.linalg.eigvalsh(0.5 * (f + f.conj().T))[-1]
-    report = additive_perturbation_check(sys_t, family, alpha=0.5, beta=fraction * top)
+    report = additive_perturbation_check(sys_t, sys_r, alpha=0.5, beta=fraction * top)
     assert report.status == "not_applicable"
     line = report.hypotheses[-1]
     assert (line.name, line.passed) == ("additive smallness", False)
@@ -282,8 +285,9 @@ def test_additive_hypothesis_fails_at_its_witness(fraction):
 def _weighted_noisy(seed, lam, mu):
     sys_t, family = _noisy_pair(seed)
     ones = {label: 1.0 for label in family}
-    report = weighted_perturbation_check(sys_t, family, ones, ones, lam=lam, mu=mu)
-    return sys_t, sys_t.with_family(family), report
+    sys_r = sys_t.with_family(family)
+    report = weighted_perturbation_check(sys_t, sys_r, ones, ones, lam=lam, mu=mu)
+    return sys_t, sys_r, report
 
 
 def test_weighted_hypothesis_proven_false_at_its_witness():

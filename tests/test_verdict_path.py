@@ -48,7 +48,9 @@ def test_retired_names_stay_gone():
                # The family commutation check runs over all atoms in one pass.
                "_BATCH_ENTRIES",
                # A family's stack layout lives in frames.Family alone.
-               "scale_atoms", "unstack", "_atom_channels", "_weighted", "atom_columns"}
+               "scale_atoms", "unstack", "_atom_channels", "_weighted", "atom_columns",
+               # Every 2-norm is algebra.two_norm.
+               "spectral_norms"}
     found = []
     for name, tree in _trees().items():
         for node in ast.walk(tree):
@@ -85,16 +87,20 @@ def test_no_hilbert_function_takes_atom_ranks():
     assert found == []
 
 
+SPECTRAL_ROUTINES = ("svd", "eigh", "eigvalsh", "eig", "eigvals", "pinv", "norm", "cond",
+                     "matrix_rank")
+
+
 def test_every_spectral_call_goes_through_finite_spectrum():
-    # An svd, eigh or eigvalsh of numpy.linalg is only ever handed to
-    # finite_spectrum as its routine, never called or passed elsewhere.
+    # A spectral routine of numpy.linalg is only ever handed to finite_spectrum
+    # as its routine, never called or passed elsewhere.
     found = []
     for name, tree in _trees().items():
         guarded = {id(node.args[0]) for node in ast.walk(tree)
                    if isinstance(node, ast.Call) and _called_name(node) == "finite_spectrum"
                    and node.args}
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr in ("svd", "eigh", "eigvalsh")
+                  if isinstance(node, ast.Attribute) and node.attr in SPECTRAL_ROUTINES
                   and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
                   and id(node) not in guarded]
     assert found == []

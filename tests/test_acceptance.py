@@ -20,6 +20,7 @@ from gframe.hilbert import apply_stack, pairing
 from gframe.frames import canonical_dual
 from gframe.reports import PASS
 from gframe.sampling import rand_coords, rand_operator, rand_vector
+from gframe.serialize import save_system
 from gframe.stability import (
     additive_perturbation_check,
     check_equivalence_M,
@@ -213,6 +214,78 @@ def test_perturbation_snapshot():
     statuses = sorted({entry["status"] for entry in snapshot.values()})
     assert statuses == ["fail", "not_applicable", "pass"]
     print(f"[acceptance 5] PASS {len(runs)} perturbation reports match the snapshot")
+
+
+# Golden behaviour of the six file commands, written once like the theorem
+# snapshot: each command's exit code and its report without the tool version,
+# on three generated systems and three systems whose members have mixed output
+# ranks.  The comparison walks the report: keys, list lengths, strings and
+# booleans must be equal, integers too, and floats follow the theorem snapshot's
+# rule (by modulus, as entries can be negative).  Report bytes are not compared.
+CLI_SNAPSHOT = Path(__file__).parent / "data" / "cli_snapshot.json"
+CLI_COMMANDS = ("validate", "bounds", "frame-op", "dual", "reconstruct", "multiplier")
+CLI_GENERATED = {
+    "example": ["example", "--alpha", "2", "--beta", "3", "--rank", "3", "--nodes", "11"],
+    "random-matrix": ["random", "--seed", "5", "--algebra", "matrix", "--dim", "3"],
+    "random-diagonal": ["random", "--seed", "7", "--algebra", "diagonal", "--dim", "3"],
+}
+CLI_MIXED = {
+    "mixed-diagonal": dict(seed=27, rank=2, algebra="diagonal", dim=3, pad_outputs=True),
+    "mixed-matrix": dict(seed=25, rank=2, algebra="matrix", dim=2, pad_outputs=True),
+    "mixed-rank-one": dict(seed=3, rank=1, algebra="diagonal", dim=3, pad_outputs=True),
+}
+
+
+def _cli_snapshot_entries():
+    """{input: {command: {"exit", "report"}}} for every snapshot run, made in the working directory."""
+    for name, argv in CLI_GENERATED.items():
+        assert cli_main(argv + ["--out", f"{name}.json"]) == 0
+    for name, options in CLI_MIXED.items():
+        save_system(random_system(**options), f"{name}.json")
+    entries = {}
+    for name in (*CLI_GENERATED, *CLI_MIXED):
+        entries[name] = {}
+        for command in CLI_COMMANDS:
+            out = Path(f"{command}-{name}.json")
+            code = cli_main([command, f"{name}.json", "--out", str(out)])
+            report = json.loads(out.read_text(encoding="utf-8"))
+            del report["tool"]["version"]
+            entries[name][command] = {"exit": code, "report": report}
+    return entries
+
+
+def _tree_mismatch(got, want, path="report"):
+    """Where ``got`` differs from ``want`` beyond the snapshot rule, or None."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or sorted(got) != sorted(want):
+            return f"{path}: keys {sorted(got) if isinstance(got, dict) else got!r}"
+        return next(filter(None, (_tree_mismatch(got[key], want[key], f"{path}/{key}")
+                                  for key in want)), None)
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return f"{path}: length differs"
+        return next(filter(None, (_tree_mismatch(g, w, f"{path}/{i}")
+                                  for i, (g, w) in enumerate(zip(got, want)))), None)
+    if isinstance(want, float) and type(got) in (int, float):
+        if abs(want) <= SNAPSHOT_NOISE:
+            return None if abs(got) <= SNAPSHOT_NOISE else f"{path}: {got!r} above noise"
+        return None if abs(got - want) <= SNAPSHOT_RTOL * abs(want) else f"{path}: {got!r} != {want!r}"
+    return None if type(got) is type(want) and got == want else f"{path}: {got!r} != {want!r}"
+
+
+def test_file_command_snapshot(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    snapshot = json.loads(CLI_SNAPSHOT.read_text(encoding="utf-8"))
+    got = _cli_snapshot_entries()
+    assert sorted(got) == sorted(snapshot)
+    for name, commands in snapshot.items():
+        assert sorted(got[name]) == sorted(commands)
+        for command, want in commands.items():
+            assert got[name][command]["exit"] == want["exit"], (name, command)
+            mismatch = _tree_mismatch(got[name][command]["report"], want["report"])
+            assert mismatch is None, (name, command, mismatch)
+    print(f"[acceptance 5] PASS {len(snapshot) * len(CLI_COMMANDS)} file-command reports "
+          "match the snapshot")
 
 
 def test_criterion_6_right_inverse_characterization():

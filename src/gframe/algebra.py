@@ -2,13 +2,14 @@
 
 The algebra is M_d(C) or the diagonal C^k, and this is the only module that
 knows how a kind is laid out.  An element's data has the descriptor's
-``shape``, (d, d) or (k,); module vectors and operators hold one such block
-per coordinate.  ``as_channels`` reads blocks as per-channel matrices, the
-flattening for M_d and k matrices for C^k (k independent copies of C), and
-``from_channels`` undoes it.  An element is a 1 x 1 block, channels (1, d, d)
-or (k, 1, 1), so elements and operators share the spectral functions of a
-channel stack, and each LAPACK call in them goes through ``finite_spectrum``.
-Values are immutable and check that their descriptors agree.
+``shape``, (d, d) or (k,), and a module vector holds one such block per
+coordinate.  An operator holds its channels, the per-channel matrices of its
+blocks: the flattening for M_d, k matrices for C^k (k independent copies of
+C).  ``as_channels`` reads blocks as channels and ``from_channels`` undoes
+it.  An element is a 1 x 1 block, channels (1, d, d) or (k, 1, 1), so
+elements and operators share the spectral functions of a channel stack, and
+each LAPACK call in them goes through ``finite_spectrum``.  Values are
+immutable and check that their descriptors agree.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from .algebra import (
     DEFAULT_TOL,
     MATRIX,
     AlgebraElement,
-    as_channels,
     channel_layout,
     element_norms,
     hermitian_transpose,
@@ -88,8 +87,9 @@ class Family:
 
     @cached_property
     def members(self) -> dict:
-        """The members by label, cut from the stack when first read."""
-        pieces = np.split(self.stack.blocks, np.cumsum(self.ranks)[:-1], axis=1)
+        """The members by label, cut from the stack's channel columns when first read."""
+        width = channel_layout(self.descriptor)[1]
+        pieces = np.split(self.stack.channels, np.cumsum(self.ranks)[:-1] * width, axis=2)
         return {label: AdjointableOperator(self.descriptor, piece)
                 for label, piece in zip(self.labels, pieces)}
 
@@ -99,13 +99,14 @@ class Family:
         ``atoms`` are the atoms of rank m and ``channels`` their members'
         channels, (atoms, c, n w, m w).
         """
+        width = channel_layout(self.descriptor)[1]
         ranks = np.asarray(self.ranks)
-        firsts = ranks.cumsum() - ranks
+        firsts = (ranks.cumsum() - ranks) * width
         groups = []
         for m in sorted(set(self.ranks)):
             atoms = np.flatnonzero(ranks == m)
-            blocks = self.stack.blocks[:, firsts[atoms, None] + np.arange(m)]
-            groups.append((atoms, as_channels(self.descriptor, blocks.swapaxes(0, 1))))
+            columns = self.stack.channels[:, :, firsts[atoms, None] + np.arange(m * width)]
+            groups.append((atoms, columns.transpose(2, 0, 1, 3)))
         return groups
 
     def member_norms(self) -> np.ndarray:
@@ -124,21 +125,17 @@ class Family:
         return self.with_stack(self.stack @ right)
 
     def _channels(self, scales=None) -> np.ndarray:
-        """Channels of the stack as one fresh contiguous array, member w's columns times scales[w]."""
-        chans = self.stack.channels()
-        if not chans.flags.writeable:  # a view of the read-only blocks
-            chans = chans.copy()
-        if scales is not None:
-            if len(scales) != len(self.ranks):
-                raise InputError("a family needs one scale per atom")
-            width = channel_layout(self.descriptor)[1]
-            chans *= np.repeat(np.asarray(scales), np.asarray(self.ranks) * width)
-        return chans
+        """Channels of the stack, member w's columns times scales[w]."""
+        if scales is None:
+            return self.stack.channels
+        if len(scales) != len(self.ranks):
+            raise InputError("a family needs one scale per atom")
+        width = channel_layout(self.descriptor)[1]
+        return self.stack.channels * np.repeat(np.asarray(scales), np.asarray(self.ranks) * width)
 
     def scaled(self, scales) -> "Family":
         """The family whose member w is scales[w] Lambda_w."""
-        return self.with_stack(AdjointableOperator.from_channels(self.descriptor,
-                                                                 self._channels(scales)))
+        return self.with_stack(AdjointableOperator(self.descriptor, self._channels(scales)))
 
     def weighted_sum(self, weights, right: Optional["Family"] = None) -> AdjointableOperator:
         """Sum over atoms of c_w R_w* Lambda_w, for R the family ``right``.
@@ -154,7 +151,7 @@ class Family:
                              "and output ranks")
         x = self._channels(np.sqrt(weights) if right is None else weights)
         y = x if right is None else right._channels()
-        return AdjointableOperator.from_channels(self.descriptor, x @ hermitian_transpose(y))
+        return AdjointableOperator(self.descriptor, x @ hermitian_transpose(y))
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ def _family_commutation_defect(family: Family, C: AdjointableOperator,
     channel by channel, of the Grams of ``Family.member_groups``.
     """
     controls = [(ctrl, tolerance_scale(two_norm(ctrl).max()))
-                for ctrl in (C.channels(), Cp.channels())]
+                for ctrl in (C.channels, Cp.channels)]
     worst = 0.0
     for _, members in family.member_groups():
         grams = members @ hermitian_transpose(members)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import DIAGONAL, MATRIX, AlgebraDescriptor, AlgebraElement
+from .algebra import DIAGONAL, MATRIX, AlgebraDescriptor
 from .errors import InputError
 from .frames import Family, GFrameSystem
 from .hilbert import AdjointableOperator
@@ -37,19 +37,11 @@ def unit_interval_system(alpha: float, beta: float, rank: int, nodes: int) -> GF
     measure, positions = simpson_unit_interval(nodes)
     desc = AlgebraDescriptor(DIAGONAL, rank)
     base = np.array([1.0 / (n + 1) for n in range(rank)], dtype=np.complex128)
-    stack = AdjointableOperator(desc, np.outer(positions, base)[None])
+    stack = AdjointableOperator.from_blocks(desc, np.outer(positions, base)[None])
     family = Family(measure.labels, [1] * nodes, stack)
     c = AdjointableOperator.scalar(desc, 1, alpha)
     cp = AdjointableOperator.scalar(desc, 1, beta)
     return GFrameSystem(measure, family, c, cp)
-
-
-def _padding_isometry(desc: AlgebraDescriptor, n: int, m: int) -> AdjointableOperator:
-    blocks = AdjointableOperator.zero(desc, n, m).blocks.copy()
-    one = AlgebraElement.one(desc).data
-    for i in range(n):
-        blocks[i, i] = one
-    return AdjointableOperator(desc, blocks)
 
 
 def _positive_polynomial(seed_op: AdjointableOperator, coeffs) -> AdjointableOperator:
@@ -95,8 +87,9 @@ def random_system(seed: int, rank: Optional[int] = None, atoms: Optional[int] = 
             coeffs = (rng.uniform(0.3, 1.2), rng.uniform(0.0, 0.8), rng.uniform(0.0, 0.3))
             member = _positive_polynomial(h, coeffs).sqrt_positive()
             if pad_outputs and rng.integers(2):
-                m = rank + int(rng.integers(1, 3))
-                member = rand_unitary_operator(desc, m, rng) @ _padding_isometry(desc, rank, m) @ member
+                # a unitary on A^m after the inclusion of A^rank: the unitary's first rows
+                unitary = rand_unitary_operator(desc, rank + int(rng.integers(1, 3)), rng).channels
+                member = AdjointableOperator(desc, unitary[:, :member.channels.shape[2]]) @ member
             family[label] = member
         if scalar_controls:
             c = AdjointableOperator.scalar(desc, rank, float(rng.uniform(0.5, 2.0)))

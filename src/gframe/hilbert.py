@@ -5,18 +5,18 @@ product <x, y> = sum_i x_i y_i*.  An adjointable operator A^n -> A^m is an
 n x m array of algebra blocks acting on the right, (Tx)_j = sum_i x_i t_ij,
 which makes T(a x) = a T(x) automatic.
 
-``flat`` maps a vector to the d x (n d) row of its coordinate blocks and an
-operator to the (n d) x (m d) block matrix of its entries, so flat(S after T)
-= flat(T) @ flat(S) and flat(T*) = flat(T)^H; it is the tests' raw-numpy
-oracle.  Every computation reads ``channels`` instead (``algebra.as_channels``:
-the flattening for M_d, k matrices of shape n x m for C^k).  Products, the
-module action, inner products and T x are stacked matrix products over the
-channels, with a vector as a 1 x n row of blocks (``apply_stack`` and
-``pairing`` take whole stacks of vectors).  Spectra, inverses and roots are
-the algebra module's channel kernel, the same functions an element calls.
+An operator holds only its ``channels``: the (n d) x (m d) flattening for M_d,
+k matrices of shape n x m for C^k, so S after T is flat(T) @ flat(S) and T* is
+flat(T)^H, channel by channel.  ``from_blocks`` builds one from its blocks and
+``blocks`` views them, for files and for ``flat``, the tests' raw-numpy
+oracle.  Products, the module action, inner products and T x are stacked
+matrix products over the channels, with a vector as a 1 x n row of blocks
+(``apply_stack`` and ``pairing`` take whole stacks of vectors).  Spectra,
+inverses and roots are the algebra module's channel kernel, the same
+functions an element calls.
 
 A family of operators A^n -> A^{m_w} is held as one operator, its stack
-A^n -> A^(m_1 + ... + m_W): the members' output coordinates side by side.
+A^n -> A^(m_1 + ... + m_W): the members' channel columns side by side.
 ``stack`` builds it from the members; which columns belong to which member,
 and every member-wise product, is ``frames.Family``'s business.
 """
@@ -131,39 +131,52 @@ def _embed_diag(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AdjointableOperator:
-    """A-linear map A^n -> A^m given by blocks t_ij, (Tx)_j = sum_i x_i t_ij."""
+    """A-linear map A^n -> A^m, (Tx)_j = sum_i x_i t_ij, held as its channel stack."""
 
     descriptor: AlgebraDescriptor
-    blocks: np.ndarray  # (n, m, d, d) matrix kind, (n, m, k) diagonal kind
+    channels: np.ndarray  # (1, n d, m d) matrix kind, (k, n, m) diagonal kind
 
     def __post_init__(self):
-        arr = np.asarray(self.blocks, dtype=np.complex128)
-        want_tail = self.descriptor.shape
-        if arr.ndim != 2 + len(want_tail) or arr.shape[2:] != want_tail:
-            raise InputError(f"block array shape {arr.shape} invalid for {self.descriptor}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
+        arr = np.array(self.channels, dtype=np.complex128, order="C")
+        count, width = channel_layout(self.descriptor)
+        if arr.ndim != 3 or arr.shape[0] != count or arr.shape[1] % width or arr.shape[2] % width:
+            raise InputError(f"channel array shape {arr.shape} invalid for {self.descriptor}")
+        if min(arr.shape[1:]) < 1:
             raise InputError("operator ranks must be >= 1")
-        arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "blocks", arr)
+        object.__setattr__(self, "channels", arr)
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The blocks t_ij, (n, m) + element shape: a read-only view of the channels."""
+        return from_channels(self.descriptor, self.channels)
 
     @property
     def in_rank(self) -> int:
-        return self.blocks.shape[0]
+        return self.channels.shape[1] // channel_layout(self.descriptor)[1]
 
     @property
     def out_rank(self) -> int:
-        return self.blocks.shape[1]
+        return self.channels.shape[2] // channel_layout(self.descriptor)[1]
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def from_blocks(descriptor: AlgebraDescriptor, blocks) -> "AdjointableOperator":
+        """The operator with block (i, j) blocks[i, j]: (n, m, d, d) for M_d, (n, m, k) for C^k."""
+        arr = np.asarray(blocks, dtype=np.complex128)
+        if arr.ndim != 2 + len(descriptor.shape) or arr.shape[2:] != descriptor.shape:
+            raise InputError(f"block array shape {arr.shape} invalid for {descriptor}")
+        return AdjointableOperator(descriptor, as_channels(descriptor, arr))
+
+    @staticmethod
     def _diagonal(descriptor: AlgebraDescriptor, rank: int, data) -> "AdjointableOperator":
         """The operator on A^rank with every diagonal block ``data`` and zeros elsewhere."""
-        blocks = np.zeros((rank, rank) + descriptor.shape, dtype=np.complex128)
-        for i in range(rank):
-            blocks[i, i] = data
-        return AdjointableOperator(descriptor, blocks)
+        count, width = channel_layout(descriptor)
+        chans = np.zeros((count, rank, width, rank, width), dtype=np.complex128)
+        index = np.arange(rank)
+        chans[:, index, :, index] = np.reshape(data, (count, width, width))
+        return AdjointableOperator(descriptor, chans.reshape(count, rank * width, rank * width))
 
     @staticmethod
     def identity(descriptor: AlgebraDescriptor, rank: int) -> "AdjointableOperator":
@@ -171,7 +184,8 @@ class AdjointableOperator:
 
     @staticmethod
     def zero(descriptor: AlgebraDescriptor, in_rank: int, out_rank: int) -> "AdjointableOperator":
-        return AdjointableOperator(descriptor, np.zeros((in_rank, out_rank) + descriptor.shape))
+        return AdjointableOperator.from_blocks(
+            descriptor, np.zeros((in_rank, out_rank) + descriptor.shape))
 
     @staticmethod
     def scalar(descriptor: AlgebraDescriptor, rank: int, value: complex) -> "AdjointableOperator":
@@ -200,34 +214,31 @@ class AdjointableOperator:
         return ModuleVector(self.descriptor, apply_stack(self, x.coords[None])[0])
 
     def adjoint(self) -> "AdjointableOperator":
-        return AdjointableOperator.from_channels(self.descriptor,
-                                                 hermitian_transpose(self.channels()))
+        return AdjointableOperator(self.descriptor, hermitian_transpose(self.channels))
 
     def __add__(self, other: "AdjointableOperator") -> "AdjointableOperator":
         self._check_same_shape(other)
-        return AdjointableOperator(self.descriptor, self.blocks + other.blocks)
+        return AdjointableOperator(self.descriptor, self.channels + other.channels)
 
     def __sub__(self, other: "AdjointableOperator") -> "AdjointableOperator":
         self._check_same_shape(other)
-        return AdjointableOperator(self.descriptor, self.blocks - other.blocks)
+        return AdjointableOperator(self.descriptor, self.channels - other.channels)
 
     def __mul__(self, scalar) -> "AdjointableOperator":
-        return AdjointableOperator(self.descriptor, self.blocks * complex(scalar))
+        return AdjointableOperator(self.descriptor, self.channels * complex(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "AdjointableOperator":
-        return AdjointableOperator(self.descriptor, -self.blocks)
+        return AdjointableOperator(self.descriptor, -self.channels)
 
     def __matmul__(self, other: "AdjointableOperator") -> "AdjointableOperator":
         """Composition self after other: (self @ other)(x) = self(other(x))."""
         return compose(self, other)
 
     def _check_same_shape(self, other: "AdjointableOperator") -> None:
-        if self.descriptor != other.descriptor or self.blocks.shape != other.blocks.shape:
+        if self.descriptor != other.descriptor or self.channels.shape != other.channels.shape:
             raise InputError("operator shape mismatch")
-
-    # -- matrix models: the channels, and the flattening oracle ---------------
 
     def flat(self) -> np.ndarray:
         """(n d) x (m d) complex matrix with block (i, j) equal to t_ij.
@@ -239,33 +250,25 @@ class AdjointableOperator:
         n, m, d, _ = blocks.shape
         return blocks.transpose(0, 2, 1, 3).reshape(n * d, m * d)
 
-    def channels(self) -> np.ndarray:
-        """Per-channel matrices: (1, n d, m d), the flattening, for M_d; (k, n, m) for C^k."""
-        return as_channels(self.descriptor, self.blocks)
-
-    @staticmethod
-    def from_channels(descriptor: AlgebraDescriptor, chans: np.ndarray) -> "AdjointableOperator":
-        return AdjointableOperator(descriptor, from_channels(descriptor, chans))
-
     # -- spectral data -------------------------------------------------------
 
-    # The blocks are read-only and the class is frozen, so each spectral
+    # The channels are read-only and the class is frozen, so each spectral
     # quantity below is computed on first use by the channel kernel, one
     # batched LAPACK call over the channels, and kept on the instance.
 
     @cached_property
     def _singular_values(self) -> np.ndarray:
-        svals = singular_values(self.channels())
+        svals = singular_values(self.channels)
         svals.setflags(write=False)
         return svals
 
     @cached_property
     def _hermitian_defect(self) -> float:
-        return hermitian_defect(self.channels())
+        return hermitian_defect(self.channels)
 
     @cached_property
     def _eigenvalues_hermitian(self) -> np.ndarray:
-        eigs = eigenvalues_hermitian(self.channels())
+        eigs = eigenvalues_hermitian(self.channels)
         eigs.setflags(write=False)
         return eigs
 
@@ -302,8 +305,8 @@ class AdjointableOperator:
         """Inverse, channel by channel; refused beyond condition number DEFAULT_COND_CAP."""
         if self.in_rank != self.out_rank:
             raise DomainError("only square operators can be inverted")
-        return AdjointableOperator.from_channels(
-            self.descriptor, inverse(self.channels(), self._singular_values, "operator"))
+        return AdjointableOperator(
+            self.descriptor, inverse(self.channels, self._singular_values, "operator"))
 
     def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AdjointableOperator":
         """Positive square root of a positive operator, channel by channel.
@@ -312,8 +315,8 @@ class AdjointableOperator:
         """
         if self.in_rank != self.out_rank:
             raise DomainError("operator square root requires a positive operator")
-        root = sqrt_positive(self.channels(), self.norm(), self.hermitian_defect(), tol, "operator")
-        return AdjointableOperator.from_channels(self.descriptor, root)
+        root = sqrt_positive(self.channels, self.norm(), self.hermitian_defect(), tol, "operator")
+        return AdjointableOperator(self.descriptor, root)
 
 
 def compose(s: AdjointableOperator, t: AdjointableOperator) -> AdjointableOperator:
@@ -322,7 +325,7 @@ def compose(s: AdjointableOperator, t: AdjointableOperator) -> AdjointableOperat
         raise InputError("algebra mismatch in composition")
     if t.out_rank != s.in_rank:
         raise InputError("rank mismatch in composition")
-    return AdjointableOperator.from_channels(s.descriptor, t.channels() @ s.channels())
+    return AdjointableOperator(s.descriptor, t.channels @ s.channels)
 
 
 def stack(ops: Sequence[AdjointableOperator]) -> AdjointableOperator:
@@ -332,11 +335,10 @@ def stack(ops: Sequence[AdjointableOperator]) -> AdjointableOperator:
     """
     if not ops:
         raise InputError("a stack needs at least one member")
-    try:
-        blocks = np.concatenate([op.blocks for op in ops], axis=1)
-    except ValueError as exc:
-        raise InputError("stack members must share the algebra and the input rank") from exc
-    return AdjointableOperator(ops[0].descriptor, blocks)
+    if len({(op.descriptor, op.in_rank) for op in ops}) != 1:
+        raise InputError("stack members must share the algebra and the input rank")
+    chans = np.concatenate([op.channels for op in ops], axis=2)
+    return AdjointableOperator(ops[0].descriptor, chans)
 
 
 def _vector_stack(descriptor: AlgebraDescriptor, coords: np.ndarray) -> np.ndarray:
@@ -352,7 +354,7 @@ def apply_stack(t: AdjointableOperator, coords: np.ndarray) -> np.ndarray:
     coords = _vector_stack(t.descriptor, coords)
     if coords.shape[1] != t.in_rank:
         raise InputError("operator/vector stack shape mismatch")
-    rows = as_channels(t.descriptor, coords[:, None]) @ t.channels()
+    rows = as_channels(t.descriptor, coords[:, None]) @ t.channels
     return from_channels(t.descriptor, rows)[:, 0]
 
 
@@ -378,7 +380,7 @@ def pairing(descriptor: AlgebraDescriptor, coords: np.ndarray,
         raise InputError("paired vector stacks must have the same shape")
     else:
         cols = as_channels(descriptor, _vector_stack(descriptor, other)[:, None])
-    left = rows if t is None else rows @ t.channels()
+    left = rows if t is None else rows @ t.channels
     values = from_channels(descriptor, left @ hermitian_transpose(cols))
     return values.reshape(coords.shape[:1] + descriptor.shape)
 
@@ -418,7 +420,8 @@ def loewner_gap(lhs: AdjointableOperator, rhs: AdjointableOperator) -> tuple:
     """
     if lhs.in_rank != lhs.out_rank:
         raise InputError("Loewner comparison needs square operators")
-    chans = (lhs - rhs).channels()
+    lhs._check_same_shape(rhs)
+    chans = lhs.channels - rhs.channels
     vals, vecs = finite_spectrum(np.linalg.eigh, hermitian_part(chans))
     index = np.arange(chans.shape[0])
     rows = np.zeros((index.size, index.size, channel_layout(lhs.descriptor)[1], chans.shape[-1]),

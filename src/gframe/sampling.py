@@ -40,7 +40,7 @@ def rand_vector(descriptor: AlgebraDescriptor, rank: int, rng: np.random.Generat
 def rand_operator(descriptor: AlgebraDescriptor, in_rank: int, out_rank: int,
                   rng: np.random.Generator) -> AdjointableOperator:
     shape = (in_rank, out_rank) + descriptor.shape
-    return AdjointableOperator(descriptor, complex_gaussian(rng, shape))
+    return AdjointableOperator.from_blocks(descriptor, complex_gaussian(rng, shape))
 
 
 def rand_positive_operator(descriptor: AlgebraDescriptor, rank: int, rng: np.random.Generator,
@@ -67,4 +67,4 @@ def rand_unitary_operator(descriptor: AlgebraDescriptor, rank: int,
     for channel in range(count):
         q, r = np.linalg.qr(complex_gaussian(rng, (size, size)))
         chans[channel] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return AdjointableOperator.from_channels(descriptor, chans)
+    return AdjointableOperator(descriptor, chans)

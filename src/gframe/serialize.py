@@ -173,7 +173,7 @@ def _operators_from_docs(docs: list) -> tuple:
 
 
 def _operator(desc: AlgebraDescriptor, shape: tuple, data: np.ndarray) -> AdjointableOperator:
-    return AdjointableOperator(desc, data.reshape(shape + data.shape[1:]))
+    return AdjointableOperator.from_blocks(desc, data.reshape(shape + data.shape[1:]))
 
 
 def operator_from_dict(doc: Mapping) -> AdjointableOperator:
@@ -244,7 +244,8 @@ def system_from_dict(doc: Mapping) -> GFrameSystem:
         *member_shapes, c_shape, cp_shape = shapes
         c_start = len(data) - c_shape[0] * c_shape[1] - cp_shape[0] * cp_shape[1]
         cp_start = len(data) - cp_shape[0] * cp_shape[1]
-        stacked = AdjointableOperator(decoded, _stacked_blocks(member_shapes, data[:c_start]))
+        stacked = AdjointableOperator.from_blocks(decoded,
+                                                  _stacked_blocks(member_shapes, data[:c_start]))
         family = Family(labels, [m for _, m in member_shapes], stack=stacked)
         c = _operator(decoded, c_shape, data[c_start:cp_start])
         cp = _operator(decoded, cp_shape, data[cp_start:])

@@ -52,7 +52,7 @@ from .frames import (
     optimal_scalar_bounds,
     reconstruction_operator,
 )
-from .generate import _padding_isometry, random_system
+from .generate import random_system
 from .hilbert import AdjointableOperator, stack
 from .measure import MeasureSpace, atom_label
 from .reports import FAIL, NOT_APPLICABLE, TheoremReport, frame_line, gap, within
@@ -463,7 +463,8 @@ def _rank_two_system(desc: AlgebraDescriptor, rng: np.random.Generator,
                      entry: Callable) -> GFrameSystem:
     """Three atoms, members on A^2 with block (i, j) = entry(i, j), scalar controls."""
     measure = _atoms(rng, 3)
-    family = {label: AdjointableOperator(desc, [[entry(i, j) for j in range(2)] for i in range(2)])
+    family = {label: AdjointableOperator.from_blocks(desc, [[entry(i, j) for j in range(2)]
+                                                           for i in range(2)])
               for label in measure.labels}
     c, cp = (AdjointableOperator.scalar(desc, 2, float(rng.uniform(0.6, 1.5))) for _ in "cc")
     return GFrameSystem(measure, family, c, cp)
@@ -514,8 +515,8 @@ def _hom_transport(row: _Row) -> None:
         size = n * desc.entry_count
         # Row i of ``basis`` is the i-th basis vector e_i, so block (i, j) of
         # basis* T basis is <T e_i, e_j>: all basis pairs, with no pair stack.
-        basis = AdjointableOperator(desc, np.eye(size).reshape((size, n) + desc.shape))
-        moved = AdjointableOperator(desc, phi(basis.blocks))
+        blocks = np.eye(size).reshape((size, n) + desc.shape)
+        basis, moved = (AdjointableOperator.from_blocks(desc, b) for b in (blocks, phi(blocks)))
 
         def worst(a, b):  # the blocks of a against phi of the blocks of b
             return float(element_norms(desc, a.blocks - phi(b.blocks)).max())
@@ -636,11 +637,10 @@ def _operator_dual_correspondence(row: _Row) -> None:
 
 
 def _block_diagonal(top: AdjointableOperator, bottom: AdjointableOperator) -> AdjointableOperator:
-    blocks = AdjointableOperator.zero(top.descriptor, top.in_rank + bottom.in_rank,
-                                      top.out_rank + bottom.out_rank).blocks.copy()
-    blocks[:top.in_rank, :top.out_rank] = top.blocks
-    blocks[top.in_rank:, top.out_rank:] = bottom.blocks
-    return AdjointableOperator(top.descriptor, blocks)
+    (count, rows, cols), (_, more_rows, more_cols) = top.channels.shape, bottom.channels.shape
+    chans = np.zeros((count, rows + more_rows, cols + more_cols), dtype=np.complex128)
+    chans[:, :rows, :cols], chans[:, rows:, cols:] = top.channels, bottom.channels
+    return AdjointableOperator(top.descriptor, chans)
 
 
 def _block_diag_system(seed: int) -> tuple:
@@ -676,12 +676,14 @@ def _submodule(row: _Row) -> None:
         family = sys_full.stacked_family
         blocks = family.stack.blocks.copy()  # the first member's columns come first
         blocks[0, r] = 0.5 * AlgebraElement.one(desc).data
-        sys_full = sys_full.with_family(family.with_stack(AdjointableOperator(desc, blocks)))
+        coupled = AdjointableOperator.from_blocks(desc, blocks)
+        sys_full = sys_full.with_family(family.with_stack(coupled))
     row.report.info["instance"] = _describe(sys_full, True)
     row.report.info["submodule_rank"] = r
     row.frame_hypotheses(sys_full)
     s_inv = sys_full.frame_operator.inverse()
-    inclusion = _padding_isometry(desc, r, n)
+    inclusion = AdjointableOperator(  # the first r coordinates of A^n
+        desc, AdjointableOperator.identity(desc, n).channels[:, :r * channel_layout(desc)[1]])
     projection = inclusion.adjoint()
     sys_r = GFrameSystem(sys_full.measure, sys_full.stacked_family @ inclusion,
                          projection @ sys_full.controls.C @ inclusion,
@@ -748,8 +750,8 @@ def _right_inverse_characterization(row: _Row) -> None:
     particular, kernel = _right_inverses(t, s.inverse(), k)
     kt_star = row.checked(k) @ t.adjoint()
     worst = max(_identity_residual(kt_star @ particular), (kt_star @ kernel).norm())
-    g_ls = AdjointableOperator.from_channels(
-        system.descriptor, finite_spectrum(np.linalg.pinv, (k @ t.adjoint()).channels()))
+    g_ls = AdjointableOperator(
+        system.descriptor, finite_spectrum(np.linalg.pinv, (k @ t.adjoint()).channels))
     row.conclude(within("constructed right inverses verified", worst, max(1e-9, 100 * tol)),
                  within("least-squares right inverse verified",
                         _identity_residual(kt_star @ g_ls), max(1e-9, 100 * tol)),

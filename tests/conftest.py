@@ -174,7 +174,7 @@ def tight_line_system(scale: float = 1.0, rank: int = 3, nodes: int = 11) -> GFr
     desc = AlgebraDescriptor("diagonal", rank)
     family = {}
     for label, w in zip(measure.labels, positions):
-        family[label] = AdjointableOperator(
+        family[label] = AdjointableOperator.from_blocks(
             desc, (scale * w * np.ones(rank, dtype=np.complex128)).reshape(1, 1, rank))
     eye = AdjointableOperator.identity(desc, 1)
     return GFrameSystem(measure, family, eye, eye)

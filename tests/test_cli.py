@@ -43,7 +43,7 @@ def test_example_family_matches_per_node_construction(capsys):
     measure, positions = simpson_unit_interval(1001)
     desc = AlgebraDescriptor(DIAGONAL, 8)
     base = np.array([1.0 / (n + 1) for n in range(8)], dtype=np.complex128)
-    family = {label: AdjointableOperator(desc, (w * base).reshape(1, 1, 8))
+    family = {label: AdjointableOperator.from_blocks(desc, (w * base).reshape(1, 1, 8))
               for label, w in zip(measure.labels, positions)}
     controls = (AdjointableOperator.scalar(desc, 1, value) for value in (2.0, 3.0))
     reference = GFrameSystem(measure, family, *controls)

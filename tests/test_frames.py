@@ -282,7 +282,7 @@ def test_system_validation(m2):
         GFrameSystem(measure, {}, eye, eye)
     with pytest.raises(InputError):
         GFrameSystem(measure, {"other": eye}, eye, eye)
-    skew = AdjointableOperator(m2, np.array(1j * np.eye(2)).reshape(1, 1, 2, 2))
+    skew = AdjointableOperator.from_blocks(m2, np.array(1j * np.eye(2)).reshape(1, 1, 2, 2))
     one_rank = MeasureSpace((("w0", 1.0),))
     with pytest.raises(InputError):
         GFrameSystem(one_rank, {"w0": AdjointableOperator.identity(m2, 1)}, skew, skew)
@@ -374,7 +374,7 @@ def test_member_view_memory_grows_with_the_stack_not_the_widest_rank():
     desc = AlgebraDescriptor("diagonal", 2)
     ranks = [256] + [1] * 1000
     blocks = complex_gaussian(np.random.default_rng(47), (4, sum(ranks), 2))
-    family = Family([f"w{i}" for i in range(len(ranks))], ranks, AdjointableOperator(desc, blocks))
+    family = Family([f"w{i}" for i in range(len(ranks))], ranks, AdjointableOperator.from_blocks(desc, blocks))
     identity = AdjointableOperator.identity(desc, 4)
     limit = 50 * family.stack.blocks.nbytes
     tracemalloc.start()
@@ -397,7 +397,7 @@ def test_lazy_commutation_facts_match_eager_recomputation(kwargs):
     system = random_system(**kwargs)
     ctr = system.controls
     assert "commute_defect" not in vars(ctr) and "family_defect" not in vars(ctr)
-    fc, fcp = ctr.C.channels(), ctr.Cp.channels()
+    fc, fcp = ctr.C.channels, ctr.Cp.channels
 
     def two_norm(chans):
         return float(np.linalg.norm(chans, 2, axis=(-2, -1)).max())

@@ -178,7 +178,7 @@ def test_flatten_functoriality(m2):
 def test_flatten_round_trip_diagonal(diag3):
     rng = np.random.default_rng(33)
     t = rand_operator(diag3, 2, 4, rng)
-    back = AdjointableOperator.from_channels(diag3, t.channels())
+    back = AdjointableOperator(diag3, t.channels)
     assert np.array_equal(back.blocks, t.blocks)
 
 
@@ -237,7 +237,7 @@ def test_bounded_below_examples(m2):
     rng = np.random.default_rng(36)
     deficient_blocks = np.zeros((2, 2, 2, 2), dtype=np.complex128)
     deficient_blocks[0, 0] = np.eye(2)
-    deficient = AdjointableOperator(m2, deficient_blocks)
+    deficient = AdjointableOperator.from_blocks(m2, deficient_blocks)
     assert deficient.singular_values()[-1] == pytest.approx(0.0, abs=1e-14)
     q = rand_operator(m2, 2, 2, rng)
     t = q + AdjointableOperator.scalar(m2, 2, q.norm() + 0.5)
@@ -260,7 +260,7 @@ def test_positive_part_checks(m2):
     assert rep["lower"] >= q.singular_values()[-1] ** 2 - 1e-9
     nil_blocks = np.zeros((2, 2, 2, 2), dtype=np.complex128)
     nil_blocks[0, 1] = np.eye(2)
-    nilpotent = AdjointableOperator(m2, nil_blocks)
+    nilpotent = AdjointableOperator.from_blocks(m2, nil_blocks)
     assert not positive_part_checks(nilpotent)["self_adjoint"]
 
 
@@ -376,6 +376,13 @@ def test_stack_rejects_mismatched_members(m2):
         stack([a, rand_operator(AlgebraDescriptor("matrix", 3), 3, 1, rng)])
     with pytest.raises(InputError):
         stack([a, rand_operator(AlgebraDescriptor("diagonal", 2), 3, 1, rng)])
+    # Channels of equal height: (1, 6, .) for M_2 on A^3 and for M_3 on A^2,
+    # (1, 6, .) for C^1 on A^6 too.  Only the descriptor tells them apart.
+    m3, c1 = AlgebraDescriptor("matrix", 3), AlgebraDescriptor("diagonal", 1)
+    for left, right in ((a, rand_operator(m3, 2, 1, rng)), (rand_operator(c1, 6, 1, rng), a)):
+        assert left.channels.shape[1] == right.channels.shape[1] == 6
+        with pytest.raises(InputError):
+            stack([left, right])
     family = _family([a, b])
     with pytest.raises(InputError):
         family.scaled([1.0])
@@ -402,12 +409,34 @@ def test_pairing_matches_apply_and_inner(desc):
         pairing(desc, coords[0], t)
 
 
+def test_constructor_refuses_channels_that_do_not_fit():
+    diag3, m3 = AlgebraDescriptor("diagonal", 3), AlgebraDescriptor("matrix", 3)
+    for desc, shape in ((diag3, (2, 2, 2)), (diag3, (1, 2, 2)), (diag3, (3, 2)),
+                        (m3, (1, 4, 3)), (m3, (1, 3, 4)), (m3, (3, 3, 3)),
+                        (m3, (1, 0, 3)), (m3, (1, 3, 0)), (diag3, (3, 0, 2))):
+        with pytest.raises(InputError):
+            AdjointableOperator(desc, np.zeros(shape))
+    assert AdjointableOperator(m3, np.zeros((1, 6, 3))).in_rank == 2
+    assert AdjointableOperator(diag3, np.zeros((3, 2, 5))).out_rank == 5
+
+
+def test_from_blocks_refuses_blocks_of_another_shape(m2):
+    # (1, 1, 4, 4) flattens to a valid-looking (1, 4, 4) for M_2, the channels
+    # of an operator on A^2; the block shape check refuses it.
+    for shape in ((1, 1, 4, 4), (2, 2, 2), (2, 2, 2, 2, 2), (0, 1, 2, 2)):
+        with pytest.raises(InputError):
+            AdjointableOperator.from_blocks(m2, np.zeros(shape))
+    t = AdjointableOperator.from_blocks(m2, np.arange(16.0).reshape(2, 2, 2, 2))
+    assert np.array_equal(t.blocks, np.arange(16.0).reshape(2, 2, 2, 2))
+    assert not t.blocks.flags.writeable and not t.channels.flags.writeable
+
+
 def test_channels_keep_the_diagonal_kind_unembedded(diag3):
     rng = np.random.default_rng(34)
     t = rand_operator(diag3, 2, 4, rng)
-    chans = t.channels()
+    chans = t.channels
     assert chans.shape == (3, 2, 4)
-    assert np.array_equal(AdjointableOperator.from_channels(diag3, chans).blocks, t.blocks)
+    assert np.array_equal(AdjointableOperator(diag3, chans).blocks, t.blocks)
     assert t.norm() == pytest.approx(max(np.linalg.norm(c, 2) for c in chans), rel=1e-13)
 
 

@@ -52,7 +52,7 @@ def test_vector_and_operator_round_trip(m2):
     x = ModuleVector(m2, rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)))
     back = vector_from_dict(vector_to_dict(x))
     assert np.array_equal(back.coords, x.coords)
-    t = AdjointableOperator(m2, rng.standard_normal((2, 3, 2, 2)))
+    t = AdjointableOperator.from_blocks(m2, rng.standard_normal((2, 3, 2, 2)))
     back_t = operator_from_dict(operator_to_dict(t))
     assert np.array_equal(back_t.blocks, t.blocks)
 
@@ -192,7 +192,7 @@ def _ragged_row(doc):
         "boolean-im", "ragged", "entry-count",
         "mixed-kind", "mixed-dim", "unknown-kind", "infinite-dim", "null-entries"])
 def test_malformed_operator_entries_rejected(m2, mutate):
-    t = AdjointableOperator(m2, np.arange(2 * 2 * 4, dtype=float).reshape(2, 2, 2, 2) * (1 - 0.5j))
+    t = AdjointableOperator.from_blocks(m2, np.arange(2 * 2 * 4, dtype=float).reshape(2, 2, 2, 2) * (1 - 0.5j))
     doc = operator_to_dict(t)
     assert np.array_equal(operator_from_dict(doc).blocks, t.blocks)
     mutate(doc)
@@ -218,7 +218,7 @@ def test_operator_encoding_matches_per_entry_reference(kwargs):
     values = np.array(SPECIAL_VALUES)
     special.real[:len(values)] = values
     special.imag[:len(values)] = values[::-1]
-    ops.append(AdjointableOperator(ops[0].descriptor, special.reshape(ops[0].blocks.shape)))
+    ops.append(AdjointableOperator.from_blocks(ops[0].descriptor, special.reshape(ops[0].blocks.shape)))
     for t in ops:
         doc = operator_to_dict(t)
         assert [[b["entries"] for b in row] for row in doc["blocks"]] == _entries_per_entry(t)

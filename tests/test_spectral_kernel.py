@@ -69,7 +69,7 @@ def test_matrix_element_norms_are_numpy_two_norms(dim, lead):
 def test_singular_values_are_kept_and_read_only(desc):
     t = rand_operator(desc, 3, 2, np.random.default_rng(51))
     svals = t.singular_values()
-    per_channel = np.linalg.svd(t.channels(), compute_uv=False)
+    per_channel = np.linalg.svd(t.channels, compute_uv=False)
     np.testing.assert_array_equal(svals, np.sort(per_channel, axis=None)[::-1])
     assert not svals.flags.writeable
     with pytest.raises(ValueError):
@@ -84,7 +84,7 @@ def test_one_svd_per_operator(monkeypatch, desc):
     rng = np.random.default_rng(52)
     q = rand_operator(desc, 3, 3, rng)
     t = q + AdjointableOperator.scalar(desc, 3, 0.25 * float(np.abs(q.blocks).sum()) + 1.0)
-    chans = t.channels()
+    chans = t.channels
     inputs = []
     svd = np.linalg.svd
 
@@ -223,10 +223,10 @@ def test_non_finite_spectra_raise_domain_error():
             with pytest.raises(DomainError):
                 two_norm(mats)
         with pytest.raises(DomainError):
-            AdjointableOperator(desc, mat.reshape(1, 1, 2, 2)).singular_values()
+            AdjointableOperator.from_blocks(desc, mat.reshape(1, 1, 2, 2)).singular_values()
     # NaN reaches the eigensolvers without a floating-point warning; they
     # return NaN, which is refused too.
-    nan_op = AdjointableOperator(desc, np.array([[1.0, 0.5], [np.nan, 1.0]]).reshape(1, 1, 2, 2))
+    nan_op = AdjointableOperator.from_blocks(desc, np.array([[1.0, 0.5], [np.nan, 1.0]]).reshape(1, 1, 2, 2))
     kernels = (lambda op: op.eigenvalues_hermitian(), lambda op: op.sqrt_positive(),
                lambda op: loewner_gap(op, AdjointableOperator.zero(desc, 1, 1)))
     for kernel in kernels:
@@ -262,7 +262,7 @@ def test_nan_diagonal_spectrum_raises_domain_error():
     # is read here before anything has read the operator's norm.
     desc = AlgebraDescriptor("matrix", 2)
     blocks = np.array([[np.nan, 0.0], [0.0, 1.0]]).reshape(1, 1, 2, 2)
-    nan_diagonal = AdjointableOperator(desc, blocks)
+    nan_diagonal = AdjointableOperator.from_blocks(desc, blocks)
     with pytest.raises(DomainError):
         nan_diagonal.eigenvalues_hermitian()
 
@@ -271,7 +271,7 @@ KINDS = [AlgebraDescriptor("matrix", 3), AlgebraDescriptor("diagonal", 4)]
 
 
 def _as_operator(a: AlgebraElement) -> AdjointableOperator:
-    return AdjointableOperator(a.descriptor, a.data[None, None])
+    return AdjointableOperator.from_blocks(a.descriptor, a.data[None, None])
 
 
 @pytest.mark.parametrize("desc", KINDS, ids=lambda d: d.kind)
@@ -322,7 +322,7 @@ def test_nan_member_fails_the_family_commutation_check(desc):
     blocks.flat[0] = np.nan
     identity = AdjointableOperator.identity(desc, 1)
     system = GFrameSystem(MeasureSpace((("w0", 1.0), ("w1", 1.0))),
-                          {"w0": identity, "w1": AdjointableOperator(desc, blocks)},
+                          {"w0": identity, "w1": AdjointableOperator.from_blocks(desc, blocks)},
                           identity, identity)
     with pytest.raises(DomainError):
         system.controls.family_defect
@@ -351,7 +351,7 @@ def test_member_norms_do_not_square_their_entries(entries, want):
     # 1 x 1 or one row, whose 2-norm is finite though its squared entries
     # overflow.
     desc = AlgebraDescriptor("diagonal", 2)
-    ops = [AdjointableOperator(desc, np.asarray(rows, dtype=complex)[None]) for rows in entries]
+    ops = [AdjointableOperator.from_blocks(desc, np.asarray(rows, dtype=complex)[None]) for rows in entries]
     labels = [f"w{i}" for i in range(len(ops))]
     family = Family.of(dict(zip(labels, ops)), labels)
     np.testing.assert_allclose(family.member_norms(), want, rtol=1e-15)

@@ -56,7 +56,7 @@ def test_frame_operator_row_on_identity_frame(identity_system):
 
 def test_right_composition_unit_interval_closed_form():
     system = unit_interval_system(1.0, 1.0, 3, 11)
-    theta = AdjointableOperator(
+    theta = AdjointableOperator.from_blocks(
         system.descriptor, np.array([1.0, 2.0, 3.0], dtype=np.complex128).reshape(1, 1, 3))
     report = verify_theorem("RIGHT-COMP", system=system, seed=0,
                             aux={"theta_right": theta})

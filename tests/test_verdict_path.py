@@ -13,6 +13,7 @@ import pytest
 
 from gframe.errors import DomainError
 from gframe.frames import FrameBounds
+from gframe.hilbert import AdjointableOperator
 from gframe.reports import FAIL, NOT_APPLICABLE, PASS, TheoremReport, frame_line, gap, within
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gframe"
@@ -60,6 +61,17 @@ def test_retired_names_stay_gone():
             if defined in retired or getattr(node, "attr", None) in retired:
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_only_hilbert_converts_operator_layouts():
+    # An operator holds its channels; from_blocks and the blocks view are the
+    # only conversions, so no module but hilbert.py imports the layout
+    # functions, and no constructor takes channels a second way.
+    importers = sorted(name for name, tree in _trees().items() for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       and {alias.name for alias in node.names} & {"as_channels", "from_channels"})
+    assert importers == ["hilbert.py"]
+    assert not hasattr(AdjointableOperator, "from_channels")
 
 
 def test_theorems_and_stability_draw_nothing():

@@ -175,16 +175,16 @@ def _cmd_dual(args) -> int:
 def _cmd_multiplier(args) -> int:
     system = load_system(args.system)
     labels = system.measure.labels
-    # One draw of every real and imaginary part, in the order of one normal at a time.
-    draws = np.random.default_rng(args.seed).standard_normal((len(labels), 2)).tolist()
-    symbol = {}
-    for label, (re, im) in zip(labels, draws):
-        z = re + 1j * im
-        symbol[label] = z / max(1.0, abs(z))
-    rep = multiplier_report(symbol, system.stacked_family, system.stacked_family,
-                            system.measure, tol=args.tol)
+    # One draw of every real and imaginary part, in the order of one normal at
+    # a time.  Each [re, im] row is divided by max(1, |z|) part by part, as
+    # Python divides a complex by a float; numpy's complex division differs in
+    # the last bit.
+    pairs = np.random.default_rng(args.seed).standard_normal((len(labels), 2))
+    pairs /= np.maximum(1.0, np.hypot(pairs[:, 0], pairs[:, 1]))[:, None]
+    rep = multiplier_report(pairs.view(np.complex128)[:, 0], system.stacked_family,
+                            system.stacked_family, system.measure, tol=args.tol)
     results = {
-        "symbol": {label: [z.real, z.imag] for label, z in symbol.items()},
+        "symbol": dict(zip(labels, pairs.tolist())),
         "op_norm": rep["op_norm"],
         "bound_product": rep["bound_product"],
         "bound_squared": rep["bound_squared"],

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -130,8 +130,11 @@ class Family:
             return self.stack.channels
         if len(scales) != len(self.ranks):
             raise InputError("a family needs one scale per atom")
-        width = channel_layout(self.descriptor)[1]
-        return self.stack.channels * np.repeat(np.asarray(scales), np.asarray(self.ranks) * width)
+        columns = np.asarray(scales)
+        if self.stack.channels.shape[2] != columns.size:  # some member has more than one column
+            width = channel_layout(self.descriptor)[1]
+            columns = np.repeat(columns, np.asarray(self.ranks) * width)
+        return self.stack.channels * columns
 
     def scaled(self, scales) -> "Family":
         """The family whose member w is scales[w] Lambda_w."""
@@ -564,9 +567,10 @@ def bessel_constant(family, measure: MeasureSpace, C: Optional[AdjointableOperat
     return optimal_scalar_bounds(system).scalar_upper
 
 
-def multiplier(gamma: Mapping[str, complex], lam, theta, measure: MeasureSpace) -> AdjointableOperator:
+def multiplier(gamma, lam, theta, measure: MeasureSpace) -> AdjointableOperator:
     """Weighted sum of gamma_w Lambda_w* Theta_w for a bounded scalar symbol.
 
+    ``gamma`` is a mapping by atom label or an array in the measure's order;
     ``lam`` and ``theta`` are Families or mappings by atom label.
     """
     coeffs = _symbol_weights(gamma, measure)
@@ -574,39 +578,44 @@ def multiplier(gamma: Mapping[str, complex], lam, theta, measure: MeasureSpace) 
     return theta.weighted_sum(coeffs, right=lam)
 
 
-def _symbol_weights(gamma: Mapping[str, complex], measure: MeasureSpace) -> list:
-    """Per-atom weight * gamma_w, after checking that the symbol covers every atom."""
-    if not set(measure.labels).issubset(gamma):
-        missing = next(label for label in measure.labels if label not in gamma)
-        raise InputError(f"multiplier data missing atom {missing!r}")
-    return [weight * complex(gamma[label]) for label, weight in measure.atoms]
+def _symbol_array(gamma, measure: MeasureSpace) -> np.ndarray:
+    """The symbol as a complex array in the measure's order, checked to cover every atom."""
+    return measure.per_atom(gamma, "multiplier data", np.complex128)
 
 
-def multiplier_report(gamma: Mapping[str, complex], lam, theta, measure: MeasureSpace,
+def _symbol_weights(gamma, measure: MeasureSpace) -> np.ndarray:
+    """weight * gamma_w for every atom, in the measure's order."""
+    return measure.weights * _symbol_array(gamma, measure)
+
+
+def multiplier_report(gamma, lam, theta, measure: MeasureSpace,
                       tol: float = DEFAULT_TOL) -> dict:
     """Multiplier with its norm bound and the adjoint identity.
 
+    ``gamma`` is a mapping by atom label or an array in the measure's order.
     The enforced norm bound is the product of the symbol's sup-norm over the
     measure's atoms with the two scalar Bessel constants.  The squared variant
     of that product is reported alongside for reference, not enforced.  The
     adjoint is compared against the conjugate-symbol multiplier with the two
     families exchanged; the unswapped variant is reported as well and flagged
-    when it differs.  ``passed`` holds when the norm bound holds and the
-    swapped adjoint identity holds to within 100 tol.
+    when it differs.  When ``theta`` is ``lam`` the two Bessel constants are
+    one, and so are the two variants, so each is computed once.  ``passed``
+    holds when the norm bound holds and the swapped adjoint identity holds to
+    within 100 tol.
     """
+    same = theta is lam
     lam, theta = Family.of(lam, measure.labels), Family.of(theta, measure.labels)
-    op = multiplier(gamma, lam, theta, measure)
-    sup = max(abs(complex(gamma[label])) for label in measure.labels)
+    symbol = _symbol_array(gamma, measure)
+    op = multiplier(symbol, lam, theta, measure)
+    sup = float(np.abs(symbol).max())
     b_lam = bessel_constant(lam, measure)
-    b_theta = bessel_constant(theta, measure)
+    b_theta = b_lam if same else bessel_constant(theta, measure)
     bound = sup * b_lam * b_theta
-    gamma_conj = {label: np.conj(complex(v)) for label, v in gamma.items()}
-    swapped = multiplier(gamma_conj, theta, lam, measure)
-    unswapped = multiplier(gamma_conj, lam, theta, measure)
     adj = op.adjoint()
     scale = tolerance_scale(op.norm())
-    swapped_res = (adj - swapped).norm() / scale
-    unswapped_res = (adj - unswapped).norm() / scale
+    swapped_res = (adj - multiplier(symbol.conj(), theta, lam, measure)).norm() / scale
+    unswapped_res = (swapped_res if same else
+                     (adj - multiplier(symbol.conj(), lam, theta, measure)).norm() / scale)
     within_bound = op.norm() <= bound + tol * tolerance_scale(bound)
     return {
         "operator": op,
@@ -621,9 +630,13 @@ def multiplier_report(gamma: Mapping[str, complex], lam, theta, measure: Measure
     }
 
 
-def controlled_multiplier(gamma: Mapping[str, complex], theta, lam, C: AdjointableOperator,
+def controlled_multiplier(gamma, theta, lam, C: AdjointableOperator,
                           Cp: AdjointableOperator, measure: MeasureSpace) -> AdjointableOperator:
-    """Weighted sum of gamma_w C theta_w* Lambda_w C'; the families are Families or mappings."""
+    """Weighted sum of gamma_w C theta_w* Lambda_w C'.
+
+    ``gamma`` is a mapping by atom label or an array in the measure's order;
+    the families are Families or mappings.
+    """
     coeffs = _symbol_weights(gamma, measure)
     lam, theta = Family.of(lam, measure.labels), Family.of(theta, measure.labels)
     return C @ lam.weighted_sum(coeffs, right=theta) @ Cp

@@ -19,7 +19,7 @@ from .algebra import DIAGONAL, MATRIX, AlgebraDescriptor
 from .errors import InputError
 from .frames import Family, GFrameSystem
 from .hilbert import AdjointableOperator
-from .measure import MeasureSpace, atom_label, simpson_unit_interval
+from .measure import MeasureSpace, atom_labels, simpson_unit_interval
 from .sampling import rand_operator, rand_positive_operator, rand_unitary_operator
 
 
@@ -77,7 +77,7 @@ def random_system(seed: int, rank: Optional[int] = None, atoms: Optional[int] = 
         raise InputError("rank and atom count must be >= 1")
     desc = AlgebraDescriptor(algebra, dim)
     weights = rng.uniform(0.2, 1.5, size=atoms)
-    measure = MeasureSpace(tuple((atom_label(i, atoms), float(weights[i])) for i in range(atoms)))
+    measure = MeasureSpace.from_columns(atom_labels(atoms), weights)
 
     if commuting:
         h0 = rand_positive_operator(desc, rank, rng, shift=0.5)

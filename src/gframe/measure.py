@@ -1,15 +1,16 @@
 """Finite atomic measure spaces and quadrature rules.
 
 Every integral in the library is a finite weighted sum over labelled atoms.
-``simpson_unit_interval`` supplies composite Simpson weights on [0, 1], exact
-for polynomial integrands of degree up to three.
+A measure holds its atoms as two columns in the atom order: the labels, and
+the weights as one float64 array.  Every other per-atom quantity (a
+multiplier's symbol, a perturbation's weights) is an array in the same order:
+a mapping by label is converted once, by ``MeasureSpace.per_atom``, where it
+enters the library.  ``simpson_unit_interval`` supplies composite Simpson
+weights on [0, 1], exact for polynomial integrands of degree up to three.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -18,18 +19,37 @@ from .algebra import AlgebraElement, _are_numbers
 from .errors import InputError
 
 
-@dataclass(frozen=True)
 class MeasureSpace:
-    """Ordered finite family of (label, weight) atoms with positive real weights."""
+    """Ordered finite family of labelled atoms with positive real weights.
 
-    atoms: tuple  # tuple of (label, weight)
+    Built from (label, weight) pairs, or by ``from_columns`` from the labels
+    and the weights.  ``labels`` is a tuple of unique strings and ``weights``
+    a read-only float64 array in the same order, both fixed at construction;
+    ``atoms`` gives the pairs back.  Two measures are equal when their labels
+    and weights are.
+    """
 
-    def __post_init__(self):
+    def __init__(self, atoms):
         try:
-            columns = tuple(zip(*self.atoms, strict=True))
-            if not columns:
-                raise InputError("measure space needs at least one atom")
-            labels, weights = columns
+            labels, weights = tuple(zip(*atoms, strict=True)) or ((), ())
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"atom weights must be numbers: {exc}") from exc
+        self._set_columns(labels, weights)
+
+    @classmethod
+    def from_columns(cls, labels, weights) -> "MeasureSpace":
+        """The measure whose atom i has label labels[i] and weight weights[i]."""
+        measure = cls.__new__(cls)
+        measure._set_columns(tuple(labels), weights)
+        return measure
+
+    def _set_columns(self, labels: tuple, weights) -> None:
+        """Check and keep the two columns: string labels, unique, and positive finite weights."""
+        if not labels:
+            raise InputError("measure space needs at least one atom")
+        try:
+            if len(weights) != len(labels):
+                raise InputError("a measure space needs one weight per atom label")
             if not _are_numbers(weights):
                 label, weight = next((label, weight) for label, weight in zip(labels, weights)
                                      if not _are_numbers([weight]))
@@ -46,15 +66,45 @@ class MeasureSpace:
         # flag, which the commands' errstate raises.
         if not (np.isfinite(weights).all() and weights.min() > 0):
             raise InputError("atom weights must be positive and finite")
-        object.__setattr__(self, "atoms", tuple(zip(labels, weights.tolist())))
+        weights.setflags(write=False)
+        self.labels, self.weights = labels, weights
 
-    @cached_property
-    def labels(self) -> tuple:
-        return tuple(map(itemgetter(0), self.atoms))
+    @property
+    def atoms(self) -> tuple:
+        """The (label, weight) pairs in the atom order, the weights as Python floats."""
+        return tuple(zip(self.labels, self.weights.tolist()))
 
-    @cached_property
-    def weights(self) -> tuple:
-        return tuple(map(itemgetter(1), self.atoms))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MeasureSpace):
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.weights, other.weights)
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.weights.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"MeasureSpace({self.atoms!r})"
+
+    def per_atom(self, values, what: str, dtype=np.float64) -> np.ndarray:
+        """``values`` as one array in the atom order.
+
+        ``values`` is a mapping by atom label, which must cover every atom and
+        is converted once, or an array in the atom order.  A missing atom or
+        an array of another length is an InputError that names ``what``.
+        """
+        if isinstance(values, Mapping):
+            try:
+                values = [values[label] for label in self.labels]
+            except KeyError as exc:
+                raise InputError(f"{what} missing atom {exc.args[0]!r}") from None
+        try:
+            array = np.asarray(values, dtype=dtype)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{what} must be numbers: {exc}") from exc
+        if array.shape != self.weights.shape:
+            raise InputError(f"{what} needs one value per atom, {self.weights.size} in all, "
+                             f"got an array of shape {array.shape}")
+        return array
 
     def integrate(self, values: Mapping[str, AlgebraElement]) -> AlgebraElement:
         """Weighted sum of an algebra-valued function given per atom."""
@@ -67,10 +117,10 @@ class MeasureSpace:
         return total
 
 
-def atom_label(index: int, count: int) -> str:
-    """Zero-padded atom label so lexicographic order matches atom order."""
+def atom_labels(count: int) -> list:
+    """Zero-padded labels of count atoms, in order, so lexicographic order matches atom order."""
     width = max(1, len(str(count - 1)))
-    return f"w{index:0{width}d}"
+    return [f"w{index:0{width}d}" for index in range(count)]
 
 
 def simpson_unit_interval(nodes: int) -> tuple:
@@ -86,5 +136,4 @@ def simpson_unit_interval(nodes: int) -> tuple:
     coeffs = [1.0] + [4.0 if i % 2 == 1 else 2.0 for i in range(1, nodes - 1)] + [1.0]
     weights = [c * h / 3.0 for c in coeffs]
     positions = tuple(i * h for i in range(nodes))
-    atoms = tuple((atom_label(i, nodes), weights[i]) for i in range(nodes))
-    return MeasureSpace(atoms), positions
+    return MeasureSpace.from_columns(atom_labels(nodes), weights), positions

@@ -142,9 +142,10 @@ def operator_to_dict(t: AdjointableOperator) -> dict:
 def family_to_dict(family: Family) -> dict:
     """Operator documents by label, cut from one encoding of the family's stack."""
     t = family.stack
+    n, stride = t.in_rank, t.out_rank
     docs = _elements_to_docs(t.descriptor, t.blocks)
     firsts = accumulate(family.ranks[:-1], initial=0)
-    return {label: _operator_doc(t.in_rank, m, docs, first, t.out_rank)
+    return {label: _operator_doc(n, m, docs, first, stride)
             for label, m, first in zip(family.labels, family.ranks, firsts)}
 
 
@@ -209,7 +210,7 @@ def measure_from_dict(doc: Mapping) -> MeasureSpace:
         weights = list(map(itemgetter("weight"), atoms))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad measure document: {exc}") from exc
-    return MeasureSpace(tuple(zip(labels, weights)))
+    return MeasureSpace.from_columns(labels, weights)
 
 
 def system_to_dict(system: GFrameSystem) -> dict:

@@ -36,7 +36,7 @@ def _require_pair(sys_a: GFrameSystem, sys_b: GFrameSystem) -> None:
     shared = sys_a.controls.C
     if (shared - sys_b.controls.C).norm() > DEFAULT_TOL * tolerance_scale(shared.norm()):
         raise InputError("both systems must share the control")
-    if sys_a.measure.atoms != sys_b.measure.atoms:
+    if sys_a.measure != sys_b.measure:
         raise InputError("systems must share the measure")
     if sys_a.descriptor != sys_b.descriptor or sys_a.module_rank != sys_b.module_rank:
         raise InputError("systems must share the module")
@@ -117,8 +117,7 @@ def sum_frame_check(sys_frame: GFrameSystem, sys_bessel: GFrameSystem,
 
 
 def weighted_perturbation_check(sys_t: GFrameSystem, sys_r: GFrameSystem,
-                                alpha_w: Mapping[str, float], beta_w: Mapping[str, float],
-                                lam: float, mu: float,
+                                alpha_w, beta_w, lam: float, mu: float,
                                 tol: float = DEFAULT_TOL) -> TheoremReport:
     """Weighted two-constant perturbation with per-atom positive weights.
 
@@ -129,14 +128,16 @@ def weighted_perturbation_check(sys_t: GFrameSystem, sys_r: GFrameSystem,
     K_D below that suffices (exactly, when K_R is a multiple of K_T).  The witness
     of that test either violates the hypothesis or leaves it undecided.
     ``sys_r`` is the perturbed system; it must share sys_t's control and measure.
+    The weights ``alpha_w`` and ``beta_w`` are mappings by atom label or arrays
+    in the measure's order.
     """
     if not (0 <= lam < 1 and 0 <= mu < 1):
         raise InputError("weighted check needs constants in [0, 1)")
     report = TheoremReport("STAB-WEIGHTED", tolerance=tol)
     _require_pair(sys_t, sys_r)
-    alphas = [float(alpha_w[label]) for label in sys_t.measure.labels]
-    betas = [float(beta_w[label]) for label in sys_t.measure.labels]
-    if min(alphas) <= 0 or min(betas) <= 0:
+    alphas = sys_t.measure.per_atom(alpha_w, "weights alpha_w")
+    betas = sys_t.measure.per_atom(beta_w, "weights beta_w")
+    if alphas.min() <= 0 or betas.min() <= 0:
         raise InputError("weight families must be positive")
     bounds = optimal_scalar_bounds(sys_t, tol)
     with report.gate():
@@ -157,8 +158,10 @@ def weighted_perturbation_check(sys_t: GFrameSystem, sys_r: GFrameSystem,
             report.info["witness"] = vector_to_dict(x)
         report.require(gap("weighted smallness", sufficient,
                            tol * 100 * tolerance_scale(bounds.scalar_upper ** 2)))
-        lower = bounds.scalar_lower * (1.0 - lam) * min(alphas) / ((1.0 + mu) * max(betas))
-        upper = bounds.scalar_upper * (1.0 + lam) * max(alphas) / ((1.0 - mu) * min(betas))
+        lower = (bounds.scalar_lower * (1.0 - lam) * float(alphas.min())
+                 / ((1.0 + mu) * float(betas.max())))
+        upper = (bounds.scalar_upper * (1.0 + lam) * float(alphas.max())
+                 / ((1.0 - mu) * float(betas.min())))
         certify_window(report, sys_r, lower, upper, tol, "weighted window certified")
     return report
 
@@ -223,16 +226,16 @@ def _finite_number(value, name: str) -> float:
     return number
 
 
-def _atom_constants(params: Mapping, key: str, labels: tuple) -> dict:
-    """One constant per atom from a number or from an object with a number for every atom."""
+def _atom_constants(params: Mapping, key: str, labels: tuple) -> np.ndarray:
+    """One constant per atom, in label order, from a number or from an object with a
+    number for every atom."""
     value = params.get(key, 1.0)
     if not isinstance(value, Mapping):
-        number = _finite_number(value, key)
-        return {label: number for label in labels}
+        return np.full(len(labels), _finite_number(value, key))
     missing = [label for label in labels if label not in value]
     if missing:
         raise InputError(f"perturbation parameter {key} has no value for atoms {missing}")
-    return {label: _finite_number(value[label], f"{key}[{label!r}]") for label in labels}
+    return np.array([_finite_number(value[label], f"{key}[{label!r}]") for label in labels])
 
 
 # The parameters each kind reads.

@@ -43,7 +43,7 @@ from .algebra import (
     finite_spectrum,
     tolerance_scale,
 )
-from .errors import GFrameError, InputError, UnsupportedConfigurationError
+from .errors import DomainError, GFrameError, InputError, UnsupportedConfigurationError
 from .frames import (
     Family,
     FrameBounds,
@@ -54,7 +54,7 @@ from .frames import (
 )
 from .generate import random_system
 from .hilbert import AdjointableOperator, stack
-from .measure import MeasureSpace, atom_label
+from .measure import MeasureSpace, atom_labels
 from .reports import FAIL, NOT_APPLICABLE, TheoremReport, frame_line, gap, within
 from .sampling import (
     complex_gaussian,
@@ -456,7 +456,7 @@ def _surjective_composition(row: _Row) -> None:
 
 def _atoms(rng: np.random.Generator, count: int) -> MeasureSpace:
     weights = rng.uniform(0.3, 1.2, size=count)
-    return MeasureSpace(tuple((atom_label(i, count), float(w)) for i, w in enumerate(weights)))
+    return MeasureSpace.from_columns(atom_labels(count), weights)
 
 
 def _rank_two_system(desc: AlgebraDescriptor, rng: np.random.Generator,
@@ -750,13 +750,24 @@ def _right_inverse_characterization(row: _Row) -> None:
     particular, kernel = _right_inverses(t, s.inverse(), k)
     kt_star = row.checked(k) @ t.adjoint()
     worst = max(_identity_residual(kt_star @ particular), (kt_star @ kernel).norm())
-    g_ls = AdjointableOperator(
-        system.descriptor, finite_spectrum(np.linalg.pinv, (k @ t.adjoint()).channels))
+    g_ls = _least_squares_inverse(k @ t.adjoint())
     row.conclude(within("constructed right inverses verified", worst, max(1e-9, 100 * tol)),
                  within("least-squares right inverse verified",
                         _identity_residual(kt_star @ g_ls), max(1e-9, 100 * tol)),
                  within("least-squares inverse decomposes into the stated form",
                         _rel_op(g_ls, particular + kernel @ g_ls), 1e-8))
+
+
+def _least_squares_inverse(op: AdjointableOperator) -> AdjointableOperator:
+    """op's Moore-Penrose inverse, channel by channel, or a DomainError.
+
+    ``np.linalg.pinv`` does not return on a complex stack that holds an
+    infinity, so op's entries are tested before it runs, and
+    ``finite_spectrum`` tests its result.
+    """
+    if not np.isfinite(op.channels).all():
+        raise DomainError("least-squares inverse needs finite entries")
+    return AdjointableOperator(op.descriptor, finite_spectrum(np.linalg.pinv, op.channels))
 
 
 def _central_element(descriptor: AlgebraDescriptor, rng: np.random.Generator) -> AlgebraElement:

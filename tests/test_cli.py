@@ -658,18 +658,24 @@ def test_invalid_controls_are_rejected_on_load(tmp_path, capsys, control, spoil,
 
 
 def test_multiplier_symbol_is_the_one_normal_at_a_time_stream(tmp_path, capsys):
-    path = str(tmp_path / "example.json")
-    _run(capsys, "example", "--alpha", "2", "--beta", "3", "--rank", "2", "--nodes", "1001",
-         "--out", path)
-    code, out, err = _run(capsys, "multiplier", path, "--seed", "7")
-    assert code == 0, err
-    rng = np.random.default_rng(7)
-    expected = {}
-    for label in load_system(path).measure.labels:
-        z = rng.standard_normal() + 1j * rng.standard_normal()
-        z = z / max(1.0, abs(z))
-        expected[label] = [z.real, z.imag]
-    assert json.loads(out)["results"]["symbol"] == expected
+    # The symbol is drawn and scaled as one array; each entry must equal the
+    # per-atom Python formula z / max(1, |z|) to the last bit, signed zeros too,
+    # on the 1001- and 11-node examples and on a matrix system.
+    path = str(tmp_path / "system.json")
+    for make in (("example", "--alpha", "2", "--beta", "3", "--rank", "2", "--nodes", "1001"),
+                 ("example", "--alpha", "2", "--beta", "3", "--rank", "3", "--nodes", "11"),
+                 ("random", "--seed", "5", "--algebra", "matrix", "--dim", "2", "--atoms", "7")):
+        assert _run(capsys, *make, "--out", path)[0] == 0
+        code, out, err = _run(capsys, "multiplier", path, "--seed", "7")
+        assert code == 0, err
+        rng = np.random.default_rng(7)
+        expected = {}
+        for label in load_system(path).measure.labels:
+            z = rng.standard_normal() + 1j * rng.standard_normal()
+            z = z / max(1.0, abs(z))
+            expected[label] = [z.real.hex(), z.imag.hex()]
+        symbol = json.loads(out)["results"]["symbol"]
+        assert {label: [re.hex(), im.hex()] for label, (re, im) in symbol.items()} == expected
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gframe.errors import DomainError
+from gframe import frames
+from gframe.errors import DomainError, InputError
 from gframe.frames import (
     DualCertificate,
     Family,
@@ -233,3 +234,70 @@ def test_dual_verdict_comes_from_the_operator_residual(identity_system):
     sampled_only = DualCertificate({}, None, reconstruction_residual=0.0, operator_residual=0.5,
                                    tolerance=1e-8, details={})
     assert not sampled_only.passed
+
+
+def _random_symbol(labels, seed):
+    rng = np.random.default_rng(seed)
+    return {label: complex(rng.standard_normal(), rng.standard_normal()) for label in labels}
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_multiplier_mapping_and_array_symbols_agree_bit_for_bit(seed):
+    system = random_system(seed, commuting=True)
+    symbol = _random_symbol(system.measure.labels, seed)
+    array = np.array([symbol[label] for label in system.measure.labels])
+    family = system.stacked_family
+    second = family.with_stack(0.5 * family.stack)
+    c, cp = system.controls.C, system.controls.Cp
+    for by_label, in_order in (
+            (multiplier(symbol, family, second, system.measure),
+             multiplier(array, family, second, system.measure)),
+            (controlled_multiplier(symbol, second, family, c, cp, system.measure),
+             controlled_multiplier(array, second, family, c, cp, system.measure))):
+        assert by_label.channels.tobytes() == in_order.channels.tobytes()
+    # The mapping's key order does not matter: it is read in the measure's order.
+    shuffled = dict(reversed(list(symbol.items())))
+    assert (multiplier(shuffled, family, second, system.measure).channels.tobytes()
+            == multiplier(array, family, second, system.measure).channels.tobytes())
+
+
+def test_multiplier_symbol_must_cover_the_measure():
+    system = unit_interval_system(2, 3, 2, 5)
+    labels = system.measure.labels
+    ones = {label: 1.0 for label in labels}
+    del ones[labels[3]]
+    for call in (lambda gamma: multiplier(gamma, system.family, system.family, system.measure),
+                 lambda gamma: multiplier_report(gamma, system.family, system.family,
+                                                 system.measure)):
+        with pytest.raises(InputError, match=f"multiplier data missing atom '{labels[3]}'"):
+            call(ones)
+        for wrong in (np.ones(len(labels) - 1), np.ones(len(labels) + 1),
+                      np.ones((len(labels), 1))):
+            with pytest.raises(InputError, match="one value per atom"):
+                call(wrong)
+
+
+def test_multiplier_report_computes_once_what_one_family_makes_equal(monkeypatch):
+    # With theta = lam the two Bessel constants are one, and so are the
+    # swapped and unswapped adjoint multipliers.
+    system = random_system(3, commuting=True)
+    symbol = _random_symbol(system.measure.labels, 3)
+    calls = {"bessel": 0, "multiplier": 0}
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(frames, "bessel_constant", counted("bessel", bessel_constant))
+    monkeypatch.setattr(frames, "multiplier", counted("multiplier", multiplier))
+    family = system.stacked_family
+    same = multiplier_report(symbol, family, family, system.measure)
+    assert calls == {"bessel": 1, "multiplier": 2}
+    twin = family.with_stack(family.stack)
+    other = multiplier_report(symbol, family, twin, system.measure)
+    assert calls == {"bessel": 3, "multiplier": 5}
+    for key in ("op_norm", "bound_product", "bound_squared", "adjoint_swapped_residual",
+                "adjoint_unswapped_residual", "statement_form_matches", "passed"):
+        assert same[key] == other[key], key

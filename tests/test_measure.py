@@ -84,7 +84,7 @@ def test_weights_must_be_numbers(weight):
     message = f"weight of atom 'w1' must be a number, got {weight!r}"
     with pytest.raises(InputError, match=re.escape(message)):
         MeasureSpace((("w0", 0.5), ("w1", weight)))
-    assert MeasureSpace((("w0", np.float64(0.5)), ("w1", 2))).weights == (0.5, 2.0)
+    assert MeasureSpace((("w0", np.float64(0.5)), ("w1", 2))).weights.tolist() == [0.5, 2.0]
 
 
 @pytest.mark.parametrize("label", [7, True, None, 1.5, ["w1"]], ids=repr)
@@ -93,3 +93,42 @@ def test_labels_must_be_strings(label):
     message = f"atom labels must be strings, got {label!r}"
     with pytest.raises(InputError, match=re.escape(message)):
         MeasureSpace((("w0", 0.5), (label, 1.0)))
+
+
+def test_weights_are_a_read_only_float64_array_in_label_order():
+    pairs = (("b", 0.25), ("a", 2), ("c", np.float64(0.5)))
+    measure = MeasureSpace(pairs)
+    assert measure.labels == ("b", "a", "c")
+    assert isinstance(measure.weights, np.ndarray) and measure.weights.dtype == np.float64
+    assert measure.weights.tolist() == [0.25, 2.0, 0.5]
+    assert not measure.weights.flags.writeable
+    with pytest.raises(ValueError):
+        measure.weights[0] = 1.0
+    assert measure.atoms == (("b", 0.25), ("a", 2.0), ("c", 0.5))
+    columns = MeasureSpace.from_columns(["b", "a", "c"], [0.25, 2, 0.5])
+    assert columns == measure and hash(columns) == hash(measure)
+    assert columns != MeasureSpace.from_columns(["a", "b", "c"], [2, 0.25, 0.5])
+    assert columns != MeasureSpace.from_columns(["b", "a", "c"], [0.25, 2, 0.5000001])
+
+
+def test_from_columns_checks_like_the_pairs():
+    with pytest.raises(InputError, match="one weight per atom label"):
+        MeasureSpace.from_columns(["w0", "w1"], [1.0])
+    with pytest.raises(InputError, match="at least one atom"):
+        MeasureSpace.from_columns([], [])
+    with pytest.raises(InputError, match=re.escape("weight of atom 'w1' must be a number, got '2'")):
+        MeasureSpace.from_columns(["w0", "w1"], [1.0, "2"])
+    with pytest.raises(InputError, match="positive and finite"):
+        MeasureSpace.from_columns(["w0", "w1"], [1.0, -2.0])
+    with pytest.raises(InputError, match="unique"):
+        MeasureSpace.from_columns(["w0", "w0"], [1.0, 2.0])
+
+
+def test_per_atom_values_become_one_array_in_atom_order():
+    measure = MeasureSpace((("b", 0.25), ("a", 2.0)))
+    assert measure.per_atom({"a": 3, "b": 1, "extra": 7}, "data").tolist() == [1.0, 3.0]
+    assert measure.per_atom([1j, 2], "data", np.complex128).tolist() == [1j, 2 + 0j]
+    with pytest.raises(InputError, match="data missing atom 'a'"):
+        measure.per_atom({"b": 1.0}, "data")
+    with pytest.raises(InputError, match="one value per atom"):
+        measure.per_atom([1.0, 2.0, 3.0], "data")

@@ -323,3 +323,25 @@ def test_equivalence_constant_is_the_larger_generalized_eigenvalue():
     oracle = max(np.linalg.eigvals(np.linalg.solve(sys.gram_operator.flat(), k_d)).real.max()
                  for sys in (sys_a, sys_b))
     assert report.info["min_m"] == pytest.approx(oracle, rel=1e-10)
+
+
+def test_weighted_check_reads_arrays_in_atom_order_like_mappings():
+    sys_t = _cc_system(2)
+    sys_r = _scaled(sys_t, 1.01)
+    labels = sys_t.measure.labels
+    alphas = np.linspace(0.9, 1.1, len(labels))
+    betas = np.linspace(1.05, 0.95, len(labels))
+    by_label = weighted_perturbation_check(sys_t, sys_r, dict(zip(labels, alphas)),
+                                           dict(zip(labels, betas.tolist())), lam=0.1, mu=0.1)
+    in_order = weighted_perturbation_check(sys_t, sys_r, alphas, betas, lam=0.1, mu=0.1)
+    assert by_label.to_dict() == in_order.to_dict()
+    with pytest.raises(InputError, match=f"alpha_w missing atom '{labels[-1]}'"):
+        weighted_perturbation_check(sys_t, sys_r, dict(zip(labels[:-1], alphas)), betas,
+                                    lam=0.1, mu=0.1)
+    with pytest.raises(InputError, match="one value per atom"):
+        weighted_perturbation_check(sys_t, sys_r, alphas[1:], betas, lam=0.1, mu=0.1)
+    params = {"lambda": 0.1, "mu": 0.1, "alpha_w": dict(zip(labels, alphas.tolist())),
+              "beta_w": 1.0}
+    run = run_perturbation("weighted", sys_t, sys_r, params)
+    assert run.to_dict() == weighted_perturbation_check(
+        sys_t, sys_r, alphas, np.ones(len(labels)), lam=0.1, mu=0.1).to_dict()

@@ -26,7 +26,6 @@ from .frames import (
     check_frame,
     controlled_multiplier,
     multiplier,
-    operator_dual_check,
     optimal_scalar_bounds,
 )
 from .hilbert import (

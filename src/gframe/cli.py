@@ -46,36 +46,38 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gframe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, samples=True):
-        """--tol and --out, and --seed and --samples for the commands that read them."""
+    def common(p, seed=True):
+        """--tol and --out, and --seed for the commands that read it."""
         p.add_argument("--tol", type=float, default=1e-9)
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if samples:
-            p.add_argument("--samples", type=int, default=200)
         p.add_argument("--out", help="write the report here instead of stdout")
         return p
 
-    for name, text, seed, samples in (
-            ("validate", "parse and structurally validate a system file", False, False),
-            ("bounds", "optimal scalar frame bounds", False, False),
-            ("frame-op", "frame operator with its spectral properties", False, False),
-            ("dual", "canonical dual family with reconstruction residual", True, True),
-            ("reconstruct", "reconstruction residuals on seeded unit vectors", True, True),
-            ("multiplier", "multiplier norm bound and adjoint identity", True, False)):
-        common(sub.add_parser(name, help=text), seed, samples).add_argument(
-            "system", help="system JSON file")
+    for name, text in (
+            ("validate", "parse and structurally validate a system file"),
+            ("bounds", "optimal scalar frame bounds"),
+            ("frame-op", "frame operator with its spectral properties"),
+            ("dual", "canonical dual family with exact reconstruction residual ||R - I||"),
+            ("reconstruct", "exact reconstruction residual ||R - I||"),
+            ("multiplier", "multiplier norm bound and adjoint identity")):
+        p = common(sub.add_parser(name, help=text), seed=name == "multiplier")
+        p.add_argument("system", help="system JSON file")
+        if name in ("dual", "reconstruct"):
+            # Read by nothing; perfbench/workloads.py passes both until ROADMAP item 7.
+            p.add_argument("--seed", type=int, default=0, help="ignored")
+            p.add_argument("--samples", type=int, default=200, help="ignored")
 
     p_theorem = sub.add_parser("theorem", help="run one theorem row or the whole suite")
     p_theorem.add_argument("system", nargs="?", help="optional system file; otherwise seeded")
     p_theorem.add_argument("--id", required=True, dest="theorem_id",
                            help="theorem id or 'all'")
     p_theorem.add_argument("--aux", help="JSON file with named auxiliary operators")
-    common(p_theorem, samples=False)
+    common(p_theorem)
 
     p_perturb = sub.add_parser("perturb", help="run a perturbation descriptor")
     p_perturb.add_argument("descriptor", help="JSON run descriptor")
-    common(p_perturb, seed=False, samples=False)
+    common(p_perturb, seed=False)
 
     p_example = sub.add_parser("example", help="generate the unit-interval system")
     p_example.add_argument("--alpha", type=float, required=True)
@@ -157,19 +159,14 @@ def _cmd_frame_op(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    """``dual`` and ``reconstruct``: the canonical dual and its reconstruction residuals."""
+    """``dual`` and ``reconstruct``: the canonical dual and its exact reconstruction residual."""
     system = load_system(args.system)
-    cert = canonical_dual(system, samples=args.samples, seed=args.seed,
-                          tol=max(args.tol, 1e-8))
+    cert = canonical_dual(system, tol=max(args.tol, 1e-8))
     results = {"operator_residual": cert.operator_residual}
     if args.command == "dual":
-        results["reconstruction_residual"] = cert.reconstruction_residual
         results["dual_family"] = family_to_dict(cert.dual)
-    else:
-        results["samples"] = args.samples
-        results["worst_relative_residual"] = cert.reconstruction_residual
-    return _finish(args, {"system": args.system, "tol": args.tol, "seed": args.seed,
-                          "samples": args.samples}, results, PASS if cert.passed else FAIL)
+    return _finish(args, {"system": args.system, "tol": args.tol}, results,
+                   PASS if cert.passed else FAIL)
 
 
 def _cmd_multiplier(args) -> int:
@@ -276,9 +273,7 @@ _COMMANDS = {
 
 
 def _check_options(args) -> None:
-    """Reject sample counts below one and tolerances that are not positive and finite."""
-    if getattr(args, "samples", 1) < 1:
-        raise InputError(f"samples must be >= 1, got {args.samples}")
+    """Reject tolerances that are not positive and finite."""
     if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
         raise InputError(f"--tol must be positive and finite, got {args.tol}")
 

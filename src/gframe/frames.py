@@ -29,7 +29,6 @@ from .algebra import (
     MATRIX,
     AlgebraElement,
     channel_layout,
-    element_norms,
     hermitian_transpose,
     tolerance_scale,
     two_norm,
@@ -44,7 +43,6 @@ from .hilbert import (
 )
 from .measure import MeasureSpace
 from .reports import PASS, TheoremReport, gap
-from .sampling import rand_coords
 
 FRAME = "frame"
 BESSEL_ONLY = "bessel_only"
@@ -250,14 +248,11 @@ class FrameBounds:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Reconstruction evidence for a (operator) dual family."""
+    """A dual family with its exact reconstruction residual ||R - I||."""
 
     dual: Family
-    corresponding_k: Optional[AdjointableOperator]
-    reconstruction_residual: float
     operator_residual: float
     tolerance: float
-    details: dict
 
     @property
     def dual_family(self) -> dict:
@@ -266,8 +261,7 @@ class DualCertificate:
 
     @property
     def passed(self) -> bool:
-        """The exact operator residual decides; a sampled residual above tolerance also fails."""
-        return max(self.operator_residual, self.reconstruction_residual) <= self.tolerance
+        return self.operator_residual <= self.tolerance
 
 
 class GFrameSystem:
@@ -484,24 +478,8 @@ def reconstruction_operator(system: GFrameSystem, dual,
     return system.controls.Cp @ chain @ system.controls.C
 
 
-def _reconstruction_residuals(system: GFrameSystem, op: AdjointableOperator,
-                              samples: int, seed: int) -> tuple:
-    """Worst ||op(x) - x|| over seeded unit vectors, and the exact ||op - I||."""
-    identity = AdjointableOperator.identity(system.descriptor, system.module_rank)
-    defect = op - identity
-    worst = 0.0
-    if samples > 0:
-        coords = rand_coords(system.descriptor, system.module_rank, np.random.default_rng(seed),
-                             samples, unit=True)
-        squares = element_norms(system.descriptor,
-                                pairing(system.descriptor, coords, defect.adjoint() @ defect))
-        worst = float(np.sqrt(squares.max()))
-    return worst, defect.norm()
-
-
-def canonical_dual(system: GFrameSystem, samples: int = 100, seed: int = 0,
-                   tol: float = 1e-8) -> DualCertificate:
-    """Dual family Lambda_w S^(-1), the family's stack times S^(-1), with verified reconstruction."""
+def canonical_dual(system: GFrameSystem, tol: float = 1e-8) -> DualCertificate:
+    """Dual family Lambda_w S^(-1), the family's stack times S^(-1), with the exact ||R - I||."""
     if not system.commuting:
         raise UnsupportedConfigurationError(
             "canonical dual reconstruction needs commuting controls")
@@ -509,62 +487,19 @@ def canonical_dual(system: GFrameSystem, samples: int = 100, seed: int = 0,
     if not bounds.is_frame:
         raise DomainError("system is not a frame; frame operator is singular")
     dual = system.stacked_family @ system.frame_operator.inverse()
-    recon = reconstruction_operator(system, dual)
-    sampled, op_res = _reconstruction_residuals(system, recon, samples, seed)
-    return DualCertificate(
-        dual=dual,
-        corresponding_k=None,
-        reconstruction_residual=sampled,
-        operator_residual=op_res,
-        tolerance=tol,
-        details={"samples": samples, "seed": seed},
-    )
+    identity = AdjointableOperator.identity(system.descriptor, system.module_rank)
+    residual = (reconstruction_operator(system, dual) - identity).norm()
+    return DualCertificate(dual=dual, operator_residual=residual, tolerance=tol)
 
 
-def operator_dual_check(system: GFrameSystem, dual, k: AdjointableOperator, samples: int = 100,
-                        seed: int = 0, tol: float = 1e-8) -> DualCertificate:
-    """Certify x = integral of C' Lambda_w* Gamma_w K C x, and its converse.
+def bessel_constant(family, measure: MeasureSpace) -> float:
+    """Optimal scalar Bessel constant sqrt(lambda_max(U)), U = sum of w Lambda_w* Lambda_w.
 
-    The converse exchanges the two families and replaces K by K*; both
-    directions are sampled and the worst relative residual is reported.
+    U is X X^H, positive by construction.  ``family`` is a Family or a mapping
+    by atom label.
     """
-    k.inverse()  # raises DomainError if K is singular
-    dual = Family.of(dual, system.measure.labels)
-    forward = reconstruction_operator(system, dual, k)
-    sampled, op_res = _reconstruction_residuals(system, forward, samples, seed)
-    swapped = system.with_family(dual)
-    backward = reconstruction_operator(swapped, system.stacked_family, k.adjoint())
-    sampled_back, op_res_back = _reconstruction_residuals(swapped, backward, samples, seed + 1)
-    return DualCertificate(
-        dual=dual,
-        corresponding_k=k,
-        reconstruction_residual=max(sampled, sampled_back),
-        operator_residual=max(op_res, op_res_back),
-        tolerance=tol,
-        details={
-            "forward_residual": sampled,
-            "converse_residual": sampled_back,
-            "operator_residual": op_res,
-            "converse_operator_residual": op_res_back,
-            "samples": samples,
-            "seed": seed,
-        },
-    )
-
-
-def bessel_constant(family, measure: MeasureSpace, C: Optional[AdjointableOperator] = None,
-                    Cp: Optional[AdjointableOperator] = None) -> float:
-    """Optimal scalar Bessel constant of the (optionally controlled) family.
-
-    ``family`` is a Family or a mapping by atom label.
-    """
-    family = Family.of(family, measure.labels)
-    if C is None:
-        C = AdjointableOperator.identity(family.descriptor, family.in_rank)
-    if Cp is None:
-        Cp = C
-    system = GFrameSystem(measure, family, C, Cp)
-    return optimal_scalar_bounds(system).scalar_upper
+    u = Family.of(family, measure.labels).weighted_sum(measure.weights)
+    return float(np.sqrt(max(float(u.eigenvalues_hermitian()[-1]), 0.0)))
 
 
 def multiplier(gamma, lam, theta, measure: MeasureSpace) -> AdjointableOperator:

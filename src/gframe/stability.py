@@ -228,10 +228,14 @@ def _finite_number(value, name: str) -> float:
 
 def _atom_constants(params: Mapping, key: str, labels: tuple) -> np.ndarray:
     """One constant per atom, in label order, from a number or from an object with a
-    number for every atom."""
+    number for every atom and no other key."""
     value = params.get(key, 1.0)
     if not isinstance(value, Mapping):
         return np.full(len(labels), _finite_number(value, key))
+    atoms = set(labels)
+    unknown = [label for label in value if label not in atoms]
+    if unknown:
+        raise InputError(f"perturbation parameter {key} names no atom {unknown[0]!r}")
     missing = [label for label in labels if label not in value]
     if missing:
         raise InputError(f"perturbation parameter {key} has no value for atoms {missing}")
@@ -248,8 +252,8 @@ def run_perturbation(kind: str, sys_a: GFrameSystem, sys_b: GFrameSystem, params
     """Dispatch a perturbation run described by plain JSON-friendly parameters.
 
     The constants must be finite numbers; ``alpha_w`` and ``beta_w`` may also
-    be objects with a number for every atom.  Anything else, and a parameter
-    the kind does not read, is an InputError.
+    be objects with a number for every atom and no other key.  Anything else,
+    and a parameter the kind does not read, is an InputError.
     """
     def constant(key: str) -> float:
         return _finite_number(params.get(key, 0.0), key)

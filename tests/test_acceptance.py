@@ -86,9 +86,10 @@ def test_criterion_2_frame_operator_properties(system_pool):
 def test_criterion_3_reconstruction(system_pool):
     worst = 0.0
     for seed, system in enumerate(system_pool):
-        cert = canonical_dual(system, samples=100, seed=seed, tol=1e-8)
-        worst = max(worst, cert.reconstruction_residual)
-        assert cert.reconstruction_residual <= 1e-8, seed
+        cert = canonical_dual(system, tol=1e-8)
+        worst = max(worst, cert.operator_residual)
+        assert cert.operator_residual <= 1e-8, seed
+        assert cert.passed, seed
     print(f"[acceptance 3] PASS canonical-dual reconstruction, worst residual {worst:.2e}")
 
 

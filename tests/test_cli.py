@@ -232,14 +232,21 @@ def _perturb_descriptor(tmp_path, **fields):
     return str(desc)
 
 
-@pytest.mark.parametrize("samples", ["0", "-3"])
-def test_dual_rejects_sample_counts_below_one(tmp_path, capsys, samples):
+# dual and reconstruct decide by the exact ||R - I|| and draw nothing: --samples
+# and --seed are accepted, whatever their value, and change no byte of the report.
+@pytest.mark.parametrize("command", ["dual", "reconstruct"])
+def test_dual_and_reconstruct_ignore_samples_and_seed(tmp_path, capsys, command):
     path = str(tmp_path / "sys.json")
     _run(capsys, "random", "--seed", "4", "--out", path)
-    for command in ("dual", "reconstruct"):
-        code, out, err = _run(capsys, command, path, "--samples", samples)
-        _assert_input_error(code, err)
-        assert out == ""
+    code, without, _ = _run(capsys, command, path)
+    assert code == 0
+    code, out, _ = _run(capsys, command, path, "--samples", "0", "--seed", "9")
+    assert code == 0
+    assert out == without
+    doc = json.loads(out)
+    assert "samples" not in doc["config"] and "seed" not in doc["config"]
+    assert sorted(doc["results"]) == (["dual_family", "operator_residual"] if command == "dual"
+                                      else ["operator_residual"])
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan"])
@@ -446,6 +453,19 @@ def test_per_atom_weights_cover_every_atom(tmp_path, capsys):
                         _perturb_descriptor(tmp_path, kind="weighted", params=params))
     assert code == 0
     assert json.loads(out)["results"]["theorem_id"] == "STAB-WEIGHTED"
+
+
+@pytest.mark.parametrize("key", ["alpha_w", "beta_w"])
+def test_per_atom_weights_name_only_atoms(tmp_path, capsys, key):
+    # A label that is not an atom is read by nothing, so it exits 2 naming it.
+    labels = random_system(11, commuting=True).measure.labels
+    params = {"alpha_w": 1.0, "beta_w": 1.0, "lambda": 0.1,
+              key: {**dict.fromkeys(labels, 1.0), "nope": "junk"}}
+    code, out, err = _run(capsys, "perturb",
+                          _perturb_descriptor(tmp_path, kind="weighted", params=params))
+    _assert_input_error(code, err)
+    assert f"perturbation parameter {key} names no atom 'nope'" in err
+    assert out == ""
 
 
 def test_theorem_suite_on_non_commuting_system_reports_every_row(tmp_path, capsys):
@@ -683,13 +703,12 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     path = str(tmp_path / "example.json")
     _run(capsys, "example", "--alpha", "2", "--beta", "3", "--rank", "2", "--nodes", "5",
          "--out", path)
-    code, out, err = _run(capsys, "dual", path, "--seed", "5", "--samples", "3")
+    code, out, err = _run(capsys, "multiplier", path, "--seed", "5")
     assert code == 0, err
     assert json.loads(out)["config"]["seed"] == 5
-    code, out, err = _run(capsys, "dual", path)
+    code, out, err = _run(capsys, "multiplier", path)
     assert code == 0, err
-    config = json.loads(out)["config"]
-    assert config["seed"] == 0 and config["samples"] == 200
+    assert json.loads(out)["config"]["seed"] == 0
 
 
 def _entry_system(tmp_path, pair: str) -> str:

@@ -51,7 +51,10 @@ def test_retired_names_stay_gone():
                # A family's stack layout lives in frames.Family alone.
                "scale_atoms", "unstack", "_atom_channels", "_weighted", "atom_columns",
                # Every 2-norm is algebra.two_norm.
-               "spectral_norms"}
+               "spectral_norms",
+               # Duals are decided by the exact ||R - I||, not on drawn vectors.
+               "operator_dual_check", "_reconstruction_residuals", "reconstruction_residual",
+               "worst_relative_residual", "corresponding_k"}
     found = []
     for name, tree in _trees().items():
         for node in ast.walk(tree):
@@ -75,15 +78,20 @@ def test_only_hilbert_converts_operator_layouts():
 
 
 def test_theorems_and_stability_draw_nothing():
-    # theorems.py draws no module vectors and reads no sample count, and no
-    # perturbation check takes a seed: every identity is decided exactly.
+    # No module but sampling.py draws module vectors, theorems.py and
+    # frames.py read no sample count, and no perturbation check takes a seed:
+    # every identity is decided exactly.
     trees = _trees()
-    imported = {alias.name for node in ast.walk(trees["theorems.py"])
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert imported.isdisjoint({"rand_coords", "rand_vector"})
-    names = {getattr(node, "id", None) or getattr(node, "arg", None) or getattr(node, "attr", None)
-             for node in ast.walk(trees["theorems.py"])}
-    assert "samples" not in names
+    # Imports (``alias.name``), names and attributes of the two drawing helpers.
+    drawing = sorted(name for name, tree in trees.items() if name != "sampling.py"
+                     for node in ast.walk(tree)
+                     if {getattr(node, "name", None), getattr(node, "id", None),
+                         getattr(node, "attr", None)} & {"rand_coords", "rand_vector"})
+    assert drawing == []
+    for module in ("theorems.py", "frames.py"):
+        names = {getattr(node, "id", None) or getattr(node, "arg", None)
+                 or getattr(node, "attr", None) for node in ast.walk(trees[module])}
+        assert "samples" not in names, module
     seeded = [node.name for node in ast.walk(trees["stability.py"])
               if isinstance(node, ast.FunctionDef)
               and "seed" in [arg.arg for arg in node.args.args + node.args.kwonlyargs]]

@@ -180,19 +180,33 @@ def inverse(chans: np.ndarray, svals: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(chans)
 
 
+def _require_positive(norm: float, defect: float, lowest: float, tol: float, what: str) -> None:
+    """A root's positivity test: the Hermitian defect and the negative part of the spectrum,
+    whose least value is ``lowest``, at most tol * tolerance_scale(norm)."""
+    if max(defect, -lowest) > tol * tolerance_scale(norm):
+        raise DomainError(f"{what} square root requires a positive {what}")
+
+
 def sqrt_positive(chans: np.ndarray, norm: float, defect: float, tol: float,
                   what: str) -> np.ndarray:
-    """Positive square root channel by channel, negative eigenvalues clamped.
-
-    The stack must be positive: its Hermitian defect (``defect``) and the
-    negative part of its spectrum at most tol * tolerance_scale(norm).  The
-    spectrum comes from the one batched eigendecomposition that gives the root.
-    """
-    floor = tol * tolerance_scale(norm)
+    """Positive square root channel by channel, negative eigenvalues clamped, from one
+    batched eigendecomposition whose spectrum ``_require_positive`` tests."""
     vals, vecs = finite_spectrum(np.linalg.eigh, hermitian_part(chans))
-    if defect > floor or vals[:, 0].min() < -floor:
-        raise DomainError(f"{what} square root requires a positive {what}")
+    _require_positive(norm, defect, vals[:, 0].min(), tol, what)
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ hermitian_transpose(vecs)
+
+
+def polynomial_roots(chans: np.ndarray, coeffs, norm: float, defect: float, tol: float,
+                     what: str) -> np.ndarray:
+    """Positive roots of p_w(h) = sum_j coeffs[w][j] h^j, a (W, channels, r, r) stack: with
+    h = V diag(mu) V*, one batched eigendecomposition, each is V diag(sqrt(p_w(mu))) V*.
+    ``_require_positive`` tests h's Hermitian defect and every p_w(mu)."""
+    mu, vecs = finite_spectrum(np.linalg.eigh, hermitian_part(chans))
+    rows, vals = np.asarray(coeffs, dtype=float), 0.0
+    for j in reversed(range(rows.shape[1])):  # Horner's rule
+        vals = vals * mu + rows[:, j, None, None]
+    _require_positive(norm, defect, vals.min(), tol, what)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, :, None, :]) @ hermitian_transpose(vecs)
 
 
 def element_norms(descriptor: AlgebraDescriptor, data: np.ndarray) -> np.ndarray:

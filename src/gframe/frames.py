@@ -237,9 +237,7 @@ class FrameBounds:
 
     @staticmethod
     def from_elements(lower: AlgebraElement, upper: AlgebraElement) -> "FrameBounds":
-        a = 1.0 / lower.invert().norm()
-        b = upper.norm()
-        return FrameBounds(a, b, lower, upper, FRAME)
+        return FrameBounds(1.0 / lower.invert().norm(), upper.norm(), lower, upper, FRAME)
 
     @property
     def is_frame(self) -> bool:
@@ -354,8 +352,7 @@ class GFrameSystem:
             raise UnsupportedConfigurationError(
                 "analysis/synthesis need commuting controls (or C = C')"
             )
-        product = self.controls.Cp @ self.controls.C
-        return product.sqrt_positive(1e-8)
+        return (self.controls.Cp @ self.controls.C).sqrt_positive(1e-8)
 
     @cached_property
     def analysis_operator(self) -> AdjointableOperator:
@@ -386,9 +383,7 @@ def optimal_scalar_bounds(system: GFrameSystem, tol: float = DEFAULT_TOL) -> Fra
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     if lam_min < -tol * scale * 10:
         raise UnsupportedConfigurationError("frame operator is not positive")
-    a = float(np.sqrt(max(lam_min, 0.0)))
-    b = float(np.sqrt(max(lam_max, 0.0)))
-    return FrameBounds.from_scalars(a, b, tol)
+    return FrameBounds.from_scalars(np.sqrt(max(lam_min, 0.0)), np.sqrt(max(lam_max, 0.0)), tol)
 
 
 def _is_unit_multiple(a: Optional[AlgebraElement]) -> bool:

@@ -43,6 +43,7 @@ from .algebra import (
     hermitian_part,
     hermitian_transpose,
     inverse,
+    polynomial_roots,
     singular_values,
     sqrt_positive,
     tolerance_scale,
@@ -317,6 +318,13 @@ class AdjointableOperator:
             raise DomainError("operator square root requires a positive operator")
         root = sqrt_positive(self.channels, self.norm(), self.hermitian_defect(), tol, "operator")
         return AdjointableOperator(self.descriptor, root)
+
+    def positive_roots(self, coeffs, tol: float = DEFAULT_TOL) -> list:
+        """The roots of c_0 + c_1 T + c_2 T^2 + ..., one per row (c_0, c_1, ...), from one eigh."""
+        if self.in_rank != self.out_rank:
+            raise DomainError("operator square root requires a positive operator")
+        return [AdjointableOperator(self.descriptor, root) for root in polynomial_roots(
+            self.channels, coeffs, self.norm(), self.hermitian_defect(), tol, "operator")]
 
 
 def compose(s: AdjointableOperator, t: AdjointableOperator) -> AdjointableOperator:

@@ -320,7 +320,7 @@ class AdjointableOperator:
         return AdjointableOperator(self.descriptor, root)
 
     def positive_roots(self, coeffs, tol: float = DEFAULT_TOL) -> list:
-        """The roots of c_0 + c_1 T + c_2 T^2 + ..., one per row (c_0, c_1, ...), from one eigh."""
+        """Positive roots of c_0 + c_1 T + c_2 T^2 + ..., one per row (c_0, c_1, ...), from one eigh."""
         if self.in_rank != self.out_rank:
             raise DomainError("operator square root requires a positive operator")
         return [AdjointableOperator(self.descriptor, root) for root in polynomial_roots(

@@ -18,7 +18,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -180,33 +180,23 @@ def inverse(chans: np.ndarray, svals: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(chans)
 
 
-def _require_positive(norm: float, defect: float, lowest: float, tol: float, what: str) -> None:
-    """A root's positivity test: the Hermitian defect and the negative part of the spectrum,
-    whose least value is ``lowest``, at most tol * tolerance_scale(norm)."""
-    if max(defect, -lowest) > tol * tolerance_scale(norm):
-        raise DomainError(f"{what} square root requires a positive {what}")
-
-
-def sqrt_positive(chans: np.ndarray, norm: float, defect: float, tol: float,
-                  what: str) -> np.ndarray:
-    """Positive square root channel by channel, negative eigenvalues clamped, from one
-    batched eigendecomposition whose spectrum ``_require_positive`` tests."""
-    vals, vecs = finite_spectrum(np.linalg.eigh, hermitian_part(chans))
-    _require_positive(norm, defect, vals[:, 0].min(), tol, what)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ hermitian_transpose(vecs)
-
-
 def polynomial_roots(chans: np.ndarray, coeffs, norm: float, defect: float, tol: float,
-                     what: str) -> np.ndarray:
-    """Positive roots of p_w(h) = sum_j coeffs[w][j] h^j, a (W, channels, r, r) stack: with
-    h = V diag(mu) V*, one batched eigendecomposition, each is V diag(sqrt(p_w(mu))) V*.
-    ``_require_positive`` tests h's Hermitian defect and every p_w(mu)."""
+                     what: str) -> Iterator[np.ndarray]:
+    """Roots V diag(sqrt(max(p_w(mu), 0))) V* of p_w(T) = sum_j coeffs[w][j] T^j, one per row,
+    made when read, from one eigh T = V diag(mu) V*.  Refused: T's Hermitian defect above tol *
+    tolerance_scale(norm), p_w(mu) below -tol * tolerance_scale(sum_j |c_j| norm^j), >= ||p_w(T)||."""
     mu, vecs = finite_spectrum(np.linalg.eigh, hermitian_part(chans))
-    rows, vals = np.asarray(coeffs, dtype=float), 0.0
-    for j in reversed(range(rows.shape[1])):  # Horner's rule
-        vals = vals * mu + rows[:, j, None, None]
-    _require_positive(norm, defect, vals.min(), tol, what)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, :, None, :]) @ hermitian_transpose(vecs)
+    refused, values = defect > tol * tolerance_scale(norm), []
+    for row in coeffs:
+        value = bound = 0.0
+        for c in reversed(row):  # Horner's rule for p_w(mu) and for the bound
+            value, bound = value * mu + c, bound * norm + abs(c)
+        refused |= value.min() < -tol * tolerance_scale(bound)
+        values.append(value)
+    if refused:
+        raise DomainError(f"{what} square root requires a positive {what}")
+    vecs_h = hermitian_transpose(vecs)
+    return ((vecs * np.sqrt(np.clip(value, 0.0, None))[:, None, :]) @ vecs_h for value in values)
 
 
 def element_norms(descriptor: AlgebraDescriptor, data: np.ndarray) -> np.ndarray:
@@ -338,7 +328,8 @@ class AlgebraElement:
 
     def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
         """Positive square root via spectral decomposition, negative eigenvalues clamped."""
-        root = sqrt_positive(self.channels(), self.norm(), self.hermitian_defect(), tol, "element")
+        root = next(polynomial_roots(self.channels(), ((0.0, 1.0),), self.norm(),
+                                     self.hermitian_defect(), tol, "element"))
         return self._from_channels(root)
 
     def invert(self) -> "AlgebraElement":

@@ -180,9 +180,15 @@ def _cmd_multiplier(args) -> int:
     pairs /= np.maximum(1.0, np.hypot(pairs[:, 0], pairs[:, 1]))[:, None]
     rep = multiplier_report(pairs.view(np.complex128)[:, 0], system.stacked_family,
                             system.stacked_family, system.measure, tol=args.tol)
-    keys = ("op_norm", "bound_product", "bound_squared", "adjoint_swapped_residual",
-            "adjoint_unswapped_residual", "statement_form_matches")
-    results = {"symbol": dict(zip(labels, pairs.tolist())), **{key: rep[key] for key in keys}}
+    results = {
+        "symbol": dict(zip(labels, pairs.tolist())),
+        "op_norm": rep["op_norm"],
+        "bound_product": rep["bound_product"],
+        "bound_squared": rep["bound_squared"],
+        "adjoint_swapped_residual": rep["adjoint_swapped_residual"],
+        "adjoint_unswapped_residual": rep["adjoint_unswapped_residual"],
+        "statement_form_matches": rep["statement_form_matches"],
+    }
     return _finish(args, {"system": args.system, "tol": args.tol, "seed": args.seed}, results,
                    PASS if rep["passed"] else FAIL)
 

@@ -237,7 +237,9 @@ class FrameBounds:
 
     @staticmethod
     def from_elements(lower: AlgebraElement, upper: AlgebraElement) -> "FrameBounds":
-        return FrameBounds(1.0 / lower.invert().norm(), upper.norm(), lower, upper, FRAME)
+        a = 1.0 / lower.invert().norm()
+        b = upper.norm()
+        return FrameBounds(a, b, lower, upper, FRAME)
 
     @property
     def is_frame(self) -> bool:
@@ -352,7 +354,8 @@ class GFrameSystem:
             raise UnsupportedConfigurationError(
                 "analysis/synthesis need commuting controls (or C = C')"
             )
-        return (self.controls.Cp @ self.controls.C).sqrt_positive(1e-8)
+        product = self.controls.Cp @ self.controls.C
+        return product.sqrt_positive(1e-8)
 
     @cached_property
     def analysis_operator(self) -> AdjointableOperator:
@@ -383,7 +386,9 @@ def optimal_scalar_bounds(system: GFrameSystem, tol: float = DEFAULT_TOL) -> Fra
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     if lam_min < -tol * scale * 10:
         raise UnsupportedConfigurationError("frame operator is not positive")
-    return FrameBounds.from_scalars(np.sqrt(max(lam_min, 0.0)), np.sqrt(max(lam_max, 0.0)), tol)
+    a = float(np.sqrt(max(lam_min, 0.0)))
+    b = float(np.sqrt(max(lam_max, 0.0)))
+    return FrameBounds.from_scalars(a, b, tol)
 
 
 def _is_unit_multiple(a: Optional[AlgebraElement]) -> bool:

@@ -1,13 +1,12 @@
 """System generators: the exactly-solvable unit-interval family and seeded
 random systems for the property suites.
 
-The commuting generator makes every member sqrt(p_w(h)) for a positive
-quadratic p_w of one seed operator h, all from one eigendecomposition of h,
-and both controls c_0 + c_1 h, so the commutation flags hold to machine
-precision and the frame operator is simultaneously diagonalizable with the
-controls.  The non-commuting generator draws everything independently; such
-systems still assemble a frame operator but cannot be certified by the
-scalar-bound machinery.
+The commuting generator makes every member sqrt(p_w(h)), for a positive
+quadratic p_w of one seed operator h, from one eigendecomposition of h, and
+both controls c_0 + c_1 h, so the commutation flags hold to machine precision
+and the frame operator is simultaneously diagonalizable with the controls.
+The non-commuting generator draws everything independently; such systems still
+assemble a frame operator but cannot be certified by the scalar-bound machinery.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ def random_system(seed: int, rank: Optional[int] = None, atoms: Optional[int] = 
                   algebra: Optional[str] = None, dim: Optional[int] = None,
                   commuting: bool = True, scalar_controls: bool = False,
                   pad_outputs: bool = False) -> GFrameSystem:
-    """Deterministic system from one seed; desk-scale shapes.
+    """Deterministic system from one seed, desk-scale; commuting members come from one eigh.
 
     Unset shape parameters are drawn from the seed (rank <= 4, dim <= 3,
     atoms <= 8).  ``scalar_controls`` forces C and C' to positive multiples of
@@ -67,31 +66,37 @@ def random_system(seed: int, rank: Optional[int] = None, atoms: Optional[int] = 
     if rank < 1 or atoms < 1:
         raise InputError("rank and atom count must be >= 1")
     desc = AlgebraDescriptor(algebra, dim)
-    measure = MeasureSpace.from_columns(atom_labels(atoms), rng.uniform(0.2, 1.5, size=atoms))
+    weights = rng.uniform(0.2, 1.5, size=atoms)
+    measure = MeasureSpace.from_columns(atom_labels(atoms), weights)
 
     if commuting:
         h0 = rand_positive_operator(desc, rank, rng, shift=0.5)
         h = (1.0 / max(h0.norm(), 1e-12)) * h0 + AdjointableOperator.scalar(desc, rank, 0.25)
-        coeffs, pads = [], []  # each atom's draws in turn, then all roots from one eigh
-        for _ in measure.labels:
+        coeffs, pads = [], {}  # every atom's draws in the rng's order, then one eigh for all roots
+        for label in measure.labels:
             coeffs.append((rng.uniform(0.3, 1.2), rng.uniform(0.0, 0.8), rng.uniform(0.0, 0.3)))
-            # a unitary on A^m after the inclusion of A^rank: the unitary's first rows
-            pads.append(rand_unitary_operator(desc, rank + int(rng.integers(1, 3)), rng).channels
-                        if pad_outputs and rng.integers(2) else None)
-        family = {label: root if pad is None
-                  else AdjointableOperator(desc, pad[:, :root.channels.shape[2]]) @ root
-                  for label, root, pad in zip(measure.labels, h.positive_roots(coeffs), pads)}
+            if pad_outputs and rng.integers(2):
+                # a unitary on A^m after the inclusion of A^rank: the unitary's first rows
+                unitary = rand_unitary_operator(desc, rank + int(rng.integers(1, 3)), rng).channels
+                pads[label] = AdjointableOperator(desc, unitary[:, :h.channels.shape[2]])
+        family = dict(zip(measure.labels, h.positive_roots(coeffs)))
+        for label, pad in pads.items():
+            family[label] = pad @ family[label]
         if scalar_controls:
             c = AdjointableOperator.scalar(desc, rank, float(rng.uniform(0.5, 2.0)))
             cp = AdjointableOperator.scalar(desc, rank, float(rng.uniform(0.5, 2.0)))
-        else:  # c_0 + c_1 h, the two coefficients drawn in turn
-            c, cp = (AdjointableOperator.scalar(desc, rank, rng.uniform(0.4, 1.0))
-                     + float(rng.uniform(0.1, 0.8)) * h for _ in "cc")
+        else:
+            # c_0 + c_1 h, with c_0 drawn before c_1
+            c = AdjointableOperator.scalar(desc, rank, rng.uniform(0.4, 1.0))
+            c = c + float(rng.uniform(0.1, 0.8)) * h
+            cp = AdjointableOperator.scalar(desc, rank, rng.uniform(0.4, 1.0))
+            cp = cp + float(rng.uniform(0.1, 0.8)) * h
         return GFrameSystem(measure, family, c, cp)
 
     family = {}
     for label in measure.labels:
         m = rank + int(rng.integers(1, 3)) if pad_outputs and rng.integers(2) else rank
         family[label] = rand_operator(desc, rank, m, rng)
-    c, cp = (rand_positive_operator(desc, rank, rng, shift=0.3) for _ in "cc")
+    c = rand_positive_operator(desc, rank, rng, shift=0.3)
+    cp = rand_positive_operator(desc, rank, rng, shift=0.3)
     return GFrameSystem(measure, family, c, cp)

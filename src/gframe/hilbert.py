@@ -45,7 +45,6 @@ from .algebra import (
     inverse,
     polynomial_roots,
     singular_values,
-    sqrt_positive,
     tolerance_scale,
 )
 from .errors import DomainError, InputError
@@ -310,17 +309,11 @@ class AdjointableOperator:
             self.descriptor, inverse(self.channels, self._singular_values, "operator"))
 
     def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AdjointableOperator":
-        """Positive square root of a positive operator, channel by channel.
-
-        ``algebra.sqrt_positive`` tests positivity on the kept norm and Hermitian defect.
-        """
-        if self.in_rank != self.out_rank:
-            raise DomainError("operator square root requires a positive operator")
-        root = sqrt_positive(self.channels, self.norm(), self.hermitian_defect(), tol, "operator")
-        return AdjointableOperator(self.descriptor, root)
+        """Positive square root of a positive operator: ``positive_roots`` of the row (0, 1)."""
+        return self.positive_roots(((0.0, 1.0),), tol)[0]
 
     def positive_roots(self, coeffs, tol: float = DEFAULT_TOL) -> list:
-        """Positive roots of c_0 + c_1 T + c_2 T^2 + ..., one per row (c_0, c_1, ...), from one eigh."""
+        """Roots of the positive c_0 + c_1 T + ..., one per coefficient row: ``polynomial_roots``."""
         if self.in_rank != self.out_rank:
             raise DomainError("operator square root requires a positive operator")
         return [AdjointableOperator(self.descriptor, root) for root in polynomial_roots(

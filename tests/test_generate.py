@@ -154,3 +154,23 @@ def test_positive_roots_refuse_a_non_hermitian_operator():
         skewed.positive_roots([(1.0, 1.0, 0.0)])
     with pytest.raises(DomainError, match="requires a positive"):
         rand_operator(desc, 3, 2, rng).positive_roots([(1.0, 0.0)])
+
+
+@pytest.mark.parametrize("size", [1.0, 1e6])
+def test_refusal_is_relative_to_each_polynomial_like_the_composed_root(size):
+    # p(x) = size * (x - lowest - gap) is -size * gap at the bottom of h's spectrum. Like
+    # sqrt_positive of the composed p(h), positive_roots judges that against p's own size:
+    # a gap of 1e-3 tol is accepted and one of 1e3 tol refused, whatever the size.
+    desc = AlgebraDescriptor(MATRIX, 2)
+    h = rand_positive_operator(desc, 3, np.random.default_rng(6), shift=0.5)
+    lowest = float(h.eigenvalues_hermitian()[0])
+    identity = AdjointableOperator.identity(desc, 3)
+    for gap, refused in ((1e-3 * DEFAULT_TOL, False), (1e3 * DEFAULT_TOL, True)):
+        row = (-size * (lowest + gap), size)
+        composed = size * h - size * (lowest + gap) * identity
+        for root in (lambda: h.positive_roots([row]), composed.sqrt_positive):
+            if refused:
+                with pytest.raises(DomainError, match="requires a positive"):
+                    root()
+            else:
+                assert root()

@@ -183,8 +183,8 @@ def inverse(chans: np.ndarray, svals: np.ndarray, what: str) -> np.ndarray:
 def polynomial_roots(chans: np.ndarray, coeffs, norm: float, defect: float, tol: float,
                      what: str) -> Iterator[np.ndarray]:
     """Roots V diag(sqrt(max(p_w(mu), 0))) V* of p_w(T) = sum_j coeffs[w][j] T^j, one per row,
-    made when read, from one eigh T = V diag(mu) V*.  Refused: T's Hermitian defect above tol *
-    tolerance_scale(norm), p_w(mu) below -tol * tolerance_scale(sum_j |c_j| norm^j), >= ||p_w(T)||."""
+    made when read, from one eigh T = V diag(mu) V*.  Refuses a Hermitian defect above tol *
+    tolerance_scale(norm) or a p_w(mu) below -tol * tolerance_scale(sum_j |c_j| norm^j)."""
     mu, vecs = finite_spectrum(np.linalg.eigh, hermitian_part(chans))
     refused, values = defect > tol * tolerance_scale(norm), []
     for row in coeffs:

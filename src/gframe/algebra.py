@@ -44,12 +44,22 @@ def tolerance_scale(*norms):
     and every relative residual is divided by it.  Scalars give a Python
     float; if any norm is an array the scale is taken elementwise.  The
     scalar path is a plain ``max``: the theorem suite calls it thousands of
-    times per pass.
+    times per pass.  The floor at 1 makes ``value <= tol`` enough for
+    ``value <= tol * tolerance_scale(norm)``, which ``within_tolerance`` uses.
     """
     for norm in norms:
         if isinstance(norm, np.ndarray):
             return functools.reduce(np.maximum, norms, 1.0)
     return float(max(1.0, *norms))
+
+
+def within_tolerance(value: float, tol: float, norm) -> bool:
+    """``value <= tol * tolerance_scale(norm())``, calling ``norm`` only when value > tol.
+
+    Exact because the scale is never below 1: the norm cannot move a value
+    already within tol.  This is the one place that relies on that floor.
+    """
+    return bool(value <= tol or value <= tol * tolerance_scale(norm()))
 
 
 @dataclass(frozen=True)
@@ -130,13 +140,17 @@ def two_norm(mats: np.ndarray):
     """Largest singular value of a matrix, or of each matrix in a (..., rows, cols) stack.
 
     A 1 x 1 matrix's singular value is its modulus, which is exact and
-    overflows only when the norm does.  Every other shape takes one batched
-    SVD; LAPACK returns singular values in descending order, so that is
-    ``np.linalg.norm(mats, 2, axis=(-2, -1))`` bit for bit, without the
-    wrapper that costs as much as the SVD on small matrices.
+    overflows only when the norm does.  An all-zero stack (one count, in
+    which NaN and infinities are non-zero) gives zeros without LAPACK.  Every
+    other shape takes one batched SVD; LAPACK returns singular values in
+    descending order, so that is ``np.linalg.norm(mats, 2, axis=(-2, -1))``
+    bit for bit, without the wrapper that costs as much as the SVD on small
+    matrices.
     """
     if mats.shape[-2:] == (1, 1):
         return finite_spectrum(np.abs, mats)[..., 0, 0]
+    if not np.count_nonzero(mats):
+        return np.zeros(mats.shape[:-2], dtype=mats.real.dtype)
     return finite_spectrum(np.linalg.svd, mats, compute_uv=False)[..., 0]
 
 
@@ -149,12 +163,17 @@ def hermitian_part(chans: np.ndarray) -> np.ndarray:
 
 
 def singular_values(chans: np.ndarray) -> np.ndarray:
-    """Descending singular values over all channels: for C^k the k spectra together."""
+    """Descending singular values over all channels, for C^k the k spectra together; zeros
+    without LAPACK for an all-zero stack, as in ``two_norm``."""
+    if not np.count_nonzero(chans):
+        return np.zeros(math.prod(chans.shape[:-2]) * min(chans.shape[-2:]), dtype=chans.real.dtype)
     return np.sort(finite_spectrum(np.linalg.svd, chans, compute_uv=False), axis=None)[::-1]
 
 
 def hermitian_defect(chans: np.ndarray) -> float:
-    """The norm of T - T*: the largest channel 2-norm of the difference."""
+    """The norm of T - T*: the largest channel 2-norm of the difference, for square channels."""
+    if chans.shape[-2] != chans.shape[-1]:
+        raise DomainError(f"Hermitian defect of non-square {chans.shape[-2]} x {chans.shape[-1]} channels")
     return float(two_norm(chans - hermitian_transpose(chans)).max())
 
 
@@ -315,7 +334,7 @@ class AlgebraElement:
         return hermitian_defect(self.channels())
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.hermitian_defect() <= tol * tolerance_scale(self.norm())
+        return within_tolerance(self.hermitian_defect(), tol, self.norm)
 
     def eigenvalues_hermitian(self) -> np.ndarray:
         """Real spectrum of the Hermitian part, ascending."""
@@ -323,8 +342,8 @@ class AlgebraElement:
 
     def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
         """Hermitian within tol with spectrum bounded below by -tol * tolerance_scale(norm)."""
-        floor = tol * tolerance_scale(self.norm())
-        return self.hermitian_defect() <= floor and bool(self.eigenvalues_hermitian()[0] >= -floor)
+        return self.is_hermitian(tol) and within_tolerance(
+            -self.eigenvalues_hermitian()[0], tol, self.norm)
 
     def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
         """Positive square root via spectral decomposition, negative eigenvalues clamped."""

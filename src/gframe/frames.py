@@ -32,6 +32,7 @@ from .algebra import (
     hermitian_transpose,
     tolerance_scale,
     two_norm,
+    within_tolerance,
 )
 from .errors import DomainError, InputError, UnsupportedConfigurationError
 from .hilbert import (
@@ -205,17 +206,19 @@ def _family_commutation_defect(family: Family, C: AdjointableOperator,
     """Worst relative commutator ||G_w X - X G_w|| of G_w = Lambda_w* Lambda_w with X = C, C'.
 
     Each quantity is one batched 2-norm over the atoms of one output rank,
-    channel by channel, of the Grams of ``Family.member_groups``.
+    channel by channel, of the Grams of ``Family.member_groups``.  The scales,
+    ||G_w|| and the controls' kept norms, are read only for a group with a
+    non-zero commutator: a zero one leaves the worst defect as it is.
     """
-    controls = [(ctrl, tolerance_scale(two_norm(ctrl).max()))
-                for ctrl in (C.channels, Cp.channels)]
     worst = 0.0
     for _, members in family.member_groups():
         grams = members @ hermitian_transpose(members)
-        gscale = tolerance_scale(two_norm(grams).max(axis=-1))
-        for ctrl, cscale in controls:
-            defects = two_norm(grams @ ctrl - ctrl @ grams).max(axis=-1)
-            worst = max(worst, float(np.max(defects / gscale)) / cscale)
+        defects = [two_norm(grams @ ctrl.channels - ctrl.channels @ grams).max(axis=-1)
+                   for ctrl in (C, Cp)]
+        if any(map(np.any, defects)):
+            gscale = tolerance_scale(two_norm(grams).max(axis=-1))
+            worst = max(worst, *(float(np.max(d / gscale)) / tolerance_scale(ctrl.norm())
+                                 for d, ctrl in zip(defects, (C, Cp))))
     return worst
 
 
@@ -293,9 +296,8 @@ class GFrameSystem:
 
     @cached_property
     def controls_equal(self) -> bool:
-        diff = (self.controls.C - self.controls.Cp).norm()
-        scale = tolerance_scale(self.controls.C.norm())
-        return diff <= DEFAULT_TOL * scale
+        return within_tolerance((self.controls.C - self.controls.Cp).norm(), DEFAULT_TOL,
+                                self.controls.C.norm)
 
     @property
     def commuting(self) -> bool:
@@ -376,15 +378,14 @@ def optimal_scalar_bounds(system: GFrameSystem, tol: float = DEFAULT_TOL) -> Fra
     UnsupportedConfigurationError is raised.
     """
     s = system.frame_operator
-    scale = tolerance_scale(s.norm())
-    if s.hermitian_defect() > tol * scale * 10:
+    if not within_tolerance(s.hermitian_defect(), tol * 10, s.norm):
         raise UnsupportedConfigurationError(
             "scalar bounds need a self-adjoint frame operator; "
             "controls do not commute with the family"
         )
     eigs = s.eigenvalues_hermitian()
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    if lam_min < -tol * scale * 10:
+    if not within_tolerance(-lam_min, tol * 10, s.norm):
         raise UnsupportedConfigurationError("frame operator is not positive")
     a = float(np.sqrt(max(lam_min, 0.0)))
     b = float(np.sqrt(max(lam_max, 0.0)))

@@ -46,6 +46,7 @@ from .algebra import (
     polynomial_roots,
     singular_values,
     tolerance_scale,
+    within_tolerance,
 )
 from .errors import DomainError, InputError
 
@@ -199,8 +200,8 @@ class AdjointableOperator:
             raise InputError("algebra mismatch for multiplier element")
         if descriptor.kind == MATRIX:
             z = np.trace(v.data) / descriptor.dim
-            defect = (v - AlgebraElement.scalar(descriptor, z)).norm()
-            if defect > DEFAULT_TOL * tolerance_scale(v.norm()):
+            if not within_tolerance((v - AlgebraElement.scalar(descriptor, z)).norm(), DEFAULT_TOL,
+                                    v.norm):
                 raise InputError("multiplier element must be central (scalar) in the matrix algebra")
         return AdjointableOperator._diagonal(descriptor, rank, v.data)
 
@@ -288,18 +289,17 @@ class AdjointableOperator:
         return self._hermitian_defect
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.hermitian_defect() <= tol * tolerance_scale(self.norm())
+        """Square, with a Hermitian defect within tol * tolerance_scale(norm)."""
+        return self.in_rank == self.out_rank and within_tolerance(
+            self.hermitian_defect(), tol, self.norm)
 
     def eigenvalues_hermitian(self) -> np.ndarray:
         """Ascending spectrum of the Hermitian part over all channels, read-only."""
         return self._eigenvalues_hermitian
 
     def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        if self.in_rank != self.out_rank:
-            return False
-        floor = tol * tolerance_scale(self.norm())
-        return (self.hermitian_defect() <= floor
-                and bool(self.eigenvalues_hermitian()[0] >= -floor))
+        return self.is_hermitian(tol) and within_tolerance(
+            -self.eigenvalues_hermitian()[0], tol, self.norm)
 
     def inverse(self) -> "AdjointableOperator":
         """Inverse, channel by channel; refused beyond condition number DEFAULT_COND_CAP."""
@@ -389,7 +389,7 @@ def pairing(descriptor: AlgebraDescriptor, coords: np.ndarray,
 def positive_part_checks(t: AdjointableOperator, tol: float = DEFAULT_TOL) -> dict:
     """Self-adjointness, positivity, invertibility and the spectral range of t."""
     square = t.in_rank == t.out_rank
-    self_adjoint = square and t.is_hermitian(tol)
+    self_adjoint = t.is_hermitian(tol)
     if self_adjoint:
         vals = t.eigenvalues_hermitian()
         lower, upper = float(vals[0]), float(vals[-1])

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraElement, tolerance_scale
+from .algebra import DEFAULT_TOL, AlgebraElement, tolerance_scale, within_tolerance
 from .errors import DomainError, InputError
 from .frames import GFrameSystem, certify_window, optimal_scalar_bounds
 from .hilbert import AdjointableOperator, ModuleVector, loewner_gap
@@ -34,7 +34,7 @@ def _require_pair(sys_a: GFrameSystem, sys_b: GFrameSystem) -> None:
     if not sys_a.controls_equal or not sys_b.controls_equal:
         raise InputError("stability checks require a single repeated control")
     shared = sys_a.controls.C
-    if (shared - sys_b.controls.C).norm() > DEFAULT_TOL * tolerance_scale(shared.norm()):
+    if not within_tolerance((shared - sys_b.controls.C).norm(), DEFAULT_TOL, shared.norm):
         raise InputError("both systems must share the control")
     if sys_a.measure != sys_b.measure:
         raise InputError("systems must share the measure")

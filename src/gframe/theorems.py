@@ -89,7 +89,9 @@ def _rng(seed: int, salt: int = 0) -> np.random.Generator:
 
 
 def _rel_op(x: AdjointableOperator, y: AdjointableOperator) -> float:
-    return (x - y).norm() / tolerance_scale(x.norm(), y.norm())
+    """||x - y|| / tolerance_scale(||x||, ||y||), which reads neither norm when x = y."""
+    diff = (x - y).norm()
+    return diff / tolerance_scale(x.norm(), y.norm()) if diff else 0.0
 
 
 def _rel_members(x: Family, y: Family) -> float:
@@ -653,13 +655,13 @@ def _block_diag_system(seed: int) -> tuple:
     h_top = rand_positive_operator(desc, r, rng, shift=0.5)
     h_bot = rand_positive_operator(desc, n - r, rng, shift=0.5)
     measure = _atoms(rng, 4)
-    family = {}
-    for label in measure.labels:
-        top = (float(rng.uniform(0.4, 1.0)) * h_top
-               + AdjointableOperator.scalar(desc, r, float(rng.uniform(0.3, 0.8)))).sqrt_positive()
-        bot = (float(rng.uniform(0.4, 1.0)) * h_bot
-               + AdjointableOperator.scalar(desc, n - r, float(rng.uniform(0.3, 0.8)))).sqrt_positive()
-        family[label] = _block_diagonal(top, bot)
+    # Each atom draws (a, b) for its top block, then for its bottom one; its
+    # blocks are the roots of a h + b I, one eigendecomposition per h.
+    rows = [(float(rng.uniform(0.4, 1.0)), float(rng.uniform(0.3, 0.8)))
+            for _ in range(2 * len(measure.labels))]
+    tops = h_top.positive_roots([(b, a) for a, b in rows[0::2]])
+    bots = h_bot.positive_roots([(b, a) for a, b in rows[1::2]])
+    family = {label: _block_diagonal(top, bot) for label, top, bot in zip(measure.labels, tops, bots)}
     c, cp = (AdjointableOperator.scalar(desc, n, float(rng.uniform(0.6, 1.4))) for _ in "cc")
     k = _block_diagonal(rand_invertible_operator(desc, r, rng),
                         rand_invertible_operator(desc, n - r, rng))

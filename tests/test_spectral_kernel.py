@@ -12,6 +12,7 @@ from gframe import algebra
 from gframe.algebra import AlgebraDescriptor, AlgebraElement, element_norms, two_norm
 from gframe.errors import DomainError
 from gframe.frames import Family, GFrameSystem
+from gframe.generate import random_system
 from gframe.hilbert import (
     AdjointableOperator,
     ModuleVector,
@@ -374,3 +375,85 @@ def _ord_two_norm_calls(root: Path) -> list:
 
 def test_kernel_is_the_only_two_norm():
     assert _ord_two_norm_calls(Path(gframe.__file__).parent) == []
+
+
+ZERO_SHAPES = [(1, 1, 1), (3, 1, 1), (1, 4, 4), (2, 3, 5), (4, 1, 3)]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", ZERO_SHAPES, ids=str)
+def test_zero_stacks_take_no_svd(monkeypatch, shape, dtype):
+    # The SVD of a zero matrix is exactly zero: the kernel gives the same
+    # values, shape and dtype without calling LAPACK.
+    zeros = np.zeros(shape, dtype=dtype)
+    svals = algebra.finite_spectrum(np.linalg.svd, zeros, compute_uv=False)
+    want_norms, want_svals = svals[..., 0], np.sort(svals, axis=None)[::-1]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an all-zero stack reached the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    for got, want in ((np.asarray(two_norm(zeros)), want_norms),
+                      (algebra.singular_values(zeros), want_svals)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_within_tolerance_reads_the_norm_only_beyond_tol():
+    tol = 1e-9
+    for norm in (0.0, 0.5, 1.0, 1.0 + 2e-16, 3.0, 1e6):
+        for value in (0.0, 0.5 * tol, tol, tol * norm, tol * max(1.0, norm), 2.0 * tol,
+                      1.5 * tol * norm, 1e-3, np.float64(tol)):
+            calls = []
+
+            def counted():
+                calls.append(1)
+                return norm
+
+            got = algebra.within_tolerance(value, tol, counted)
+            assert got == (value <= tol * algebra.tolerance_scale(norm))
+            assert isinstance(got, bool)
+            assert calls == ([] if value <= tol else [1])
+
+
+def test_scalar_controls_take_no_svd_in_the_family_check(monkeypatch):
+    # Scalar controls commute with every Gram: each commutator is the zero
+    # stack, so neither it, nor the control channels for their scale, nor the
+    # Grams for theirs reach the SVD.
+    system = random_system(4, algebra="matrix", dim=2, scalar_controls=True)
+    inputs = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert system.controls.family_defect == 0.0
+    assert system.controls.commute_with_family
+    assert inputs == []
+
+
+@pytest.mark.parametrize("entry", [(0, 0, np.nan), (0, 1, np.nan), (0, 1, np.inf), (1, 0, -np.inf)],
+                         ids=["nan-diagonal", "nan", "inf", "minus-inf"])
+def test_non_finite_operators_are_refused_by_is_hermitian(entry):
+    row, col, bad = entry
+    mat = np.array([[2.0, 0.5], [0.5, 3.0]], dtype=np.complex128)
+    mat[row, col] = bad
+    t = AdjointableOperator.from_blocks(AlgebraDescriptor("matrix", 2), mat.reshape(1, 1, 2, 2))
+    with pytest.raises(DomainError):
+        t.is_hermitian()
+    with pytest.raises(DomainError):
+        t.is_positive()
+
+
+@pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],
+                         ids=lambda d: d.kind)
+def test_non_square_operators_are_not_hermitian(desc):
+    t = rand_operator(desc, 3, 2, np.random.default_rng(53))
+    assert t.is_hermitian() is False
+    assert t.is_positive() is False
+    assert positive_part_checks(t)["self_adjoint"] is False
+    rows, cols = t.channels.shape[1:]
+    with pytest.raises(DomainError, match=f"non-square {rows} x {cols}"):
+        t.hermitian_defect()

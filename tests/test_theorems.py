@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from gframe import theorems
+from gframe.algebra import DIAGONAL, MATRIX, AlgebraDescriptor
 from gframe.cli import main
 from gframe.errors import DomainError, InputError
 from gframe.generate import random_system, unit_interval_system
 from gframe.hilbert import AdjointableOperator
 from gframe.reports import FAIL, NOT_APPLICABLE, PASS
+from gframe.sampling import rand_positive_operator
 from gframe.theorems import (
     DOCUMENTED_MUTANTS,
     MUTANTS,
@@ -257,3 +259,32 @@ def test_t55_never_hands_a_non_finite_stack_to_pinv(monkeypatch):
         with pytest.raises(DomainError, match="finite entries"):
             theorems._least_squares_inverse(AdjointableOperator(system.descriptor, chans))
     assert len(seen) == 1
+
+
+def _per_atom_block_members(seed: int) -> list:
+    """SUBMODULE's members as drawn one root per block: sqrt(a h + b I) of the composed operator."""
+    rng = theorems._rng(seed, 12)
+    kind = MATRIX if rng.integers(2) else DIAGONAL
+    d = int(rng.integers(1, 3)) if kind == MATRIX else int(rng.integers(2, 4))
+    desc = AlgebraDescriptor(kind, d)
+    h_top = rand_positive_operator(desc, 2, rng, shift=0.5)
+    h_bot = rand_positive_operator(desc, 1, rng, shift=0.5)
+    measure = theorems._atoms(rng, 4)
+    members = []
+    for _ in measure.labels:
+        blocks = [(float(rng.uniform(0.4, 1.0)) * h
+                   + AdjointableOperator.scalar(desc, h.in_rank, float(rng.uniform(0.3, 0.8))))
+                  .sqrt_positive() for h in (h_top, h_bot)]
+        members.append(theorems._block_diagonal(*blocks))
+    return members
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_submodule_members_match_the_per_atom_roots(seed):
+    # The two blocks' roots come from one eigendecomposition each, in the
+    # per-atom draw order: the members move only in their last bits.
+    system, _, r = theorems._block_diag_system(seed)
+    assert r == 2
+    for got, want in zip(system.family.values(), _per_atom_block_members(seed), strict=True):
+        assert np.abs(got.channels - want.channels).max() <= 1e-13 * want.norm()
+        assert got.is_positive()

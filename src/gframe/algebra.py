@@ -44,8 +44,8 @@ def tolerance_scale(*norms):
     and every relative residual is divided by it.  Scalars give a Python
     float; if any norm is an array the scale is taken elementwise.  The
     scalar path is a plain ``max``: the theorem suite calls it thousands of
-    times per pass.  The floor at 1 makes ``value <= tol`` enough for
-    ``value <= tol * tolerance_scale(norm)``, which ``within_tolerance`` uses.
+    times per pass.  The floor at 1 makes ``value <= tol`` enough for ``value
+    <= tol * tolerance_scale(norm)``: ``within_tolerance`` and ``frobenius_bound`` use it.
     """
     for norm in norms:
         if isinstance(norm, np.ndarray):
@@ -57,9 +57,30 @@ def within_tolerance(value: float, tol: float, norm) -> bool:
     """``value <= tol * tolerance_scale(norm())``, calling ``norm`` only when value > tol.
 
     Exact because the scale is never below 1: the norm cannot move a value
-    already within tol.  This is the one place that relies on that floor.
+    already within tol.  This and ``frobenius_bound`` rely on that floor.
     """
     return bool(value <= tol or value <= tol * tolerance_scale(norm()))
+
+
+def frobenius_bound(mats: np.ndarray) -> float:
+    """A value that no computed ``two_norm`` of a (..., rows, cols) stack exceeds, without an SVD.
+
+    It is the largest Frobenius norm (||X||_2 <= ||X||_F) times 1 + delta, for delta =
+    (rows cols + rows + cols) eps: the computed root of rows cols squares is relatively
+    within (rows cols / 2 + 5) eps / 2 of exact, a backward-stable SVD's largest value
+    within a small multiple of (rows + cols) eps ||X||_2.  ``bound <= tol`` decides ``two_norm(x) / scale <= tol``
+    for any scale >= 1: it relies on the floor of ``tolerance_scale`` as
+    ``within_tolerance`` does, and a bound above tol decides nothing.  The squares are of
+    x / max|x|, so none overflows or underflows into a pass; an all-zero stack gives 0.0,
+    and a NaN or infinite entry its max|x| (nan or inf), before any square.
+    """
+    mags = np.abs(mats)
+    top = float(mags.max())
+    if not 0.0 < top < math.inf:
+        return top
+    squares = float(np.square(np.divide(mags, top, out=mags), out=mags).sum(axis=(-2, -1)).max())
+    rows, cols = mats.shape[-2:]
+    return top * math.sqrt(squares) * (1.0 + (rows * cols + rows + cols) * math.ulp(1.0))
 
 
 @dataclass(frozen=True)
@@ -199,13 +220,12 @@ def inverse(chans: np.ndarray, svals: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(chans)
 
 
-def polynomial_roots(chans: np.ndarray, coeffs, norm: float, defect: float, tol: float,
-                     what: str) -> Iterator[np.ndarray]:
+def polynomial_roots(chans: np.ndarray, coeffs, tol: float, what: str) -> Iterator[np.ndarray]:
     """Roots V diag(sqrt(max(p_w(mu), 0))) V* of p_w(T) = sum_j coeffs[w][j] T^j, one per row,
-    made when read, from one eigh T = V diag(mu) V*.  Refuses a Hermitian defect above tol *
-    tolerance_scale(norm) or a p_w(mu) below -tol * tolerance_scale(sum_j |c_j| norm^j)."""
+    made when read, from one eigh T = V diag(mu) V* whose largest |mu| is the norm of T, for T
+    Hermitian within tol.  Refuses a p_w(mu) below -tol * tolerance_scale(sum_j |c_j| norm^j)."""
     mu, vecs = finite_spectrum(np.linalg.eigh, hermitian_part(chans))
-    refused, values = defect > tol * tolerance_scale(norm), []
+    norm, refused, values = float(np.abs(mu).max()), False, []
     for row in coeffs:
         value = bound = 0.0
         for c in reversed(row):  # Horner's rule for p_w(mu) and for the bound
@@ -347,8 +367,9 @@ class AlgebraElement:
 
     def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
         """Positive square root via spectral decomposition, negative eigenvalues clamped."""
-        root = next(polynomial_roots(self.channels(), ((0.0, 1.0),), self.norm(),
-                                     self.hermitian_defect(), tol, "element"))
+        if not self.is_hermitian(tol):
+            raise DomainError("element square root requires a positive element")
+        root = next(polynomial_roots(self.channels(), ((0.0, 1.0),), tol, "element"))
         return self._from_channels(root)
 
     def invert(self) -> "AlgebraElement":

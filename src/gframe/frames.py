@@ -29,6 +29,7 @@ from .algebra import (
     MATRIX,
     AlgebraElement,
     channel_layout,
+    frobenius_bound,
     hermitian_transpose,
     tolerance_scale,
     two_norm,
@@ -160,10 +161,10 @@ class Family:
 class ControlPair:
     """Positive invertible control operators, checked when built.
 
-    Every check of the pair is at DEFAULT_TOL.  The commutation defects, and
-    the flags derived from them, are computed the first time they are read:
-    only some statements need commuting controls, and those checks cost one
-    2-norm per atom, channel and control.
+    Every check of the pair is at DEFAULT_TOL.  The commutation defects and
+    flags are computed when first read.  A flag reads its defect when that is
+    kept, and otherwise passes on ``frobenius_bound`` of the commutators: only
+    a bound above tol takes the defect's 2-norm per atom, channel and control.
     """
 
     C: AdjointableOperator
@@ -183,42 +184,57 @@ class ControlPair:
         return ControlPair(C, Cp, family)
 
     @cached_property
+    def _commutator(self) -> AdjointableOperator:
+        return self.Cp @ self.C - self.C @ self.Cp
+
+    @cached_property
     def commute_defect(self) -> float:
         """Relative commutator ||C' C - C C'|| / tolerance_scale(||C|| ||C'||)."""
         scale = tolerance_scale(self.C.norm() * self.Cp.norm())
-        return (self.Cp @ self.C - self.C @ self.Cp).norm() / scale
+        return self._commutator.norm() / scale
 
     @cached_property
     def family_defect(self) -> float:
         return _family_commutation_defect(self.family, self.C, self.Cp)
 
-    @property
+    @cached_property
     def commute_each_other(self) -> bool:
-        return self.commute_defect <= DEFAULT_TOL
+        return ("commute_defect" not in self.__dict__
+                and frobenius_bound(self._commutator.channels) <= DEFAULT_TOL
+                or self.commute_defect <= DEFAULT_TOL)
 
-    @property
+    @cached_property
     def commute_with_family(self) -> bool:
-        return self.family_defect <= DEFAULT_TOL
+        return ("family_defect" not in self.__dict__
+                and all(frobenius_bound(x) <= DEFAULT_TOL
+                        for _, pair in _family_commutators(self.family, self.C, self.Cp) for x in pair)
+                or self.family_defect <= DEFAULT_TOL)
+
+
+def _family_commutators(family: Family, C: AdjointableOperator, Cp: AdjointableOperator):
+    """Per output rank of ``member_groups``: Grams G_w = Lambda_w* Lambda_w, G_w X - X G_w, X = C, C'."""
+    for _, members in family.member_groups():
+        grams = members @ hermitian_transpose(members)
+        yield grams, [grams @ ctrl.channels - ctrl.channels @ grams for ctrl in (C, Cp)]
 
 
 def _family_commutation_defect(family: Family, C: AdjointableOperator,
                                Cp: AdjointableOperator) -> float:
     """Worst relative commutator ||G_w X - X G_w|| of G_w = Lambda_w* Lambda_w with X = C, C'.
 
-    Each quantity is one batched 2-norm over the atoms of one output rank,
-    channel by channel, of the Grams of ``Family.member_groups``.  The scales,
-    ||G_w|| and the controls' kept norms, are read only for a group with a
-    non-zero commutator: a zero one leaves the worst defect as it is.
+    Each quantity is one batched 2-norm over the atoms of one output rank of
+    ``_family_commutators``.  The scales, ||G_w|| and the controls' kept
+    norms, are read only for a group with a non-zero commutator, and a
+    defect is divided by its scale only where it is non-zero: a zero member
+    has a zero commutator and defect 0, whatever the scale.
     """
     worst = 0.0
-    for _, members in family.member_groups():
-        grams = members @ hermitian_transpose(members)
-        defects = [two_norm(grams @ ctrl.channels - ctrl.channels @ grams).max(axis=-1)
-                   for ctrl in (C, Cp)]
+    for grams, commutators in _family_commutators(family, C, Cp):
+        defects = [two_norm(x).max(axis=-1) for x in commutators]
         if any(map(np.any, defects)):
             gscale = tolerance_scale(two_norm(grams).max(axis=-1))
-            worst = max(worst, *(float(np.max(d / gscale)) / tolerance_scale(ctrl.norm())
-                                 for d, ctrl in zip(defects, (C, Cp))))
+            worst = max(worst, *(float(np.max(np.divide(d, gscale, out=np.zeros_like(d), where=d != 0)))
+                                 / tolerance_scale(ctrl.norm()) for d, ctrl in zip(defects, (C, Cp))))
     return worst
 
 
@@ -378,7 +394,7 @@ def optimal_scalar_bounds(system: GFrameSystem, tol: float = DEFAULT_TOL) -> Fra
     UnsupportedConfigurationError is raised.
     """
     s = system.frame_operator
-    if not within_tolerance(s.hermitian_defect(), tol * 10, s.norm):
+    if not s.is_hermitian(tol * 10):
         raise UnsupportedConfigurationError(
             "scalar bounds need a self-adjoint frame operator; "
             "controls do not commute with the family"

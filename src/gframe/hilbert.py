@@ -38,6 +38,7 @@ from .algebra import (
     channel_layout,
     eigenvalues_hermitian,
     finite_spectrum,
+    frobenius_bound,
     from_channels,
     hermitian_defect,
     hermitian_part,
@@ -268,6 +269,10 @@ class AdjointableOperator:
         return hermitian_defect(self.channels)
 
     @cached_property
+    def _hermitian_bound(self) -> float:
+        return frobenius_bound(self.channels - hermitian_transpose(self.channels))
+
+    @cached_property
     def _eigenvalues_hermitian(self) -> np.ndarray:
         eigs = eigenvalues_hermitian(self.channels)
         eigs.setflags(write=False)
@@ -289,9 +294,10 @@ class AdjointableOperator:
         return self._hermitian_defect
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        """Square, with a Hermitian defect within tol * tolerance_scale(norm)."""
-        return self.in_rank == self.out_rank and within_tolerance(
-            self.hermitian_defect(), tol, self.norm)
+        """Square, with a Hermitian defect within tol * tolerance_scale(norm); passed on the
+        kept ``frobenius_bound`` of T - T*, and only a bound above tol reads the defect."""
+        return self.in_rank == self.out_rank and (self._hermitian_bound <= tol or within_tolerance(
+            self.hermitian_defect(), tol, self.norm))
 
     def eigenvalues_hermitian(self) -> np.ndarray:
         """Ascending spectrum of the Hermitian part over all channels, read-only."""
@@ -314,10 +320,10 @@ class AdjointableOperator:
 
     def positive_roots(self, coeffs, tol: float = DEFAULT_TOL) -> list:
         """Roots of the positive c_0 + c_1 T + ..., one per coefficient row: ``polynomial_roots``."""
-        if self.in_rank != self.out_rank:
+        if not self.is_hermitian(tol):
             raise DomainError("operator square root requires a positive operator")
-        return [AdjointableOperator(self.descriptor, root) for root in polynomial_roots(
-            self.channels, coeffs, self.norm(), self.hermitian_defect(), tol, "operator")]
+        return [AdjointableOperator(self.descriptor, root)
+                for root in polynomial_roots(self.channels, coeffs, tol, "operator")]
 
 
 def compose(s: AdjointableOperator, t: AdjointableOperator) -> AdjointableOperator:

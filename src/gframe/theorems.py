@@ -112,8 +112,9 @@ def _singular_range(op: AdjointableOperator) -> tuple:
 
 def _commute_lines(system: GFrameSystem) -> tuple:
     ctr = system.controls
-    return (("controls commute", ctr.commute_each_other, ctr.commute_defect),
-            ("controls commute with family", ctr.commute_with_family, ctr.family_defect))
+    each, family = ctr.commute_defect, ctr.family_defect  # kept, so the flags read them
+    return (("controls commute", ctr.commute_each_other, each),
+            ("controls commute with family", ctr.commute_with_family, family))
 
 
 def _uniform_rank_line(system: GFrameSystem) -> tuple:

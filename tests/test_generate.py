@@ -140,8 +140,7 @@ def test_positive_roots_refuse_a_polynomial_negative_on_the_spectrum():
     with pytest.raises(DomainError, match="requires a positive"):
         h.positive_roots([(1.0, 1.0), (-middle, 1.0)])
     with pytest.raises(DomainError, match="requires a positive"):
-        polynomial_roots(h.channels, [(-middle, 1.0)], h.norm(), h.hermitian_defect(),
-                         DEFAULT_TOL, "operator")
+        polynomial_roots(h.channels, [(-middle, 1.0)], DEFAULT_TOL, "operator")
 
 
 def test_positive_roots_refuse_a_non_hermitian_operator():

@@ -1,6 +1,7 @@
 """The one 2-norm kernel, the per-channel spectra each operator keeps, and their dense oracle."""
 
 import ast
+import functools
 import math
 from pathlib import Path
 
@@ -8,11 +9,19 @@ import numpy as np
 import pytest
 
 import gframe
-from gframe import algebra
-from gframe.algebra import AlgebraDescriptor, AlgebraElement, element_norms, two_norm
+from gframe import algebra, frames, hilbert, theorems
+from gframe.algebra import (
+    DEFAULT_TOL,
+    AlgebraDescriptor,
+    AlgebraElement,
+    element_norms,
+    frobenius_bound,
+    two_norm,
+)
+from gframe.cli import main
 from gframe.errors import DomainError
-from gframe.frames import Family, GFrameSystem
-from gframe.generate import random_system
+from gframe.frames import ControlPair, Family, GFrameSystem
+from gframe.generate import random_system, unit_interval_system
 from gframe.hilbert import (
     AdjointableOperator,
     ModuleVector,
@@ -20,8 +29,11 @@ from gframe.hilbert import (
     positive_part_checks,
 )
 from gframe.measure import MeasureSpace
-from gframe.sampling import rand_operator, rand_positive_operator
+from gframe.sampling import complex_gaussian, rand_operator, rand_positive_operator
+from gframe.serialize import load_system, save_system
 from gframe.theorems import _singular_range
+
+from conftest import ORACLE_SYSTEMS
 
 SHAPES = [(1, 1), (1, 4), (4, 1), (3, 3), (2, 5), (5, 2),
           (7, 1, 1), (6, 1, 4), (6, 4, 1), (3, 2, 3, 3), (4, 2, 5), (4, 5, 2)]
@@ -457,3 +469,212 @@ def test_non_square_operators_are_not_hermitian(desc):
     rows, cols = t.channels.shape[1:]
     with pytest.raises(DomainError, match=f"non-square {rows} x {cols}"):
         t.hermitian_defect()
+
+
+# -- bound-first flags: a Frobenius bound first, the exact 2-norm only where it cannot decide --
+
+def _submodule_break_commutation(seed: int) -> GFrameSystem:
+    """SUBMODULE's break_commutation instance: its first member coupled across the split."""
+    system, _, r = theorems._block_diag_system(seed)
+    family = system.stacked_family
+    blocks = family.stack.blocks.copy()
+    blocks[0, r] = 0.5 * AlgebraElement.one(system.descriptor).data
+    return system.with_family(family.with_stack(AdjointableOperator.from_blocks(system.descriptor, blocks)))
+
+
+# The oracle systems, the six inputs of the file-command snapshot, the
+# non-commuting CLI draw `random --seed 3 --rank 2 --algebra matrix --dim 2
+# --non-commuting`, and the break_commutation instances of SUBMODULE and of the
+# rows whose control C takes a bump.
+BOUND_FIRST_SYSTEMS = {
+    **{f"oracle-{kwargs['seed']}": functools.partial(random_system, **kwargs)
+       for kwargs in ORACLE_SYSTEMS},
+    "example": functools.partial(unit_interval_system, 2.0, 3.0, 3, 11),
+    "random-matrix": functools.partial(random_system, 5, algebra="matrix", dim=3),
+    "random-diagonal": functools.partial(random_system, 7, algebra="diagonal", dim=3),
+    "mixed-diagonal": functools.partial(random_system, 27, rank=2, algebra="diagonal", dim=3,
+                                        pad_outputs=True),
+    "mixed-matrix": functools.partial(random_system, 25, rank=2, algebra="matrix", dim=2,
+                                      pad_outputs=True),
+    "mixed-rank-one": functools.partial(random_system, 3, rank=1, algebra="diagonal", dim=3,
+                                        pad_outputs=True),
+    "non-commuting": functools.partial(random_system, 3, rank=2, algebra="matrix", dim=2,
+                                       commuting=False),
+    **{f"submodule-break-{seed}": functools.partial(_submodule_break_commutation, seed)
+       for seed in range(3)},
+    **{f"bumped-control-{seed}": functools.partial(
+        lambda seed: theorems._bump_control(theorems._Draws(seed)(scalar_controls=True),
+                                            theorems._Draws(seed), True), seed)
+       for seed in range(3)},
+}
+
+
+def _fresh_pair(system: GFrameSystem) -> ControlPair:
+    return ControlPair.build(system.controls.C, system.controls.Cp, system.stacked_family)
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_FIRST_SYSTEMS))
+def test_bound_first_flags_equal_the_defect_rule(name):
+    system = BOUND_FIRST_SYSTEMS[name]()
+    flags, defects = _fresh_pair(system), _fresh_pair(system)
+    each, family = defects.commute_defect, defects.family_defect
+    assert flags.commute_each_other is (each <= DEFAULT_TOL)
+    assert flags.commute_with_family is (family <= DEFAULT_TOL)
+    # On these inputs the bound decides every pass: a defect is computed only for a failed flag.
+    assert ("commute_defect" in vars(flags)) is not flags.commute_each_other
+    assert ("family_defect" in vars(flags)) is not flags.commute_with_family
+
+
+def test_kept_defects_decide_the_flags(monkeypatch):
+    # The theorem rows read the defects first; the flags then read them, not the bound.
+    pair = _fresh_pair(random_system(3, rank=2, algebra="matrix", dim=2, commuting=False))
+    pair.commute_defect, pair.family_defect
+    monkeypatch.setattr(frames, "frobenius_bound", None)
+    assert pair.commute_each_other is False and pair.commute_with_family is False
+
+
+def _threshold_pair(defect: float) -> ControlPair:
+    """A pair whose commute_defect and family_defect are both ``defect``, to a few ulps.
+
+    On A^1 over M_2: C = diag(1/2, 1), C' = [[1, t], [t, 1]] and one member
+    [[1, 0], [t, 1]], whose Gram is C' in floating point.  Both commutators
+    are (t / 2) [[0, 1], [-1, 0]] exactly, and each is divided by 1 + t, the
+    norm of C' and of the Gram.
+    """
+    t = 2.0 * defect / (1.0 - 2.0 * defect)
+    desc = AlgebraDescriptor("matrix", 2)
+
+    def op(rows):
+        return AdjointableOperator.from_blocks(desc, np.reshape(rows, (1, 1, 2, 2)))
+
+    member = op([[1.0, 0.0], [t, 1.0]])
+    return ControlPair.build(op([[0.5, 0.0], [0.0, 1.0]]), op([[1.0, t], [t, 1.0]]),
+                             Family(["w0"], [1], member))
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_bound_first_flags_agree_at_the_threshold(k):
+    for side in (-1.0, 1.0):
+        target = DEFAULT_TOL * (1.0 + side * 10.0 ** -k)
+        flags, defects = _threshold_pair(target), _threshold_pair(target)
+        for defect in (defects.commute_defect, defects.family_defect):
+            assert defect == pytest.approx(target, rel=1e-15)
+            assert (defect <= DEFAULT_TOL) is (side < 0)
+        assert flags.commute_each_other is (defects.commute_defect <= DEFAULT_TOL)
+        assert flags.commute_with_family is (defects.family_defect <= DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_the_bound_never_passes_what_the_two_norm_fails(k):
+    rng = np.random.default_rng(61)
+    a, b = complex_gaussian(rng, (2, 4, 2, 3, 3))
+    rank_one = np.zeros((1, 2, 2), dtype=complex)
+    rank_one[0, 0, 1] = 1.0 - 0.5j  # a multiple of [E11, E12] = E12, whose 2-norm is its Frobenius norm
+    for x in (a @ b - b @ a, rank_one, complex_gaussian(rng, (5, 1, 1))):
+        for side in (-1.0, 1.0):
+            scaled = x * (DEFAULT_TOL * (1.0 + side * 10.0 ** -k) / two_norm(x).max())
+            exact = bool(two_norm(scaled).max() <= DEFAULT_TOL)
+            assert exact is (side < 0)
+            assert not frobenius_bound(scaled) <= DEFAULT_TOL or exact
+    # Where the Frobenius norm is the 2-norm the bound decides down to a 1e-13 margin.
+    assert frobenius_bound(rank_one * (DEFAULT_TOL * (1.0 - 10.0 ** -k) / abs(1.0 - 0.5j))) <= DEFAULT_TOL
+
+
+def test_validate_takes_no_svd_of_a_commutator_or_a_gram(tmp_path, monkeypatch):
+    # The medium rung: rank 8, M_4, 64 atoms.  Its one SVD is the frame operator's norm.
+    path = tmp_path / "medium.json"
+    save_system(random_system(1, rank=8, atoms=64, algebra="matrix", dim=4), path)
+    frame_operator = load_system(path).frame_operator.channels
+    inputs = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert main(["validate", str(path), "--out", str(tmp_path / "validate.json")]) == 0
+    assert [a.shape for a in inputs] == [frame_operator.shape]
+    assert np.array_equal(inputs[0], frame_operator)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=str)
+def test_frobenius_bound_passes_no_non_finite_entry(bad):
+    x = np.zeros((2, 1, 3, 3), dtype=complex)
+    x[1, 0, 2, 1] = bad
+    with np.errstate(all="raise"):
+        assert not frobenius_bound(x) <= 1e300
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e300 + 1e300j], ids=["1e200", "complex-1e300"])
+def test_frobenius_bound_squares_no_large_entry(entry):
+    x = np.full((2, 1, 3, 3), entry, dtype=complex)
+    with np.errstate(all="raise"):
+        bound = frobenius_bound(x)
+    frobenius = 3.0 * abs(entry)
+    assert frobenius <= bound <= frobenius * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("entry", [1e-160, 1e-170, 1e-200])
+def test_tiny_entries_do_not_underflow_into_a_pass(entry):
+    # Squared, 1e-170 is below the smallest subnormal: an unscaled sum would read 0.
+    x = np.full((1, 2, 2), entry, dtype=complex)
+    assert not frobenius_bound(x) <= 1e-300
+    assert frobenius_bound(x) == pytest.approx(2.0 * entry, rel=1e-14)
+    assert frobenius_bound(np.zeros((3, 2, 2), dtype=complex)) == 0.0
+
+
+def test_hermitian_bound_is_kept_and_the_defect_stays_exact(monkeypatch):
+    desc = AlgebraDescriptor("matrix", 2)
+    rng = np.random.default_rng(62)
+    h = rand_positive_operator(desc, 3, rng, shift=0.5)
+    calls = []
+    original = hilbert.frobenius_bound
+
+    def counted(mats):
+        calls.append(1)
+        return original(mats)
+
+    monkeypatch.setattr(hilbert, "frobenius_bound", counted)
+    for skew, hermitian in ((1e-12, True), (1e-3, False)):
+        t = h + skew * rand_operator(desc, 3, 3, rng)
+        calls.clear()
+        for tol in (DEFAULT_TOL, 10 * DEFAULT_TOL, 1e-6):
+            assert t.is_hermitian(tol) is hermitian
+        positive_part_checks(t)
+        t.is_positive()
+        assert len(calls) == 1
+        diff = t.channels - t.channels.conj().swapaxes(-1, -2)
+        assert t.hermitian_defect() == float(np.linalg.norm(diff, 2, axis=(-2, -1)).max())
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_zero_member_needs_no_floor_in_the_family_defect(monkeypatch):
+    # The unit-interval example's first Simpson atom is the zero operator.  Its
+    # members, times one fixed pattern on A^2, face a control C that commutes
+    # with no Gram.  Without the floor at 1 the zero member's Gram scale is 0;
+    # its defect is 0, not 0/0.
+    example = unit_interval_system(2.0, 3.0, 2, 5)
+    desc = example.descriptor
+    rng = np.random.default_rng(63)
+    values = example.stacked_family.stack.blocks[0]  # one C^2 value per atom, the first 0
+    pattern = complex_gaussian(rng, (2, 2, 2))
+    family = {label: AdjointableOperator.from_blocks(desc, pattern * value)
+              for label, value in zip(example.measure.labels, values)}
+    c = rand_positive_operator(desc, 2, rng, shift=0.3)
+    system = GFrameSystem(example.measure, family, c, AdjointableOperator.identity(desc, 2))
+
+    def floorless(*norms):
+        if any(isinstance(norm, np.ndarray) for norm in norms):
+            return functools.reduce(np.maximum, norms)
+        return float(max(norms))
+
+    monkeypatch.setattr(frames, "tolerance_scale", floorless)
+    chans, worst = c.channels, 0.0
+    for member in list(system.family.values())[1:]:
+        grams = member.channels @ member.channels.conj().swapaxes(-1, -2)
+        defect = np.linalg.norm(grams @ chans - chans @ grams, 2, axis=(-2, -1)).max()
+        worst = max(worst, defect / np.linalg.norm(grams, 2, axis=(-2, -1)).max())
+    worst /= np.linalg.norm(chans, 2, axis=(-2, -1)).max()
+    assert worst > DEFAULT_TOL
+    assert system.controls.family_defect == pytest.approx(worst, rel=1e-12)

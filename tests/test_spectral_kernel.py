@@ -482,6 +482,12 @@ def _submodule_break_commutation(seed: int) -> GFrameSystem:
     return system.with_family(family.with_stack(AdjointableOperator.from_blocks(system.descriptor, blocks)))
 
 
+def _bumped_control(seed: int) -> GFrameSystem:
+    """The break_commutation instance of the rows whose control C takes a positive bump."""
+    draw = theorems._Draws(seed)
+    return theorems._bump_control(draw(scalar_controls=True), draw, True)
+
+
 # The oracle systems, the six inputs of the file-command snapshot, the
 # non-commuting CLI draw `random --seed 3 --rank 2 --algebra matrix --dim 2
 # --non-commuting`, and the break_commutation instances of SUBMODULE and of the
@@ -502,10 +508,7 @@ BOUND_FIRST_SYSTEMS = {
                                        commuting=False),
     **{f"submodule-break-{seed}": functools.partial(_submodule_break_commutation, seed)
        for seed in range(3)},
-    **{f"bumped-control-{seed}": functools.partial(
-        lambda seed: theorems._bump_control(theorems._Draws(seed)(scalar_controls=True),
-                                            theorems._Draws(seed), True), seed)
-       for seed in range(3)},
+    **{f"bumped-control-{seed}": functools.partial(_bumped_control, seed) for seed in range(3)},
 }
 
 

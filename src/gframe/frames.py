@@ -427,7 +427,7 @@ def _element_violation(system: GFrameSystem, a: AlgebraElement, lower: bool) -> 
         w = eye[cols[0]] if cols.size else (eye[0] + eye[moved[0]]) / np.sqrt(2.0)
         bound, left = AdjointableOperator.zero(desc, n, n), AlgebraElement(desc, np.outer(w, eye[0]))
     else:
-        bound = AdjointableOperator.central_multiplier(desc, n, a.adjoint() * a)
+        bound = AdjointableOperator.identity(desc, n).times_central(a.adjoint() * a)
         left = AlgebraElement.one(desc)
     gaps, witnesses = loewner_gap(bound, k) if lower else loewner_gap(k, bound)
     x = left * ModuleVector(desc, witnesses[int(np.argmax(gaps))])

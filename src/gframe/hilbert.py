@@ -172,17 +172,10 @@ class AdjointableOperator:
         return AdjointableOperator(descriptor, as_channels(descriptor, arr))
 
     @staticmethod
-    def _diagonal(descriptor: AlgebraDescriptor, rank: int, data) -> "AdjointableOperator":
-        """The operator on A^rank with every diagonal block ``data`` and zeros elsewhere."""
-        count, width = channel_layout(descriptor)
-        chans = np.zeros((count, rank, width, rank, width), dtype=np.complex128)
-        index = np.arange(rank)
-        chans[:, index, :, index] = np.reshape(data, (count, width, width))
-        return AdjointableOperator(descriptor, chans.reshape(count, rank * width, rank * width))
-
-    @staticmethod
     def identity(descriptor: AlgebraDescriptor, rank: int) -> "AdjointableOperator":
-        return AdjointableOperator._diagonal(descriptor, rank, AlgebraElement.one(descriptor).data)
+        count, width = channel_layout(descriptor)
+        eye = np.eye(rank * width, dtype=np.complex128)
+        return AdjointableOperator(descriptor, np.broadcast_to(eye, (count,) + eye.shape))
 
     @staticmethod
     def zero(descriptor: AlgebraDescriptor, in_rank: int, out_rank: int) -> "AdjointableOperator":
@@ -192,19 +185,6 @@ class AdjointableOperator:
     @staticmethod
     def scalar(descriptor: AlgebraDescriptor, rank: int, value: complex) -> "AdjointableOperator":
         return AdjointableOperator.identity(descriptor, rank) * complex(value)
-
-    @staticmethod
-    def central_multiplier(descriptor: AlgebraDescriptor, rank: int,
-                           v: AlgebraElement) -> "AdjointableOperator":
-        """Multiplication x -> x v. A-linear exactly when v is central."""
-        if v.descriptor != descriptor:
-            raise InputError("algebra mismatch for multiplier element")
-        if descriptor.kind == MATRIX:
-            z = np.trace(v.data) / descriptor.dim
-            if not within_tolerance((v - AlgebraElement.scalar(descriptor, z)).norm(), DEFAULT_TOL,
-                                    v.norm):
-                raise InputError("multiplier element must be central (scalar) in the matrix algebra")
-        return AdjointableOperator._diagonal(descriptor, rank, v.data)
 
     # -- algebra of operators ------------------------------------------------
 
@@ -237,6 +217,20 @@ class AdjointableOperator:
     def __matmul__(self, other: "AdjointableOperator") -> "AdjointableOperator":
         """Composition self after other: (self @ other)(x) = self(other(x))."""
         return compose(self, other)
+
+    def times_central(self, v: AlgebraElement) -> "AdjointableOperator":
+        """x -> (T x) v, blocks t_ij v. A-linear exactly when v is central."""
+        desc = self.descriptor
+        if v.descriptor != desc:
+            raise InputError("algebra mismatch for multiplier element")
+        if desc.kind == MATRIX:
+            z = np.trace(v.data) / desc.dim
+            if not within_tolerance((v - AlgebraElement.scalar(desc, z)).norm(), DEFAULT_TOL,
+                                    v.norm):
+                raise InputError("multiplier element must be central (scalar) in the matrix algebra")
+        count, width = channel_layout(desc)
+        rows = self.channels.reshape(count, -1, width) @ v.channels()
+        return AdjointableOperator(desc, rows.reshape(self.channels.shape))
 
     def _check_same_shape(self, other: "AdjointableOperator") -> None:
         if self.descriptor != other.descriptor or self.channels.shape != other.channels.shape:

@@ -142,11 +142,14 @@ def _composed(system: GFrameSystem, right: AdjointableOperator) -> GFrameSystem:
     return system.with_family(system.stacked_family @ right)
 
 
-def _right_inverses(t: AdjointableOperator, s_inv: AdjointableOperator,
-                    k: AdjointableOperator) -> tuple:
-    """(R_0, N) = (t S^-1 K^-1, I - t S^-1 t*): the right inverses of K t* are R_0 + N theta."""
-    kernel = AdjointableOperator.identity(t.descriptor, t.out_rank) - t @ s_inv @ t.adjoint()
-    return t @ s_inv @ k.inverse(), kernel
+def _right_inverse(t: AdjointableOperator, s_inv: AdjointableOperator,
+                   k: AdjointableOperator, theta: AdjointableOperator) -> AdjointableOperator:
+    """R_0 + N theta = t S^-1 (K^-1 - t* theta) + theta, the right inverses of K t*.
+
+    R_0 = t S^-1 K^-1 and N = I - t S^-1 t*.  N lives on the weighted direct
+    sum, so it is applied, never formed: every intermediate is n x n or n x N.
+    """
+    return t @ (s_inv @ (k.inverse() - t.adjoint() @ theta)) + theta
 
 
 def _uncontrolled(system: GFrameSystem) -> GFrameSystem:
@@ -750,15 +753,15 @@ def _right_inverse_characterization(row: _Row) -> None:
     t, s = system.analysis_operator, system.frame_operator
     row.require(within("transform factorizes the frame operator", _rel_op(t.adjoint() @ t, s),
                        100 * tol))
-    particular, kernel = _right_inverses(t, s.inverse(), k)
-    kt_star = row.checked(k) @ t.adjoint()
-    worst = max(_identity_residual(kt_star @ particular), (kt_star @ kernel).norm())
+    s_inv, kt_star = s.inverse(), row.checked(k) @ t.adjoint()
+    kts = kt_star @ t @ s_inv  # K t* R_0 = kts K^-1 and K t* N = K t* - kts t*, n x N
+    worst = max(_identity_residual(kts @ k.inverse()), (kt_star - kts @ t.adjoint()).norm())
     g_ls = _least_squares_inverse(k @ t.adjoint())
     row.conclude(within("constructed right inverses verified", worst, max(1e-9, 100 * tol)),
                  within("least-squares right inverse verified",
                         _identity_residual(kt_star @ g_ls), max(1e-9, 100 * tol)),
                  within("least-squares inverse decomposes into the stated form",
-                        _rel_op(g_ls, particular + kernel @ g_ls), 1e-8))
+                        _rel_op(g_ls, _right_inverse(t, s_inv, k, g_ls)), 1e-8))
 
 
 def _least_squares_inverse(op: AdjointableOperator) -> AdjointableOperator:
@@ -789,16 +792,13 @@ def _midpoint_dual(row: _Row) -> None:
     s_inv, t = system.frame_operator.inverse(), system.analysis_operator
     k_tilde = k @ system.mixed_control_root.inverse()
     theta_free = rand_operator(desc, n, t.out_rank, _rng(row.seed, 17))
-    particular, kernel = _right_inverses(t, s_inv, k)
-    gamma = _components(system, particular + kernel @ theta_free)
+    gamma = _components(system, _right_inverse(t, s_inv, k, theta_free))
     row.require(within("starting family is an operator dual",
                        _identity_residual(reconstruction_operator(system, gamma, k_tilde)), 1e-6))
     v = _central_element(desc, _rng(row.seed, 18))
-    mv = AdjointableOperator.central_multiplier(desc, t.out_rank, v)
     canonical = system.stacked_family @ s_inv @ k_tilde.inverse()
-    midpoint = gamma.with_stack(mv @ gamma.stack + mv @ canonical.stack)
-    companion = 0.5 * (AdjointableOperator.central_multiplier(desc, n, v.invert())
-                       @ row.checked(k_tilde))
+    midpoint = gamma.with_stack((gamma.stack + canonical.stack).times_central(v))
+    companion = 0.5 * row.checked(k_tilde).times_central(v.invert())
     row.conclude(within("midpoint family is an operator dual with the halved companion",
                         _identity_residual(reconstruction_operator(system, midpoint, companion)),
                         1e-6))
@@ -831,8 +831,7 @@ def _right_inverse_dual(row: _Row) -> None:
     t = system.analysis_operator
     theta_free = rand_operator(system.descriptor, system.module_rank, t.out_rank,
                                _rng(row.seed, 21))
-    particular, kernel = _right_inverses(t, system.frame_operator.inverse(), k)
-    theta = particular + kernel @ theta_free
+    theta = _right_inverse(t, system.frame_operator.inverse(), k, theta_free)
     row.require(within("map is a right inverse of the companion-composed synthesis",
                        _identity_residual((k @ t.adjoint()) @ theta), 1e-6))
     family = _components(system, theta)
@@ -856,13 +855,12 @@ def _dual_parametrization(row: _Row) -> None:
     rng = _rng(row.seed, 23)
     family = system.stacked_family
     bessel = family.with_stack(stack([rand_operator(desc, n, m, rng) for m in family.ranks]))
-    particular, kernel = _right_inverses(system.analysis_operator, s_inv, k)
-    bessel_c = bessel @ c
-    constructed = _components(system, particular + kernel @ _stacked(system, bessel_c))
+    t, bessel_c = system.analysis_operator, bessel @ c
+    constructed = _components(system, _right_inverse(t, s_inv, k, _stacked(system, bessel_c)))
     cross = c @ bessel.weighted_sum(system.measure.weights, right=family) @ c
     tail = c @ s_inv @ (k.inverse() - cross)
     formula = family.with_stack((family @ tail).stack + bessel_c.stack)
-    replay = _components(system, particular + kernel @ _stacked(system, constructed))
+    replay = _components(system, _right_inverse(t, s_inv, k, _stacked(system, constructed)))
     row.conclude(
         within("construction matches the displayed formula",
                _rel_members(constructed, formula), 1e-6),

@@ -29,13 +29,13 @@ ORACLE_SYSTEMS = (
 
 
 def count_operators(monkeypatch) -> list:
-    """A list that grows by one for every AdjointableOperator built from now on."""
+    """A list that grows by (in rank, out rank) for every AdjointableOperator built from now on."""
     built = []
     original = AdjointableOperator.__post_init__
 
     def counted(self):
-        built.append(1)
         original(self)
+        built.append((self.in_rank, self.out_rank))
 
     monkeypatch.setattr(AdjointableOperator, "__post_init__", counted)
     return built

@@ -442,6 +442,39 @@ def test_channels_keep_the_diagonal_kind_unembedded(diag3):
 
 @pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],
                          ids=["matrix", "diagonal"])
+def test_times_central_is_the_product_with_the_diagonal_operator(desc):
+    # T.times_central(v) is x -> (T x) v: flat(T) flat(diag v), for diag v the
+    # operator with every diagonal block v.  The M_2 element is central only
+    # within tolerance, and the product uses its own entries, not its trace.
+    rng = np.random.default_rng(63)
+    t = rand_operator(desc, 3, 5, rng)
+    if desc.kind == "matrix":
+        v = AlgebraElement(desc, (0.7 - 0.2j) * np.eye(2) + np.array([[0.0, 1e-12], [0.0, 0.0]]))
+    else:
+        v = AlgebraElement(desc, complex_gaussian(rng, (3,)))
+    blocks = np.zeros((5, 5) + desc.shape, dtype=np.complex128)
+    blocks[np.arange(5), np.arange(5)] = v.data
+    want = t.flat() @ AdjointableOperator.from_blocks(desc, blocks).flat()
+    got = t.times_central(v)
+    assert (got.in_rank, got.out_rank) == (3, 5)
+    assert np.abs(got.flat() - want).max() <= 1e-15 * np.abs(want).max()
+    identity = AdjointableOperator.identity(desc, 4)
+    assert np.array_equal(identity.flat(), np.eye(4 * desc.dim))
+    assert np.array_equal(identity.times_central(v).blocks[np.arange(4), np.arange(4)],
+                          np.broadcast_to(v.data, (4,) + desc.shape))
+
+
+def test_times_central_refuses_a_non_central_or_foreign_element(m2):
+    t = rand_operator(m2, 2, 3, np.random.default_rng(64))
+    with pytest.raises(InputError, match="must be central"):
+        t.times_central(AlgebraElement(m2, np.diag([1.0, 1.0 + 1e-6])))
+    for other in (AlgebraDescriptor("matrix", 3), AlgebraDescriptor("diagonal", 2)):
+        with pytest.raises(InputError, match="algebra mismatch"):
+            t.times_central(AlgebraElement.one(other))
+
+
+@pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2), AlgebraDescriptor("diagonal", 3)],
+                         ids=["matrix", "diagonal"])
 def test_operator_square_root_and_its_domain(desc):
     rng = np.random.default_rng(41)
     p = rand_positive_operator(desc, 3, rng)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,17 +10,19 @@ from gframe.errors import DomainError, InputError
 from gframe.generate import random_system, unit_interval_system
 from gframe.hilbert import AdjointableOperator
 from gframe.reports import FAIL, NOT_APPLICABLE, PASS
-from gframe.sampling import rand_positive_operator
+from gframe.sampling import rand_invertible_operator, rand_operator, rand_positive_operator
+from gframe.serialize import load_system, save_system
 from gframe.theorems import (
     DOCUMENTED_MUTANTS,
     MUTANTS,
     THEOREM_IDS,
+    WRONG_K,
     _Draws,
     run_suite,
     verify_theorem,
 )
 
-from conftest import brute_force_right_inverse_residual
+from conftest import brute_force_right_inverse_residual, count_operators
 
 
 def test_row_registry_is_complete():
@@ -288,3 +292,60 @@ def test_submodule_members_match_the_per_atom_roots(seed):
     for got, want in zip(system.family.values(), _per_atom_block_members(seed), strict=True):
         assert np.abs(got.channels - want.channels).max() <= 1e-13 * want.norm()
         assert got.is_positive()
+
+
+@pytest.mark.parametrize("shape", [
+    dict(seed=0),
+    dict(seed=3),
+    dict(seed=25, rank=2, algebra="matrix", dim=2, pad_outputs=True),
+    dict(seed=27, rank=2, algebra="diagonal", dim=3, pad_outputs=True),
+], ids=["seed-0", "seed-3", "padded-matrix", "padded-diagonal"])
+def test_right_inverse_matches_the_dense_kernel(shape):
+    # R(theta) = R_0 + N theta, with N = I - T S^-1 T* formed densely on the
+    # weighted direct sum, as brute_force_right_inverse_residual forms it.
+    system = random_system(**shape)
+    desc, n, t = system.descriptor, system.module_rank, system.analysis_operator
+    assert "pad_outputs" not in shape or len(set(system.stacked_family.ranks)) > 1
+    rng = np.random.default_rng([shape["seed"], 60])
+    k, theta = rand_invertible_operator(desc, n, rng), rand_operator(desc, n, t.out_rank, rng)
+    got = theorems._right_inverse(t, system.frame_operator.inverse(), k, theta).flat()
+    flat_t, s_inv = t.flat(), np.linalg.inv(system.frame_operator.flat())
+    kernel = np.eye(flat_t.shape[1]) - flat_t.conj().T @ s_inv @ flat_t
+    want = np.linalg.inv(k.flat()) @ s_inv @ flat_t + theta.flat() @ kernel
+    assert np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+    residual = got @ flat_t.conj().T @ k.flat() - np.eye(flat_t.shape[0])  # K T* R(theta) - I
+    assert np.linalg.norm(residual, 2) <= 1e-9
+
+
+RIGHT_INVERSE_ROWS = ("T55", "T66", "MIDPOINT-DUAL", "DUAL-PARAM")
+
+
+@pytest.mark.parametrize("mutant", [None, WRONG_K])
+@pytest.mark.parametrize("theorem_id", RIGHT_INVERSE_ROWS)
+def test_right_inverse_rows_build_no_operator_on_the_direct_sum(monkeypatch, theorem_id, mutant):
+    # N = I - T S^-1 T* and the central multiplier act on the weighted direct
+    # sum A^(m_1 + ... + m_W); the rows apply them and build neither.
+    expected = FAIL if (theorem_id, mutant, FAIL) in DOCUMENTED_MUTANTS else PASS
+    for seed in range(10):
+        draws = _Draws(seed)
+        built = count_operators(monkeypatch)
+        report = verify_theorem(theorem_id, seed=seed, mutant=mutant, draws=draws)
+        monkeypatch.undo()
+        assert report.status == expected, (seed, report.to_dict())
+        direct_sums = {sum(system.stacked_family.ranks) for system in draws._systems.values()}
+        assert direct_sums and built
+        assert not [(i, o) for i, o in built if i == o and i in direct_sums], seed
+
+
+def test_theorem_suite_on_the_medium_rung_builds_no_operator_on_the_direct_sum(
+        tmp_path, monkeypatch):
+    # The medium rung: rank 8, M_4, 64 atoms, so the direct sum is A^512.
+    path, out = str(tmp_path / "medium.json"), tmp_path / "theorem.json"
+    save_system(random_system(1, rank=8, atoms=64, algebra="matrix", dim=4), path)
+    direct_sum = sum(load_system(path).stacked_family.ranks)
+    built = count_operators(monkeypatch)
+    assert main(["theorem", path, "--id", "all", "--out", str(out)]) in (0, 1)
+    monkeypatch.undo()
+    assert built and (direct_sum, direct_sum) not in built
+    status = {doc["theorem_id"]: doc["status"] for doc in json.loads(out.read_text())["results"]}
+    assert status["MIDPOINT-DUAL"] == status["T66"] == PASS

@@ -58,7 +58,7 @@ def test_system_checks_take_no_tolerance():
     assert "tol" not in inspect.signature(GFrameSystem).parameters
     assert "tol" not in inspect.signature(ControlPair.build).parameters
     assert "tol" not in {field.name for field in dataclasses.fields(ControlPair)}
-    assert "tol" not in inspect.signature(AdjointableOperator.central_multiplier).parameters
+    assert "tol" not in inspect.signature(AdjointableOperator.times_central).parameters
     assert not hasattr(random_system(0), "tol")
 
 

@@ -4,12 +4,7 @@ multipliers, an executable theorem suite, and perturbation checks."""
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    AlgebraDescriptor,
-    AlgebraElement,
-    is_positive_by_norm_shift,
-    leq,
-)
+from .algebra import AlgebraDescriptor, AlgebraElement
 from .errors import (
     DomainError,
     GFrameError,
@@ -40,7 +35,6 @@ from .reports import TheoremReport
 from .stability import (
     additive_perturbation_check,
     check_equivalence_M,
-    family_distance,
     sum_frame_check,
     weighted_perturbation_check,
 )

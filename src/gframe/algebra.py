@@ -279,10 +279,6 @@ class AlgebraElement:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(descriptor: AlgebraDescriptor) -> "AlgebraElement":
-        return AlgebraElement(descriptor, np.zeros(descriptor.shape, dtype=np.complex128))
-
-    @staticmethod
     def one(descriptor: AlgebraDescriptor) -> "AlgebraElement":
         if descriptor.kind == MATRIX:
             return AlgebraElement(descriptor, np.eye(descriptor.dim, dtype=np.complex128))
@@ -377,23 +373,3 @@ class AlgebraElement:
         chans = self.channels()
         return self._from_channels(inverse(chans, singular_values(chans), "element"))
 
-
-def is_positive_by_norm_shift(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
-    """Positivity via the norm-shift criterion: ||a - t*1|| <= t for t = ||a||.
-
-    Equivalent to the spectral test for Hermitian elements; the comparison is
-    slackened by tol*max(1, ||a||) so the two tests agree at the same threshold.
-    """
-    if not a.is_hermitian(tol):
-        raise InputError("norm-shift positivity requires a Hermitian element")
-    t = a.norm()
-    shifted = a - AlgebraElement.scalar(a.descriptor, t)
-    return shifted.norm() <= t + tol * tolerance_scale(t)
-
-
-def leq(a: AlgebraElement, b: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
-    """Order relation a <= b, i.e. b - a positive.  Both sides must be Hermitian."""
-    _check_same(a, b)
-    if not a.is_hermitian(tol) or not b.is_hermitian(tol):
-        raise InputError("order comparison requires Hermitian elements")
-    return (b - a).is_positive(tol)

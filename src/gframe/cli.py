@@ -272,10 +272,16 @@ _COMMANDS = {
 }
 
 
+# The commands that seed numpy's generator with --seed, which refuses a negative seed.
+_SEEDED = ("multiplier", "theorem", "random")
+
+
 def _check_options(args) -> None:
-    """Reject tolerances that are not positive and finite."""
+    """Reject tolerances that are not positive and finite, and a negative seed that is read."""
     if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0):
         raise InputError(f"--tol must be positive and finite, got {args.tol}")
+    if args.command in _SEEDED and args.seed < 0:
+        raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
 
 
 @contextmanager

@@ -274,11 +274,6 @@ class DualCertificate:
     tolerance: float
 
     @property
-    def dual_family(self) -> dict:
-        """The dual members by atom label, derived from the dual's stack when first read."""
-        return self.dual.members
-
-    @property
     def passed(self) -> bool:
         return self.operator_residual <= self.tolerance
 

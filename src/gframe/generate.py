@@ -67,7 +67,7 @@ def random_system(seed: int, rank: Optional[int] = None, atoms: Optional[int] = 
         raise InputError("rank and atom count must be >= 1")
     desc = AlgebraDescriptor(algebra, dim)
     weights = rng.uniform(0.2, 1.5, size=atoms)
-    measure = MeasureSpace.from_columns(atom_labels(atoms), weights)
+    measure = MeasureSpace(atom_labels(atoms), weights)
 
     if commuting:
         h0 = rand_positive_operator(desc, rank, rng, shift=0.5)

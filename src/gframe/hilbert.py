@@ -74,20 +74,6 @@ class ModuleVector:
     def rank(self) -> int:
         return self.coords.shape[0]
 
-    @staticmethod
-    def from_elements(elements: Sequence[AlgebraElement]) -> "ModuleVector":
-        if not elements:
-            raise InputError("empty coordinate list")
-        desc = elements[0].descriptor
-        for e in elements:
-            if e.descriptor != desc:
-                raise InputError("coordinates must share one descriptor")
-        return ModuleVector(desc, np.stack([e.data for e in elements]))
-
-    @staticmethod
-    def zero(descriptor: AlgebraDescriptor, rank: int) -> "ModuleVector":
-        return ModuleVector(descriptor, np.zeros((rank,) + descriptor.shape))
-
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_compatible(other)
         return ModuleVector(self.descriptor, self.coords + other.coords)
@@ -187,9 +173,6 @@ class AdjointableOperator:
         return AdjointableOperator.identity(descriptor, rank) * complex(value)
 
     # -- algebra of operators ------------------------------------------------
-
-    def block(self, i: int, j: int) -> AlgebraElement:
-        return AlgebraElement(self.descriptor, self.blocks[i, j])
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
         """T x; ``apply_stack`` checks the vector's shape, which fixes its algebra."""

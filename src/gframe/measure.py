@@ -22,29 +22,16 @@ from .errors import InputError
 class MeasureSpace:
     """Ordered finite family of labelled atoms with positive real weights.
 
-    Built from (label, weight) pairs, or by ``from_columns`` from the labels
-    and the weights.  ``labels`` is a tuple of unique strings and ``weights``
-    a read-only float64 array in the same order, both fixed at construction;
-    ``atoms`` gives the pairs back.  Two measures are equal when their labels
-    and weights are.
+    ``MeasureSpace(labels, weights)`` has atom i labelled labels[i] with
+    weight weights[i].  ``labels`` is kept as a tuple of unique strings and
+    ``weights`` as a read-only float64 array in the same order, both fixed at
+    construction; ``atoms`` gives the (label, weight) pairs.  Two measures are
+    equal when their labels and weights are.
     """
 
-    def __init__(self, atoms):
-        try:
-            labels, weights = tuple(zip(*atoms, strict=True)) or ((), ())
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"atom weights must be numbers: {exc}") from exc
-        self._set_columns(labels, weights)
-
-    @classmethod
-    def from_columns(cls, labels, weights) -> "MeasureSpace":
-        """The measure whose atom i has label labels[i] and weight weights[i]."""
-        measure = cls.__new__(cls)
-        measure._set_columns(tuple(labels), weights)
-        return measure
-
-    def _set_columns(self, labels: tuple, weights) -> None:
+    def __init__(self, labels, weights):
         """Check and keep the two columns: string labels, unique, and positive finite weights."""
+        labels = tuple(labels)
         if not labels:
             raise InputError("measure space needs at least one atom")
         try:
@@ -83,7 +70,7 @@ class MeasureSpace:
         return hash((self.labels, self.weights.tobytes()))
 
     def __repr__(self) -> str:
-        return f"MeasureSpace({self.atoms!r})"
+        return f"MeasureSpace({self.labels!r}, {self.weights.tolist()!r})"
 
     def per_atom(self, values, what: str, dtype=np.float64) -> np.ndarray:
         """``values`` as one array in the atom order.
@@ -136,4 +123,4 @@ def simpson_unit_interval(nodes: int) -> tuple:
     coeffs = [1.0] + [4.0 if i % 2 == 1 else 2.0 for i in range(1, nodes - 1)] + [1.0]
     weights = [c * h / 3.0 for c in coeffs]
     positions = tuple(i * h for i in range(nodes))
-    return MeasureSpace.from_columns(atom_labels(nodes), weights), positions
+    return MeasureSpace(atom_labels(nodes), weights), positions

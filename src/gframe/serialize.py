@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraElement, _are_numbers
+from .algebra import AlgebraDescriptor, _are_numbers
 from .errors import InputError
 from .frames import Family, GFrameSystem
 from .hilbert import AdjointableOperator, ModuleVector
@@ -104,28 +104,8 @@ def _elements_from_docs(docs: list) -> tuple:
     return desc, values.view(np.complex128).reshape((len(docs),) + desc.shape)
 
 
-def element_to_dict(a: AlgebraElement) -> dict:
-    return _elements_to_docs(a.descriptor, a.data)[0]
-
-
-def element_from_dict(doc: Mapping) -> AlgebraElement:
-    desc, data = _elements_from_docs([doc])
-    return AlgebraElement(desc, data[0])
-
-
 def vector_to_dict(x: ModuleVector) -> dict:
     return {"rank": x.rank, "coords": _elements_to_docs(x.descriptor, x.coords)}
-
-
-def vector_from_dict(doc: Mapping) -> ModuleVector:
-    try:
-        coords = list(doc["coords"])
-        rank = _parse_int(doc.get("rank", len(coords)), "vector rank")
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise InputError(f"bad vector document: {exc}") from exc
-    if rank != len(coords):
-        raise InputError("vector rank does not match coordinate count")
-    return ModuleVector(*_elements_from_docs(coords))
 
 
 def _operator_doc(n: int, m: int, docs: list, first: int, stride: int) -> dict:
@@ -210,7 +190,7 @@ def measure_from_dict(doc: Mapping) -> MeasureSpace:
         weights = list(map(itemgetter("weight"), atoms))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad measure document: {exc}") from exc
-    return MeasureSpace.from_columns(labels, weights)
+    return MeasureSpace(labels, weights)
 
 
 def system_to_dict(system: GFrameSystem) -> dict:

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraElement, tolerance_scale, within_tolerance
+from .algebra import DEFAULT_TOL, tolerance_scale, within_tolerance
 from .errors import DomainError, InputError
 from .frames import GFrameSystem, certify_window, optimal_scalar_bounds
 from .hilbert import AdjointableOperator, ModuleVector, loewner_gap
@@ -56,12 +56,6 @@ def _worst_gap(lhs: AdjointableOperator, rhs: AdjointableOperator) -> tuple:
     gaps, witnesses = loewner_gap(lhs, rhs)
     channel = int(np.argmax(gaps))
     return float(gaps[channel]), ModuleVector(lhs.descriptor, witnesses[channel])
-
-
-def family_distance(sys_a: GFrameSystem, sys_b: GFrameSystem, x: ModuleVector) -> AlgebraElement:
-    """Gram element of the member-wise difference family at x."""
-    _require_pair(sys_a, sys_b)
-    return _difference_system(sys_a, sys_b).gram(x)
 
 
 def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem,

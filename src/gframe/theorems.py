@@ -462,7 +462,7 @@ def _surjective_composition(row: _Row) -> None:
 
 def _atoms(rng: np.random.Generator, count: int) -> MeasureSpace:
     weights = rng.uniform(0.3, 1.2, size=count)
-    return MeasureSpace.from_columns(atom_labels(count), weights)
+    return MeasureSpace(atom_labels(count), weights)
 
 
 def _rank_two_system(desc: AlgebraDescriptor, rng: np.random.Generator,
@@ -925,10 +925,3 @@ def verify_theorem(theorem_id: str, system: Optional[GFrameSystem] = None, seed:
         raise ValueError(f"draws for seed {draws.seed} passed to a row with seed {seed}")
     return _ROWS[theorem_id](system, draws, tol, aux, mutant)
 
-
-def run_suite(system: Optional[GFrameSystem] = None, seeds=(0,), tol: float = DEFAULT_TOL,
-              aux=None) -> list:
-    """All rows over all seeds, ordered by (theorem id, seed); one draw per seed and options."""
-    draws = {seed: _Draws(seed) for seed in seeds}
-    return [verify_theorem(theorem_id, system, seed, tol, aux, draws=draws[seed])
-            for theorem_id in sorted(THEOREM_IDS) for seed in seeds]

@@ -8,10 +8,10 @@ two independent routes.
 import numpy as np
 import pytest
 
-from gframe.algebra import AlgebraDescriptor
+from gframe.algebra import AlgebraDescriptor, AlgebraElement
 from gframe.frames import GFrameSystem
 from gframe.generate import random_system, unit_interval_system
-from gframe.hilbert import AdjointableOperator
+from gframe.hilbert import AdjointableOperator, ModuleVector
 from gframe.measure import MeasureSpace
 from gframe.sampling import rand_invertible_operator
 
@@ -60,6 +60,27 @@ def eig2x2_hermitian(m: np.ndarray):
     det = float(np.real(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
     disc = np.sqrt(max(tr * tr / 4.0 - det, 0.0))
     return tr / 2.0 - disc, tr / 2.0 + disc
+
+
+def positive_by_norm_shift(a: AlgebraElement, tol: float = 1e-9) -> bool:
+    """Positivity of a Hermitian element by the norm-shift criterion ||a - t 1|| <= t, t = ||a||.
+
+    It reads two norms and never the spectrum, so it checks ``is_positive``
+    by another route.  The comparison is slackened by tol * max(1, t), so the
+    two agree at the same threshold.
+    """
+    if not a.is_hermitian(tol):
+        raise ValueError("the norm-shift criterion needs a Hermitian element")
+    t = a.norm()
+    return (a - AlgebraElement.scalar(a.descriptor, t)).norm() <= t + tol * max(1.0, t)
+
+
+def vector_from_doc(doc: dict) -> ModuleVector:
+    """The module vector of a ``serialize.vector_to_dict`` document, decoded with numpy."""
+    first = doc["coords"][0]
+    desc = AlgebraDescriptor(first["kind"], first["dim"])
+    pairs = np.array([coord["entries"] for coord in doc["coords"]], dtype=np.float64)
+    return ModuleVector(desc, (pairs[..., 0] + 1j * pairs[..., 1]).reshape((doc["rank"],) + desc.shape))
 
 
 def brute_force_frame_operator_flat(system: GFrameSystem) -> np.ndarray:
@@ -151,7 +172,7 @@ def diag3():
 @pytest.fixture
 def identity_system(m2):
     """Single atom of weight one, identity member, identity controls."""
-    measure = MeasureSpace((("w0", 1.0),))
+    measure = MeasureSpace(["w0"], [1.0])
     eye = AdjointableOperator.identity(m2, 2)
     return GFrameSystem(measure, {"w0": eye}, eye, eye)
 

@@ -180,7 +180,7 @@ def test_perturbed_system_must_share_control_and_measure(tmp_path, capsys, kind,
     if change == "control":
         sys_b = sys_a.with_controls(2.0 * sys_a.controls.C, 2.0 * sys_a.controls.C)
     else:
-        tripled = MeasureSpace(tuple((label, 3.0 * w) for label, w in sys_a.measure.atoms))
+        tripled = MeasureSpace(sys_a.measure.labels, 3.0 * sys_a.measure.weights)
         sys_b = GFrameSystem(tripled, sys_a.stacked_family, sys_a.controls.C, sys_a.controls.C)
     paths = {}
     for name, system in (("a", sys_a), ("b", sys_b)):
@@ -240,13 +240,29 @@ def test_dual_and_reconstruct_ignore_samples_and_seed(tmp_path, capsys, command)
     _run(capsys, "random", "--seed", "4", "--out", path)
     code, without, _ = _run(capsys, command, path)
     assert code == 0
-    code, out, _ = _run(capsys, command, path, "--samples", "0", "--seed", "9")
-    assert code == 0
-    assert out == without
+    for seed in ("9", "-1"):
+        code, out, _ = _run(capsys, command, path, "--samples", "0", "--seed", seed)
+        assert code == 0
+        assert out == without
     doc = json.loads(out)
     assert "samples" not in doc["config"] and "seed" not in doc["config"]
     assert sorted(doc["results"]) == (["dual_family", "operator_residual"] if command == "dual"
                                       else ["operator_residual"])
+
+
+# numpy's generator refuses a negative seed, so the commands that seed it
+# reject one as a usage error, with the theorem rows' own instance or a file's.
+@pytest.mark.parametrize("argv", [("random",), ("theorem", "--id", "T55"),
+                                  ("theorem", "SYSTEM", "--id", "T33"), ("multiplier", "SYSTEM")],
+                         ids=["random", "theorem", "theorem-file", "multiplier"])
+def test_negative_seed_exits_two(tmp_path, capsys, argv):
+    path = str(tmp_path / "sys.json")
+    _run(capsys, "random", "--seed", "4", "--out", path)
+    code, out, err = _run(capsys, *(path if arg == "SYSTEM" else arg for arg in argv),
+                          "--seed", "-1")
+    _assert_input_error(code, err)
+    assert "--seed" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan"])

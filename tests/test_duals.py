@@ -30,7 +30,7 @@ from conftest import (
 def test_canonical_dual_identity_frame(identity_system, m2):
     cert = canonical_dual(identity_system)
     eye = AdjointableOperator.identity(m2, 2)
-    assert (cert.dual_family["w0"] - eye).norm() <= 1e-13
+    assert (cert.dual.members["w0"] - eye).norm() <= 1e-13
     assert cert.operator_residual <= 1e-13
 
 
@@ -42,7 +42,7 @@ def test_canonical_dual_unit_interval_closed_form():
         factor = 3.0 / (alpha * beta) * np.array([1.0, 4.0, 9.0])
         for label, op in system.family.items():
             expected = op.blocks.reshape(-1) * factor
-            got = cert.dual_family[label].blocks.reshape(-1)
+            got = cert.dual.members[label].blocks.reshape(-1)
             assert np.max(np.abs(got - expected)) <= 1e-12
 
 
@@ -57,7 +57,7 @@ def test_canonical_dual_rejects_bessel_only(m2):
     from gframe.frames import GFrameSystem
     from gframe.measure import MeasureSpace
 
-    measure = MeasureSpace((("w0", 1.0),))
+    measure = MeasureSpace(["w0"], [1.0])
     zero = AdjointableOperator.zero(m2, 2, 2)
     eye = AdjointableOperator.identity(m2, 2)
     system = GFrameSystem(measure, {"w0": zero}, eye, eye)
@@ -80,7 +80,7 @@ def _k_dual_residuals(system, dual, k):
 def test_operator_dual_check_with_identity(identity_system, m2):
     cert = canonical_dual(identity_system)
     eye = AdjointableOperator.identity(m2, 2)
-    assert max(_k_dual_residuals(identity_system, cert.dual_family, eye)) <= 1e-8
+    assert max(_k_dual_residuals(identity_system, cert.dual.members, eye)) <= 1e-8
 
 
 def test_operator_dual_check_commuting_construction():
@@ -99,7 +99,7 @@ def test_operator_dual_check_commuting_construction():
 def test_operator_dual_check_wrong_companion(identity_system, m2):
     cert = canonical_dual(identity_system)
     doubled = AdjointableOperator.scalar(m2, 2, 2.0)
-    forward, converse = _k_dual_residuals(identity_system, cert.dual_family, doubled)
+    forward, converse = _k_dual_residuals(identity_system, cert.dual.members, doubled)
     assert max(forward, converse) > 1e-8
     assert max(forward, converse) == pytest.approx(1.0, abs=1e-9)
 
@@ -227,7 +227,7 @@ def test_batched_dual_family_matches_per_atom_compose(kwargs):
     batched = Family.of(system.family, system.measure.labels) @ system.frame_operator.inverse()
     families = [batched.members]
     if system.commuting:
-        families.append(canonical_dual(system).dual_family)
+        families.append(canonical_dual(system).dual.members)
     for family in families:
         assert list(family) == list(oracle)
         for label, op in oracle.items():

@@ -45,7 +45,7 @@ def test_gram_identity_frame(identity_system, m2):
     rng = np.random.default_rng(1)
     x = rand_vector(m2, 2, rng)
     assert (identity_system.gram(x) - x.inner(x)).norm() <= 1e-14
-    zero = ModuleVector.zero(m2, 2)
+    zero = ModuleVector(m2, np.zeros((2, 2, 2)))
     assert identity_system.gram(zero).norm() == 0.0
 
 
@@ -92,7 +92,7 @@ def test_optimal_bounds_unit_interval(unit_interval):
 
 
 def test_zero_family_is_bessel_only(m2):
-    measure = MeasureSpace((("w0", 1.0),))
+    measure = MeasureSpace(["w0"], [1.0])
     zero = AdjointableOperator.zero(m2, 2, 2)
     eye = AdjointableOperator.identity(m2, 2)
     system = GFrameSystem(measure, {"w0": zero}, eye, eye)
@@ -154,7 +154,7 @@ def test_check_frame_element_bounds_per_channel(unit_interval):
 def _identity_system(rank: int) -> GFrameSystem:
     m2 = AlgebraDescriptor("matrix", 2)
     eye = AdjointableOperator.identity(m2, rank)
-    return GFrameSystem(MeasureSpace((("w0", 1.0),)), {"w0": eye}, eye, eye)
+    return GFrameSystem(MeasureSpace(["w0"], [1.0]), {"w0": eye}, eye, eye)
 
 
 def _assert_rank_one_along(x, w) -> None:
@@ -276,14 +276,14 @@ def test_analysis_requires_commuting_controls():
 
 
 def test_system_validation(m2):
-    measure = MeasureSpace((("w0", 1.0),))
+    measure = MeasureSpace(["w0"], [1.0])
     eye = AdjointableOperator.identity(m2, 2)
     with pytest.raises(InputError):
         GFrameSystem(measure, {}, eye, eye)
     with pytest.raises(InputError):
         GFrameSystem(measure, {"other": eye}, eye, eye)
     skew = AdjointableOperator.from_blocks(m2, np.array(1j * np.eye(2)).reshape(1, 1, 2, 2))
-    one_rank = MeasureSpace((("w0", 1.0),))
+    one_rank = MeasureSpace(["w0"], [1.0])
     with pytest.raises(InputError):
         GFrameSystem(one_rank, {"w0": AdjointableOperator.identity(m2, 1)}, skew, skew)
 

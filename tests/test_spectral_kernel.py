@@ -334,7 +334,7 @@ def test_nan_member_fails_the_family_commutation_check(desc):
     blocks = AlgebraElement.one(desc).data.copy()[None, None]
     blocks.flat[0] = np.nan
     identity = AdjointableOperator.identity(desc, 1)
-    system = GFrameSystem(MeasureSpace((("w0", 1.0), ("w1", 1.0))),
+    system = GFrameSystem(MeasureSpace(["w0", "w1"], [1.0, 1.0]),
                           {"w0": identity, "w1": AdjointableOperator.from_blocks(desc, blocks)},
                           identity, identity)
     with pytest.raises(DomainError):

@@ -7,21 +7,25 @@ from gframe.errors import DomainError, InputError
 from gframe.frames import FrameBounds, check_frame, optimal_scalar_bounds
 from gframe.generate import random_system, unit_interval_system
 from gframe.sampling import rand_operator, rand_vector
-from gframe.serialize import vector_from_dict
 from gframe.stability import (
     additive_perturbation_check,
     check_equivalence_M,
-    family_distance,
     run_perturbation,
     sum_frame_check,
     weighted_perturbation_check,
 )
 
-from conftest import brute_force_frame_operator_flat, tight_line_system
+from conftest import brute_force_frame_operator_flat, tight_line_system, vector_from_doc
 
 
 def _scaled(system, factor):
     return system.with_family({label: factor * op for label, op in system.family.items()})
+
+
+def _difference(sys_a, sys_b):
+    """sys_a with the member-wise difference family Lambda_w - Gamma_w, built member by member."""
+    return sys_a.with_family({label: sys_a.family[label] - sys_b.family[label]
+                              for label in sys_a.measure.labels})
 
 
 def _cc_system(seed):
@@ -55,45 +59,45 @@ def test_params_validation(unit_interval):
 def test_family_distance_basic(unit_interval):
     rng = np.random.default_rng(0)
     x = rand_vector(unit_interval.descriptor, 1, rng)
-    assert family_distance(unit_interval, unit_interval, x).norm() == 0.0
+    assert _difference(unit_interval, unit_interval).gram(x).norm() == 0.0
     doubled = _scaled(unit_interval, 2.0)
-    diff = family_distance(unit_interval, doubled, x)
+    diff = _difference(unit_interval, doubled).gram(x)
     assert (diff - unit_interval.gram(x)).norm() <= 1e-13
     # symmetry is exact
-    assert (family_distance(doubled, unit_interval, x) - diff).norm() == 0.0
+    assert (_difference(doubled, unit_interval).gram(x) - diff).norm() == 0.0
 
 
 def test_family_distance_matches_flatten_oracle():
     sys_a = _cc_system(1)
     sys_b = _scaled(sys_a, 0.8)
-    diff = sys_a.with_family({label: sys_a.family[label] - sys_b.family[label]
-                              for label in sys_a.measure.labels})
+    diff = _difference(sys_a, sys_b)
     oracle = brute_force_frame_operator_flat(diff)
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = rand_vector(sys_a.descriptor, sys_a.module_rank, rng)
         fx = x.flat()
         expected = fx @ oracle @ fx.conj().T
-        got = family_distance(sys_a, sys_b, x).data
+        got = diff.gram(x).data
         got = got if got.ndim == 2 else np.diag(got)
         assert np.linalg.norm(got - expected, 2) <= 1e-11 * max(1.0, np.linalg.norm(expected, 2))
 
 
 def test_family_distance_requires_shared_structure(unit_interval):
+    # The checks compare families through their difference, so they refuse
+    # a pair that does not share the control.
     other = unit_interval_system(2.0, 2.0, 3, 11)
-    rng = np.random.default_rng(3)
-    x = rand_vector(unit_interval.descriptor, 1, rng)
-    with pytest.raises(InputError):
-        family_distance(unit_interval, other, x)  # different control
+    with pytest.raises(InputError, match="share the control"):
+        check_equivalence_M(unit_interval, other)
 
 
 def test_zero_distance_means_equal_frame_operators():
     sys_a = _cc_system(4)
     sys_b = sys_a.with_family(dict(sys_a.family))
+    diff = _difference(sys_a, sys_b)
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = rand_vector(sys_a.descriptor, sys_a.module_rank, rng)
-        assert family_distance(sys_a, sys_b, x).norm() == 0.0
+        assert diff.gram(x).norm() == 0.0
     assert (sys_a.frame_operator - sys_b.frame_operator).norm() <= 1e-10
 
 
@@ -105,11 +109,12 @@ def test_equivalence_self(unit_interval):
 
 def test_equivalence_scaled_diagonal_closed_form(unit_interval):
     sys_b = _scaled(unit_interval, 1.5)
+    diff = _difference(unit_interval, sys_b)
     rng = np.random.default_rng(6)
     worst_a, worst_b = 0.0, 0.0
     for _ in range(50):
         x = rand_vector(unit_interval.descriptor, 1, rng)
-        dist = family_distance(unit_interval, sys_b, x).norm()
+        dist = diff.gram(x).norm()
         worst_a = max(worst_a, dist / unit_interval.gram(x).norm())
         worst_b = max(worst_b, dist / sys_b.gram(x).norm())
     # difference family is 0.5 * Lambda: ratios are exactly 1/4 and 1/9
@@ -268,7 +273,7 @@ def test_additive_hypothesis_fails_at_its_witness(fraction):
     # samples missed that vector and passed the run.
     sys_t, family = _noisy_pair(1)
     sys_r = sys_t.with_family(family)
-    diff = sys_t.with_family({label: sys_t.family[label] - family[label] for label in family})
+    diff = _difference(sys_t, sys_r)
     f = diff.gram_operator.flat() - 0.5 * sys_t.gram_operator.flat()
     top = np.linalg.eigvalsh(0.5 * (f + f.conj().T))[-1]
     report = additive_perturbation_check(sys_t, sys_r, alpha=0.5, beta=fraction * top)
@@ -276,8 +281,8 @@ def test_additive_hypothesis_fails_at_its_witness(fraction):
     line = report.hypotheses[-1]
     assert (line.name, line.passed) == ("additive smallness", False)
     assert line.residual == pytest.approx((1.0 - fraction) * top, rel=1e-9)
-    x = vector_from_dict(report.info["witness"])
-    excess = (family_distance(sys_t, sys_r, x).norm() - 0.5 * sys_t.gram(x).norm()
+    x = vector_from_doc(report.info["witness"])
+    excess = (diff.gram(x).norm() - 0.5 * sys_t.gram(x).norm()
               - fraction * top * x.inner(x).norm())
     assert excess == pytest.approx(line.residual, rel=1e-9)
 
@@ -297,8 +302,8 @@ def test_weighted_hypothesis_proven_false_at_its_witness():
     assert sys_t.descriptor.kind == "matrix"
     assert report.status == "not_applicable"
     assert report.info["weighted_sufficient_gap"] == report.hypotheses[-1].residual > 0
-    x = vector_from_dict(report.info["witness"])
-    violation = (math.sqrt(family_distance(sys_t, sys_r, x).norm())
+    x = vector_from_doc(report.info["witness"])
+    violation = (math.sqrt(_difference(sys_t, sys_r).gram(x).norm())
                  - 0.5 * math.sqrt(sys_t.gram(x).norm()) - 0.1 * math.sqrt(sys_r.gram(x).norm()))
     assert violation == pytest.approx(report.info["weighted_witness_violation"], rel=1e-9)
     assert violation > 0.02

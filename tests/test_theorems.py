@@ -18,7 +18,6 @@ from gframe.theorems import (
     THEOREM_IDS,
     WRONG_K,
     _Draws,
-    run_suite,
     verify_theorem,
 )
 
@@ -152,11 +151,14 @@ def test_undocumented_mutants_change_no_report():
                     assert mutated.to_dict() == plain, (theorem_id, mutant, seed)
 
 
-def test_run_suite_ordering_and_determinism():
-    first = run_suite(seeds=(0,))
-    second = run_suite(seeds=(0,))
-    assert [rep.theorem_id for rep in first] == sorted(THEOREM_IDS)
-    assert [rep.to_dict() for rep in first] == [rep.to_dict() for rep in second]
+def test_run_suite_ordering_and_determinism(tmp_path):
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths:
+        main(["theorem", "--id", "all", "--seed", "0", "--out", str(path)])
+    first, second = (path.read_bytes() for path in paths)
+    reports = json.loads(first)["results"]
+    assert [rep["theorem_id"] for rep in reports] == sorted(THEOREM_IDS)
+    assert first == second
 
 
 # Every row, then every documented mutant: mutants see systems the rows already used.
@@ -195,7 +197,8 @@ def test_each_option_set_is_drawn_once_per_invocation(monkeypatch, tmp_path):
     assert drawn[len(first):] == first
 
     del drawn[:]
-    run_suite(seeds=(0, 1))
+    for seed in ("0", "1"):
+        main(["theorem", "--id", "all", "--seed", seed, "--out", str(tmp_path / "t.json")])
     assert len(drawn) == len(set(drawn)) == 8
 
 

@@ -336,11 +336,14 @@ def _transform(row: _Row) -> None:
 
 
 def _spectral_conclusions(row: _Row, op: AdjointableOperator) -> tuple:
-    """Bounded, self-adjoint, positive, invertible; returns (eigenvalues, scale)."""
+    """Self-adjoint, positive, invertible; returns (eigenvalues, scale).
+
+    Boundedness needs no line: op's norm is finite once it is returned, since
+    ``finite_spectrum`` raises a DomainError on a spectrum that is not.
+    """
     tol, scale = row.tol, tolerance_scale(op.norm())
     eigs = op.eigenvalues_hermitian()
-    row.conclude(("bounded", np.isfinite(op.norm()), 0.0),
-                 within("self-adjoint", op.hermitian_defect() / scale, 10 * tol),
+    row.conclude(within("self-adjoint", op.hermitian_defect() / scale, 10 * tol),
                  gap("positive", -float(eigs[0]) / scale, 10 * tol),
                  ("invertible", eigs[0] > tol * scale, 0.0))
     return eigs, scale
@@ -416,9 +419,7 @@ def _bessel_composition(row: _Row) -> None:
     b_gam = row.scalar_bounds(sys_gamma, "second family Bessel")
     sup_lam = float(family.member_norms().max())
     b1 = max(b_lam.scalar_upper, sup_lam)
-    row.require(("first family Bessel", np.isfinite(b_lam.scalar_upper), 0.0),
-                ("second family Bessel", np.isfinite(b_gam.scalar_upper), 0.0),
-                gap("member norms below the first Bessel constant", sup_lam - b1, tol))
+    row.require(gap("member norms below the first Bessel constant", sup_lam - b1, tol))
     composed = {label: op.adjoint() @ second.members[label]
                 for label, op in system.family.items()}
     comp_upper = optimal_scalar_bounds(sys_gamma.with_family(composed), tol).scalar_upper
@@ -731,8 +732,7 @@ def _mutual_duality(row: _Row) -> None:
     sys_gamma = system.with_family(gamma)
     gamma_bounds = row.scalar_bounds(sys_gamma, "both families Bessel")
     row.require(within("reconstruction identity",
-                       _identity_residual(reconstruction_operator(system, gamma, k)), 100 * tol),
-                ("both families Bessel", np.isfinite(gamma_bounds.scalar_upper), 0.0))
+                       _identity_residual(reconstruction_operator(system, gamma, k)), 100 * tol))
     floor = (_singular_range(k_inv)[0] / system.analysis_operator.norm()) ** 2
     converse = reconstruction_operator(sys_gamma, system.stacked_family, row.checked(k).adjoint())
     row.conclude(gap("second family frame with the derived lower bound",

@@ -372,4 +372,3 @@ class AlgebraElement:
         """Inverse, refused when the condition number exceeds DEFAULT_COND_CAP."""
         chans = self.channels()
         return self._from_channels(inverse(chans, singular_values(chans), "element"))
-

@@ -924,4 +924,3 @@ def verify_theorem(theorem_id: str, system: Optional[GFrameSystem] = None, seed:
     elif draws.seed != seed:
         raise ValueError(f"draws for seed {draws.seed} passed to a row with seed {seed}")
     return _ROWS[theorem_id](system, draws, tol, aux, mutant)
-

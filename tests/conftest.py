@@ -80,7 +80,8 @@ def vector_from_doc(doc: dict) -> ModuleVector:
     first = doc["coords"][0]
     desc = AlgebraDescriptor(first["kind"], first["dim"])
     pairs = np.array([coord["entries"] for coord in doc["coords"]], dtype=np.float64)
-    return ModuleVector(desc, (pairs[..., 0] + 1j * pairs[..., 1]).reshape((doc["rank"],) + desc.shape))
+    coords = pairs[..., 0] + 1j * pairs[..., 1]
+    return ModuleVector(desc, coords.reshape((doc["rank"],) + desc.shape))
 
 
 def brute_force_frame_operator_flat(system: GFrameSystem) -> np.ndarray:

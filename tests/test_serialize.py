@@ -33,7 +33,8 @@ def test_element_round_trip():
     for desc in (AlgebraDescriptor("matrix", 3), AlgebraDescriptor("diagonal", 4)):
         shape = (3, 3) if desc.kind == "matrix" else (4,)
         a = AlgebraElement(desc, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        back = operator_from_dict(operator_to_dict(AdjointableOperator.from_blocks(desc, a.data[None, None])))
+        one_block = AdjointableOperator.from_blocks(desc, a.data[None, None])
+        back = operator_from_dict(operator_to_dict(one_block))
         assert back.descriptor == a.descriptor
         assert np.array_equal(back.blocks[0, 0], a.data)
 

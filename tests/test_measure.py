@@ -72,16 +72,25 @@ def test_integrate_additive_and_homogeneous():
 def test_measure_validation():
     with pytest.raises(InputError, match="at least one atom"):
         MeasureSpace([], [])
-    with pytest.raises(InputError, match="one weight per atom label"):
-        MeasureSpace(["w0", "w1"], [1.0])
     with pytest.raises(InputError, match="unique"):
         MeasureSpace(["w0", "w0"], [1.0, 2.0])
+    with pytest.raises(InputError, match="positive and finite"):
+        MeasureSpace(["w0"], [0.0])
+
+
+def test_from_columns_checks_like_the_pairs():
+    # The label and weight columns are the one constructor; each refusal
+    # the pairs form gave is still given, with its message.
+    with pytest.raises(InputError, match="one weight per atom label"):
+        MeasureSpace(["w0", "w1"], [1.0])
+    with pytest.raises(InputError, match="at least one atom"):
+        MeasureSpace([], [])
     with pytest.raises(InputError, match=re.escape("weight of atom 'w1' must be a number, got '2'")):
         MeasureSpace(["w0", "w1"], [1.0, "2"])
     with pytest.raises(InputError, match="positive and finite"):
-        MeasureSpace(["w0"], [0.0])
-    with pytest.raises(InputError, match="positive and finite"):
         MeasureSpace(["w0", "w1"], [1.0, -2.0])
+    with pytest.raises(InputError, match="unique"):
+        MeasureSpace(["w0", "w0"], [1.0, 2.0])
 
 
 @pytest.mark.parametrize("weight", ["0.5", True, False, None, 1j], ids=repr)

@@ -122,8 +122,7 @@ def _finish(args, config: dict, results, status: str) -> int:
     return 0 if status == PASS else 1
 
 
-def _cmd_validate(args) -> int:
-    system = load_system(args.system)
+def _cmd_validate(system, args) -> tuple:
     results = {
         "algebra": {"kind": system.descriptor.kind, "dim": system.descriptor.dim},
         "module_rank": system.module_rank,
@@ -133,44 +132,36 @@ def _cmd_validate(args) -> int:
         "frame_operator_norm": system.frame_operator.norm(),
         "round_trip": True,
     }
-    return _finish(args, {"system": args.system, "tol": args.tol}, results, PASS)
+    return results, True
 
 
-def _cmd_bounds(args) -> int:
-    system = load_system(args.system)
+def _cmd_bounds(system, args) -> tuple:
     bounds = optimal_scalar_bounds(system, args.tol)
     results = {
         "scalar_lower": bounds.scalar_lower,
         "scalar_upper": bounds.scalar_upper,
         "verdict": bounds.verdict,
     }
-    return _finish(args, {"system": args.system, "tol": args.tol}, results,
-                   PASS if bounds.is_frame else FAIL)
+    return results, bounds.is_frame
 
 
-def _cmd_frame_op(args) -> int:
-    system = load_system(args.system)
+def _cmd_frame_op(system, args) -> tuple:
     s = system.frame_operator
     checks = positive_part_checks(s, args.tol)
     results = {"properties": checks, "operator": operator_to_dict(s)}
-    good = checks["self_adjoint"] and checks["positive"] and checks["invertible"]
-    return _finish(args, {"system": args.system, "tol": args.tol}, results,
-                   PASS if good else FAIL)
+    return results, checks["self_adjoint"] and checks["positive"] and checks["invertible"]
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(system, args) -> tuple:
     """``dual`` and ``reconstruct``: the canonical dual and its exact reconstruction residual."""
-    system = load_system(args.system)
     cert = canonical_dual(system, tol=max(args.tol, 1e-8))
     results = {"operator_residual": cert.operator_residual}
     if args.command == "dual":
         results["dual_family"] = family_to_dict(cert.dual)
-    return _finish(args, {"system": args.system, "tol": args.tol}, results,
-                   PASS if cert.passed else FAIL)
+    return results, cert.passed
 
 
-def _cmd_multiplier(args) -> int:
-    system = load_system(args.system)
+def _cmd_multiplier(system, args) -> tuple:
     labels = system.measure.labels
     # One draw of every real and imaginary part, in the order of one normal at
     # a time.  Each [re, im] row is divided by max(1, |z|) part by part, as
@@ -189,8 +180,16 @@ def _cmd_multiplier(args) -> int:
         "adjoint_unswapped_residual": rep["adjoint_unswapped_residual"],
         "statement_form_matches": rep["statement_form_matches"],
     }
-    return _finish(args, {"system": args.system, "tol": args.tol, "seed": args.seed}, results,
-                   PASS if rep["passed"] else FAIL)
+    return results, rep["passed"]
+
+
+def _on_file(compute, args) -> int:
+    """Run a file command: load the system, ``compute`` its (results, passed), and report."""
+    results, passed = compute(load_system(args.system), args)
+    config = {"system": args.system, "tol": args.tol}
+    if args.command in _SEEDED:
+        config["seed"] = args.seed
+    return _finish(args, config, results, PASS if passed else FAIL)
 
 
 def _cmd_theorem(args) -> int:
@@ -201,12 +200,7 @@ def _cmd_theorem(args) -> int:
         if not isinstance(aux_doc, dict):
             raise InputError(f"{args.aux}: auxiliary operators must be a JSON object of operators")
         aux = {name: operator_from_dict(doc) for name, doc in aux_doc.items()}
-    if args.theorem_id == "all":
-        ids = sorted(THEOREM_IDS)
-    elif args.theorem_id in THEOREM_IDS:
-        ids = [args.theorem_id]
-    else:
-        raise InputError(f"unknown theorem id {args.theorem_id!r}")
+    ids = sorted(THEOREM_IDS) if args.theorem_id == "all" else [args.theorem_id]
     draws = _Draws(args.seed)
     reports = [verify_theorem(tid, system, seed=args.seed, tol=args.tol, aux=aux, draws=draws)
                for tid in ids]
@@ -259,12 +253,12 @@ def _cmd_random(args) -> int:
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "bounds": _cmd_bounds,
-    "frame-op": _cmd_frame_op,
-    "dual": _cmd_dual,
-    "reconstruct": _cmd_dual,
-    "multiplier": _cmd_multiplier,
+    "validate": functools.partial(_on_file, _cmd_validate),
+    "bounds": functools.partial(_on_file, _cmd_bounds),
+    "frame-op": functools.partial(_on_file, _cmd_frame_op),
+    "dual": functools.partial(_on_file, _cmd_dual),
+    "reconstruct": functools.partial(_on_file, _cmd_dual),
+    "multiplier": functools.partial(_on_file, _cmd_multiplier),
     "theorem": _cmd_theorem,
     "perturb": _cmd_perturb,
     "example": _cmd_example,
@@ -319,6 +313,9 @@ def main(argv=None) -> int:
         return _run(args)
     except (GFrameError, OSError) as exc:
         print(f"gframe: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"gframe: error: out of memory ({exc})", file=sys.stderr)
         return 2
 
 

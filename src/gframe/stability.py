@@ -80,7 +80,7 @@ def check_equivalence_M(sys_a: GFrameSystem, sys_b: GFrameSystem,
         m_star = min((b / e + 1.0) ** 2, (f / a + 1.0) ** 2)
         k_diff = _difference_system(sys_a, sys_b).gram_operator
         roots = [sys.gram_operator.sqrt_positive().inverse() for sys in (sys_a, sys_b)]
-        min_m = max(_worst_gap(root @ k_diff @ root, 0.0 * k_diff)[0] for root in roots)
+        min_m = max(float((root @ k_diff @ root).eigenvalues_hermitian()[-1]) for root in roots)
         report.conclude(gap("distance dominated by the two-sided constant",
                             min_m - m_star, tol * tolerance_scale(m_star)))
         factor = 1.0 + float(np.sqrt(m_star))
@@ -166,15 +166,17 @@ def additive_perturbation_check(sys_t: GFrameSystem, sys_r: GFrameSystem,
     """Additive perturbation with constants measured against the Gram and the inner product.
 
     The hypothesis, for all x with D = T - R, is exactly K_D <= alpha K_T + beta I.
-    The corollary kind drops the Gram term and measures the whole distance
-    against the inner product alone: K_D <= alpha I.  The certified window uses the
+    The corollary kind is the same check with constants (0, alpha): it drops the Gram
+    term and measures the whole distance against the inner product alone, K_D <= alpha I.
+    The certified window uses the
     (1 -+ sqrt(rho)) factors from the two-constant argument; the variant with
     squared outer factors is reported for reference only.  ``sys_r`` is the
     perturbed system; it must share sys_t's control and measure.
     """
     if kind not in (ADDITIVE, ADDITIVE_COROLLARY):
         raise InputError(f"additive check got kind {kind!r}")
-    if alpha < 0 or (kind == ADDITIVE and beta < 0):
+    gram_part, inner_part = (alpha, beta) if kind == ADDITIVE else (0.0, alpha)
+    if gram_part < 0 or inner_part < 0:
         raise InputError("additive check needs nonnegative constants")
     report = TheoremReport("STAB-ADDITIVE", tolerance=tol)
     _require_pair(sys_t, sys_r)
@@ -182,13 +184,9 @@ def additive_perturbation_check(sys_t: GFrameSystem, sys_r: GFrameSystem,
     with report.gate():
         report.require(frame_line("reference system is a frame", bounds))
         nu, delta = bounds.scalar_lower, bounds.scalar_upper
-        desc, n = sys_t.descriptor, sys_t.module_rank
-        if kind == ADDITIVE:
-            rho = alpha + beta / (nu * nu)
-            rhs = alpha * sys_t.gram_operator + AdjointableOperator.scalar(desc, n, beta)
-        else:
-            rho = alpha / (nu * nu)
-            rhs = AdjointableOperator.scalar(desc, n, alpha)
+        rho = gram_part + inner_part / (nu * nu)
+        rhs = (gram_part * sys_t.gram_operator
+               + AdjointableOperator.scalar(sys_t.descriptor, sys_t.module_rank, inner_part))
         if rho >= 1.0:
             raise DomainError(f"perturbation size {rho:.6g} reaches 1; the window degenerates")
         excess, x = _worst_gap(_difference_system(sys_t, sys_r).gram_operator, rhs)

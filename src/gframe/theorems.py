@@ -43,7 +43,7 @@ from .algebra import (
     finite_spectrum,
     tolerance_scale,
 )
-from .errors import DomainError, GFrameError, InputError, UnsupportedConfigurationError
+from .errors import DomainError, InputError, UnsupportedConfigurationError
 from .frames import (
     Family,
     FrameBounds,
@@ -209,10 +209,7 @@ class _Row:
                          lines: tuple = ()) -> FrameBounds:
         """Require ``lines``, the commutation flags (when asked) and the frame property."""
         self.require(*lines, *(_commute_lines(system) if commuting else ()))
-        try:
-            bounds = optimal_scalar_bounds(system, self.tol)
-        except GFrameError:
-            self.require(("frame operator self-adjoint positive", False, 1.0))
+        bounds = self.scalar_bounds(system, "frame operator self-adjoint positive")
         self.require(frame_line("frame property (positive lower bound)", bounds))
         self.report.info["scalar_bounds"] = [bounds.scalar_lower, bounds.scalar_upper]
         return bounds

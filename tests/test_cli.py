@@ -112,7 +112,8 @@ def test_theorem_command_single_and_all(tmp_path, capsys):
                     if line["name"] == "constructed right inverses verified")
     assert residual == pytest.approx(brute_force_right_inverse_residual(42), abs=1e-12)
     code, _, err = _run(capsys, "theorem", "--id", "NOPE")
-    assert code == 2 and "unknown theorem id" in err
+    _assert_input_error(code, err)
+    assert "unknown theorem id 'NOPE'; known: T2.3, FO-PROPS" in err
 
 
 def test_theorem_accepts_system_and_aux(tmp_path, capsys):
@@ -262,6 +263,19 @@ def test_negative_seed_exits_two(tmp_path, capsys, argv):
                           "--seed", "-1")
     _assert_input_error(code, err)
     assert "--seed" in err
+    assert out == ""
+
+
+# A size too large to allocate ends as an error report, not in numpy's traceback.
+# The stand-in raises what numpy raises, without attempting the allocation.
+def test_allocation_failure_exits_two(capsys, monkeypatch):
+    def too_large(*args, **options):
+        raise MemoryError("Unable to allocate 67.1 GiB for an array")
+
+    monkeypatch.setattr(cli, "random_system", too_large)
+    code, out, err = _run(capsys, "random", "--seed", "1", "--dim", "1000000000")
+    _assert_input_error(code, err)
+    assert "67.1 GiB" in err
     assert out == ""
 
 

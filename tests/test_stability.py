@@ -252,6 +252,15 @@ def test_additive_corollary_kind():
                                          kind="additive_corollary")
     assert report.status == "pass"
     assert "squared_factor_window" in report.info
+    # The corollary is the additive check with no Gram term: on this pair its
+    # hypothesis fails at a witness for alpha = 0.05 and holds for 0.5.
+    sys_t, family = _noisy_pair(3)
+    sys_r = sys_t.with_family(family)
+    for alpha in (0.05, 0.5):
+        corollary = additive_perturbation_check(sys_t, sys_r, alpha=alpha, beta=0.3,
+                                                kind="additive_corollary")
+        additive = additive_perturbation_check(sys_t, sys_r, alpha=0.0, beta=alpha)
+        assert corollary.to_dict() == additive.to_dict()
 
 
 def test_certified_windows_recheck_exactly():

@@ -105,6 +105,17 @@ def test_hypothesis_failure_yields_not_applicable():
     assert report.conclusions == []
 
 
+def test_only_an_unsupported_configuration_is_a_failed_frame_hypothesis(monkeypatch):
+    # Scalar bounds that do not apply end the row as not_applicable; any other
+    # error, here a spectrum that is not finite, ends the run.
+    def not_finite(system, tol):
+        raise DomainError("spectral computation overflowed: entries too large or not finite")
+
+    monkeypatch.setattr(theorems, "optimal_scalar_bounds", not_finite)
+    with pytest.raises(DomainError, match="overflowed"):
+        verify_theorem("FO-PROPS", seed=0)
+
+
 @pytest.mark.parametrize("shape, unmet", [
     (dict(seed=3, rank=2, algebra="matrix", dim=2, commuting=False), ("BESSEL-COMP", "T12")),
     (dict(seed=11, commuting=True), ("F-KT", "EQ-FRAME-OP", "T33")),

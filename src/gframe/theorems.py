@@ -416,7 +416,6 @@ def _bessel_composition(row: _Row) -> None:
     b_gam = row.scalar_bounds(sys_gamma, "second family Bessel")
     sup_lam = float(family.member_norms().max())
     b1 = max(b_lam.scalar_upper, sup_lam)
-    row.require(gap("member norms below the first Bessel constant", sup_lam - b1, tol))
     composed = {label: op.adjoint() @ second.members[label]
                 for label, op in system.family.items()}
     comp_upper = optimal_scalar_bounds(sys_gamma.with_family(composed), tol).scalar_upper

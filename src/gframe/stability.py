@@ -168,10 +168,9 @@ def additive_perturbation_check(sys_t: GFrameSystem, sys_r: GFrameSystem,
     The hypothesis, for all x with D = T - R, is exactly K_D <= alpha K_T + beta I.
     The corollary kind is the same check with constants (0, alpha): it drops the Gram
     term and measures the whole distance against the inner product alone, K_D <= alpha I.
-    The certified window uses the
-    (1 -+ sqrt(rho)) factors from the two-constant argument; the variant with
-    squared outer factors is reported for reference only.  ``sys_r`` is the
-    perturbed system; it must share sys_t's control and measure.
+    The certified window uses the (1 -+ sqrt(rho)) factors from the two-constant
+    argument; the variant with squared outer factors is reported for reference only.
+    ``sys_r`` is the perturbed system; it must share sys_t's control and measure.
     """
     if kind not in (ADDITIVE, ADDITIVE_COROLLARY):
         raise InputError(f"additive check got kind {kind!r}")

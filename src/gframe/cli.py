@@ -33,7 +33,7 @@ from .serialize import (
     system_to_dict,
 )
 from .stability import run_perturbation
-from .theorems import THEOREM_IDS, _Draws, verify_theorem
+from .theorems import THEOREM_IDS, _Draws, known_theorem_id, verify_theorem
 
 
 @functools.cache
@@ -193,6 +193,8 @@ def _on_file(compute, args) -> int:
 
 
 def _cmd_theorem(args) -> int:
+    # The ids are checked before any file is read.
+    ids = sorted(THEOREM_IDS) if args.theorem_id == "all" else [known_theorem_id(args.theorem_id)]
     system = load_system(args.system) if args.system else None
     aux = None
     if args.aux:
@@ -200,7 +202,6 @@ def _cmd_theorem(args) -> int:
         if not isinstance(aux_doc, dict):
             raise InputError(f"{args.aux}: auxiliary operators must be a JSON object of operators")
         aux = {name: operator_from_dict(doc) for name, doc in aux_doc.items()}
-    ids = sorted(THEOREM_IDS) if args.theorem_id == "all" else [args.theorem_id]
     draws = _Draws(args.seed)
     reports = [verify_theorem(tid, system, seed=args.seed, tol=args.tol, aux=aux, draws=draws)
                for tid in ids]

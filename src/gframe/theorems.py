@@ -901,6 +901,13 @@ def _invertible_precomposition(row: _Row) -> None:
 THEOREM_IDS = tuple(_ROWS)
 
 
+def known_theorem_id(theorem_id: str) -> str:
+    """``theorem_id`` when a row is registered under it, else an InputError listing the ids."""
+    if theorem_id not in _ROWS:
+        raise InputError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
+    return theorem_id
+
+
 def verify_theorem(theorem_id: str, system: Optional[GFrameSystem] = None, seed: int = 0,
                    tol: float = DEFAULT_TOL,
                    aux: Optional[Mapping[str, AdjointableOperator]] = None,
@@ -911,12 +918,11 @@ def verify_theorem(theorem_id: str, system: Optional[GFrameSystem] = None, seed:
     ``draws`` shares the seeded instances of one invocation between its rows;
     by default the row draws its own.
     """
-    if theorem_id not in _ROWS:
-        raise InputError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
+    run = _ROWS[known_theorem_id(theorem_id)]
     if mutant is not None and mutant not in MUTANTS:
         raise InputError(f"unknown mutant {mutant!r}")
     if draws is None:
         draws = _Draws(seed)
     elif draws.seed != seed:
         raise ValueError(f"draws for seed {draws.seed} passed to a row with seed {seed}")
-    return _ROWS[theorem_id](system, draws, tol, aux, mutant)
+    return run(system, draws, tol, aux, mutant)

@@ -116,6 +116,18 @@ def test_theorem_command_single_and_all(tmp_path, capsys):
     assert "unknown theorem id 'NOPE'; known: T2.3, FO-PROPS" in err
 
 
+def test_unknown_theorem_id_is_refused_before_any_file_is_read(capsys, monkeypatch):
+    def unread(path):
+        raise AssertionError(f"{path} was read before the theorem id was checked")
+
+    monkeypatch.setattr(cli, "load_system", unread)
+    monkeypatch.setattr(cli, "load_json", unread)
+    code, _, err = _run(capsys, "theorem", "missing.json", "--id", "NOPE",
+                        "--aux", "missing-aux.json")
+    _assert_input_error(code, err)
+    assert "unknown theorem id 'NOPE'" in err
+
+
 def test_theorem_accepts_system_and_aux(tmp_path, capsys):
     path = str(tmp_path / "ui.json")
     _run(capsys, "example", "--alpha", "1", "--beta", "1", "--rank", "3",

@@ -467,13 +467,13 @@ def check_frame(system: GFrameSystem, bounds: FrameBounds,
 
 def certify_window(report: TheoremReport, system: GFrameSystem, lower: float, upper: float,
                    tol: float, label: str) -> None:
-    """Conclude ``label`` when the exact scalar test certifies the window [lower, upper].
+    """Conclude ``label`` when ``check_frame`` at ``tol`` certifies the window [lower, upper].
 
     A negative lower end is clamped to zero; info["certified_windows"] records
     every window tried.
     """
     window = FrameBounds.from_scalars(max(lower, 0.0), upper, tol)
-    sub = check_frame(system, window, tol=tol * 10)
+    sub = check_frame(system, window, tol=tol)
     report.conclude((label, sub.status == PASS, sub.conclusion_residual))
     report.info.setdefault("certified_windows", {})[label] = [max(lower, 0.0), upper]
 

@@ -332,8 +332,8 @@ def _transform(row: _Row) -> None:
                      tol * scale))
 
 
-def _spectral_conclusions(row: _Row, op: AdjointableOperator) -> tuple:
-    """Self-adjoint, positive, invertible; returns (eigenvalues, scale).
+def _spectral_conclusions(row: _Row, op: AdjointableOperator) -> None:
+    """Self-adjoint, positive, invertible.
 
     Boundedness needs no line: op's norm is finite once it is returned, since
     ``finite_spectrum`` raises a DomainError on a spectrum that is not.
@@ -343,7 +343,6 @@ def _spectral_conclusions(row: _Row, op: AdjointableOperator) -> tuple:
     row.conclude(within("self-adjoint", op.hermitian_defect() / scale, 10 * tol),
                  gap("positive", -float(eigs[0]) / scale, 10 * tol),
                  ("invertible", eigs[0] > tol * scale, 0.0))
-    return eigs, scale
 
 
 @_row("FO-PROPS", _drawn(), breaks=_bump_control)
@@ -352,11 +351,9 @@ def _frame_operator_props(row: _Row) -> None:
     system, bounds = row.system, row.bounds
     if row.mutant == SCALE_MEMBER:
         system = _scale_first_member(system)
-    eigs, scale = _spectral_conclusions(row, system.frame_operator)
-    row.conclude(gap("norm above squared lower bound", bounds.scalar_lower ** 2 - float(eigs[-1]),
-                     row.tol * scale),
-                 gap("norm below squared upper bound", float(eigs[-1]) - bounds.scalar_upper ** 2,
-                     row.tol * scale))
+    _spectral_conclusions(row, system.frame_operator)
+    certify_window(row.report, system, bounds.scalar_lower, bounds.scalar_upper, row.tol,
+                   "frame operator within the squared bounds")
 
 
 @_row("SCC-PROPS", _drawn(), breaks=_bump_control)
@@ -400,8 +397,6 @@ def _transform_bounds(row: _Row) -> None:
     lower_defect = abs(1.0 / s.inverse().norm() - float(eigs[0])) / scale
     row.conclude(within("upper bound is the squared transform norm", upper_defect, 100 * tol),
                  within("lower bound is the inverse-norm reciprocal", lower_defect, 100 * tol))
-    certify_window(row.report, system, float(np.sqrt(max(eigs[0], 0.0))),
-                   float(np.sqrt(max(eigs[-1], 0.0))), tol, "spectral bounds certified")
 
 
 @_row("BESSEL-COMP", frame=None)
@@ -418,11 +413,9 @@ def _bessel_composition(row: _Row) -> None:
     b1 = max(b_lam.scalar_upper, sup_lam)
     composed = {label: op.adjoint() @ second.members[label]
                 for label, op in system.family.items()}
-    comp_upper = optimal_scalar_bounds(sys_gamma.with_family(composed), tol).scalar_upper
-    target = b1 * b_gam.scalar_upper
-    row.conclude(gap("composed family Bessel with the product bound", comp_upper - target,
-                     tol * tolerance_scale(target)))
-    row.report.info["bessel_constants"] = [b1, b_gam.scalar_upper, comp_upper]
+    certify_window(row.report, sys_gamma.with_family(composed), 0.0, b1 * b_gam.scalar_upper,
+                   tol, "composed family Bessel with the product bound")
+    row.report.info["bessel_constants"] = [b1, b_gam.scalar_upper]
 
 
 @_row("TH-SURJ", _drawn(pad_outputs=True), frame=None)
@@ -434,10 +427,9 @@ def _surjective_synthesis(row: _Row) -> None:
     row.require(*_commute_lines(system))
     bounds = optimal_scalar_bounds(system, tol)
     mixed = (system.controls.Cp @ system.controls.C).eigenvalues_hermitian()
-    floor = sigma ** 2 * float(mixed[0])
-    row.conclude(frame_line("controlled system is a frame", bounds),
-                 gap("lower bound above the surjectivity constant",
-                     floor - bounds.scalar_lower ** 2, tol * tolerance_scale(floor)))
+    row.conclude(frame_line("controlled system is a frame", bounds))
+    certify_window(row.report, system, sigma * float(np.sqrt(max(mixed[0], 0.0))),
+                   bounds.scalar_upper, tol, "lower bound above the surjectivity constant")
     row.report.info["surjectivity_constant"] = sigma
 
 
@@ -532,13 +524,10 @@ def _hom_transport(row: _Row) -> None:
                            transported(AdjointableOperator.identity(desc, n)), 100 * tol),
                     within(f"{name}: intertwiner commutes with the family",
                            worst(family @ moved, family @ basis), 100 * tol))
-        eigs = s.eigenvalues_hermitian()
         row.conclude(
             within(f"{name}: transported Gram identity", transported(system.gram_operator),
                    100 * tol),
-            within(f"{name}: transported frame-operator pairing", transported(s), 100 * tol),
-            gap(f"{name}: transported bounds certified",
-                max(bounds.scalar_lower ** 2 - eigs[0], eigs[-1] - bounds.scalar_upper ** 2), tol))
+            within(f"{name}: transported frame-operator pairing", transported(s), 100 * tol))
 
 
 def _certify_transported(row: _Row, system: GFrameSystem, low: float, high: float) -> None:
@@ -729,11 +718,11 @@ def _mutual_duality(row: _Row) -> None:
     gamma_bounds = row.scalar_bounds(sys_gamma, "both families Bessel")
     row.require(within("reconstruction identity",
                        _identity_residual(reconstruction_operator(system, gamma, k)), 100 * tol))
-    floor = (_singular_range(k_inv)[0] / system.analysis_operator.norm()) ** 2
+    floor = _singular_range(k_inv)[0] / system.analysis_operator.norm()
+    certify_window(row.report, sys_gamma, floor, gamma_bounds.scalar_upper, tol,
+                   "second family frame with the derived lower bound")
     converse = reconstruction_operator(sys_gamma, system.stacked_family, row.checked(k).adjoint())
-    row.conclude(gap("second family frame with the derived lower bound",
-                     floor - gamma_bounds.scalar_lower ** 2, tol * tolerance_scale(floor)),
-                 within("first family is a dual with the adjoint companion",
+    row.conclude(within("first family is a dual with the adjoint companion",
                         _identity_residual(converse), 100 * tol))
 
 
@@ -812,11 +801,11 @@ def _bessel_parametrization(row: _Row) -> None:
                                                         stacked.out_rank, _rng(row.seed, 19)))
     if theta.out_rank != stacked.out_rank:
         row.require(("free map has matching total rank", False, 1.0))
-    upper = row.scalar_bounds(system.with_family(_components(system, theta)),
-                              "component family Bessel").scalar_upper
+    components = system.with_family(_components(system, theta))
+    upper = row.scalar_bounds(components, "component family Bessel").scalar_upper
     cap = theta.norm() * float(np.sqrt(system.controls.C.norm() * system.controls.Cp.norm()))
-    row.conclude(gap("component family Bessel with the norm cap", upper - cap,
-                     tol * tolerance_scale(cap)))
+    certify_window(row.report, components, 0.0, cap, tol,
+                   "component family Bessel with the norm cap")
     row.report.info["bessel_cap"] = [upper, cap]
 
 
@@ -874,14 +863,12 @@ def _any_frame_controlled(row: _Row) -> None:
     plain = optimal_scalar_bounds(_uncontrolled(system), tol)
     row.require(frame_line("plain system is a frame", plain), *_commute_lines(system))
     controlled = optimal_scalar_bounds(system, tol)
-    mixed = (system.controls.Cp @ system.controls.C).eigenvalues_hermitian()
-    lo_floor = plain.scalar_lower ** 2 * float(mixed[0])
-    hi_cap = plain.scalar_upper ** 2 * float(mixed[-1])
-    row.conclude(frame_line("controlled system is a frame", controlled),
-                 gap("controlled lower bound above the spectral floor",
-                     lo_floor - controlled.scalar_lower ** 2, tol * tolerance_scale(lo_floor)),
-                 gap("controlled upper bound below the spectral cap",
-                     controlled.scalar_upper ** 2 - hi_cap, tol * tolerance_scale(hi_cap)))
+    mixed = np.sqrt(np.maximum(
+        (system.controls.Cp @ system.controls.C).eigenvalues_hermitian(), 0.0))
+    row.conclude(frame_line("controlled system is a frame", controlled))
+    certify_window(row.report, system, plain.scalar_lower * float(mixed[0]),
+                   plain.scalar_upper * float(mixed[-1]), tol,
+                   "controlled bounds within the spectral floor and cap")
     norms = system.controls.C.norm() * system.controls.Cp.norm()
     nominal = [plain.scalar_lower * norms, plain.scalar_upper * norms]
     row.report.info["nominal_bounds"] = nominal

@@ -7,6 +7,7 @@ from gframe import theorems
 from gframe.algebra import DIAGONAL, MATRIX, AlgebraDescriptor
 from gframe.cli import main
 from gframe.errors import DomainError, InputError
+from gframe.frames import optimal_scalar_bounds
 from gframe.generate import random_system, unit_interval_system
 from gframe.hilbert import AdjointableOperator
 from gframe.reports import FAIL, NOT_APPLICABLE, PASS
@@ -139,6 +140,45 @@ def test_t55_records_a_supplied_companion():
     assert report.info["aux_supplied"] == ["K"]
     assert "aux_generated" not in report.info
     assert verify_theorem("T55", seed=0).info["aux_generated"] == ["K"]
+
+
+# The conclusion line of each row that claims some system's bounds lie in a window.
+WINDOW_LINES = {
+    "FO-PROPS": "frame operator within the squared bounds",
+    "ANY-FRAME-CONTROLLED": "controlled bounds within the spectral floor and cap",
+    "TH-SURJ": "lower bound above the surjectivity constant",
+    "T33": "second family frame with the derived lower bound",
+    "BESSEL-COMP": "composed family Bessel with the product bound",
+    "T12": "component family Bessel with the norm cap",
+}
+
+
+def _conclusion(report, name):
+    return next(line for line in report.conclusions if line.name == name)
+
+
+@pytest.mark.parametrize("theorem_id", sorted(WINDOW_LINES))
+def test_window_claims_are_certified_windows(theorem_id):
+    name = WINDOW_LINES[theorem_id]
+    for seed in range(10):
+        report = verify_theorem(theorem_id, seed=seed)
+        assert name in report.info["certified_windows"], (theorem_id, seed)
+        assert _conclusion(report, name).passed, (theorem_id, seed, report.to_dict())
+
+
+def test_scaled_member_fails_the_frame_operator_window():
+    # The window is the unmutated system's [a, b]; doubling a member raises
+    # lambda_max of the frame operator past b^2, by exactly the line's residual.
+    for seed in range(10):
+        system = random_system(seed, commuting=True)
+        upper = optimal_scalar_bounds(system).scalar_upper
+        family = system.stacked_family
+        mutated = system.with_family(family.scaled([2.0] + [1.0] * (len(family.ranks) - 1)))
+        excess = np.linalg.eigvalsh(mutated.frame_operator.flat())[-1] - upper ** 2
+        report = verify_theorem("FO-PROPS", seed=seed, mutant=theorems.SCALE_MEMBER)
+        line = _conclusion(report, WINDOW_LINES["FO-PROPS"])
+        assert not line.passed
+        assert line.residual == pytest.approx(excess, rel=1e-12), seed
 
 
 def test_documented_mutants_flip_their_rows():

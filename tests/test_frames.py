@@ -18,6 +18,7 @@ from gframe.frames import (
     FrameBounds,
     GFrameSystem,
     canonical_dual,
+    certify_window,
     check_frame,
     optimal_scalar_bounds,
     reconstruction_operator,
@@ -30,6 +31,7 @@ from gframe.hilbert import (
     pairing,
 )
 from gframe.measure import MeasureSpace
+from gframe.reports import TheoremReport
 from gframe.sampling import complex_gaussian, rand_coords, rand_operator, rand_vector
 from gframe.serialize import load_system, save_system
 
@@ -115,6 +117,18 @@ def test_check_frame_exact_scalar(identity_system):
     bad = check_frame(identity_system, FrameBounds.from_scalars(2.0, 1.0))
     assert bad.status == "fail"
     assert "witness_eigenvalues" in bad.info
+
+
+@pytest.mark.parametrize("excess, certified", [(0.5, True), (5.0, False)])
+def test_certify_window_decides_at_the_callers_tol(identity_system, excess, certified):
+    # S = I, and the window's lower end squared exceeds lambda_min = 1 by
+    # ``excess`` tol: a gap within tol passes, and one within 10 tol fails.
+    tol = DEFAULT_TOL
+    report = TheoremReport("WINDOW", tolerance=tol)
+    certify_window(report, identity_system, float(np.sqrt(1.0 + excess * tol)), 1.0, tol, "window")
+    line = report.conclusions[0]
+    assert line.passed == certified
+    assert line.residual == pytest.approx(excess * tol, rel=1e-6)
 
 
 def test_check_frame_optimality_margin(unit_interval):

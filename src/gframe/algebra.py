@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -92,7 +93,7 @@ class AlgebraDescriptor:
 
     def __post_init__(self):
         if self.kind not in (MATRIX, DIAGONAL):
-            raise InputError(f"unknown algebra kind {self.kind!r}")
+            raise InputError(f"unknown algebra kind {reprlib.repr(self.kind)}")
         if self.dim < 1:
             raise InputError("algebra dimension must be >= 1")
 

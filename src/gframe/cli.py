@@ -12,6 +12,7 @@ import argparse
 import functools
 import gc
 import math
+import reprlib
 import sys
 from contextlib import contextmanager
 
@@ -222,7 +223,7 @@ def _cmd_perturb(args) -> int:
         raise InputError(f"{args.descriptor}: a perturbation descriptor must be a JSON object")
     unknown = [key for key in desc if key not in _DESCRIPTOR_KEYS]
     if unknown:
-        raise InputError(f"{args.descriptor}: unknown descriptor key {unknown[0]!r}")
+        raise InputError(f"{args.descriptor}: unknown descriptor key {reprlib.repr(unknown[0])}")
     try:
         kind = desc["kind"]
         paths = (desc["systemA"], desc["systemB"])

@@ -11,6 +11,7 @@ weights on [0, 1], exact for polynomial integrands of degree up to three.
 
 from __future__ import annotations
 
+import reprlib
 from typing import Mapping
 
 import numpy as np
@@ -40,13 +41,14 @@ class MeasureSpace:
             if not _are_numbers(weights):
                 label, weight = next((label, weight) for label, weight in zip(labels, weights)
                                      if not _are_numbers([weight]))
-                raise InputError(f"weight of atom {label!r} must be a number, got {weight!r}")
+                raise InputError(f"weight of atom {reprlib.repr(label)} must be a number, "
+                                 f"got {reprlib.repr(weight)}")
             weights = np.fromiter(weights, np.float64, count=len(weights))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"atom weights must be numbers: {exc}") from exc
         if not all(issubclass(kind, str) for kind in set(map(type, labels))):
             label = next(label for label in labels if not isinstance(label, str))
-            raise InputError(f"atom labels must be strings, got {label!r}")
+            raise InputError(f"atom labels must be strings, got {reprlib.repr(label)}")
         if len(set(labels)) != len(labels):
             raise InputError("atom labels must be unique")
         # Finiteness first: an ordered comparison with NaN may set the invalid

@@ -10,18 +10,23 @@ array conversion, and one index gather places the members' blocks side by
 side as the stacked operator, with no operator per atom.  A
 family is encoded by one conversion of its stack, cut into per-label
 operator documents.  Documents are written as key-sorted JSON on one line,
-which CPython's C encoder produces.
+which CPython's C encoder produces.  Every JSON input is parsed by orjson,
+whose floats are bit-identical to ``json``'s; a document orjson refuses (NaN,
+Infinity, a number past a double, a lone surrogate escape, malformed text)
+is parsed again by ``json``, which reads it or reports it as before.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
+import reprlib
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
+import orjson
 
 from .algebra import AlgebraDescriptor, _are_numbers
 from .errors import InputError
@@ -40,7 +45,7 @@ def _parse_int(value, what: str) -> int:
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise InputError(f"{what} must be an integer, got {value!r}")
+    raise InputError(f"{what} must be an integer, got {reprlib.repr(value)}")
 
 
 def _parse_ints(values: list, what: str) -> list:
@@ -253,9 +258,18 @@ def save_system(system: GFrameSystem, path: str) -> None:
 
 
 def load_json(path: str):
+    """The document in a UTF-8 JSON file; ``json`` parses only what orjson refuses.
+
+    ``orjson.JSONDecodeError`` subclasses ``json.JSONDecodeError``, so it is
+    caught first, and an error is always ``json``'s.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            text = handle.read()
+            try:
+                return orjson.loads(text)
+            except orjson.JSONDecodeError:
+                return json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
         except UnicodeDecodeError as exc:

@@ -12,6 +12,7 @@ a failed one keeps the document of its witness vector in info["witness"].
 from __future__ import annotations
 
 import math
+import reprlib
 from typing import Mapping
 
 import numpy as np
@@ -173,7 +174,7 @@ def additive_perturbation_check(sys_t: GFrameSystem, sys_r: GFrameSystem,
     ``sys_r`` is the perturbed system; it must share sys_t's control and measure.
     """
     if kind not in (ADDITIVE, ADDITIVE_COROLLARY):
-        raise InputError(f"additive check got kind {kind!r}")
+        raise InputError(f"additive check got kind {reprlib.repr(kind)}")
     gram_part, inner_part = (alpha, beta) if kind == ADDITIVE else (0.0, alpha)
     if gram_part < 0 or inner_part < 0:
         raise InputError("additive check needs nonnegative constants")
@@ -184,8 +185,9 @@ def additive_perturbation_check(sys_t: GFrameSystem, sys_r: GFrameSystem,
         report.require(frame_line("reference system is a frame", bounds))
         nu, delta = bounds.scalar_lower, bounds.scalar_upper
         rho = gram_part + inner_part / (nu * nu)
-        rhs = (gram_part * sys_t.gram_operator
-               + AdjointableOperator.scalar(sys_t.descriptor, sys_t.module_rank, inner_part))
+        rhs = AdjointableOperator.scalar(sys_t.descriptor, sys_t.module_rank, inner_part)
+        if gram_part:  # 0 K_T + s I is s I entry by entry: the corollary never builds K_T
+            rhs = gram_part * sys_t.gram_operator + rhs
         if rho >= 1.0:
             raise DomainError(f"perturbation size {rho:.6g} reaches 1; the window degenerates")
         excess, x = _worst_gap(_difference_system(sys_t, sys_r).gram_operator, rhs)
@@ -213,7 +215,8 @@ def _finite_number(value, name: str) -> float:
         except OverflowError:
             pass
     if not math.isfinite(number):
-        raise InputError(f"perturbation parameter {name} must be a finite number, got {value!r}")
+        raise InputError(f"perturbation parameter {name} must be a finite number, "
+                         f"got {reprlib.repr(value)}")
     return number
 
 
@@ -226,7 +229,7 @@ def _atom_constants(params: Mapping, key: str, labels: tuple) -> np.ndarray:
     atoms = set(labels)
     unknown = [label for label in value if label not in atoms]
     if unknown:
-        raise InputError(f"perturbation parameter {key} names no atom {unknown[0]!r}")
+        raise InputError(f"perturbation parameter {key} names no atom {reprlib.repr(unknown[0])}")
     missing = [label for label in labels if label not in value]
     if missing:
         raise InputError(f"perturbation parameter {key} has no value for atoms {missing}")
@@ -250,10 +253,10 @@ def run_perturbation(kind: str, sys_a: GFrameSystem, sys_b: GFrameSystem, params
         return _finite_number(params.get(key, 0.0), key)
 
     if not isinstance(kind, str) or kind not in _PARAMETERS:
-        raise InputError(f"unknown perturbation kind {kind!r}")
+        raise InputError(f"unknown perturbation kind {reprlib.repr(kind)}")
     unread = [key for key in params if key not in _PARAMETERS[kind]]
     if unread:
-        raise InputError(f"perturbation kind {kind!r} reads no parameter {unread[0]!r}")
+        raise InputError(f"perturbation kind {kind!r} reads no parameter {reprlib.repr(unread[0])}")
     if kind == EQUIVALENCE_M:
         return check_equivalence_M(sys_a, sys_b, tol=tol)
     if kind == SUM:

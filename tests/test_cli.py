@@ -822,6 +822,59 @@ def test_malformed_system_files_keep_their_messages(tmp_path, capsys, case):
         assert message in err and out == "", command
 
 
+# Stands for a value nested 5000 deep, swapped into the written text: json.dumps
+# refuses to write one past the recursion limit.
+NESTED = "NESTED"
+DEEP = "[" * 5000 + "2" + "]" * 5000
+
+
+def _deep_system_file(tmp_path, place) -> str:
+    doc = system_to_dict(unit_interval_system(1, 1, 2, 3))
+    place(doc, NESTED)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc).replace(f'"{NESTED}"', DEEP), encoding="utf-8")
+    return str(path)
+
+
+def _assert_one_short_line(code, out, err, message):
+    _assert_input_error(code, err)
+    assert out == "" and message in err
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 300, err[:300]
+
+
+@pytest.mark.parametrize("place, message", [
+    (lambda doc, v: _member(doc).__setitem__("in_rank", v),
+     "operator in_rank must be an integer, got [[[[[["),
+    (lambda doc, v: doc["measure"]["atoms"][0].__setitem__("weight", v),
+     "weight of atom 'w0' must be a number, got [[[[[["),
+    (lambda doc, v: doc["algebra"].__setitem__("kind", v),
+     "unknown algebra kind [[[[[["),
+], ids=["in-rank", "weight", "algebra-kind"])
+def test_deeply_nested_value_is_shown_bounded(tmp_path, capsys, place, message):
+    path = _deep_system_file(tmp_path, place)
+    for command in FILE_COMMANDS:
+        code, out, err = _run(capsys, command, path)
+        _assert_one_short_line(code, out, err, message)
+
+
+def test_deeply_nested_perturbation_parameter_is_shown_bounded(tmp_path, capsys):
+    desc = Path(_perturb_descriptor(tmp_path, kind="additive", params={"alpha": NESTED}))
+    desc.write_text(desc.read_text(encoding="utf-8").replace(f'"{NESTED}"', DEEP),
+                    encoding="utf-8")
+    code, out, err = _run(capsys, "perturb", str(desc))
+    _assert_one_short_line(code, out, err,
+                           "perturbation parameter alpha must be a finite number, got [[[[[[")
+
+
+def test_long_list_as_rank_is_shown_bounded(tmp_path, capsys):
+    # The whole list used to be printed: hundreds of kilobytes on one line.
+    doc = system_to_dict(unit_interval_system(1, 1, 2, 3))
+    _member(doc)["in_rank"] = [0] * 100_000
+    path = _write_system_doc(tmp_path, doc)
+    code, out, err = _run(capsys, "validate", path)
+    _assert_one_short_line(code, out, err, "operator in_rank must be an integer, got [0, 0, ")
+
+
 def _collector_runs(tmp_path, capsys) -> list:
     """Every file command on the example and on a matrix system, the theorem suite,
     one perturbation run and one run that exits 2."""

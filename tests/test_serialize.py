@@ -10,6 +10,7 @@ from gframe.generate import random_system, unit_interval_system
 from gframe.hilbert import AdjointableOperator, ModuleVector
 from gframe.serialize import (
     dump_json,
+    load_json,
     load_system,
     measure_from_dict,
     operator_from_dict,
@@ -335,3 +336,110 @@ def test_file_commands_build_no_operator_per_atom(tmp_path, capsys, monkeypatch)
         monkeypatch.undo()
     assert counts[0] == counts[1]
     assert capsys.readouterr().err == ""
+
+
+# Decimal strings that a float parser can round wrongly: the largest subnormal,
+# just below half the smallest subnormal (rounds to 0), 2**53 + 1 (a tie that
+# rounds to even), the tie between 1 and its successor with its neighbours one
+# unit below and above in the last digit, and magnitudes below the smallest
+# subnormal, which round to a signed zero.
+_HARD_DECIMALS = (
+    "2.2250738585072011e-308",
+    "2.4703282292062327e-324",
+    "9007199254740993.0",
+    "1.00000000000000011102230246251565404236316680908203124",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "1e-400",
+    "-1e-400",
+)
+
+
+def _bits(values) -> np.ndarray:
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+def test_load_json_floats_match_the_stdlib_parser_bit_for_bit(tmp_path, monkeypatch):
+    rng = np.random.default_rng(20220513)
+    patterns = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64, endpoint=False)
+    # A thousand patterns with a zero exponent field: subnormals and signed zeros.
+    patterns[:1000] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+    values = patterns.view(np.float64)
+    texts = [repr(v) for v in values[np.isfinite(values)].tolist()] + list(_HARD_DECIMALS)
+    text = "[" + ", ".join(texts) + "]"
+    expected = _bits(json.loads(text))
+    path = tmp_path / "floats.json"
+    path.write_text(text, encoding="utf-8")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("json.loads read a document that orjson accepts")
+    monkeypatch.setattr(json, "loads", refused)
+    got = load_json(str(path))
+    assert len(got) == len(texts) and all(type(v) is float for v in got)
+    assert np.array_equal(_bits(got), expected)
+    assert _bits(got[-2:]).tolist() == _bits([0.0, -0.0]).tolist()
+
+
+# Documents that orjson refuses and the standard parser reads, as it always has.
+_FALLBACK_DOCUMENTS = {
+    "nan": ("[NaN]", lambda got: len(got) == 1 and np.isnan(got[0])),
+    "infinity": ("[Infinity]", lambda got: got == [np.inf]),
+    "minus-infinity": ("[-Infinity]", lambda got: got == [-np.inf]),
+    "past-double": ("[1e400]", lambda got: got == [np.inf]),
+    "integer-past-double": ("[" + "1" + "0" * 400 + "]", lambda got: got == [10 ** 400]),
+    "lone-surrogate-label": ('{"label": "\\ud800"}', lambda got: got == {"label": "\ud800"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FALLBACK_DOCUMENTS))
+def test_load_json_reads_what_orjson_refuses_with_the_stdlib_parser(tmp_path, monkeypatch, case):
+    text, check = _FALLBACK_DOCUMENTS[case]
+    calls = []
+    parse = json.loads
+    monkeypatch.setattr(json, "loads", lambda doc: calls.append(doc) or parse(doc))
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert check(load_json(str(path)))
+    assert calls == [text]
+
+
+# Texts no parser reads keep the standard parser's messages.
+_REFUSED_TEXTS = {
+    "trailing-comma": ("[1,]".encode(), "invalid JSON at line 1, column 4"),
+    "byte-order-mark": ("\ufeff[1]".encode(), "invalid JSON at line 1, column 1"),
+    "second-line": (b'{"a": 1,\n  "b": }', "invalid JSON at line 2, column 8"),
+    "invalid-utf8": (b'["\xff"]', "not UTF-8 text"),
+    "digit-limit": (b"[" + b"7" * 5000 + b"]", "unreadable JSON: Exceeds the limit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_TEXTS))
+def test_load_json_refusals_keep_the_stdlib_messages(tmp_path, case):
+    data, message = _REFUSED_TEXTS[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(InputError) as err:
+        load_json(str(path))
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_deep_nesting_fails_the_schema_check(tmp_path, capsys):
+    # orjson has no nesting limit: the list loads, and is not a system document.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("gframe: error: bad system document")
+
+
+def test_module_rank_past_an_unsigned_64_bit_integer_is_refused(tmp_path, capsys):
+    # orjson reads 2**64 + 1 as the nearest double, 2**64: still not the family's rank.
+    doc = system_to_dict(random_system(3, rank=2))
+    doc["module_rank"] = 2 ** 64 + 1
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "declared module_rank does not match the family" in captured.err

@@ -263,6 +263,16 @@ def test_additive_corollary_kind():
         assert corollary.to_dict() == additive.to_dict()
 
 
+def test_additive_corollary_never_builds_the_reference_gram():
+    # Its Gram constant is zero, so K_T would only be multiplied by 0.
+    sys_t, family = _noisy_pair(3)
+    sys_r = sys_t.with_family(family)
+    additive_perturbation_check(sys_t, sys_r, alpha=0.5, beta=0.3, kind="additive_corollary")
+    assert "gram_operator" not in vars(sys_t)
+    additive_perturbation_check(sys_t, sys_r, alpha=0.1, beta=0.3)
+    assert "gram_operator" in vars(sys_t)
+
+
 def test_certified_windows_recheck_exactly():
     # conclusion soundness: every certified window passes the exact scalar check
     tight = tight_line_system()

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import math
 import reprlib
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,6 +23,7 @@ from .generate import random_system, unit_interval_system
 from .hilbert import positive_part_checks
 from .reports import FAIL, PASS
 from .serialize import (
+    collector_paused,
     dump_json,
     family_to_dict,
     load_json,
@@ -280,27 +279,10 @@ def _check_options(args) -> None:
         raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector, then restore the caller's setting.
-
-    No command creates reference cycles, so a pause defers no garbage.  Left
-    running, the collector's full passes walk every object alive, which while
-    a system file is read includes the whole decoded document.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _run(args) -> int:
     """Run the command with the collector paused and numpy's overflow and
     invalid-value warnings raised as DomainErrors."""
-    with _collector_paused(), np.errstate(over="raise", invalid="raise"):
+    with collector_paused(), np.errstate(over="raise", invalid="raise"):
         try:
             return _COMMANDS[args.command](args)
         except FloatingPointError as exc:

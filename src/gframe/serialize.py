@@ -9,18 +9,24 @@ passes with no Python loop over them, all blocks of a file go through one
 array conversion, and one index gather places the members' blocks side by
 side as the stacked operator, with no operator per atom.  A
 family is encoded by one conversion of its stack, cut into per-label
-operator documents.  Documents are written as key-sorted JSON on one line,
-which CPython's C encoder produces.  Every JSON input is parsed by orjson,
-whose floats are bit-identical to ``json``'s; a document orjson refuses (NaN,
-Infinity, a number past a double, a lone surrogate escape, malformed text)
-is parsed again by ``json``, which reads it or reports it as before.
+operator documents.  Documents are written by orjson as compact, key-sorted
+ASCII JSON on one line; a document orjson cannot write that way (a non-finite
+float, which it would write as null; non-ASCII text; a lone surrogate; an
+integer past 64 bits; a non-string key; a numpy scalar) is written by
+``json`` as before.  Every JSON input is parsed by orjson, whose floats are
+bit-identical to ``json``'s; a document orjson refuses (NaN, Infinity, a
+number past a double, a lone surrogate escape, malformed text) is parsed
+again by ``json``, which reads it or reports it as before.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import math
 import numbers
 import reprlib
+from contextlib import contextmanager
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import Mapping
@@ -248,8 +254,57 @@ def system_from_dict(doc: Mapping) -> GFrameSystem:
     return system
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector, then restore the caller's setting.
+
+    No command and no decode creates reference cycles, so a pause defers no
+    garbage.  Left running, the collector's full passes walk every object
+    alive, which while a system file is read includes the whole decoded
+    document.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _holds_non_finite(doc) -> bool:
+    """Whether a float in the lists and dicts of ``doc`` is NaN or infinite."""
+    stack = [doc]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                return True
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+    return False
+
+
+_SORTED_LINE = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+
+
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True) + "\n"
+    """``doc`` as key-sorted ASCII JSON on one line, with floats in shortest round-trip form.
+
+    orjson writes it, unless it raises (a lone surrogate, an integer outside
+    [-2**63, 2**64), a non-string key, a numpy scalar), writes non-ASCII text
+    raw, or writes a NaN or an infinity as null: ``json`` writes those
+    documents, escaping non-ASCII text and spelling NaN and Infinity.
+    """
+    try:
+        data = orjson.dumps(doc, option=_SORTED_LINE)
+    except orjson.JSONEncodeError:
+        data = None
+    if data is None or not data.isascii() or (b"null" in data and _holds_non_finite(doc)):
+        return json.dumps(doc, sort_keys=True) + "\n"
+    return data.decode("ascii")
 
 
 def save_system(system: GFrameSystem, path: str) -> None:
@@ -281,4 +336,6 @@ def load_json(path: str):
 
 
 def load_system(path: str) -> GFrameSystem:
-    return system_from_dict(load_json(path))
+    """The system in a file, parsed and decoded with the collector paused."""
+    with collector_paused():
+        return system_from_dict(load_json(path))

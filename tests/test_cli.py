@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,13 @@ from gframe.cli import main
 from gframe.frames import GFrameSystem
 from gframe.hilbert import AdjointableOperator
 from gframe.measure import MeasureSpace, simpson_unit_interval
-from gframe.serialize import dump_json, load_system, operator_to_dict, system_to_dict
+from gframe.serialize import (
+    dump_json,
+    load_system,
+    operator_to_dict,
+    save_system,
+    system_to_dict,
+)
 from gframe.generate import random_system, unit_interval_system
 
 from conftest import brute_force_right_inverse_residual
@@ -924,3 +931,61 @@ def test_collector_is_paused_per_command_and_restored(tmp_path, capsys, monkeypa
         (gc.enable if was else gc.disable)()
     capsys.readouterr()
     assert seen == [False, False]
+
+
+def _assert_written_by_the_stdlib_encoder(out: str) -> None:
+    """An ASCII report whose bytes are those ``json.dumps`` writes for its value."""
+    assert out.isascii()
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", ["syst\u00e8me.json", os.fsdecode(b"bad\xff.json")],
+                         ids=["non-ascii", "undecodable-byte"])
+def test_validate_reports_a_path_that_orjson_cannot_write_as_ascii(tmp_path, capsys, name):
+    path = str(tmp_path / name)
+    save_system(random_system(3), path)
+    code, out, err = _run(capsys, "validate", path)
+    assert code == 0 and err == ""
+    _assert_written_by_the_stdlib_encoder(out)
+    assert json.loads(out)["config"]["system"] == path
+
+
+def test_theorem_reports_a_seed_past_64_bits(capsys):
+    code, out, err = _run(capsys, "theorem", "--id", "T55", "--seed", str(2 ** 70))
+    assert code in (0, 1) and "Traceback" not in err
+    _assert_written_by_the_stdlib_encoder(out)
+    assert json.loads(out)["config"]["seed"] == 2 ** 70
+
+
+def test_multiplier_reports_an_infinite_bound_squared(tmp_path, capsys):
+    # The product of squares overflows; orjson would write the infinity as null.
+    system = random_system(3, rank=2, algebra="diagonal", dim=2)
+    path = str(tmp_path / "big.json")
+    save_system(system.with_family({k: 1e77 * op for k, op in system.family.items()}), path)
+    code, out, err = _run(capsys, "multiplier", path)
+    assert code in (0, 1) and "Traceback" not in err
+    _assert_written_by_the_stdlib_encoder(out)
+    assert json.loads(out)["results"]["bound_squared"] == np.inf
+
+
+def test_reports_and_files_hold_the_values_the_stdlib_encoder_writes(tmp_path, capsys,
+                                                                      monkeypatch):
+    path = str(tmp_path / "sys.json")
+
+    def outputs() -> list:
+        """The file ``random`` writes, then the dual and frame-op reports on it."""
+        _run(capsys, "random", "--seed", "1", "--rank", "8", "--atoms", "8",
+             "--algebra", "matrix", "--dim", "4", "--out", path)
+        texts = [Path(path).read_text(encoding="utf-8")]
+        for command in ("dual", "frame-op"):
+            code, out, _ = _run(capsys, command, path)
+            assert code == 0
+            texts.append(out)
+        return texts
+
+    written = outputs()
+    monkeypatch.setattr(cli, "dump_json", lambda doc: json.dumps(doc, sort_keys=True) + "\n")
+    expected = outputs()
+    assert [json.loads(text) for text in written] == [json.loads(text) for text in expected]
+    # orjson wrote them: compact separators, not json's.
+    assert all(text != old for text, old in zip(written, expected))

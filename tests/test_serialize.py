@@ -1,6 +1,9 @@
+import gc
 import json
+import math
 
 import numpy as np
+import orjson
 import pytest
 
 from gframe.algebra import AlgebraDescriptor, AlgebraElement
@@ -254,7 +257,7 @@ def test_dump_json_is_one_sorted_line():
     doc = system_to_dict(random_system(4))
     text = dump_json(doc)
     assert text.endswith("\n") and text.count("\n") == 1
-    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    assert text == orjson.dumps(json.loads(text), option=orjson.OPT_SORT_KEYS).decode() + "\n"
     assert json.loads(text) == doc
 
 
@@ -443,3 +446,82 @@ def test_module_rank_past_an_unsigned_64_bit_integer_is_refused(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "declared module_rank does not match the family" in captured.err
+
+
+def _stdlib_dumps_refused(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("json.dumps wrote a document that orjson writes")
+    monkeypatch.setattr(json, "dumps", refused)
+
+
+def test_dump_json_floats_read_back_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(20220514)
+    patterns = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64, endpoint=False)
+    # A thousand patterns with a zero exponent field: subnormals and signed zeros.
+    patterns[:1000] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+    values = patterns.view(np.float64)
+    extremes = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0]
+    doc = values[np.isfinite(values)].tolist() + extremes
+    _stdlib_dumps_refused(monkeypatch)
+    got = json.loads(dump_json(doc))
+    assert len(got) == len(doc) and all(type(v) is float for v in got)
+    assert np.array_equal(_bits(got), _bits(doc))
+    assert _bits(got[-4:]).tolist() == _bits(extremes).tolist()
+
+
+# Documents that orjson cannot write as pure ASCII JSON with every value kept:
+# json writes them, as it always has.
+_WRITER_FALLBACKS = {
+    "infinity": {"bound_squared": math.inf},
+    "minus-infinity": {"bound_squared": -math.inf},
+    "nan-next-to-null": {"system": None, "value": math.nan},
+    "lone-surrogate": {"path": "a\udcff"},
+    "past-unsigned-64-bit": {"seed": 2 ** 64},
+    "below-signed-64-bit": {"seed": -2 ** 63 - 1},
+    "integer-key": {1: "a"},
+    "numpy-scalar": {"x": np.float64(1.5)},
+    "non-ascii": {"label": "\u03a9"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITER_FALLBACKS))
+def test_dump_json_writes_what_orjson_cannot_with_the_stdlib_encoder(case):
+    doc = _WRITER_FALLBACKS[case]
+    text = dump_json(doc)
+    assert text == json.dumps(doc, sort_keys=True) + "\n"
+    assert text.isascii()
+
+
+def test_dump_json_writes_null_and_finite_floats_with_orjson(monkeypatch):
+    _stdlib_dumps_refused(monkeypatch)
+    assert dump_json({"y": 1e-05, "x": None}) == '{"x":null,"y":0.00001}\n'
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_load_system_runs_no_collection_and_restores_the_collector(tmp_path, enabled):
+    # Thousands of containers: with the collector running, the parse and the
+    # decode would each start several collections.
+    path = tmp_path / "sys.json"
+    save_system(random_system(1, rank=4, atoms=8, algebra="matrix", dim=3), str(path))
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json", encoding="utf-8")
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        (gc.enable if enabled else gc.disable)()
+        system = load_system(str(path))
+        assert gc.isenabled() is enabled
+        with pytest.raises(InputError):
+            load_system(str(broken))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
+    assert collections == []
+    assert system.module_rank == 4

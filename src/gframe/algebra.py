@@ -102,16 +102,37 @@ class AlgebraDescriptor:
         """The shape of an element's data: (d, d) for M_d, (k,) for C^k."""
         return (self.dim, self.dim) if self.kind == MATRIX else (self.dim,)
 
+    @functools.cached_property
+    def layout(self) -> tuple:
+        """(number of channels, rows and columns per module coordinate in a channel)."""
+        return (1, self.dim) if self.kind == MATRIX else (self.dim, 1)
+
     @property
     def entry_count(self) -> int:
         return math.prod(self.shape)
 
 
-def channel_layout(descriptor: AlgebraDescriptor) -> tuple:
-    """(number of channels, rows and columns per module coordinate in a channel)."""
-    if descriptor.kind == MATRIX:
-        return 1, descriptor.dim
-    return descriptor.dim, 1
+_COMPLEX = np.dtype(np.complex128)
+
+
+def freeze(fresh: np.ndarray) -> np.ndarray:
+    """Make a fresh result read-only and return it, so that a value built on it keeps it."""
+    fresh.setflags(write=False)
+    return fresh
+
+
+def as_frozen(values) -> np.ndarray:
+    """``values`` as a read-only, C-contiguous complex128 array that owns its data.
+
+    Such an array is kept as it is: it is a fresh result handed over by
+    ``freeze``, or the data of another value.  Anything else, a writable
+    array, a view, another dtype or layout, is copied once.
+    """
+    if type(values) is np.ndarray and values.dtype is _COMPLEX and values.base is None:
+        flags = values.flags
+        if not flags.writeable and flags.c_contiguous:
+            return values
+    return freeze(np.array(values, dtype=_COMPLEX, order="C"))
 
 
 def as_channels(descriptor: AlgebraDescriptor, blocks: np.ndarray) -> np.ndarray:
@@ -270,11 +291,9 @@ class AlgebraElement:
 
     def __post_init__(self):
         want = self.descriptor.shape
-        arr = np.asarray(self.data, dtype=np.complex128)
+        arr = as_frozen(self.data)
         if arr.shape != want:
             raise InputError(f"entry shape {arr.shape} does not match {want}")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     # -- constructors ------------------------------------------------------

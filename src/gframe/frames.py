@@ -28,7 +28,7 @@ from .algebra import (
     DEFAULT_TOL,
     MATRIX,
     AlgebraElement,
-    channel_layout,
+    freeze,
     frobenius_bound,
     hermitian_transpose,
     tolerance_scale,
@@ -86,10 +86,19 @@ class Family:
         return Family(labels, [op.out_rank for op in ops], stack(ops))
 
     @cached_property
+    def _atom_ranks(self) -> tuple:
+        """The ranks m_w and each member's first output coordinate, as read-only arrays.
+
+        ``with_stack`` passes them on to the families it builds on the same atoms.
+        """
+        ranks = np.array(self.ranks)
+        return freeze(ranks), freeze(ranks.cumsum() - ranks)
+
+    @cached_property
     def members(self) -> dict:
         """The members by label, cut from the stack's channel columns when first read."""
-        width = channel_layout(self.descriptor)[1]
-        pieces = np.split(self.stack.channels, np.cumsum(self.ranks)[:-1] * width, axis=2)
+        width = self.descriptor.layout[1]
+        pieces = np.split(self.stack.channels, self._atom_ranks[1][1:] * width, axis=2)
         return {label: AdjointableOperator(self.descriptor, piece)
                 for label, piece in zip(self.labels, pieces)}
 
@@ -99,13 +108,12 @@ class Family:
         ``atoms`` are the atoms of rank m and ``channels`` their members'
         channels, (atoms, c, n w, m w).
         """
-        width = channel_layout(self.descriptor)[1]
-        ranks = np.asarray(self.ranks)
-        firsts = (ranks.cumsum() - ranks) * width
+        width = self.descriptor.layout[1]
+        ranks, firsts = self._atom_ranks
         groups = []
         for m in sorted(set(self.ranks)):
             atoms = np.flatnonzero(ranks == m)
-            columns = self.stack.channels[:, :, firsts[atoms, None] + np.arange(m * width)]
+            columns = self.stack.channels[:, :, firsts[atoms, None] * width + np.arange(m * width)]
             groups.append((atoms, columns.transpose(2, 0, 1, 3)))
         return groups
 
@@ -118,7 +126,10 @@ class Family:
 
     def with_stack(self, t: AdjointableOperator) -> "Family":
         """The family on the same atoms and ranks whose stack is t."""
-        return Family(self.labels, self.ranks, t)
+        family = Family(self.labels, self.ranks, t)
+        if "_atom_ranks" in self.__dict__:
+            family._atom_ranks = self._atom_ranks
+        return family
 
     def __matmul__(self, right: AdjointableOperator) -> "Family":
         """Every member precomposed with ``right``: Lambda_w @ right."""
@@ -132,13 +143,12 @@ class Family:
             raise InputError("a family needs one scale per atom")
         columns = np.asarray(scales)
         if self.stack.channels.shape[2] != columns.size:  # some member has more than one column
-            width = channel_layout(self.descriptor)[1]
-            columns = np.repeat(columns, np.asarray(self.ranks) * width)
+            columns = np.repeat(columns, self._atom_ranks[0] * self.descriptor.layout[1])
         return self.stack.channels * columns
 
     def scaled(self, scales) -> "Family":
         """The family whose member w is scales[w] Lambda_w."""
-        return self.with_stack(AdjointableOperator(self.descriptor, self._channels(scales)))
+        return self.with_stack(AdjointableOperator(self.descriptor, freeze(self._channels(scales))))
 
     def weighted_sum(self, weights, right: Optional["Family"] = None) -> AdjointableOperator:
         """Sum over atoms of c_w R_w* Lambda_w, for R the family ``right``.
@@ -154,7 +164,7 @@ class Family:
                              "and output ranks")
         x = self._channels(np.sqrt(weights) if right is None else weights)
         y = x if right is None else right._channels()
-        return AdjointableOperator(self.descriptor, x @ hermitian_transpose(y))
+        return AdjointableOperator(self.descriptor, freeze(x @ hermitian_transpose(y)))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,14 @@ matrix products over the channels, with a vector as a 1 x n row of blocks
 inverses and roots are the algebra module's channel kernel, the same
 functions an element calls.
 
+Values own read-only arrays.  A public construction copies the array it is
+given, once, unless that array is frozen and owned (read-only, C-contiguous,
+complex128, without a base): ``algebra.as_frozen``.  The arithmetic hands
+over the fresh arrays it makes, frozen by ``algebra.freeze``, so compose,
+sums, differences, scalings, negation, the adjoint, inverses, roots,
+``times_central`` and ``stack`` copy nothing more.  ``identity`` is one
+shared instance per descriptor and rank.
+
 A family of operators A^n -> A^{m_w} is held as one operator, its stack
 A^n -> A^(m_1 + ... + m_W): the members' channel columns side by side.
 ``stack`` builds it from the members; which columns belong to which member,
@@ -23,8 +31,9 @@ and every member-wise product, is ``frames.Family``'s business.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import operator
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,9 +44,10 @@ from .algebra import (
     AlgebraDescriptor,
     AlgebraElement,
     as_channels,
-    channel_layout,
+    as_frozen,
     eigenvalues_hermitian,
     finite_spectrum,
+    freeze,
     frobenius_bound,
     from_channels,
     hermitian_defect,
@@ -60,14 +70,12 @@ class ModuleVector:
     coords: np.ndarray  # (n, d, d) for matrix kind, (n, k) for diagonal kind
 
     def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=np.complex128)
+        arr = as_frozen(self.coords)
         want = self.descriptor.shape
         if arr.ndim != len(want) + 1 or arr.shape[1:] != want:
             raise InputError(f"coordinate array shape {arr.shape} invalid for {self.descriptor}")
         if arr.shape[0] < 1:
             raise InputError("module rank must be >= 1")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
 
     @property
@@ -117,22 +125,37 @@ def _embed_diag(arr: np.ndarray) -> np.ndarray:
     return arr[..., :, None] * np.eye(k, dtype=np.complex128)
 
 
-@dataclass(frozen=True, eq=False)
 class AdjointableOperator:
-    """A-linear map A^n -> A^m, (Tx)_j = sum_i x_i t_ij, held as its channel stack."""
+    """A-linear map A^n -> A^m, (Tx)_j = sum_i x_i t_ij, held as its channel stack.
 
-    descriptor: AlgebraDescriptor
-    channels: np.ndarray  # (1, n d, m d) matrix kind, (k, n, m) diagonal kind
+    ``channels`` is (1, n d, m d) for the matrix kind and (k, n, m) for the
+    diagonal kind, read-only, and no attribute can be assigned.  Every
+    operator is checked by ``__post_init__``, which keeps a frozen, owned
+    array and copies anything else once (``as_frozen``).
+    """
+
+    def __init__(self, descriptor: AlgebraDescriptor, channels):
+        fields = self.__dict__
+        fields["descriptor"], fields["channels"] = descriptor, channels
+        self.__post_init__()
 
     def __post_init__(self):
-        arr = np.array(self.channels, dtype=np.complex128, order="C")
-        count, width = channel_layout(self.descriptor)
-        if arr.ndim != 3 or arr.shape[0] != count or arr.shape[1] % width or arr.shape[2] % width:
-            raise InputError(f"channel array shape {arr.shape} invalid for {self.descriptor}")
-        if min(arr.shape[1:]) < 1:
+        arr = self.__dict__["channels"] = as_frozen(self.channels)
+        count, width = self.descriptor.layout
+        shape = arr.shape
+        if len(shape) != 3 or shape[0] != count or shape[1] % width or shape[2] % width:
+            raise InputError(f"channel array shape {shape} invalid for {self.descriptor}")
+        if not (shape[1] and shape[2]):
             raise InputError("operator ranks must be >= 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "channels", arr)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"AdjointableOperator(descriptor={self.descriptor!r}, channels={self.channels!r})"
 
     @property
     def blocks(self) -> np.ndarray:
@@ -141,11 +164,11 @@ class AdjointableOperator:
 
     @property
     def in_rank(self) -> int:
-        return self.channels.shape[1] // channel_layout(self.descriptor)[1]
+        return self.channels.shape[1] // self.descriptor.layout[1]
 
     @property
     def out_rank(self) -> int:
-        return self.channels.shape[2] // channel_layout(self.descriptor)[1]
+        return self.channels.shape[2] // self.descriptor.layout[1]
 
     # -- constructors ------------------------------------------------------
 
@@ -155,13 +178,15 @@ class AdjointableOperator:
         arr = np.asarray(blocks, dtype=np.complex128)
         if arr.ndim != 2 + len(descriptor.shape) or arr.shape[2:] != descriptor.shape:
             raise InputError(f"block array shape {arr.shape} invalid for {descriptor}")
-        return AdjointableOperator(descriptor, as_channels(descriptor, arr))
+        count, width = descriptor.layout
+        chans = np.empty((count, arr.shape[0] * width, arr.shape[1] * width), dtype=np.complex128)
+        from_channels(descriptor, chans)[...] = arr  # the one copy of the caller's blocks
+        return AdjointableOperator(descriptor, freeze(chans))
 
     @staticmethod
     def identity(descriptor: AlgebraDescriptor, rank: int) -> "AdjointableOperator":
-        count, width = channel_layout(descriptor)
-        eye = np.eye(rank * width, dtype=np.complex128)
-        return AdjointableOperator(descriptor, np.broadcast_to(eye, (count,) + eye.shape))
+        """The identity of A^rank: one shared instance per descriptor and rank."""
+        return _identity(descriptor, operator.index(rank))
 
     @staticmethod
     def zero(descriptor: AlgebraDescriptor, in_rank: int, out_rank: int) -> "AdjointableOperator":
@@ -179,23 +204,24 @@ class AdjointableOperator:
         return ModuleVector(self.descriptor, apply_stack(self, x.coords[None])[0])
 
     def adjoint(self) -> "AdjointableOperator":
-        return AdjointableOperator(self.descriptor, hermitian_transpose(self.channels))
+        conj = np.conjugate(self.channels.swapaxes(-1, -2), order="C")
+        return AdjointableOperator(self.descriptor, freeze(conj))
 
     def __add__(self, other: "AdjointableOperator") -> "AdjointableOperator":
         self._check_same_shape(other)
-        return AdjointableOperator(self.descriptor, self.channels + other.channels)
+        return AdjointableOperator(self.descriptor, freeze(self.channels + other.channels))
 
     def __sub__(self, other: "AdjointableOperator") -> "AdjointableOperator":
         self._check_same_shape(other)
-        return AdjointableOperator(self.descriptor, self.channels - other.channels)
+        return AdjointableOperator(self.descriptor, freeze(self.channels - other.channels))
 
     def __mul__(self, scalar) -> "AdjointableOperator":
-        return AdjointableOperator(self.descriptor, self.channels * complex(scalar))
+        return AdjointableOperator(self.descriptor, freeze(self.channels * complex(scalar)))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "AdjointableOperator":
-        return AdjointableOperator(self.descriptor, -self.channels)
+        return AdjointableOperator(self.descriptor, freeze(-self.channels))
 
     def __matmul__(self, other: "AdjointableOperator") -> "AdjointableOperator":
         """Composition self after other: (self @ other)(x) = self(other(x))."""
@@ -211,9 +237,11 @@ class AdjointableOperator:
             if not within_tolerance((v - AlgebraElement.scalar(desc, z)).norm(), DEFAULT_TOL,
                                     v.norm):
                 raise InputError("multiplier element must be central (scalar) in the matrix algebra")
-        count, width = channel_layout(desc)
-        rows = self.channels.reshape(count, -1, width) @ v.channels()
-        return AdjointableOperator(desc, rows.reshape(self.channels.shape))
+        count, width = desc.layout
+        rows = np.empty_like(self.channels)
+        np.matmul(self.channels.reshape(count, -1, width), v.channels(),
+                  out=rows.reshape(count, -1, width))
+        return AdjointableOperator(desc, freeze(rows))
 
     def _check_same_shape(self, other: "AdjointableOperator") -> None:
         if self.descriptor != other.descriptor or self.channels.shape != other.channels.shape:
@@ -289,7 +317,7 @@ class AdjointableOperator:
         if self.in_rank != self.out_rank:
             raise DomainError("only square operators can be inverted")
         return AdjointableOperator(
-            self.descriptor, inverse(self.channels, self._singular_values, "operator"))
+            self.descriptor, freeze(inverse(self.channels, self._singular_values, "operator")))
 
     def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AdjointableOperator":
         """Positive square root of a positive operator: ``positive_roots`` of the row (0, 1)."""
@@ -299,7 +327,7 @@ class AdjointableOperator:
         """Roots of the positive c_0 + c_1 T + ..., one per coefficient row: ``polynomial_roots``."""
         if not self.is_hermitian(tol):
             raise DomainError("operator square root requires a positive operator")
-        return [AdjointableOperator(self.descriptor, root)
+        return [AdjointableOperator(self.descriptor, freeze(root))
                 for root in polynomial_roots(self.channels, coeffs, tol, "operator")]
 
 
@@ -307,9 +335,9 @@ def compose(s: AdjointableOperator, t: AdjointableOperator) -> AdjointableOperat
     """Composition s after t, blocks (s t)_ik = sum_j t_ij s_jk."""
     if s.descriptor != t.descriptor:
         raise InputError("algebra mismatch in composition")
-    if t.out_rank != s.in_rank:
+    if t.channels.shape[2] != s.channels.shape[1]:  # one algebra, so one coordinate width
         raise InputError("rank mismatch in composition")
-    return AdjointableOperator(s.descriptor, t.channels @ s.channels)
+    return AdjointableOperator(s.descriptor, freeze(t.channels @ s.channels))
 
 
 def stack(ops: Sequence[AdjointableOperator]) -> AdjointableOperator:
@@ -322,7 +350,14 @@ def stack(ops: Sequence[AdjointableOperator]) -> AdjointableOperator:
     if len({(op.descriptor, op.in_rank) for op in ops}) != 1:
         raise InputError("stack members must share the algebra and the input rank")
     chans = np.concatenate([op.channels for op in ops], axis=2)
-    return AdjointableOperator(ops[0].descriptor, chans)
+    return AdjointableOperator(ops[0].descriptor, freeze(chans))
+
+
+@lru_cache(maxsize=64)  # a process meets a few module ranks; the bound caps what is kept
+def _identity(descriptor: AlgebraDescriptor, rank: int) -> AdjointableOperator:
+    count, width = descriptor.layout
+    eye = np.eye(rank * width, dtype=np.complex128)
+    return AdjointableOperator(descriptor, np.broadcast_to(eye, (count,) + eye.shape))
 
 
 def _vector_stack(descriptor: AlgebraDescriptor, coords: np.ndarray) -> np.ndarray:
@@ -408,7 +443,7 @@ def loewner_gap(lhs: AdjointableOperator, rhs: AdjointableOperator) -> tuple:
     chans = lhs.channels - rhs.channels
     vals, vecs = finite_spectrum(np.linalg.eigh, hermitian_part(chans))
     index = np.arange(chans.shape[0])
-    rows = np.zeros((index.size, index.size, channel_layout(lhs.descriptor)[1], chans.shape[-1]),
+    rows = np.zeros((index.size, index.size, lhs.descriptor.layout[1], chans.shape[-1]),
                     dtype=np.complex128)
     rows[index, index, 0] = vecs[:, :, -1].conj()
     return vals[:, -1], from_channels(lhs.descriptor, rows)[:, 0]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, channel_layout, element_norms
+from .algebra import AlgebraDescriptor, element_norms, freeze
 from .hilbert import AdjointableOperator, ModuleVector, pairing
 
 
@@ -61,10 +61,10 @@ def rand_invertible_operator(descriptor: AlgebraDescriptor, rank: int,
 def rand_unitary_operator(descriptor: AlgebraDescriptor, rank: int,
                           rng: np.random.Generator) -> AdjointableOperator:
     """QR-based unitary, one per channel."""
-    count, width = channel_layout(descriptor)
+    count, width = descriptor.layout
     size = rank * width
     chans = np.empty((count, size, size), dtype=np.complex128)
     for channel in range(count):
         q, r = np.linalg.qr(complex_gaussian(rng, (size, size)))
         chans[channel] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return AdjointableOperator(descriptor, chans)
+    return AdjointableOperator(descriptor, freeze(chans))

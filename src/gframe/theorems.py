@@ -38,9 +38,9 @@ from .algebra import (
     MATRIX,
     AlgebraDescriptor,
     AlgebraElement,
-    channel_layout,
     element_norms,
     finite_spectrum,
+    freeze,
     tolerance_scale,
 )
 from .errors import DomainError, InputError, UnsupportedConfigurationError
@@ -168,7 +168,7 @@ def _bump_control(system: GFrameSystem, draw: _Draws, generated: bool) -> GFrame
     A generated instance on which every operator commutes is first redrawn at
     rank 2 over M_2.
     """
-    if generated and system.module_rank * channel_layout(system.descriptor)[1] < 2:
+    if generated and system.module_rank * system.descriptor.layout[1] < 2:
         system = draw(rank=2, dim=2)
     r = rand_operator(system.descriptor, system.module_rank, system.module_rank,
                       _rng(draw.seed, 9999))
@@ -632,7 +632,7 @@ def _block_diagonal(top: AdjointableOperator, bottom: AdjointableOperator) -> Ad
     (count, rows, cols), (_, more_rows, more_cols) = top.channels.shape, bottom.channels.shape
     chans = np.zeros((count, rows + more_rows, cols + more_cols), dtype=np.complex128)
     chans[:, :rows, :cols], chans[:, rows:, cols:] = top.channels, bottom.channels
-    return AdjointableOperator(top.descriptor, chans)
+    return AdjointableOperator(top.descriptor, freeze(chans))
 
 
 def _block_diag_system(seed: int) -> tuple:
@@ -675,7 +675,7 @@ def _submodule(row: _Row) -> None:
     row.frame_hypotheses(sys_full)
     s_inv = sys_full.frame_operator.inverse()
     inclusion = AdjointableOperator(  # the first r coordinates of A^n
-        desc, AdjointableOperator.identity(desc, n).channels[:, :r * channel_layout(desc)[1]])
+        desc, AdjointableOperator.identity(desc, n).channels[:, :r * desc.layout[1]])
     projection = inclusion.adjoint()
     sys_r = GFrameSystem(sys_full.measure, sys_full.stacked_family @ inclusion,
                          projection @ sys_full.controls.C @ inclusion,
@@ -758,7 +758,7 @@ def _least_squares_inverse(op: AdjointableOperator) -> AdjointableOperator:
     """
     if not np.isfinite(op.channels).all():
         raise DomainError("least-squares inverse needs finite entries")
-    return AdjointableOperator(op.descriptor, finite_spectrum(np.linalg.pinv, op.channels))
+    return AdjointableOperator(op.descriptor, freeze(finite_spectrum(np.linalg.pinv, op.channels)))
 
 
 def _central_element(descriptor: AlgebraDescriptor, rng: np.random.Generator) -> AlgebraElement:

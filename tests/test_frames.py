@@ -9,7 +9,6 @@ from gframe.algebra import (
     DEFAULT_TOL,
     AlgebraDescriptor,
     AlgebraElement,
-    channel_layout,
     element_norms,
 )
 from gframe.errors import InputError, UnsupportedConfigurationError
@@ -335,7 +334,7 @@ def test_member_view_matches_per_member_flat(kwargs):
     family = random_system(**kwargs).stacked_family
     if kwargs.get("pad_outputs"):
         assert len(set(family.ranks)) > 1
-    channels, width = channel_layout(family.descriptor)
+    channels, width = family.descriptor.layout
     groups, norms = family.member_groups(), family.member_norms()
     assert sorted(np.concatenate([atoms for atoms, _ in groups])) == list(range(len(family.ranks)))
     assert len(groups) == len(set(family.ranks))
@@ -532,6 +531,24 @@ def test_member_wise_algebra_is_stack_algebra(kwargs):
         assert _rel_flat(scaled[label].flat(), scale * flat) <= 1e-13
         assert _rel_flat(summed[label].flat(), flat + flat_other) <= 1e-13
         assert _rel_flat(difference[label].flat(), flat - flat_other) <= 1e-13
+
+
+@pytest.mark.parametrize("kwargs", MIXED_RANK_SYSTEMS, ids=_oracle_id)
+def test_family_reads_its_atom_ranks_once_and_passes_them_on(kwargs):
+    family = random_system(**kwargs).stacked_family
+    assert "_atom_ranks" not in vars(family)
+    groups = family.member_groups()
+    ranks, firsts = family._atom_ranks
+    assert ranks.tolist() == list(family.ranks)
+    assert firsts.tolist() == [sum(family.ranks[:w]) for w in range(len(family.ranks))]
+    assert not ranks.flags.writeable and not firsts.flags.writeable
+    assert family._atom_ranks is family._atom_ranks
+    assert all(np.array_equal(a, b) and np.array_equal(x, y)
+               for (a, x), (b, y) in zip(groups, family.member_groups()))
+    r = rand_operator(family.descriptor, family.in_rank, family.in_rank, np.random.default_rng(47))
+    scales = np.arange(1.0, len(family.ranks) + 1.0)
+    for derived in (family @ r, family.scaled(scales), family.with_stack(family.stack + family.stack)):
+        assert derived._atom_ranks is family._atom_ranks
 
 
 def test_precomposing_a_family_builds_a_fixed_number_of_operators(monkeypatch):

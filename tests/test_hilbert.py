@@ -1,7 +1,11 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from gframe.algebra import AlgebraDescriptor, AlgebraElement, element_norms
+from conftest import count_operators
+from gframe import hilbert
+from gframe.algebra import AlgebraDescriptor, AlgebraElement, as_frozen, element_norms
 from gframe.errors import DomainError, InputError
 from gframe.frames import Family
 from gframe.hilbert import (
@@ -486,3 +490,125 @@ def test_operator_square_root_and_its_domain(desc):
         assert not bad.is_positive()
         with pytest.raises(DomainError):
             bad.sqrt_positive()
+
+
+# -- the construction contract -------------------------------------------------
+
+KINDS = pytest.mark.parametrize("desc", [AlgebraDescriptor("matrix", 2),
+                                         AlgebraDescriptor("diagonal", 3)],
+                                ids=["matrix", "diagonal"])
+
+
+def _caller_arrays(shape, rng):
+    """(the caller's writable base, the array handed to a constructor) for each case it copies."""
+    base = complex_gaussian(rng, shape)
+    view = base.view()
+    view.setflags(write=False)
+    real = rng.standard_normal(shape)
+    square = complex_gaussian(rng, shape[:-2] + (shape[-1], shape[-2]))
+    return {"writable": (base, base), "read-only view of a writable base": (base, view),
+            "float64": (real, real), "non-contiguous": (square, square.swapaxes(-1, -2))}
+
+
+def _frozen_and_owned(arr: np.ndarray) -> bool:
+    return (arr.dtype == np.complex128 and arr.base is None and arr.flags.c_contiguous
+            and not arr.flags.writeable)
+
+
+@KINDS
+def test_public_construction_copies_what_the_caller_can_write(desc):
+    rng = np.random.default_rng(71)
+    count, width = desc.layout
+    for build, shape in ((lambda arr: AdjointableOperator(desc, arr), (count, 2 * width, 3 * width)),
+                         (lambda arr: AdjointableOperator.from_blocks(desc, arr), (2, 3) + desc.shape)):
+        for case, (base, given) in _caller_arrays(shape, rng).items():
+            expected = np.array(given, dtype=np.complex128)
+            op = build(given)
+            assert _frozen_and_owned(op.channels), case
+            assert not np.shares_memory(op.channels, base), case
+            base[...] = 7.0
+            assert np.array_equal(op.blocks if shape[0] == 2 else op.channels, expected), case
+
+
+@KINDS
+def test_a_frozen_owned_array_is_kept(desc):
+    rng = np.random.default_rng(72)
+    count, width = desc.layout
+    for build, field, shape in ((lambda arr: AdjointableOperator(desc, arr), "channels",
+                                 (count, 2 * width, width)),
+                                (lambda arr: AlgebraElement(desc, arr), "data", desc.shape),
+                                (lambda arr: ModuleVector(desc, arr), "coords", (2,) + desc.shape)):
+        arr = complex_gaussian(rng, shape)
+        arr.setflags(write=False)
+        assert getattr(build(arr), field) is arr
+
+
+@KINDS
+def test_elements_and_vectors_copy_once_what_the_caller_can_write(desc):
+    rng = np.random.default_rng(74)
+    for build, field, shape in ((lambda arr: AlgebraElement(desc, arr), "data", desc.shape),
+                                (lambda arr: ModuleVector(desc, arr), "coords", (2,) + desc.shape)):
+        base, real = complex_gaussian(rng, shape), rng.standard_normal(shape)
+        for given in (base, real):
+            expected = np.array(given, dtype=np.complex128)
+            held = getattr(build(given), field)
+            assert _frozen_and_owned(held) and not np.shares_memory(held, given)
+            given[...] = 7.0
+            assert np.array_equal(held, expected)
+
+
+@KINDS
+def test_arithmetic_hands_over_frozen_owned_arrays(desc, monkeypatch):
+    rng = np.random.default_rng(75)
+    s, t = rand_operator(desc, 2, 2, rng), rand_operator(desc, 2, 2, rng)
+    p = rand_positive_operator(desc, 2, rng)
+    family, central = Family(["a", "b"], [1, 1], t), AlgebraElement.scalar(desc, 2.0)
+    given = []  # every array handed to an operator's __post_init__
+    monkeypatch.setattr(hilbert, "as_frozen", lambda values: given.append(values) or as_frozen(values))
+    results = {
+        "@": [s @ t], "+": [s + t], "-": [s - t], "*": [s * 2.0], "rmul": [0.5j * s], "-x": [-s],
+        "adjoint": [s.adjoint()], "inverse": [p.inverse()],
+        "positive_roots": p.positive_roots(((0.0, 1.0), (1.0, 0.5))),
+        "times_central": [s.times_central(central)], "stack": [stack([s, t])],
+        "weighted_sum": [family.weighted_sum(np.array([0.5, 2.0]))],
+        "scaled": [family.scaled([1.0, -1.0j]).stack],
+    }
+    for name, ops in results.items():
+        for op in ops:
+            assert _frozen_and_owned(op.channels), name
+            assert any(op.channels is arr for arr in given), name  # kept, not copied
+    assert len(given) == sum(map(len, results.values()))
+
+
+@KINDS
+def test_every_arithmetic_result_runs_post_init_once(desc, monkeypatch):
+    rng = np.random.default_rng(76)
+    s, t = rand_operator(desc, 3, 2, rng), rand_operator(desc, 3, 3, rng)
+    p = rand_positive_operator(desc, 3, rng)
+    family = Family(["a", "b"], [2, 1], t)
+    built = count_operators(monkeypatch)
+    makers = (lambda: [s @ t], lambda: [s + s], lambda: [s - s], lambda: [s * 2.0],
+              lambda: [2.0 * s], lambda: [-s], lambda: [s.adjoint()], lambda: [p.inverse()],
+              lambda: p.positive_roots(((0.0, 1.0), (1.0, 0.5), (2.0, 0.0))),
+              lambda: [stack([s, t])], lambda: [family.weighted_sum([0.5, 2.0])],
+              lambda: [family.scaled([1.0, 3.0]).stack])
+    for make in makers:
+        before = len(built)
+        results = make()
+        assert built[before:] == [(op.in_rank, op.out_rank) for op in results]
+    assert len(built) == len(makers) + 2
+
+
+def test_identity_is_one_shared_frozen_instance():
+    m2, again = AlgebraDescriptor("matrix", 2), AlgebraDescriptor("matrix", 2)
+    eye = AdjointableOperator.identity(m2, 3)
+    assert AdjointableOperator.identity(again, 3) is eye
+    assert AdjointableOperator.identity(m2, rank=np.int64(3)) is eye
+    assert AdjointableOperator.identity(m2, 2) is not eye
+    assert AdjointableOperator.identity(AlgebraDescriptor("diagonal", 2), 3) is not eye
+    assert np.array_equal(eye.flat(), np.eye(6)) and _frozen_and_owned(eye.channels)
+    with pytest.raises(ValueError):
+        eye.channels[0, 0, 0] = 2.0
+    with pytest.raises(FrozenInstanceError):
+        eye.channels = np.zeros_like(eye.channels)
+    assert np.array_equal(eye.flat(), np.eye(6))
